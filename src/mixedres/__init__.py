@@ -25,6 +25,7 @@ from .closed_form import (
     beta,
     filter_closed_form,
     mse_closed_form,
+    mse_grid,
     mse_noiseless_quantized_limit,
     mse_pure_analog,
     mse_pure_quantized,

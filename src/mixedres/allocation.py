@@ -7,10 +7,11 @@ the optimum always lies on the max-power frontier
 
     n_q = floor((p_max_norm - 2**bits * m * n_a) / (2 * m)),
 
-so a one-dimensional search over n_a suffices.  The exhaustive solver scans
-every feasible pair with the matrix-solve MSE instead and serves as the
-reference oracle at small scale.  Dither optimization adds an inner grid
-search over the dither variance.
+so a one-dimensional search over n_a suffices.  The closed-form search
+evaluates the whole (frontier x dither grid) in one array call.  The
+exhaustive solver scans every feasible pair with the matrix-solve MSE
+instead and serves as the reference oracle at small scale.  Every search
+picks its optimum with :func:`argbest`.
 """
 
 from __future__ import annotations
@@ -20,10 +21,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .closed_form import mse_closed_form
-from .exceptions import InstanceTooLargeError, ModelError
+from .closed_form import mse_grid
+from .exceptions import InstanceTooLargeError, ModelError, require_finite
 from .estimator import lmmse
 from .model import MixedModel, OrthoBlockParams, RngStream, make_ortho_matrices
+
+# Most closed-form points (frontier points x dither values x noise levels)
+# one search may evaluate.  The grid is built as dense float64 arrays, a few
+# dozen of them alive at once, so this bounds memory near 0.2 GB.
+MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -36,8 +42,7 @@ class PowerBudget:
     def __post_init__(self):
         if self.bits < 1:
             raise ModelError(f"bits must be >= 1, got {self.bits}")
-        if self.p_max_norm <= 0:
-            raise ModelError("p_max_norm must be positive")
+        require_finite("p_max_norm", self.p_max_norm, positive=True)
 
     def analog_block_cost(self, m: int) -> float:
         return float(2**self.bits * m)
@@ -64,26 +69,28 @@ class DitherScheme:
     def __post_init__(self):
         if self.mode not in self.MODES:
             raise ModelError(f"dither mode must be one of {self.MODES}, got {self.mode!r}")
-        if self.mode != "none":
-            if self.grid_step <= 0:
-                raise ModelError("grid_step must be positive")
-            if self.grid_step > self.grid_max:
-                raise ModelError("grid_step must not exceed grid_max")
+        searched = self.mode != "none"
+        require_finite("grid_max", self.grid_max)
+        require_finite("grid_step", self.grid_step, positive=searched)
+        if searched and self.grid_step > self.grid_max:
+            raise ModelError("grid_step must not exceed grid_max")
+
+    def size(self) -> int:
+        """Number of dither variances in :meth:`grid`, without building it."""
+        if self.mode == "none":
+            return 1
+        return int(math.floor(self.grid_max / self.grid_step + 1e-9)) + 1
 
     def grid(self) -> list[float]:
         """Dither variances searched: 0, step, ..., up to grid_max inclusive."""
         if self.mode == "none":
             return [0.0]
-        count = int(math.floor(self.grid_max / self.grid_step + 1e-9))
-        return [k * self.grid_step for k in range(count + 1)]
+        return [k * self.grid_step for k in range(self.size())]
 
-    def apply(self, params: OrthoBlockParams, dither_var: float) -> OrthoBlockParams:
-        """Return params with the dither variance placed per the scheme mode."""
-        if self.mode == "both":
-            return replace(params, var_da=dither_var, var_dq=dither_var)
-        if self.mode == "quantized-only":
-            return replace(params, var_da=0.0, var_dq=dither_var)
-        return replace(params, var_da=0.0, var_dq=0.0)
+    def path_variances(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dither variances (analog, quantized) that each grid value places on the two paths."""
+        dq = np.array(self.grid())
+        return (dq if self.mode == "both" else np.zeros_like(dq)), dq
 
 
 @dataclass
@@ -123,6 +130,60 @@ def max_nq(n_a: int, m: int, budget: PowerBudget) -> int:
     return int(math.floor(residual / budget.quantized_block_cost(m)))
 
 
+def frontier(m: int, budget: PowerBudget) -> tuple[list[int], list[int]]:
+    """Max-power frontier: every feasible n_a and the largest n_q next to it."""
+    n_a = list(na_range(m, budget))
+    return n_a, [max_nq(k, m, budget) for k in n_a]
+
+
+def check_grid_size(m: int, budget: PowerBudget, scheme: DitherScheme, noise_levels: int = 1) -> None:
+    """Refuse a closed-form search over more than ``MAX_GRID_POINTS`` points.
+
+    Counts without building anything, so an oversized budget fails fast.
+    """
+    points = (na_range(m, budget)[-1] + 1) * scheme.size() * noise_levels
+    if points > MAX_GRID_POINTS:
+        raise InstanceTooLargeError(f"closed-form search has {points} points (limit {MAX_GRID_POINTS})")
+
+
+def dithered_mse(m, rho_a, rho_q, var_a, var_q, n_a, n_q, scheme: DitherScheme) -> np.ndarray:
+    """Closed-form MSE of every (noise level, point, dither value).
+
+    ``var_a`` and ``var_q`` hold one noise variance per level and ``n_a``,
+    ``n_q`` one count pair per point; the result has shape
+    (levels, points, ``scheme.size()``).  The scheme places each dither
+    variance on the paths its mode names.
+    """
+    da, dq = scheme.path_variances()
+    va = np.asarray(var_a, dtype=np.float64).reshape(-1, 1, 1)
+    vq = np.asarray(var_q, dtype=np.float64).reshape(-1, 1, 1)
+    counts_a = np.asarray(n_a, dtype=np.float64).reshape(-1, 1)
+    counts_q = np.asarray(n_q, dtype=np.float64).reshape(-1, 1)
+    return mse_grid(m, counts_a, counts_q, rho_a, rho_q, va + da, vq + dq)
+
+
+def argbest(mse, dither_var, n_a) -> np.ndarray:
+    """Index of the optimum along the last axis of ``mse``.
+
+    The package's one tie-break rule: least MSE, then least dither variance,
+    then least n_a.  The sort is stable, so a full tie keeps the earlier
+    point, which in an n_a-major trace is the one with fewer quantized
+    blocks.
+    """
+    mse = np.asarray(mse)
+    keys = [np.broadcast_to(np.asarray(k), mse.shape) for k in (n_a, dither_var, mse)]
+    return np.lexsort(keys, axis=-1)[..., 0]
+
+
+def optimum(trace: list) -> AllocationResult:
+    """The :func:`argbest` entry of a trace of (n_a, n_q, dither_var, mse) tuples."""
+    n_a, _, dither_var, mse = zip(*trace)
+    n_a_star, n_q_star, dither_star, mse_star = trace[int(argbest(mse, dither_var, n_a))]
+    return AllocationResult(
+        n_a_star=n_a_star, n_q_star=n_q_star, dither_var_star=dither_star, mse_star=mse_star, trace=trace
+    )
+
+
 def _require_clean_base(params_base: OrthoBlockParams) -> None:
     if params_base.var_da != 0.0 or params_base.var_dq != 0.0:
         raise ModelError("params_base must carry zero dither variances; dither is a decision variable")
@@ -132,22 +193,10 @@ def allocate(params_base: OrthoBlockParams, budget: PowerBudget) -> AllocationRe
     """Minimize the closed-form MSE over the max-power frontier.
 
     The counts in ``params_base`` are ignored (they are the decision
-    variables).  Ties break toward smaller n_a, then smaller n_q.  An
-    infeasible budget degenerates to the prior-only point (0, 0).
+    variables).  Ties break toward smaller n_a.  An infeasible budget
+    degenerates to the prior-only point (0, 0).
     """
-    _require_clean_base(params_base)
-    m = params_base.m
-    trace = []
-    best = None
-    for n_a in na_range(m, budget):
-        n_q = max_nq(n_a, m, budget)
-        mse = mse_closed_form(replace(params_base, n_a=n_a, n_q=n_q)).value
-        trace.append((n_a, n_q, 0.0, mse))
-        key = (mse, n_a, n_q)
-        if best is None or key < best:
-            best = key
-    mse, n_a, n_q = best[0], best[1], best[2]
-    return AllocationResult(n_a_star=n_a, n_q_star=n_q, dither_var_star=0.0, mse_star=mse, trace=trace)
+    return allocate_with_dither(params_base, budget, DitherScheme(mode="none"))
 
 
 def allocate_with_dither(
@@ -157,24 +206,18 @@ def allocate_with_dither(
 
     For each frontier point the dither variance runs over the scheme grid;
     the global best is kept with ties broken toward smaller dither variance,
-    then smaller n_a.
+    then smaller n_a.  The trace lists the points n_a-major.
     """
     _require_clean_base(params_base)
     m = params_base.m
+    check_grid_size(m, budget, scheme)
+    n_a, n_q = frontier(m, budget)
     grid = scheme.grid()
-    trace = []
-    best = None
-    for n_a in na_range(m, budget):
-        n_q = max_nq(n_a, m, budget)
-        for dvar in grid:
-            params = scheme.apply(replace(params_base, n_a=n_a, n_q=n_q), dvar)
-            mse = mse_closed_form(params).value
-            trace.append((n_a, n_q, dvar, mse))
-            key = (mse, dvar, n_a, n_q)
-            if best is None or key < best:
-                best = key
-    mse, dvar, n_a, n_q = best
-    return AllocationResult(n_a_star=n_a, n_q_star=n_q, dither_var_star=dvar, mse_star=mse, trace=trace)
+    mse = dithered_mse(
+        m, params_base.rho_a, params_base.rho_q, params_base.var_a, params_base.var_q, n_a, n_q, scheme
+    )
+    points = [(a, q, d) for a, q in zip(n_a, n_q) for d in grid]
+    return optimum([(*point, value) for point, value in zip(points, mse.ravel().tolist())])
 
 
 def allocate_exhaustive(
@@ -210,7 +253,6 @@ def allocate_exhaustive(
     eye = np.eye(m, dtype=np.complex128)
 
     trace = []
-    best = None
     for n_a, nq_max in counts:
         for n_q in range(nq_max + 1):
             if n_a == 0 and n_q == 0:
@@ -225,11 +267,7 @@ def allocate_exhaustive(
                 )
                 mse = lmmse(model).mse
             trace.append((n_a, n_q, 0.0, mse))
-            key = (mse, n_a, n_q)
-            if best is None or key < best:
-                best = key
-    mse, n_a, n_q = best
-    return AllocationResult(n_a_star=n_a, n_q_star=n_q, dither_var_star=0.0, mse_star=mse, trace=trace)
+    return optimum(trace)
 
 
 def noiseless_quantized_policy(

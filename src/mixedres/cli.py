@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -85,14 +86,23 @@ def _get(cfg: dict, key: str, kind, where: str, default=..., allow_none: bool = 
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ConfigError(f"key '{key}' in {where} config must be {kind.__name__}")
+    if kind is float:
+        _require_finite(value, f"key '{key}' in {where} config")
     return value
+
+
+def _require_finite(value: float, what: str) -> None:
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {value}")
 
 
 def _sigma_grid(spec, where: str) -> list[float]:
     """A noise grid is either an explicit list or {start, stop, num, spacing}."""
     if isinstance(spec, list):
-        if not spec or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in spec):
-            raise ConfigError(f"'{where}' must be a non-empty list of numbers")
+        if not spec or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in spec
+        ):
+            raise ConfigError(f"'{where}' must be a non-empty list of finite numbers")
         return [float(v) for v in spec]
     if isinstance(spec, dict):
         _check_keys(spec, {"start", "stop", "num", "spacing"}, where)
@@ -243,9 +253,15 @@ def cmd_mse(args) -> int:
     allocations = _get(cfg, "allocations", list, where)
     pairs = []
     for item in allocations:
-        if not (isinstance(item, list) and len(item) == 2):
-            raise ConfigError("'allocations' must be a list of [n_a, n_q] pairs")
-        pairs.append((int(item[0]), int(item[1])))
+        if not (
+            isinstance(item, list)
+            and len(item) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in item)
+        ):
+            raise ConfigError(
+                f"'allocations' must be a list of [n_a, n_q] pairs of nonnegative integers, got {item!r}"
+            )
+        pairs.append((item[0], item[1]))
     seed, output, fmt = _resolve_io(cfg, args, where, default_fmt="csv")
 
     params_base = OrthoBlockParams(m=m, n_a=0, n_q=0, rho_a=rho, rho_q=rho, var_a=1.0, var_q=1.0)
@@ -347,6 +363,7 @@ def cmd_allocate(args) -> int:
 
     if not isinstance(sigma2, (int, float)) or isinstance(sigma2, bool):
         raise ConfigError(f"'sigma2' in {where} config must be a number, list, or grid mapping")
+    _require_finite(sigma2, f"'sigma2' in {where} config")
     fmt = fmt or "json"
     params = OrthoBlockParams(
         m=m, n_a=0, n_q=0, rho_a=rho_a, rho_q=rho_q,

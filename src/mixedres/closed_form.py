@@ -36,43 +36,73 @@ class ClosedFormMse:
     beta: float
 
 
-def alpha(rho_q: float, var_q_total: float) -> float:
+def alpha(rho_q, var_q_total):
     """Quantizer loss coefficient, (2/pi) * arccos(rho_q / (rho_q + var_q_total)).
 
-    The arccos form is numerically stable as var_q_total -> 0.
+    The arccos form is numerically stable as var_q_total -> 0.  Broadcasts
+    over array arguments.
     """
     return (2.0 / np.pi) * np.arccos(rho_q / (rho_q + var_q_total))
 
 
-def beta(n_a: int, rho_a: float, rho_q: float, var_a_total: float, var_q_total: float) -> float:
+def _analog_share(n_a, rho_a, rho_q, var_a_total, var_q_total):
+    return 2.0 * rho_a * n_a / (np.pi * (rho_q + var_q_total) * (rho_a * n_a + var_a_total))
+
+
+def beta(n_a, rho_a, rho_q, var_a_total, var_q_total):
     """Quantized-path gain coefficient of the closed-form MSE.
 
     With no analog measurements the second term vanishes identically, which
     also resolves the 0/0 arising when var_a_total is zero as well.
+    Broadcasts over array arguments; an array ``n_a`` selects per element.
     """
     first = (2.0 / np.pi) * np.arcsin(rho_q / (rho_q + var_q_total)) / rho_q
-    if n_a == 0:
-        return first
-    return first - 2.0 * rho_a * n_a / (
-        np.pi * (rho_q + var_q_total) * (rho_a * n_a + var_a_total)
+    if not isinstance(n_a, np.ndarray):
+        return first if n_a == 0 else first - _analog_share(n_a, rho_a, rho_q, var_a_total, var_q_total)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(n_a == 0, first, first - _analog_share(n_a, rho_a, rho_q, var_a_total, var_q_total))
+
+
+# The branch expressions below serve both the scalar view and the grid
+# evaluator, in one operation order, so both round identically.
+
+
+def _square(x):
+    # A float's ``**`` rounds through libm pow.  An array's ``**`` multiplies
+    # instead, which differs in the last bit for about one value in a
+    # thousand; float_power calls pow element by element.
+    return x**2 if isinstance(x, float) else np.float_power(x, 2.0)
+
+
+def _pure_analog(m, n_a, rho_a, var_a_total):
+    return m - m * rho_a * n_a / (rho_a * n_a + var_a_total)
+
+
+def _pure_quantized(m, n_q, rho_q, var_q_total, a):
+    return m - 2.0 * m * rho_q * n_q / (np.pi * (rho_q + var_q_total) * (a + (1.0 - a) * n_q))
+
+
+def _mixed(m, n_a, n_q, rho_a, rho_q, var_a_total, var_q_total, a, b):
+    da = rho_a * n_a + var_a_total
+    s = a + b * rho_q * n_q
+    term = rho_a * n_a / da + 2.0 * rho_q * n_q * _square(var_a_total) / (
+        np.pi * (rho_q + var_q_total) * s * _square(da)
     )
+    return m * (1.0 - term)
 
 
 def mse_pure_analog(m: int, n_a: int, rho_a: float, var_a_total: float) -> float:
     """MSE with analog measurements only (n_q = 0)."""
     if n_a == 0:
         return float(m)
-    return m - m * rho_a * n_a / (rho_a * n_a + var_a_total)
+    return _pure_analog(m, n_a, rho_a, var_a_total)
 
 
 def mse_pure_quantized(m: int, n_q: int, rho_q: float, var_q_total: float) -> float:
     """MSE with 1-bit quantized measurements only (n_a = 0)."""
     if n_q == 0:
         return float(m)
-    a = alpha(rho_q, var_q_total)
-    return m - 2.0 * m * rho_q * n_q / (
-        np.pi * (rho_q + var_q_total) * (a + (1.0 - a) * n_q)
-    )
+    return _pure_quantized(m, n_q, rho_q, var_q_total, alpha(rho_q, var_q_total))
 
 
 def mse_noiseless_quantized_limit(m: int, n_a: int, rho_a: float, var_a: float) -> float:
@@ -88,35 +118,58 @@ def mse_noiseless_quantized_limit(m: int, n_a: int, rho_a: float, var_a: float) 
     return m - m * (rho_a * n_a / u + term)
 
 
+def mse_grid(m, n_a, n_q, rho_a, rho_q, var_a_total, var_q_total) -> np.ndarray:
+    """Closed-form MSE broadcast over array arguments.
+
+    Element for element this equals ``mse_closed_form(...).value`` bit for
+    bit: the branches are taken in the same order (no measurements, pure
+    analog, pure quantized, noiseless analog, mixed) and each is the same
+    expression, followed by the same clamp at zero.  Counts may be integer
+    or float arrays.
+    """
+    n_a = np.asarray(n_a)
+    n_q = np.asarray(n_q)
+    va = np.asarray(var_a_total, dtype=np.float64)
+    a = alpha(rho_q, var_q_total)
+    b = beta(n_a, rho_a, rho_q, va, var_q_total)
+    # Branches are laid over each other from the last to the first, so where
+    # several conditions hold the first branch wins, as in the scalar view.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = _mixed(m, n_a, n_q, rho_a, rho_q, va, var_q_total, a, b)
+        value = np.where(va == 0.0, 0.0, value)
+        value = np.where(n_a == 0, _pure_quantized(m, n_q, rho_q, var_q_total, a), value)
+        value = np.where(n_q == 0, _pure_analog(m, n_a, rho_a, va), value)
+        value = np.where((n_a == 0) & (n_q == 0), m, value)
+    return np.where(value < 0.0, 0.0, value)
+
+
 def mse_closed_form(params: OrthoBlockParams) -> ClosedFormMse:
     """Closed-form MSE of the LMMSE estimator for the orthonormal-block model.
 
     Dither enters only through the total path variances.  Branch cases: with
     no measurements at all the MSE is the prior trace m; with one empty path
     the corresponding pure-path expression applies; with noiseless analog
-    measurements (and n_a >= 1) the parameter is recovered exactly.
+    measurements (and n_a >= 1) the parameter is recovered exactly.  This is
+    the scalar view of :func:`mse_grid`, branching in Python instead of
+    masking.
     """
     va = params.var_a_total
     vq = params.var_q_total
-    a = alpha(params.rho_q, vq)
-    b = beta(params.n_a, params.rho_a, params.rho_q, va, vq)
     m, n_a, n_q = params.m, params.n_a, params.n_q
+    rho_a, rho_q = params.rho_a, params.rho_q
+    a = alpha(rho_q, vq)
+    b = beta(n_a, rho_a, rho_q, va, vq)
 
     if n_a == 0 and n_q == 0:
         value = float(m)
     elif n_q == 0:
-        value = mse_pure_analog(m, n_a, params.rho_a, va)
+        value = _pure_analog(m, n_a, rho_a, va)
     elif n_a == 0:
-        value = mse_pure_quantized(m, n_q, params.rho_q, vq)
+        value = _pure_quantized(m, n_q, rho_q, vq, a)
     elif va == 0.0:
         value = 0.0
     else:
-        da = params.rho_a * n_a + va
-        s = a + b * params.rho_q * n_q
-        term = params.rho_a * n_a / da + 2.0 * params.rho_q * n_q * va**2 / (
-            np.pi * (params.rho_q + vq) * s * da**2
-        )
-        value = m * (1.0 - term)
+        value = _mixed(m, n_a, n_q, rho_a, rho_q, va, vq, a, b)
     return ClosedFormMse(value=max(value, 0.0), alpha=float(a), beta=float(b))
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the shared input-domain check."""
+
+import math
 
 
 class MixedResError(Exception):
@@ -47,3 +49,14 @@ class InstanceTooLargeError(MixedResError):
 
 class ConfigError(MixedResError):
     """Invalid experiment configuration."""
+
+
+def require_finite(name: str, value, *, positive: bool = False) -> None:
+    """Raise :class:`ModelError` unless ``value`` is finite and >= 0 (> 0 if ``positive``).
+
+    A plain ``value < 0`` test lets NaN through, which then surfaces as a NaN
+    result or an overflow far from the input that caused it.
+    """
+    if not math.isfinite(value) or value < 0 or (positive and value == 0):
+        kind = "positive" if positive else "nonnegative"
+        raise ModelError(f"{name} must be finite and {kind}, got {value!r}")

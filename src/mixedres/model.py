@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ModelError, QuantizerDomainError, SingularPriorError
+from .exceptions import ModelError, QuantizerDomainError, SingularPriorError, require_finite
 
 _MASK64 = (1 << 64) - 1
 
@@ -172,8 +172,7 @@ class MixedModel:
         if h.shape[0] + g.shape[0] < 1:
             raise ModelError("model needs at least one measurement row")
         for name in ("var_a", "var_q", "var_da", "var_dq"):
-            if getattr(self, name) < 0:
-                raise ModelError(f"{name} must be nonnegative")
+            require_finite(name, getattr(self, name))
 
         herm_gap = np.max(np.abs(sig - sig.conj().T)) if m else 0.0
         if herm_gap > 1e-12 * max(1.0, np.max(np.abs(sig))):
@@ -231,11 +230,10 @@ class OrthoBlockParams:
             raise ModelError(f"m must be >= 1, got {self.m}")
         if self.n_a < 0 or self.n_q < 0:
             raise ModelError("block counts must be nonnegative")
-        if self.rho_a <= 0 or self.rho_q <= 0:
-            raise ModelError("block gains rho_a, rho_q must be positive")
+        require_finite("rho_a", self.rho_a, positive=True)
+        require_finite("rho_q", self.rho_q, positive=True)
         for name in ("var_a", "var_q", "var_da", "var_dq"):
-            if getattr(self, name) < 0:
-                raise ModelError(f"{name} must be nonnegative")
+            require_finite(name, getattr(self, name))
 
     @property
     def n_analog(self) -> int:

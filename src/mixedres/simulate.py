@@ -17,9 +17,21 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .allocation import AllocationResult, DitherScheme, PowerBudget, allocate, allocate_with_dither, max_nq, na_range
-from .closed_form import mse_closed_form
-from .exceptions import ModelError
+from .allocation import (
+    AllocationResult,
+    DitherScheme,
+    PowerBudget,
+    allocate,
+    argbest,
+    check_grid_size,
+    dithered_mse,
+    frontier,
+    max_nq,
+    na_range,
+    optimum,
+)
+from .closed_form import mse_grid
+from .exceptions import ModelError, require_finite
 from .estimator import LmmseFilter, lmmse
 from .model import (
     MixedModel,
@@ -148,6 +160,13 @@ def run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> Sim
 # ---------------------------------------------------------------------------
 
 
+def _noise_levels(sigma_grid) -> list[float]:
+    levels = [float(sigma2) for sigma2 in sigma_grid]
+    for sigma2 in levels:
+        require_finite("sigma2", sigma2)
+    return levels
+
+
 def sweep_mse_vs_noise(
     params_base: OrthoBlockParams,
     sigma_grid,
@@ -156,21 +175,24 @@ def sweep_mse_vs_noise(
     """Closed-form MSE over a noise grid for fixed (n_a, n_q) allocations.
 
     The noise variance applies to both measurement paths.  Returns one row
-    per (sigma2, allocation) cell.
+    per (sigma2, allocation) cell, noise-major.
     """
-    rows = []
-    for sigma2 in sigma_grid:
-        for n_a, n_q in allocations:
-            params = replace(params_base, n_a=int(n_a), n_q=int(n_q), var_a=float(sigma2), var_q=float(sigma2))
-            rows.append(
-                {
-                    "sigma2": float(sigma2),
-                    "n_a": int(n_a),
-                    "n_q": int(n_q),
-                    "mse_analytic": mse_closed_form(params).value,
-                }
-            )
-    return rows
+    levels = _noise_levels(sigma_grid)
+    pairs = [(int(n_a), int(n_q)) for n_a, n_q in allocations]
+    if any(n_a < 0 or n_q < 0 for n_a, n_q in pairs):
+        raise ModelError("block counts must be nonnegative")
+    n_a = np.array([n_a for n_a, _ in pairs], dtype=np.float64)
+    n_q = np.array([n_q for _, n_q in pairs], dtype=np.float64)
+    noise = np.array(levels).reshape(-1, 1)
+    mse = mse_grid(
+        params_base.m, n_a, n_q, params_base.rho_a, params_base.rho_q,
+        noise + params_base.var_da, noise + params_base.var_dq,
+    )
+    return [
+        {"sigma2": sigma2, "n_a": a, "n_q": q, "mse_analytic": value}
+        for sigma2, row in zip(levels, mse.tolist())
+        for (a, q), value in zip(pairs, row)
+    ]
 
 
 def sweep_allocation_vs_noise(
@@ -185,32 +207,37 @@ def sweep_allocation_vs_noise(
 
     The all-analog row spends the whole budget on analog blocks; the
     all-quantized row on quantized blocks; the optimal rows come from the
-    frontier search, without and with dither optimization.
+    frontier search, without and with dither optimization.  One grid
+    evaluation covers every noise level, frontier point and dither value;
+    the undithered search reads its first dither column, which is zero.
     """
     scheme = dither_scheme if dither_scheme is not None else DitherScheme()
-    n_a_max = na_range(m, budget)[-1]
+    OrthoBlockParams(m=m, n_a=0, n_q=0, rho_a=rho_a, rho_q=rho_q)  # validates m and the gains
+    levels = _noise_levels(sigma_grid)
+    check_grid_size(m, budget, scheme, len(levels))
+    n_a, n_q = frontier(m, budget)
+    grid = scheme.grid()
+    # The all-analog point rides along as one extra column outside the search.
+    mse = dithered_mse(m, rho_a, rho_q, levels, levels, n_a + [n_a[-1]], n_q + [0], scheme)
+    points = mse[:, :-1, :]
+    plain = argbest(points[:, :, 0], 0.0, n_a).tolist()
+    flat = points.reshape(len(levels), -1)
+    dithered = argbest(flat, np.tile(grid, len(n_a)), np.repeat(n_a, len(grid))).tolist()
     rows = []
-    for sigma2 in sigma_grid:
-        params = OrthoBlockParams(
-            m=m, n_a=0, n_q=0, rho_a=rho_a, rho_q=rho_q,
-            var_a=float(sigma2), var_q=float(sigma2),
-        )
-        plain = allocate(params, budget)
-        dithered = allocate_with_dither(params, budget, scheme)
+    for s, sigma2 in enumerate(levels):
+        p, (k, j) = plain[s], divmod(dithered[s], len(grid))
         rows.append(
             {
-                "sigma2": float(sigma2),
-                "mse_all_analog": mse_closed_form(replace(params, n_a=n_a_max, n_q=0)).value,
-                "mse_all_quantized": mse_closed_form(
-                    replace(params, n_a=0, n_q=max_nq(0, m, budget))
-                ).value,
-                "mse_optimal": plain.mse_star,
-                "mse_optimal_dithered": dithered.mse_star,
-                "n_a_star": plain.n_a_star,
-                "n_q_star": plain.n_q_star,
-                "n_a_star_dither": dithered.n_a_star,
-                "n_q_star_dither": dithered.n_q_star,
-                "sigma_d2_star": dithered.dither_var_star,
+                "sigma2": sigma2,
+                "mse_all_analog": float(mse[s, -1, 0]),
+                "mse_all_quantized": float(points[s, 0, 0]),
+                "mse_optimal": float(points[s, p, 0]),
+                "mse_optimal_dithered": float(flat[s, dithered[s]]),
+                "n_a_star": n_a[p],
+                "n_q_star": n_q[p],
+                "n_a_star_dither": n_a[k],
+                "n_q_star_dither": n_q[k],
+                "sigma_d2_star": grid[j],
             }
         )
     return rows
@@ -261,9 +288,7 @@ def direct_frontier_sweep(
     m = params_base.m
     eye = np.eye(m, dtype=np.complex128)
     trace = []
-    best = None
-    for n_a in na_range(m, budget):
-        n_q = max_nq(n_a, m, budget)
+    for n_a, n_q in zip(*frontier(m, budget)):
         if n_a == 0 and n_q == 0:
             mse = float(m)
         else:
@@ -276,11 +301,7 @@ def direct_frontier_sweep(
             )
             mse = lmmse(model).mse
         trace.append((n_a, n_q, 0.0, mse))
-        key = (mse, n_a, n_q)
-        if best is None or key < best:
-            best = key
-    mse, n_a, n_q = best
-    return AllocationResult(n_a_star=n_a, n_q_star=n_q, dither_var_star=0.0, mse_star=mse, trace=trace)
+    return optimum(trace)
 
 
 def bench_runtime(

@@ -1,16 +1,21 @@
-"""Independent Monte-Carlo oracles and random-instance generators for tests.
+"""Independent oracles and random-instance generators for tests.
 
 The covariance oracle estimates second moments straight from sampled
 measurements; it never calls the analytic covariance formulas it is used to
-check.
+check.  The ``reference_*`` functions keep the scalar, one-point-at-a-time
+closed form and search loops that the array evaluator replaced; tests
+require the two to agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
+from mixedres.allocation import AllocationResult, DitherScheme, PowerBudget, max_nq, na_range
+from mixedres.closed_form import ClosedFormMse
 from mixedres.model import (
     MixedModel,
     OrthoBlockParams,
@@ -98,3 +103,107 @@ def random_ortho_params(
         var_da=log_uniform(rng, scale_lo, scale_hi) if with_dither else 0.0,
         var_dq=log_uniform(rng, scale_lo, scale_hi) if with_dither else 0.0,
     )
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference closed form and search loops
+# ---------------------------------------------------------------------------
+
+
+def _alpha(rho_q: float, var_q_total: float) -> float:
+    return (2.0 / np.pi) * np.arccos(rho_q / (rho_q + var_q_total))
+
+
+def _beta(n_a: int, rho_a: float, rho_q: float, var_a_total: float, var_q_total: float) -> float:
+    first = (2.0 / np.pi) * np.arcsin(rho_q / (rho_q + var_q_total)) / rho_q
+    if n_a == 0:
+        return first
+    return first - 2.0 * rho_a * n_a / (
+        np.pi * (rho_q + var_q_total) * (rho_a * n_a + var_a_total)
+    )
+
+
+def _mse_pure_analog(m: int, n_a: int, rho_a: float, var_a_total: float) -> float:
+    if n_a == 0:
+        return float(m)
+    return m - m * rho_a * n_a / (rho_a * n_a + var_a_total)
+
+
+def _mse_pure_quantized(m: int, n_q: int, rho_q: float, var_q_total: float) -> float:
+    if n_q == 0:
+        return float(m)
+    a = _alpha(rho_q, var_q_total)
+    return m - 2.0 * m * rho_q * n_q / (
+        np.pi * (rho_q + var_q_total) * (a + (1.0 - a) * n_q)
+    )
+
+
+def reference_mse_closed_form(params: OrthoBlockParams) -> ClosedFormMse:
+    """Scalar closed-form MSE, one branch per point."""
+    va = params.var_a_total
+    vq = params.var_q_total
+    a = _alpha(params.rho_q, vq)
+    b = _beta(params.n_a, params.rho_a, params.rho_q, va, vq)
+    m, n_a, n_q = params.m, params.n_a, params.n_q
+
+    if n_a == 0 and n_q == 0:
+        value = float(m)
+    elif n_q == 0:
+        value = _mse_pure_analog(m, n_a, params.rho_a, va)
+    elif n_a == 0:
+        value = _mse_pure_quantized(m, n_q, params.rho_q, vq)
+    elif va == 0.0:
+        value = 0.0
+    else:
+        da = params.rho_a * n_a + va
+        s = a + b * params.rho_q * n_q
+        term = params.rho_a * n_a / da + 2.0 * params.rho_q * n_q * va**2 / (
+            np.pi * (params.rho_q + vq) * s * da**2
+        )
+        value = m * (1.0 - term)
+    return ClosedFormMse(value=max(value, 0.0), alpha=float(a), beta=float(b))
+
+
+def _apply_dither(scheme: DitherScheme, params: OrthoBlockParams, dither_var: float) -> OrthoBlockParams:
+    if scheme.mode == "both":
+        return replace(params, var_da=dither_var, var_dq=dither_var)
+    if scheme.mode == "quantized-only":
+        return replace(params, var_da=0.0, var_dq=dither_var)
+    return replace(params, var_da=0.0, var_dq=0.0)
+
+
+def reference_allocate(params_base: OrthoBlockParams, budget: PowerBudget) -> AllocationResult:
+    """Frontier search, one closed-form evaluation per point."""
+    m = params_base.m
+    trace = []
+    best = None
+    for n_a in na_range(m, budget):
+        n_q = max_nq(n_a, m, budget)
+        mse = reference_mse_closed_form(replace(params_base, n_a=n_a, n_q=n_q)).value
+        trace.append((n_a, n_q, 0.0, mse))
+        key = (mse, n_a, n_q)
+        if best is None or key < best:
+            best = key
+    mse, n_a, n_q = best[0], best[1], best[2]
+    return AllocationResult(n_a_star=n_a, n_q_star=n_q, dither_var_star=0.0, mse_star=mse, trace=trace)
+
+
+def reference_allocate_with_dither(
+    params_base: OrthoBlockParams, budget: PowerBudget, scheme: DitherScheme
+) -> AllocationResult:
+    """Frontier x dither-grid search, one closed-form evaluation per point."""
+    m = params_base.m
+    grid = scheme.grid()
+    trace = []
+    best = None
+    for n_a in na_range(m, budget):
+        n_q = max_nq(n_a, m, budget)
+        for dvar in grid:
+            params = _apply_dither(scheme, replace(params_base, n_a=n_a, n_q=n_q), dvar)
+            mse = reference_mse_closed_form(params).value
+            trace.append((n_a, n_q, dvar, mse))
+            key = (mse, dvar, n_a, n_q)
+            if best is None or key < best:
+                best = key
+    mse, dvar, n_a, n_q = best
+    return AllocationResult(n_a_star=n_a, n_q_star=n_q, dither_var_star=dvar, mse_star=mse, trace=trace)

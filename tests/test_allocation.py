@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from mixedres.allocation import (
+    MAX_GRID_POINTS,
     DitherScheme,
     PowerBudget,
     allocate,
     allocate_exhaustive,
     allocate_with_dither,
+    check_grid_size,
     max_nq,
     na_range,
     noiseless_quantized_policy,
@@ -18,6 +20,7 @@ from mixedres.allocation import (
 from mixedres.closed_form import mse_closed_form, mse_pure_analog
 from mixedres.exceptions import InstanceTooLargeError, ModelError
 from mixedres.model import OrthoBlockParams, RngStream
+from mixedres.simulate import sweep_allocation_vs_noise
 from oracles import log_uniform
 
 REFERENCE_BUDGET = PowerBudget(bits=6, p_max_norm=12800.0)
@@ -47,6 +50,37 @@ class TestRanges:
     def test_max_nq_rejects_out_of_range(self):
         with pytest.raises(ModelError):
             max_nq(21, 10, REFERENCE_BUDGET)
+
+
+class TestBudgetValidation:
+    @pytest.mark.parametrize("p", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_bad_power(self, p):
+        with pytest.raises(ModelError, match="p_max_norm"):
+            PowerBudget(bits=6, p_max_norm=p)
+
+
+class TestGridSizeGuard:
+    # Finite, but with about 5e14 frontier points: the guard must fire
+    # before anything of that size is built.
+    HUGE = PowerBudget(bits=1, p_max_norm=1e15)
+
+    def test_limit_far_above_shipped_sweep(self):
+        # configs/mimo_allocation.yaml: 25 noise levels x 21 frontier points x 21 dither values.
+        check_grid_size(10, REFERENCE_BUDGET, DitherScheme(), 25)
+        assert MAX_GRID_POINTS >= 50 * 25 * 21 * 21
+
+    def test_allocate_refuses_oversized_budget(self):
+        with pytest.raises(InstanceTooLargeError):
+            allocate(_params(m=1), self.HUGE)
+        with pytest.raises(InstanceTooLargeError):
+            allocate_with_dither(_params(m=1), self.HUGE, DitherScheme())
+
+    def test_sweep_counts_noise_levels(self):
+        budget = PowerBudget(bits=1, p_max_norm=2.0 * 2000)  # 2001 frontier points
+        with pytest.raises(InstanceTooLargeError):
+            sweep_allocation_vs_noise(1, budget, [1.0] * 30, DitherScheme())
+        with pytest.raises(InstanceTooLargeError):
+            sweep_allocation_vs_noise(1, self.HUGE, [1.0], DitherScheme(mode="none"))
 
 
 class TestAllocate:
@@ -146,6 +180,17 @@ class TestDitherScheme:
             DitherScheme(mode="both", grid_max=0.05, grid_step=0.1)
         with pytest.raises(ModelError):
             DitherScheme(mode="both", grid_step=0.0)
+
+    @pytest.mark.parametrize("mode", DitherScheme.MODES)
+    @pytest.mark.parametrize("field", ["grid_max", "grid_step"])
+    def test_rejects_non_finite(self, mode, field):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ModelError, match=field):
+                DitherScheme(mode=mode, **{field: value})
+
+    def test_size_matches_grid(self):
+        for scheme in (DitherScheme(), DitherScheme(mode="none"), DitherScheme(grid_max=0.3, grid_step=0.1)):
+            assert scheme.size() == len(scheme.grid())
 
 
 class TestAllocateWithDither:

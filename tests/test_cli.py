@@ -3,12 +3,15 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
 from mixedres.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SWEEP_CFG = {
     "m": 2,
@@ -91,6 +94,13 @@ class TestMseCommand:
         assert main(["mse", "--config", path]) == 2
         assert "sigmas" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("allocations", [[[1.7, "2"]], [[-1, 2]], [[True, 1]]])
+    def test_allocations_must_be_nonnegative_ints(self, tmp_path, capsys, allocations):
+        path = _write(tmp_path, "mse.yaml", {**self.CFG, "allocations": allocations})
+        assert main(["mse", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "allocations" in err and "Traceback" not in err
+
     def test_missing_required_key(self, tmp_path, capsys):
         path = _write(tmp_path, "mse.yaml", {"scenario": "scalar", "allocations": [[1, 0]]})
         assert main(["mse", "--config", path]) == 2
@@ -136,6 +146,29 @@ class TestAllocateCommand:
         assert (payload["n_a_star"], payload["n_q_star"]) == (0, 0)
         assert payload["mse_star"] == 8.0
         assert "infeasible" in captured.err
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"sigma2": float("nan")},
+            {"sigma2": [0.5, float("nan")]},
+            {"p_max_norm": float("inf"), "sigma2": 1.0},
+        ],
+        ids=["sigma2-nan", "sigma2-list-nan", "p_max_norm-inf"],
+    )
+    def test_non_finite_values_are_config_errors(self, tmp_path, capsys, override):
+        cfg = {"m": 2, "bits": 3, "p_max_norm": 100.0, **override}
+        path = _write(tmp_path, "alloc.yaml", cfg)
+        assert main(["allocate", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err and "Traceback" not in captured.err
+
+    def test_oversized_budget_exits_numerical(self, tmp_path, capsys):
+        cfg = {"m": 1, "bits": 1, "p_max_norm": 1e15, "sigma2": 1.0}
+        path = _write(tmp_path, "alloc.yaml", cfg)
+        assert main(["allocate", "--config", path]) == 3
+        assert "limit" in capsys.readouterr().err
 
     def test_oracle_too_large_exits_numerical(self, tmp_path, capsys):
         cfg = {"m": 10, "bits": 6, "n_a_max": 20, "sigma2": 1.0}
@@ -250,3 +283,19 @@ class TestConfigHandling:
         path.write_text("m: two\nbits: 3\np_max_norm: 10.0\nsigma2: 1.0\n", encoding="utf-8")
         assert main(["allocate", "--config", str(path)]) == 2
         assert "'m'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["allocate", "--config", "configs/mimo_allocation.yaml"], "allocate_mimo_allocation.csv"),
+        (["dither", "--config", "configs/dither_search.yaml"], "dither_dither_search.json"),
+        (["mse", "--config", "configs/scalar_mse.yaml"], "mse_scalar_mse.csv"),
+    ],
+)
+def test_shipped_configs_reproduce_golden_bytes(tmp_path, argv, golden):
+    """Outputs of the closed-form commands, byte for byte, as the scalar code wrote them."""
+    out = tmp_path / golden
+    argv = [argv[0], "--config", str(ROOT / argv[2]), "--output", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (ROOT / "tests" / "data" / golden).read_bytes()

@@ -34,6 +34,11 @@ class TestMixedModelValidation:
         with pytest.raises(ModelError):
             MixedModel(h=np.ones((1, 1)), g=np.zeros((0, 1)), sigma_theta=np.eye(1), var_a=-0.1, var_q=1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_variance(self, value):
+        with pytest.raises(ModelError):
+            MixedModel(h=np.ones((1, 1)), g=np.zeros((0, 1)), sigma_theta=np.eye(1), var_a=1.0, var_q=value)
+
     def test_rejects_empty_model(self):
         with pytest.raises(ModelError):
             MixedModel(h=np.zeros((0, 1)), g=np.zeros((0, 1)), sigma_theta=np.eye(1), var_a=1.0, var_q=1.0)
@@ -61,6 +66,12 @@ class TestOrthoBlockParams:
             OrthoBlockParams(m=1, n_a=1, n_q=0, rho_a=0.0)
         with pytest.raises(ModelError):
             OrthoBlockParams(m=1, n_a=1, n_q=0, var_dq=-1.0)
+
+    @pytest.mark.parametrize("field", ["rho_a", "rho_q", "var_a", "var_q", "var_da", "var_dq"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ModelError, match=field):
+            OrthoBlockParams(m=1, n_a=1, n_q=1, **{field: value})
 
     def test_measurement_counts(self):
         p = OrthoBlockParams(m=3, n_a=2, n_q=5)

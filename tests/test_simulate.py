@@ -118,6 +118,15 @@ class TestSweepMseVsNoise:
         values = np.array([r["mse_analytic"] for r in rows])
         assert np.any(np.diff(values) < 0)
 
+    @pytest.mark.parametrize("grid", [[0.5, float("nan")], [float("inf")], [-0.5]])
+    def test_rejects_bad_noise_levels(self, grid):
+        with pytest.raises(ModelError, match="sigma2"):
+            sweep_mse_vs_noise(OrthoBlockParams(m=1, n_a=0, n_q=0), grid, [(1, 0)])
+
+    def test_rejects_negative_counts(self):
+        with pytest.raises(ModelError):
+            sweep_mse_vs_noise(OrthoBlockParams(m=1, n_a=0, n_q=0), [1.0], [(-1, 2)])
+
     def test_row_layout(self):
         base = OrthoBlockParams(m=1, n_a=0, n_q=0)
         rows = sweep_mse_vs_noise(base, [0.5, 1.0], [(1, 0), (0, 1)])
@@ -133,6 +142,11 @@ class TestSweepAllocationVsNoise:
             assert row["mse_optimal"] <= row["mse_all_analog"] + 1e-15
             assert row["mse_optimal"] <= row["mse_all_quantized"] + 1e-15
             assert row["mse_optimal_dithered"] <= row["mse_optimal"] + 1e-15
+
+    def test_rejects_non_finite_noise(self):
+        budget = PowerBudget(bits=4, p_max_norm=float(2**4 * 2 * 4))
+        with pytest.raises(ModelError, match="sigma2"):
+            sweep_allocation_vs_noise(2, budget, [0.5, float("nan")], DitherScheme())
 
 
 class TestBenchRuntime:
