@@ -17,6 +17,7 @@ picks its optimum with :func:`argbest`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,6 +33,10 @@ from .model import MixedModel, OrthoBlockParams, RngStream, make_ortho_matrices
 MAX_GRID_POINTS = 1_000_000
 
 
+# Largest bit depth whose analog cost 2**bits is a finite double.
+MAX_BITS = sys.float_info.max_exp - 1
+
+
 @dataclass(frozen=True)
 class PowerBudget:
     """Normalized power budget with the high-resolution ADC bit depth."""
@@ -40,12 +45,21 @@ class PowerBudget:
     p_max_norm: float
 
     def __post_init__(self):
-        if self.bits < 1:
-            raise ModelError(f"bits must be >= 1, got {self.bits}")
+        if not 1 <= self.bits <= MAX_BITS:
+            raise ModelError(f"bits must be in [1, {MAX_BITS}], got {self.bits}")
         require_finite("p_max_norm", self.p_max_norm, positive=True)
 
+    @classmethod
+    def for_analog_blocks(cls, bits: int, m: int, n_a_max: int) -> PowerBudget:
+        """The budget of exactly ``n_a_max`` analog blocks, so its frontier has ``n_a_max + 1`` points."""
+        return cls(bits=bits, p_max_norm=cls(bits=bits, p_max_norm=1.0).analog_block_cost(m * n_a_max))
+
     def analog_block_cost(self, m: int) -> float:
-        return float(2**self.bits * m)
+        """``2**bits * m``; a :class:`ModelError` when that exceeds the largest double."""
+        cost = 2**self.bits * m
+        if cost > sys.float_info.max:
+            raise ModelError(f"analog cost 2**{self.bits} * {m} is too large for a double")
+        return float(cost)
 
     def quantized_block_cost(self, m: int) -> float:
         return float(2 * m)
@@ -238,10 +252,16 @@ def allocate_exhaustive(
     m = params_base.m
     rng = rng if rng is not None else RngStream(0)
 
-    counts = [(n_a, max_nq(n_a, m, budget)) for n_a in na_range(m, budget)]
-    n_pairs = sum(nq_max + 1 for _, nq_max in counts)
-    if n_pairs > max_pairs:
-        raise InstanceTooLargeError(f"feasible grid has {n_pairs} pairs (limit {max_pairs})")
+    # Every feasible n_a adds at least one pair, so the count stops within
+    # max_pairs steps however large the budget is.
+    counts = []
+    n_pairs = 0
+    for n_a in na_range(m, budget):
+        nq_max = max_nq(n_a, m, budget)
+        n_pairs += nq_max + 1
+        if n_pairs > max_pairs:
+            raise InstanceTooLargeError(f"feasible grid has more than {max_pairs} pairs")
+        counts.append((n_a, nq_max))
     n_rows = max(m * (n_a + nq_max) for n_a, nq_max in counts)
     if n_rows > max_rows:
         raise InstanceTooLargeError(f"largest model has {n_rows} rows (limit {max_rows})")

@@ -33,7 +33,7 @@ from .allocation import (
     allocate_with_dither,
 )
 from .closed_form import filter_closed_form
-from .exceptions import ConfigError, MixedResError
+from .exceptions import ConfigError, MixedResError, ModelError
 from .estimator import lmmse
 from .model import (
     MixedModel,
@@ -143,22 +143,27 @@ def _analog_quantizer(cfg: dict, where: str) -> QuantizerSpec | None:
     rng = _get(cfg, "analog_range", list, where, default=[-5.0, 5.0])
     if len(rng) != 2:
         raise ConfigError(f"'analog_range' in {where} config must be [lo, hi]")
-    return QuantizerSpec(bits=bits, lo=float(rng[0]), hi=float(rng[1]))
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in rng):
+        raise ConfigError(f"'analog_range' in {where} config must hold two numbers")
+    try:
+        return QuantizerSpec(bits=bits, lo=float(rng[0]), hi=float(rng[1]))
+    except ModelError as exc:
+        raise ConfigError(f"invalid analog quantizer in {where} config: {exc}") from exc
 
 
 def _budget(cfg: dict, m: int, where: str) -> PowerBudget:
     bits = _get(cfg, "bits", int, where, default=6)
     if "p_max_norm" in cfg and "n_a_max" in cfg:
         raise ConfigError(f"give either 'p_max_norm' or 'n_a_max' in {where} config, not both")
-    if "n_a_max" in cfg:
-        n_a_max = _get(cfg, "n_a_max", int, where)
-        p = float(2**bits * m * n_a_max)
-    else:
-        p = _get(cfg, "p_max_norm", float, where)
     try:
-        return PowerBudget(bits=bits, p_max_norm=p)
-    except MixedResError as exc:
+        if "n_a_max" in cfg:
+            budget = PowerBudget.for_analog_blocks(bits, m, _get(cfg, "n_a_max", int, where))
+        else:
+            budget = PowerBudget(bits=bits, p_max_norm=_get(cfg, "p_max_norm", float, where))
+        budget.analog_block_cost(m)  # every search prices an m-row block
+    except ModelError as exc:
         raise ConfigError(f"invalid budget in {where} config: {exc}") from exc
+    return budget
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +540,16 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixedres",
@@ -554,7 +569,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the YAML experiment config")
         p.add_argument("--output", default=None, help="output file (default: stdout)")
         p.add_argument("--format", default=None, choices=("csv", "json"))
-        p.add_argument("--threads", type=int, default=1, help="Monte-Carlo worker threads")
+        p.add_argument("--threads", type=_positive_int, default=1, help="Monte-Carlo worker threads")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if name == "mse":
             p.add_argument("--empirical", action="store_true", help="add Monte-Carlo columns")

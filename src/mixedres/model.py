@@ -18,6 +18,7 @@ variance v/2 each.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,10 @@ def _complex_normal(g: np.random.Generator, shape: tuple, var: float) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
+# Level indices are computed in float64, which counts exactly up to 2**53.
+MAX_QUANTIZER_BITS = 53
+
+
 @dataclass(frozen=True)
 class QuantizerSpec:
     """Uniform midrise quantizer: 2**bits levels spanning [lo, hi] per component."""
@@ -74,10 +79,14 @@ class QuantizerSpec:
     hi: float
 
     def __post_init__(self):
-        if self.bits < 1:
-            raise ModelError(f"bits must be >= 1, got {self.bits}")
+        if not 1 <= self.bits <= MAX_QUANTIZER_BITS:
+            raise ModelError(f"bits must be in [1, {MAX_QUANTIZER_BITS}], got {self.bits}")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ModelError(f"quantizer range must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise ModelError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+        if not 0.0 < self.step < math.inf:
+            raise ModelError(f"step of {self.bits} bits on [{self.lo}, {self.hi}] is not a positive finite float")
 
     @property
     def step(self) -> float:
@@ -87,13 +96,19 @@ class QuantizerSpec:
 def quantize_1bit(z):
     """Element-wise 1-bit quantization of a complex scalar or array.
 
-    Each of Re(z) and Im(z) maps to +1 for values >= 0 and -1 otherwise, and
-    the result is scaled by 1/sqrt(2) so every output has unit modulus.
+    Each of Re(z) and Im(z) maps to +1 for values >= 0 (including -0.0) and
+    -1 otherwise, and the result is scaled by 1/sqrt(2) so every output has
+    unit modulus.  Real and complex64 inputs are widened to complex128
+    first; a 0-d input returns a Python ``complex``.
     """
     z = np.asarray(z)
-    if not np.all(np.isfinite(z)):
+    # Adding +0.0 copies the interleaved (re, im) values and turns -0.0 into
+    # +0.0, so copysign then yields the sign rule above without a comparison.
+    parts = np.ascontiguousarray(z, dtype=np.complex128).view(np.float64) + 0.0
+    if not np.isfinite(parts).all():
         raise QuantizerDomainError("1-bit quantizer requires finite input")
-    out = (np.where(z.real >= 0, 1.0, -1.0) + 1j * np.where(z.imag >= 0, 1.0, -1.0)) * INV_SQRT2
+    np.copysign(INV_SQRT2, parts, out=parts)
+    out = parts.view(np.complex128).reshape(z.shape)
     return out if out.ndim else complex(out)
 
 
@@ -273,27 +288,43 @@ def sample_parameter(sigma_theta: np.ndarray, rng: RngStream, size: int | None =
     return chol @ z
 
 
+def _add_complex_normal(out: np.ndarray, g: np.random.Generator, var: float) -> None:
+    """Add CN(0, var) samples to the complex128 array ``out`` in place.
+
+    Draws the same planar (2,) + shape standard-normal block as
+    :func:`_complex_normal` and gives the same sums bit for bit; a zero
+    variance draws nothing from ``g``.
+    """
+    if var == 0.0:
+        return
+    z = g.standard_normal((2,) + out.shape)
+    z *= np.sqrt(var / 2.0)
+    out.real += z[0]
+    out.imag += z[1]
+
+
 def sample_measurements(model: MixedModel, theta: np.ndarray, rng: RngStream):
     """Draw one realization (x_a, x_q) of the measurement model.
 
     ``theta`` may be a single vector of length m or an (m, t) batch of
     column vectors; the outputs have matching trailing shape.  Noise draws
     are taken from ``rng`` in the fixed order w_a, w_da, w_q, w_dq so that
-    identical streams reproduce identical measurements.
+    identical streams reproduce identical measurements.  A term whose
+    variance is 0 is skipped and consumes no draws, so the terms after it
+    take the draws it would have used.
     """
     theta = np.asarray(theta, dtype=np.complex128)
     if theta.shape[0] != model.m:
         raise ModelError(f"theta has leading dimension {theta.shape[0]}, expected {model.m}")
-    tail = theta.shape[1:]
     g = rng.generator()
 
     x_a = model.h @ theta
-    x_a = x_a + _complex_normal(g, (model.n_analog,) + tail, model.var_a)
-    x_a = x_a + _complex_normal(g, (model.n_analog,) + tail, model.var_da)
+    _add_complex_normal(x_a, g, model.var_a)
+    _add_complex_normal(x_a, g, model.var_da)
 
     y = model.g @ theta
-    y = y + _complex_normal(g, (model.n_quantized,) + tail, model.var_q)
-    y = y + _complex_normal(g, (model.n_quantized,) + tail, model.var_dq)
+    _add_complex_normal(y, g, model.var_q)
+    _add_complex_normal(y, g, model.var_dq)
     x_q = quantize_1bit(y) if y.size else y
     return x_a, x_q
 

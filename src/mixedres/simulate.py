@@ -14,6 +14,7 @@ import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -111,9 +112,9 @@ def _run_batch(model: MixedModel, filt: LmmseFilter, cfg: SimConfig, batch: int,
     x_a, x_q = sample_measurements(model, theta, RngStream(cfg.rng_seed, 2 * batch + 1))
     if cfg.analog_quantizer is not None and x_a.size:
         x_a = quantize_bbit(x_a, cfg.analog_quantizer)
-    x = np.concatenate([x_a, x_q], axis=0)
-    err = np.abs(filt.w @ x - theta) ** 2
-    per_trial = err.sum(axis=0)
+    n_a = model.n_analog
+    err = filt.w[:, :n_a] @ x_a + filt.w[:, n_a:] @ x_q - theta
+    per_trial = (err.real**2 + err.imag**2).sum(axis=0)
     return float(per_trial.sum()), float((per_trial**2).sum())
 
 
@@ -248,29 +249,39 @@ def sweep_allocation_vs_noise(
 # ---------------------------------------------------------------------------
 
 
-def _timeit(fn, repeats: int, warmup: int, warmup_fn=None, min_rep_time: float = 0.0) -> TimingStats:
-    """Median/best of ``repeats`` timed calls after ``warmup`` untimed ones.
+def _timeit(fns, repeats: int, warmup: int, warmup_fns=None, min_rep_time: float = 0.0) -> list[TimingStats]:
+    """Median/best of ``repeats`` timed calls of each callable after ``warmup`` untimed ones.
 
     Fast callables are batched into inner loops so that every measured
-    repetition spans at least ``min_rep_time`` seconds of wall clock.
+    repetition spans at least ``min_rep_time`` seconds of wall clock.  The
+    repetitions are interleaved, one of each callable per round, so every
+    callable is sampled over the same stretch of wall clock and a change in
+    host speed shifts them all alike.
     """
-    warm = warmup_fn if warmup_fn is not None else fn
-    for _ in range(warmup):
-        warm()
-    inner = 1
-    if min_rep_time > 0.0:
-        t0 = time.perf_counter()
-        fn()
-        dt = time.perf_counter() - t0
-        if dt < min_rep_time:
-            inner = max(1, math.ceil(min_rep_time / max(dt, 1e-9)))
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(inner):
+    for warm in warmup_fns if warmup_fns is not None else fns:
+        for _ in range(warmup):
+            warm()
+    inners = []
+    for fn in fns:
+        inner = 1
+        if min_rep_time > 0.0:
+            t0 = time.perf_counter()
             fn()
-        times.append((time.perf_counter() - t0) / inner)
-    return TimingStats(median_s=statistics.median(times), best_s=min(times), repeats=repeats)
+            dt = time.perf_counter() - t0
+            if dt < min_rep_time:
+                inner = max(1, math.ceil(min_rep_time / max(dt, 1e-9)))
+        inners.append(inner)
+    times = [[] for _ in fns]
+    for _ in range(repeats):
+        for fn, inner, samples in zip(fns, inners, times):
+            t0 = time.perf_counter()
+            for _ in range(inner):
+                fn()
+            samples.append((time.perf_counter() - t0) / inner)
+    return [
+        TimingStats(median_s=statistics.median(samples), best_s=min(samples), repeats=repeats)
+        for samples in times
+    ]
 
 
 def direct_frontier_sweep(
@@ -319,59 +330,56 @@ def bench_runtime(
     """Time the allocation sweep with closed-form vs matrix-solve MSE.
 
     The budget is pinned to ``2**bits * m * n_a_max`` so the frontier always
-    contains ``n_a_max + 1`` points.  The direct arm warms up on the
-    cheapest frontier point; set ``direct_repeats`` to control its measured
-    repetitions separately (large instances make full-sweep repetitions
-    expensive).
+    contains ``n_a_max + 1`` points.  The closed-form repetitions of all
+    (m, n_a_max) cases are interleaved, so their medians come from the same
+    stretch of wall clock.  The direct arm warms up on the cheapest frontier
+    point; set ``direct_repeats`` to control its measured repetitions
+    separately (large instances make full-sweep repetitions expensive).
     """
-    results = []
+    cases = []
     for m in m_list:
         for n_a_max in n_a_max_list:
-            budget = PowerBudget(bits=bits, p_max_norm=float(2**bits * m * n_a_max))
+            budget = PowerBudget.for_analog_blocks(bits, m, n_a_max)
             params = OrthoBlockParams(
                 m=m, n_a=0, n_q=0, rho_a=rho, rho_q=rho,
                 var_a=float(sigma2), var_q=float(sigma2),
             )
-            closed_stats = _timeit(
-                lambda: allocate(params, budget),
-                repeats=repeats,
+            cases.append((m, n_a_max, budget, params))
+    closed_stats = _timeit(
+        [partial(allocate, params, budget) for _, _, budget, params in cases],
+        repeats=repeats,
+        warmup=warmup,
+        min_rep_time=0.01,
+    )
+    results = []
+    for (m, n_a_max, budget, params), closed in zip(cases, closed_stats):
+        direct_stats = None
+        if include_direct:
+            # One quantized block suffices; the sweep tiles it per point.
+            h_full, g_full = make_ortho_matrices(
+                replace(params, n_a=n_a_max, n_q=1), RngStream(rng_seed)
+            )
+            g1 = g_full[:m]
+            top = na_range(m, budget)[-1]
+
+            def warm_once():
+                # Cheapest frontier point keeps warm-up affordable.
+                small = MixedModel(
+                    h=h_full[: m * top],
+                    g=np.tile(g1, (max_nq(top, m, budget), 1))
+                    if max_nq(top, m, budget)
+                    else np.zeros((0, m), dtype=np.complex128),
+                    sigma_theta=np.eye(m, dtype=np.complex128),
+                    var_a=float(sigma2),
+                    var_q=float(sigma2),
+                )
+                lmmse(small)
+
+            (direct_stats,) = _timeit(
+                [lambda: direct_frontier_sweep(params, budget, h_full, g1)],
+                repeats=direct_repeats if direct_repeats is not None else repeats,
                 warmup=warmup,
-                min_rep_time=0.01,
+                warmup_fns=[warm_once],
             )
-            direct_stats = None
-            if include_direct:
-                # One quantized block suffices; the sweep tiles it per point.
-                h_full, g_full = make_ortho_matrices(
-                    replace(params, n_a=n_a_max, n_q=1), RngStream(rng_seed)
-                )
-                g1 = g_full[:m]
-                top = na_range(m, budget)[-1]
-
-                def warm_once():
-                    # Cheapest frontier point keeps warm-up affordable.
-                    small = MixedModel(
-                        h=h_full[: m * top],
-                        g=np.tile(g1, (max_nq(top, m, budget), 1))
-                        if max_nq(top, m, budget)
-                        else np.zeros((0, m), dtype=np.complex128),
-                        sigma_theta=np.eye(m, dtype=np.complex128),
-                        var_a=float(sigma2),
-                        var_q=float(sigma2),
-                    )
-                    lmmse(small)
-
-                direct_stats = _timeit(
-                    lambda: direct_frontier_sweep(params, budget, h_full, g1),
-                    repeats=direct_repeats if direct_repeats is not None else repeats,
-                    warmup=warmup,
-                    warmup_fn=warm_once,
-                )
-            results.append(
-                BenchResult(
-                    closed_form_time=closed_stats,
-                    direct_time=direct_stats,
-                    n_a_max=n_a_max,
-                    m=m,
-                )
-            )
+        results.append(BenchResult(closed_form_time=closed, direct_time=direct_stats, n_a_max=n_a_max, m=m))
     return results

@@ -3,8 +3,9 @@
 The covariance oracle estimates second moments straight from sampled
 measurements; it never calls the analytic covariance formulas it is used to
 check.  The ``reference_*`` functions keep the scalar, one-point-at-a-time
-closed form and search loops that the array evaluator replaced; tests
-require the two to agree bit for bit.
+closed form and search loops that the array evaluator replaced, and the
+1-bit quantizer expression the one-pass version replaced; tests require
+each pair to agree bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from mixedres.allocation import AllocationResult, DitherScheme, PowerBudget, max_nq, na_range
 from mixedres.closed_form import ClosedFormMse
 from mixedres.model import (
+    INV_SQRT2,
     MixedModel,
     OrthoBlockParams,
     RngStream,
@@ -103,6 +105,13 @@ def random_ortho_params(
         var_da=log_uniform(rng, scale_lo, scale_hi) if with_dither else 0.0,
         var_dq=log_uniform(rng, scale_lo, scale_hi) if with_dither else 0.0,
     )
+
+
+def reference_quantize_1bit(z):
+    """The two-``np.where`` 1-bit quantizer the one-pass version replaced."""
+    z = np.asarray(z)
+    out = (np.where(z.real >= 0, 1.0, -1.0) + 1j * np.where(z.imag >= 0, 1.0, -1.0)) * INV_SQRT2
+    return out if out.ndim else complex(out)
 
 
 # ---------------------------------------------------------------------------

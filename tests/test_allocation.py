@@ -5,7 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mixedres import allocation
 from mixedres.allocation import (
+    MAX_BITS,
     MAX_GRID_POINTS,
     DitherScheme,
     PowerBudget,
@@ -57,6 +59,25 @@ class TestBudgetValidation:
     def test_rejects_bad_power(self, p):
         with pytest.raises(ModelError, match="p_max_norm"):
             PowerBudget(bits=6, p_max_norm=p)
+
+    @pytest.mark.parametrize("bits", [0, MAX_BITS + 1, 2000, 10**12])
+    def test_rejects_bad_bits(self, bits):
+        with pytest.raises(ModelError, match="bits"):
+            PowerBudget(bits=bits, p_max_norm=100.0)
+
+    def test_block_cost_overflow(self):
+        budget = PowerBudget(bits=MAX_BITS, p_max_norm=100.0)
+        assert budget.analog_block_cost(1) == 2.0**MAX_BITS
+        with pytest.raises(ModelError, match="too large"):
+            budget.analog_block_cost(2)
+        with pytest.raises(ModelError):
+            PowerBudget.for_analog_blocks(MAX_BITS, 1, 2)
+
+    @pytest.mark.parametrize("bits, m, n_a_max", [(6, 10, 20), (1, 3, 7), (1000, 3, 5)])
+    def test_budget_for_analog_blocks(self, bits, m, n_a_max):
+        budget = PowerBudget.for_analog_blocks(bits, m, n_a_max)
+        assert budget.p_max_norm == float(2**bits * m * n_a_max)
+        assert na_range(m, budget)[-1] == n_a_max
 
 
 class TestGridSizeGuard:
@@ -161,6 +182,23 @@ class TestExhaustiveOracle:
             allocate_exhaustive(
                 _params(m=1), PowerBudget(bits=1, p_max_norm=4000.0), max_pairs=100
             )
+
+    @pytest.mark.parametrize("bits, max_pairs", [(1, 10_000), (40, 10_000), (1, 100)])
+    def test_pair_count_stops_at_the_limit(self, monkeypatch, bits, max_pairs):
+        """A budget of about 5e14 feasible pairs is refused after at most
+        ``max_pairs`` frontier points, never by walking the whole range."""
+        calls = []
+        real_max_nq = allocation.max_nq
+
+        def counting_max_nq(*args):
+            calls.append(args)
+            if len(calls) > max_pairs + 1:
+                raise AssertionError("pair count walked past the limit")
+            return real_max_nq(*args)
+
+        monkeypatch.setattr(allocation, "max_nq", counting_max_nq)
+        with pytest.raises(InstanceTooLargeError, match=f"more than {max_pairs}"):
+            allocate_exhaustive(_params(m=1), PowerBudget(bits=bits, p_max_norm=1e15), max_pairs=max_pairs)
 
 
 class TestDitherScheme:

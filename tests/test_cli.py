@@ -170,6 +170,23 @@ class TestAllocateCommand:
         assert main(["allocate", "--config", path]) == 3
         assert "limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            {"bits": 2000, "p_max_norm": 100.0},
+            {"bits": 2000, "n_a_max": 3},
+            {"bits": 10**12, "n_a_max": 3},
+            {"bits": 1023, "p_max_norm": 100.0},  # 2**1023 * m overflows for m = 2
+        ],
+        ids=["p_max_norm", "n_a_max", "n_a_max-huge", "block-cost"],
+    )
+    def test_huge_bits_are_config_errors(self, tmp_path, capsys, budget):
+        path = _write(tmp_path, "alloc.yaml", {"m": 2, "sigma2": 1.0, **budget})
+        assert main(["allocate", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bits" in captured.err or "too large" in captured.err
+
     def test_oracle_too_large_exits_numerical(self, tmp_path, capsys):
         cfg = {"m": 10, "bits": 6, "n_a_max": 20, "sigma2": 1.0}
         path = _write(tmp_path, "alloc.yaml", cfg)
@@ -229,6 +246,33 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", path]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["empirical_mse"] - payload["analytic_mse"]) <= 4 * payload["std_error"]
+
+    @pytest.mark.parametrize(
+        "quantizer",
+        [
+            {"analog_range": [-float("inf"), float("inf")]},
+            {"analog_range": [-1.0, float("nan")]},
+            {"analog_range": ["a", 1.0]},
+            {"analog_bits": 2000},
+        ],
+        ids=["range-inf", "range-nan", "range-text", "bits-huge"],
+    )
+    def test_bad_analog_quantizer_is_config_error(self, tmp_path, capsys, quantizer):
+        cfg = {"scenario": "scalar", "n_a": 1, "n_q": 1, "sigma2": 1.0, "trials": 100, "analog_bits": 6, **quantizer}
+        path = _write(tmp_path, "sim.yaml", cfg)
+        assert main(["simulate", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "analog" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("threads", ["0", "-2", "two"])
+    def test_bad_threads_is_usage_error(self, tmp_path, capsys, threads):
+        cfg = {"scenario": "scalar", "n_a": 1, "n_q": 1, "sigma2": 1.0, "trials": 100}
+        path = _write(tmp_path, "sim.yaml", cfg)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", path, "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_seed_flag_overrides(self, tmp_path, capsys):
         cfg = {"scenario": "scalar", "n_a": 1, "n_q": 1, "sigma2": 1.0, "trials": 5000}

@@ -22,13 +22,14 @@ from mixedres.model import (
 from oracles import assert_within_se, empirical_second_moments
 
 
-def _random_model(seed, m=3, n_a=2, n_q=2):
+def _random_model(seed, m=3, n_a=2, n_q=2, **variances):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     sigma = a @ a.conj().T + m * np.eye(m)
     h = rng.standard_normal((n_a, m)) + 1j * rng.standard_normal((n_a, m))
     g = rng.standard_normal((n_q, m)) + 1j * rng.standard_normal((n_q, m))
-    return MixedModel(h=h, g=g, sigma_theta=sigma, var_a=0.7, var_q=1.3, var_da=0.1, var_dq=0.2)
+    variances = {"var_a": 0.7, "var_q": 1.3, "var_da": 0.1, "var_dq": 0.2, **variances}
+    return MixedModel(h=h, g=g, sigma_theta=sigma, **variances)
 
 
 class TestAnalogCovariance:
@@ -187,6 +188,25 @@ class TestMonteCarloConsistency:
         bundle = assemble(model)
         moments = empirical_second_moments(
             model, 200_000, seed=79,
+            pairs=[("xa", "xa"), ("xq", "xq"), ("xa", "xq"), ("theta", "xq")],
+        )
+        for key, analytic in (
+            (("xa", "xa"), bundle.c_xa),
+            (("xq", "xq"), bundle.c_xq),
+            (("xa", "xq"), bundle.c_xa_xq),
+            (("theta", "xq"), bundle.c_theta_xq),
+        ):
+            mean, se_r, se_i = moments[key]
+            assert_within_se(mean, analytic, se_r, se_i, n_se=4.5)
+
+    def test_dither_only_noise_blocks(self):
+        """Zero path noise with positive dither on both paths: the sampler
+        skips w_a and w_q and draws only the dither terms, whose moments
+        must still match the analytic blocks of the total variances."""
+        model = _random_model(101, m=2, n_a=2, n_q=3, var_a=0.0, var_q=0.0, var_da=0.6, var_dq=0.9)
+        bundle = assemble(model)
+        moments = empirical_second_moments(
+            model, 200_000, seed=80,
             pairs=[("xa", "xa"), ("xq", "xq"), ("xa", "xq"), ("theta", "xq")],
         )
         for key, analytic in (

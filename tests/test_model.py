@@ -1,5 +1,7 @@
 """Tests for model construction, validation, and random sampling."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from mixedres.model import (
     MixedModel,
     OrthoBlockParams,
     RngStream,
+    _complex_normal,
     make_mimo_model,
     make_ortho_matrices,
     make_scalar_model,
@@ -152,6 +155,47 @@ class TestSampleMeasurements:
         model = make_scalar_model(1, 1, 1.0)
         with pytest.raises(ModelError):
             sample_measurements(model, np.zeros(3), RngStream(0))
+
+    @pytest.mark.parametrize("zero", list(itertools.product([False, True], repeat=4)))
+    def test_draws_only_positive_variance_terms(self, zero):
+        """Each term with a positive variance adds one planar CN block drawn
+        in the order w_a, w_da, w_q, w_dq; a zero-variance term draws
+        nothing.  With every variance positive this is the pre-skip sampler,
+        bit for bit."""
+        names = ("var_a", "var_da", "var_q", "var_dq")
+        variances = {name: 0.0 if off else v for name, off, v in zip(names, zero, (0.7, 0.2, 1.3, 0.4))}
+        rng = np.random.default_rng(12)
+        model = MixedModel(
+            h=rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)),
+            g=rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)),
+            sigma_theta=np.eye(2), **variances,
+        )
+        theta = sample_parameter(model.sigma_theta, RngStream(5), size=6)
+
+        class SharedStream:
+            """Hands out one generator, so the draws it has left can be inspected."""
+
+            def __init__(self):
+                self.g = RngStream(8).generator()
+
+            def generator(self):
+                return self.g
+
+        stream = SharedStream()
+        x_a, x_q = sample_measurements(model, theta, stream)
+
+        g = RngStream(8).generator()
+        want_a = model.h @ theta
+        for name in ("var_a", "var_da"):
+            if variances[name]:
+                want_a = want_a + _complex_normal(g, want_a.shape, variances[name])
+        y = model.g @ theta
+        for name in ("var_q", "var_dq"):
+            if variances[name]:
+                y = y + _complex_normal(g, y.shape, variances[name])
+        assert x_a.tobytes() == want_a.tobytes()
+        assert x_q.tobytes() == quantize_1bit(y).tobytes()
+        assert stream.g.bit_generator.state == g.bit_generator.state
 
     def test_deterministic_given_stream(self):
         model = make_scalar_model(2, 2, 1.3)

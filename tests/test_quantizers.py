@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mixedres.exceptions import ModelError, QuantizerDomainError
-from mixedres.model import INV_SQRT2, QuantizerSpec, quantize_1bit, quantize_bbit
+from mixedres.model import INV_SQRT2, MAX_QUANTIZER_BITS, QuantizerSpec, quantize_1bit, quantize_bbit
+from oracles import reference_quantize_1bit
 
 ONE_BIT_OUTPUTS = {
     complex(INV_SQRT2, INV_SQRT2),
@@ -16,6 +18,27 @@ ONE_BIT_OUTPUTS = {
 }
 
 finite_complex = st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=1e200)
+
+# Float32-exact components, so every dtype below holds them unchanged; both
+# signed zeros are drawn often.
+component = st.sampled_from([0.0, -0.0]) | st.floats(allow_nan=False, allow_infinity=False, width=32)
+
+
+@st.composite
+def quantizer_inputs(draw):
+    """Python scalars and real or complex arrays of any rank, some non-contiguous."""
+    if draw(st.booleans()):
+        return draw(st.builds(complex, component, component) | component)
+    dtype = draw(st.sampled_from([np.complex128, np.complex64, np.float64]))
+    elements = st.builds(complex, component, component) if np.dtype(dtype).kind == "c" else component
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5))
+    z = draw(hnp.arrays(dtype, shape, elements=elements))
+    view = draw(st.sampled_from(["as-is", "transposed", "strided"]))
+    if view == "transposed":
+        return z.T
+    if view == "strided" and z.ndim:
+        return z[..., ::2]
+    return z
 
 
 class TestOneBit:
@@ -39,6 +62,25 @@ class TestOneBit:
         with pytest.raises(QuantizerDomainError):
             quantize_1bit(np.array([0j, np.nan + 0j]))
 
+    @given(quantizer_inputs())
+    @settings(max_examples=300)
+    def test_matches_reference_bit_for_bit(self, z):
+        got, want = quantize_1bit(z), reference_quantize_1bit(z)
+        assert type(got) is type(want)
+        got, want = np.asarray(got), np.asarray(want)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+    def test_signed_zeros_map_to_plus(self):
+        z = np.array([complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)])
+        np.testing.assert_array_equal(quantize_1bit(z), complex(INV_SQRT2, INV_SQRT2))
+        assert np.signbit(quantize_1bit(z).view(np.float64)).sum() == 0
+
+    def test_does_not_modify_input(self):
+        z = np.array([-0.0 - 2j, 3.0 + 0j])
+        quantize_1bit(z)
+        assert z.tobytes() == np.array([-0.0 - 2j, 3.0 + 0j]).tobytes()
+
     @given(finite_complex)
     @settings(max_examples=200)
     def test_output_set_and_idempotence(self, z):
@@ -55,6 +97,25 @@ class TestBBit:
             QuantizerSpec(bits=0, lo=-1.0, hi=1.0)
         with pytest.raises(ModelError):
             QuantizerSpec(bits=4, lo=1.0, hi=1.0)
+
+    @pytest.mark.parametrize(
+        "bits, lo, hi",
+        [
+            (6, -float("inf"), float("inf")),
+            (6, float("nan"), 1.0),
+            (6, -1.0, float("inf")),
+            (MAX_QUANTIZER_BITS + 1, -1.0, 1.0),
+            (2000, -1.0, 1.0),
+            (6, -1e308, 1e308),  # hi - lo overflows
+        ],
+    )
+    def test_spec_rejects_unusable_ranges(self, bits, lo, hi):
+        with pytest.raises(ModelError):
+            QuantizerSpec(bits=bits, lo=lo, hi=hi)
+
+    def test_widest_spec_quantizes(self):
+        spec = QuantizerSpec(bits=MAX_QUANTIZER_BITS, lo=-1.0, hi=1.0)
+        assert abs(quantize_bbit(0.3 - 0.7j, spec) - (0.3 - 0.7j)) <= spec.step
 
     def test_zero_snaps_to_nearest_midrise_level(self):
         """No level sits at zero on a 64-level midrise grid; ties go up."""

@@ -1,15 +1,18 @@
 """Tests for the Monte-Carlo harness, analytic sweeps, and benchmark."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mixedres.allocation import DitherScheme, PowerBudget
 from mixedres.estimator import lmmse
 from mixedres.exceptions import ModelError
-from mixedres.model import OrthoBlockParams, make_scalar_model
+from mixedres.model import MixedModel, OrthoBlockParams, make_scalar_model
 from mixedres.simulate import (
     DEFAULT_ANALOG_QUANTIZER,
     SimConfig,
+    _timeit,
     bench_runtime,
     run_monte_carlo,
     sweep_allocation_vs_noise,
@@ -34,12 +37,25 @@ class TestRunMonteCarlo:
         model = make_scalar_model(2, 2, 0.7)
         filt = lmmse(model)
         base = run_monte_carlo(model, filt, SimConfig(trials=30_000, rng_seed=3, workers=1))
-        for workers in (2, 5):
+        for workers in (2, 4, 5):
             other = run_monte_carlo(
                 model, filt, SimConfig(trials=30_000, rng_seed=3, workers=workers)
             )
             assert other.empirical_mse == base.empirical_mse
             assert other.std_error == base.std_error
+
+    def test_bit_identical_across_worker_counts_with_dither(self):
+        model = MixedModel(
+            h=np.ones((2, 1)), g=np.ones((2, 1)), sigma_theta=np.eye(1),
+            var_a=0.7, var_q=0.7, var_da=0.3, var_dq=0.5,
+        )
+        filt = lmmse(model)
+        cfg = SimConfig(trials=30_000, rng_seed=3, batch_size=4096, analog_quantizer=DEFAULT_ANALOG_QUANTIZER)
+        base = run_monte_carlo(model, filt, cfg)
+        assert abs(base.empirical_mse - filt.mse) <= 4 * base.std_error
+        for workers in (2, 4, 5):
+            other = run_monte_carlo(model, filt, replace(cfg, workers=workers))
+            assert (other.empirical_mse, other.std_error) == (base.empirical_mse, base.std_error)
 
     def test_batch_size_does_not_change_distribution_quality(self):
         # Different batch sizes are different (valid) random partitions.
@@ -168,6 +184,12 @@ class TestBenchRuntime:
         t_small = results[0].direct_time.median_s
         t_large = results[1].direct_time.median_s
         assert t_large > 3.0 * t_small  # budget (and matrix sizes) tripled
+
+    def test_repetitions_interleave_across_callables(self):
+        calls = []
+        stats = _timeit([lambda k=k: calls.append(k) for k in range(3)], repeats=4, warmup=2)
+        assert calls == [0, 0, 1, 1, 2, 2] + [0, 1, 2] * 4
+        assert [s.repeats for s in stats] == [4, 4, 4]
 
     def test_direct_arm_optional(self):
         results = bench_runtime([1], [2], bits=4, repeats=3, include_direct=False)
