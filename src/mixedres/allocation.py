@@ -8,10 +8,11 @@ the optimum always lies on the max-power frontier
     n_q = floor((p_max_norm - 2**bits * m * n_a) / (2 * m)),
 
 so a one-dimensional search over n_a suffices.  The closed-form search
-evaluates the whole (frontier x dither grid) in one array call.  The
-exhaustive solver scans every feasible pair with the matrix-solve MSE
-instead and serves as the reference oracle at small scale.  Every search
-picks its optimum with :func:`argbest`.
+evaluates the whole (frontier x dither grid) in one array call.
+:func:`direct_search` evaluates a list of points with the matrix-solve MSE
+instead; the exhaustive solver runs it over every feasible pair and serves
+as the reference oracle at small scale.  Every search picks its optimum
+with :func:`argbest`.
 """
 
 from __future__ import annotations
@@ -266,27 +267,38 @@ def allocate_exhaustive(
     if n_rows > max_rows:
         raise InstanceTooLargeError(f"largest model has {n_rows} rows (limit {max_rows})")
 
-    n_a_max = counts[-1][0]
     # One quantized block suffices; each evaluated pair tiles it as needed.
-    h_full, g_full = make_ortho_matrices(replace(params_base, n_a=n_a_max, n_q=1), rng)
-    g1 = g_full[:m]
-    eye = np.eye(m, dtype=np.complex128)
+    h_full, g_full = make_ortho_matrices(replace(params_base, n_a=counts[-1][0], n_q=1), rng)
+    pairs = [(n_a, n_q) for n_a, nq_max in counts for n_q in range(nq_max + 1)]
+    return direct_search(params_base, pairs, h_full, g_full[:m])
 
+
+def direct_search(params_base: OrthoBlockParams, points, h_full: np.ndarray, g1: np.ndarray) -> AllocationResult:
+    """Matrix-solve search: the :func:`lmmse` MSE of every (n_a, n_q) point, then :func:`optimum`.
+
+    Point (n_a, n_q) stacks the first ``n_a`` m-row blocks of ``h_full``
+    over ``n_q`` copies of the quantized block ``g1``, with the noise
+    variances of ``params_base``; the prior-only point (0, 0) has MSE m.
+    Every point pays for covariance assembly and a dense solve, so this is
+    the reference the closed-form searches are checked against.
+    """
+    _require_clean_base(params_base)
+    m = params_base.m
+    eye = np.eye(m, dtype=np.complex128)
     trace = []
-    for n_a, nq_max in counts:
-        for n_q in range(nq_max + 1):
-            if n_a == 0 and n_q == 0:
-                mse = float(m)
-            else:
-                model = MixedModel(
-                    h=h_full[: m * n_a],
-                    g=np.tile(g1, (n_q, 1)) if n_q else np.zeros((0, m), dtype=np.complex128),
-                    sigma_theta=eye,
-                    var_a=params_base.var_a,
-                    var_q=params_base.var_q,
-                )
-                mse = lmmse(model).mse
-            trace.append((n_a, n_q, 0.0, mse))
+    for n_a, n_q in points:
+        if n_a == 0 and n_q == 0:
+            mse = float(m)
+        else:
+            model = MixedModel(
+                h=h_full[: m * n_a],
+                g=np.tile(g1, (n_q, 1)),
+                sigma_theta=eye,
+                var_a=params_base.var_a,
+                var_q=params_base.var_q,
+            )
+            mse = lmmse(model).mse
+        trace.append((n_a, n_q, 0.0, mse))
     return optimum(trace)
 
 
@@ -300,7 +312,7 @@ def noiseless_quantized_policy(
     keep one-or-more quantized measurements next to the analog ones
     (option 1), or spend everything on analog measurements (option 2).
     """
-    n_a_max = int(math.floor(budget.p_max_norm / budget.analog_block_cost(m)))
+    n_a_max = na_range(m, budget)[-1]
     residual = budget.p_max_norm - n_a_max * budget.analog_block_cost(m)
     if residual >= budget.quantized_block_cost(m):
         # Max analog count still leaves room for a quantized measurement.

@@ -21,6 +21,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import yaml
@@ -74,7 +75,7 @@ def _check_keys(cfg: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key '{unknown[0]}' in {where} config")
 
 
-def _get(cfg: dict, key: str, kind, where: str, default=..., allow_none: bool = False):
+def _get(cfg: dict, key: str, kind, where: str, default=..., allow_none: bool = False, minimum=None):
     if key not in cfg:
         if default is ...:
             raise ConfigError(f"missing required key '{key}' in {where} config")
@@ -88,6 +89,8 @@ def _get(cfg: dict, key: str, kind, where: str, default=..., allow_none: bool = 
         raise ConfigError(f"key '{key}' in {where} config must be {kind.__name__}")
     if kind is float:
         _require_finite(value, f"key '{key}' in {where} config")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"key '{key}' in {where} config must be >= {minimum}, got {value}")
     return value
 
 
@@ -230,6 +233,32 @@ def _resolve_io(cfg: dict, args, where: str, default_fmt: str | None):
     return seed, output, fmt
 
 
+def _scenario(cfg: dict, where: str):
+    """(scenario, m, rho, pilot); the scalar scenario fixes m=1 and rho=1."""
+    scenario = _get(cfg, "scenario", str, where, default="scalar")
+    if scenario not in ("scalar", "mimo"):
+        raise ConfigError(f"scenario must be 'scalar' or 'mimo', got {scenario!r}")
+    m = _get(cfg, "m", int, where, default=1)
+    rho = _get(cfg, "rho", float, where, default=1.0)
+    pilot = _get(cfg, "pilot", str, where, default="random-unitary")
+    if scenario == "scalar" and (m != 1 or rho != 1.0):
+        raise ConfigError("scalar scenario requires m=1 and rho=1")
+    return scenario, m, rho, pilot
+
+
+def _sim_config(cfg: dict, where: str, seed: int, threads: int) -> SimConfig:
+    try:
+        return SimConfig(
+            trials=_get(cfg, "trials", int, where, default=100_000),
+            rng_seed=seed,
+            analog_quantizer=_analog_quantizer(cfg, where),
+            batch_size=_get(cfg, "batch_size", int, where, default=8192),
+            workers=threads,
+        )
+    except ModelError as exc:
+        raise ConfigError(f"invalid {where} config: {exc}") from exc
+
+
 def _build_cell_model(scenario, m, rho, pilot, n_a, n_q, sigma2, seed) -> MixedModel:
     if scenario == "scalar":
         return make_scalar_model(n_a, n_q, sigma2)
@@ -244,14 +273,7 @@ def cmd_mse(args) -> int:
         _COMMON_KEYS | {"scenario", "m", "rho", "pilot", "sigma2_grid", "allocations", "empirical"},
         where,
     )
-    scenario = _get(cfg, "scenario", str, where, default="scalar")
-    if scenario not in ("scalar", "mimo"):
-        raise ConfigError(f"scenario must be 'scalar' or 'mimo', got {scenario!r}")
-    m = _get(cfg, "m", int, where, default=1)
-    rho = _get(cfg, "rho", float, where, default=1.0)
-    pilot = _get(cfg, "pilot", str, where, default="random-unitary")
-    if scenario == "scalar" and (m != 1 or rho != 1.0):
-        raise ConfigError("scalar scenario requires m=1 and rho=1")
+    scenario, m, rho, pilot = _scenario(cfg, where)
     if "sigma2_grid" not in cfg:
         raise ConfigError(f"missing required key 'sigma2_grid' in {where} config")
     grid = _sigma_grid(cfg["sigma2_grid"], "sigma2_grid")
@@ -268,17 +290,16 @@ def cmd_mse(args) -> int:
             )
         pairs.append((item[0], item[1]))
     seed, output, fmt = _resolve_io(cfg, args, where, default_fmt="csv")
+    if args.empirical:
+        emp = _get(cfg, "empirical", dict, where, default={})
+        _check_keys(emp, {"trials", "analog_bits", "analog_range", "batch_size"}, "mse.empirical")
+        sim_cfg = _sim_config(emp, "mse.empirical", seed, args.threads)
 
     params_base = OrthoBlockParams(m=m, n_a=0, n_q=0, rho_a=rho, rho_q=rho, var_a=1.0, var_q=1.0)
     rows = sweep_mse_vs_noise(params_base, grid, pairs)
     fieldnames = ["sigma2", "n_a", "n_q", "mse_analytic"]
 
     if args.empirical:
-        emp = _get(cfg, "empirical", dict, where, default={})
-        _check_keys(emp, {"trials", "analog_bits", "analog_range", "batch_size"}, "mse.empirical")
-        trials = _get(emp, "trials", int, "mse.empirical", default=100_000)
-        quantizer = _analog_quantizer(emp, "mse.empirical")
-        batch = _get(emp, "batch_size", int, "mse.empirical", default=8192)
         for idx, row in enumerate(rows):
             n_a, n_q = row["n_a"], row["n_q"]
             if n_a + n_q < 1:
@@ -289,18 +310,7 @@ def cmd_mse(args) -> int:
                 var_a=row["sigma2"], var_q=row["sigma2"],
             )
             filt = filter_closed_form(params, model.h, model.g)
-            sim = run_monte_carlo(
-                model,
-                filt,
-                SimConfig(
-                    trials=trials,
-                    rng_seed=seed + idx,
-                    analog_quantizer=quantizer,
-                    scenario=scenario,
-                    batch_size=batch,
-                    workers=args.threads,
-                ),
-            )
+            sim = run_monte_carlo(model, filt, replace(sim_cfg, rng_seed=seed + idx))
             row["mse_empirical"] = sim.empirical_mse
             row["std_error"] = sim.std_error
         fieldnames += ["mse_empirical", "std_error"]
@@ -309,7 +319,14 @@ def cmd_mse(args) -> int:
     return EXIT_OK
 
 
-def _allocation_config(cfg, where, args):
+def cmd_allocate(args) -> int:
+    """``allocate`` and ``dither``.
+
+    ``dither`` is the single-budget branch with a required dither block, a
+    scalar ``sigma2`` and the dither mode leading its JSON payload.
+    """
+    where = args.command
+    cfg = _load_config(args.config)
     _check_keys(
         cfg,
         _COMMON_KEYS | {"m", "bits", "p_max_norm", "n_a_max", "rho_a", "rho_q", "sigma2", "dither"},
@@ -322,16 +339,14 @@ def _allocation_config(cfg, where, args):
     scheme = _dither_scheme(cfg["dither"], f"{where}.dither") if "dither" in cfg else None
     # Sweep tables default to CSV; single-result runs default to JSON.
     seed, output, fmt = _resolve_io(cfg, args, where, default_fmt=None)
-    return m, budget, rho_a, rho_q, scheme, seed, output, fmt
-
-
-def cmd_allocate(args) -> int:
-    where = "allocate"
-    cfg = _load_config(args.config)
-    m, budget, rho_a, rho_q, scheme, seed, output, fmt = _allocation_config(cfg, where, args)
-    sigma2 = cfg.get("sigma2")
-    if sigma2 is None:
-        raise ConfigError(f"missing required key 'sigma2' in {where} config")
+    if where == "dither":
+        if scheme is None:
+            raise ConfigError(f"missing required key 'dither' in {where} config")
+        sigma2 = _get(cfg, "sigma2", float, where)
+    else:
+        sigma2 = cfg.get("sigma2")
+        if sigma2 is None:
+            raise ConfigError(f"missing required key 'sigma2' in {where} config")
 
     if isinstance(sigma2, (list, dict)):
         fmt = fmt or "csv"
@@ -377,7 +392,8 @@ def cmd_allocate(args) -> int:
     result = allocate_with_dither(params, budget, scheme) if scheme else allocate(params, budget)
     if result.n_a_star == 0 and result.n_q_star == 0:
         print("warning: budget infeasible; returning the prior-only point (0, 0)", file=sys.stderr)
-    payload = {
+    payload = {"mode": scheme.mode} if where == "dither" else {}
+    payload |= {
         "n_a_star": result.n_a_star,
         "n_q_star": result.n_q_star,
         "sigma_d2_star": result.dither_var_star,
@@ -396,34 +412,6 @@ def cmd_allocate(args) -> int:
     return EXIT_OK
 
 
-def cmd_dither(args) -> int:
-    where = "dither"
-    cfg = _load_config(args.config)
-    m, budget, rho_a, rho_q, scheme, seed, output, fmt = _allocation_config(cfg, where, args)
-    if scheme is None:
-        raise ConfigError(f"missing required key 'dither' in {where} config")
-    fmt = fmt or "json"
-    sigma2 = _get(cfg, "sigma2", float, where)
-    params = OrthoBlockParams(
-        m=m, n_a=0, n_q=0, rho_a=rho_a, rho_q=rho_q,
-        var_a=float(sigma2), var_q=float(sigma2),
-    )
-    result = allocate_with_dither(params, budget, scheme)
-    payload = {
-        "mode": scheme.mode,
-        "n_a_star": result.n_a_star,
-        "n_q_star": result.n_q_star,
-        "sigma_d2_star": result.dither_var_star,
-        "mse_star": result.mse_star,
-        "trace": [list(entry) for entry in result.trace],
-    }
-    if fmt == "json":
-        _emit(_json_text(payload), output)
-    else:
-        _write_table(_trace_rows(result.trace), ["n_a", "n_q", "sigma_d2", "mse"], "csv", output)
-    return EXIT_OK
-
-
 def cmd_simulate(args) -> int:
     where = "simulate"
     cfg = _load_config(args.config)
@@ -434,24 +422,15 @@ def cmd_simulate(args) -> int:
            "analog_bits", "analog_range", "batch_size", "filter"},
         where,
     )
-    scenario = _get(cfg, "scenario", str, where, default="scalar")
-    if scenario not in ("scalar", "mimo"):
-        raise ConfigError(f"scenario must be 'scalar' or 'mimo', got {scenario!r}")
-    m = _get(cfg, "m", int, where, default=1)
-    n_a = _get(cfg, "n_a", int, where)
-    n_q = _get(cfg, "n_q", int, where)
-    rho = _get(cfg, "rho", float, where, default=1.0)
-    pilot = _get(cfg, "pilot", str, where, default="random-unitary")
+    scenario, m, rho, pilot = _scenario(cfg, where)
+    n_a = _get(cfg, "n_a", int, where, minimum=0)
+    n_q = _get(cfg, "n_q", int, where, minimum=0)
     sigma2 = _get(cfg, "sigma2", float, where)
-    trials = _get(cfg, "trials", int, where, default=100_000)
-    batch = _get(cfg, "batch_size", int, where, default=8192)
     filter_kind = _get(cfg, "filter", str, where, default="general")
     if filter_kind not in ("general", "closed"):
         raise ConfigError(f"filter must be 'general' or 'closed', got {filter_kind!r}")
-    if scenario == "scalar" and (m != 1 or rho != 1.0):
-        raise ConfigError("scalar scenario requires m=1 and rho=1")
-    quantizer = _analog_quantizer(cfg, where)
     seed, output, fmt = _resolve_io(cfg, args, where, default_fmt="json")
+    sim_cfg = _sim_config(cfg, where, seed, args.threads)
 
     model = _build_cell_model(scenario, m, rho, pilot, n_a, n_q, sigma2, seed)
     if filter_kind == "closed":
@@ -461,18 +440,7 @@ def cmd_simulate(args) -> int:
         filt = filter_closed_form(params, model.h, model.g)
     else:
         filt = lmmse(model)
-    sim = run_monte_carlo(
-        model,
-        filt,
-        SimConfig(
-            trials=trials,
-            rng_seed=seed,
-            analog_quantizer=quantizer,
-            scenario=scenario,
-            batch_size=batch,
-            workers=args.threads,
-        ),
-    )
+    sim = run_monte_carlo(model, filt, sim_cfg)
     row = {
         "empirical_mse": sim.empirical_mse,
         "std_error": sim.std_error,
@@ -504,11 +472,11 @@ def cmd_bench(args) -> int:
     bits = _get(cfg, "bits", int, where, default=6)
     rho = _get(cfg, "rho", float, where, default=1.0)
     sigma2 = _get(cfg, "sigma2", float, where, default=1.0)
-    repeats = _get(cfg, "repeats", int, where, default=10)
+    repeats = _get(cfg, "repeats", int, where, default=10, minimum=1)
     if args.repeats is not None:
         repeats = args.repeats
-    direct_repeats = _get(cfg, "direct_repeats", int, where, default=None, allow_none=True)
-    warmup = _get(cfg, "warmup", int, where, default=2)
+    direct_repeats = _get(cfg, "direct_repeats", int, where, default=None, allow_none=True, minimum=1)
+    warmup = _get(cfg, "warmup", int, where, default=2, minimum=0)
     seed, output, fmt = _resolve_io(cfg, args, where, default_fmt="csv")
 
     results = bench_runtime(
@@ -560,7 +528,7 @@ def _build_parser() -> argparse.ArgumentParser:
     specs = {
         "mse": (cmd_mse, "analytic / empirical MSE grid over noise levels"),
         "allocate": (cmd_allocate, "power-constrained measurement allocation"),
-        "dither": (cmd_dither, "allocation with dither optimization"),
+        "dither": (cmd_allocate, "allocation with dither optimization"),
         "simulate": (cmd_simulate, "Monte-Carlo validation of one scenario"),
         "bench": (cmd_bench, "closed-form vs matrix-solve runtime comparison"),
     }
@@ -576,8 +544,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "allocate":
             p.add_argument("--oracle", action="store_true", help="cross-check against the exhaustive solver")
         if name == "bench":
-            p.add_argument("--repeats", type=int, default=None, help="override timing repetitions")
-        p.set_defaults(handler=handler)
+            p.add_argument("--repeats", type=_positive_int, default=None, help="override timing repetitions")
+        p.set_defaults(handler=handler, oracle=False)
     return parser
 
 

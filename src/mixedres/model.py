@@ -186,6 +186,9 @@ class MixedModel:
             raise ModelError(f"g must have shape (n_quantized, {m}), got {g.shape}")
         if h.shape[0] + g.shape[0] < 1:
             raise ModelError("model needs at least one measurement row")
+        for name, arr in (("h", h), ("g", g), ("sigma_theta", sig)):
+            if not np.isfinite(arr).all():
+                raise ModelError(f"{name} must have finite entries")
         for name in ("var_a", "var_q", "var_da", "var_dq"):
             require_finite(name, getattr(self, name))
 
@@ -352,16 +355,11 @@ def make_ortho_matrices(params: OrthoBlockParams, rng: RngStream):
     """
     g = rng.generator()
     m = params.m
-    if params.n_a:
-        blocks = [np.sqrt(params.rho_a) * _haar_unitary(m, g) for _ in range(params.n_a)]
-        h = np.vstack(blocks)
-    else:
-        h = np.zeros((0, m), dtype=np.complex128)
-    if params.n_q:
-        g1 = np.sqrt(params.rho_q) * _haar_unitary(m, g)
-        gm = np.tile(g1, (params.n_q, 1))
-    else:
-        gm = np.zeros((0, m), dtype=np.complex128)
+    blocks = [np.sqrt(params.rho_a) * _haar_unitary(m, g) for _ in range(params.n_a)]
+    h = np.array(blocks, dtype=np.complex128).reshape(-1, m)
+    # The quantized block is drawn after every analog block, so drawing it
+    # also when n_q = 0 leaves H unchanged.
+    gm = np.tile(np.sqrt(params.rho_q) * _haar_unitary(m, g), (params.n_q, 1))
     return h, gm
 
 
@@ -379,13 +377,19 @@ def make_ortho_model(params: OrthoBlockParams, rng: RngStream) -> MixedModel:
     )
 
 
+def _require_counts(n_a: int, n_q: int) -> None:
+    if n_a < 0 or n_q < 0:
+        raise ModelError(f"measurement counts must be nonnegative, got n_a={n_a}, n_q={n_q}")
+    if n_a + n_q < 1:
+        raise ModelError("need at least one measurement (n_a + n_q >= 1)")
+
+
 def make_scalar_model(n_a: int, n_q: int, var: float) -> MixedModel:
     """Scalar-parameter model: unit prior, all-ones mixing, equal noise variances.
 
     Satisfies the orthonormal-block assumptions with m=1 and unit block gains.
     """
-    if n_a + n_q < 1:
-        raise ModelError("need at least one measurement (n_a + n_q >= 1)")
+    _require_counts(n_a, n_q)
     return MixedModel(
         h=np.ones((n_a, 1), dtype=np.complex128),
         g=np.ones((n_q, 1), dtype=np.complex128),
@@ -412,6 +416,7 @@ def make_mimo_model(
     """
     if k < 1:
         raise ModelError(f"k must be >= 1, got {k}")
+    _require_counts(n_a, n_q)
     if rho <= 0:
         raise ModelError("pilot power rho must be positive")
     if pilot == "random-unitary":
@@ -424,8 +429,8 @@ def make_mimo_model(
         raise ModelError(f"unknown pilot type {pilot!r}")
     block = np.sqrt(rho) * phi
     return MixedModel(
-        h=np.tile(block, (n_a, 1)) if n_a else np.zeros((0, k), dtype=np.complex128),
-        g=np.tile(block, (n_q, 1)) if n_q else np.zeros((0, k), dtype=np.complex128),
+        h=np.tile(block, (n_a, 1)),
+        g=np.tile(block, (n_q, 1)),
         sigma_theta=np.eye(k, dtype=np.complex128),
         var_a=var,
         var_q=var,

@@ -19,21 +19,20 @@ from functools import partial
 import numpy as np
 
 from .allocation import (
-    AllocationResult,
     DitherScheme,
     PowerBudget,
     allocate,
     argbest,
     check_grid_size,
+    direct_search,
     dithered_mse,
     frontier,
     max_nq,
     na_range,
-    optimum,
 )
 from .closed_form import mse_grid
 from .exceptions import ModelError, require_finite
-from .estimator import LmmseFilter, lmmse
+from .estimator import LmmseFilter
 from .model import (
     MixedModel,
     OrthoBlockParams,
@@ -55,14 +54,12 @@ class SimConfig:
 
     ``analog_quantizer=None`` means ideal analog measurements; pass a
     :class:`QuantizerSpec` (e.g. ``DEFAULT_ANALOG_QUANTIZER``) to emulate a
-    finite-resolution analog ADC.  ``scenario`` is a free-form label carried
-    through from experiment configs.
+    finite-resolution analog ADC.
     """
 
     trials: int = 100_000
     rng_seed: int = 0
     analog_quantizer: QuantizerSpec | None = None
-    scenario: str = "custom"
     batch_size: int = 8192
     workers: int = 1
 
@@ -258,6 +255,8 @@ def _timeit(fns, repeats: int, warmup: int, warmup_fns=None, min_rep_time: float
     callable is sampled over the same stretch of wall clock and a change in
     host speed shifts them all alike.
     """
+    if repeats < 1 or warmup < 0:
+        raise ModelError(f"need repeats >= 1 and warmup >= 0, got repeats={repeats}, warmup={warmup}")
     for warm in warmup_fns if warmup_fns is not None else fns:
         for _ in range(warmup):
             warm()
@@ -284,37 +283,6 @@ def _timeit(fns, repeats: int, warmup: int, warmup_fns=None, min_rep_time: float
     ]
 
 
-def direct_frontier_sweep(
-    params_base: OrthoBlockParams,
-    budget: PowerBudget,
-    h_full: np.ndarray,
-    g1: np.ndarray,
-) -> AllocationResult:
-    """Frontier search evaluating each point with the matrix-solve MSE.
-
-    Same search space as :func:`~mixedres.allocation.allocate`, but every
-    point pays for covariance assembly and a dense linear solve; this is the
-    "direct" arm of the runtime comparison.
-    """
-    m = params_base.m
-    eye = np.eye(m, dtype=np.complex128)
-    trace = []
-    for n_a, n_q in zip(*frontier(m, budget)):
-        if n_a == 0 and n_q == 0:
-            mse = float(m)
-        else:
-            model = MixedModel(
-                h=h_full[: m * n_a],
-                g=np.tile(g1, (n_q, 1)) if n_q else np.zeros((0, m), dtype=np.complex128),
-                sigma_theta=eye,
-                var_a=params_base.var_a,
-                var_q=params_base.var_q,
-            )
-            mse = lmmse(model).mse
-        trace.append((n_a, n_q, 0.0, mse))
-    return optimum(trace)
-
-
 def bench_runtime(
     m_list,
     n_a_max_list,
@@ -332,8 +300,9 @@ def bench_runtime(
     The budget is pinned to ``2**bits * m * n_a_max`` so the frontier always
     contains ``n_a_max + 1`` points.  The closed-form repetitions of all
     (m, n_a_max) cases are interleaved, so their medians come from the same
-    stretch of wall clock.  The direct arm warms up on the cheapest frontier
-    point; set ``direct_repeats`` to control its measured repetitions
+    stretch of wall clock.  The direct arm is :func:`direct_search` over the
+    frontier and warms up on its cheapest point, the one with the most
+    analog blocks; set ``direct_repeats`` to control its measured repetitions
     separately (large instances make full-sweep repetitions expensive).
     """
     cases = []
@@ -355,31 +324,17 @@ def bench_runtime(
     for (m, n_a_max, budget, params), closed in zip(cases, closed_stats):
         direct_stats = None
         if include_direct:
-            # One quantized block suffices; the sweep tiles it per point.
+            # One quantized block suffices; the search tiles it per point.
             h_full, g_full = make_ortho_matrices(
                 replace(params, n_a=n_a_max, n_q=1), RngStream(rng_seed)
             )
             g1 = g_full[:m]
             top = na_range(m, budget)[-1]
-
-            def warm_once():
-                # Cheapest frontier point keeps warm-up affordable.
-                small = MixedModel(
-                    h=h_full[: m * top],
-                    g=np.tile(g1, (max_nq(top, m, budget), 1))
-                    if max_nq(top, m, budget)
-                    else np.zeros((0, m), dtype=np.complex128),
-                    sigma_theta=np.eye(m, dtype=np.complex128),
-                    var_a=float(sigma2),
-                    var_q=float(sigma2),
-                )
-                lmmse(small)
-
             (direct_stats,) = _timeit(
-                [lambda: direct_frontier_sweep(params, budget, h_full, g1)],
+                [lambda: direct_search(params, zip(*frontier(m, budget)), h_full, g1)],
                 repeats=direct_repeats if direct_repeats is not None else repeats,
                 warmup=warmup,
-                warmup_fns=[warm_once],
+                warmup_fns=[lambda: direct_search(params, [(top, max_nq(top, m, budget))], h_full, g1)],
             )
         results.append(BenchResult(closed_form_time=closed, direct_time=direct_stats, n_a_max=n_a_max, m=m))
     return results

@@ -15,13 +15,15 @@ from mixedres.allocation import (
     allocate_exhaustive,
     allocate_with_dither,
     check_grid_size,
+    direct_search,
+    frontier,
     max_nq,
     na_range,
     noiseless_quantized_policy,
 )
 from mixedres.closed_form import mse_closed_form, mse_pure_analog
 from mixedres.exceptions import InstanceTooLargeError, ModelError
-from mixedres.model import OrthoBlockParams, RngStream
+from mixedres.model import OrthoBlockParams, RngStream, make_ortho_matrices
 from mixedres.simulate import sweep_allocation_vs_noise
 from oracles import log_uniform
 
@@ -199,6 +201,47 @@ class TestExhaustiveOracle:
         monkeypatch.setattr(allocation, "max_nq", counting_max_nq)
         with pytest.raises(InstanceTooLargeError, match=f"more than {max_pairs}"):
             allocate_exhaustive(_params(m=1), PowerBudget(bits=bits, p_max_norm=1e15), max_pairs=max_pairs)
+
+
+class TestDirectSearch:
+    def _blocks(self, params, n_a_max, seed=4):
+        h_full, g_full = make_ortho_matrices(replace(params, n_a=n_a_max, n_q=1), RngStream(seed))
+        return h_full, g_full[: params.m]
+
+    def test_frontier_agrees_with_closed_form(self):
+        params = _params(m=3, rho=0.7, sigma2=1.3)
+        budget = PowerBudget.for_analog_blocks(4, 3, 3)
+        h_full, g1 = self._blocks(params, 3)
+        ref = direct_search(params, zip(*frontier(3, budget)), h_full, g1)
+        fast = allocate(params, budget)
+        assert [entry[:3] for entry in ref.trace] == [entry[:3] for entry in fast.trace]
+        for (*_, direct), (*_, closed) in zip(ref.trace, fast.trace):
+            assert direct == pytest.approx(closed, abs=1e-9 * 3)
+        assert (ref.n_a_star, ref.n_q_star) == (fast.n_a_star, fast.n_q_star)
+
+    def test_points_in_order_and_prior_only_point(self):
+        params = _params(m=2, sigma2=0.5)
+        h_full, g1 = self._blocks(params, 2)
+        points = [(2, 0), (0, 0), (0, 3), (1, 1)]
+        res = direct_search(params, iter(points), h_full, g1)
+        assert [(n_a, n_q) for n_a, n_q, _, _ in res.trace] == points
+        assert res.trace[1] == (0, 0, 0.0, 2.0)
+        assert all(dither == 0.0 for _, _, dither, _ in res.trace)
+        best = min(res.trace, key=lambda entry: entry[3])
+        assert (res.n_a_star, res.n_q_star, res.mse_star) == (best[0], best[1], best[3])
+
+    def test_exhaustive_is_direct_search_over_all_pairs(self):
+        params = _params(m=2, rho=1.4, sigma2=0.8)
+        budget = PowerBudget(bits=3, p_max_norm=70.0)
+        h_full, g1 = self._blocks(params, na_range(2, budget)[-1], seed=9)
+        pairs = [(a, q) for a in na_range(2, budget) for q in range(max_nq(a, 2, budget) + 1)]
+        assert allocate_exhaustive(params, budget, rng=RngStream(9)) == direct_search(params, pairs, h_full, g1)
+
+    def test_rejects_dithered_base(self):
+        params = _params(m=1)
+        h_full, g1 = self._blocks(params, 1)
+        with pytest.raises(ModelError, match="dither"):
+            direct_search(replace(params, var_dq=0.1), [(1, 0)], h_full, g1)
 
 
 class TestDitherScheme:

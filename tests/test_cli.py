@@ -223,6 +223,36 @@ class TestDitherCommand:
         rows = _read_csv(capsys.readouterr().out)
         assert list(rows[0]) == ["n_a", "n_q", "sigma_d2", "mse"]
 
+    @pytest.mark.parametrize("sigma2", [[0.5, 1.0], {"start": 0.5, "stop": 1.0, "num": 2}])
+    def test_sweep_sigma2_is_config_error(self, tmp_path, capsys, sigma2):
+        cfg = {"m": 2, "bits": 3, "p_max_norm": 60.0, "sigma2": sigma2, "dither": {"mode": "both"}}
+        path = _write(tmp_path, "dither.yaml", cfg)
+        assert main(["dither", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sigma2" in captured.err
+
+    def test_oracle_flag_is_usage_error(self, tmp_path, capsys):
+        cfg = {"m": 2, "bits": 3, "p_max_norm": 60.0, "sigma2": 1.0, "dither": {"mode": "both"}}
+        path = _write(tmp_path, "dither.yaml", cfg)
+        with pytest.raises(SystemExit) as exc:
+            main(["dither", "--config", path, "--oracle"])
+        assert exc.value.code == 2
+        assert "--oracle" in capsys.readouterr().err
+
+    def test_infeasible_budget_returns_prior_only_point(self, tmp_path, capsys):
+        cfg = {
+            "m": 8, "bits": 4, "p_max_norm": 10.0, "sigma2": 1.0,
+            "dither": {"mode": "quantized-only", "grid_max": 0.5, "grid_step": 0.25},
+        }
+        path = _write(tmp_path, "dither.yaml", cfg)
+        assert main(["dither", "--config", path]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert list(payload)[0] == "mode"
+        assert (payload["n_a_star"], payload["n_q_star"], payload["mse_star"]) == (0, 0, 8.0)
+        assert "infeasible" in captured.err
+
 
 class TestSimulateCommand:
     def test_scalar_json(self, tmp_path, capsys):
@@ -265,6 +295,16 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert "analog" in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("scenario", [{"scenario": "scalar"}, {"scenario": "mimo", "m": 3}])
+    @pytest.mark.parametrize("counts", [{"n_a": -1, "n_q": 2}, {"n_a": 1, "n_q": -2}])
+    def test_negative_counts_are_config_errors(self, tmp_path, capsys, scenario, counts):
+        cfg = {**scenario, **counts, "sigma2": 1.0, "trials": 100}
+        path = _write(tmp_path, "sim.yaml", cfg)
+        assert main(["simulate", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ">= 0" in captured.err and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("threads", ["0", "-2", "two"])
     def test_bad_threads_is_usage_error(self, tmp_path, capsys, threads):
         cfg = {"scenario": "scalar", "n_a": 1, "n_q": 1, "sigma2": 1.0, "trials": 100}
@@ -282,6 +322,20 @@ class TestSimulateCommand:
         main(["simulate", "--config", path, "--seed", "2"])
         second = capsys.readouterr().out
         assert first != second
+
+
+@pytest.mark.parametrize("key", ["trials", "batch_size"])
+@pytest.mark.parametrize("command", ["simulate", "mse"])
+def test_zero_trial_counts_are_config_errors(tmp_path, capsys, command, key):
+    if command == "simulate":
+        cfg, argv = {"scenario": "scalar", "n_a": 1, "n_q": 1, "sigma2": 1.0, key: 0}, []
+    else:
+        cfg, argv = {**TestMseCommand.CFG, "empirical": {"trials": 100, key: 0}}, ["--empirical"]
+    path = _write(tmp_path, f"{command}.yaml", cfg)
+    assert main([command, "--config", path, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ">= 1" in captured.err and "Traceback" not in captured.err
 
 
 class TestBenchCommand:
@@ -306,6 +360,25 @@ class TestBenchCommand:
         path = _write(tmp_path, "bench.yaml", cfg)
         assert main(["bench", "--config", path, "--repeats", "2"]) == 0
         assert len(_read_csv(capsys.readouterr().out)) == 1
+
+    @pytest.mark.parametrize(
+        "override", [{"repeats": 0}, {"direct_repeats": 0}, {"warmup": -1}], ids=["repeats", "direct", "warmup"]
+    )
+    def test_bad_repetition_counts_are_config_errors(self, tmp_path, capsys, override):
+        cfg = {"m_list": [1], "n_a_max_list": [2], "bits": 3, "repeats": 2, **override}
+        path = _write(tmp_path, "bench.yaml", cfg)
+        assert main(["bench", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert next(iter(override)) in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_repeats_flag_must_be_positive(self, tmp_path, capsys, repeats):
+        path = _write(tmp_path, "bench.yaml", {"m_list": [1], "n_a_max_list": [2]})
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--config", path, "--repeats", repeats])
+        assert exc.value.code == 2
+        assert "--repeats" in capsys.readouterr().err
 
 
 class TestConfigHandling:

@@ -42,6 +42,19 @@ class TestMixedModelValidation:
         with pytest.raises(ModelError):
             MixedModel(h=np.ones((1, 1)), g=np.zeros((0, 1)), sigma_theta=np.eye(1), var_a=1.0, var_q=value)
 
+    @pytest.mark.parametrize("field", ["h", "g", "sigma_theta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_matrix_entries(self, field, value):
+        """A NaN or infinite entry is a ModelError here, not a bare ValueError later in lmmse."""
+        arrays = {
+            "h": np.ones((2, 2), dtype=complex),
+            "g": np.ones((1, 2), dtype=complex),
+            "sigma_theta": np.eye(2, dtype=complex),
+        }
+        arrays[field][0, 1] = complex(0.0, value) if field == "g" else value
+        with pytest.raises(ModelError, match=f"^{field} must have finite entries"):
+            MixedModel(**arrays, var_a=1.0, var_q=1.0)
+
     def test_rejects_empty_model(self):
         with pytest.raises(ModelError):
             MixedModel(h=np.zeros((0, 1)), g=np.zeros((0, 1)), sigma_theta=np.eye(1), var_a=1.0, var_q=1.0)
@@ -255,6 +268,11 @@ class TestScalarModel:
         with pytest.raises(ModelError):
             make_scalar_model(0, 0, 1.0)
 
+    @pytest.mark.parametrize("n_a, n_q", [(-1, 2), (2, -1), (-1, -1)])
+    def test_rejects_negative_counts(self, n_a, n_q):
+        with pytest.raises(ModelError, match="nonnegative"):
+            make_scalar_model(n_a, n_q, 1.0)
+
 
 class TestMimoModel:
     def test_pilot_unitarity(self):
@@ -271,6 +289,17 @@ class TestMimoModel:
         model = make_mimo_model(10, 2, 3, rho=1.0, var=1.0, rng=RngStream(0))
         assert model.h.shape == (20, 10)
         assert model.g.shape == (30, 10)
+
+    @pytest.mark.parametrize("n_a, n_q", [(0, 2), (3, 0)])
+    def test_zero_count_gives_empty_block(self, n_a, n_q):
+        model = make_mimo_model(3, n_a, n_q, rho=1.0, var=1.0, pilot="dft")
+        assert model.h.shape == (3 * n_a, 3) and model.g.shape == (3 * n_q, 3)
+        assert model.h.dtype == model.g.dtype == np.complex128
+
+    @pytest.mark.parametrize("n_a, n_q", [(-1, 2), (2, -1), (0, 0)])
+    def test_rejects_bad_counts(self, n_a, n_q):
+        with pytest.raises(ModelError):
+            make_mimo_model(3, n_a, n_q, rho=1.0, var=1.0, rng=RngStream(0))
 
     def test_unknown_pilot_rejected(self):
         with pytest.raises(ModelError):

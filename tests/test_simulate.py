@@ -191,6 +191,13 @@ class TestBenchRuntime:
         assert calls == [0, 0, 1, 1, 2, 2] + [0, 1, 2] * 4
         assert [s.repeats for s in stats] == [4, 4, 4]
 
+    @pytest.mark.parametrize("repeats, warmup", [(0, 1), (-3, 1), (2, -1)])
+    def test_timeit_rejects_bad_counts(self, repeats, warmup):
+        calls = []
+        with pytest.raises(ModelError, match="repeats"):
+            _timeit([lambda: calls.append(1)], repeats=repeats, warmup=warmup)
+        assert calls == []
+
     def test_direct_arm_optional(self):
         results = bench_runtime([1], [2], bits=4, repeats=3, include_direct=False)
         assert results[0].direct_time is None
