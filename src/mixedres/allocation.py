@@ -7,8 +7,9 @@ the optimum always lies on the max-power frontier
 
     n_q = floor((p_max_norm - 2**bits * m * n_a) / (2 * m)),
 
-so a one-dimensional search over n_a suffices.  The closed-form search
-evaluates the whole (frontier x dither grid) in one array call.
+so a one-dimensional search over n_a suffices.  The closed-form searches
+evaluate the whole (noise level x frontier x dither grid) in one
+:func:`frontier_grid` call.
 :func:`direct_search` evaluates a list of points with the matrix-solve MSE
 instead; the exhaustive solver runs it over every feasible pair and serves
 as the reference oracle at small scale.  Every search picks its optimum
@@ -102,11 +103,6 @@ class DitherScheme:
             return [0.0]
         return [k * self.grid_step for k in range(self.size())]
 
-    def path_variances(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dither variances (analog, quantized) that each grid value places on the two paths."""
-        dq = np.array(self.grid())
-        return (dq if self.mode == "both" else np.zeros_like(dq)), dq
-
 
 @dataclass
 class AllocationResult:
@@ -161,20 +157,25 @@ def check_grid_size(m: int, budget: PowerBudget, scheme: DitherScheme, noise_lev
         raise InstanceTooLargeError(f"closed-form search has {points} points (limit {MAX_GRID_POINTS})")
 
 
-def dithered_mse(m, rho_a, rho_q, var_a, var_q, n_a, n_q, scheme: DitherScheme) -> np.ndarray:
-    """Closed-form MSE of every (noise level, point, dither value).
+def frontier_grid(m, rho_a, rho_q, var_a, var_q, budget: PowerBudget, scheme: DitherScheme):
+    """Closed-form MSE of every (noise level, frontier point, dither value).
 
-    ``var_a`` and ``var_q`` hold one noise variance per level and ``n_a``,
-    ``n_q`` one count pair per point; the result has shape
-    (levels, points, ``scheme.size()``).  The scheme places each dither
-    variance on the paths its mode names.
+    ``var_a`` and ``var_q`` hold one noise variance per level.  Returns the
+    frontier counts ``n_a`` and ``n_q``, the dither grid and the MSE array
+    of shape (levels, frontier points, dither values); the scheme places each
+    dither variance on the paths its mode names.  The size is checked
+    against ``MAX_GRID_POINTS`` before anything is built.
     """
-    da, dq = scheme.path_variances()
     va = np.asarray(var_a, dtype=np.float64).reshape(-1, 1, 1)
     vq = np.asarray(var_q, dtype=np.float64).reshape(-1, 1, 1)
+    check_grid_size(m, budget, scheme, len(va))
+    n_a, n_q = frontier(m, budget)
+    grid = scheme.grid()
+    dq = np.array(grid)
+    da = dq if scheme.mode == "both" else np.zeros_like(dq)
     counts_a = np.asarray(n_a, dtype=np.float64).reshape(-1, 1)
     counts_q = np.asarray(n_q, dtype=np.float64).reshape(-1, 1)
-    return mse_grid(m, counts_a, counts_q, rho_a, rho_q, va + da, vq + dq)
+    return n_a, n_q, grid, mse_grid(m, counts_a, counts_q, rho_a, rho_q, va + da, vq + dq)
 
 
 def argbest(mse, dither_var, n_a) -> np.ndarray:
@@ -224,13 +225,8 @@ def allocate_with_dither(
     then smaller n_a.  The trace lists the points n_a-major.
     """
     _require_clean_base(params_base)
-    m = params_base.m
-    check_grid_size(m, budget, scheme)
-    n_a, n_q = frontier(m, budget)
-    grid = scheme.grid()
-    mse = dithered_mse(
-        m, params_base.rho_a, params_base.rho_q, params_base.var_a, params_base.var_q, n_a, n_q, scheme
-    )
+    p = params_base
+    n_a, n_q, grid, mse = frontier_grid(p.m, p.rho_a, p.rho_q, p.var_a, p.var_q, budget, scheme)
     points = [(a, q, d) for a, q in zip(n_a, n_q) for d in grid]
     return optimum([(*point, value) for point, value in zip(points, mse.ravel().tolist())])
 

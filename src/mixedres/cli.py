@@ -8,8 +8,8 @@ dither    allocation with dither-variance optimization, with search trace
 simulate  Monte-Carlo validation of a single scenario
 bench     runtime comparison of closed-form vs matrix-solve sweeps
 
-Exit codes: 0 success, 2 configuration error, 3 numerical/infeasibility
-error.  CSV output is comma-separated with a header row, LF line endings,
+Exit codes: 0 success, 2 configuration error (including any value the
+library rejects while the model is built), 3 numerical/infeasibility error.  CSV output is comma-separated with a header row, LF line endings,
 and full double precision (17 significant digits).
 """
 
@@ -37,7 +37,6 @@ from .closed_form import filter_closed_form
 from .exceptions import ConfigError, MixedResError, ModelError
 from .estimator import lmmse
 from .model import (
-    MixedModel,
     OrthoBlockParams,
     QuantizerSpec,
     RngStream,
@@ -94,6 +93,11 @@ def _get(cfg: dict, key: str, kind, where: str, default=..., allow_none: bool = 
     return value
 
 
+def _is_count(value, minimum: int) -> bool:
+    """An integer >= ``minimum``; YAML booleans are ints in Python and do not count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
 def _require_finite(value: float, what: str) -> None:
     if not math.isfinite(value):
         raise ConfigError(f"{what} must be finite, got {value}")
@@ -129,14 +133,11 @@ def _dither_scheme(cfg, where: str) -> DitherScheme:
     if not isinstance(cfg, dict):
         raise ConfigError(f"'{where}' must be a mapping")
     _check_keys(cfg, {"mode", "grid_max", "grid_step"}, where)
-    try:
-        return DitherScheme(
-            mode=_get(cfg, "mode", str, where, default="quantized-only"),
-            grid_max=_get(cfg, "grid_max", float, where, default=2.0),
-            grid_step=_get(cfg, "grid_step", float, where, default=0.1),
-        )
-    except MixedResError as exc:
-        raise ConfigError(f"invalid {where} config: {exc}") from exc
+    return DitherScheme(
+        mode=_get(cfg, "mode", str, where, default="quantized-only"),
+        grid_max=_get(cfg, "grid_max", float, where, default=2.0),
+        grid_step=_get(cfg, "grid_step", float, where, default=0.1),
+    )
 
 
 def _analog_quantizer(cfg: dict, where: str) -> QuantizerSpec | None:
@@ -158,14 +159,11 @@ def _budget(cfg: dict, m: int, where: str) -> PowerBudget:
     bits = _get(cfg, "bits", int, where, default=6)
     if "p_max_norm" in cfg and "n_a_max" in cfg:
         raise ConfigError(f"give either 'p_max_norm' or 'n_a_max' in {where} config, not both")
-    try:
-        if "n_a_max" in cfg:
-            budget = PowerBudget.for_analog_blocks(bits, m, _get(cfg, "n_a_max", int, where))
-        else:
-            budget = PowerBudget(bits=bits, p_max_norm=_get(cfg, "p_max_norm", float, where))
-        budget.analog_block_cost(m)  # every search prices an m-row block
-    except ModelError as exc:
-        raise ConfigError(f"invalid budget in {where} config: {exc}") from exc
+    if "n_a_max" in cfg:
+        budget = PowerBudget.for_analog_blocks(bits, m, _get(cfg, "n_a_max", int, where))
+    else:
+        budget = PowerBudget(bits=bits, p_max_norm=_get(cfg, "p_max_norm", float, where))
+    budget.analog_block_cost(m)  # every search prices an m-row block
     return budget
 
 
@@ -247,22 +245,31 @@ def _scenario(cfg: dict, where: str):
 
 
 def _sim_config(cfg: dict, where: str, seed: int, threads: int) -> SimConfig:
-    try:
-        return SimConfig(
-            trials=_get(cfg, "trials", int, where, default=100_000),
-            rng_seed=seed,
-            analog_quantizer=_analog_quantizer(cfg, where),
-            batch_size=_get(cfg, "batch_size", int, where, default=8192),
-            workers=threads,
-        )
-    except ModelError as exc:
-        raise ConfigError(f"invalid {where} config: {exc}") from exc
+    return SimConfig(
+        trials=_get(cfg, "trials", int, where, default=100_000),
+        rng_seed=seed,
+        analog_quantizer=_analog_quantizer(cfg, where),
+        batch_size=_get(cfg, "batch_size", int, where, default=8192),
+        workers=threads,
+    )
 
 
-def _build_cell_model(scenario, m, rho, pilot, n_a, n_q, sigma2, seed) -> MixedModel:
+def _simulate_cell(scenario, m, rho, pilot, n_a, n_q, sigma2, seed, sim_cfg: SimConfig, closed: bool):
+    """Monte Carlo of one (n_a, n_q, sigma2) cell with the closed-form or the general LMMSE filter.
+
+    A MIMO model draws its matrices from ``RngStream(seed)``; ``sim_cfg``
+    seeds the trials.
+    """
     if scenario == "scalar":
-        return make_scalar_model(n_a, n_q, sigma2)
-    return make_mimo_model(m, n_a, n_q, rho, sigma2, pilot=pilot, rng=RngStream(seed))
+        model = make_scalar_model(n_a, n_q, sigma2)
+    else:
+        model = make_mimo_model(m, n_a, n_q, rho, sigma2, pilot=pilot, rng=RngStream(seed))
+    if closed:
+        params = OrthoBlockParams(m=m, n_a=n_a, n_q=n_q, rho_a=rho, rho_q=rho, var_a=sigma2, var_q=sigma2)
+        filt = filter_closed_form(params, model.h, model.g)
+    else:
+        filt = lmmse(model)
+    return run_monte_carlo(model, filt, sim_cfg)
 
 
 def cmd_mse(args) -> int:
@@ -280,11 +287,7 @@ def cmd_mse(args) -> int:
     allocations = _get(cfg, "allocations", list, where)
     pairs = []
     for item in allocations:
-        if not (
-            isinstance(item, list)
-            and len(item) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in item)
-        ):
+        if not (isinstance(item, list) and len(item) == 2 and all(_is_count(v, 0) for v in item)):
             raise ConfigError(
                 f"'allocations' must be a list of [n_a, n_q] pairs of nonnegative integers, got {item!r}"
             )
@@ -301,16 +304,10 @@ def cmd_mse(args) -> int:
 
     if args.empirical:
         for idx, row in enumerate(rows):
-            n_a, n_q = row["n_a"], row["n_q"]
-            if n_a + n_q < 1:
-                raise ConfigError("empirical mode needs n_a + n_q >= 1 in every allocation")
-            model = _build_cell_model(scenario, m, rho, pilot, n_a, n_q, row["sigma2"], seed)
-            params = OrthoBlockParams(
-                m=m, n_a=n_a, n_q=n_q, rho_a=rho, rho_q=rho,
-                var_a=row["sigma2"], var_q=row["sigma2"],
+            sim = _simulate_cell(
+                scenario, m, rho, pilot, row["n_a"], row["n_q"], row["sigma2"], seed,
+                replace(sim_cfg, rng_seed=seed + idx), closed=True,
             )
-            filt = filter_closed_form(params, model.h, model.g)
-            sim = run_monte_carlo(model, filt, replace(sim_cfg, rng_seed=seed + idx))
             row["mse_empirical"] = sim.empirical_mse
             row["std_error"] = sim.std_error
         fieldnames += ["mse_empirical", "std_error"]
@@ -432,15 +429,7 @@ def cmd_simulate(args) -> int:
     seed, output, fmt = _resolve_io(cfg, args, where, default_fmt="json")
     sim_cfg = _sim_config(cfg, where, seed, args.threads)
 
-    model = _build_cell_model(scenario, m, rho, pilot, n_a, n_q, sigma2, seed)
-    if filter_kind == "closed":
-        params = OrthoBlockParams(
-            m=m, n_a=n_a, n_q=n_q, rho_a=rho, rho_q=rho, var_a=sigma2, var_q=sigma2
-        )
-        filt = filter_closed_form(params, model.h, model.g)
-    else:
-        filt = lmmse(model)
-    sim = run_monte_carlo(model, filt, sim_cfg)
+    sim = _simulate_cell(scenario, m, rho, pilot, n_a, n_q, sigma2, seed, sim_cfg, closed=filter_kind == "closed")
     row = {
         "empirical_mse": sim.empirical_mse,
         "std_error": sim.std_error,
@@ -465,9 +454,9 @@ def cmd_bench(args) -> int:
     )
     m_list = _get(cfg, "m_list", list, where)
     n_a_max_list = _get(cfg, "n_a_max_list", list, where)
-    if not all(isinstance(v, int) and v >= 1 for v in m_list):
+    if not all(_is_count(v, 1) for v in m_list):
         raise ConfigError("'m_list' must contain positive integers")
-    if not all(isinstance(v, int) and v >= 1 for v in n_a_max_list):
+    if not all(_is_count(v, 1) for v in n_a_max_list):
         raise ConfigError("'n_a_max_list' must contain positive integers")
     bits = _get(cfg, "bits", int, where, default=6)
     rho = _get(cfg, "rho", float, where, default=1.0)
@@ -553,7 +542,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
+    except (ConfigError, ModelError) as exc:
+        # Every model value in a CLI run comes from the config.
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MixedResError as exc:

@@ -45,33 +45,30 @@ def alpha(rho_q, var_q_total):
     return (2.0 / np.pi) * np.arccos(rho_q / (rho_q + var_q_total))
 
 
-def _analog_share(n_a, rho_a, rho_q, var_a_total, var_q_total):
-    return 2.0 * rho_a * n_a / (np.pi * (rho_q + var_q_total) * (rho_a * n_a + var_a_total))
-
-
 def beta(n_a, rho_a, rho_q, var_a_total, var_q_total):
     """Quantized-path gain coefficient of the closed-form MSE.
 
     With no analog measurements the second term vanishes identically, which
     also resolves the 0/0 arising when var_a_total is zero as well.
-    Broadcasts over array arguments; an array ``n_a`` selects per element.
+    Broadcasts over array arguments and selects per element; scalar
+    arguments give a NumPy scalar.
     """
+    n_a = np.asarray(n_a)
     first = (2.0 / np.pi) * np.arcsin(rho_q / (rho_q + var_q_total)) / rho_q
-    if not isinstance(n_a, np.ndarray):
-        return first if n_a == 0 else first - _analog_share(n_a, rho_a, rho_q, var_a_total, var_q_total)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(n_a == 0, first, first - _analog_share(n_a, rho_a, rho_q, var_a_total, var_q_total))
+        share = 2.0 * rho_a * n_a / (np.pi * (rho_q + var_q_total) * (rho_a * n_a + var_a_total))
+        return np.where(n_a == 0, first, first - share)[()]
 
 
-# The branch expressions below serve both the scalar view and the grid
-# evaluator, in one operation order, so both round identically.
+# The pure-path expressions serve both mse_grid and the public mse_pure_*
+# functions, in one operation order, so both round identically.
 
 
 def _square(x):
-    # A float's ``**`` rounds through libm pow.  An array's ``**`` multiplies
-    # instead, which differs in the last bit for about one value in a
-    # thousand; float_power calls pow element by element.
-    return x**2 if isinstance(x, float) else np.float_power(x, 2.0)
+    # Not ``x**2``: an array's ``**`` multiplies, which differs in the last bit
+    # for about one value in a thousand from the libm pow that the reference
+    # loops in the tests square floats with; float_power calls pow.
+    return np.float_power(x, 2.0)
 
 
 def _pure_analog(m, n_a, rho_a, var_a_total):
@@ -121,11 +118,12 @@ def mse_noiseless_quantized_limit(m: int, n_a: int, rho_a: float, var_a: float) 
 def mse_grid(m, n_a, n_q, rho_a, rho_q, var_a_total, var_q_total) -> np.ndarray:
     """Closed-form MSE broadcast over array arguments.
 
-    Element for element this equals ``mse_closed_form(...).value`` bit for
-    bit: the branches are taken in the same order (no measurements, pure
-    analog, pure quantized, noiseless analog, mixed) and each is the same
-    expression, followed by the same clamp at zero.  Counts may be integer
-    or float arrays.
+    The one closed-form evaluator; :func:`mse_closed_form` is its scalar
+    view.  Branch cases: with no measurements at all the MSE is the prior
+    trace m; with one empty path the corresponding pure-path expression
+    applies; with noiseless analog measurements (and n_a, n_q >= 1) the
+    parameter is recovered exactly; the result is clamped at zero.  Counts
+    may be integer or float arrays.
     """
     n_a = np.asarray(n_a)
     n_q = np.asarray(n_q)
@@ -133,7 +131,7 @@ def mse_grid(m, n_a, n_q, rho_a, rho_q, var_a_total, var_q_total) -> np.ndarray:
     a = alpha(rho_q, var_q_total)
     b = beta(n_a, rho_a, rho_q, va, var_q_total)
     # Branches are laid over each other from the last to the first, so where
-    # several conditions hold the first branch wins, as in the scalar view.
+    # several conditions hold the first one listed above wins.
     with np.errstate(divide="ignore", invalid="ignore"):
         value = _mixed(m, n_a, n_q, rho_a, rho_q, va, var_q_total, a, b)
         value = np.where(va == 0.0, 0.0, value)
@@ -146,31 +144,18 @@ def mse_grid(m, n_a, n_q, rho_a, rho_q, var_a_total, var_q_total) -> np.ndarray:
 def mse_closed_form(params: OrthoBlockParams) -> ClosedFormMse:
     """Closed-form MSE of the LMMSE estimator for the orthonormal-block model.
 
-    Dither enters only through the total path variances.  Branch cases: with
-    no measurements at all the MSE is the prior trace m; with one empty path
-    the corresponding pure-path expression applies; with noiseless analog
-    measurements (and n_a >= 1) the parameter is recovered exactly.  This is
-    the scalar view of :func:`mse_grid`, branching in Python instead of
-    masking.
+    The scalar view of :func:`mse_grid`, with the two coefficients at the
+    same point.  Dither enters only through the total path variances.
     """
     va = params.var_a_total
     vq = params.var_q_total
     m, n_a, n_q = params.m, params.n_a, params.n_q
     rho_a, rho_q = params.rho_a, params.rho_q
-    a = alpha(rho_q, vq)
-    b = beta(n_a, rho_a, rho_q, va, vq)
-
-    if n_a == 0 and n_q == 0:
-        value = float(m)
-    elif n_q == 0:
-        value = _pure_analog(m, n_a, rho_a, va)
-    elif n_a == 0:
-        value = _pure_quantized(m, n_q, rho_q, vq, a)
-    elif va == 0.0:
-        value = 0.0
-    else:
-        value = _mixed(m, n_a, n_q, rho_a, rho_q, va, vq, a, b)
-    return ClosedFormMse(value=max(value, 0.0), alpha=float(a), beta=float(b))
+    return ClosedFormMse(
+        value=float(mse_grid(m, n_a, n_q, rho_a, rho_q, va, vq)),
+        alpha=float(alpha(rho_q, vq)),
+        beta=float(beta(n_a, rho_a, rho_q, va, vq)),
+    )
 
 
 def _check_block_structure(params: OrthoBlockParams, h: np.ndarray, g: np.ndarray) -> None:

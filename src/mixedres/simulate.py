@@ -23,10 +23,9 @@ from .allocation import (
     PowerBudget,
     allocate,
     argbest,
-    check_grid_size,
     direct_search,
-    dithered_mse,
     frontier,
+    frontier_grid,
     max_nq,
     na_range,
 )
@@ -205,21 +204,19 @@ def sweep_allocation_vs_noise(
 
     The all-analog row spends the whole budget on analog blocks; the
     all-quantized row on quantized blocks; the optimal rows come from the
-    frontier search, without and with dither optimization.  One grid
-    evaluation covers every noise level, frontier point and dither value;
-    the undithered search reads its first dither column, which is zero.
+    frontier search, without and with dither optimization.  One
+    :func:`frontier_grid` call covers every noise level, frontier point and
+    dither value; the undithered search reads its first dither column, which
+    is zero.
     """
     scheme = dither_scheme if dither_scheme is not None else DitherScheme()
     OrthoBlockParams(m=m, n_a=0, n_q=0, rho_a=rho_a, rho_q=rho_q)  # validates m and the gains
     levels = _noise_levels(sigma_grid)
-    check_grid_size(m, budget, scheme, len(levels))
-    n_a, n_q = frontier(m, budget)
-    grid = scheme.grid()
-    # The all-analog point rides along as one extra column outside the search.
-    mse = dithered_mse(m, rho_a, rho_q, levels, levels, n_a + [n_a[-1]], n_q + [0], scheme)
-    points = mse[:, :-1, :]
-    plain = argbest(points[:, :, 0], 0.0, n_a).tolist()
-    flat = points.reshape(len(levels), -1)
+    n_a, n_q, grid, mse = frontier_grid(m, rho_a, rho_q, levels, levels, budget, scheme)
+    noise = np.array(levels)
+    all_analog = mse_grid(m, n_a[-1], 0, rho_a, rho_q, noise, noise)
+    plain = argbest(mse[:, :, 0], 0.0, n_a).tolist()
+    flat = mse.reshape(len(levels), -1)
     dithered = argbest(flat, np.tile(grid, len(n_a)), np.repeat(n_a, len(grid))).tolist()
     rows = []
     for s, sigma2 in enumerate(levels):
@@ -227,9 +224,9 @@ def sweep_allocation_vs_noise(
         rows.append(
             {
                 "sigma2": sigma2,
-                "mse_all_analog": float(mse[s, -1, 0]),
-                "mse_all_quantized": float(points[s, 0, 0]),
-                "mse_optimal": float(points[s, p, 0]),
+                "mse_all_analog": float(all_analog[s]),
+                "mse_all_quantized": float(mse[s, 0, 0]),
+                "mse_optimal": float(mse[s, p, 0]),
                 "mse_optimal_dithered": float(flat[s, dithered[s]]),
                 "n_a_star": n_a[p],
                 "n_q_star": n_q[p],

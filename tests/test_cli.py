@@ -10,6 +10,10 @@ import pytest
 import yaml
 
 from mixedres.cli import main
+from mixedres.closed_form import filter_closed_form
+from mixedres.estimator import lmmse
+from mixedres.model import OrthoBlockParams, RngStream, make_mimo_model
+from mixedres.simulate import SimConfig, run_monte_carlo
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -338,6 +342,79 @@ def test_zero_trial_counts_are_config_errors(tmp_path, capsys, command, key):
     assert ">= 1" in captured.err and "Traceback" not in captured.err
 
 
+SIM_SCALAR = {"scenario": "scalar", "n_a": 1, "n_q": 1, "sigma2": 1.0, "trials": 100}
+SIM_MIMO = {"scenario": "mimo", "m": 3, "n_a": 1, "n_q": 2, "rho": 1.0, "sigma2": 1.0, "trials": 100}
+MSE_MIMO = {"scenario": "mimo", "m": 3, "rho": 1.0, "sigma2_grid": [0.5], "allocations": [[1, 2]]}
+ALLOCATE = {"m": 2, "bits": 3, "p_max_norm": 100.0, "sigma2": 1.0}
+BENCH = {"m_list": [1], "n_a_max_list": [2], "repeats": 1, "direct_repeats": 1, "warmup": 0}
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("simulate", {**SIM_SCALAR, "n_a": 0, "n_q": 0}),
+        ("simulate", {**SIM_MIMO, "pilot": "hadamard"}),
+        ("simulate", {**SIM_MIMO, "rho": -1.0}),
+        ("simulate", {**SIM_MIMO, "m": 0}),
+        ("mse", {**TestMseCommand.CFG, "sigma2_grid": [-1.0]}),
+        ("mse", {**MSE_MIMO, "m": 0}),
+        ("mse", {**MSE_MIMO, "rho": 0.0}),
+        ("allocate", {**ALLOCATE, "rho_a": -1.0}),
+        ("allocate", {**ALLOCATE, "sigma2": -1.0}),
+        ("allocate", {**ALLOCATE, "sigma2": [-1.0, 1.0]}),
+        ("bench", {**BENCH, "sigma2": -1.0}),
+        ("bench", {**BENCH, "rho": 0.0}),
+        ("bench", {**BENCH, "bits": 5000}),
+    ],
+    ids=[
+        "simulate-no-measurements", "simulate-pilot", "simulate-rho", "simulate-m",
+        "mse-sigma2_grid", "mse-m", "mse-rho",
+        "allocate-rho_a", "allocate-sigma2", "allocate-sigma2-list",
+        "bench-sigma2", "bench-rho", "bench-bits",
+    ],
+)
+def test_values_the_model_rejects_are_config_errors(tmp_path, capsys, command, cfg):
+    path = _write(tmp_path, f"{command}.yaml", cfg)
+    assert main([command, "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and "Traceback" not in captured.err
+
+
+def test_empirical_cells_follow_the_seeding_contract(tmp_path, capsys):
+    """Cell idx draws the model from RngStream(seed) and its trials from seed + idx."""
+    seed, trials = 11, 3000
+    cfg = {**MSE_MIMO, "sigma2_grid": [0.5, 1.5], "allocations": [[1, 2], [0, 3]],
+           "empirical": {"trials": trials}, "seed": seed}
+    path = _write(tmp_path, "mse.yaml", cfg)
+    assert main(["mse", "--config", path, "--empirical"]) == 0
+    rows = _read_csv(capsys.readouterr().out)
+    assert len(rows) == 4
+    for idx, row in enumerate(rows):
+        n_a, n_q, sigma2 = int(row["n_a"]), int(row["n_q"]), float(row["sigma2"])
+        model = make_mimo_model(3, n_a, n_q, 1.0, sigma2, rng=RngStream(seed))
+        params = OrthoBlockParams(m=3, n_a=n_a, n_q=n_q, var_a=sigma2, var_q=sigma2)
+        filt = filter_closed_form(params, model.h, model.g)
+        sim = run_monte_carlo(model, filt, SimConfig(trials=trials, rng_seed=seed + idx))
+        assert (float(row["mse_empirical"]), float(row["std_error"])) == (sim.empirical_mse, sim.std_error)
+
+
+def test_simulate_follows_the_seeding_contract(tmp_path, capsys):
+    """The model and the trials both come from the config seed."""
+    seed, trials = 4, 3000
+    cfg = {**SIM_MIMO, "m": 4, "n_a": 2, "n_q": 3, "sigma2": 0.8, "trials": trials, "seed": seed, "filter": "general"}
+    path = _write(tmp_path, "sim.yaml", cfg)
+    assert main(["simulate", "--config", path]) == 0
+    model = make_mimo_model(4, 2, 3, 1.0, 0.8, rng=RngStream(seed))
+    sim = run_monte_carlo(model, lmmse(model), SimConfig(trials=trials, rng_seed=seed))
+    assert json.loads(capsys.readouterr().out) == {
+        "empirical_mse": sim.empirical_mse,
+        "std_error": sim.std_error,
+        "analytic_mse": sim.analytic_mse,
+        "trials_run": trials,
+    }
+
+
 class TestBenchCommand:
     def test_csv_columns(self, tmp_path, capsys):
         cfg = {
@@ -371,6 +448,14 @@ class TestBenchCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert next(iter(override)) in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("key", ["m_list", "n_a_max_list"])
+    def test_booleans_are_not_counts(self, tmp_path, capsys, key):
+        path = _write(tmp_path, "bench.yaml", {**BENCH, key: [True]})
+        assert main(["bench", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert key in captured.err and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("repeats", ["0", "-1"])
     def test_repeats_flag_must_be_positive(self, tmp_path, capsys, repeats):
