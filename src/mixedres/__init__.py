@@ -53,6 +53,7 @@ from .estimator import (
     cross_cov_theta_quantized,
     estimate,
     lmmse,
+    prefix_mse,
 )
 from .model import (
     MixedModel,

@@ -11,9 +11,9 @@ so a one-dimensional search over n_a suffices.  The closed-form searches
 evaluate the whole (noise level x frontier x dither grid) in one
 :func:`frontier_grid` call.
 :func:`direct_search` evaluates a list of points with the matrix-solve MSE
-instead; the exhaustive solver runs it over every feasible pair and serves
-as the reference oracle at small scale.  Every search picks its optimum
-with :func:`argbest`.
+instead, one Cholesky prefix scan per analog count; the exhaustive solver
+runs it over every feasible pair and serves as the reference oracle at
+small scale.  Every search picks its optimum with :func:`argbest`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .closed_form import mse_grid
 from .exceptions import InstanceTooLargeError, ModelError, require_finite
-from .estimator import lmmse
+from .estimator import prefix_mse
 from .model import MixedModel, OrthoBlockParams, RngStream, make_ortho_matrices
 
 # Most closed-form points (frontier points x dither values x noise levels)
@@ -270,32 +270,40 @@ def allocate_exhaustive(
 
 
 def direct_search(params_base: OrthoBlockParams, points, h_full: np.ndarray, g1: np.ndarray) -> AllocationResult:
-    """Matrix-solve search: the :func:`lmmse` MSE of every (n_a, n_q) point, then :func:`optimum`.
+    """Matrix-solve search: the LMMSE MSE of every (n_a, n_q) point, then :func:`optimum`.
 
     Point (n_a, n_q) stacks the first ``n_a`` m-row blocks of ``h_full``
     over ``n_q`` copies of the quantized block ``g1``, with the noise
     variances of ``params_base``; the prior-only point (0, 0) has MSE m.
-    Every point pays for covariance assembly and a dense solve, so this is
-    the reference the closed-form searches are checked against.
+    Each such model is the first ``m * (n_a + n_q)`` rows of the model with
+    the same ``n_a`` and the largest requested ``n_q``, so one
+    :func:`prefix_mse` scan per analog count covers every point.  The trace
+    keeps the order of ``points``.  This is the reference the closed-form
+    searches are checked against.
     """
     _require_clean_base(params_base)
     m = params_base.m
-    eye = np.eye(m, dtype=np.complex128)
-    trace = []
+    points = list(points)
+    largest: dict[int, int] = {}
     for n_a, n_q in points:
-        if n_a == 0 and n_q == 0:
-            mse = float(m)
-        else:
-            model = MixedModel(
+        if n_a or n_q:
+            largest[n_a] = max(largest.get(n_a, 0), n_q)
+    eye = np.eye(m, dtype=np.complex128)
+    scans = {
+        n_a: prefix_mse(
+            MixedModel(
                 h=h_full[: m * n_a],
                 g=np.tile(g1, (n_q, 1)),
                 sigma_theta=eye,
                 var_a=params_base.var_a,
                 var_q=params_base.var_q,
             )
-            mse = lmmse(model).mse
-        trace.append((n_a, n_q, 0.0, mse))
-    return optimum(trace)
+        ).tolist()
+        for n_a, n_q in largest.items()
+    }
+    return optimum(
+        [(n_a, n_q, 0.0, scans[n_a][m * (n_a + n_q)] if n_a or n_q else float(m)) for n_a, n_q in points]
+    )
 
 
 def noiseless_quantized_policy(

@@ -35,7 +35,7 @@ from .allocation import (
 )
 from .closed_form import filter_closed_form
 from .exceptions import ConfigError, MixedResError, ModelError
-from .estimator import lmmse
+from .estimator import check_dense_rows, lmmse
 from .model import (
     OrthoBlockParams,
     QuantizerSpec,
@@ -43,7 +43,14 @@ from .model import (
     make_mimo_model,
     make_scalar_model,
 )
-from .simulate import SimConfig, bench_runtime, run_monte_carlo, sweep_allocation_vs_noise, sweep_mse_vs_noise
+from .simulate import (
+    SimConfig,
+    bench_runtime,
+    check_batch_size,
+    run_monte_carlo,
+    sweep_allocation_vs_noise,
+    sweep_mse_vs_noise,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -258,8 +265,13 @@ def _simulate_cell(scenario, m, rho, pilot, n_a, n_q, sigma2, seed, sim_cfg: Sim
     """Monte Carlo of one (n_a, n_q, sigma2) cell with the closed-form or the general LMMSE filter.
 
     A MIMO model draws its matrices from ``RngStream(seed)``; ``sim_cfg``
-    seeds the trials.
+    seeds the trials.  The size limits are checked on the row count before
+    any array is built.
     """
+    rows = m * (n_a + n_q)
+    if not closed:
+        check_dense_rows(rows)
+    check_batch_size(rows, sim_cfg)
     if scenario == "scalar":
         model = make_scalar_model(n_a, n_q, sigma2)
     else:

@@ -10,6 +10,19 @@ the standard linear MMSE solution
 
 evaluated with a pivoted LU solve (never an explicit inverse) and guarded by
 a 1-norm condition estimate.
+
+:func:`prefix_mse` gives the MSE of every leading subset of rows at once.
+Each entry of C_x and C_theta_x depends only on its own rows, so the first
+k rows have the leading k x k block of C_x as their covariance, and its
+Cholesky factor is the leading block of the full factor L.  With
+Z = inv(L) @ C_theta_x^H, the MSE of the first k rows is
+trace(Sigma_theta) minus the squared norm of the first k rows of Z.  The
+matrix-solve search runs one such scan per analog count.  :func:`lmmse`
+keeps the pivoted LU: a Cholesky solve there gives 0.5000000000000001
+instead of the exact 0.5 for the scalar pure-analog model.
+
+Both routes refuse models above ``MAX_DENSE_ROWS`` rows before any
+covariance is built.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
 from .exceptions import (
     DegenerateCovarianceError,
     EstimatorUndefinedError,
+    InstanceTooLargeError,
     ModelError,
     NumericalDomainError,
 )
@@ -34,6 +48,10 @@ ARCSIN_CLIP_TOL = 1e-9
 CONDITION_LIMIT = 1e12
 # Tolerance for trace cancellation round-off before the MSE is clamped at zero.
 MSE_ROUNDOFF_TOL = 1e-9
+# Most rows a dense solve accepts.  A complex n x n matrix takes 16 n^2 bytes,
+# 1 GiB here, and assembly keeps a few of them alive; the largest model the
+# runtime-scaling benchmark solves has 6400 rows.
+MAX_DENSE_ROWS = 8192
 
 
 @dataclass(eq=False)
@@ -177,8 +195,36 @@ def assemble(model: MixedModel) -> CovarianceBundle:
 # ---------------------------------------------------------------------------
 
 
+def check_dense_rows(n: int) -> None:
+    """Refuse a dense solve of more than ``MAX_DENSE_ROWS`` rows, before any array is built."""
+    if n > MAX_DENSE_ROWS:
+        raise InstanceTooLargeError(f"a dense solve of {n} rows exceeds the limit of {MAX_DENSE_ROWS}")
+
+
+def _checked_condition(rcond: float, info: int) -> float:
+    """1-norm condition estimate from a LAPACK ``*con`` result, refused above ``CONDITION_LIMIT``."""
+    if info != 0:
+        raise EstimatorUndefinedError("condition estimation failed", condition=float("inf"))
+    condition = float(1.0 / rcond) if rcond > 0 else float("inf")
+    if condition > CONDITION_LIMIT:
+        raise EstimatorUndefinedError(
+            f"measurement covariance too ill-conditioned (estimate {condition:.3e})",
+            condition=condition,
+        )
+    return condition
+
+
+def _clamped_mse(mse: np.ndarray) -> np.ndarray:
+    """``mse`` clamped at zero; a value below ``-MSE_ROUNDOFF_TOL`` is an error."""
+    low = np.min(mse)
+    if low < -MSE_ROUNDOFF_TOL:
+        raise NumericalDomainError(f"MSE evaluated to {low:.3e} < 0 beyond round-off tolerance")
+    return np.maximum(mse, 0.0)
+
+
 def lmmse(model: MixedModel) -> LmmseFilter:
     """LMMSE filter and its analytic MSE via a pivoted linear solve."""
+    check_dense_rows(model.n_analog + model.n_quantized)
     bundle = assemble(model)
     return lmmse_from_bundle(model, bundle)
 
@@ -207,23 +253,37 @@ def lmmse_from_bundle(model: MixedModel, bundle: CovarianceBundle) -> LmmseFilte
         raise EstimatorUndefinedError(
             "measurement covariance is singular", condition=float("inf")
         )
-    rcond, info = lapack.zgecon(lu, anorm, norm="1")
-    if info != 0:
-        raise EstimatorUndefinedError("condition estimation failed", condition=float("inf"))
-    condition = float(1.0 / rcond) if rcond > 0 else float("inf")
-    if condition > CONDITION_LIMIT:
-        raise EstimatorUndefinedError(
-            f"measurement covariance too ill-conditioned (estimate {condition:.3e})",
-            condition=condition,
-        )
+    condition = _checked_condition(*lapack.zgecon(lu, anorm, norm="1"))
 
     # Solve C_x X = C_theta_x^H; then w = X^H and the reduction term is
     # trace(C_theta_x @ X).
     x = lu_solve((lu, piv), c_theta_x.conj().T)
     mse = prior_trace - float(np.trace(c_theta_x @ x).real)
-    if mse < -MSE_ROUNDOFF_TOL:
-        raise NumericalDomainError(f"MSE evaluated to {mse:.3e} < 0 beyond round-off tolerance")
-    return LmmseFilter(w=x.conj().T, mse=max(mse, 0.0), condition=condition)
+    return LmmseFilter(w=x.conj().T, mse=float(_clamped_mse(mse)), condition=condition)
+
+
+def prefix_mse(model: MixedModel) -> np.ndarray:
+    """LMMSE MSE of every leading subset of rows of x = [x_a; x_q].
+
+    Entry k of the returned length-(n + 1) array is the MSE of the estimator
+    that uses only the first k rows; entry 0 is the prior trace.  One
+    Cholesky factorization and one triangular solve serve every k (see the
+    module docstring).  A singular or non-finite factor, or a 1-norm
+    condition estimate of the full C_x above ``CONDITION_LIMIT``, raises
+    :class:`EstimatorUndefinedError`.  By Cauchy interlacing no leading
+    block has a larger 2-norm condition number than the whole matrix.
+    """
+    check_dense_rows(model.n_analog + model.n_quantized)
+    bundle = assemble(model)
+    c_x = bundle.c_x
+    anorm = np.linalg.norm(c_x, 1)
+    chol, info = lapack.zpotrf(c_x, lower=1)
+    if info != 0 or not np.all(np.isfinite(np.diag(chol))):
+        raise EstimatorUndefinedError("measurement covariance is singular", condition=float("inf"))
+    _checked_condition(*lapack.zpocon(chol, anorm, uplo="L"))
+    z, _ = lapack.ztrtrs(chol, bundle.c_theta_x.conj().T, lower=1)
+    reduction = np.concatenate([[0.0], np.cumsum(np.sum(z.real**2 + z.imag**2, axis=1))])
+    return _clamped_mse(float(np.trace(model.sigma_theta).real) - reduction)
 
 
 def estimate(filt: LmmseFilter, x: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from .allocation import (
     na_range,
 )
 from .closed_form import mse_grid
-from .exceptions import ModelError, require_finite
+from .exceptions import InstanceTooLargeError, ModelError, require_finite
 from .estimator import LmmseFilter
 from .model import (
     MixedModel,
@@ -45,6 +45,10 @@ from .model import (
 
 # Default b-bit emulation of the analog path: 6 bits on [-5, 5].
 DEFAULT_ANALOG_QUANTIZER = QuantizerSpec(bits=6, lo=-5.0, hi=5.0)
+# Most values (rows x trials) in one Monte-Carlo batch array.  A complex
+# batch array then takes at most 1 GiB, and the default batch of 8192 trials
+# admits every model the dense solver accepts.
+MAX_BATCH_ELEMENTS = 8192 * 8192
 
 
 @dataclass(frozen=True)
@@ -103,6 +107,15 @@ class BenchResult:
 # ---------------------------------------------------------------------------
 
 
+def check_batch_size(rows: int, cfg: SimConfig) -> None:
+    """Refuse batches of more than ``MAX_BATCH_ELEMENTS`` values, before any array is built."""
+    batch = min(cfg.batch_size, cfg.trials)
+    if rows * batch > MAX_BATCH_ELEMENTS:
+        raise InstanceTooLargeError(
+            f"a batch of {rows} rows x {batch} trials exceeds {MAX_BATCH_ELEMENTS} values; lower batch_size"
+        )
+
+
 def _run_batch(model: MixedModel, filt: LmmseFilter, cfg: SimConfig, batch: int, count: int):
     theta = sample_parameter(model.sigma_theta, RngStream(cfg.rng_seed, 2 * batch), size=count)
     x_a, x_q = sample_measurements(model, theta, RngStream(cfg.rng_seed, 2 * batch + 1))
@@ -124,6 +137,7 @@ def run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> Sim
     """
     if filt.w.shape != (model.m, model.n_analog + model.n_quantized):
         raise ModelError("filter shape does not match the model")
+    check_batch_size(model.n_analog + model.n_quantized, cfg)
     n_batches = math.ceil(cfg.trials / cfg.batch_size)
     counts = [
         min(cfg.batch_size, cfg.trials - b * cfg.batch_size) for b in range(n_batches)

@@ -5,7 +5,9 @@ measurements; it never calls the analytic covariance formulas it is used to
 check.  The ``reference_*`` functions keep the scalar, one-point-at-a-time
 closed form and search loops that the array evaluator replaced, and the
 1-bit quantizer expression the one-pass version replaced; tests require
-each pair to agree bit for bit.
+each pair to agree bit for bit.  ``reference_direct_search_mse`` keeps the
+one-``lmmse``-per-point loop that the prefix-scan search replaced; its sums
+run in another order, so it agrees to a tolerance.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 from mixedres.allocation import AllocationResult, DitherScheme, PowerBudget, max_nq, na_range
 from mixedres.closed_form import ClosedFormMse
+from mixedres.estimator import lmmse
 from mixedres.model import (
     INV_SQRT2,
     MixedModel,
@@ -216,3 +219,22 @@ def reference_allocate_with_dither(
                 best = key
     mse, dvar, n_a, n_q = best
     return AllocationResult(n_a_star=n_a, n_q_star=n_q, dither_var_star=dvar, mse_star=mse, trace=trace)
+
+
+def reference_direct_search_mse(params_base: OrthoBlockParams, points, h_full, g1) -> list[float]:
+    """Matrix-solve MSE of each (n_a, n_q) point, one LU-based ``lmmse`` per point."""
+    m = params_base.m
+    out = []
+    for n_a, n_q in points:
+        if n_a == 0 and n_q == 0:
+            out.append(float(m))
+            continue
+        model = MixedModel(
+            h=h_full[: m * n_a],
+            g=np.tile(g1, (n_q, 1)),
+            sigma_theta=np.eye(m, dtype=np.complex128),
+            var_a=params_base.var_a,
+            var_q=params_base.var_q,
+        )
+        out.append(lmmse(model).mse)
+    return out

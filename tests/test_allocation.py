@@ -22,10 +22,10 @@ from mixedres.allocation import (
     noiseless_quantized_policy,
 )
 from mixedres.closed_form import mse_closed_form, mse_pure_analog
-from mixedres.exceptions import InstanceTooLargeError, ModelError
+from mixedres.exceptions import EstimatorUndefinedError, InstanceTooLargeError, ModelError
 from mixedres.model import OrthoBlockParams, RngStream, make_ortho_matrices
 from mixedres.simulate import sweep_allocation_vs_noise
-from oracles import log_uniform
+from oracles import log_uniform, reference_direct_search_mse
 
 REFERENCE_BUDGET = PowerBudget(bits=6, p_max_norm=12800.0)
 
@@ -242,6 +242,40 @@ class TestDirectSearch:
         h_full, g1 = self._blocks(params, 1)
         with pytest.raises(ModelError, match="dither"):
             direct_search(replace(params, var_dq=0.1), [(1, 0)], h_full, g1)
+
+    def test_prefix_scan_equals_one_solve_per_point(self):
+        """All pairs of criterion-4-shaped instances: every MSE within 1e-12
+        of a per-point LU solve, and the same optimum."""
+        rng = np.random.default_rng(606)
+        for trial in range(30):
+            m = int(rng.integers(1, 4))
+            bits = int(rng.integers(2, 5))
+            n_a_cap = int(rng.integers(0, 4))
+            extra = int(rng.integers(1, 9))
+            budget = PowerBudget(bits=bits, p_max_norm=float(2**bits * m * n_a_cap + 2 * m * extra))
+            params = OrthoBlockParams(
+                m=m, n_a=0, n_q=0,
+                rho_a=log_uniform(rng, 0.1, 10.0), rho_q=log_uniform(rng, 0.1, 10.0),
+                var_a=log_uniform(rng, 0.1, 10.0), var_q=log_uniform(rng, 0.1, 10.0),
+            )
+            h_full, g1 = self._blocks(params, na_range(m, budget)[-1], seed=trial)
+            pairs = [(a, q) for a in na_range(m, budget) for q in range(max_nq(a, m, budget) + 1)]
+            res = direct_search(params, pairs, h_full, g1)
+            expected = reference_direct_search_mse(params, pairs, h_full, g1)
+            assert [(n_a, n_q) for n_a, n_q, _, _ in res.trace] == pairs
+            for (*_, mse), ref in zip(res.trace, expected):
+                assert abs(mse - ref) <= 1e-12, f"trial {trial}"
+            best = min(range(len(pairs)), key=lambda i: (expected[i], pairs[i][0]))
+            assert (res.n_a_star, res.n_q_star) == pairs[best], f"trial {trial}"
+
+    def test_singular_largest_model_of_a_group_is_refused(self):
+        """Two identical noiseless analog rows make every n_a = 2 model singular;
+        the n_a = 1 group alone still solves."""
+        params = replace(_params(m=1), var_a=0.0)
+        h_full, g1 = np.ones((2, 1), dtype=complex), np.ones((1, 1), dtype=complex)
+        assert len(direct_search(params, [(1, 0), (1, 1)], h_full, g1).trace) == 2
+        with pytest.raises(EstimatorUndefinedError):
+            direct_search(params, [(1, 0), (1, 1), (2, 0), (2, 1)], h_full, g1)
 
 
 class TestDitherScheme:

@@ -309,6 +309,27 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert ">= 0" in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "override",
+        [{"n_q": 10**30}, {"n_q": 200000}, {"n_q": 10**30, "filter": "closed"}, {"n_q": 200000, "filter": "closed"}],
+        ids=["general-1e30", "general-200000", "closed-1e30", "closed-200000"],
+    )
+    def test_oversized_models_are_refused_before_any_array(self, tmp_path, capsys, monkeypatch, override):
+        """Above the dense-row or sampler-batch limit the run exits 3 before
+        a model is built; 200000 rows would need a 596 GiB covariance."""
+        from mixedres import cli
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("model built for an oversized config")
+
+        monkeypatch.setattr(cli, "make_scalar_model", no_model)
+        cfg = yaml.safe_load((ROOT / "configs" / "simulate_scalar.yaml").read_text(encoding="utf-8"))
+        path = _write(tmp_path, "sim.yaml", {**cfg, **override})
+        assert main(["simulate", "--config", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds" in captured.err and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("threads", ["0", "-2", "two"])
     def test_bad_threads_is_usage_error(self, tmp_path, capsys, threads):
         cfg = {"scenario": "scalar", "n_a": 1, "n_q": 1, "sigma2": 1.0, "trials": 100}

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedres.closed_form import mse_closed_form
-from mixedres.estimator import assemble, estimate, lmmse
-from mixedres.exceptions import EstimatorUndefinedError, ModelError
+from mixedres.estimator import MAX_DENSE_ROWS, assemble, estimate, lmmse, prefix_mse
+from mixedres.exceptions import EstimatorUndefinedError, InstanceTooLargeError, ModelError
 from mixedres.model import (
     MixedModel,
     RngStream,
@@ -52,6 +54,8 @@ class TestConditioning:
         )
         with pytest.raises(EstimatorUndefinedError):
             lmmse(model)
+        with pytest.raises(EstimatorUndefinedError):
+            prefix_mse(model)
 
     def test_condition_guard_carries_estimate(self):
         model = MixedModel(
@@ -106,3 +110,61 @@ class TestMseBounds:
         model = make_scalar_model(1, 0, 1.0)
         bundle = assemble(model)
         assert bundle.c_x.shape == (1, 1)
+
+
+@st.composite
+def general_models(draw):
+    """Random mixed models: general H and prior, tiled or untiled G, at most 60 rows."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    m = draw(st.integers(min_value=1, max_value=4))
+    n_a = draw(st.integers(min_value=0, max_value=30))
+    copies = draw(st.integers(min_value=0 if n_a else 1, max_value=30 // m))
+    tiled = draw(st.booleans())
+
+    def cplx(rows, cols):
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+    root = cplx(m, m)
+    g = np.tile(cplx(m, m), (copies, 1)) if tiled else cplx(m * copies, m)
+    return MixedModel(
+        h=cplx(n_a, m),
+        g=g,
+        sigma_theta=root @ root.conj().T + 0.1 * np.eye(m),
+        var_a=draw(st.floats(min_value=0.05, max_value=5.0)),
+        var_q=draw(st.floats(min_value=0.05, max_value=5.0)),
+    )
+
+
+class TestPrefixMse:
+    @settings(max_examples=40, deadline=None)
+    @given(general_models())
+    def test_every_prefix_equals_lmmse_on_its_rows(self, model):
+        """Entry k is the MSE of the model cut to its first k rows, for every
+        k from 0 through the analog/quantized boundary to n."""
+        n_a, n = model.n_analog, model.n_analog + model.n_quantized
+        scan = prefix_mse(model)
+        assert scan.shape == (n + 1,)
+        prior = float(np.trace(model.sigma_theta).real)
+        assert scan[0] == prior
+        for k in range(1, n + 1):
+            cut = MixedModel(
+                h=model.h[:min(k, n_a)], g=model.g[: max(k - n_a, 0)],
+                sigma_theta=model.sigma_theta, var_a=model.var_a, var_q=model.var_q,
+            )
+            assert abs(scan[k] - lmmse(cut).mse) <= 1e-12 * model.m, f"k={k}"
+
+    def test_pure_analog_scalar(self):
+        assert prefix_mse(make_scalar_model(3, 0, 1.0)) == pytest.approx([1.0, 1 / 2, 1 / 3, 1 / 4], abs=1e-15)
+
+
+class TestDenseRowLimit:
+    @pytest.mark.parametrize("solver", [lmmse, prefix_mse])
+    def test_refused_before_assembly(self, monkeypatch, solver):
+        from mixedres import estimator
+
+        def no_assembly(model):
+            raise AssertionError("covariance assembled for an oversized model")
+
+        monkeypatch.setattr(estimator, "assemble", no_assembly)
+        with pytest.raises(InstanceTooLargeError, match=str(MAX_DENSE_ROWS)):
+            solver(make_scalar_model(MAX_DENSE_ROWS, 1, 1.0))

@@ -7,10 +7,11 @@ import pytest
 
 from mixedres.allocation import DitherScheme, PowerBudget
 from mixedres.estimator import lmmse
-from mixedres.exceptions import ModelError
+from mixedres.exceptions import InstanceTooLargeError, ModelError
 from mixedres.model import MixedModel, OrthoBlockParams, make_scalar_model
 from mixedres.simulate import (
     DEFAULT_ANALOG_QUANTIZER,
+    MAX_BATCH_ELEMENTS,
     SimConfig,
     _timeit,
     bench_runtime,
@@ -86,6 +87,18 @@ class TestRunMonteCarlo:
         filt = lmmse(make_scalar_model(2, 1, 1.0))
         with pytest.raises(ModelError):
             run_monte_carlo(model, filt, SimConfig(trials=10))
+
+    def test_oversized_batch_refused_before_sampling(self, monkeypatch):
+        from mixedres import simulate
+
+        def no_batch(*args):
+            raise AssertionError("batch sampled past the size limit")
+
+        monkeypatch.setattr(simulate, "_run_batch", no_batch)
+        model = make_scalar_model(1, 1, 1.0)
+        cfg = SimConfig(trials=MAX_BATCH_ELEMENTS, batch_size=MAX_BATCH_ELEMENTS // 2 + 1)
+        with pytest.raises(InstanceTooLargeError, match="lower batch_size"):
+            run_monte_carlo(model, lmmse(model), cfg)
 
     def test_std_error_definition(self):
         """std_error is the sample std of per-trial squared errors / sqrt(trials)."""
