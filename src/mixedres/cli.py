@@ -265,13 +265,13 @@ def _simulate_cell(scenario, m, rho, pilot, n_a, n_q, sigma2, seed, sim_cfg: Sim
     """Monte Carlo of one (n_a, n_q, sigma2) cell with the closed-form or the general LMMSE filter.
 
     A MIMO model draws its matrices from ``RngStream(seed)``; ``sim_cfg``
-    seeds the trials.  The size limits are checked on the row count before
-    any array is built.
+    seeds the trials.  The size limits are checked on the row count and on
+    m before any array is built.
     """
     rows = m * (n_a + n_q)
     if not closed:
         check_dense_rows(rows)
-    check_batch_size(rows, sim_cfg)
+    check_batch_size(rows, sim_cfg, m)
     if scenario == "scalar":
         model = make_scalar_model(n_a, n_q, sigma2)
     else:

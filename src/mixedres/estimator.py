@@ -11,6 +11,16 @@ the standard linear MMSE solution
 evaluated with a pivoted LU solve (never an explicit inverse) and guarded by
 a 1-norm condition estimate.
 
+:func:`assemble` builds C_x and C_theta_x from one period of the quantized
+rows.  Every entry depends only on the two rows it pairs, and G is usually
+k copies of one p-row block g1 (every orthonormal-block and MIMO model is).
+So the arcsine map and the Bussgang terms of the two-copy rows [g1; g1]
+give every quantized entry: the same-copy block A1 on the k diagonal
+blocks of C_xq, the cross-copy block A2 on all others, and the Bussgang
+columns of g1 in every copy.  The Gram and arcsine work falls from
+O(n_q^2) to O(p^2); only writing C_x and the factorization see all n rows.
+A G without a shorter period is its own block (k = 1).
+
 :func:`prefix_mse` gives the MSE of every leading subset of rows at once.
 Each entry of C_x and C_theta_x depends only on its own rows, so the first
 k rows have the leading k x k block of C_x as their covariance, and its
@@ -59,13 +69,12 @@ class CovarianceBundle:
     """All covariance blocks of the stacked measurement vector x = [x_a; x_q].
 
     ``c_x`` is the assembled (n_analog + n_quantized) auto-covariance and
-    ``c_theta_x`` the cross-covariance of the parameter with x; the remaining
-    fields are the individual blocks, including the pre-quantization
-    covariance ``c_y`` they are derived from.
+    ``c_theta_x`` the cross-covariance of the parameter with x.  The other
+    fields are views of the blocks of these two arrays, so writing into
+    ``c_x`` or ``c_theta_x`` changes them too.
     """
 
     c_xa: np.ndarray
-    c_y: np.ndarray
     c_xq: np.ndarray
     c_xa_xq: np.ndarray
     c_theta_xa: np.ndarray
@@ -107,84 +116,136 @@ def cov_pre_quantization(model: MixedModel) -> np.ndarray:
 
 
 def _inv_sqrt_diag(c_y: np.ndarray) -> np.ndarray:
-    d = np.diag(c_y).real
-    if d.size and np.min(d) <= 0:
+    d = c_y.diagonal().real
+    if d.size and d.min() <= 0:
         raise DegenerateCovarianceError(
             "pre-quantization covariance has a non-positive diagonal entry"
         )
     return 1.0 / np.sqrt(d)
 
 
-def cov_quantized(c_y: np.ndarray) -> np.ndarray:
+def cov_quantized(c_y: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
     """Arcsine-law auto-covariance of the 1-bit quantized vector.
 
     Applies elementwise (2/pi) * [arcsin(Re r) + j*arcsin(Im r)] to the
     Pearson-normalized matrix r = D^{-1/2} C_y D^{-1/2}, D = diag(C_y).
+    ``scale`` is the diagonal of D^{-1/2} when the caller already has it.
     """
     c_y = np.asarray(c_y, dtype=np.complex128)
     if c_y.shape[0] == 0:
         return np.zeros((0, 0), dtype=np.complex128)
-    s = _inv_sqrt_diag(c_y)
+    s = _inv_sqrt_diag(c_y) if scale is None else scale
     r = (s[:, None] * c_y) * s[None, :]
-    max_re = np.max(np.abs(r.real))
-    max_im = np.max(np.abs(r.imag))
+    max_re = np.abs(r.real).max()
+    max_im = np.abs(r.imag).max()
     overshoot = max(max_re, max_im) - 1.0
     if overshoot > ARCSIN_CLIP_TOL:
         raise NumericalDomainError(
             f"normalized correlation exceeds 1 by {overshoot:.3e}, beyond clip tolerance"
         )
-    re = np.arcsin(np.clip(r.real, -1.0, 1.0))
+    re = np.arcsin(r.real if max_re <= 1.0 else np.clip(r.real, -1.0, 1.0))
     if max_im <= 1e-8:
         # arcsin(x) == x in float64 for |x| <= 1e-8, so the pass is a no-op.
         im = r.imag
     else:
-        im = np.arcsin(np.clip(r.imag, -1.0, 1.0))
+        im = np.arcsin(r.imag if max_im <= 1.0 else np.clip(r.imag, -1.0, 1.0))
     c_xq = (2.0 / np.pi) * (re + 1j * im)
     # The quantizer output has unit modulus, so the diagonal is exactly one.
     np.fill_diagonal(c_xq, 1.0)
     return c_xq
 
 
-def cross_cov_theta_quantized(model: MixedModel, c_y: np.ndarray) -> np.ndarray:
-    """Bussgang cross-covariance of the parameter with the quantized vector."""
+def cross_cov_theta_quantized(model: MixedModel, c_y: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
+    """Bussgang cross-covariance of the parameter with the quantized vector.
+
+    ``scale`` is 1 / sqrt(diag(c_y)) when the caller already has it.
+    """
     if model.n_quantized == 0:
         return np.zeros((model.m, 0), dtype=np.complex128)
-    s = _inv_sqrt_diag(c_y)
+    s = _inv_sqrt_diag(c_y) if scale is None else scale
     return np.sqrt(2.0 / np.pi) * (model.sigma_theta @ model.g.conj().T) * s[None, :]
 
 
-def cross_cov_analog_quantized(model: MixedModel, c_y: np.ndarray) -> np.ndarray:
-    """Bussgang cross-covariance of the analog and quantized measurements."""
+def cross_cov_analog_quantized(model: MixedModel, c_y: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
+    """Bussgang cross-covariance of the analog and quantized measurements.
+
+    ``scale`` is 1 / sqrt(diag(c_y)) when the caller already has it.
+    """
     if model.n_quantized == 0 or model.n_analog == 0:
         return np.zeros((model.n_analog, model.n_quantized), dtype=np.complex128)
-    s = _inv_sqrt_diag(c_y)
+    s = _inv_sqrt_diag(c_y) if scale is None else scale
     return np.sqrt(2.0 / np.pi) * (model.h @ model.sigma_theta @ model.g.conj().T) * s[None, :]
 
 
+def _block_period(g: np.ndarray) -> int:
+    """Smallest p with ``g == tile(g[:p], n // p)`` by exact row equality, n = len(g).
+
+    A G with no shorter period gives p = n, and no rows give 0.  Only a row
+    equal to row 0 can start a second copy, so one comparison of every row
+    with row 0 rules out most candidates; for a tiled G the first candidate
+    that divides n is usually the period.
+    """
+    n = g.shape[0]
+    if n < 2:
+        return n
+    starts_copy = (g[1:] == g[0]).all(axis=1).tolist()
+    for p in range(1, n // 2 + 1):
+        if starts_copy[p - 1] and n % p == 0 and (g[p:] == g[:-p]).all():
+            return p
+    return n
+
+
+def _with_quantized_rows(model: MixedModel, g: np.ndarray) -> MixedModel:
+    """``model`` with quantized rows ``g``, which are rows of ``model.g``, without validating again."""
+    out = object.__new__(MixedModel)
+    out.__dict__.update(model.__dict__, g=g)
+    return out
+
+
 def assemble(model: MixedModel) -> CovarianceBundle:
-    """Build every covariance block and the stacked matrices c_x, c_theta_x."""
-    na, nq = model.n_analog, model.n_quantized
+    """Build the stacked matrices c_x and c_theta_x from one period of G.
+
+    G is k = n_q / p copies of its first p rows g1, p being its smallest
+    block period (k = 1 when G does not repeat).  The stage functions run
+    once, on the first min(k, 2) * p rows of G: [g1; g1] when G repeats.
+    The arcsine map of those rows holds the same-copy block A1 (top left,
+    unit diagonal) and the cross-copy block A2 (top right).  C_xq is A2 on
+    every block but the k diagonal ones, which hold A1, and the Bussgang
+    columns of g1 repeat k times.  Everything is written straight into one
+    c_x and one c_theta_x; the bundle's block fields are views of them.
+    """
+    na, nq, m = model.n_analog, model.n_quantized, model.m
+    p = _block_period(model.g)
+    k = nq // p if p else 0
+    block = _with_quantized_rows(model, model.g[: min(k, 2) * p])
     c_xa = cov_analog(model)
-    c_y = cov_pre_quantization(model)
-    c_xq = cov_quantized(c_y)
-    c_xa_xq = cross_cov_analog_quantized(model, c_y)
-    c_theta_xa = model.sigma_theta @ model.h.conj().T
-    c_theta_xq = cross_cov_theta_quantized(model, c_y)
+    c_y = cov_pre_quantization(block)
+    scale = _inv_sqrt_diag(c_y)
+    a = cov_quantized(c_y, scale)
+    c_xa_xq1 = cross_cov_analog_quantized(block, c_y, scale)[:, :p]
+    c_theta_xq1 = cross_cov_theta_quantized(block, c_y, scale)[:, :p]
 
     n = na + nq
     c_x = np.empty((n, n), dtype=np.complex128)
+    c_theta_x = np.empty((m, n), dtype=np.complex128)
     c_x[:na, :na] = c_xa
-    c_x[:na, na:] = c_xa_xq
-    c_x[na:, :na] = c_xa_xq.conj().T
-    c_x[na:, na:] = c_xq
-    c_theta_x = np.concatenate([c_theta_xa, c_theta_xq], axis=1)
+    c_theta_x[:, :na] = model.sigma_theta @ model.h.conj().T
+    if k:
+        # Each reshape splits an axis of a view, so it writes into c_x / c_theta_x.
+        c_x[:na, na:].reshape(na, k, p)[...] = c_xa_xq1[:, None, :]
+        c_x[na:, :na].reshape(k, p, na)[...] = c_xa_xq1.conj().T
+        c_theta_x[:, na:].reshape(m, k, p)[...] = c_theta_xq1[:, None, :]
+        blocks = c_x[na:, na:].reshape(k, p, k, p)
+        if k > 1:
+            blocks[...] = a[None, :p, None, p:]
+        # einsum returns a writeable view of the k diagonal blocks.
+        np.einsum("ijik->ijk", blocks)[...] = a[:p, :p]
     return CovarianceBundle(
-        c_xa=c_xa,
-        c_y=c_y,
-        c_xq=c_xq,
-        c_xa_xq=c_xa_xq,
-        c_theta_xa=c_theta_xa,
-        c_theta_xq=c_theta_xq,
+        c_xa=c_x[:na, :na],
+        c_xq=c_x[na:, na:],
+        c_xa_xq=c_x[:na, na:],
+        c_theta_xa=c_theta_x[:, :na],
+        c_theta_xq=c_theta_x[:, na:],
         c_x=c_x,
         c_theta_x=c_theta_x,
     )

@@ -31,7 +31,7 @@ from .allocation import (
 )
 from .closed_form import mse_grid
 from .exceptions import InstanceTooLargeError, ModelError, require_finite
-from .estimator import LmmseFilter
+from .estimator import LmmseFilter, check_dense_rows
 from .model import (
     MixedModel,
     OrthoBlockParams,
@@ -107,13 +107,19 @@ class BenchResult:
 # ---------------------------------------------------------------------------
 
 
-def check_batch_size(rows: int, cfg: SimConfig) -> None:
-    """Refuse batches of more than ``MAX_BATCH_ELEMENTS`` values, before any array is built."""
+def check_batch_size(rows: int, cfg: SimConfig, m: int) -> None:
+    """Refuse arrays of more than ``MAX_BATCH_ELEMENTS`` values, before any is built.
+
+    A batch holds rows x min(``batch_size``, ``trials``) values; the mixing
+    matrices and the filter of an m-dimensional parameter hold rows x m.
+    """
     batch = min(cfg.batch_size, cfg.trials)
     if rows * batch > MAX_BATCH_ELEMENTS:
         raise InstanceTooLargeError(
             f"a batch of {rows} rows x {batch} trials exceeds {MAX_BATCH_ELEMENTS} values; lower batch_size"
         )
+    if rows * m > MAX_BATCH_ELEMENTS:
+        raise InstanceTooLargeError(f"a model of {rows} rows x m = {m} exceeds {MAX_BATCH_ELEMENTS} values")
 
 
 def _run_batch(model: MixedModel, filt: LmmseFilter, cfg: SimConfig, batch: int, count: int):
@@ -137,7 +143,7 @@ def run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> Sim
     """
     if filt.w.shape != (model.m, model.n_analog + model.n_quantized):
         raise ModelError("filter shape does not match the model")
-    check_batch_size(model.n_analog + model.n_quantized, cfg)
+    check_batch_size(model.n_analog + model.n_quantized, cfg, model.m)
     n_batches = math.ceil(cfg.trials / cfg.batch_size)
     counts = [
         min(cfg.batch_size, cfg.trials - b * cfg.batch_size) for b in range(n_batches)
@@ -315,6 +321,8 @@ def bench_runtime(
     frontier and warms up on its cheapest point, the one with the most
     analog blocks; set ``direct_repeats`` to control its measured repetitions
     separately (large instances make full-sweep repetitions expensive).
+    A direct arm whose largest frontier model exceeds ``MAX_DENSE_ROWS``
+    rows is refused before anything is drawn or timed.
     """
     cases = []
     for m in m_list:
@@ -325,6 +333,11 @@ def bench_runtime(
                 var_a=float(sigma2), var_q=float(sigma2),
             )
             cases.append((m, n_a_max, budget, params))
+    if include_direct:
+        # The direct arm draws m x m blocks before its solver would check the
+        # row count, so refuse its largest frontier model (m rows or more) first.
+        for m, _, budget, _ in cases:
+            check_dense_rows(max(m * (n_a + n_q) for n_a, n_q in zip(*frontier(m, budget))))
     closed_stats = _timeit(
         [partial(allocate, params, budget) for _, _, budget, params in cases],
         repeats=repeats,

@@ -7,7 +7,10 @@ closed form and search loops that the array evaluator replaced, and the
 1-bit quantizer expression the one-pass version replaced; tests require
 each pair to agree bit for bit.  ``reference_direct_search_mse`` keeps the
 one-``lmmse``-per-point loop that the prefix-scan search replaced; its sums
-run in another order, so it agrees to a tolerance.
+run in another order, so it agrees to a tolerance.  ``reference_assemble``
+keeps the dense covariance assembly over all n_q quantized rows that the
+one-period assembly replaced; its Gram runs over other rows, so it too
+agrees to a tolerance.
 """
 
 from __future__ import annotations
@@ -19,7 +22,15 @@ import numpy as np
 
 from mixedres.allocation import AllocationResult, DitherScheme, PowerBudget, max_nq, na_range
 from mixedres.closed_form import ClosedFormMse
-from mixedres.estimator import lmmse
+from mixedres.estimator import (
+    CovarianceBundle,
+    cov_analog,
+    cov_pre_quantization,
+    cov_quantized,
+    cross_cov_analog_quantized,
+    cross_cov_theta_quantized,
+    lmmse,
+)
 from mixedres.model import (
     INV_SQRT2,
     MixedModel,
@@ -238,3 +249,31 @@ def reference_direct_search_mse(params_base: OrthoBlockParams, points, h_full, g
         )
         out.append(lmmse(model).mse)
     return out
+
+
+def reference_assemble(model: MixedModel) -> CovarianceBundle:
+    """Every covariance block from all rows of the model, then the stacked c_x and c_theta_x."""
+    na, nq = model.n_analog, model.n_quantized
+    c_xa = cov_analog(model)
+    c_y = cov_pre_quantization(model)
+    c_xq = cov_quantized(c_y)
+    c_xa_xq = cross_cov_analog_quantized(model, c_y)
+    c_theta_xa = model.sigma_theta @ model.h.conj().T
+    c_theta_xq = cross_cov_theta_quantized(model, c_y)
+
+    n = na + nq
+    c_x = np.empty((n, n), dtype=np.complex128)
+    c_x[:na, :na] = c_xa
+    c_x[:na, na:] = c_xa_xq
+    c_x[na:, :na] = c_xa_xq.conj().T
+    c_x[na:, na:] = c_xq
+    c_theta_x = np.concatenate([c_theta_xa, c_theta_xq], axis=1)
+    return CovarianceBundle(
+        c_xa=c_xa,
+        c_xq=c_xq,
+        c_xa_xq=c_xa_xq,
+        c_theta_xa=c_theta_xa,
+        c_theta_xq=c_theta_xq,
+        c_x=c_x,
+        c_theta_x=c_theta_x,
+    )

@@ -330,6 +330,22 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert "exceeds" in captured.err and "Traceback" not in captured.err
 
+    def test_oversized_parameter_is_refused_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        """20000 rows x m = 20000 would need a 6 GiB unitary draw; one trial
+        and one row block pass the row and batch limits."""
+        from mixedres import model
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("unitary drawn for an oversized parameter")
+
+        monkeypatch.setattr(model, "_haar_unitary", no_draw)
+        cfg = {"scenario": "mimo", "m": 20000, "n_a": 1, "n_q": 0, "sigma2": 1.0, "trials": 1, "filter": "closed"}
+        path = _write(tmp_path, "sim.yaml", cfg)
+        assert main(["simulate", "--config", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds" in captured.err and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("threads", ["0", "-2", "two"])
     def test_bad_threads_is_usage_error(self, tmp_path, capsys, threads):
         cfg = {"scenario": "scalar", "n_a": 1, "n_q": 1, "sigma2": 1.0, "trials": 100}
@@ -477,6 +493,19 @@ class TestBenchCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert key in captured.err and "Traceback" not in captured.err
+
+    def test_oversized_parameter_is_refused_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        from mixedres import model
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("unitary drawn for an oversized parameter")
+
+        monkeypatch.setattr(model, "_haar_unitary", no_draw)
+        path = _write(tmp_path, "bench.yaml", {"m_list": [20000], "n_a_max_list": [1]})
+        assert main(["bench", "--config", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds" in captured.err and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("repeats", ["0", "-1"])
     def test_repeats_flag_must_be_positive(self, tmp_path, capsys, repeats):

@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedres.estimator import (
+    _block_period,
     assemble,
     cov_analog,
     cov_pre_quantization,
     cov_quantized,
     cross_cov_analog_quantized,
     cross_cov_theta_quantized,
+    lmmse_from_bundle,
 )
 from mixedres.exceptions import DegenerateCovarianceError, NumericalDomainError
 from mixedres.model import (
@@ -19,7 +23,7 @@ from mixedres.model import (
     make_ortho_model,
     make_scalar_model,
 )
-from oracles import assert_within_se, empirical_second_moments
+from oracles import assert_within_se, empirical_second_moments, reference_assemble
 
 
 def _random_model(seed, m=3, n_a=2, n_q=2, **variances):
@@ -155,6 +159,121 @@ class TestAssemble:
             c_x = assemble(model).c_x
             assert np.max(np.abs(c_x - c_x.conj().T)) <= 1e-10
             assert np.min(np.linalg.eigvalsh(c_x)) >= -1e-8
+
+
+class TestBlockPeriod:
+    ROWS = np.array([[1.0, 2.0], [3.0, 1j], [1.0, 2.0], [0.5, 0.0]])
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_or_one_row(self, n):
+        assert _block_period(self.ROWS[:n]) == n
+
+    def test_equal_rows_have_period_one(self):
+        assert _block_period(np.tile(self.ROWS[:1], (7, 1))) == 1
+
+    def test_tiled_block(self):
+        assert _block_period(np.tile(self.ROWS, (5, 1))) == 4
+
+    def test_repeated_row_inside_the_block(self):
+        block = self.ROWS[[0, 0, 1]]
+        assert _block_period(np.tile(block, (3, 1))) == 3
+
+    def test_repeating_prefix_that_does_not_tile(self):
+        # Rows a b a: period 2 does not divide 3.  Rows a b a c: 2 divides 4,
+        # but the second pair differs from the first.
+        assert _block_period(self.ROWS[:3]) == 3
+        assert _block_period(self.ROWS) == 4
+
+    def test_cut_copy_is_not_a_period(self):
+        assert _block_period(np.tile(self.ROWS[:2], (4, 1))[:-1]) == 7
+
+
+@st.composite
+def quantized_layouts(draw):
+    """Mixed models whose G is tiled, untiled, all-equal, tiled from a block
+    with a repeated row, or tiled and then cut inside a copy."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    m = draw(st.integers(min_value=1, max_value=4))
+    p = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=8))
+    n_a = draw(st.integers(min_value=0, max_value=6))
+    layout = draw(st.sampled_from(["tiled", "untiled", "all-equal", "repeat-inside", "cut"]))
+
+    def cplx(rows, cols):
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+    block = cplx(p, m)
+    if layout == "untiled":
+        g = cplx(p * k, m)
+    elif layout == "all-equal":
+        g = np.tile(block[:1], (p * k, 1))
+    else:
+        if layout == "repeat-inside":
+            block[-1] = block[0]
+        g = np.tile(block, (k, 1))
+        if layout == "cut":
+            g = g[: max(p * k - draw(st.integers(min_value=1, max_value=p)), 1)]
+    root = cplx(m, m)
+    variance = st.floats(min_value=0.05, max_value=5.0)
+    dither = st.one_of(st.just(0.0), variance)
+    return MixedModel(
+        h=cplx(n_a, m),
+        g=g,
+        sigma_theta=root @ root.conj().T + 0.1 * np.eye(m),
+        var_a=draw(variance),
+        var_q=draw(variance),
+        var_da=draw(dither),
+        var_dq=draw(dither),
+    )
+
+
+class TestBlockAssembly:
+    @settings(max_examples=200, deadline=None)
+    @given(quantized_layouts())
+    def test_matches_assembly_over_every_row(self, model):
+        """One-period assembly equals the dense assembly over all n_q rows.
+
+        The two Grams run over different rows, so entries may differ by
+        round-off.  The arcsine map multiplies such a difference by its
+        derivative, at most 1 / sqrt(1 - r^2) for the largest off-diagonal
+        Pearson ratio r, so the quantized block gets that factor on its bound.
+        """
+        na = model.n_analog
+        bundle = assemble(model)
+        ref = reference_assemble(model)
+        c_y = cov_pre_quantization(model)
+        s = 1.0 / np.sqrt(np.diag(c_y).real)
+        r = (s[:, None] * c_y) * s[None, :]
+        np.fill_diagonal(r, 0.0)
+        r_max = max(np.max(np.abs(r.real), initial=0.0), np.max(np.abs(r.imag), initial=0.0))
+        arcsine_gain = 1.0 / np.sqrt(1.0 - r_max**2)
+        for name in ("c_xa", "c_xq", "c_xa_xq", "c_theta_xa", "c_theta_xq", "c_theta_x"):
+            got, want = getattr(bundle, name), getattr(ref, name)
+            assert got.shape == want.shape, name
+            if want.size:
+                bound = 1e-15 * np.max(np.abs(want)) * (arcsine_gain if name == "c_xq" else 1.0)
+                assert np.max(np.abs(got - want)) <= bound, name
+        assert bundle.c_x.shape == ref.c_x.shape
+        for name in ("c_xa", "c_xq", "c_xa_xq"):
+            assert getattr(bundle, name).base is bundle.c_x, name
+        for name in ("c_theta_xa", "c_theta_xq"):
+            assert getattr(bundle, name).base is bundle.c_theta_x, name
+        np.testing.assert_array_equal(bundle.c_x[:na, :na], bundle.c_xa)
+        np.testing.assert_array_equal(bundle.c_x[:na, na:], bundle.c_xa_xq)
+        np.testing.assert_array_equal(bundle.c_x[na:, na:], bundle.c_xq)
+        assert np.all(np.diag(bundle.c_xq) == 1.0)
+        np.testing.assert_array_equal(bundle.c_x[na:, :na], bundle.c_x[:na, na:].conj().T)
+        mse = lmmse_from_bundle(model, bundle).mse
+        assert abs(mse - lmmse_from_bundle(model, ref).mse) <= 1e-12 * model.m
+
+    def test_solve_leaves_the_bundle_intact(self):
+        """The block fields are views of c_x and c_theta_x, so the solve must not factor in place."""
+        model = make_scalar_model(2, 3, 1.0)
+        bundle = assemble(model)
+        before = bundle.c_x.copy(), bundle.c_theta_x.copy()
+        lmmse_from_bundle(model, bundle)
+        np.testing.assert_array_equal(bundle.c_x, before[0])
+        np.testing.assert_array_equal(bundle.c_theta_x, before[1])
 
 
 class TestMonteCarloConsistency:
