@@ -95,7 +95,10 @@ class DitherScheme:
         """Number of dither variances in :meth:`grid`, without building it."""
         if self.mode == "none":
             return 1
-        return int(math.floor(self.grid_max / self.grid_step + 1e-9)) + 1
+        steps = self.grid_max / self.grid_step + 1e-9
+        if not math.isfinite(steps):
+            raise InstanceTooLargeError(f"dither grid_max / grid_step = {steps} points")
+        return int(math.floor(steps)) + 1
 
     def grid(self) -> list[float]:
         """Dither variances searched: 0, step, ..., up to grid_max inclusive."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import AssumptionViolationError
+from .exceptions import AssumptionViolationError, NumericalDomainError
 from .estimator import LmmseFilter
 from .model import OrthoBlockParams
 
@@ -54,8 +54,9 @@ def beta(n_a, rho_a, rho_q, var_a_total, var_q_total):
     arguments give a NumPy scalar.
     """
     n_a = np.asarray(n_a)
-    first = (2.0 / np.pi) * np.arcsin(rho_q / (rho_q + var_q_total)) / rho_q
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # Extreme inputs may overflow; mse_grid checks the value it selects.
+        first = (2.0 / np.pi) * np.arcsin(rho_q / (rho_q + var_q_total)) / rho_q
         share = 2.0 * rho_a * n_a / (np.pi * (rho_q + var_q_total) * (rho_a * n_a + var_a_total))
         return np.where(n_a == 0, first, first - share)[()]
 
@@ -123,21 +124,26 @@ def mse_grid(m, n_a, n_q, rho_a, rho_q, var_a_total, var_q_total) -> np.ndarray:
     trace m; with one empty path the corresponding pure-path expression
     applies; with noiseless analog measurements (and n_a, n_q >= 1) the
     parameter is recovered exactly; the result is clamped at zero.  Counts
-    may be integer or float arrays.
+    may be integer or float arrays.  Finite but extreme inputs can overflow
+    an intermediate; a non-finite result raises
+    :class:`~mixedres.exceptions.NumericalDomainError`.
     """
     n_a = np.asarray(n_a)
     n_q = np.asarray(n_q)
     va = np.asarray(var_a_total, dtype=np.float64)
-    a = alpha(rho_q, var_q_total)
-    b = beta(n_a, rho_a, rho_q, va, var_q_total)
     # Branches are laid over each other from the last to the first, so where
-    # several conditions hold the first one listed above wins.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # several conditions hold the first one listed above wins.  Branches not
+    # taken may hold NaN or inf, so only the final value is checked.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = alpha(rho_q, var_q_total)
+        b = beta(n_a, rho_a, rho_q, va, var_q_total)
         value = _mixed(m, n_a, n_q, rho_a, rho_q, va, var_q_total, a, b)
         value = np.where(va == 0.0, 0.0, value)
         value = np.where(n_a == 0, _pure_quantized(m, n_q, rho_q, var_q_total, a), value)
         value = np.where(n_q == 0, _pure_analog(m, n_a, rho_a, va), value)
         value = np.where((n_a == 0) & (n_q == 0), m, value)
+    if not np.all(np.isfinite(value)):
+        raise NumericalDomainError("closed-form MSE is not finite; an intermediate overflowed")
     return np.where(value < 0.0, 0.0, value)
 
 
@@ -192,6 +198,9 @@ def filter_closed_form(params: OrthoBlockParams, h: np.ndarray, g: np.ndarray) -
     The matrices are verified against the orthonormal-block structure to
     ``ASSUMPTION_TOL`` before the scalar coefficients are used.
     """
+    # First, so that inputs the closed form cannot evaluate are refused
+    # before the structure check or the coefficients overflow.
+    mse = mse_closed_form(params).value
     h = np.asarray(h, dtype=np.complex128)
     g = np.asarray(g, dtype=np.complex128)
     _check_block_structure(params, h, g)
@@ -200,23 +209,25 @@ def filter_closed_form(params: OrthoBlockParams, h: np.ndarray, g: np.ndarray) -
     vq = params.var_q_total
     m, n_a, n_q = params.m, params.n_a, params.n_q
     rho_a, rho_q = params.rho_a, params.rho_q
-    a = alpha(rho_q, vq)
-    b = beta(n_a, rho_a, rho_q, va, vq)
-
-    if n_a == 0 and n_q == 0:
-        c1 = c2 = 0.0
-    elif n_q == 0:
-        c1 = 1.0 / (rho_a * n_a + va)
-        c2 = 0.0
-    elif n_a == 0:
-        # The analog variance cancels from c2 when there is no analog path.
-        c1 = 0.0
-        c2 = np.sqrt(2.0 / (np.pi * (rho_q + vq))) / (a + (1.0 - a) * n_q)
-    else:
-        da = rho_a * n_a + va
-        s = a + b * rho_q * n_q
-        c1 = 1.0 / da - 2.0 * rho_q * n_q * va / (np.pi * (rho_q + vq) * s * da**2)
-        c2 = np.sqrt(2.0 / (np.pi * (rho_q + vq))) * va / (s * da)
-
-    w = np.concatenate([c1 * h.conj().T, c2 * g.conj().T], axis=1)
-    return LmmseFilter(w=w, mse=mse_closed_form(params).value, condition=float("nan"))
+    # Like mse_grid, check only the coefficients that are used.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = alpha(rho_q, vq)
+        b = beta(n_a, rho_a, rho_q, va, vq)
+        if n_a == 0 and n_q == 0:
+            c1 = c2 = 0.0
+        elif n_q == 0:
+            c1 = 1.0 / (rho_a * n_a + va)
+            c2 = 0.0
+        elif n_a == 0:
+            # The analog variance cancels from c2 when there is no analog path.
+            c1 = 0.0
+            c2 = np.sqrt(2.0 / (np.pi * (rho_q + vq))) / (a + (1.0 - a) * n_q)
+        else:
+            da = rho_a * n_a + va
+            s = a + b * rho_q * n_q
+            c1 = 1.0 / da - 2.0 * rho_q * n_q * va / (np.pi * (rho_q + vq) * s * da**2)
+            c2 = np.sqrt(2.0 / (np.pi * (rho_q + vq))) * va / (s * da)
+        w = np.concatenate([c1 * h.conj().T, c2 * g.conj().T], axis=1)
+    if not np.isfinite(w).all():
+        raise NumericalDomainError("closed-form filter is not finite; a coefficient overflowed")
+    return LmmseFilter(w=w, mse=mse, condition=float("nan"))

@@ -9,7 +9,7 @@ the standard linear MMSE solution
     w = C_theta_x @ inv(C_x),    mse = trace(Sigma_theta) - trace(w @ C_theta_x^H),
 
 evaluated with a pivoted LU solve (never an explicit inverse) and guarded by
-a 1-norm condition estimate.
+a 1-norm condition bound.
 
 :func:`assemble` builds C_x and C_theta_x from one period of the quantized
 rows.  Every entry depends only on the two rows it pairs, and G is usually
@@ -18,8 +18,25 @@ So the arcsine map and the Bussgang terms of the two-copy rows [g1; g1]
 give every quantized entry: the same-copy block A1 on the k diagonal
 blocks of C_xq, the cross-copy block A2 on all others, and the Bussgang
 columns of g1 in every copy.  The Gram and arcsine work falls from
-O(n_q^2) to O(p^2); only writing C_x and the factorization see all n rows.
-A G without a shorter period is its own block (k = 1).
+O(n_q^2) to O(p^2).  A G without a shorter period is its own block (k = 1).
+
+:func:`lmmse` solves the copy-reduced system.  Copies of the block differ
+only by independent noise, so in C_x = [[C_xa, 1^T (x) C_aq1],
+[1 (x) C_aq1^H, I (x) (A1 - A2) + J (x) A2]] a unitary change of basis over
+the copies splits off the scaled copy sum s = (q_1 + ... + q_k) / sqrt(k)
+from k - 1 copy differences that are uncorrelated with theta, x_a and s.
+The LMMSE of theta from x is therefore, exactly, the LMMSE from [x_a; s],
+whose (n_a + p)-row covariance is
+
+    C~ = [[C_xa, sqrt(k) C_aq1], [sqrt(k) C_aq1^H, A1 + (k - 1) A2]]
+
+with cross-covariance [C_theta_xa, sqrt(k) C_theta_q1].  Each copy gets the
+filter columns of s divided by sqrt(k).  A1 - A2 is diagonal, since two
+copies differ only in their own noise, so the spectrum of C_x is that of C~
+plus D = diag(A1 - A2), each entry k - 1 times, and the condition bound is
+max(|C~|_1, max D) * max(est |inv(C~)|_1, 1 / min D).  For k <= 1 (pure
+analog, or a G without a period) C~ is C_x and the bound is LAPACK's
+1-norm condition estimate of C_x.
 
 :func:`prefix_mse` gives the MSE of every leading subset of rows at once.
 Each entry of C_x and C_theta_x depends only on its own rows, so the first
@@ -27,12 +44,13 @@ k rows have the leading k x k block of C_x as their covariance, and its
 Cholesky factor is the leading block of the full factor L.  With
 Z = inv(L) @ C_theta_x^H, the MSE of the first k rows is
 trace(Sigma_theta) minus the squared norm of the first k rows of Z.  The
-matrix-solve search runs one such scan per analog count.  :func:`lmmse`
-keeps the pivoted LU: a Cholesky solve there gives 0.5000000000000001
-instead of the exact 0.5 for the scalar pure-analog model.
+matrix-solve search runs one such scan per analog count, on all n rows.
+:func:`lmmse` keeps the pivoted LU: a Cholesky solve there gives
+0.5000000000000001 instead of the exact 0.5 for the scalar pure-analog
+model.
 
 Both routes refuse models above ``MAX_DENSE_ROWS`` rows before any
-covariance is built.
+covariance is built, since :func:`assemble` still writes the n x n C_x.
 """
 
 from __future__ import annotations
@@ -54,7 +72,8 @@ from .model import MixedModel
 
 # Pearson ratios may drift past 1 by round-off; clip inside this band, error beyond.
 ARCSIN_CLIP_TOL = 1e-9
-# Refuse to solve when the 1-norm condition estimate exceeds this.
+# Refuse to solve when the condition estimate exceeds this: LAPACK's 1-norm
+# estimate in prefix_mse, its copy-reduced bound in lmmse.
 CONDITION_LIMIT = 1e12
 # Tolerance for trace cancellation round-off before the MSE is clamped at zero.
 MSE_ROUNDOFF_TOL = 1e-9
@@ -70,8 +89,10 @@ class CovarianceBundle:
 
     ``c_x`` is the assembled (n_analog + n_quantized) auto-covariance and
     ``c_theta_x`` the cross-covariance of the parameter with x.  The other
-    fields are views of the blocks of these two arrays, so writing into
-    ``c_x`` or ``c_theta_x`` changes them too.
+    array fields are views of the blocks of these two arrays, so writing
+    into ``c_x`` or ``c_theta_x`` changes them too.  ``period`` is the row
+    count p of the block that the quantized rows repeat, n_q // p times;
+    p = n_q claims no repetition.
     """
 
     c_xa: np.ndarray
@@ -81,11 +102,17 @@ class CovarianceBundle:
     c_theta_xq: np.ndarray
     c_x: np.ndarray
     c_theta_x: np.ndarray
+    period: int
 
 
 @dataclass(eq=False)
 class LmmseFilter:
-    """Linear estimator matrix with its analytic MSE and conditioning info."""
+    """Linear estimator matrix with its analytic MSE and conditioning info.
+
+    ``condition`` bounds the condition number of C_x from the copy-reduced
+    factorization (see the module docstring); with no repeated quantized
+    block it is the 1-norm condition estimate of C_x.
+    """
 
     w: np.ndarray
     mse: float
@@ -98,10 +125,17 @@ class LmmseFilter:
 
 
 def _gram_plus_diag(b: np.ndarray, sigma: np.ndarray, var: float) -> np.ndarray:
-    """B sigma B^H + var * I without materializing a dense identity."""
-    out = (b @ sigma) @ b.conj().T
-    idx = np.arange(out.shape[0])
-    out[idx, idx] += var
+    """B sigma B^H + var * I without materializing a dense identity.
+
+    Finite but extreme inputs can overflow; a non-finite entry raises
+    :class:`NumericalDomainError`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (b @ sigma) @ b.conj().T
+        idx = np.arange(out.shape[0])
+        out[idx, idx] += var
+    if not np.isfinite(out).all():
+        raise NumericalDomainError("covariance overflowed to a non-finite value")
     return out
 
 
@@ -248,6 +282,7 @@ def assemble(model: MixedModel) -> CovarianceBundle:
         c_theta_xq=c_theta_x[:, na:],
         c_x=c_x,
         c_theta_x=c_theta_x,
+        period=p,
     )
 
 
@@ -263,7 +298,7 @@ def check_dense_rows(n: int) -> None:
 
 
 def _checked_condition(rcond: float, info: int) -> float:
-    """1-norm condition estimate from a LAPACK ``*con`` result, refused above ``CONDITION_LIMIT``."""
+    """Condition ``1 / rcond`` from a LAPACK ``*con`` result, refused above ``CONDITION_LIMIT``."""
     if info != 0:
         raise EstimatorUndefinedError("condition estimation failed", condition=float("inf"))
     condition = float(1.0 / rcond) if rcond > 0 else float("inf")
@@ -275,6 +310,15 @@ def _checked_condition(rcond: float, info: int) -> float:
     return condition
 
 
+def _one_norm(c: np.ndarray) -> float:
+    """1-norm of ``c``; one that overflows is refused like a singular matrix."""
+    with np.errstate(over="ignore"):
+        anorm = np.linalg.norm(c, 1)
+    if not np.isfinite(anorm):
+        raise EstimatorUndefinedError("measurement covariance 1-norm overflowed", condition=float("inf"))
+    return anorm
+
+
 def _clamped_mse(mse: np.ndarray) -> np.ndarray:
     """``mse`` clamped at zero; a value below ``-MSE_ROUNDOFF_TOL`` is an error."""
     low = np.min(mse)
@@ -284,43 +328,82 @@ def _clamped_mse(mse: np.ndarray) -> np.ndarray:
 
 
 def lmmse(model: MixedModel) -> LmmseFilter:
-    """LMMSE filter and its analytic MSE via a pivoted linear solve."""
+    """LMMSE filter and its analytic MSE via a pivoted solve of the copy-reduced system.
+
+    Only the n_a + p rows of C~ are factored (see the module docstring);
+    ``condition`` is the bound max(|C~|_1, max D) * max(est |inv(C~)|_1,
+    1 / min D) and a value above ``CONDITION_LIMIT`` is refused.
+    """
     check_dense_rows(model.n_analog + model.n_quantized)
     bundle = assemble(model)
     return lmmse_from_bundle(model, bundle)
 
 
+def _copy_reduced(bundle: CovarianceBundle, na: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """C~, the cross-covariance [C_theta_xa, sqrt(k) C_theta_q1] and D of the k-copy bundle."""
+    p = bundle.period
+    root_k = np.sqrt(k)
+    c = np.empty((na + p, na + p), dtype=np.complex128)
+    c[:na, :na] = bundle.c_xa
+    c[:na, na:] = root_k * bundle.c_xa_xq[:, :p]
+    c[na:, :na] = c[:na, na:].conj().T
+    c[na:, na:] = bundle.c_xq[:p, :p]
+    c_theta = np.concatenate([bundle.c_theta_xa, root_k * bundle.c_theta_xq[:, :p]], axis=1)
+    d = np.zeros(0)
+    if k > 1:
+        a2 = bundle.c_xq[:p, p : 2 * p]
+        c[na:, na:] += (k - 1) * a2
+        d = (bundle.c_xq[:p, :p] - a2).diagonal().real
+    return c, c_theta, d
+
+
 def lmmse_from_bundle(model: MixedModel, bundle: CovarianceBundle) -> LmmseFilter:
-    """Same as :func:`lmmse` for a pre-assembled covariance bundle."""
-    c_x = bundle.c_x
-    c_theta_x = bundle.c_theta_x
+    """Same as :func:`lmmse` for a pre-assembled covariance bundle.
+
+    Factors the (n_a + p)-row C~ built from the bundle's blocks, p being
+    ``bundle.period``, and gives every copy of the quantized block the
+    filter columns of the scaled copy sum.
+    """
+    na, nq = model.n_analog, model.n_quantized
     prior_trace = float(np.trace(model.sigma_theta).real)
-    n = c_x.shape[0]
+    n = na + nq
     if n == 0:
         # No measurements: the estimator is empty and the MSE is the prior trace.
         return LmmseFilter(w=np.zeros((model.m, 0), dtype=np.complex128), mse=prior_trace, condition=1.0)
 
-    anorm = np.linalg.norm(c_x, 1)
+    p = bundle.period
+    k = nq // p if p else 0
+    c, c_theta, d = _copy_reduced(bundle, na, k)
+    anorm = _one_norm(c)
     try:
         with warnings.catch_warnings():
             # Exact singularity is detected from the factors right below.
             warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(c_x)
+            lu, piv = lu_factor(c)
     except np.linalg.LinAlgError as exc:
         raise EstimatorUndefinedError(
             "measurement covariance is singular", condition=float("inf")
         ) from exc
-    if not np.all(np.isfinite(np.diag(lu))) or np.any(np.diag(lu) == 0):
+    if not np.all(np.isfinite(np.diag(lu))) or np.any(np.diag(lu) == 0) or not np.all(d > 0):
         raise EstimatorUndefinedError(
             "measurement covariance is singular", condition=float("inf")
         )
-    condition = _checked_condition(*lapack.zgecon(lu, anorm, norm="1"))
+    rcond, info = lapack.zgecon(lu, anorm, norm="1")
+    # 1 / rcond = |C~|_1 * est |inv(C~)|_1.  The bound widens each factor to
+    # cover D; both widenings are exactly 1.0 when D is empty (k <= 1).
+    widen_norm = max(1.0, d.max(initial=0.0) / anorm)
+    widen_inverse = max(1.0, rcond * anorm * (1.0 / d).max(initial=0.0))
+    condition = _checked_condition(rcond / (widen_norm * widen_inverse), info)
 
-    # Solve C_x X = C_theta_x^H; then w = X^H and the reduction term is
-    # trace(C_theta_x @ X).
-    x = lu_solve((lu, piv), c_theta_x.conj().T)
-    mse = prior_trace - float(np.trace(c_theta_x @ x).real)
-    return LmmseFilter(w=x.conj().T, mse=float(_clamped_mse(mse)), condition=condition)
+    # Solve C~ X = C~_theta^H; then the reduction term is trace(C~_theta @ X),
+    # and w = X^H with the copy-sum rows of X spread over the k copies.
+    x = lu_solve((lu, piv), c_theta.conj().T)
+    mse = prior_trace - float(np.trace(c_theta @ x).real)
+    x_full = np.empty((n, model.m), dtype=np.complex128, order="F")
+    x_full[:na] = x[:na]
+    # The reshape splits the row axis of a view, so it writes into x_full.
+    x_full[na:].reshape(k, p, model.m)[...] = x[na:] / np.sqrt(max(k, 1))
+    return LmmseFilter(w=x_full.conj().T, mse=float(_clamped_mse(mse)), condition=condition)
 
 
 def prefix_mse(model: MixedModel) -> np.ndarray:
@@ -337,7 +420,7 @@ def prefix_mse(model: MixedModel) -> np.ndarray:
     check_dense_rows(model.n_analog + model.n_quantized)
     bundle = assemble(model)
     c_x = bundle.c_x
-    anorm = np.linalg.norm(c_x, 1)
+    anorm = _one_norm(c_x)
     chol, info = lapack.zpotrf(c_x, lower=1)
     if info != 0 or not np.all(np.isfinite(np.diag(chol))):
         raise EstimatorUndefinedError("measurement covariance is singular", condition=float("inf"))

@@ -30,8 +30,10 @@ class NumericalDomainError(MixedResError):
 class EstimatorUndefinedError(MixedResError):
     """Measurement covariance is singular or too ill-conditioned to solve.
 
-    Carries the 1-norm condition estimate (``math.inf`` when the
-    factorization failed outright).
+    Carries the condition figure the solver refused (``math.inf`` when the
+    factorization failed outright): LAPACK's 1-norm estimate for the
+    prefix scan, and for ``lmmse`` a bound on the condition number of C_x
+    from its copy-reduced factorization.
     """
 
     def __init__(self, message: str, condition: float | None = None):

@@ -134,7 +134,9 @@ def quantize_bbit(z, spec: QuantizerSpec):
         k = np.clip(k, 0, nlev - 1)
         return spec.lo + (k + 0.5) * step
 
-    out = component(z.real) + 1j * component(z.imag)
+    # A tiny step can overflow the bin index to +-inf, which the clip saturates.
+    with np.errstate(over="ignore"):
+        out = component(z.real) + 1j * component(z.imag)
     return out if out.ndim else complex(out)
 
 

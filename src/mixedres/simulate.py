@@ -30,7 +30,7 @@ from .allocation import (
     na_range,
 )
 from .closed_form import mse_grid
-from .exceptions import InstanceTooLargeError, ModelError, require_finite
+from .exceptions import InstanceTooLargeError, ModelError, NumericalDomainError, require_finite
 from .estimator import LmmseFilter, check_dense_rows
 from .model import (
     MixedModel,
@@ -49,6 +49,9 @@ DEFAULT_ANALOG_QUANTIZER = QuantizerSpec(bits=6, lo=-5.0, hi=5.0)
 # batch array then takes at most 1 GiB, and the default batch of 8192 trials
 # admits every model the dense solver accepts.
 MAX_BATCH_ELEMENTS = 8192 * 8192
+# Most trials in one run: the largest count that the float64 mean and
+# variance divide by exactly.
+MAX_TRIALS = 2**53
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,10 @@ def check_batch_size(rows: int, cfg: SimConfig, m: int) -> None:
 
     A batch holds rows x min(``batch_size``, ``trials``) values; the mixing
     matrices and the filter of an m-dimensional parameter hold rows x m.
+    More than ``MAX_TRIALS`` trials are refused too.
     """
+    if cfg.trials > MAX_TRIALS:
+        raise InstanceTooLargeError(f"{cfg.trials} trials exceed the limit of {MAX_TRIALS}")
     batch = min(cfg.batch_size, cfg.trials)
     if rows * batch > MAX_BATCH_ELEMENTS:
         raise InstanceTooLargeError(
@@ -129,8 +135,11 @@ def _run_batch(model: MixedModel, filt: LmmseFilter, cfg: SimConfig, batch: int,
         x_a = quantize_bbit(x_a, cfg.analog_quantizer)
     n_a = model.n_analog
     err = filt.w[:, :n_a] @ x_a + filt.w[:, n_a:] @ x_q - theta
-    per_trial = (err.real**2 + err.imag**2).sum(axis=0)
-    return float(per_trial.sum()), float((per_trial**2).sum())
+    # An extreme quantizer range can overflow the squares; run_monte_carlo
+    # refuses the non-finite result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_trial = (err.real**2 + err.imag**2).sum(axis=0)
+        return float(per_trial.sum()), float((per_trial**2).sum())
 
 
 def run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> SimResult:
@@ -144,13 +153,10 @@ def run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> Sim
     if filt.w.shape != (model.m, model.n_analog + model.n_quantized):
         raise ModelError("filter shape does not match the model")
     check_batch_size(model.n_analog + model.n_quantized, cfg, model.m)
-    n_batches = math.ceil(cfg.trials / cfg.batch_size)
-    counts = [
-        min(cfg.batch_size, cfg.trials - b * cfg.batch_size) for b in range(n_batches)
-    ]
+    n_batches = -(-cfg.trials // cfg.batch_size)
 
     def job(b):
-        return _run_batch(model, filt, cfg, b, counts[b])
+        return _run_batch(model, filt, cfg, b, min(cfg.batch_size, cfg.trials - b * cfg.batch_size))
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
@@ -162,6 +168,8 @@ def run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> Sim
     total = math.fsum(p[0] for p in partials)
     total_sq = math.fsum(p[1] for p in partials)
     t = cfg.trials
+    if not math.isfinite(total_sq):
+        raise NumericalDomainError("the squared estimation error overflowed to a non-finite value")
     mean = total / t
     var = max(total_sq - t * mean**2, 0.0) / (t - 1) if t > 1 else 0.0
     return SimResult(

@@ -10,20 +10,29 @@ one-``lmmse``-per-point loop that the prefix-scan search replaced; its sums
 run in another order, so it agrees to a tolerance.  ``reference_assemble``
 keeps the dense covariance assembly over all n_q quantized rows that the
 one-period assembly replaced; its Gram runs over other rows, so it too
-agrees to a tolerance.
+agrees to a tolerance.  ``reference_lmmse`` keeps the pivoted LU on all n
+rows of the assembled C_x that the copy-reduced solve replaced; it agrees
+to a tolerance, and bit for bit when the quantized rows do not repeat.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
+from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
 
 from mixedres.allocation import AllocationResult, DitherScheme, PowerBudget, max_nq, na_range
 from mixedres.closed_form import ClosedFormMse
 from mixedres.estimator import (
     CovarianceBundle,
+    LmmseFilter,
+    _checked_condition,
+    _clamped_mse,
+    assemble,
+    check_dense_rows,
     cov_analog,
     cov_pre_quantization,
     cov_quantized,
@@ -31,6 +40,7 @@ from mixedres.estimator import (
     cross_cov_theta_quantized,
     lmmse,
 )
+from mixedres.exceptions import EstimatorUndefinedError
 from mixedres.model import (
     INV_SQRT2,
     MixedModel,
@@ -276,4 +286,29 @@ def reference_assemble(model: MixedModel) -> CovarianceBundle:
         c_theta_xq=c_theta_xq,
         c_x=c_x,
         c_theta_x=c_theta_x,
+        period=nq,
     )
+
+
+def reference_lmmse(model: MixedModel) -> LmmseFilter:
+    """LMMSE filter from a pivoted LU of all n rows of the assembled C_x."""
+    check_dense_rows(model.n_analog + model.n_quantized)
+    bundle = assemble(model)
+    c_x = bundle.c_x
+    c_theta_x = bundle.c_theta_x
+    prior_trace = float(np.trace(model.sigma_theta).real)
+    if c_x.shape[0] == 0:
+        return LmmseFilter(w=np.zeros((model.m, 0), dtype=np.complex128), mse=prior_trace, condition=1.0)
+    anorm = np.linalg.norm(c_x, 1)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)
+            lu, piv = lu_factor(c_x)
+    except np.linalg.LinAlgError as exc:
+        raise EstimatorUndefinedError("measurement covariance is singular", condition=math.inf) from exc
+    if not np.all(np.isfinite(np.diag(lu))) or np.any(np.diag(lu) == 0):
+        raise EstimatorUndefinedError("measurement covariance is singular", condition=math.inf)
+    condition = _checked_condition(*lapack.zgecon(lu, anorm, norm="1"))
+    x = lu_solve((lu, piv), c_theta_x.conj().T)
+    mse = prior_trace - float(np.trace(c_theta_x @ x).real)
+    return LmmseFilter(w=x.conj().T, mse=float(_clamped_mse(mse)), condition=condition)

@@ -1,13 +1,21 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import csv
 import io
 import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mixedres.cli import main
 from mixedres.closed_form import filter_closed_form
@@ -346,6 +354,26 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert "exceeds" in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command", ["simulate", "mse"])
+    def test_huge_trial_count_exits_before_any_draw(self, tmp_path, command):
+        """A trial count above ``MAX_TRIALS`` exits 3 at once; before the
+        bound, listing the batch counts of 10**30 trials never finished."""
+        if command == "simulate":
+            cfg, argv = {**SIM_SCALAR, "filter": "closed", "trials": 10**30}, []
+        else:
+            cfg, argv = {**TestMseCommand.CFG, "empirical": {"trials": 10**30}}, ["--empirical"]
+        path = _write(tmp_path, f"{command}.yaml", cfg)
+        src = str(ROOT / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from mixedres.cli import main; sys.exit(main())",
+             command, "--config", path, *argv],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "exceed" in proc.stderr and "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("threads", ["0", "-2", "two"])
     def test_bad_threads_is_usage_error(self, tmp_path, capsys, threads):
         cfg = {"scenario": "scalar", "n_a": 1, "n_q": 1, "sigma2": 1.0, "trials": 100}
@@ -551,3 +579,125 @@ def test_shipped_configs_reproduce_golden_bytes(tmp_path, argv, golden):
     argv = [argv[0], "--config", str(ROOT / argv[2]), "--output", str(out)]
     assert main(argv) == 0
     assert out.read_bytes() == (ROOT / "tests" / "data" / golden).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("allocate", {"m": 2, "bits": 3, "n_a_max": 4, "sigma2": 1.0e308}),
+        ("mse", {**TestMseCommand.CFG, "sigma2_grid": [1.0e308], "allocations": [[1, 1]]}),
+        ("mse", {**MSE_MIMO, "rho": 1.0e308}),
+    ],
+    ids=["allocate-sigma2", "mse-sigma2_grid", "mse-mimo-rho"],
+)
+def test_closed_form_overflow_exits_numerical(tmp_path, capsys, command, cfg):
+    """Finite extremes that overflow the closed form exit 3 instead of printing NaN."""
+    path = _write(tmp_path, f"{command}.yaml", cfg)
+    assert main([command, "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err and "Traceback" not in captured.err
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+# Values a numeric config key may take: ordinary ones, finite extremes,
+# negative, fractional and non-finite values, and counts above every limit.
+EXTREME_VALUES = st.sampled_from(
+    [1.0e308, -1.0e308, 1.0e-320, -1.0, -3, 0, 0.0, 0.5, 2.5, math.nan, math.inf, -math.inf,
+     2**53 + 1, 2**63, 10**30]
+)
+SMALL_COUNTS = st.integers(min_value=0, max_value=4)
+SMALL_FLOATS = st.floats(min_value=0.05, max_value=4.0)
+
+
+def _with_extremes(draw, cfg):
+    """``cfg`` with up to two of its numeric values replaced by extreme ones."""
+    slots = []  # (container, key) of every numeric value, nested ones too
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            slots += [(value, inner) for inner, item in value.items() if not isinstance(item, str)]
+        elif isinstance(value, list):
+            slots += [(value, index) for index in range(len(value))]
+        elif not isinstance(value, str):
+            slots.append((cfg, key))
+    for index in draw(st.lists(st.integers(min_value=0, max_value=len(slots) - 1), max_size=2, unique=True)):
+        owner, key = slots[index]
+        owner[key] = draw(EXTREME_VALUES)
+    return cfg
+
+
+@st.composite
+def simulate_configs(draw):
+    scenario = draw(st.sampled_from(["scalar", "mimo"]))
+    cfg = {
+        "scenario": scenario,
+        "n_a": draw(SMALL_COUNTS),
+        "n_q": draw(SMALL_COUNTS),
+        "sigma2": draw(SMALL_FLOATS),
+        "trials": draw(st.integers(min_value=1, max_value=64)),
+        "filter": draw(st.sampled_from(["general", "closed"])),
+    }
+    if scenario == "mimo":
+        cfg["m"] = draw(st.integers(min_value=1, max_value=4))
+        cfg["rho"] = draw(SMALL_FLOATS)
+    if draw(st.booleans()):
+        cfg["batch_size"] = draw(st.integers(min_value=1, max_value=64))
+    if draw(st.booleans()):
+        cfg["analog_bits"] = draw(st.integers(min_value=1, max_value=8))
+        cfg["analog_range"] = [-5.0, 5.0]
+    return _with_extremes(draw, cfg)
+
+
+@st.composite
+def allocate_configs(draw):
+    cfg = {
+        "m": draw(st.integers(min_value=1, max_value=4)),
+        "bits": draw(st.integers(min_value=1, max_value=6)),
+        "rho_a": draw(SMALL_FLOATS),
+        "rho_q": draw(SMALL_FLOATS),
+        "sigma2": draw(SMALL_FLOATS),
+    }
+    if draw(st.booleans()):
+        cfg["n_a_max"] = draw(SMALL_COUNTS)
+    else:
+        cfg["p_max_norm"] = draw(st.floats(min_value=1.0, max_value=200.0))
+    if draw(st.booleans()):
+        cfg["dither"] = {"mode": "quantized-only", "grid_max": 1.0, "grid_step": 0.25}
+    return _with_extremes(draw, cfg)
+
+
+class TestExitCodeContract:
+    """Every config ends in exit 0, 2 or 3, with no traceback, and exit 0
+    prints JSON with no NaN or Infinity token.
+
+    ``main`` runs in process, so an exception it lets through fails the
+    test, and so does an overflow or invalid-value ``RuntimeWarning``,
+    which this suite turns into an error.
+    """
+
+    def _run(self, command, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"{command}.yaml"
+            path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(path)])
+        assert code in (0, 2, 3), (cfg, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+        else:
+            assert out.getvalue() == ""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(simulate_configs())
+    def test_simulate(self, cfg):
+        self._run("simulate", cfg)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(allocate_configs())
+    def test_allocate(self, cfg):
+        self._run("allocate", cfg)

@@ -5,18 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixedres import estimator
 from mixedres.closed_form import mse_closed_form
 from mixedres.estimator import MAX_DENSE_ROWS, assemble, estimate, lmmse, prefix_mse
 from mixedres.exceptions import EstimatorUndefinedError, InstanceTooLargeError, ModelError
 from mixedres.model import (
     MixedModel,
+    OrthoBlockParams,
     RngStream,
     make_ortho_model,
     make_scalar_model,
     sample_measurements,
     sample_parameter,
 )
-from oracles import random_ortho_params
+from oracles import random_ortho_params, reference_lmmse
 
 
 class TestKnownScalarValues:
@@ -168,3 +170,105 @@ class TestDenseRowLimit:
         monkeypatch.setattr(estimator, "assemble", no_assembly)
         with pytest.raises(InstanceTooLargeError, match=str(MAX_DENSE_ROWS)):
             solver(make_scalar_model(MAX_DENSE_ROWS, 1, 1.0))
+
+
+@st.composite
+def copy_models(draw):
+    """General models (any H, any prior) whose G is k >= 2 copies of one block, or untiled."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    m = draw(st.integers(min_value=1, max_value=4))
+    p = draw(st.integers(min_value=1, max_value=4))
+    n_a = draw(st.integers(min_value=0, max_value=12))
+    tiled = draw(st.booleans())
+    k = draw(st.integers(min_value=2, max_value=30)) if tiled else draw(st.integers(min_value=0, max_value=8))
+    if n_a + p * k == 0:
+        n_a = 1
+
+    def cplx(rows, cols):
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+    g = np.tile(cplx(p, m), (k, 1)) if tiled else cplx(p * k, m)
+    root = cplx(m, m)
+    variance = st.floats(min_value=0.05, max_value=5.0)
+    dither = st.one_of(st.just(0.0), variance)
+    return MixedModel(
+        h=cplx(n_a, m),
+        g=g,
+        sigma_theta=root @ root.conj().T + 0.1 * np.eye(m),
+        var_a=draw(variance),
+        var_q=draw(variance),
+        var_da=draw(dither),
+        var_dq=draw(dither),
+    )
+
+
+class TestCopyReducedSolve:
+    """``lmmse`` factors only n_a + p rows; the full-matrix LU is the reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(copy_models())
+    def test_matches_the_full_matrix_solve(self, model):
+        try:
+            ref = reference_lmmse(model)
+        except EstimatorUndefinedError:
+            return
+        try:
+            got = lmmse(model)
+        except EstimatorUndefinedError:
+            # The two guards bound different quantities; a refusal is fine
+            # only where the full-matrix estimate is not far inside the limit.
+            assert ref.condition > 1e-4 * estimator.CONDITION_LIMIT
+            return
+        assert abs(got.mse - ref.mse) <= 1e-12 * model.m
+        assert got.w.shape == ref.w.shape
+        if ref.w.size:
+            assert np.max(np.abs(got.w - ref.w)) <= 1e-10 * np.max(np.abs(ref.w))
+        if assemble(model).period in (0, model.n_quantized):
+            assert got.mse == ref.mse
+            assert got.condition == ref.condition
+            np.testing.assert_array_equal(got.w, ref.w)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            make_scalar_model(0, 3, 0.0),
+            make_scalar_model(1, 3, 0.0),
+            make_ortho_model(OrthoBlockParams(m=2, n_a=1, n_q=3, var_q=0.0), RngStream(4)),
+        ],
+        ids=["scalar-quantized", "scalar-mixed", "ortho"],
+    )
+    def test_zero_noise_copies_refused_by_both_routes(self, model):
+        with pytest.raises(EstimatorUndefinedError):
+            reference_lmmse(model)
+        with pytest.raises(EstimatorUndefinedError):
+            lmmse(model)
+
+    def test_condition_bound_covers_the_copy_differences(self):
+        """A strong analog row and nearly noiseless copies: C~ alone has a
+        condition near 1e6, but the copy differences have variance D near
+        1e-7 (var_q = 1e-14) or 1e-5 (var_q = 1e-10), which the bound must
+        count as the full-matrix estimate does."""
+
+        def model(var_q):
+            return MixedModel(h=np.array([[1e3]]), g=np.ones((3, 1)), sigma_theta=np.eye(1), var_a=1e6, var_q=var_q)
+
+        for solve in (reference_lmmse, lmmse):
+            with pytest.raises(EstimatorUndefinedError):
+                solve(model(1e-14))
+        ref, got = reference_lmmse(model(1e-10)), lmmse(model(1e-10))
+        assert 0.5 * ref.condition < got.condition < 2.0 * ref.condition
+
+    def test_factors_no_more_than_the_reduced_rows(self, monkeypatch):
+        shapes = []
+        real_lu_factor = estimator.lu_factor
+
+        def recording_lu_factor(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_lu_factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(estimator, "lu_factor", recording_lu_factor)
+        model = make_ortho_model(OrthoBlockParams(m=3, n_a=2, n_q=20), RngStream(2))
+        filt = lmmse(model)
+        p = assemble(model).period
+        assert shapes and all(rows <= model.n_analog + p for rows, _ in shapes)
+        assert filt.w.shape == (3, model.n_analog + model.n_quantized)
