@@ -60,12 +60,14 @@ from .model import (
     OrthoBlockParams,
     QuantizerSpec,
     RngStream,
+    block_period,
     make_mimo_model,
     make_ortho_matrices,
     make_ortho_model,
     make_scalar_model,
     quantize_1bit,
     quantize_bbit,
+    sample_copy_sums,
     sample_measurements,
     sample_parameter,
 )

@@ -68,7 +68,7 @@ from .exceptions import (
     ModelError,
     NumericalDomainError,
 )
-from .model import MixedModel
+from .model import MixedModel, block_period
 
 # Pearson ratios may drift past 1 by round-off; clip inside this band, error beyond.
 ARCSIN_CLIP_TOL = 1e-9
@@ -124,6 +124,22 @@ class LmmseFilter:
 # ---------------------------------------------------------------------------
 
 
+def _make_hermitian(c: np.ndarray) -> None:
+    """Replace the square ``c`` in place by its Hermitian part (c + c^H) / 2.
+
+    A general matrix product or an elementwise map of a Hermitian matrix
+    leaves its two triangles differing by round-off, so a solver that reads
+    one triangle and one that reads both would see different matrices.
+    Entry (i, j) becomes c_ij / 2 + conj(c_ji / 2), which is the exact
+    conjugate of entry (j, i) because addition commutes, and the diagonal
+    is real.  Halving first keeps a finite ``c`` finite; it can move a
+    subnormal entry by half the smallest subnormal, an error the product
+    that formed it already carries.
+    """
+    c *= 0.5
+    c += c.conj().T
+
+
 def _gram_plus_diag(b: np.ndarray, sigma: np.ndarray, var: float) -> np.ndarray:
     """B sigma B^H + var * I without materializing a dense identity.
 
@@ -140,8 +156,10 @@ def _gram_plus_diag(b: np.ndarray, sigma: np.ndarray, var: float) -> np.ndarray:
 
 
 def cov_analog(model: MixedModel) -> np.ndarray:
-    """Auto-covariance of the analog measurements (noise plus dither)."""
-    return _gram_plus_diag(model.h, model.sigma_theta, model.var_a_total)
+    """Auto-covariance of the analog measurements (noise plus dither), exactly Hermitian."""
+    c = _gram_plus_diag(model.h, model.sigma_theta, model.var_a_total)
+    _make_hermitian(c)
+    return c
 
 
 def cov_pre_quantization(model: MixedModel) -> np.ndarray:
@@ -164,6 +182,7 @@ def cov_quantized(c_y: np.ndarray, scale: np.ndarray | None = None) -> np.ndarra
     Applies elementwise (2/pi) * [arcsin(Re r) + j*arcsin(Im r)] to the
     Pearson-normalized matrix r = D^{-1/2} C_y D^{-1/2}, D = diag(C_y).
     ``scale`` is the diagonal of D^{-1/2} when the caller already has it.
+    The result is exactly Hermitian.
     """
     c_y = np.asarray(c_y, dtype=np.complex128)
     if c_y.shape[0] == 0:
@@ -184,6 +203,7 @@ def cov_quantized(c_y: np.ndarray, scale: np.ndarray | None = None) -> np.ndarra
     else:
         im = np.arcsin(r.imag if max_im <= 1.0 else np.clip(r.imag, -1.0, 1.0))
     c_xq = (2.0 / np.pi) * (re + 1j * im)
+    _make_hermitian(c_xq)
     # The quantizer output has unit modulus, so the diagonal is exactly one.
     np.fill_diagonal(c_xq, 1.0)
     return c_xq
@@ -211,24 +231,6 @@ def cross_cov_analog_quantized(model: MixedModel, c_y: np.ndarray, scale: np.nda
     return np.sqrt(2.0 / np.pi) * (model.h @ model.sigma_theta @ model.g.conj().T) * s[None, :]
 
 
-def _block_period(g: np.ndarray) -> int:
-    """Smallest p with ``g == tile(g[:p], n // p)`` by exact row equality, n = len(g).
-
-    A G with no shorter period gives p = n, and no rows give 0.  Only a row
-    equal to row 0 can start a second copy, so one comparison of every row
-    with row 0 rules out most candidates; for a tiled G the first candidate
-    that divides n is usually the period.
-    """
-    n = g.shape[0]
-    if n < 2:
-        return n
-    starts_copy = (g[1:] == g[0]).all(axis=1).tolist()
-    for p in range(1, n // 2 + 1):
-        if starts_copy[p - 1] and n % p == 0 and (g[p:] == g[:-p]).all():
-            return p
-    return n
-
-
 def _with_quantized_rows(model: MixedModel, g: np.ndarray) -> MixedModel:
     """``model`` with quantized rows ``g``, which are rows of ``model.g``, without validating again."""
     out = object.__new__(MixedModel)
@@ -243,13 +245,15 @@ def assemble(model: MixedModel) -> CovarianceBundle:
     block period (k = 1 when G does not repeat).  The stage functions run
     once, on the first min(k, 2) * p rows of G: [g1; g1] when G repeats.
     The arcsine map of those rows holds the same-copy block A1 (top left,
-    unit diagonal) and the cross-copy block A2 (top right).  C_xq is A2 on
-    every block but the k diagonal ones, which hold A1, and the Bussgang
-    columns of g1 repeat k times.  Everything is written straight into one
-    c_x and one c_theta_x; the bundle's block fields are views of them.
+    unit diagonal) and the cross-copy block A2 (top right, replaced by its
+    Hermitian part, since two copies are exchangeable).
+    C_xq is A2 on every block but the k diagonal ones, which hold A1, and
+    the Bussgang columns of g1 repeat k times.  Everything is written
+    straight into one c_x and one c_theta_x; the bundle's block fields are
+    views of them.  c_x is exactly Hermitian, with a real diagonal.
     """
     na, nq, m = model.n_analog, model.n_quantized, model.m
-    p = _block_period(model.g)
+    p = block_period(model.g)
     k = nq // p if p else 0
     block = _with_quantized_rows(model, model.g[: min(k, 2) * p])
     c_xa = cov_analog(model)
@@ -271,7 +275,11 @@ def assemble(model: MixedModel) -> CovarianceBundle:
         c_theta_x[:, na:].reshape(m, k, p)[...] = c_theta_xq1[:, None, :]
         blocks = c_x[na:, na:].reshape(k, p, k, p)
         if k > 1:
-            blocks[...] = a[None, :p, None, p:]
+            # Two copies are exchangeable, so A2 is Hermitian; making it so
+            # exactly keeps c_x exactly Hermitian.
+            a2 = a[:p, p:].copy()
+            _make_hermitian(a2)
+            blocks[...] = a2[None, :, None, :]
         # einsum returns a writeable view of the k diagonal blocks.
         np.einsum("ijik->ijk", blocks)[...] = a[:p, :p]
     return CovarianceBundle(

@@ -14,6 +14,17 @@ complex Gaussian.  ``w_da`` and ``w_dq`` are optional dither terms added
 before acquisition/quantization.  The convention throughout the package is
 that a scalar CN(0, v) variable has independent real and imaginary parts of
 variance v/2 each.
+
+Two samplers draw from the model.  :func:`sample_measurements` realizes
+every row: noise, then the sign.  :func:`sample_copy_sums` draws only what a
+filter that treats the copies of a repeated block alike can see: the sum of
+the copies.  Given theta, each 1-bit output of a row with mean mu is +1 with
+probability Phi(mu / sqrt(v/2)) per real and imaginary part, independently
+of the other rows, so the sum of k copies of a row is a binomial count,
+drawn as k uniforms compared with that probability (k = 1 for a row that
+does not repeat).  The sum of k_a analog copies is k_a H1 theta plus one
+noise draw of variance k_a v.  Both sums have exactly the distribution of
+the sums of the realized rows.
 """
 
 from __future__ import annotations
@@ -302,10 +313,25 @@ def _add_complex_normal(out: np.ndarray, g: np.random.Generator, var: float) -> 
     """
     if var == 0.0:
         return
+    _add_planar_normal(out, g, np.sqrt(var / 2.0))
+
+
+def _add_planar_normal(out: np.ndarray, g: np.random.Generator, std: float) -> None:
+    """Add ``std`` times one planar (2,) + shape standard-normal block to ``out`` in place."""
     z = g.standard_normal((2,) + out.shape)
-    z *= np.sqrt(var / 2.0)
+    z *= std
     out.real += z[0]
     out.imag += z[1]
+
+
+def _part_std(var: float, var_d: float) -> float:
+    """Standard deviation of each real part of CN(0, var) + CN(0, var_d).
+
+    sqrt(var + var_d) can overflow for two finite variances; the hypot of
+    the square roots cannot, and stays positive for the smallest subnormal,
+    where sqrt(var / 2) underflows to 0.
+    """
+    return float(np.hypot(np.sqrt(var), np.sqrt(var_d))) * INV_SQRT2
 
 
 def sample_measurements(model: MixedModel, theta: np.ndarray, rng: RngStream):
@@ -332,6 +358,101 @@ def sample_measurements(model: MixedModel, theta: np.ndarray, rng: RngStream):
     _add_complex_normal(y, g, model.var_dq)
     x_q = quantize_1bit(y) if y.size else y
     return x_a, x_q
+
+
+def block_period(rows: np.ndarray) -> int:
+    """Smallest p with ``rows == tile(rows[:p], n // p)`` by exact row equality, n = len(rows).
+
+    Rows without a shorter period give p = n, and no rows give 0.  Only a
+    row equal to row 0 can start a second copy, so one comparison of every
+    row with row 0 rules out most candidates; for tiled rows the first
+    candidate that divides n is usually the period.
+    """
+    n = rows.shape[0]
+    if n < 2:
+        return n
+    starts_copy = (rows[1:] == rows[0]).all(axis=1).tolist()
+    for p in range(1, n // 2 + 1):
+        if starts_copy[p - 1] and n % p == 0 and (rows[p:] == rows[:-p]).all():
+            return p
+    return n
+
+
+def _copies(n: int, period: int, name: str) -> int:
+    """Number of copies of a ``period``-row block in ``n`` rows; 0 for no rows."""
+    if n == 0 and period == 0:
+        return 0
+    if not 1 <= period <= n or n % period:
+        raise ModelError(f"{name} period {period} does not divide {n} rows")
+    return n // period
+
+
+def sample_copy_sums(
+    model: MixedModel,
+    theta: np.ndarray,
+    rng: RngStream,
+    analog_period: int,
+    quantized_period: int,
+):
+    """Draw the copy sums (s_a, s_q) of one realization of the measurement model.
+
+    The analog rows must be k_a copies of their first ``analog_period`` rows
+    and the quantized rows k copies of their first ``quantized_period`` rows,
+    as :func:`block_period` finds them; a period equal to the row count
+    claims no repetition.  ``s_a`` (``analog_period`` rows) and ``s_q``
+    (``quantized_period`` rows) are the sums over the copies of x_a and x_q,
+    with the same distribution as summing the rows that
+    :func:`sample_measurements` draws, but from other draws of ``rng``:
+
+    1. one CN(0, k_a * var_a_total) block added to k_a * H[:p_a] theta;
+    2. one uniform block of shape (k, 2, p, t): copy j of row i counts +1
+       in its real (imaginary) part when its uniform is below
+       Phi(mu / sqrt(v/2)), mu being the real (imaginary) part of
+       G[:p] theta and v = var_q_total, so each part of s_q is
+       (2 * count - k) / sqrt(2).  Rows that do not repeat (k = 1) take
+       the same path: one Bernoulli per row.
+
+    A zero variance draws nothing: the analog sum is then k_a * H[:p_a]
+    theta and the quantized sum k * quantize_1bit(G[:p] theta).
+    """
+    theta = np.asarray(theta, dtype=np.complex128)
+    if theta.shape[0] != model.m:
+        raise ModelError(f"theta has leading dimension {theta.shape[0]}, expected {model.m}")
+    k_a = _copies(model.n_analog, analog_period, "analog")
+    k = _copies(model.n_quantized, quantized_period, "quantized")
+    g = rng.generator()
+
+    s_a = model.h[:analog_period] @ theta
+    std_a = _part_std(model.var_a, model.var_da)
+    # An extreme model can overflow the sum; run_monte_carlo refuses the non-finite result.
+    with np.errstate(over="ignore"):
+        if k_a > 1:
+            s_a *= k_a
+        if std_a:
+            _add_planar_normal(s_a, g, std_a * np.sqrt(k_a))
+
+    mu = model.g[:quantized_period] @ theta
+    if not mu.size:
+        return s_a, mu
+    sigma = _part_std(model.var_q, model.var_dq)
+    if sigma == 0.0:
+        return s_a, k * quantize_1bit(mu)
+    if not np.isfinite(mu).all():
+        raise QuantizerDomainError("1-bit quantizer requires finite input")
+    # Imported here: scipy.special adds about 50 ms to every import of the CLI.
+    from scipy.special import ndtr
+
+    with np.errstate(over="ignore"):
+        # A ratio that overflows to +-inf has probability exactly 1 or 0.
+        prob = ndtr(np.stack([mu.real, mu.imag]) / sigma)
+    # Summing the comparison's bytes in the narrowest type that holds k is
+    # about 15x faster than np.count_nonzero along an axis.
+    counts = (g.random((k,) + prob.shape) < prob).view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(k))
+    parts = (2.0 * counts - k) * INV_SQRT2
+    s_q = np.empty(mu.shape, dtype=np.complex128)
+    s_q.real = parts[0]
+    s_q.imag = parts[1]
+    return s_a, s_q
 
 
 # ---------------------------------------------------------------------------

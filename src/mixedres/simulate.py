@@ -5,6 +5,16 @@ random stream, and per-batch sums are reduced in batch order with exact
 summation, so results are bit-identical for any worker count.  The analog
 path can optionally be passed through a b-bit quantizer to emulate a
 finite-resolution ADC instead of ideal analog acquisition.
+
+A batch draws copy sums, not rows.  When the quantized rows of the model
+and the filter's columns for them both repeat with period p (the
+``block_period`` of [G | W_q^T]), the filter gives every copy the same
+columns, so W_q x_q = W_q1 (q_1 + ... + q_k) and only the p-row copy sum
+is drawn (:func:`~mixedres.model.sample_copy_sums`).  The analog rows work
+the same way with [H | W_a^T], except under b-bit emulation, which must
+quantize every copy, so the analog period is then n_a.  Rows without
+repetition are one copy of themselves (k = 1) and take the same path: one
+Bernoulli per quantized row and one analog noise block.
 """
 
 from __future__ import annotations
@@ -37,9 +47,10 @@ from .model import (
     OrthoBlockParams,
     QuantizerSpec,
     RngStream,
+    block_period,
     make_ortho_matrices,
     quantize_bbit,
-    sample_measurements,
+    sample_copy_sums,
     sample_parameter,
 )
 
@@ -128,13 +139,28 @@ def check_batch_size(rows: int, cfg: SimConfig, m: int) -> None:
         raise InstanceTooLargeError(f"a model of {rows} rows x m = {m} exceeds {MAX_BATCH_ELEMENTS} values")
 
 
-def _run_batch(model: MixedModel, filt: LmmseFilter, cfg: SimConfig, batch: int, count: int):
-    theta = sample_parameter(model.sigma_theta, RngStream(cfg.rng_seed, 2 * batch), size=count)
-    x_a, x_q = sample_measurements(model, theta, RngStream(cfg.rng_seed, 2 * batch + 1))
-    if cfg.analog_quantizer is not None and x_a.size:
-        x_a = quantize_bbit(x_a, cfg.analog_quantizer)
+def _copy_periods(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> tuple[int, int]:
+    """(analog, quantized) periods of the rows and filter columns, as :func:`_run_batch` uses them.
+
+    The quantized period is the ``block_period`` of [G | W_q^T] and the
+    analog one that of [H | W_a^T], or n_a under b-bit emulation.
+    """
     n_a = model.n_analog
-    err = filt.w[:, :n_a] @ x_a + filt.w[:, n_a:] @ x_q - theta
+    w_t = filt.w.T
+    p_q = block_period(np.concatenate([model.g, w_t[n_a:]], axis=1))
+    if cfg.analog_quantizer is not None:
+        return n_a, p_q
+    return block_period(np.concatenate([model.h, w_t[:n_a]], axis=1)), p_q
+
+
+def _run_batch(model: MixedModel, filt: LmmseFilter, cfg: SimConfig, batch: int, count: int, periods: tuple[int, int]):
+    p_a, p_q = periods
+    theta = sample_parameter(model.sigma_theta, RngStream(cfg.rng_seed, 2 * batch), size=count)
+    s_a, s_q = sample_copy_sums(model, theta, RngStream(cfg.rng_seed, 2 * batch + 1), p_a, p_q)
+    if cfg.analog_quantizer is not None and s_a.size:
+        s_a = quantize_bbit(s_a, cfg.analog_quantizer)
+    n_a = model.n_analog
+    err = filt.w[:, :p_a] @ s_a + filt.w[:, n_a : n_a + p_q] @ s_q - theta
     # An extreme quantizer range can overflow the squares; run_monte_carlo
     # refuses the non-finite result.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -145,18 +171,19 @@ def _run_batch(model: MixedModel, filt: LmmseFilter, cfg: SimConfig, batch: int,
 def run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> SimResult:
     """Estimate the empirical MSE of a filter by seeded Monte-Carlo trials.
 
-    Per trial: draw the parameter and measurements, apply the filter, and
-    accumulate the squared estimation error.  The standard error is the
-    sample standard deviation of the per-trial squared error divided by
-    sqrt(trials).
+    Per trial: draw the parameter and the copy sums of the measurements
+    (see the module docstring), apply the filter, and accumulate the
+    squared estimation error.  The standard error is the sample standard
+    deviation of the per-trial squared error divided by sqrt(trials).
     """
     if filt.w.shape != (model.m, model.n_analog + model.n_quantized):
         raise ModelError("filter shape does not match the model")
     check_batch_size(model.n_analog + model.n_quantized, cfg, model.m)
     n_batches = -(-cfg.trials // cfg.batch_size)
+    periods = _copy_periods(model, filt, cfg)
 
     def job(b):
-        return _run_batch(model, filt, cfg, b, min(cfg.batch_size, cfg.trials - b * cfg.batch_size))
+        return _run_batch(model, filt, cfg, b, min(cfg.batch_size, cfg.trials - b * cfg.batch_size), periods)
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:

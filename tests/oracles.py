@@ -13,6 +13,10 @@ one-period assembly replaced; its Gram runs over other rows, so it too
 agrees to a tolerance.  ``reference_lmmse`` keeps the pivoted LU on all n
 rows of the assembled C_x that the copy-reduced solve replaced; it agrees
 to a tolerance, and bit for bit when the quantized rows do not repeat.
+``reference_run_monte_carlo`` keeps the Monte-Carlo batch that realizes
+every measurement row with :func:`sample_measurements`, which the copy-sum
+sampler replaced; the two draw from other random streams, so they agree
+within their standard errors.
 """
 
 from __future__ import annotations
@@ -46,9 +50,11 @@ from mixedres.model import (
     MixedModel,
     OrthoBlockParams,
     RngStream,
+    quantize_bbit,
     sample_measurements,
     sample_parameter,
 )
+from mixedres.simulate import SimConfig, SimResult
 
 DEFAULT_BATCH = 16384
 
@@ -312,3 +318,23 @@ def reference_lmmse(model: MixedModel) -> LmmseFilter:
     x = lu_solve((lu, piv), c_theta_x.conj().T)
     mse = prior_trace - float(np.trace(c_theta_x @ x).real)
     return LmmseFilter(w=x.conj().T, mse=float(_clamped_mse(mse)), condition=condition)
+
+
+def reference_run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> SimResult:
+    """Monte Carlo that draws every measurement row, one batch after another."""
+    n_a = model.n_analog
+    total = total_sq = 0.0
+    for b in range(math.ceil(cfg.trials / cfg.batch_size)):
+        count = min(cfg.batch_size, cfg.trials - b * cfg.batch_size)
+        theta = sample_parameter(model.sigma_theta, RngStream(cfg.rng_seed, 2 * b), size=count)
+        x_a, x_q = sample_measurements(model, theta, RngStream(cfg.rng_seed, 2 * b + 1))
+        if cfg.analog_quantizer is not None and x_a.size:
+            x_a = quantize_bbit(x_a, cfg.analog_quantizer)
+        err = filt.w[:, :n_a] @ x_a + filt.w[:, n_a:] @ x_q - theta
+        per_trial = (err.real**2 + err.imag**2).sum(axis=0)
+        total += float(per_trial.sum())
+        total_sq += float((per_trial**2).sum())
+    t = cfg.trials
+    mean = total / t
+    var = max(total_sq - t * mean**2, 0.0) / (t - 1) if t > 1 else 0.0
+    return SimResult(empirical_mse=mean, std_error=math.sqrt(var / t), analytic_mse=filt.mse, trials_run=t)

@@ -669,6 +669,48 @@ def allocate_configs(draw):
     return _with_extremes(draw, cfg)
 
 
+@st.composite
+def mse_configs(draw):
+    scenario = draw(st.sampled_from(["scalar", "mimo"]))
+    cfg = {
+        "scenario": scenario,
+        "sigma2_grid": draw(st.lists(SMALL_FLOATS, min_size=1, max_size=3)),
+        "allocations": draw(st.lists(st.lists(SMALL_COUNTS, min_size=2, max_size=2), min_size=1, max_size=2)),
+        "format": "json",
+        "empirical": {"trials": draw(st.integers(min_value=1, max_value=64))},
+    }
+    if scenario == "mimo":
+        cfg["m"] = draw(st.integers(min_value=1, max_value=4))
+        cfg["rho"] = draw(SMALL_FLOATS)
+    if draw(st.booleans()):
+        cfg["empirical"]["batch_size"] = draw(st.integers(min_value=1, max_value=64))
+    if draw(st.booleans()):
+        cfg["empirical"]["analog_bits"] = draw(st.integers(min_value=1, max_value=8))
+        cfg["empirical"]["analog_range"] = [-5.0, 5.0]
+    return _with_extremes(draw, cfg)
+
+
+@st.composite
+def dither_configs(draw):
+    cfg = {
+        "m": draw(st.integers(min_value=1, max_value=4)),
+        "bits": draw(st.integers(min_value=1, max_value=6)),
+        "rho_a": draw(SMALL_FLOATS),
+        "rho_q": draw(SMALL_FLOATS),
+        "sigma2": draw(SMALL_FLOATS),
+        "dither": {
+            "mode": draw(st.sampled_from(["quantized-only", "both", "none"])),
+            "grid_max": draw(st.floats(min_value=0.1, max_value=2.0)),
+            "grid_step": draw(st.floats(min_value=0.05, max_value=0.5)),
+        },
+    }
+    if draw(st.booleans()):
+        cfg["n_a_max"] = draw(SMALL_COUNTS)
+    else:
+        cfg["p_max_norm"] = draw(st.floats(min_value=1.0, max_value=200.0))
+    return _with_extremes(draw, cfg)
+
+
 class TestExitCodeContract:
     """Every config ends in exit 0, 2 or 3, with no traceback, and exit 0
     prints JSON with no NaN or Infinity token.
@@ -678,19 +720,20 @@ class TestExitCodeContract:
     which this suite turns into an error.
     """
 
-    def _run(self, command, cfg):
+    def _run(self, command, cfg, *flags):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / f"{command}.yaml"
             path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([command, "--config", str(path)])
+                code = main([command, "--config", str(path), *flags])
         assert code in (0, 2, 3), (cfg, err.getvalue())
         assert "Traceback" not in err.getvalue()
         if code == 0:
             json.loads(out.getvalue(), parse_constant=_reject_constant)
         else:
             assert out.getvalue() == ""
+        return code
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(simulate_configs())
@@ -701,3 +744,40 @@ class TestExitCodeContract:
     @given(allocate_configs())
     def test_allocate(self, cfg):
         self._run("allocate", cfg)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mse_configs(), st.booleans())
+    def test_mse(self, cfg, empirical):
+        self._run("mse", cfg, *(["--empirical"] if empirical else []))
+
+    @pytest.mark.parametrize("scenario", ["scalar", "mimo"])
+    @pytest.mark.parametrize("sigma2", [1.0e-320, 1.0e308])
+    def test_mse_empirical_at_extreme_noise(self, scenario, sigma2):
+        """The Monte-Carlo cells draw copy sums at a noise variance whose
+        sign-probability ratio overflows and at one near the float limit.
+        Mixed cells overflow the closed form at 1e308, so the cells are pure."""
+        cfg = {
+            "scenario": scenario, "sigma2_grid": [sigma2], "allocations": [[0, 3], [3, 0]],
+            "format": "json", "empirical": {"trials": 64},
+        }
+        if scenario == "mimo":
+            cfg.update(m=3, rho=1.0)
+        assert self._run("mse", cfg, "--empirical") == 0
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(dither_configs())
+    def test_dither(self, cfg):
+        self._run("dither", cfg)
+
+
+def test_importing_the_cli_leaves_scipy_special_unloaded():
+    """The copy-sum sampler imports scipy.special on first use; importing it
+    with the CLI would add tens of milliseconds to every command."""
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mixedres.cli; print('scipy.special' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

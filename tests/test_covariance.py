@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedres.estimator import (
-    _block_period,
     assemble,
     cov_analog,
     cov_pre_quantization,
@@ -20,6 +19,7 @@ from mixedres.model import (
     MixedModel,
     OrthoBlockParams,
     RngStream,
+    block_period as _block_period,
     make_ortho_model,
     make_scalar_model,
 )
@@ -52,6 +52,14 @@ class TestAnalogCovariance:
         c = cov_analog(_random_model(0))
         assert np.max(np.abs(c - c.conj().T)) <= 1e-10
         assert np.min(np.linalg.eigvalsh(c)) >= -1e-10
+
+    def test_symmetrizing_keeps_the_largest_finite_entries_finite(self):
+        """Entries near the float64 maximum survive the Hermitian averaging."""
+        model = MixedModel(
+            h=np.ones((2, 1)), g=np.ones((1, 1)), sigma_theta=np.array([[1e308]]),
+            var_a=0.0, var_q=1.0,
+        )
+        np.testing.assert_array_equal(cov_analog(model), np.full((2, 2), 1e308))
 
 
 class TestPreQuantizationCovariance:
@@ -265,6 +273,19 @@ class TestBlockAssembly:
         np.testing.assert_array_equal(bundle.c_x[na:, :na], bundle.c_x[:na, na:].conj().T)
         mse = lmmse_from_bundle(model, bundle).mse
         assert abs(mse - lmmse_from_bundle(model, ref).mse) <= 1e-12 * model.m
+
+    @settings(max_examples=200, deadline=None)
+    @given(quantized_layouts())
+    def test_c_x_is_exactly_hermitian(self, model):
+        """Both triangles of c_x are exact conjugates and the diagonal is
+        real, so a solver that reads one triangle sees the matrix that a
+        solver reading both does."""
+        c_x = assemble(model).c_x
+        np.testing.assert_array_equal(c_x, c_x.conj().T)
+        assert np.all(c_x.diagonal().imag == 0)
+        for c in (cov_analog(model), cov_quantized(cov_pre_quantization(model))):
+            np.testing.assert_array_equal(c, c.conj().T)
+            assert np.all(c.diagonal().imag == 0)
 
     def test_solve_leaves_the_bundle_intact(self):
         """The block fields are views of c_x and c_theta_x, so the solve must not factor in place."""

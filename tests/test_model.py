@@ -7,8 +7,9 @@ import pytest
 
 from mixedres.closed_form import mse_closed_form
 from mixedres.estimator import lmmse
-from mixedres.exceptions import ModelError, SingularPriorError
+from mixedres.exceptions import ModelError, QuantizerDomainError, SingularPriorError
 from mixedres.model import (
+    INV_SQRT2,
     MixedModel,
     OrthoBlockParams,
     RngStream,
@@ -17,6 +18,7 @@ from mixedres.model import (
     make_ortho_matrices,
     make_scalar_model,
     quantize_1bit,
+    sample_copy_sums,
     sample_measurements,
     sample_parameter,
 )
@@ -217,6 +219,143 @@ class TestSampleMeasurements:
         xa2, xq2 = sample_measurements(model, theta, RngStream(51))
         np.testing.assert_array_equal(xa1, xa2)
         np.testing.assert_array_equal(xq1, xq2)
+
+
+class _OneGenerator:
+    """An RngStream stand-in that hands out one generator, so the draws it has left can be inspected."""
+
+    def __init__(self):
+        self.g = RngStream(8).generator()
+
+    def generator(self):
+        return self.g
+
+
+def _tiled_model(seed, m, p_a, k_a, p, k, var_a=0.8, var_q=1.1, var_da=0.0, var_dq=0.0):
+    """Random complex model whose H is k_a copies of p_a rows and G is k copies of p rows."""
+    rng = np.random.default_rng(seed)
+
+    def cplx(rows, cols):
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+    root = cplx(m, m)
+    return MixedModel(
+        h=np.tile(cplx(p_a, m), (k_a, 1)),
+        g=np.tile(cplx(p, m), (k, 1)),
+        sigma_theta=root @ root.conj().T / m + 0.5 * np.eye(m),
+        var_a=var_a, var_q=var_q, var_da=var_da, var_dq=var_dq,
+    )
+
+
+def _mean_and_variance(x):
+    """Per-row mean and variance of the real and imaginary parts of ``x``, with their standard errors."""
+    parts = np.stack([x.real, x.imag])
+    t = parts.shape[-1]
+    mean = parts.mean(axis=-1)
+    dev = parts - mean[..., None]
+    var = (dev**2).mean(axis=-1)
+    fourth = (dev**4).mean(axis=-1)
+    return mean, var, np.sqrt(var / t), np.sqrt(np.maximum(fourth - var**2, 0.0) / t)
+
+
+class TestSampleCopySums:
+    TRIALS = 20_000
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("dither", [False, True])
+    def test_sums_match_summed_rows(self, seed, dither):
+        """For a fixed theta, every part of each copy sum has the mean and
+        variance of the sum of the k rows that sample_measurements draws."""
+        rng = np.random.default_rng(100 + seed)
+        m, p_a, p = (int(v) for v in rng.integers(1, 4, size=3))
+        k_a, k = (int(v) for v in rng.integers(1, 7, size=2))
+        model = _tiled_model(
+            seed, m, p_a, k_a, p, k,
+            var_da=0.3 if dither else 0.0, var_dq=0.6 if dither else 0.0,
+        )
+        theta = np.repeat(sample_parameter(model.sigma_theta, RngStream(seed, 1))[:, None], self.TRIALS, axis=1)
+        s_a, s_q = sample_copy_sums(model, theta, RngStream(seed, 2), p_a, p)
+        x_a, x_q = sample_measurements(model, theta, RngStream(seed, 3))
+        assert s_a.shape == (p_a, self.TRIALS) and s_q.shape == (p, self.TRIALS)
+        for got, rows, period in ((s_a, x_a, p_a), (s_q, x_q, p)):
+            want = rows.reshape(-1, period, self.TRIALS).sum(axis=0)
+            mean, var, se_mean, se_var = _mean_and_variance(got)
+            ref_mean, ref_var, ref_se_mean, ref_se_var = _mean_and_variance(want)
+            assert np.all(np.abs(mean - ref_mean) <= 4 * np.hypot(se_mean, ref_se_mean) + 1e-12)
+            assert np.all(np.abs(var - ref_var) <= 4 * np.hypot(se_var, ref_se_var) + 1e-12)
+
+    def test_quantized_sum_is_a_count_of_signs(self):
+        """Each part of s_q is (2 * count - k) / sqrt(2) for a count in 0..k."""
+        model = _tiled_model(7, 2, 1, 1, 3, 5)
+        theta = sample_parameter(model.sigma_theta, RngStream(7), size=200)
+        _, s_q = sample_copy_sums(model, theta, RngStream(8), 1, 3)
+        levels = (2.0 * np.arange(6) - 5) * INV_SQRT2
+        assert np.isin(s_q.view(np.float64), levels).all()
+
+    def test_zero_variance_draws_nothing(self):
+        """With no noise and no dither the sums are k_a H1 theta and
+        k quantize_1bit(G1 theta) exactly, and the stream is left untouched."""
+        model = _tiled_model(9, 3, 2, 3, 2, 4, var_a=0.0, var_q=0.0)
+        theta = sample_parameter(model.sigma_theta, RngStream(9), size=50)
+        stream = _OneGenerator()
+        s_a, s_q = sample_copy_sums(model, theta, stream, 2, 2)
+        assert s_a.tobytes() == (3 * (model.h[:2] @ theta)).tobytes()
+        assert s_q.tobytes() == (4 * quantize_1bit(model.g[:2] @ theta)).tobytes()
+        assert stream.g.bit_generator.state == RngStream(8).generator().bit_generator.state
+
+    def test_zero_quantized_variance_draws_only_the_analog_block(self):
+        model = _tiled_model(10, 2, 1, 2, 2, 3, var_a=0.5, var_q=0.0)
+        theta = sample_parameter(model.sigma_theta, RngStream(10), size=40)
+        stream = _OneGenerator()
+        s_a, s_q = sample_copy_sums(model, theta, stream, 1, 2)
+        g = RngStream(8).generator()
+        g.standard_normal((2, 1, 40))
+        assert stream.g.bit_generator.state == g.bit_generator.state
+        assert s_q.tobytes() == (3 * quantize_1bit(model.g[:2] @ theta)).tobytes()
+
+    def test_tiny_and_huge_variances(self):
+        """sigma^2 = 1e-320 makes mu / sigma overflow to +-inf, whose
+        probabilities are exactly 1 or 0; 1e308 stays finite."""
+        tiny = _tiled_model(12, 1, 1, 2, 1, 3, var_a=1e-320, var_q=1e-320)
+        theta = np.array([[1e200 + 1j * 1e200, -1e200 + 0.5j]])
+        _, s_q = sample_copy_sums(tiny, theta, RngStream(12), 1, 1)
+        assert s_q.tobytes() == (3 * quantize_1bit(tiny.g[:1] @ theta)).tobytes()
+        huge = _tiled_model(12, 1, 1, 2, 1, 3, var_a=1e308, var_q=1e308)
+        s_a, s_q = sample_copy_sums(huge, theta, RngStream(13), 1, 1)
+        assert np.isfinite(s_a).all() and np.isfinite(s_q).all()
+
+    @pytest.mark.parametrize("copies", [1, 3])
+    def test_noise_and_dither_whose_sum_overflows(self, copies):
+        """var + var_d overflows to inf for var = var_d = 1e308, but each
+        path's scale stays finite, on a tiled model and an untiled one."""
+        model = _tiled_model(
+            15, 2, 2, copies, 3, copies, var_a=1e308, var_q=1e308, var_da=1e308, var_dq=1e308,
+        )
+        assert np.isinf(model.var_a_total) and np.isinf(model.var_q_total)
+        theta = sample_parameter(model.sigma_theta, RngStream(15), size=400)
+        s_a, s_q = sample_copy_sums(model, theta, RngStream(16), 2, 3)
+        assert np.isfinite(s_a).all()
+        # The noise swamps mu, so every sign is a fair coin.
+        levels = (2.0 * np.arange(copies + 1) - copies) * INV_SQRT2
+        assert np.isin(s_q.view(np.float64), levels).all()
+        assert abs(s_q.view(np.float64).mean()) < 4 * np.sqrt(copies / 2 / s_q.view(np.float64).size)
+
+    def test_non_finite_mean_is_refused(self):
+        model = _tiled_model(13, 1, 1, 1, 1, 2)
+        theta = np.array([[np.inf + 0j]])
+        with pytest.raises(QuantizerDomainError):
+            sample_copy_sums(model, theta, RngStream(0), 1, 1)
+
+    @pytest.mark.parametrize("periods", [(0, 2), (2, 0), (3, 2), (2, 3), (2, 8)])
+    def test_periods_must_divide_the_rows(self, periods):
+        model = _tiled_model(14, 1, 2, 2, 2, 2)
+        with pytest.raises(ModelError, match="period"):
+            sample_copy_sums(model, np.zeros((1, 3)), RngStream(0), *periods)
+
+    def test_dimension_mismatch(self):
+        model = make_scalar_model(1, 1, 1.0)
+        with pytest.raises(ModelError):
+            sample_copy_sums(model, np.zeros(3), RngStream(0), 1, 1)
 
 
 class TestOrthoMatrices:

@@ -6,19 +6,22 @@ import numpy as np
 import pytest
 
 from mixedres.allocation import DitherScheme, PowerBudget
-from mixedres.estimator import lmmse
+from mixedres.closed_form import filter_closed_form
+from mixedres.estimator import LmmseFilter, lmmse
 from mixedres.exceptions import InstanceTooLargeError, ModelError
-from mixedres.model import MixedModel, OrthoBlockParams, make_scalar_model
+from mixedres.model import MixedModel, OrthoBlockParams, RngStream, make_mimo_model, make_scalar_model
 from mixedres.simulate import (
     DEFAULT_ANALOG_QUANTIZER,
     MAX_BATCH_ELEMENTS,
     SimConfig,
+    _copy_periods,
     _timeit,
     bench_runtime,
     run_monte_carlo,
     sweep_allocation_vs_noise,
     sweep_mse_vs_noise,
 )
+from oracles import reference_run_monte_carlo
 
 
 class TestRunMonteCarlo:
@@ -102,7 +105,7 @@ class TestRunMonteCarlo:
 
     def test_std_error_definition(self):
         """std_error is the sample std of per-trial squared errors / sqrt(trials)."""
-        from mixedres.model import RngStream, sample_measurements, sample_parameter
+        from mixedres.model import RngStream, sample_copy_sums, sample_parameter
 
         model = make_scalar_model(1, 1, 1.0)
         filt = lmmse(model)
@@ -113,14 +116,127 @@ class TestRunMonteCarlo:
         for b in range((cfg.trials + 127) // 128):
             count = min(128, cfg.trials - b * 128)
             theta = sample_parameter(model.sigma_theta, RngStream(6, 2 * b), size=count)
-            x_a, x_q = sample_measurements(model, theta, RngStream(6, 2 * b + 1))
-            x = np.concatenate([x_a, x_q], axis=0)
+            # One analog and one quantized row: both periods are 1.
+            s_a, s_q = sample_copy_sums(model, theta, RngStream(6, 2 * b + 1), 1, 1)
+            x = np.concatenate([s_a, s_q], axis=0)
             errors.extend((np.abs(filt.w @ x - theta) ** 2).sum(axis=0))
         errors = np.asarray(errors)
         assert res.empirical_mse == pytest.approx(errors.mean(), rel=1e-12)
         assert res.std_error == pytest.approx(
             errors.std(ddof=1) / np.sqrt(cfg.trials), rel=1e-9
         )
+
+
+def _general_model(seed, m, n_a, g, var_da=0.0, var_dq=0.0):
+    rng = np.random.default_rng(seed)
+    root = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    return MixedModel(
+        h=rng.standard_normal((n_a, m)) + 1j * rng.standard_normal((n_a, m)),
+        g=g,
+        sigma_theta=root @ root.conj().T / m + 0.5 * np.eye(m),
+        var_a=0.9, var_q=0.6, var_da=var_da, var_dq=var_dq,
+    )
+
+
+def _mimo_closed(var_da=0.0, var_dq=0.0):
+    model = make_mimo_model(3, 2, 4, rho=1.2, var=0.7, rng=RngStream(5))
+    model = MixedModel(
+        h=model.h, g=model.g, sigma_theta=model.sigma_theta,
+        var_a=0.7, var_q=0.7, var_da=var_da, var_dq=var_dq,
+    )
+    params = OrthoBlockParams(m=3, n_a=2, n_q=4, rho_a=1.2, rho_q=1.2, var_a=0.7, var_q=0.7,
+                              var_da=var_da, var_dq=var_dq)
+    return model, filter_closed_form(params, model.h, model.g)
+
+
+def _tiled_general(dither):
+    rng = np.random.default_rng(21)
+    block = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    model = _general_model(22, 2, 3, np.tile(block, (3, 1)), *((0.4, 0.5) if dither else (0.0, 0.0)))
+    return model, lmmse(model)
+
+
+def _untiled_general(dither):
+    rng = np.random.default_rng(23)
+    model = _general_model(24, 2, 2, rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2)),
+                           *((0.4, 0.5) if dither else (0.0, 0.0)))
+    return model, lmmse(model)
+
+
+def _scalar_lmmse():
+    model = make_scalar_model(2, 5, 0.8)
+    return model, lmmse(model)
+
+
+# name -> (model and filter, analog quantizer, expected (analog, quantized) periods).
+# The LMMSE solve gives each analog row its own columns, which may differ by
+# round-off, so an LMMSE filter need not repeat over the analog copies.
+COPY_SUM_CASES = {
+    "scalar-lmmse": (_scalar_lmmse, None, (2, 1)),
+    "scalar-lmmse-bbit": (_scalar_lmmse, DEFAULT_ANALOG_QUANTIZER, (2, 1)),
+    "mimo-closed": (_mimo_closed, None, (3, 3)),
+    "mimo-closed-dither-bbit": (lambda: _mimo_closed(0.3, 0.5), DEFAULT_ANALOG_QUANTIZER, (6, 3)),
+    "tiled-lmmse": (lambda: _tiled_general(False), None, (3, 2)),
+    "tiled-lmmse-dither": (lambda: _tiled_general(True), None, (3, 2)),
+    "tiled-lmmse-dither-bbit": (lambda: _tiled_general(True), DEFAULT_ANALOG_QUANTIZER, (3, 2)),
+    "untiled-lmmse": (lambda: _untiled_general(False), None, (2, 5)),
+    "untiled-lmmse-dither-bbit": (lambda: _untiled_general(True), DEFAULT_ANALOG_QUANTIZER, (2, 5)),
+}
+
+
+class TestCopySums:
+    """The copy-sum batches against the batch that draws every row."""
+
+    TRIALS = 40_000
+
+    @pytest.mark.parametrize("case", sorted(COPY_SUM_CASES))
+    def test_agrees_with_every_row_reference(self, case):
+        build, quantizer, periods = COPY_SUM_CASES[case]
+        model, filt = build()
+        cfg = SimConfig(trials=self.TRIALS, rng_seed=31, analog_quantizer=quantizer)
+        assert _copy_periods(model, filt, cfg) == periods
+        got = run_monte_carlo(model, filt, cfg)
+        want = reference_run_monte_carlo(model, filt, cfg)
+        assert abs(got.empirical_mse - want.empirical_mse) <= 4 * np.hypot(got.std_error, want.std_error)
+        assert got.std_error == pytest.approx(want.std_error, rel=0.1)
+
+    def test_filter_with_differing_copy_columns_falls_back_to_one_copy(self):
+        """G repeats, but one copy's filter columns differ, so W_q x_q is not
+        W_q1 times the copy sum: the quantized period is then n_q."""
+        model, filt = _mimo_closed()
+        w = filt.w.copy()
+        w[:, 6 + 3 : 6 + 6] *= 1.25
+        skewed = LmmseFilter(w=w, mse=filt.mse, condition=filt.condition)
+        cfg = SimConfig(trials=self.TRIALS, rng_seed=32)
+        assert _copy_periods(model, skewed, cfg) == (3, 12)
+        got = run_monte_carlo(model, skewed, cfg)
+        want = reference_run_monte_carlo(model, skewed, cfg)
+        assert abs(got.empirical_mse - want.empirical_mse) <= 4 * np.hypot(got.std_error, want.std_error)
+
+    def test_batch_draws_no_normal_block_per_quantized_row(self, monkeypatch):
+        """A batch draws one normal block for theta and one for the analog
+        copy sum, and one uniform block of shape (k, 2, p, t); no normal
+        block spans the n_q quantized rows."""
+        calls = []
+        generator = RngStream.generator
+
+        class Recorder:
+            def __init__(self, g):
+                self.g = g
+
+            def __getattr__(self, name):
+                method = getattr(self.g, name)
+
+                def record(*args, **kwargs):
+                    calls.append((name, args[0] if args else kwargs.get("size")))
+                    return method(*args, **kwargs)
+
+                return record
+
+        model, filt = _mimo_closed()
+        monkeypatch.setattr(RngStream, "generator", lambda self: Recorder(generator(self)))
+        run_monte_carlo(model, filt, SimConfig(trials=100, rng_seed=33))
+        assert calls == [("standard_normal", (2, 3, 100)), ("standard_normal", (2, 3, 100)), ("random", (4, 2, 3, 100))]
 
 
 class TestSweepMseVsNoise:
