@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -62,10 +63,26 @@ EXIT_NUMERICAL = 3
 # ---------------------------------------------------------------------------
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, with floats also written without a dot or an exponent sign.
+
+    PyYAML resolves plain scalars by YAML 1.1, which takes ``1e-1``,
+    ``1.0e308`` and ``1E5`` for strings; YAML 1.2 and users read them as
+    floats, and so does this loader.
+    """
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, Loader=_ConfigLoader)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -11,14 +11,16 @@ the standard linear MMSE solution
 evaluated with a pivoted LU solve (never an explicit inverse) and guarded by
 a 1-norm condition bound.
 
-:func:`assemble` builds C_x and C_theta_x from one period of the quantized
-rows.  Every entry depends only on the two rows it pairs, and G is usually
-k copies of one p-row block g1 (every orthonormal-block and MIMO model is).
-So the arcsine map and the Bussgang terms of the two-copy rows [g1; g1]
-give every quantized entry: the same-copy block A1 on the k diagonal
-blocks of C_xq, the cross-copy block A2 on all others, and the Bussgang
-columns of g1 in every copy.  The Gram and arcsine work falls from
+:func:`assemble` returns the covariance blocks of one period of the
+quantized rows.  Every entry depends only on the two rows it pairs, and G
+is usually k copies of one p-row block g1 (every orthonormal-block and
+MIMO model is).  So the arcsine map and the Bussgang terms of the two-copy
+rows [g1; g1] give every quantized entry: the same-copy block A1 on the k
+diagonal blocks of C_xq, the cross-copy block A2 on all others, and the
+Bussgang columns of g1 in every copy.  The Gram and arcsine work falls from
 O(n_q^2) to O(p^2).  A G without a shorter period is its own block (k = 1).
+The bundle keeps those blocks; the dense C_x and C_theta_x are tiled from
+them only when read.
 
 :func:`lmmse` solves the copy-reduced system.  Copies of the block differ
 only by independent noise, so in C_x = [[C_xa, 1^T (x) C_aq1],
@@ -49,14 +51,17 @@ matrix-solve search runs one such scan per analog count, on all n rows.
 0.5000000000000001 instead of the exact 0.5 for the scalar pure-analog
 model.
 
-Both routes refuse models above ``MAX_DENSE_ROWS`` rows before any
-covariance is built, since :func:`assemble` still writes the n x n C_x.
+:func:`lmmse` never forms an n x n matrix: it builds C~ straight from the
+bundle's blocks.  :func:`prefix_mse` factors all n rows, so it reads the
+dense C_x, and with it every caller of ``allocation.direct_search``.  Both
+routes still refuse models above ``MAX_DENSE_ROWS`` rows before any
+covariance is built.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
@@ -78,31 +83,86 @@ CONDITION_LIMIT = 1e12
 # Tolerance for trace cancellation round-off before the MSE is clamped at zero.
 MSE_ROUNDOFF_TOL = 1e-9
 # Most rows a dense solve accepts.  A complex n x n matrix takes 16 n^2 bytes,
-# 1 GiB here, and assembly keeps a few of them alive; the largest model the
-# runtime-scaling benchmark solves has 6400 rows.
+# 1 GiB here, and prefix_mse keeps a few of them alive; the largest model the
+# runtime-scaling benchmark solves has 6400 rows.  lmmse writes no n x n
+# matrix but keeps the same limit.
 MAX_DENSE_ROWS = 8192
 
 
 @dataclass(eq=False)
 class CovarianceBundle:
-    """All covariance blocks of the stacked measurement vector x = [x_a; x_q].
+    """Covariance blocks of x = [x_a; x_q] over one period of the quantized rows.
 
-    ``c_x`` is the assembled (n_analog + n_quantized) auto-covariance and
-    ``c_theta_x`` the cross-covariance of the parameter with x.  The other
-    array fields are views of the blocks of these two arrays, so writing
-    into ``c_x`` or ``c_theta_x`` changes them too.  ``period`` is the row
-    count p of the block that the quantized rows repeat, n_q // p times;
-    p = n_q claims no repetition.
+    The quantized rows are ``copies`` (k) copies of one ``period``-row (p)
+    block; k = 1 claims no repetition and k = 0 means no quantized rows.
+    ``c_xa`` and ``c_theta_xa`` are the analog auto- and cross-covariance,
+    ``c_aq1`` and ``c_theta_q1`` the Bussgang blocks of one copy, ``a1``
+    the arcsine block of a copy with itself and ``a2`` the exactly Hermitian
+    block of two different copies (``None`` for k <= 1).
+
+    The dense ``c_x`` (n x n) and ``c_theta_x`` are tiled from these blocks
+    together, on the first read of either, and then kept; ``c_xq``,
+    ``c_xa_xq`` and ``c_theta_xq`` are views of them, so reading any of
+    those builds the dense matrix.  c_x is exactly Hermitian, with a real
+    diagonal.
     """
 
     c_xa: np.ndarray
-    c_xq: np.ndarray
-    c_xa_xq: np.ndarray
     c_theta_xa: np.ndarray
-    c_theta_xq: np.ndarray
-    c_x: np.ndarray
-    c_theta_x: np.ndarray
+    c_aq1: np.ndarray
+    c_theta_q1: np.ndarray
+    a1: np.ndarray
+    a2: np.ndarray | None
     period: int
+    copies: int
+
+    _dense: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
+
+    def _expand(self) -> tuple[np.ndarray, np.ndarray]:
+        """c_x and c_theta_x, tiled from the blocks on the first call and then kept."""
+        if self._dense is not None:
+            return self._dense
+        na, p, k = self.c_xa.shape[0], self.period, self.copies
+        m = self.c_theta_xa.shape[0]
+        n = na + k * p
+        c_x = np.empty((n, n), dtype=np.complex128)
+        c_theta_x = np.empty((m, n), dtype=np.complex128)
+        c_x[:na, :na] = self.c_xa
+        c_theta_x[:, :na] = self.c_theta_xa
+        if k:
+            # Each reshape splits an axis of a view, so it writes into c_x / c_theta_x.
+            c_x[:na, na:].reshape(na, k, p)[...] = self.c_aq1[:, None, :]
+            c_x[na:, :na].reshape(k, p, na)[...] = self.c_aq1.conj().T
+            c_theta_x[:, na:].reshape(m, k, p)[...] = self.c_theta_q1[:, None, :]
+            blocks = c_x[na:, na:].reshape(k, p, k, p)
+            if k > 1:
+                blocks[...] = self.a2[None, :, None, :]
+            # einsum returns a writeable view of the k diagonal blocks.
+            np.einsum("ijik->ijk", blocks)[...] = self.a1
+        self._dense = c_x, c_theta_x
+        return self._dense
+
+    @property
+    def c_x(self) -> np.ndarray:
+        return self._expand()[0]
+
+    @property
+    def c_theta_x(self) -> np.ndarray:
+        return self._expand()[1]
+
+    @property
+    def c_xq(self) -> np.ndarray:
+        na = self.c_xa.shape[0]
+        return self.c_x[na:, na:]
+
+    @property
+    def c_xa_xq(self) -> np.ndarray:
+        na = self.c_xa.shape[0]
+        return self.c_x[:na, na:]
+
+    @property
+    def c_theta_xq(self) -> np.ndarray:
+        return self.c_theta_x[:, self.c_xa.shape[0] :]
 
 
 @dataclass(eq=False)
@@ -239,20 +299,17 @@ def _with_quantized_rows(model: MixedModel, g: np.ndarray) -> MixedModel:
 
 
 def assemble(model: MixedModel) -> CovarianceBundle:
-    """Build the stacked matrices c_x and c_theta_x from one period of G.
+    """Covariance blocks of ``model`` from one period of G.
 
     G is k = n_q / p copies of its first p rows g1, p being its smallest
     block period (k = 1 when G does not repeat).  The stage functions run
     once, on the first min(k, 2) * p rows of G: [g1; g1] when G repeats.
     The arcsine map of those rows holds the same-copy block A1 (top left,
     unit diagonal) and the cross-copy block A2 (top right, replaced by its
-    Hermitian part, since two copies are exchangeable).
-    C_xq is A2 on every block but the k diagonal ones, which hold A1, and
-    the Bussgang columns of g1 repeat k times.  Everything is written
-    straight into one c_x and one c_theta_x; the bundle's block fields are
-    views of them.  c_x is exactly Hermitian, with a real diagonal.
+    Hermitian part, since two copies are exchangeable).  No n x n array is
+    written; see :class:`CovarianceBundle` for the dense view.
     """
-    na, nq, m = model.n_analog, model.n_quantized, model.m
+    nq = model.n_quantized
     p = block_period(model.g)
     k = nq // p if p else 0
     block = _with_quantized_rows(model, model.g[: min(k, 2) * p])
@@ -260,37 +317,21 @@ def assemble(model: MixedModel) -> CovarianceBundle:
     c_y = cov_pre_quantization(block)
     scale = _inv_sqrt_diag(c_y)
     a = cov_quantized(c_y, scale)
-    c_xa_xq1 = cross_cov_analog_quantized(block, c_y, scale)[:, :p]
-    c_theta_xq1 = cross_cov_theta_quantized(block, c_y, scale)[:, :p]
-
-    n = na + nq
-    c_x = np.empty((n, n), dtype=np.complex128)
-    c_theta_x = np.empty((m, n), dtype=np.complex128)
-    c_x[:na, :na] = c_xa
-    c_theta_x[:, :na] = model.sigma_theta @ model.h.conj().T
-    if k:
-        # Each reshape splits an axis of a view, so it writes into c_x / c_theta_x.
-        c_x[:na, na:].reshape(na, k, p)[...] = c_xa_xq1[:, None, :]
-        c_x[na:, :na].reshape(k, p, na)[...] = c_xa_xq1.conj().T
-        c_theta_x[:, na:].reshape(m, k, p)[...] = c_theta_xq1[:, None, :]
-        blocks = c_x[na:, na:].reshape(k, p, k, p)
-        if k > 1:
-            # Two copies are exchangeable, so A2 is Hermitian; making it so
-            # exactly keeps c_x exactly Hermitian.
-            a2 = a[:p, p:].copy()
-            _make_hermitian(a2)
-            blocks[...] = a2[None, :, None, :]
-        # einsum returns a writeable view of the k diagonal blocks.
-        np.einsum("ijik->ijk", blocks)[...] = a[:p, :p]
+    a2 = None
+    if k > 1:
+        # Two copies are exchangeable, so A2 is Hermitian; making it so
+        # exactly keeps C~ and the dense c_x Hermitian.
+        a2 = a[:p, p:].copy()
+        _make_hermitian(a2)
     return CovarianceBundle(
-        c_xa=c_x[:na, :na],
-        c_xq=c_x[na:, na:],
-        c_xa_xq=c_x[:na, na:],
-        c_theta_xa=c_theta_x[:, :na],
-        c_theta_xq=c_theta_x[:, na:],
-        c_x=c_x,
-        c_theta_x=c_theta_x,
+        c_xa=c_xa,
+        c_theta_xa=model.sigma_theta @ model.h.conj().T,
+        c_aq1=cross_cov_analog_quantized(block, c_y, scale)[:, :p],
+        c_theta_q1=cross_cov_theta_quantized(block, c_y, scale)[:, :p],
+        a1=a[:p, :p],
+        a2=a2,
         period=p,
+        copies=k,
     )
 
 
@@ -347,21 +388,20 @@ def lmmse(model: MixedModel) -> LmmseFilter:
     return lmmse_from_bundle(model, bundle)
 
 
-def _copy_reduced(bundle: CovarianceBundle, na: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _copy_reduced(bundle: CovarianceBundle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """C~, the cross-covariance [C_theta_xa, sqrt(k) C_theta_q1] and D of the k-copy bundle."""
-    p = bundle.period
+    na, p, k = bundle.c_xa.shape[0], bundle.period, bundle.copies
     root_k = np.sqrt(k)
     c = np.empty((na + p, na + p), dtype=np.complex128)
     c[:na, :na] = bundle.c_xa
-    c[:na, na:] = root_k * bundle.c_xa_xq[:, :p]
+    c[:na, na:] = root_k * bundle.c_aq1
     c[na:, :na] = c[:na, na:].conj().T
-    c[na:, na:] = bundle.c_xq[:p, :p]
-    c_theta = np.concatenate([bundle.c_theta_xa, root_k * bundle.c_theta_xq[:, :p]], axis=1)
+    c[na:, na:] = bundle.a1
+    c_theta = np.concatenate([bundle.c_theta_xa, root_k * bundle.c_theta_q1], axis=1)
     d = np.zeros(0)
     if k > 1:
-        a2 = bundle.c_xq[:p, p : 2 * p]
-        c[na:, na:] += (k - 1) * a2
-        d = (bundle.c_xq[:p, :p] - a2).diagonal().real
+        c[na:, na:] += (k - 1) * bundle.a2
+        d = (bundle.a1 - bundle.a2).diagonal().real
     return c, c_theta, d
 
 
@@ -370,7 +410,8 @@ def lmmse_from_bundle(model: MixedModel, bundle: CovarianceBundle) -> LmmseFilte
 
     Factors the (n_a + p)-row C~ built from the bundle's blocks, p being
     ``bundle.period``, and gives every copy of the quantized block the
-    filter columns of the scaled copy sum.
+    filter columns of the scaled copy sum.  It reads no dense field of the
+    bundle.
     """
     na, nq = model.n_analog, model.n_quantized
     prior_trace = float(np.trace(model.sigma_theta).real)
@@ -379,9 +420,8 @@ def lmmse_from_bundle(model: MixedModel, bundle: CovarianceBundle) -> LmmseFilte
         # No measurements: the estimator is empty and the MSE is the prior trace.
         return LmmseFilter(w=np.zeros((model.m, 0), dtype=np.complex128), mse=prior_trace, condition=1.0)
 
-    p = bundle.period
-    k = nq // p if p else 0
-    c, c_theta, d = _copy_reduced(bundle, na, k)
+    p, k = bundle.period, bundle.copies
+    c, c_theta, d = _copy_reduced(bundle)
     anorm = _one_norm(c)
     try:
         with warnings.catch_warnings():

@@ -33,6 +33,7 @@ from .allocation import (
     PowerBudget,
     allocate,
     argbest,
+    check_grid_size,
     direct_search,
     frontier,
     frontier_grid,
@@ -63,6 +64,9 @@ MAX_BATCH_ELEMENTS = 8192 * 8192
 # Most trials in one run: the largest count that the float64 mean and
 # variance divide by exactly.
 MAX_TRIALS = 2**53
+# Most measured or warm-up repetitions of one timed callable.  A closed-form
+# repetition lasts at least 10 ms, so one case stays under two minutes.
+MAX_REPEATS = 10_000
 
 
 @dataclass(frozen=True)
@@ -298,6 +302,13 @@ def sweep_allocation_vs_noise(
 # ---------------------------------------------------------------------------
 
 
+def _check_repeats(repeats: int, warmup: int) -> None:
+    if repeats < 1 or warmup < 0:
+        raise ModelError(f"need repeats >= 1 and warmup >= 0, got repeats={repeats}, warmup={warmup}")
+    if max(repeats, warmup) > MAX_REPEATS:
+        raise InstanceTooLargeError(f"{max(repeats, warmup)} repetitions exceed the limit of {MAX_REPEATS}")
+
+
 def _timeit(fns, repeats: int, warmup: int, warmup_fns=None, min_rep_time: float = 0.0) -> list[TimingStats]:
     """Median/best of ``repeats`` timed calls of each callable after ``warmup`` untimed ones.
 
@@ -307,8 +318,7 @@ def _timeit(fns, repeats: int, warmup: int, warmup_fns=None, min_rep_time: float
     callable is sampled over the same stretch of wall clock and a change in
     host speed shifts them all alike.
     """
-    if repeats < 1 or warmup < 0:
-        raise ModelError(f"need repeats >= 1 and warmup >= 0, got repeats={repeats}, warmup={warmup}")
+    _check_repeats(repeats, warmup)
     for warm in warmup_fns if warmup_fns is not None else fns:
         for _ in range(warmup):
             warm()
@@ -356,9 +366,14 @@ def bench_runtime(
     frontier and warms up on its cheapest point, the one with the most
     analog blocks; set ``direct_repeats`` to control its measured repetitions
     separately (large instances make full-sweep repetitions expensive).
-    A direct arm whose largest frontier model exceeds ``MAX_DENSE_ROWS``
-    rows is refused before anything is drawn or timed.
+    Repetition counts above ``MAX_REPEATS``, a frontier the closed-form
+    search would refuse, and a direct arm whose largest frontier model
+    exceeds ``MAX_DENSE_ROWS`` rows are refused before anything is drawn or
+    timed.
     """
+    _check_repeats(repeats, warmup)
+    if direct_repeats is not None:
+        _check_repeats(direct_repeats, warmup)
     cases = []
     for m in m_list:
         for n_a_max in n_a_max_list:
@@ -368,10 +383,11 @@ def bench_runtime(
                 var_a=float(sigma2), var_q=float(sigma2),
             )
             cases.append((m, n_a_max, budget, params))
-    if include_direct:
-        # The direct arm draws m x m blocks before its solver would check the
-        # row count, so refuse its largest frontier model (m rows or more) first.
-        for m, _, budget, _ in cases:
+    for m, _, budget, _ in cases:
+        check_grid_size(m, budget, DitherScheme(mode="none"))
+        if include_direct:
+            # The direct arm draws m x m blocks before its solver would check the
+            # row count, so refuse its largest frontier model (m rows or more) first.
             check_dense_rows(max(m * (n_a + n_q) for n_a, n_q in zip(*frontier(m, budget))))
     closed_stats = _timeit(
         [partial(allocate, params, budget) for _, _, budget, params in cases],

@@ -8,9 +8,9 @@ closed form and search loops that the array evaluator replaced, and the
 each pair to agree bit for bit.  ``reference_direct_search_mse`` keeps the
 one-``lmmse``-per-point loop that the prefix-scan search replaced; its sums
 run in another order, so it agrees to a tolerance.  ``reference_assemble``
-keeps the dense covariance assembly over all n_q quantized rows that the
-one-period assembly replaced; its Gram runs over other rows, so it too
-agrees to a tolerance.  ``reference_lmmse`` keeps the pivoted LU on all n
+keeps the covariance assembly over all n_q quantized rows that the
+one-period assembly replaced, as a bundle whose one copy is all n_q rows;
+its Gram runs over other rows, so it too agrees to a tolerance.  ``reference_lmmse`` keeps the pivoted LU on all n
 rows of the assembled C_x that the copy-reduced solve replaced; it agrees
 to a tolerance, and bit for bit when the quantized rows do not repeat.
 ``reference_run_monte_carlo`` keeps the Monte-Carlo batch that realizes
@@ -268,31 +268,18 @@ def reference_direct_search_mse(params_base: OrthoBlockParams, points, h_full, g
 
 
 def reference_assemble(model: MixedModel) -> CovarianceBundle:
-    """Every covariance block from all rows of the model, then the stacked c_x and c_theta_x."""
-    na, nq = model.n_analog, model.n_quantized
-    c_xa = cov_analog(model)
+    """Every covariance block from all rows of the model, as one copy of an n_q-row block."""
+    nq = model.n_quantized
     c_y = cov_pre_quantization(model)
-    c_xq = cov_quantized(c_y)
-    c_xa_xq = cross_cov_analog_quantized(model, c_y)
-    c_theta_xa = model.sigma_theta @ model.h.conj().T
-    c_theta_xq = cross_cov_theta_quantized(model, c_y)
-
-    n = na + nq
-    c_x = np.empty((n, n), dtype=np.complex128)
-    c_x[:na, :na] = c_xa
-    c_x[:na, na:] = c_xa_xq
-    c_x[na:, :na] = c_xa_xq.conj().T
-    c_x[na:, na:] = c_xq
-    c_theta_x = np.concatenate([c_theta_xa, c_theta_xq], axis=1)
     return CovarianceBundle(
-        c_xa=c_xa,
-        c_xq=c_xq,
-        c_xa_xq=c_xa_xq,
-        c_theta_xa=c_theta_xa,
-        c_theta_xq=c_theta_xq,
-        c_x=c_x,
-        c_theta_x=c_theta_x,
+        c_xa=cov_analog(model),
+        c_theta_xa=model.sigma_theta @ model.h.conj().T,
+        c_aq1=cross_cov_analog_quantized(model, c_y),
+        c_theta_q1=cross_cov_theta_quantized(model, c_y),
+        a1=cov_quantized(c_y),
+        a2=None,
         period=nq,
+        copies=min(nq, 1),
     )
 
 

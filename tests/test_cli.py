@@ -17,7 +17,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mixedres.cli import main
+from mixedres.cli import _load_config, main
 from mixedres.closed_form import filter_closed_form
 from mixedres.estimator import lmmse
 from mixedres.model import OrthoBlockParams, RngStream, make_mimo_model
@@ -558,6 +558,25 @@ class TestConfigHandling:
         path.write_text("- 1\n- 2\n", encoding="utf-8")
         assert main(["mse", "--config", str(path)]) == 2
 
+    def test_floats_without_a_dot_or_an_exponent_sign(self, tmp_path):
+        """YAML 1.1 reads ``1e-1`` as a string; the config loader reads the
+        float, so ``sigma2: 1e-1`` runs exactly as ``sigma2: 1.0e-1`` does."""
+        outputs = []
+        for text in ("1e-1", "1.0e-1"):
+            path = tmp_path / f"sim{len(outputs)}.yaml"
+            path.write_text(f"scenario: scalar\nn_a: 1\nn_q: 3\nsigma2: {text}\ntrials: 256\nseed: 2\n", encoding="utf-8")
+            out = tmp_path / f"sim{len(outputs)}.json"
+            assert main(["simulate", "--config", str(path), "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_exponent_forms_load_as_floats(self, tmp_path):
+        path = tmp_path / "floats.yaml"
+        path.write_text("a: 1.0e308\nb: 1E5\nc: -2.5e+3\nd: .5e1\ne: 10\nf: 1e\n", encoding="utf-8")
+        cfg = _load_config(str(path))
+        assert cfg == {"a": 1.0e308, "b": 1.0e5, "c": -2.5e3, "d": 5.0, "e": 10, "f": "1e"}
+        assert type(cfg["e"]) is int
+
     def test_wrong_type_named(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text("m: two\nbits: 3\np_max_norm: 10.0\nsigma2: 1.0\n", encoding="utf-8")
@@ -711,6 +730,24 @@ def dither_configs(draw):
     return _with_extremes(draw, cfg)
 
 
+@st.composite
+def bench_configs(draw):
+    small = st.integers(min_value=1, max_value=3)
+    cfg = {
+        "m_list": draw(st.lists(small, min_size=1, max_size=2)),
+        "n_a_max_list": draw(st.lists(small, min_size=1, max_size=2)),
+        "bits": draw(st.integers(min_value=1, max_value=4)),
+        "rho": draw(SMALL_FLOATS),
+        "sigma2": draw(SMALL_FLOATS),
+        "repeats": draw(st.integers(min_value=1, max_value=2)),
+        "warmup": draw(st.integers(min_value=0, max_value=1)),
+        "format": "json",
+    }
+    if draw(st.booleans()):
+        cfg["direct_repeats"] = draw(st.integers(min_value=1, max_value=2))
+    return _with_extremes(draw, cfg)
+
+
 class TestExitCodeContract:
     """Every config ends in exit 0, 2 or 3, with no traceback, and exit 0
     prints JSON with no NaN or Infinity token.
@@ -768,6 +805,17 @@ class TestExitCodeContract:
     @given(dither_configs())
     def test_dither(self, cfg):
         self._run("dither", cfg)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(bench_configs())
+    def test_bench(self, cfg):
+        self._run("bench", cfg)
+
+    @pytest.mark.parametrize("key", ["repeats", "direct_repeats", "warmup", "m_list", "n_a_max_list"])
+    def test_bench_refuses_over_limit_counts_before_timing(self, key):
+        cfg = {"m_list": [1], "n_a_max_list": [1], "repeats": 1, "warmup": 0, "format": "json"}
+        cfg[key] = [10**30] if key.endswith("_list") else 10**30
+        assert self._run("bench", cfg) == 3
 
 
 def test_importing_the_cli_leaves_scipy_special_unloaded():

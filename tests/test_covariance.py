@@ -262,13 +262,17 @@ class TestBlockAssembly:
                 bound = 1e-15 * np.max(np.abs(want)) * (arcsine_gain if name == "c_xq" else 1.0)
                 assert np.max(np.abs(got - want)) <= bound, name
         assert bundle.c_x.shape == ref.c_x.shape
-        for name in ("c_xa", "c_xq", "c_xa_xq"):
-            assert getattr(bundle, name).base is bundle.c_x, name
-        for name in ("c_theta_xa", "c_theta_xq"):
-            assert getattr(bundle, name).base is bundle.c_theta_x, name
+        # The one-period blocks are the blocks of the dense expansion.
+        p, k = bundle.period, bundle.copies
         np.testing.assert_array_equal(bundle.c_x[:na, :na], bundle.c_xa)
-        np.testing.assert_array_equal(bundle.c_x[:na, na:], bundle.c_xa_xq)
-        np.testing.assert_array_equal(bundle.c_x[na:, na:], bundle.c_xq)
+        np.testing.assert_array_equal(bundle.c_theta_x[:, :na], bundle.c_theta_xa)
+        for j in range(k):
+            cols = slice(na + j * p, na + (j + 1) * p)
+            np.testing.assert_array_equal(bundle.c_x[:na, cols], bundle.c_aq1)
+            np.testing.assert_array_equal(bundle.c_theta_x[:, cols], bundle.c_theta_q1)
+            for i in range(k):
+                rows = slice(na + i * p, na + (i + 1) * p)
+                np.testing.assert_array_equal(bundle.c_x[rows, cols], bundle.a1 if i == j else bundle.a2)
         assert np.all(np.diag(bundle.c_xq) == 1.0)
         np.testing.assert_array_equal(bundle.c_x[na:, :na], bundle.c_x[:na, na:].conj().T)
         mse = lmmse_from_bundle(model, bundle).mse
@@ -288,13 +292,14 @@ class TestBlockAssembly:
             assert np.all(c.diagonal().imag == 0)
 
     def test_solve_leaves_the_bundle_intact(self):
-        """The block fields are views of c_x and c_theta_x, so the solve must not factor in place."""
+        """The solve reads the bundle's blocks, so it must not factor them in place."""
         model = make_scalar_model(2, 3, 1.0)
         bundle = assemble(model)
-        before = bundle.c_x.copy(), bundle.c_theta_x.copy()
+        names = ("c_xa", "c_theta_xa", "c_aq1", "c_theta_q1", "a1", "a2")
+        before = {name: getattr(bundle, name).copy() for name in names}
         lmmse_from_bundle(model, bundle)
-        np.testing.assert_array_equal(bundle.c_x, before[0])
-        np.testing.assert_array_equal(bundle.c_theta_x, before[1])
+        for name in names:
+            np.testing.assert_array_equal(getattr(bundle, name), before[name], err_msg=name)
 
 
 class TestMonteCarloConsistency:

@@ -1,5 +1,7 @@
 """Tests for the matrix-solve LMMSE estimator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -272,3 +274,27 @@ class TestCopyReducedSolve:
         p = assemble(model).period
         assert shapes and all(rows <= model.n_analog + p for rows, _ in shapes)
         assert filt.w.shape == (3, model.n_analog + model.n_quantized)
+
+    def test_writes_no_dense_matrix(self, monkeypatch):
+        """On a 1920-row tiled model the call allocates less than one complex
+        n x n matrix at its peak, and the bundle's dense c_x stays unbuilt."""
+        bundles = []
+        real_assemble = estimator.assemble
+
+        def recording_assemble(model):
+            bundles.append(real_assemble(model))
+            return bundles[-1]
+
+        monkeypatch.setattr(estimator, "assemble", recording_assemble)
+        model = make_ortho_model(OrthoBlockParams(m=10, n_a=0, n_q=192), RngStream(5))
+        n = model.n_analog + model.n_quantized
+        assert n == 1920
+        tracemalloc.start()
+        try:
+            lmmse(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n**2
+        assert len(bundles) == 1
+        assert bundles[0]._dense is None
