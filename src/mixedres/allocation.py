@@ -34,6 +34,8 @@ from .model import MixedModel, OrthoBlockParams, RngStream, make_ortho_matrices
 # dozen of them alive at once, so this bounds memory near 0.2 GB.
 MAX_GRID_POINTS = 1_000_000
 
+# Most rows of the largest model the exhaustive reference solver builds.
+MAX_EXHAUSTIVE_ROWS = 2_000
 
 # Largest bit depth whose analog cost 2**bits is a finite double.
 MAX_BITS = sys.float_info.max_exp - 1
@@ -239,14 +241,13 @@ def allocate_exhaustive(
     budget: PowerBudget,
     rng: RngStream | None = None,
     max_pairs: int = 10_000,
-    max_rows: int = 2_000,
 ) -> AllocationResult:
     """Reference solver: scan every feasible pair with the matrix-solve MSE.
 
     Mixing matrices are drawn once at the largest feasible size and sliced,
     so all evaluated models share the same blocks.  Instances whose feasible
     grid exceeds ``max_pairs`` points or whose largest stacked measurement
-    vector exceeds ``max_rows`` rows are refused.
+    vector exceeds ``MAX_EXHAUSTIVE_ROWS`` rows are refused.
     """
     _require_clean_base(params_base)
     m = params_base.m
@@ -263,8 +264,8 @@ def allocate_exhaustive(
             raise InstanceTooLargeError(f"feasible grid has more than {max_pairs} pairs")
         counts.append((n_a, nq_max))
     n_rows = max(m * (n_a + nq_max) for n_a, nq_max in counts)
-    if n_rows > max_rows:
-        raise InstanceTooLargeError(f"largest model has {n_rows} rows (limit {max_rows})")
+    if n_rows > MAX_EXHAUSTIVE_ROWS:
+        raise InstanceTooLargeError(f"largest model has {n_rows} rows (limit {MAX_EXHAUSTIVE_ROWS})")
 
     # One quantized block suffices; each evaluated pair tiles it as needed.
     h_full, g_full = make_ortho_matrices(replace(params_base, n_a=counts[-1][0], n_q=1), rng)

@@ -101,10 +101,9 @@ class CovarianceBundle:
     block of two different copies (``None`` for k <= 1).
 
     The dense ``c_x`` (n x n) and ``c_theta_x`` are tiled from these blocks
-    together, on the first read of either, and then kept; ``c_xq``,
-    ``c_xa_xq`` and ``c_theta_xq`` are views of them, so reading any of
-    those builds the dense matrix.  c_x is exactly Hermitian, with a real
-    diagonal.
+    together, on the first read of either, and then kept; :func:`prefix_mse`
+    and perfbench's trace hook read them.  c_x is exactly Hermitian, with a
+    real diagonal.
     """
 
     c_xa: np.ndarray
@@ -149,20 +148,6 @@ class CovarianceBundle:
     @property
     def c_theta_x(self) -> np.ndarray:
         return self._expand()[1]
-
-    @property
-    def c_xq(self) -> np.ndarray:
-        na = self.c_xa.shape[0]
-        return self.c_x[na:, na:]
-
-    @property
-    def c_xa_xq(self) -> np.ndarray:
-        na = self.c_xa.shape[0]
-        return self.c_x[:na, na:]
-
-    @property
-    def c_theta_xq(self) -> np.ndarray:
-        return self.c_theta_x[:, self.c_xa.shape[0] :]
 
 
 @dataclass(eq=False)

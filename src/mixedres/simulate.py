@@ -1,8 +1,8 @@
 """Monte-Carlo validation harness, analytic sweeps, and runtime benchmarks.
 
-Trials are processed in fixed-size batches, each batch drawing from its own
-random stream, and per-batch sums are reduced in batch order with exact
-summation, so results are bit-identical for any worker count.  The analog
+Trials are processed in order in fixed-size batches, each batch drawing
+from its own random stream, and per-batch sums are reduced with exact
+summation, so a seed and a batch size fix the result bit for bit.  The analog
 path can optionally be passed through a b-bit quantizer to emulate a
 finite-resolution ADC instead of ideal analog acquisition.
 
@@ -22,13 +22,13 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from .allocation import (
+    MAX_GRID_POINTS,
     DitherScheme,
     PowerBudget,
     allocate,
@@ -82,13 +82,10 @@ class SimConfig:
     rng_seed: int = 0
     analog_quantizer: QuantizerSpec | None = None
     batch_size: int = 8192
-    workers: int = 1
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ModelError("trials must be >= 1")
-        if self.batch_size < 1 or self.workers < 1:
-            raise ModelError("batch_size and workers must be >= 1")
+        if self.trials < 1 or self.batch_size < 1:
+            raise ModelError("trials and batch_size must be >= 1")
 
 
 @dataclass
@@ -185,17 +182,12 @@ def run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> Sim
     check_batch_size(model.n_analog + model.n_quantized, cfg, model.m)
     n_batches = -(-cfg.trials // cfg.batch_size)
     periods = _copy_periods(model, filt, cfg)
-
-    def job(b):
-        return _run_batch(model, filt, cfg, b, min(cfg.batch_size, cfg.trials - b * cfg.batch_size), periods)
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            partials = list(pool.map(job, range(n_batches)))
-    else:
-        partials = [job(b) for b in range(n_batches)]
-
-    # Exact summation in batch order keeps the reduction partition-independent.
+    partials = [
+        _run_batch(model, filt, cfg, b, min(cfg.batch_size, cfg.trials - b * cfg.batch_size), periods)
+        for b in range(n_batches)
+    ]
+    # Exact summation of the batch sums: a plain sum rounds differently and
+    # would change the output bytes.
     total = math.fsum(p[0] for p in partials)
     total_sq = math.fsum(p[1] for p in partials)
     t = cfg.trials
@@ -231,10 +223,15 @@ def sweep_mse_vs_noise(
     """Closed-form MSE over a noise grid for fixed (n_a, n_q) allocations.
 
     The noise variance applies to both measurement paths.  Returns one row
-    per (sigma2, allocation) cell, noise-major.
+    per (sigma2, allocation) cell, noise-major.  More than
+    ``MAX_GRID_POINTS`` cells are refused before the grid is built.
     """
     levels = _noise_levels(sigma_grid)
     pairs = [(int(n_a), int(n_q)) for n_a, n_q in allocations]
+    if len(levels) * len(pairs) > MAX_GRID_POINTS:
+        raise InstanceTooLargeError(
+            f"{len(levels)} noise levels x {len(pairs)} allocations exceed {MAX_GRID_POINTS} grid points"
+        )
     if any(n_a < 0 or n_q < 0 for n_a, n_q in pairs):
         raise ModelError("block counts must be nonnegative")
     n_a = np.array([n_a for n_a, _ in pairs], dtype=np.float64)

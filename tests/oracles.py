@@ -13,6 +13,8 @@ one-period assembly replaced, as a bundle whose one copy is all n_q rows;
 its Gram runs over other rows, so it too agrees to a tolerance.  ``reference_lmmse`` keeps the pivoted LU on all n
 rows of the assembled C_x that the copy-reduced solve replaced; it agrees
 to a tolerance, and bit for bit when the quantized rows do not repeat.
+``dense_blocks`` names the quantized blocks of a bundle's dense
+expansion, which the bundle itself no longer exposes.
 ``reference_run_monte_carlo`` keeps the Monte-Carlo batch that realizes
 every measurement row with :func:`sample_measurements`, which the copy-sum
 sampler replaced; the two draw from other random streams, so they agree
@@ -265,6 +267,24 @@ def reference_direct_search_mse(params_base: OrthoBlockParams, points, h_full, g
         )
         out.append(lmmse(model).mse)
     return out
+
+
+def dense_blocks(bundle: CovarianceBundle) -> dict[str, np.ndarray]:
+    """The blocks of a bundle's dense C_x and C_theta_x, by name.
+
+    ``c_xq``, ``c_xa_xq`` and ``c_theta_xq`` are views into the dense
+    expansion; ``c_xa``, ``c_theta_xa`` and ``c_theta_x`` are the bundle's own.
+    """
+    na = bundle.c_xa.shape[0]
+    c_x, c_theta_x = bundle.c_x, bundle.c_theta_x
+    return {
+        "c_xa": bundle.c_xa,
+        "c_xq": c_x[na:, na:],
+        "c_xa_xq": c_x[:na, na:],
+        "c_theta_xa": bundle.c_theta_xa,
+        "c_theta_xq": c_theta_x[:, na:],
+        "c_theta_x": c_theta_x,
+    }
 
 
 def reference_assemble(model: MixedModel) -> CovarianceBundle:

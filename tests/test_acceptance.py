@@ -31,7 +31,7 @@ from mixedres.model import (
     make_scalar_model,
 )
 from mixedres.simulate import DEFAULT_ANALOG_QUANTIZER, SimConfig, bench_runtime, run_monte_carlo, sweep_allocation_vs_noise
-from oracles import assert_within_se, empirical_second_moments, log_uniform, random_ortho_params
+from oracles import assert_within_se, dense_blocks, empirical_second_moments, log_uniform, random_ortho_params
 
 
 @contextmanager
@@ -102,16 +102,16 @@ def test_criterion_3_covariance_oracles():
             var_q=1.2,
         )
         for model, seed in ((scalar, 3003), (general, 3004)):
-            bundle = assemble(model)
+            blocks = dense_blocks(assemble(model))
             moments = empirical_second_moments(
                 model, trials, seed=seed,
                 pairs=[("xa", "xa"), ("xq", "xq"), ("xa", "xq"), ("theta", "xq")],
             )
             for key, analytic in (
-                (("xa", "xa"), bundle.c_xa),
-                (("xq", "xq"), bundle.c_xq),
-                (("xa", "xq"), bundle.c_xa_xq),
-                (("theta", "xq"), bundle.c_theta_xq),
+                (("xa", "xa"), blocks["c_xa"]),
+                (("xq", "xq"), blocks["c_xq"]),
+                (("xa", "xq"), blocks["c_xa_xq"]),
+                (("theta", "xq"), blocks["c_theta_xq"]),
             ):
                 mean, se_re, se_im = moments[key]
                 assert_within_se(mean, analytic, se_re, se_im, n_se=3.0)

@@ -383,6 +383,13 @@ class TestSimulateCommand:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+    def test_threads_flag_is_ignored(self, tmp_path):
+        cfg = str(ROOT / "configs" / "simulate_scalar.yaml")
+        plain, threaded = tmp_path / "plain.json", tmp_path / "threaded.json"
+        assert main(["simulate", "--config", cfg, "--output", str(plain)]) == 0
+        assert main(["simulate", "--config", cfg, "--threads", "2", "--output", str(threaded)]) == 0
+        assert threaded.read_bytes() == plain.read_bytes()
+
     def test_seed_flag_overrides(self, tmp_path, capsys):
         cfg = {"scenario": "scalar", "n_a": 1, "n_q": 1, "sigma2": 1.0, "trials": 5000}
         path = _write(tmp_path, "sim.yaml", cfg)
@@ -391,6 +398,52 @@ class TestSimulateCommand:
         main(["simulate", "--config", path, "--seed", "2"])
         second = capsys.readouterr().out
         assert first != second
+
+
+@pytest.mark.parametrize("command", ["mse", "allocate", "dither", "bench"])
+def test_threads_flag_is_usage_error_outside_simulate(tmp_path, capsys, command):
+    path = _write(tmp_path, f"{command}.yaml", {})
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", path, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["mse", "allocate"])
+def test_oversized_noise_grid_exits_before_any_array(tmp_path, capsys, monkeypatch, command):
+    """A grid mapping with num = 10**9 exits 3 before the 7.45 GiB linspace is built."""
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("noise grid built for an oversized num")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    grid = {"start": 0.1, "stop": 2.0, "num": 10**9}
+    cfg = {**TestMseCommand.CFG, "sigma2_grid": grid} if command == "mse" else {**ALLOCATE, "sigma2": grid}
+    path = _write(tmp_path, f"{command}.yaml", cfg)
+    assert main([command, "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds" in captured.err and "Traceback" not in captured.err
+
+
+def test_oversized_mse_table_exits_before_the_grid(tmp_path, capsys, monkeypatch):
+    """200000 noise levels x 1000 allocations would need a 1.49 GiB MSE array."""
+    from mixedres import simulate
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("MSE grid evaluated for an oversized table")
+
+    monkeypatch.setattr(simulate, "mse_grid", no_grid)
+    cfg = {
+        **TestMseCommand.CFG,
+        "sigma2_grid": {"start": 0.1, "stop": 2.0, "num": 200_000},
+        "allocations": [[n_a, 1] for n_a in range(1000)],
+    }
+    path = _write(tmp_path, "mse.yaml", cfg)
+    assert main(["mse", "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceed" in captured.err and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("key", ["trials", "batch_size"])

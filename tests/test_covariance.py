@@ -23,7 +23,7 @@ from mixedres.model import (
     make_ortho_model,
     make_scalar_model,
 )
-from oracles import assert_within_se, empirical_second_moments, reference_assemble
+from oracles import assert_within_se, dense_blocks, empirical_second_moments, reference_assemble
 
 
 def _random_model(seed, m=3, n_a=2, n_q=2, **variances):
@@ -152,7 +152,7 @@ class TestAssemble:
     def test_no_analog_block(self):
         model = make_scalar_model(0, 3, 0.5)
         bundle = assemble(model)
-        np.testing.assert_array_equal(bundle.c_x, bundle.c_xq)
+        np.testing.assert_array_equal(bundle.c_x, dense_blocks(bundle)["c_xq"])
 
     def test_hermitian_and_psd_random_models(self):
         """Eigenvalue check over many random models is its own oracle."""
@@ -255,8 +255,9 @@ class TestBlockAssembly:
         np.fill_diagonal(r, 0.0)
         r_max = max(np.max(np.abs(r.real), initial=0.0), np.max(np.abs(r.imag), initial=0.0))
         arcsine_gain = 1.0 / np.sqrt(1.0 - r_max**2)
+        blocks, ref_blocks = dense_blocks(bundle), dense_blocks(ref)
         for name in ("c_xa", "c_xq", "c_xa_xq", "c_theta_xa", "c_theta_xq", "c_theta_x"):
-            got, want = getattr(bundle, name), getattr(ref, name)
+            got, want = blocks[name], ref_blocks[name]
             assert got.shape == want.shape, name
             if want.size:
                 bound = 1e-15 * np.max(np.abs(want)) * (arcsine_gain if name == "c_xq" else 1.0)
@@ -273,7 +274,7 @@ class TestBlockAssembly:
             for i in range(k):
                 rows = slice(na + i * p, na + (i + 1) * p)
                 np.testing.assert_array_equal(bundle.c_x[rows, cols], bundle.a1 if i == j else bundle.a2)
-        assert np.all(np.diag(bundle.c_xq) == 1.0)
+        assert np.all(np.diag(blocks["c_xq"]) == 1.0)
         np.testing.assert_array_equal(bundle.c_x[na:, :na], bundle.c_x[:na, na:].conj().T)
         mse = lmmse_from_bundle(model, bundle).mse
         assert abs(mse - lmmse_from_bundle(model, ref).mse) <= 1e-12 * model.m
@@ -309,37 +310,37 @@ class TestMonteCarloConsistency:
     def test_scalar_arcsine_block(self):
         params = OrthoBlockParams(m=1, n_a=0, n_q=2, rho_q=1.0, var_q=1.0)
         model = make_ortho_model(params, RngStream(31))
-        bundle = assemble(model)
-        np.testing.assert_allclose(bundle.c_xq, [[1.0, 1 / 3], [1 / 3, 1.0]], atol=1e-12)
+        c_xq = dense_blocks(assemble(model))["c_xq"]
+        np.testing.assert_allclose(c_xq, [[1.0, 1 / 3], [1 / 3, 1.0]], atol=1e-12)
         moments = empirical_second_moments(model, 100_000, seed=77, pairs=[("xq", "xq")])
         mean, se_r, se_i = moments[("xq", "xq")]
-        assert_within_se(mean, bundle.c_xq, se_r, se_i, n_se=4.0)
+        assert_within_se(mean, c_xq, se_r, se_i, n_se=4.0)
 
     def test_bussgang_blocks(self):
         model = make_scalar_model(1, 1, 1.0)
-        bundle = assemble(model)
+        blocks = dense_blocks(assemble(model))
         moments = empirical_second_moments(
             model, 100_000, seed=78, pairs=[("theta", "xq"), ("xa", "xq")]
         )
         for key, analytic in (
-            (("theta", "xq"), bundle.c_theta_xq),
-            (("xa", "xq"), bundle.c_xa_xq),
+            (("theta", "xq"), blocks["c_theta_xq"]),
+            (("xa", "xq"), blocks["c_xa_xq"]),
         ):
             mean, se_r, se_i = moments[key]
             assert_within_se(mean, analytic, se_r, se_i, n_se=4.0)
 
     def test_general_complex_model_blocks(self):
         model = _random_model(99, m=2, n_a=2, n_q=3)
-        bundle = assemble(model)
+        blocks = dense_blocks(assemble(model))
         moments = empirical_second_moments(
             model, 200_000, seed=79,
             pairs=[("xa", "xa"), ("xq", "xq"), ("xa", "xq"), ("theta", "xq")],
         )
         for key, analytic in (
-            (("xa", "xa"), bundle.c_xa),
-            (("xq", "xq"), bundle.c_xq),
-            (("xa", "xq"), bundle.c_xa_xq),
-            (("theta", "xq"), bundle.c_theta_xq),
+            (("xa", "xa"), blocks["c_xa"]),
+            (("xq", "xq"), blocks["c_xq"]),
+            (("xa", "xq"), blocks["c_xa_xq"]),
+            (("theta", "xq"), blocks["c_theta_xq"]),
         ):
             mean, se_r, se_i = moments[key]
             assert_within_se(mean, analytic, se_r, se_i, n_se=4.5)
@@ -349,16 +350,16 @@ class TestMonteCarloConsistency:
         skips w_a and w_q and draws only the dither terms, whose moments
         must still match the analytic blocks of the total variances."""
         model = _random_model(101, m=2, n_a=2, n_q=3, var_a=0.0, var_q=0.0, var_da=0.6, var_dq=0.9)
-        bundle = assemble(model)
+        blocks = dense_blocks(assemble(model))
         moments = empirical_second_moments(
             model, 200_000, seed=80,
             pairs=[("xa", "xa"), ("xq", "xq"), ("xa", "xq"), ("theta", "xq")],
         )
         for key, analytic in (
-            (("xa", "xa"), bundle.c_xa),
-            (("xq", "xq"), bundle.c_xq),
-            (("xa", "xq"), bundle.c_xa_xq),
-            (("theta", "xq"), bundle.c_theta_xq),
+            (("xa", "xa"), blocks["c_xa"]),
+            (("xq", "xq"), blocks["c_xq"]),
+            (("xa", "xq"), blocks["c_xa_xq"]),
+            (("theta", "xq"), blocks["c_theta_xq"]),
         ):
             mean, se_r, se_i = moments[key]
             assert_within_se(mean, analytic, se_r, se_i, n_se=4.5)
