@@ -11,9 +11,12 @@ so a one-dimensional search over n_a suffices.  The closed-form searches
 evaluate the whole (noise level x frontier x dither grid) in one
 :func:`frontier_grid` call.
 :func:`direct_search` evaluates a list of points with the matrix-solve MSE
-instead, one Cholesky prefix scan per analog count; the exhaustive solver
-runs it over every feasible pair and serves as the reference oracle at
-small scale.  Every search picks its optimum with :func:`argbest`.
+instead.  Its points share one analog matrix and one quantized block, so a
+single copy-count scan (``estimator.copy_scan_mse``) serves them all: one
+Cholesky factor of the largest analog covariance, one p x p eigenproblem
+per analog count and O(p) work per copy count.  The exhaustive solver runs
+it over every feasible pair and serves as the reference oracle.  Every
+search picks its optimum with :func:`argbest`.
 """
 
 from __future__ import annotations
@@ -26,16 +29,13 @@ import numpy as np
 
 from .closed_form import mse_grid
 from .exceptions import InstanceTooLargeError, ModelError, require_finite
-from .estimator import prefix_mse
+from .estimator import check_dense_rows, copy_scan_mse
 from .model import MixedModel, OrthoBlockParams, RngStream, make_ortho_matrices
 
 # Most closed-form points (frontier points x dither values x noise levels)
 # one search may evaluate.  The grid is built as dense float64 arrays, a few
 # dozen of them alive at once, so this bounds memory near 0.2 GB.
 MAX_GRID_POINTS = 1_000_000
-
-# Most rows of the largest model the exhaustive reference solver builds.
-MAX_EXHAUSTIVE_ROWS = 2_000
 
 # Largest bit depth whose analog cost 2**bits is a finite double.
 MAX_BITS = sys.float_info.max_exp - 1
@@ -246,8 +246,9 @@ def allocate_exhaustive(
 
     Mixing matrices are drawn once at the largest feasible size and sliced,
     so all evaluated models share the same blocks.  Instances whose feasible
-    grid exceeds ``max_pairs`` points or whose largest stacked measurement
-    vector exceeds ``MAX_EXHAUSTIVE_ROWS`` rows are refused.
+    grid exceeds ``max_pairs`` points, or whose scan would factor more than
+    ``MAX_DENSE_ROWS`` rows (m per analog block plus one quantized period),
+    are refused before anything is drawn.
     """
     _require_clean_base(params_base)
     m = params_base.m
@@ -263,9 +264,9 @@ def allocate_exhaustive(
         if n_pairs > max_pairs:
             raise InstanceTooLargeError(f"feasible grid has more than {max_pairs} pairs")
         counts.append((n_a, nq_max))
-    n_rows = max(m * (n_a + nq_max) for n_a, nq_max in counts)
-    if n_rows > MAX_EXHAUSTIVE_ROWS:
-        raise InstanceTooLargeError(f"largest model has {n_rows} rows (limit {MAX_EXHAUSTIVE_ROWS})")
+    # The scan factors the analog rows of the largest n_a and one period
+    # (at most m rows) of the quantized block.
+    check_dense_rows(m * (counts[-1][0] + 1))
 
     # One quantized block suffices; each evaluated pair tiles it as needed.
     h_full, g_full = make_ortho_matrices(replace(params_base, n_a=counts[-1][0], n_q=1), rng)
@@ -279,35 +280,33 @@ def direct_search(params_base: OrthoBlockParams, points, h_full: np.ndarray, g1:
     Point (n_a, n_q) stacks the first ``n_a`` m-row blocks of ``h_full``
     over ``n_q`` copies of the quantized block ``g1``, with the noise
     variances of ``params_base``; the prior-only point (0, 0) has MSE m.
-    Each such model is the first ``m * (n_a + n_q)`` rows of the model with
-    the same ``n_a`` and the largest requested ``n_q``, so one
-    :func:`prefix_mse` scan per analog count covers every point.  The trace
-    keeps the order of ``points``.  This is the reference the closed-form
-    searches are checked against.
+    One :func:`~mixedres.estimator.copy_scan_mse` over the largest
+    requested ``n_a`` covers every point: one Cholesky factor of its analog
+    rows, then O(p) work per copy count.  The trace keeps the order of
+    ``points``.  This is the reference the closed-form searches are checked
+    against.  Negative counts, an ``n_a`` beyond the blocks of ``h_full``
+    and an ``h_full`` or ``g1`` without m columns raise :class:`ModelError`.
     """
     _require_clean_base(params_base)
     m = params_base.m
     points = list(points)
-    largest: dict[int, int] = {}
-    for n_a, n_q in points:
-        if n_a or n_q:
-            largest[n_a] = max(largest.get(n_a, 0), n_q)
-    eye = np.eye(m, dtype=np.complex128)
-    scans = {
-        n_a: prefix_mse(
-            MixedModel(
-                h=h_full[: m * n_a],
-                g=np.tile(g1, (n_q, 1)),
-                sigma_theta=eye,
-                var_a=params_base.var_a,
-                var_q=params_base.var_q,
-            )
-        ).tolist()
-        for n_a, n_q in largest.items()
-    }
-    return optimum(
-        [(n_a, n_q, 0.0, scans[n_a][m * (n_a + n_q)] if n_a or n_q else float(m)) for n_a, n_q in points]
+    counts = np.array(points, dtype=np.int64).reshape(-1, 2)
+    if not len(counts):
+        raise ModelError("direct_search needs at least one point")
+    if counts.min() < 0:
+        raise ModelError("block counts must be nonnegative")
+    n_a_max = int(counts[:, 0].max())
+    if n_a_max > len(h_full) // m:
+        raise ModelError(f"n_a={n_a_max} exceeds the {len(h_full) // m} analog blocks of h_full")
+    model = MixedModel(
+        h=h_full[: m * n_a_max],
+        g=g1,
+        sigma_theta=np.eye(m, dtype=np.complex128),
+        var_a=params_base.var_a,
+        var_q=params_base.var_q,
     )
+    mse = copy_scan_mse(model, m * counts[:, 0], counts[:, 1])
+    return optimum([(n_a, n_q, 0.0, value) for (n_a, n_q), value in zip(points, mse.tolist())])
 
 
 def noiseless_quantized_policy(

@@ -45,17 +45,55 @@ Each entry of C_x and C_theta_x depends only on its own rows, so the first
 k rows have the leading k x k block of C_x as their covariance, and its
 Cholesky factor is the leading block of the full factor L.  With
 Z = inv(L) @ C_theta_x^H, the MSE of the first k rows is
-trace(Sigma_theta) minus the squared norm of the first k rows of Z.  The
-matrix-solve search runs one such scan per analog count, on all n rows.
+trace(Sigma_theta) minus the squared norm of the first k rows of Z.  It
+factors all n rows, so it reads the dense C_x; the tests use it as the
+dense reference, and the runtime benchmark times it.
 :func:`lmmse` keeps the pivoted LU: a Cholesky solve there gives
 0.5000000000000001 instead of the exact 0.5 for the scalar pure-analog
 model.
 
-:func:`lmmse` never forms an n x n matrix: it builds C~ straight from the
-bundle's blocks.  :func:`prefix_mse` factors all n rows, so it reads the
-dense C_x, and with it every caller of ``allocation.direct_search``.  Both
-routes still refuse models above ``MAX_DENSE_ROWS`` rows before any
-covariance is built.
+:func:`copy_scan_mse` is the matrix-solve search's route: the MSE of many
+points (first n_a analog rows, k copies of one block) of one model, with
+no n x n matrix.  Write B = C_aq1, D = diag(A1 - A2) and let L be the
+Cholesky factor of the largest C_xa; by the prefix property its leading
+blocks factor every smaller C_xa, and Z = inv(L) C_theta_xa^H and
+V = inv(L) B serve every n_a through their first rows.  The Schur
+complement of C_xa in the copy-reduced C~ is
+A1 + (k - 1) A2 - k V^H V = k (S0 + D / k) with S0 = A2 - V^H V, and the
+cross term is sqrt(k) r with r = C_theta_q1 - Z^H V.  With the eigenpairs
+(lambda_j, u_j) of inv(sqrt(D)) S0 inv(sqrt(D)) and
+Y = r inv(sqrt(D)) [u_1 ... u_p],
+
+    mse(n_a, k) = trace(Sigma_theta) - |Z|_F^2 - sum_j |Y_j|^2 / (lambda_j + 1/k),
+
+so one p x p eigenproblem per analog count gives every copy count in O(p).
+One copy (k = 1) needs no D: its Schur complement A1 - V^H V has its own
+eigenproblem, which keeps the noiseless quantizer (var_q = 0, so D = 0)
+solvable at n_q <= 1; two or more noiseless copies are identical rows and
+are refused as singular.  V^H V and Z^H V of every n_a are cumulative sums
+of the Gram blocks of the rows of [Z, V].
+
+The scan's condition guard bounds kappa_2(C_x) for every requested point.
+Over the copies C_x is unitarily similar to blkdiag(C~, I_{k-1} (x) D), so
+|inv(C_x)| = max(|inv(C~)|, 1 / min D) (the second term only for k >= 2).
+The block inverse of C~ = [[C_xa, sqrt(k) B], [sqrt(k) B^H, Q]] gives
+
+    |inv(C~)| <= |inv(C_xa)| + (1 + k |inv(C_xa) B|^2) |inv(S)|,
+    |inv(S)| <= max_j 1 / (k min D (lambda_j + 1/k)),
+
+hence |inv(C~)| <= |inv(C_xa)| + (1 + |inv(C_xa) B|^2) max_j
+1 / (min D (lambda_j + 1/k)); for k = 1 the last factor is 1 over the
+smallest eigenvalue of A1 - V^H V.  |inv(C_xa) B|^2 <= |inv(C_xa)| |V|_F^2.
+By Cauchy interlacing the largest C_xa has the smallest eigenvalue of all
+prefixes, so LAPACK's 1-norm estimate of its inverse (``zpocon``) bounds
+|inv(C_xa)| for every n_a, and the 1-norm of the largest C_x,
+max(|C_xa|_1 + k |B|_inf, |B|_1 + |A1|_1 + (k - 1) |A2|_1), bounds |C_x|.
+A point whose bound exceeds ``CONDITION_LIMIT``, a lambda_j + 1/k <= 0,
+or a failed factor of C_xa refuses the whole scan.
+
+:func:`lmmse` and :func:`copy_scan_mse` never form an n x n matrix.  All
+three routes still refuse more than ``MAX_DENSE_ROWS`` factored rows
+before any covariance is built.
 """
 
 from __future__ import annotations
@@ -78,14 +116,15 @@ from .model import MixedModel, block_period
 # Pearson ratios may drift past 1 by round-off; clip inside this band, error beyond.
 ARCSIN_CLIP_TOL = 1e-9
 # Refuse to solve when the condition estimate exceeds this: LAPACK's 1-norm
-# estimate in prefix_mse, its copy-reduced bound in lmmse.
+# estimate in prefix_mse, the copy-reduced bounds in lmmse and copy_scan_mse.
 CONDITION_LIMIT = 1e12
 # Tolerance for trace cancellation round-off before the MSE is clamped at zero.
 MSE_ROUNDOFF_TOL = 1e-9
 # Most rows a dense solve accepts.  A complex n x n matrix takes 16 n^2 bytes,
 # 1 GiB here, and prefix_mse keeps a few of them alive; the largest model the
-# runtime-scaling benchmark solves has 6400 rows.  lmmse writes no n x n
-# matrix but keeps the same limit.
+# runtime-scaling benchmark solves has 6400 rows.  lmmse and copy_scan_mse
+# write no n x n matrix of a whole model but keep the same limit on the rows
+# they factor.
 MAX_DENSE_ROWS = 8192
 
 
@@ -461,6 +500,115 @@ def prefix_mse(model: MixedModel) -> np.ndarray:
     z, _ = lapack.ztrtrs(chol, bundle.c_theta_x.conj().T, lower=1)
     reduction = np.concatenate([[0.0], np.cumsum(np.sum(z.real**2 + z.imag**2, axis=1))])
     return _clamped_mse(float(np.trace(model.sigma_theta).real) - reduction)
+
+
+def copy_scan_mse(model: MixedModel, analog_rows, copies) -> np.ndarray:
+    """LMMSE MSE of many (analog prefix, copy count) points of one model.
+
+    Point i measures with the first ``analog_rows[i]`` rows of ``model.h``
+    over ``copies[i]`` copies of the block ``model.g``.  One Cholesky factor
+    of all of ``model.h``'s rows and two stacked p x p ``eigh`` serve every
+    point (see the module docstring); no n x n matrix of a point is built.
+    Returns the MSE of each point, in order.  A failed or non-finite analog
+    factor, a non-positive Schur eigenvalue lambda_j + 1/k of a requested
+    copy count, or a condition bound above ``CONDITION_LIMIT`` raises
+    :class:`EstimatorUndefinedError`.
+    """
+    rows = np.asarray(analog_rows, dtype=np.int64)
+    g1, n, m = model.g, model.n_analog, model.m
+    copies = np.asarray(copies, dtype=np.int64)
+    if rows.shape != copies.shape or rows.ndim != 1:
+        raise ModelError("analog_rows and copies must be 1-d arrays of one length")
+    if rows.min(initial=0) < 0 or rows.max(initial=0) > n or copies.min(initial=0) < 0:
+        raise ModelError(f"need 0 <= analog_rows <= {n} and copies >= 0")
+    p = block_period(g1)
+    k = copies * (g1.shape[0] // p) if p else np.zeros_like(copies)
+    check_dense_rows(n + p)
+    quantized = bool(k.any())
+    bundle = assemble(_with_quantized_rows(model, np.tile(g1[:p], (2 if quantized else 0, 1))))
+    prior = float(np.trace(model.sigma_theta).real)
+
+    # Z = inv(L) C_theta_xa^H and V = inv(L) B from one factor of the largest
+    # C_xa; the first rows of each belong to the leading C_xa.
+    zv = np.concatenate([bundle.c_theta_xa.conj().T, bundle.c_aq1], axis=1)
+    a_norm = a_inv = 0.0
+    if n:
+        a_norm = _one_norm(bundle.c_xa)
+        chol, info = lapack.zpotrf(bundle.c_xa, lower=1)
+        if info != 0 or not np.all(np.isfinite(np.diag(chol))):
+            raise EstimatorUndefinedError("analog measurement covariance is singular", condition=float("inf"))
+        a_inv = _checked_condition(*lapack.zpocon(chol, a_norm, uplo="L")) / a_norm
+        zv, _ = lapack.ztrtrs(chol, zv, lower=1)
+    z = zv[:, :m]
+    mse = prior - np.concatenate([[0.0], np.cumsum(np.sum(z.real**2 + z.imag**2, axis=1))])[rows]
+    if not quantized:
+        return _clamped_mse(mse)
+
+    # [Z^H V; V^H V] of every analog prefix that is a multiple of step, the
+    # gcd of the requested ones: cumulative sums of the Gram blocks of
+    # step-row groups.  Point i reads entry which[i].
+    step = max(int(np.gcd.reduce(np.append(rows, n))), 1)
+    which = rows // step
+    groups = zv.reshape(n // step, step, m + p)
+    gram = np.zeros((n // step + 1, m + p, p), dtype=np.complex128)
+    np.cumsum(groups.conj().transpose(0, 2, 1) @ groups[..., m:], axis=0, out=gram[1:])
+    r0, vv = bundle.c_theta_q1 - gram[:, :m], gram[:, m:]
+    # |inv(C_xa) B|^2 <= |inv(C_xa)| |V|^2, with |V|^2 <= trace(V^H V).
+    coupling = 1.0 + a_inv * np.trace(vv, axis1=1, axis2=2).real
+
+    d = (bundle.a1 - bundle.a2).diagonal().real
+    # Each case: its points, the stacked matrices whose eigenproblem gives
+    # them and the cross terms, the shift that turns an eigenvalue into
+    # lambda_j + 1/k, the factor (min D, or 1) that turns that into a bound
+    # on the Schur complement's eigenvalues, and the floor 1 / min D that the
+    # copy differences put under |inv(C_x)|.
+    cases = []
+    if np.any(k == 1):
+        # One copy: C~ is C_x itself and its Schur complement is A1 - V^H V.
+        cases.append((k == 1, bundle.a1 - vv, r0, 0.0, 1.0, 0.0))
+    more = k >= 2
+    if more.any():
+        if not np.all(d > 0):
+            raise EstimatorUndefinedError(
+                "measurement covariance is singular: copies of a noiseless quantized row are identical",
+                condition=float("inf"),
+            )
+        root = 1.0 / np.sqrt(d)
+        shift = 1.0 / k[more][:, None]
+        cases.append((more, root[:, None] * (bundle.a2 - vv) * root, r0 * root, shift, d.min(), 1.0 / d.min()))
+    b_abs = np.abs(bundle.c_aq1)
+    cx_inv = np.full(k.shape, a_inv)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for sel, s, r, shift, scale, floor in cases:
+            lam, u = np.linalg.eigh(s)
+            y = r @ u
+            w = np.sum(y.real**2 + y.imag**2, axis=1)
+            lam = lam[which[sel]] + shift
+            if not np.all(lam > 0):
+                raise EstimatorUndefinedError(
+                    "measurement covariance is singular: non-positive Schur eigenvalue", condition=float("inf")
+                )
+            mse[sel] -= np.sum(w[which[sel]] / lam, axis=1)
+            cx_inv[sel] = np.maximum(a_inv + coupling[which[sel]] / (scale * lam.min(axis=1)), floor)
+        # |C_x|_1 with the largest analog prefix, which bounds every prefix;
+        # A1 and A2 hold correlations, so their 1-norms are at most p.
+        cx_norm = np.where(
+            k > 0,
+            np.maximum(
+                a_norm + k * b_abs.sum(axis=1).max(initial=0.0),
+                b_abs.sum(axis=0).max()
+                + np.abs(bundle.a1).sum(axis=0).max()
+                + (k - 1) * np.abs(bundle.a2).sum(axis=0).max(),
+            ),
+            a_norm,
+        )
+        condition = cx_norm * cx_inv
+    if not np.all(condition <= CONDITION_LIMIT):
+        worst = float(np.nan_to_num(condition, nan=np.inf).max())
+        raise EstimatorUndefinedError(
+            f"measurement covariance too ill-conditioned (bound {worst:.3e})", condition=worst
+        )
+    return _clamped_mse(mse)
 
 
 def estimate(filt: LmmseFilter, x: np.ndarray) -> np.ndarray:

@@ -32,8 +32,8 @@ class EstimatorUndefinedError(MixedResError):
 
     Carries the condition figure the solver refused (``math.inf`` when the
     factorization failed outright): LAPACK's 1-norm estimate for the
-    prefix scan, and for ``lmmse`` a bound on the condition number of C_x
-    from its copy-reduced factorization.
+    prefix scan, and for ``lmmse`` and the copy-count scan a bound on the
+    condition number of C_x from their copy-reduced factorizations.
     """
 
     def __init__(self, message: str, condition: float | None = None):

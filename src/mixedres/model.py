@@ -478,11 +478,17 @@ def make_ortho_matrices(params: OrthoBlockParams, rng: RngStream):
     """
     g = rng.generator()
     m = params.m
-    blocks = [np.sqrt(params.rho_a) * _haar_unitary(m, g) for _ in range(params.n_a)]
-    h = np.array(blocks, dtype=np.complex128).reshape(-1, m)
-    # The quantized block is drawn after every analog block, so drawing it
-    # also when n_q = 0 leaves H unchanged.
-    gm = np.tile(np.sqrt(params.rho_q) * _haar_unitary(m, g), (params.n_q, 1))
+    # One draw of every block, the quantized block last, takes the same
+    # normals from g in the same order as one _haar_unitary call per block,
+    # and the stacked QR factors each block as a single call would.
+    z = g.standard_normal((params.n_a + 1, 2, m, m))
+    q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) * np.sqrt(0.5))
+    d = np.diagonal(r, axis1=1, axis2=2).copy()
+    d[d == 0] = 1.0  # measure-zero guard
+    u = q * (d / np.abs(d))[:, None, :]
+    h = (np.sqrt(params.rho_a) * u[:-1]).reshape(-1, m)
+    # Drawing the quantized block also when n_q = 0 leaves H unchanged.
+    gm = np.tile(np.sqrt(params.rho_q) * u[-1], (params.n_q, 1))
     return h, gm
 
 

@@ -177,9 +177,12 @@ class TestExhaustiveOracle:
         assert (ref.n_a_star, ref.n_q_star) == (0, 0)
         assert ref.mse_star == 8.0
 
-    def test_size_guards(self):
-        with pytest.raises(InstanceTooLargeError):
-            allocate_exhaustive(_params(), REFERENCE_BUDGET)  # 6400-row models
+    def test_size_guards(self, monkeypatch):
+        """An analog factor of 8200 rows plus one quantized period is refused
+        before any matrix is drawn; so is a grid of more than max_pairs pairs."""
+        monkeypatch.setattr(allocation, "make_ortho_matrices", None)
+        with pytest.raises(InstanceTooLargeError, match="8210 rows"):
+            allocate_exhaustive(_params(), PowerBudget.for_analog_blocks(1, 10, 820), max_pairs=10**6)
         with pytest.raises(InstanceTooLargeError):
             allocate_exhaustive(
                 _params(m=1), PowerBudget(bits=1, p_max_norm=4000.0), max_pairs=100
@@ -276,6 +279,39 @@ class TestDirectSearch:
         assert len(direct_search(params, [(1, 0), (1, 1)], h_full, g1).trace) == 2
         with pytest.raises(EstimatorUndefinedError):
             direct_search(params, [(1, 0), (1, 1), (2, 0), (2, 1)], h_full, g1)
+
+    @pytest.mark.parametrize(
+        "points",
+        [[(3, 5)], [(3, 0), (1, 0)], [(-1, 1)], [(1, -1)], []],
+        ids=["n_a-beyond-blocks", "n_a-beyond-blocks-later", "negative-n_a", "negative-n_q", "no-points"],
+    )
+    def test_rejects_bad_points(self, points):
+        params = _params(m=2)
+        h_full, g1 = self._blocks(params, 1)
+        with pytest.raises(ModelError):
+            direct_search(params, points, h_full, g1)
+
+    def test_rejects_blocks_without_m_columns(self):
+        params = _params(m=2)
+        h_full, g1 = self._blocks(params, 1)
+        with pytest.raises(ModelError):
+            direct_search(params, [(1, 1)], h_full[:, :1], g1)
+        with pytest.raises(ModelError):
+            direct_search(params, [(0, 1)], h_full, np.ones((2, 3)))
+
+    def test_noiseless_quantizer_solves_single_copies_only(self):
+        """At var_q = 0 two copies of a sign row are identical, so every
+        point with n_q >= 2 is singular; n_q <= 1 still solves."""
+        params = replace(_params(m=2), var_q=0.0)
+        h_full, g1 = self._blocks(params, 1)
+        points = [(1, 1), (0, 1), (1, 0), (0, 0)]
+        res = direct_search(params, points, h_full, g1)
+        expected = reference_direct_search_mse(params, points, h_full, g1)
+        for (*_, mse), ref in zip(res.trace, expected):
+            assert abs(mse - ref) <= 1e-12
+        for point in [(1, 2), (0, 2)]:
+            with pytest.raises(EstimatorUndefinedError):
+                direct_search(params, [*points, point], h_full, g1)
 
 
 class TestDitherScheme:

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -200,10 +201,20 @@ class TestAllocateCommand:
         assert "bits" in captured.err or "too large" in captured.err
 
     def test_oracle_too_large_exits_numerical(self, tmp_path, capsys):
-        cfg = {"m": 10, "bits": 6, "n_a_max": 20, "sigma2": 1.0}
+        # 26 281 feasible pairs, above the exhaustive solver's 10 000.
+        cfg = {"m": 10, "bits": 6, "n_a_max": 40, "sigma2": 1.0}
         path = _write(tmp_path, "alloc.yaml", cfg)
         assert main(["allocate", "--config", path, "--oracle"]) == 3
         assert "error" in capsys.readouterr().err
+
+    def test_oracle_on_the_shipped_mimo_config(self, capsys):
+        """25 noise levels, each an exhaustive scan of 6741 pairs whose
+        largest model has 6400 rows."""
+        assert main(["allocate", "--config", str(ROOT / "configs" / "mimo_allocation.yaml"), "--oracle"]) == 0
+        err = capsys.readouterr().err
+        match = re.search(r"oracle max deviation: (\S+)", err)
+        assert match, err
+        assert float(match.group(1)) <= 1e-12
 
 
 class TestDitherCommand:

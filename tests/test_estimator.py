@@ -1,6 +1,7 @@
 """Tests for the matrix-solve LMMSE estimator."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedres import estimator
-from mixedres.closed_form import mse_closed_form
-from mixedres.estimator import MAX_DENSE_ROWS, assemble, estimate, lmmse, prefix_mse
+from mixedres.closed_form import mse_closed_form, mse_grid
+from mixedres.estimator import MAX_DENSE_ROWS, assemble, copy_scan_mse, estimate, lmmse, prefix_mse
 from mixedres.exceptions import EstimatorUndefinedError, InstanceTooLargeError, ModelError
 from mixedres.model import (
     MixedModel,
     OrthoBlockParams,
     RngStream,
+    make_ortho_matrices,
     make_ortho_model,
     make_scalar_model,
     sample_measurements,
@@ -60,6 +62,8 @@ class TestConditioning:
             lmmse(model)
         with pytest.raises(EstimatorUndefinedError):
             prefix_mse(model)
+        with pytest.raises(EstimatorUndefinedError):
+            copy_scan_mse(model, [2], [0])
 
     def test_condition_guard_carries_estimate(self):
         model = MixedModel(
@@ -298,3 +302,112 @@ class TestCopyReducedSolve:
         assert peak < 16 * n**2
         assert len(bundles) == 1
         assert bundles[0]._dense is None
+
+
+@st.composite
+def scan_instances(draw):
+    """A model whose G is one block g1, and every (analog prefix, copy count) point of it.
+
+    H and g1 are general (any rows, with g1 possibly repeating a shorter
+    block) or an orthonormal-block draw; the prior is general with general
+    blocks.  A noiseless quantizer (var_q = 0) comes with copy counts of at
+    most 1 of a g1 that does not repeat, the only points it leaves regular.
+    """
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    m = draw(st.integers(min_value=1, max_value=4))
+    noiseless = draw(st.booleans())
+    variance = st.floats(min_value=0.05, max_value=5.0)
+    var_a, var_q = draw(variance), 0.0 if noiseless else draw(variance)
+
+    def cplx(rows, cols):
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+    if draw(st.booleans()):
+        params = OrthoBlockParams(
+            m=m, n_a=draw(st.integers(min_value=0, max_value=4)), n_q=1,
+            rho_a=draw(variance), rho_q=draw(variance), var_a=var_a, var_q=var_q,
+        )
+        h, g1 = make_ortho_matrices(params, RngStream(int(rng.integers(1 << 30))))
+        sigma = np.eye(m)
+    else:
+        h = cplx(draw(st.integers(min_value=0, max_value=12)), m)
+        period = draw(st.integers(min_value=1, max_value=3))
+        g1 = np.tile(cplx(period, m), (1 if noiseless else draw(st.integers(min_value=1, max_value=3)), 1))
+        root = cplx(m, m)
+        sigma = root @ root.conj().T + 0.1 * np.eye(m)
+    copies_max = 1 if noiseless else draw(st.integers(min_value=0, max_value=8))
+    model = MixedModel(h=h, g=g1, sigma_theta=sigma, var_a=var_a, var_q=var_q)
+    points = [(a, c) for a in range(model.n_analog + 1) for c in range(copies_max + 1)]
+    return model, points
+
+
+class TestCopyScanMse:
+    """``copy_scan_mse`` against the dense prefix scan of each point's model."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scan_instances())
+    def test_equals_the_dense_prefix_scan(self, instance):
+        model, points = instance
+        rows, copies = np.array(points).T
+        got = copy_scan_mse(model, rows, copies)
+        r = model.n_quantized
+        for (a, c), value in zip(points, got):
+            if a == 0 and c == 0:
+                assert value == float(np.trace(model.sigma_theta).real)
+                continue
+            cut = MixedModel(
+                h=model.h[:a], g=np.tile(model.g, (c, 1)), sigma_theta=model.sigma_theta,
+                var_a=model.var_a, var_q=model.var_q,
+            )
+            assert cut.n_analog + cut.n_quantized <= 2000
+            assert abs(value - prefix_mse(cut)[a + c * r]) <= 1e-12 * model.m, (a, c)
+
+    def test_equals_the_closed_form_on_orthonormal_blocks(self):
+        """Criterion 1's tolerance, 1e-9 * m, at every (n_a, n_q) point."""
+        rng = np.random.default_rng(77)
+        for _ in range(40):
+            params = random_ortho_params(rng, m_max=4, n_a_max=5, n_q_max=12)
+            h, g1 = make_ortho_matrices(replace(params, n_q=1), RngStream(int(rng.integers(1 << 30))))
+            model = MixedModel(h=h, g=g1, sigma_theta=np.eye(params.m), var_a=params.var_a, var_q=params.var_q)
+            n_a, n_q = np.meshgrid(np.arange(params.n_a + 1), np.arange(params.n_q + 1), indexing="ij")
+            got = copy_scan_mse(model, params.m * n_a.ravel(), n_q.ravel())
+            closed = mse_grid(params.m, n_a.ravel(), n_q.ravel(), params.rho_a, params.rho_q, params.var_a, params.var_q)
+            assert np.max(np.abs(got - closed)) <= 1e-9 * params.m
+
+    def test_noiseless_copies_refused(self):
+        """var_q = 0: one copy solves, and any point with two copies refuses the scan."""
+        model = MixedModel(h=np.ones((1, 1)), g=np.ones((1, 1)), sigma_theta=np.eye(1), var_a=1.0, var_q=0.0)
+        single = MixedModel(h=np.ones((1, 1)), g=np.ones((1, 1)), sigma_theta=np.eye(1), var_a=1.0, var_q=0.0)
+        assert abs(copy_scan_mse(model, [1, 0], [1, 1])[0] - lmmse(single).mse) <= 1e-15
+        with pytest.raises(EstimatorUndefinedError, match="identical"):
+            copy_scan_mse(model, [1, 0], [1, 2])
+
+    def test_block_with_a_shorter_period(self):
+        """g1 = [b; b] is two copies of b per requested copy: at var_q = 0 even
+        one copy of g1 is singular, and with noise it is the model of 2 n_q rows."""
+        g1 = np.array([[1.0 + 0.5j], [1.0 + 0.5j]])
+        noisy = MixedModel(h=np.ones((1, 1)), g=g1, sigma_theta=np.eye(1), var_a=1.0, var_q=0.5)
+        got = copy_scan_mse(noisy, [1, 1], [1, 3])
+        for value, c in zip(got, [1, 3]):
+            tiled = MixedModel(h=np.ones((1, 1)), g=np.tile(g1, (c, 1)), sigma_theta=np.eye(1), var_a=1.0, var_q=0.5)
+            assert abs(value - lmmse(tiled).mse) <= 1e-14
+        noiseless = MixedModel(h=np.ones((1, 1)), g=g1, sigma_theta=np.eye(1), var_a=1.0, var_q=0.0)
+        with pytest.raises(EstimatorUndefinedError):
+            copy_scan_mse(noiseless, [1], [1])
+
+    @pytest.mark.parametrize("rows, copies", [([2], [0]), ([-1], [0]), ([0], [-1]), ([0, 1], [0])])
+    def test_rejects_points_outside_the_model(self, rows, copies):
+        model = MixedModel(h=np.ones((1, 1)), g=np.ones((1, 1)), sigma_theta=np.eye(1), var_a=1.0, var_q=1.0)
+        with pytest.raises(ModelError):
+            copy_scan_mse(model, rows, copies)
+
+    def test_refused_before_assembly(self, monkeypatch):
+        def no_assembly(model):
+            raise AssertionError("covariance assembled for an oversized scan")
+
+        monkeypatch.setattr(estimator, "assemble", no_assembly)
+        model = MixedModel(
+            h=np.ones((MAX_DENSE_ROWS, 1)), g=np.ones((1, 1)), sigma_theta=np.eye(1), var_a=1.0, var_q=1.0
+        )
+        with pytest.raises(InstanceTooLargeError, match=str(MAX_DENSE_ROWS)):
+            copy_scan_mse(model, [0], [1])

@@ -14,6 +14,7 @@ from mixedres.model import (
     OrthoBlockParams,
     RngStream,
     _complex_normal,
+    _haar_unitary,
     make_mimo_model,
     make_ortho_matrices,
     make_scalar_model,
@@ -377,6 +378,19 @@ class TestOrthoMatrices:
         _, g = make_ortho_matrices(params, RngStream(5))
         np.testing.assert_array_equal(g[0:3], g[3:6])
         np.testing.assert_array_equal(g[0:3], g[6:9])
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("n_a", [0, 1, 3, 7])
+    def test_equals_one_haar_draw_per_block(self, m, n_a):
+        """The stacked draw is, bit for bit, one ``_haar_unitary`` call per
+        analog block followed by one for the quantized block."""
+        params = OrthoBlockParams(m=m, n_a=n_a, n_q=2, rho_a=1.7, rho_q=0.4)
+        gen = RngStream(m + n_a).generator()
+        blocks = [np.sqrt(1.7) * _haar_unitary(m, gen) for _ in range(n_a)]
+        g_block = np.sqrt(0.4) * _haar_unitary(m, gen)
+        h, g = make_ortho_matrices(params, RngStream(m + n_a))
+        np.testing.assert_array_equal(h, np.array(blocks, dtype=np.complex128).reshape(-1, m))
+        np.testing.assert_array_equal(g, np.tile(g_block, (2, 1)))
 
     def test_deterministic(self):
         params = OrthoBlockParams(m=2, n_a=2, n_q=2)

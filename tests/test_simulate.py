@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mixedres import simulate
 from mixedres.allocation import DitherScheme, PowerBudget
 from mixedres.closed_form import filter_closed_form
 from mixedres.estimator import LmmseFilter, lmmse
@@ -313,6 +314,20 @@ class TestBenchRuntime:
         with pytest.raises(ModelError, match="repeats"):
             _timeit([lambda: calls.append(1)], repeats=repeats, warmup=warmup)
         assert calls == []
+
+    def test_direct_arm_times_the_dense_route(self, monkeypatch):
+        """One repetition factors all rows of each frontier analog count's
+        model, the n_a = 0 one with all 16 quantized blocks."""
+        rows = []
+        real_prefix_mse = simulate.prefix_mse
+
+        def recording_prefix_mse(model):
+            rows.append(model.n_analog + model.n_quantized)
+            return real_prefix_mse(model)
+
+        monkeypatch.setattr(simulate, "prefix_mse", recording_prefix_mse)
+        bench_runtime([2], [2], bits=4, repeats=1, warmup=0)
+        assert sorted(rows) == [4, 2 + 16, 32]
 
     def test_direct_arm_optional(self):
         results = bench_runtime([1], [2], bits=4, repeats=3, include_direct=False)
