@@ -40,6 +40,9 @@ MAX_GRID_POINTS = 1_000_000
 # Largest bit depth whose analog cost 2**bits is a finite double.
 MAX_BITS = sys.float_info.max_exp - 1
 
+# Most feasible (n_a, n_q) pairs the exhaustive oracle scans.
+MAX_EXHAUSTIVE_PAIRS = 10_000
+
 
 @dataclass(frozen=True)
 class PowerBudget:
@@ -240,38 +243,37 @@ def allocate_exhaustive(
     params_base: OrthoBlockParams,
     budget: PowerBudget,
     rng: RngStream | None = None,
-    max_pairs: int = 10_000,
 ) -> AllocationResult:
     """Reference solver: scan every feasible pair with the matrix-solve MSE.
 
     Mixing matrices are drawn once at the largest feasible size and sliced,
     so all evaluated models share the same blocks.  Instances whose feasible
-    grid exceeds ``max_pairs`` points, or whose scan would factor more than
-    ``MAX_DENSE_ROWS`` rows (m per analog block plus one quantized period),
-    are refused before anything is drawn.
+    grid exceeds ``MAX_EXHAUSTIVE_PAIRS`` points, or whose scan would factor
+    more than ``MAX_DENSE_ROWS`` rows (m per analog block plus one quantized
+    period), are refused before anything is drawn.
     """
     _require_clean_base(params_base)
     m = params_base.m
     rng = rng if rng is not None else RngStream(0)
 
     # Every feasible n_a adds at least one pair, so the count stops within
-    # max_pairs steps however large the budget is.
+    # MAX_EXHAUSTIVE_PAIRS steps however large the budget is.
     counts = []
     n_pairs = 0
     for n_a in na_range(m, budget):
         nq_max = max_nq(n_a, m, budget)
         n_pairs += nq_max + 1
-        if n_pairs > max_pairs:
-            raise InstanceTooLargeError(f"feasible grid has more than {max_pairs} pairs")
+        if n_pairs > MAX_EXHAUSTIVE_PAIRS:
+            raise InstanceTooLargeError(f"feasible grid has more than {MAX_EXHAUSTIVE_PAIRS} pairs")
         counts.append((n_a, nq_max))
     # The scan factors the analog rows of the largest n_a and one period
     # (at most m rows) of the quantized block.
     check_dense_rows(m * (counts[-1][0] + 1))
 
     # One quantized block suffices; each evaluated pair tiles it as needed.
-    h_full, g_full = make_ortho_matrices(replace(params_base, n_a=counts[-1][0], n_q=1), rng)
+    h_full, g1 = make_ortho_matrices(replace(params_base, n_a=counts[-1][0], n_q=1), rng)
     pairs = [(n_a, n_q) for n_a, nq_max in counts for n_q in range(nq_max + 1)]
-    return direct_search(params_base, pairs, h_full, g_full[:m])
+    return direct_search(params_base, pairs, h_full, g1)
 
 
 def direct_search(params_base: OrthoBlockParams, points, h_full: np.ndarray, g1: np.ndarray) -> AllocationResult:

@@ -260,18 +260,17 @@ def _inv_sqrt_diag(c_y: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(d)
 
 
-def cov_quantized(c_y: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
+def cov_quantized(c_y: np.ndarray) -> np.ndarray:
     """Arcsine-law auto-covariance of the 1-bit quantized vector.
 
     Applies elementwise (2/pi) * [arcsin(Re r) + j*arcsin(Im r)] to the
     Pearson-normalized matrix r = D^{-1/2} C_y D^{-1/2}, D = diag(C_y).
-    ``scale`` is the diagonal of D^{-1/2} when the caller already has it.
     The result is exactly Hermitian.
     """
     c_y = np.asarray(c_y, dtype=np.complex128)
     if c_y.shape[0] == 0:
         return np.zeros((0, 0), dtype=np.complex128)
-    s = _inv_sqrt_diag(c_y) if scale is None else scale
+    s = _inv_sqrt_diag(c_y)
     r = (s[:, None] * c_y) * s[None, :]
     max_re = np.abs(r.real).max()
     max_im = np.abs(r.imag).max()
@@ -281,11 +280,7 @@ def cov_quantized(c_y: np.ndarray, scale: np.ndarray | None = None) -> np.ndarra
             f"normalized correlation exceeds 1 by {overshoot:.3e}, beyond clip tolerance"
         )
     re = np.arcsin(r.real if max_re <= 1.0 else np.clip(r.real, -1.0, 1.0))
-    if max_im <= 1e-8:
-        # arcsin(x) == x in float64 for |x| <= 1e-8, so the pass is a no-op.
-        im = r.imag
-    else:
-        im = np.arcsin(r.imag if max_im <= 1.0 else np.clip(r.imag, -1.0, 1.0))
+    im = np.arcsin(r.imag if max_im <= 1.0 else np.clip(r.imag, -1.0, 1.0))
     c_xq = (2.0 / np.pi) * (re + 1j * im)
     _make_hermitian(c_xq)
     # The quantizer output has unit modulus, so the diagonal is exactly one.
@@ -293,25 +288,19 @@ def cov_quantized(c_y: np.ndarray, scale: np.ndarray | None = None) -> np.ndarra
     return c_xq
 
 
-def cross_cov_theta_quantized(model: MixedModel, c_y: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
-    """Bussgang cross-covariance of the parameter with the quantized vector.
-
-    ``scale`` is 1 / sqrt(diag(c_y)) when the caller already has it.
-    """
+def cross_cov_theta_quantized(model: MixedModel, c_y: np.ndarray) -> np.ndarray:
+    """Bussgang cross-covariance of the parameter with the quantized vector."""
     if model.n_quantized == 0:
         return np.zeros((model.m, 0), dtype=np.complex128)
-    s = _inv_sqrt_diag(c_y) if scale is None else scale
+    s = _inv_sqrt_diag(c_y)
     return np.sqrt(2.0 / np.pi) * (model.sigma_theta @ model.g.conj().T) * s[None, :]
 
 
-def cross_cov_analog_quantized(model: MixedModel, c_y: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
-    """Bussgang cross-covariance of the analog and quantized measurements.
-
-    ``scale`` is 1 / sqrt(diag(c_y)) when the caller already has it.
-    """
+def cross_cov_analog_quantized(model: MixedModel, c_y: np.ndarray) -> np.ndarray:
+    """Bussgang cross-covariance of the analog and quantized measurements."""
     if model.n_quantized == 0 or model.n_analog == 0:
         return np.zeros((model.n_analog, model.n_quantized), dtype=np.complex128)
-    s = _inv_sqrt_diag(c_y) if scale is None else scale
+    s = _inv_sqrt_diag(c_y)
     return np.sqrt(2.0 / np.pi) * (model.h @ model.sigma_theta @ model.g.conj().T) * s[None, :]
 
 
@@ -339,8 +328,7 @@ def assemble(model: MixedModel) -> CovarianceBundle:
     block = _with_quantized_rows(model, model.g[: min(k, 2) * p])
     c_xa = cov_analog(model)
     c_y = cov_pre_quantization(block)
-    scale = _inv_sqrt_diag(c_y)
-    a = cov_quantized(c_y, scale)
+    a = cov_quantized(c_y)
     a2 = None
     if k > 1:
         # Two copies are exchangeable, so A2 is Hermitian; making it so
@@ -350,8 +338,8 @@ def assemble(model: MixedModel) -> CovarianceBundle:
     return CovarianceBundle(
         c_xa=c_xa,
         c_theta_xa=model.sigma_theta @ model.h.conj().T,
-        c_aq1=cross_cov_analog_quantized(block, c_y, scale)[:, :p],
-        c_theta_q1=cross_cov_theta_quantized(block, c_y, scale)[:, :p],
+        c_aq1=cross_cov_analog_quantized(block, c_y)[:, :p],
+        c_theta_q1=cross_cov_theta_quantized(block, c_y)[:, :p],
         a1=a[:p, :p],
         a2=a2,
         period=p,

@@ -460,27 +460,19 @@ def sample_copy_sums(
 # ---------------------------------------------------------------------------
 
 
-def _haar_unitary(m: int, g: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    z = _complex_normal(g, (m, m), 1.0)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r).copy()
-    d[d == 0] = 1.0  # measure-zero guard
-    return q * (d / np.abs(d))
-
-
 def make_ortho_matrices(params: OrthoBlockParams, rng: RngStream):
     """Draw mixing matrices (H, G) satisfying the orthonormal-block structure.
 
     H stacks ``n_a`` independent scaled unitaries sqrt(rho_a) * U_i, so
     H^H H = rho_a * n_a * I; G repeats a single scaled unitary block, so
-    G^H G = rho_q * n_q * I.
+    G^H G = rho_q * n_q * I.  Each block is a Haar unitary: the Q factor of
+    a CN(0, 1) matrix, its columns rotated so that R has a positive real
+    diagonal.
     """
     g = rng.generator()
     m = params.m
-    # One draw of every block, the quantized block last, takes the same
-    # normals from g in the same order as one _haar_unitary call per block,
-    # and the stacked QR factors each block as a single call would.
+    # One draw of every block, the quantized block last; the stacked QR
+    # factors each block as a QR of that block alone would.
     z = g.standard_normal((params.n_a + 1, 2, m, m))
     q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) * np.sqrt(0.5))
     d = np.diagonal(r, axis1=1, axis2=2).copy()
@@ -541,22 +533,23 @@ def make_mimo_model(
 
     The pilot matrix Phi is unitary (random Haar draw, or the unitary DFT
     matrix when ``pilot="dft"``); both mixing matrices repeat sqrt(rho)*Phi,
-    so the orthonormal-block assumptions hold with block gains rho.
+    so the orthonormal-block assumptions hold with block gains rho.  The
+    random pilot is the quantized block of :func:`make_ortho_matrices` for
+    one block of gain rho, drawn from ``rng`` (``RngStream(0)`` if None).
     """
     if k < 1:
         raise ModelError(f"k must be >= 1, got {k}")
     _require_counts(n_a, n_q)
-    if rho <= 0:
-        raise ModelError("pilot power rho must be positive")
+    require_finite("rho", rho, positive=True)
     if pilot == "random-unitary":
-        g = (rng if rng is not None else RngStream(0)).generator()
-        phi = _haar_unitary(k, g)
+        params = OrthoBlockParams(m=k, n_a=0, n_q=1, rho_q=rho)
+        _, block = make_ortho_matrices(params, rng if rng is not None else RngStream(0))
     elif pilot == "dft":
         idx = np.arange(k)
         phi = np.exp(-2j * np.pi * np.outer(idx, idx) / k) / np.sqrt(k)
+        block = np.sqrt(rho) * phi
     else:
         raise ModelError(f"unknown pilot type {pilot!r}")
-    block = np.sqrt(rho) * phi
     return MixedModel(
         h=np.tile(block, (n_a, 1)),
         g=np.tile(block, (n_q, 1)),

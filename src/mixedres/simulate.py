@@ -38,7 +38,6 @@ from .allocation import (
     frontier_grid,
     max_nq,
     na_range,
-    optimum,
 )
 from .closed_form import mse_grid
 from .exceptions import InstanceTooLargeError, ModelError, NumericalDomainError, require_finite
@@ -342,37 +341,17 @@ def _timeit(fns, repeats: int, warmup: int, warmup_fns=None, min_rep_time: float
     ]
 
 
-def _dense_direct_search(params: OrthoBlockParams, points, h_full: np.ndarray, g1: np.ndarray):
-    """The points of ``allocation.direct_search`` on the dense route: one
-    :func:`~mixedres.estimator.prefix_mse` over all n rows per analog count.
-
-    Point (n_a, n_q) is the first m * (n_a + n_q) rows of the model with the
-    same n_a and the largest requested n_q, so one scan per analog count
-    covers it.  The runtime benchmark times this route, whose cost grows
-    with the full row count.
+def _dense_mse(params: OrthoBlockParams, points, h_full: np.ndarray, g1: np.ndarray) -> list[float]:
+    """The MSE of each (n_a, n_q) point on the dense route: one
+    :func:`~mixedres.estimator.prefix_mse` over all m * (n_a + n_q) rows of
+    the first ``n_a`` blocks of ``h_full`` over ``n_q`` copies of ``g1``.
     """
-    m = params.m
-    points = list(points)
-    largest: dict[int, int] = {}
-    for n_a, n_q in points:
-        if n_a or n_q:
-            largest[n_a] = max(largest.get(n_a, 0), n_q)
-    eye = np.eye(m, dtype=np.complex128)
-    scans = {
-        n_a: prefix_mse(
-            MixedModel(
-                h=h_full[: m * n_a],
-                g=np.tile(g1, (n_q, 1)),
-                sigma_theta=eye,
-                var_a=params.var_a,
-                var_q=params.var_q,
-            )
-        ).tolist()
-        for n_a, n_q in largest.items()
-    }
-    return optimum(
-        [(n_a, n_q, 0.0, scans[n_a][m * (n_a + n_q)] if n_a or n_q else float(m)) for n_a, n_q in points]
+    m, eye = params.m, np.eye(params.m, dtype=np.complex128)
+    models = (
+        MixedModel(h=h_full[: m * n_a], g=np.tile(g1, (n_q, 1)), sigma_theta=eye, var_a=params.var_a, var_q=params.var_q)
+        for n_a, n_q in points
     )
+    return [prefix_mse(model)[-1] for model in models]
 
 
 def bench_runtime(
@@ -392,10 +371,10 @@ def bench_runtime(
     The budget is pinned to ``2**bits * m * n_a_max`` so the frontier always
     contains ``n_a_max + 1`` points.  The closed-form repetitions of all
     (m, n_a_max) cases are interleaved, so their medians come from the same
-    stretch of wall clock.  The direct arm evaluates the frontier points of
-    ``allocation.direct_search`` on the dense route (one Cholesky prefix scan
-    of all n rows per analog count) and warms up on its cheapest point, the one with the most
-    analog blocks; set ``direct_repeats`` to control its measured repetitions
+    stretch of wall clock.  The direct arm times the dense MSE of every
+    frontier point (one Cholesky prefix scan of all its n rows per point) and
+    warms up on its cheapest point, the one with the most analog blocks; set
+    ``direct_repeats`` to control its measured repetitions
     separately (large instances make full-sweep repetitions expensive).
     Repetition counts above ``MAX_REPEATS``, a frontier the closed-form
     search would refuse, and a direct arm whose largest frontier model
@@ -430,17 +409,14 @@ def bench_runtime(
     for (m, n_a_max, budget, params), closed in zip(cases, closed_stats):
         direct_stats = None
         if include_direct:
-            # One quantized block suffices; the search tiles it per point.
-            h_full, g_full = make_ortho_matrices(
-                replace(params, n_a=n_a_max, n_q=1), RngStream(rng_seed)
-            )
-            g1 = g_full[:m]
-            top = na_range(m, budget)[-1]
+            # One quantized block suffices; each point tiles it.
+            h_full, g1 = make_ortho_matrices(replace(params, n_a=n_a_max, n_q=1), RngStream(rng_seed))
+            top =na_range(m, budget)[-1]
             (direct_stats,) = _timeit(
-                [lambda: _dense_direct_search(params, zip(*frontier(m, budget)), h_full, g1)],
+                [lambda: _dense_mse(params, zip(*frontier(m, budget)), h_full, g1)],
                 repeats=direct_repeats if direct_repeats is not None else repeats,
                 warmup=warmup,
-                warmup_fns=[lambda: _dense_direct_search(params, [(top, max_nq(top, m, budget))], h_full, g1)],
+                warmup_fns=[lambda: _dense_mse(params, [(top, max_nq(top, m, budget))], h_full, g1)],
             )
         results.append(BenchResult(closed_form_time=closed, direct_time=direct_stats, n_a_max=n_a_max, m=m))
     return results

@@ -4,10 +4,12 @@ The covariance oracle estimates second moments straight from sampled
 measurements; it never calls the analytic covariance formulas it is used to
 check.  The ``reference_*`` functions keep the scalar, one-point-at-a-time
 closed form and search loops that the array evaluator replaced, and the
-1-bit quantizer expression the one-pass version replaced; tests require
-each pair to agree bit for bit.  ``reference_direct_search_mse`` keeps the
-one-``lmmse``-per-point loop that the prefix-scan search replaced; its sums
-run in another order, so it agrees to a tolerance.  ``reference_assemble``
+1-bit quantizer expression the one-pass version replaced, and the
+one-block-at-a-time Haar sampler that the stacked draw of
+``make_ortho_matrices`` replaced; tests require each pair to agree bit for
+bit.  ``reference_direct_search_mse`` keeps the one-``lmmse``-per-point
+loop that the prefix-scan search replaced; its sums run in another order,
+so it agrees to a tolerance.  ``reference_assemble``
 keeps the covariance assembly over all n_q quantized rows that the
 one-period assembly replaced, as a bundle whose one copy is all n_q rows;
 its Gram runs over other rows, so it too agrees to a tolerance.  ``reference_lmmse`` keeps the pivoted LU on all n
@@ -52,6 +54,7 @@ from mixedres.model import (
     MixedModel,
     OrthoBlockParams,
     RngStream,
+    _complex_normal,
     quantize_bbit,
     sample_measurements,
     sample_parameter,
@@ -144,6 +147,15 @@ def reference_quantize_1bit(z):
     z = np.asarray(z)
     out = (np.where(z.real >= 0, 1.0, -1.0) + 1j * np.where(z.imag >= 0, 1.0, -1.0)) * INV_SQRT2
     return out if out.ndim else complex(out)
+
+
+def reference_haar_unitary(m: int, g: np.random.Generator) -> np.ndarray:
+    """One m x m Haar unitary drawn from ``g``: the QR of a CN(0, 1) matrix,
+    its columns rotated so that R has a positive real diagonal."""
+    q, r = np.linalg.qr(_complex_normal(g, (m, m), 1.0))
+    d = np.diag(r).copy()
+    d[d == 0] = 1.0  # measure-zero guard
+    return q * (d / np.abs(d))
 
 
 # ---------------------------------------------------------------------------

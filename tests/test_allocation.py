@@ -179,19 +179,21 @@ class TestExhaustiveOracle:
 
     def test_size_guards(self, monkeypatch):
         """An analog factor of 8200 rows plus one quantized period is refused
-        before any matrix is drawn; so is a grid of more than max_pairs pairs."""
+        before any matrix is drawn; so is a grid of more than
+        ``MAX_EXHAUSTIVE_PAIRS`` pairs."""
         monkeypatch.setattr(allocation, "make_ortho_matrices", None)
+        monkeypatch.setattr(allocation, "MAX_EXHAUSTIVE_PAIRS", 10**6)
         with pytest.raises(InstanceTooLargeError, match="8210 rows"):
-            allocate_exhaustive(_params(), PowerBudget.for_analog_blocks(1, 10, 820), max_pairs=10**6)
+            allocate_exhaustive(_params(), PowerBudget.for_analog_blocks(1, 10, 820))
+        monkeypatch.setattr(allocation, "MAX_EXHAUSTIVE_PAIRS", 100)
         with pytest.raises(InstanceTooLargeError):
-            allocate_exhaustive(
-                _params(m=1), PowerBudget(bits=1, p_max_norm=4000.0), max_pairs=100
-            )
+            allocate_exhaustive(_params(m=1), PowerBudget(bits=1, p_max_norm=4000.0))
 
     @pytest.mark.parametrize("bits, max_pairs", [(1, 10_000), (40, 10_000), (1, 100)])
     def test_pair_count_stops_at_the_limit(self, monkeypatch, bits, max_pairs):
         """A budget of about 5e14 feasible pairs is refused after at most
-        ``max_pairs`` frontier points, never by walking the whole range."""
+        ``MAX_EXHAUSTIVE_PAIRS`` frontier points, never by walking the whole range."""
+        monkeypatch.setattr(allocation, "MAX_EXHAUSTIVE_PAIRS", max_pairs)
         calls = []
         real_max_nq = allocation.max_nq
 
@@ -203,13 +205,12 @@ class TestExhaustiveOracle:
 
         monkeypatch.setattr(allocation, "max_nq", counting_max_nq)
         with pytest.raises(InstanceTooLargeError, match=f"more than {max_pairs}"):
-            allocate_exhaustive(_params(m=1), PowerBudget(bits=bits, p_max_norm=1e15), max_pairs=max_pairs)
+            allocate_exhaustive(_params(m=1), PowerBudget(bits=bits, p_max_norm=1e15))
 
 
 class TestDirectSearch:
     def _blocks(self, params, n_a_max, seed=4):
-        h_full, g_full = make_ortho_matrices(replace(params, n_a=n_a_max, n_q=1), RngStream(seed))
-        return h_full, g_full[: params.m]
+        return make_ortho_matrices(replace(params, n_a=n_a_max, n_q=1), RngStream(seed))
 
     def test_frontier_agrees_with_closed_form(self):
         params = _params(m=3, rho=0.7, sigma2=1.3)

@@ -46,6 +46,18 @@ def _read_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
+def _record_calls(monkeypatch, module, name):
+    """Patch ``module.name`` with a wrapper that records each call; returns the record."""
+    real, calls = getattr(module, name), []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
 class TestMseCommand:
     CFG = {
         "scenario": "scalar",
@@ -349,6 +361,8 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert "exceeds" in captured.err and "Traceback" not in captured.err
 
+    MIMO_ONE_BLOCK = {"scenario": "mimo", "n_a": 1, "n_q": 0, "sigma2": 1.0, "trials": 1, "filter": "closed"}
+
     def test_oversized_parameter_is_refused_before_any_draw(self, tmp_path, capsys, monkeypatch):
         """20000 rows x m = 20000 would need a 6 GiB unitary draw; one trial
         and one row block pass the row and batch limits."""
@@ -357,13 +371,21 @@ class TestSimulateCommand:
         def no_draw(*args, **kwargs):
             raise AssertionError("unitary drawn for an oversized parameter")
 
-        monkeypatch.setattr(model, "_haar_unitary", no_draw)
-        cfg = {"scenario": "mimo", "m": 20000, "n_a": 1, "n_q": 0, "sigma2": 1.0, "trials": 1, "filter": "closed"}
-        path = _write(tmp_path, "sim.yaml", cfg)
+        monkeypatch.setattr(model, "make_ortho_matrices", no_draw)
+        path = _write(tmp_path, "sim.yaml", {**self.MIMO_ONE_BLOCK, "m": 20000})
         assert main(["simulate", "--config", path]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "exceeds" in captured.err and "Traceback" not in captured.err
+
+    def test_small_parameter_draws_through_the_patched_name(self, tmp_path, capsys, monkeypatch):
+        """Control for the test above: a small pilot is drawn by the function it patches."""
+        from mixedres import model
+
+        calls = _record_calls(monkeypatch, model, "make_ortho_matrices")
+        path = _write(tmp_path, "sim.yaml", {**self.MIMO_ONE_BLOCK, "m": 3})
+        assert main(["simulate", "--config", path]) == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("command", ["simulate", "mse"])
     def test_huge_trial_count_exits_before_any_draw(self, tmp_path, command):
@@ -587,17 +609,27 @@ class TestBenchCommand:
         assert key in captured.err and "Traceback" not in captured.err
 
     def test_oversized_parameter_is_refused_before_any_draw(self, tmp_path, capsys, monkeypatch):
-        from mixedres import model
+        """m = 20000 with two blocks would need a 12.8 GB normal draw."""
+        from mixedres import simulate
 
         def no_draw(*args, **kwargs):
             raise AssertionError("unitary drawn for an oversized parameter")
 
-        monkeypatch.setattr(model, "_haar_unitary", no_draw)
+        monkeypatch.setattr(simulate, "make_ortho_matrices", no_draw)
         path = _write(tmp_path, "bench.yaml", {"m_list": [20000], "n_a_max_list": [1]})
         assert main(["bench", "--config", path]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "exceeds" in captured.err and "Traceback" not in captured.err
+
+    def test_small_parameter_draws_through_the_patched_name(self, tmp_path, capsys, monkeypatch):
+        """Control for the test above: the direct arm draws its blocks by the function it patches."""
+        from mixedres import simulate
+
+        calls = _record_calls(monkeypatch, simulate, "make_ortho_matrices")
+        path = _write(tmp_path, "bench.yaml", BENCH)
+        assert main(["bench", "--config", path]) == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("repeats", ["0", "-1"])
     def test_repeats_flag_must_be_positive(self, tmp_path, capsys, repeats):

@@ -14,7 +14,6 @@ from mixedres.model import (
     OrthoBlockParams,
     RngStream,
     _complex_normal,
-    _haar_unitary,
     make_mimo_model,
     make_ortho_matrices,
     make_scalar_model,
@@ -23,6 +22,7 @@ from mixedres.model import (
     sample_measurements,
     sample_parameter,
 )
+from oracles import reference_haar_unitary
 
 
 class TestMixedModelValidation:
@@ -382,12 +382,12 @@ class TestOrthoMatrices:
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 10])
     @pytest.mark.parametrize("n_a", [0, 1, 3, 7])
     def test_equals_one_haar_draw_per_block(self, m, n_a):
-        """The stacked draw is, bit for bit, one ``_haar_unitary`` call per
-        analog block followed by one for the quantized block."""
+        """The stacked draw is, bit for bit, one ``reference_haar_unitary``
+        call per analog block followed by one for the quantized block."""
         params = OrthoBlockParams(m=m, n_a=n_a, n_q=2, rho_a=1.7, rho_q=0.4)
         gen = RngStream(m + n_a).generator()
-        blocks = [np.sqrt(1.7) * _haar_unitary(m, gen) for _ in range(n_a)]
-        g_block = np.sqrt(0.4) * _haar_unitary(m, gen)
+        blocks = [np.sqrt(1.7) * reference_haar_unitary(m, gen) for _ in range(n_a)]
+        g_block = np.sqrt(0.4) * reference_haar_unitary(m, gen)
         h, g = make_ortho_matrices(params, RngStream(m + n_a))
         np.testing.assert_array_equal(h, np.array(blocks, dtype=np.complex128).reshape(-1, m))
         np.testing.assert_array_equal(g, np.tile(g_block, (2, 1)))
@@ -453,6 +453,23 @@ class TestMimoModel:
     def test_rejects_bad_counts(self, n_a, n_q):
         with pytest.raises(ModelError):
             make_mimo_model(3, n_a, n_q, rho=1.0, var=1.0, rng=RngStream(0))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("seed", [None, 0, 7])
+    def test_random_pilot_is_one_haar_draw(self, k, seed):
+        """Both mixing matrices tile sqrt(rho) times one Haar unitary drawn
+        from ``rng``, bit for bit; no ``rng`` means ``RngStream(0)``."""
+        rng = None if seed is None else RngStream(seed)
+        model = make_mimo_model(k, 2, 3, rho=2.5, var=1.0, rng=rng)
+        block = np.sqrt(2.5) * reference_haar_unitary(k, RngStream(seed or 0).generator())
+        np.testing.assert_array_equal(model.h, np.tile(block, (2, 1)))
+        np.testing.assert_array_equal(model.g, np.tile(block, (3, 1)))
+
+    @pytest.mark.parametrize("pilot", ["random-unitary", "dft"])
+    @pytest.mark.parametrize("rho", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_pilot_power(self, pilot, rho):
+        with pytest.raises(ModelError, match="rho"):
+            make_mimo_model(3, 1, 1, rho=rho, var=1.0, pilot=pilot, rng=RngStream(0))
 
     def test_unknown_pilot_rejected(self):
         with pytest.raises(ModelError):

@@ -293,10 +293,10 @@ class TestBenchRuntime:
 
     def test_direct_time_grows_superlinearly(self):
         """Compares the fastest repetition of each arm: a host stall only
-        lengthens a repetition, and with two repetitions one stall moves the
-        median but not the minimum."""
+        lengthens a repetition, and of seven repetitions (each about a
+        millisecond) all would have to stall to move the minimum."""
         results = bench_runtime(
-            [2], [2, 6], bits=5, sigma2=1.0, repeats=3, direct_repeats=2, warmup=1
+            [2], [2, 6], bits=5, sigma2=1.0, repeats=3, direct_repeats=7, warmup=1
         )
         t_small = results[0].direct_time.best_s
         t_large = results[1].direct_time.best_s
