@@ -60,6 +60,7 @@ from .model import (
     OrthoBlockParams,
     QuantizerSpec,
     RngStream,
+    SampleBuffers,
     block_period,
     make_mimo_model,
     make_ortho_matrices,

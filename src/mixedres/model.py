@@ -21,8 +21,8 @@ filter that treats the copies of a repeated block alike can see: the sum of
 the copies.  Given theta, each 1-bit output of a row with mean mu is +1 with
 probability Phi(mu / sqrt(v/2)) per real and imaginary part, independently
 of the other rows, so the sum of k copies of a row is a binomial count,
-drawn as k uniforms compared with that probability (k = 1 for a row that
-does not repeat).  The sum of k_a analog copies is k_a H1 theta plus one
+drawn as k 16-bit words compared with that probability (k = 1 for a row
+that does not repeat).  The sum of k_a analog copies is k_a H1 theta plus one
 noise draw of variance k_a v.  Both sums have exactly the distribution of
 the sums of the realized rows.
 """
@@ -288,20 +288,88 @@ class OrthoBlockParams:
 # ---------------------------------------------------------------------------
 
 
-def sample_parameter(sigma_theta: np.ndarray, rng: RngStream, size: int | None = None) -> np.ndarray:
-    """Draw the parameter vector from CN(0, sigma_theta).
-
-    Returns shape (m,) by default, or (m, size) with draws as columns.
-    """
+def _prior_factor(sigma_theta: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the prior covariance."""
     sig = np.atleast_2d(np.asarray(sigma_theta, dtype=np.complex128))
     try:
-        chol = np.linalg.cholesky(sig)
+        return np.linalg.cholesky(sig)
     except np.linalg.LinAlgError as exc:
         raise SingularPriorError("prior covariance is not positive definite") from exc
-    m = sig.shape[0]
+
+
+def _prefix(buf: np.ndarray, shape: tuple) -> np.ndarray:
+    """The first prod(shape) items of the flat ``buf``, as a C-contiguous array of ``shape``."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+class SampleBuffers:
+    """Arrays that the batches of one Monte-Carlo run draw into.
+
+    Built once for batches of up to ``trials`` trials of ``model`` with the
+    given copy periods (see :func:`sample_copy_sums`).  They also hold the
+    Cholesky factor of the model's prior, so a run factors it once.  The
+    arrays that :func:`sample_parameter` and :func:`sample_copy_sums` return
+    from them are views, which the next draw into the same buffers
+    overwrites.  Each buffer is flat, and a batch of t trials uses a
+    contiguous prefix of it:
+
+    - ``theta``: the planar normal block of theta, then theta;
+    - ``scratch`` (float64): theta's complex normals, then the analog normal
+      block, then 2**16 times the sign probabilities, then the count parts,
+      and then the caller's estimation error (:meth:`error`);
+    - ``sums``: [s_a; s_q], whose s_q rows hold mu until the counts replace it;
+    - ``thresholds``, ``below`` and ``counts``: the word thresholds, the
+      word comparisons and the count of each part.
+    """
+
+    def __init__(self, model: MixedModel, trials: int, analog_period: int, quantized_period: int):
+        self.chol = _prior_factor(model.sigma_theta)
+        self.trials = trials
+        self.periods = (analog_period, quantized_period)
+        self.copies = (
+            _copies(model.n_analog, analog_period, "analog"),
+            _copies(model.n_quantized, quantized_period, "quantized"),
+        )
+        m, p, k = model.m, quantized_period, self.copies[1]
+        self.theta = np.empty(m * trials, dtype=np.complex128)
+        self.scratch = np.empty(2 * max(m, analog_period, p) * trials)
+        self.sums = np.empty((analog_period + p) * trials, dtype=np.complex128)
+        self.thresholds = np.empty(2 * p * trials, dtype=np.uint16)
+        self.below = np.empty(k * 2 * p * trials, dtype=np.bool_)
+        self.counts = np.empty(2 * p * trials, dtype=np.min_scalar_type(k))
+
+    def copy_sums(self, t: int) -> np.ndarray:
+        """[s_a; s_q] of the last :func:`sample_copy_sums` draw of ``t`` trials, shape (p_a + p, t)."""
+        return _prefix(self.sums, (sum(self.periods), t))
+
+    def error(self, t: int) -> np.ndarray:
+        """(m, t) complex scratch, free once the copy sums of ``t`` trials are drawn."""
+        return _prefix(self.scratch.view(np.complex128), (self.chol.shape[0], t))
+
+
+def sample_parameter(
+    sigma_theta: np.ndarray, rng: RngStream, size: int | None = None, buffers: SampleBuffers | None = None
+) -> np.ndarray:
+    """Draw the parameter vector from CN(0, sigma_theta).
+
+    Returns shape (m,) by default, or (m, size) with draws as columns.  With
+    ``buffers`` built for this prior, the (m, size) draw is written into
+    them with their Cholesky factor and has the same values.
+    """
     g = rng.generator()
-    z = _complex_normal(g, (m,) if size is None else (m, size), 1.0)
-    return chol @ z
+    if buffers is None:
+        chol = _prior_factor(sigma_theta)
+        m = chol.shape[0]
+        return chol @ _complex_normal(g, (m,) if size is None else (m, size), 1.0)
+    m = buffers.chol.shape[0]
+    if size is None or size > buffers.trials:
+        raise ModelError(f"a draw into buffers needs a size of at most {buffers.trials} trials, got {size}")
+    planar = _prefix(buffers.theta.view(np.float64), (2, m, size))
+    g.standard_normal(out=planar)
+    normals = _prefix(buffers.scratch.view(np.complex128), (m, size))
+    np.multiply(planar[0], INV_SQRT2, out=normals.real)
+    np.multiply(planar[1], INV_SQRT2, out=normals.imag)
+    return np.matmul(buffers.chol, normals, out=_prefix(buffers.theta, (m, size)))
 
 
 def _add_complex_normal(out: np.ndarray, g: np.random.Generator, var: float) -> None:
@@ -316,9 +384,12 @@ def _add_complex_normal(out: np.ndarray, g: np.random.Generator, var: float) -> 
     _add_planar_normal(out, g, np.sqrt(var / 2.0))
 
 
-def _add_planar_normal(out: np.ndarray, g: np.random.Generator, std: float) -> None:
-    """Add ``std`` times one planar (2,) + shape standard-normal block to ``out`` in place."""
-    z = g.standard_normal((2,) + out.shape)
+def _add_planar_normal(out: np.ndarray, g: np.random.Generator, std: float, z: np.ndarray | None = None) -> None:
+    """Add ``std`` times one planar (2,) + shape standard-normal block to ``out`` in place.
+
+    The block is drawn into ``z`` when given (same values, no allocation).
+    """
+    z = g.standard_normal((2,) + out.shape) if z is None else g.standard_normal(out=z)
     z *= std
     out.real += z[0]
     out.imag += z[1]
@@ -393,63 +464,98 @@ def sample_copy_sums(
     rng: RngStream,
     analog_period: int,
     quantized_period: int,
+    buffers: SampleBuffers | None = None,
 ):
     """Draw the copy sums (s_a, s_q) of one realization of the measurement model.
 
-    The analog rows must be k_a copies of their first ``analog_period`` rows
-    and the quantized rows k copies of their first ``quantized_period`` rows,
-    as :func:`block_period` finds them; a period equal to the row count
-    claims no repetition.  ``s_a`` (``analog_period`` rows) and ``s_q``
+    ``theta`` is an (m, t) batch of parameter columns.  The analog rows must
+    be k_a copies of their first ``analog_period`` rows and the quantized
+    rows k copies of their first ``quantized_period`` rows, as
+    :func:`block_period` finds them; a period equal to the row count claims
+    no repetition.  ``s_a`` (``analog_period`` rows) and ``s_q``
     (``quantized_period`` rows) are the sums over the copies of x_a and x_q,
     with the same distribution as summing the rows that
     :func:`sample_measurements` draws, but from other draws of ``rng``:
 
     1. one CN(0, k_a * var_a_total) block added to k_a * H[:p_a] theta;
-    2. one uniform block of shape (k, 2, p, t): copy j of row i counts +1
-       in its real (imaginary) part when its uniform is below
-       Phi(mu / sqrt(v/2)), mu being the real (imaginary) part of
-       G[:p] theta and v = var_q_total, so each part of s_q is
-       (2 * count - k) / sqrt(2).  Rows that do not repeat (k = 1) take
-       the same path: one Bernoulli per row.
+    2. one block of k * 2 * p * t 16-bit words, ``random_raw`` read as
+       little-endian: with P = Phi(mu / sqrt(v/2)), mu being the real
+       (imaginary) part of G[:p] theta and v = var_q_total, copy j of row i
+       counts +1 in that part when its word is below
+       T = min(floor(2**16 P), 2**16 - 1);
+    3. when some word equals its T, one binomial draw over the parts with
+       such ties: each tied copy counts with probability f = 2**16 P - T.
+
+    So each copy counts with probability (T + f) / 2**16 = P exactly, every
+    count is Binomial(k, P), and each part of s_q is (2 * count - k) /
+    sqrt(2).  Rows that do not repeat (k = 1) take the same path.
 
     A zero variance draws nothing: the analog sum is then k_a * H[:p_a]
-    theta and the quantized sum k * quantize_1bit(G[:p] theta).
+    theta and the quantized sum k * quantize_1bit(G[:p] theta).  Without
+    ``buffers`` the sums are new arrays; with them, they are views into
+    the buffers (see :class:`SampleBuffers`).
     """
     theta = np.asarray(theta, dtype=np.complex128)
-    if theta.shape[0] != model.m:
-        raise ModelError(f"theta has leading dimension {theta.shape[0]}, expected {model.m}")
-    k_a = _copies(model.n_analog, analog_period, "analog")
-    k = _copies(model.n_quantized, quantized_period, "quantized")
+    if theta.ndim != 2 or theta.shape[0] != model.m:
+        raise ModelError(f"theta must have shape ({model.m}, trials), got {theta.shape}")
+    t = theta.shape[1]
+    if buffers is None:
+        buffers = SampleBuffers(model, t, analog_period, quantized_period)
+    elif buffers.periods != (analog_period, quantized_period) or t > buffers.trials:
+        raise ModelError(f"buffers hold periods {buffers.periods} and {buffers.trials} trials")
+    k_a, k = buffers.copies
+    p = quantized_period
     g = rng.generator()
 
-    s_a = model.h[:analog_period] @ theta
+    sums = buffers.copy_sums(t)
+    s_a, s_q = sums[:analog_period], sums[analog_period:]
+    np.matmul(model.h[:analog_period], theta, out=s_a)
     std_a = _part_std(model.var_a, model.var_da)
     # An extreme model can overflow the sum; run_monte_carlo refuses the non-finite result.
     with np.errstate(over="ignore"):
         if k_a > 1:
             s_a *= k_a
         if std_a:
-            _add_planar_normal(s_a, g, std_a * np.sqrt(k_a))
+            _add_planar_normal(s_a, g, std_a * np.sqrt(k_a), _prefix(buffers.scratch, (2,) + s_a.shape))
 
-    mu = model.g[:quantized_period] @ theta
+    mu = np.matmul(model.g[:p], theta, out=s_q)
     if not mu.size:
-        return s_a, mu
+        return s_a, s_q
     sigma = _part_std(model.var_q, model.var_dq)
     if sigma == 0.0:
-        return s_a, k * quantize_1bit(mu)
+        s_q[...] = k * quantize_1bit(mu)
+        return s_a, s_q
     if not np.isfinite(mu).all():
         raise QuantizerDomainError("1-bit quantizer requires finite input")
     # Imported here: scipy.special adds about 50 ms to every import of the CLI.
     from scipy.special import ndtr
 
+    # 2**16 P per part; a ratio that overflows to +-inf has P exactly 1 or 0.
+    scaled = _prefix(buffers.scratch, (2, p, t))
     with np.errstate(over="ignore"):
-        # A ratio that overflows to +-inf has probability exactly 1 or 0.
-        prob = ndtr(np.stack([mu.real, mu.imag]) / sigma)
+        np.divide(mu.real, sigma, out=scaled[0])
+        np.divide(mu.imag, sigma, out=scaled[1])
+    ndtr(scaled, out=scaled)
+    scaled *= 65536.0
+    # The cast truncates, which is floor for these nonnegative values.
+    thresholds = np.minimum(scaled, 65535.0, out=_prefix(buffers.thresholds, (2, p, t)), casting="unsafe")
+
+    n = k * 2 * p * t
+    words = g.bit_generator.random_raw(-(-n // 4)).astype("<u8", copy=False).view("<u2")[:n].reshape(k, 2, p, t)
+    below = _prefix(buffers.below, (k, 2, p, t))
+    counts = _prefix(buffers.counts, (2, p, t))
     # Summing the comparison's bytes in the narrowest type that holds k is
     # about 15x faster than np.count_nonzero along an axis.
-    counts = (g.random((k,) + prob.shape) < prob).view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(k))
-    parts = (2.0 * counts - k) * INV_SQRT2
-    s_q = np.empty(mu.shape, dtype=np.complex128)
+    np.less(words, thresholds, out=below).view(np.uint8).sum(axis=0, dtype=counts.dtype, out=counts)
+    tied = np.flatnonzero(np.equal(words, thresholds, out=below)) % thresholds.size
+    if tied.size:
+        at, ties = np.unique(tied, return_counts=True)
+        remainder = scaled.reshape(-1)[at] - thresholds.reshape(-1)[at]
+        counts.reshape(-1)[at] += g.binomial(ties, remainder).astype(counts.dtype)
+
+    parts = np.multiply(counts, 2.0, out=scaled)
+    parts -= k
+    parts *= INV_SQRT2
     s_q.real = parts[0]
     s_q.imag = parts[1]
     return s_a, s_q

@@ -14,7 +14,13 @@ is drawn (:func:`~mixedres.model.sample_copy_sums`).  The analog rows work
 the same way with [H | W_a^T], except under b-bit emulation, which must
 quantize every copy, so the analog period is then n_a.  Rows without
 repetition are one copy of themselves (k = 1) and take the same path: one
-Bernoulli per quantized row and one analog noise block.
+16-bit word per quantized row and part, and one analog noise block.
+
+A run makes one set of :class:`~mixedres.model.SampleBuffers` for its
+largest batch and factors the prior once; every batch draws theta and the
+copy sums into them and applies the filter there, so a batch allocates
+only its word block and a few per-trial vectors.  The output bytes depend
+on the seed and the batch size only.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from .model import (
     OrthoBlockParams,
     QuantizerSpec,
     RngStream,
+    SampleBuffers,
     block_period,
     make_ortho_matrices,
     quantize_bbit,
@@ -56,9 +63,10 @@ from .model import (
 
 # Default b-bit emulation of the analog path: 6 bits on [-5, 5].
 DEFAULT_ANALOG_QUANTIZER = QuantizerSpec(bits=6, lo=-5.0, hi=5.0)
-# Most values (rows x trials) in one Monte-Carlo batch array.  A complex
-# batch array then takes at most 1 GiB, and the default batch of 8192 trials
-# admits every model the dense solver accepts.
+# Most values (rows x trials) in one Monte-Carlo batch.  Per value, a batch
+# holds at most 16 bytes of copy sums, 4 of 16-bit words and 2 of word
+# comparisons, so none of these arrays takes more than 1 GiB, and the
+# default batch of 8192 trials admits every model the dense solver accepts.
 MAX_BATCH_ELEMENTS = 8192 * 8192
 # Most trials in one run: the largest count that the float64 mean and
 # variance divide by exactly.
@@ -83,8 +91,9 @@ class SimConfig:
     batch_size: int = 8192
 
     def __post_init__(self):
-        if self.trials < 1 or self.batch_size < 1:
-            raise ModelError("trials and batch_size must be >= 1")
+        # One trial has no sample variance, so its standard error would be 0.
+        if self.trials < 2 or self.batch_size < 1:
+            raise ModelError(f"need trials >= 2 and batch_size >= 1, got trials={self.trials}, batch_size={self.batch_size}")
 
 
 @dataclass
@@ -153,19 +162,26 @@ def _copy_periods(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> tuple
     return block_period(np.concatenate([model.h, w_t[:n_a]], axis=1)), p_q
 
 
-def _run_batch(model: MixedModel, filt: LmmseFilter, cfg: SimConfig, batch: int, count: int, periods: tuple[int, int]):
-    p_a, p_q = periods
-    theta = sample_parameter(model.sigma_theta, RngStream(cfg.rng_seed, 2 * batch), size=count)
-    s_a, s_q = sample_copy_sums(model, theta, RngStream(cfg.rng_seed, 2 * batch + 1), p_a, p_q)
+def _run_batch(model: MixedModel, w1: np.ndarray, cfg: SimConfig, batch: int, count: int, buffers: SampleBuffers):
+    """Sum and sum of squares of the per-trial squared errors of one batch.
+
+    ``w1`` is the filter's columns for one analog and one quantized period,
+    so the error is ``w1 @ [s_a; s_q] - theta``.
+    """
+    theta = sample_parameter(model.sigma_theta, RngStream(cfg.rng_seed, 2 * batch), size=count, buffers=buffers)
+    s_a, _ = sample_copy_sums(model, theta, RngStream(cfg.rng_seed, 2 * batch + 1), *buffers.periods, buffers=buffers)
     if cfg.analog_quantizer is not None and s_a.size:
-        s_a = quantize_bbit(s_a, cfg.analog_quantizer)
-    n_a = model.n_analog
-    err = filt.w[:, :p_a] @ s_a + filt.w[:, n_a : n_a + p_q] @ s_q - theta
+        s_a[...] = quantize_bbit(s_a, cfg.analog_quantizer)
+    err = np.matmul(w1, buffers.copy_sums(count), out=buffers.error(count))
     # An extreme quantizer range can overflow the squares; run_monte_carlo
     # refuses the non-finite result.
     with np.errstate(over="ignore", invalid="ignore"):
-        per_trial = (err.real**2 + err.imag**2).sum(axis=0)
-        return float(per_trial.sum()), float((per_trial**2).sum())
+        err -= theta
+        squares = np.square(err.view(np.float64), out=err.view(np.float64))
+        per_trial = squares.sum(axis=0)
+        per_trial = per_trial[0::2] + per_trial[1::2]
+        total = float(per_trial.sum())
+        return total, float(np.square(per_trial, out=per_trial).sum())
 
 
 def run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> SimResult:
@@ -173,16 +189,21 @@ def run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> Sim
 
     Per trial: draw the parameter and the copy sums of the measurements
     (see the module docstring), apply the filter, and accumulate the
-    squared estimation error.  The standard error is the sample standard
-    deviation of the per-trial squared error divided by sqrt(trials).
+    squared estimation error.  Every batch draws into one set of
+    :class:`~mixedres.model.SampleBuffers` made for the run.  The standard
+    error is the sample standard deviation of the per-trial squared error
+    divided by sqrt(trials).
     """
     if filt.w.shape != (model.m, model.n_analog + model.n_quantized):
         raise ModelError("filter shape does not match the model")
     check_batch_size(model.n_analog + model.n_quantized, cfg, model.m)
     n_batches = -(-cfg.trials // cfg.batch_size)
-    periods = _copy_periods(model, filt, cfg)
+    p_a, p_q = _copy_periods(model, filt, cfg)
+    n_a = model.n_analog
+    w1 = np.concatenate([filt.w[:, :p_a], filt.w[:, n_a : n_a + p_q]], axis=1)
+    buffers = SampleBuffers(model, min(cfg.batch_size, cfg.trials), p_a, p_q)
     partials = [
-        _run_batch(model, filt, cfg, b, min(cfg.batch_size, cfg.trials - b * cfg.batch_size), periods)
+        _run_batch(model, w1, cfg, b, min(cfg.batch_size, cfg.trials - b * cfg.batch_size), buffers)
         for b in range(n_batches)
     ]
     # Exact summation of the batch sums: a plain sum rounds differently and
@@ -193,7 +214,7 @@ def run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> Sim
     if not math.isfinite(total_sq):
         raise NumericalDomainError("the squared estimation error overflowed to a non-finite value")
     mean = total / t
-    var = max(total_sq - t * mean**2, 0.0) / (t - 1) if t > 1 else 0.0
+    var = max(total_sq - t * mean**2, 0.0) / (t - 1)
     return SimResult(
         empirical_mse=mean,
         std_error=math.sqrt(var / t),

@@ -361,10 +361,10 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert "exceeds" in captured.err and "Traceback" not in captured.err
 
-    MIMO_ONE_BLOCK = {"scenario": "mimo", "n_a": 1, "n_q": 0, "sigma2": 1.0, "trials": 1, "filter": "closed"}
+    MIMO_ONE_BLOCK = {"scenario": "mimo", "n_a": 1, "n_q": 0, "sigma2": 1.0, "trials": 2, "filter": "closed"}
 
     def test_oversized_parameter_is_refused_before_any_draw(self, tmp_path, capsys, monkeypatch):
-        """20000 rows x m = 20000 would need a 6 GiB unitary draw; one trial
+        """20000 rows x m = 20000 would need a 6 GiB unitary draw; two trials
         and one row block pass the row and batch limits."""
         from mixedres import model
 
@@ -491,6 +491,21 @@ def test_zero_trial_counts_are_config_errors(tmp_path, capsys, command, key):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert ">= 1" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["simulate", "mse"])
+def test_one_trial_is_a_config_error(tmp_path, capsys, command):
+    """One trial has no sample variance, so its standard error would read 0
+    and its z-score infinity."""
+    if command == "simulate":
+        cfg, argv = {**SIM_SCALAR, "trials": 1}, []
+    else:
+        cfg, argv = {**TestMseCommand.CFG, "empirical": {"trials": 1}}, ["--empirical"]
+    path = _write(tmp_path, f"{command}.yaml", cfg)
+    assert main([command, "--config", path, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "trials >= 2" in captured.err and "Traceback" not in captured.err
 
 
 SIM_SCALAR = {"scenario": "scalar", "n_a": 1, "n_q": 1, "sigma2": 1.0, "trials": 100}

@@ -1,9 +1,11 @@
 """Tests for model construction, validation, and random sampling."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from mixedres.closed_form import mse_closed_form
 from mixedres.estimator import lmmse
@@ -13,7 +15,9 @@ from mixedres.model import (
     MixedModel,
     OrthoBlockParams,
     RngStream,
+    SampleBuffers,
     _complex_normal,
+    _part_std,
     make_mimo_model,
     make_ortho_matrices,
     make_scalar_model,
@@ -357,6 +361,142 @@ class TestSampleCopySums:
         model = make_scalar_model(1, 1, 1.0)
         with pytest.raises(ModelError):
             sample_copy_sums(model, np.zeros(3), RngStream(0), 1, 1)
+
+
+class _StubWords:
+    """An RngStream stand-in whose word block repeats one 16-bit word; its normal and binomial draws are real."""
+
+    def __init__(self, word: int, seed: int = 0):
+        self.word, self.seed = word, seed
+
+    def generator(self):
+        g = RngStream(self.seed).generator()
+        raw = np.uint64(self.word * 0x0001_0001_0001_0001)
+        return SimpleNamespace(
+            standard_normal=g.standard_normal,
+            binomial=g.binomial,
+            bit_generator=SimpleNamespace(random_raw=lambda n: np.full(n, raw, dtype=np.uint64)),
+        )
+
+
+def _quantized_counts(k, theta, stream):
+    """The per-part copy counts (2, t) of k copies of the row 1 at quantized variance 0.9.
+
+    Also checks that each part of s_q is exactly (2 * count - k) / sqrt(2).
+    """
+    _, s_q = sample_copy_sums(make_scalar_model(0, k, 0.9), theta, stream, 0, 1)
+    parts = np.concatenate([s_q.real, s_q.imag])
+    counts = np.rint((parts / INV_SQRT2 + k) / 2)
+    assert np.array_equal(parts, (2.0 * counts - k) * INV_SQRT2)
+    assert counts.min() >= 0 and counts.max() <= k
+    return counts.astype(np.int64)
+
+
+def _assert_binomial(counts, k, prob):
+    """``counts`` are Binomial(k, prob) draws: all 0 or all k at prob 0 or 1,
+    else by a chi-square test on the bins expecting at least 5, the rest pooled."""
+    counts = counts.ravel()
+    if prob in (0.0, 1.0):
+        assert (counts == k * prob).all()
+        return
+    expected = stats.binom.pmf(np.arange(k + 1), k, prob) * counts.size
+    observed = np.bincount(counts, minlength=k + 1)
+    keep = expected >= 5
+    obs, exp = observed[keep], expected[keep]
+    if not keep.all():
+        obs, exp = np.append(obs, observed[~keep].sum()), np.append(exp, expected[~keep].sum())
+    assert stats.chisquare(obs, exp * obs.sum() / exp.sum()).pvalue > 1e-6
+
+
+class TestCopyCountExactness:
+    """Each part's count of k quantized copies is Binomial(k, P), P = Phi(mu / sigma)."""
+
+    TRIALS = 20_000
+    # mu / sigma, whose P is 0, 1/2, 1, and one where 2**16 P has a nonzero fraction.
+    RATIOS = {"p0": -40.0, "half": 0.0, "p1": 40.0, "fraction": 1.2}
+
+    def _theta(self, ratio, imag_ratio):
+        sigma = _part_std(0.9, 0.0)
+        return np.full((1, self.TRIALS), ratio * sigma + 1j * imag_ratio * sigma), sigma
+
+    @pytest.mark.parametrize("k", [1, 4, 300])
+    @pytest.mark.parametrize("case", sorted(RATIOS))
+    def test_counts_are_binomial(self, k, case):
+        ratio = self.RATIOS[case]
+        theta, sigma = self._theta(ratio, -ratio)
+        counts = _quantized_counts(k, theta, RngStream(k, 1))
+        for part, mu in enumerate((theta.real, theta.imag)):
+            _assert_binomial(counts[part], k, float(special.ndtr(mu[0, 0] / sigma)))
+
+    @pytest.mark.parametrize("k", [1, 300])
+    @pytest.mark.parametrize("case", sorted(RATIOS))
+    def test_tied_words_count_with_the_fraction(self, k, case):
+        """Words equal to the threshold T = min(floor(2**16 P), 2**16 - 1)
+        count with probability f = 2**16 P - T; the words next to T count
+        always (below) or never (above)."""
+        ratio = self.RATIOS[case]
+        theta, sigma = self._theta(ratio, ratio)
+        scaled = 65536.0 * float(special.ndtr(ratio * sigma / sigma))
+        threshold = min(int(scaled), 65535)
+        fraction = scaled - threshold
+        assert 0.0 < fraction < 1.0 if case == "fraction" else fraction in (0.0, 1.0)
+        _assert_binomial(_quantized_counts(k, theta, _StubWords(threshold, seed=k)), k, fraction)
+        if threshold > 0:
+            assert (_quantized_counts(k, theta, _StubWords(threshold - 1)) == k).all()
+        if threshold < 65535:
+            assert (_quantized_counts(k, theta, _StubWords(threshold + 1)) == 0).all()
+
+    def test_more_than_255_copies_count_past_a_byte(self):
+        """k = 300 needs 16-bit counts: P close to 1 gives counts above 255."""
+        theta, _ = self._theta(3.0, 40.0)
+        counts = _quantized_counts(300, theta, RngStream(2))
+        assert counts[0].max() > 255 and (counts[1] == 300).all()
+
+
+class TestSampleBuffers:
+    """Draws into one set of buffers against fresh arrays."""
+
+    def test_parameter_draw_into_buffers_equals_a_fresh_draw(self):
+        model = _tiled_model(30, 3, 1, 2, 2, 3)
+        buffers = SampleBuffers(model, 64, 1, 2)
+        for seed, size in ((1, 64), (2, 40)):
+            got = sample_parameter(model.sigma_theta, RngStream(seed), size=size, buffers=buffers)
+            want = sample_parameter(model.sigma_theta, RngStream(seed), size=size)
+            assert got.shape == (3, size) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dither", [False, True])
+    def test_copy_sums_into_buffers_equal_fresh_sums(self, dither):
+        """A full batch and then a shorter one (a run's last batch) drawn into
+        the same buffers give the bytes of sums drawn into fresh arrays."""
+        model = _tiled_model(31, 2, 2, 3, 3, 4, var_da=0.3 if dither else 0.0, var_dq=0.6 if dither else 0.0)
+        buffers = SampleBuffers(model, 300, 2, 3)
+        for seed, size in ((3, 300), (4, 117)):
+            theta = sample_parameter(model.sigma_theta, RngStream(seed), size=size)
+            got = sample_copy_sums(model, theta, RngStream(seed, 1), 2, 3, buffers=buffers)
+            want = sample_copy_sums(model, theta, RngStream(seed, 1), 2, 3)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_sums_without_buffers_are_not_shared(self):
+        model = _tiled_model(32, 2, 1, 2, 2, 3)
+        theta = sample_parameter(model.sigma_theta, RngStream(5), size=50)
+        first = sample_copy_sums(model, theta, RngStream(6), 1, 2)
+        kept = [a.copy() for a in first]
+        second = sample_copy_sums(model, theta, RngStream(7), 1, 2)
+        for a, b, c in zip(first, kept, second):
+            assert not np.shares_memory(a, c)
+            assert a.tobytes() == b.tobytes()
+
+    def test_buffers_must_fit_the_draw(self):
+        model = _tiled_model(33, 2, 1, 2, 2, 3)
+        buffers = SampleBuffers(model, 10, 1, 2)
+        theta = sample_parameter(model.sigma_theta, RngStream(8), size=11)
+        with pytest.raises(ModelError, match="buffers"):
+            sample_copy_sums(model, theta, RngStream(9), 1, 2, buffers=buffers)
+        with pytest.raises(ModelError, match="buffers"):
+            sample_copy_sums(model, theta[:, :10], RngStream(9), 2, 3, buffers=buffers)
+        with pytest.raises(ModelError, match="buffers"):
+            sample_parameter(model.sigma_theta, RngStream(8), size=11, buffers=buffers)
 
 
 class TestOrthoMatrices:

@@ -2,13 +2,23 @@
 
 import numpy as np
 import pytest
+from scipy import special
 
 from mixedres import simulate
 from mixedres.allocation import DitherScheme, PowerBudget
 from mixedres.closed_form import filter_closed_form
 from mixedres.estimator import LmmseFilter, lmmse
 from mixedres.exceptions import InstanceTooLargeError, ModelError
-from mixedres.model import MixedModel, OrthoBlockParams, RngStream, make_mimo_model, make_scalar_model
+from mixedres.model import (
+    MixedModel,
+    OrthoBlockParams,
+    RngStream,
+    SampleBuffers,
+    _part_std,
+    make_mimo_model,
+    make_scalar_model,
+    sample_parameter,
+)
 from mixedres.simulate import (
     DEFAULT_ANALOG_QUANTIZER,
     MAX_BATCH_ELEMENTS,
@@ -55,6 +65,15 @@ class TestRunMonteCarlo:
                 model, filt, SimConfig(trials=50_000, rng_seed=4, batch_size=batch)
             )
             assert abs(res.empirical_mse - filt.mse) <= 4 * res.std_error
+
+    def test_more_than_255_quantized_copies(self):
+        """300 quantized copies count past a byte; the run still matches the analytic MSE."""
+        model = make_scalar_model(1, 300, 1.0)
+        filt = lmmse(model)
+        cfg = SimConfig(trials=20_000, rng_seed=8)
+        assert _copy_periods(model, filt, cfg)[1] == 1
+        res = run_monte_carlo(model, filt, cfg)
+        assert abs(res.empirical_mse - filt.mse) <= 5 * res.std_error
 
     def test_bbit_emulation_close_to_ideal(self):
         """At 6 bits on [-5, 5] the analog-path quantization error is far
@@ -110,6 +129,35 @@ class TestRunMonteCarlo:
         assert res.std_error == pytest.approx(
             errors.std(ddof=1) / np.sqrt(cfg.trials), rel=1e-9
         )
+
+
+class TestRunWorkspace:
+    """One set of sample buffers serves every batch of a run."""
+
+    def test_two_runs_in_one_process_give_identical_bytes(self):
+        model, filt = _mimo_closed(0.3, 0.5)
+        cfg = SimConfig(trials=5000, batch_size=2048, rng_seed=7)
+        first, second = run_monte_carlo(model, filt, cfg), run_monte_carlo(model, filt, cfg)
+        assert repr(first) == repr(second)
+
+    def test_every_batch_matches_buffers_of_its_own(self, monkeypatch):
+        """Each batch, the partial last one too, gives the same sums from the
+        run's shared buffers as from buffers made for that batch alone."""
+        model, filt = _mimo_closed(0.3, 0.5)
+        seen = []
+        run_batch = simulate._run_batch
+
+        def both(model, w1, cfg, b, count, buffers):
+            shared = run_batch(model, w1, cfg, b, count, buffers)
+            own = run_batch(model, w1, cfg, b, count, SampleBuffers(model, count, *buffers.periods))
+            seen.append((count, shared, own))
+            return shared
+
+        monkeypatch.setattr(simulate, "_run_batch", both)
+        run_monte_carlo(model, filt, SimConfig(trials=5000, batch_size=2048, rng_seed=7))
+        assert [count for count, _, _ in seen] == [2048, 2048, 904]
+        for _, shared, own in seen:
+            assert shared == own
 
 
 def _general_model(seed, m, n_a, g, var_da=0.0, var_dq=0.0):
@@ -200,28 +248,54 @@ class TestCopySums:
 
     def test_batch_draws_no_normal_block_per_quantized_row(self, monkeypatch):
         """A batch draws one normal block for theta and one for the analog
-        copy sum, and one uniform block of shape (k, 2, p, t); no normal
-        block spans the n_q quantized rows."""
+        copy sum, then one block of k * 2 * p * t 16-bit words (a quarter as
+        many raw 64-bit draws), and no float64 uniform block.  A binomial is
+        drawn only when some word equals its threshold, over the counts of
+        those ties."""
         calls = []
         generator = RngStream.generator
 
         class Recorder:
-            def __init__(self, g):
-                self.g = g
+            def __init__(self, target):
+                self.target = target
 
             def __getattr__(self, name):
-                method = getattr(self.g, name)
+                attr = getattr(self.target, name)
+                if name == "bit_generator":
+                    return Recorder(attr)
 
                 def record(*args, **kwargs):
-                    calls.append((name, args[0] if args else kwargs.get("size")))
-                    return method(*args, **kwargs)
+                    out = kwargs.get("out")
+                    result = attr(*args, **kwargs)
+                    calls.append((name, out.shape if out is not None else args[0], result))
+                    return result
 
                 return record
 
         model, filt = _mimo_closed()
+        k, p, trials = 4, 3, 2000
         monkeypatch.setattr(RngStream, "generator", lambda self: Recorder(generator(self)))
-        run_monte_carlo(model, filt, SimConfig(trials=100, rng_seed=33))
-        assert calls == [("standard_normal", (2, 3, 100)), ("standard_normal", (2, 3, 100)), ("random", (4, 2, 3, 100))]
+        tie_counts = []
+        for seed in range(33, 37):
+            calls.clear()
+            run_monte_carlo(model, filt, SimConfig(trials=trials, rng_seed=seed))
+            batch = calls[:]
+            assert [(name, size) for name, size, _ in batch[:3]] == [
+                ("standard_normal", (2, 3, trials)), ("standard_normal", (2, 3, trials)),
+                ("random_raw", k * 2 * p * trials // 4),
+            ]
+            words = batch[2][2].astype("<u8").view("<u2").reshape(k, 2, p, trials)
+            # The thresholds, from the same theta and the same sign probabilities.
+            mu = model.g[:p] @ sample_parameter(model.sigma_theta, RngStream(seed, 0), size=trials)
+            prob = special.ndtr(np.stack([mu.real, mu.imag]) / _part_std(model.var_q, model.var_dq))
+            ties = (words == np.minimum(np.floor(65536 * prob), 65535)).sum(axis=0)
+            tie_counts.append(int(ties.sum()))
+            if ties.any():
+                assert [name for name, _, _ in batch[3:]] == ["binomial"]
+                assert batch[3][1].tolist() == ties[ties > 0].tolist()
+            else:
+                assert len(batch) == 3
+        assert 0 in tie_counts and max(tie_counts) > 0
 
 
 class TestSweepMseVsNoise:
