@@ -30,7 +30,7 @@ import numpy as np
 from .closed_form import mse_grid
 from .exceptions import InstanceTooLargeError, ModelError, require_finite
 from .estimator import check_dense_rows, copy_scan_mse
-from .model import MixedModel, OrthoBlockParams, RngStream, make_ortho_matrices
+from .model import OrthoBlockParams, RngStream, block_model, make_ortho_matrices
 
 # Most closed-form points (frontier points x dither values x noise levels)
 # one search may evaluate.  The grid is built as dense float64 arrays, a few
@@ -300,13 +300,7 @@ def direct_search(params_base: OrthoBlockParams, points, h_full: np.ndarray, g1:
     n_a_max = int(counts[:, 0].max())
     if n_a_max > len(h_full) // m:
         raise ModelError(f"n_a={n_a_max} exceeds the {len(h_full) // m} analog blocks of h_full")
-    model = MixedModel(
-        h=h_full[: m * n_a_max],
-        g=g1,
-        sigma_theta=np.eye(m, dtype=np.complex128),
-        var_a=params_base.var_a,
-        var_q=params_base.var_q,
-    )
+    model = block_model(replace(params_base, n_a=n_a_max, n_q=1), h_full, g1)
     mse = copy_scan_mse(model, m * counts[:, 0], counts[:, 1])
     return optimum([(n_a, n_q, 0.0, value) for (n_a, n_q), value in zip(points, mse.tolist())])
 

@@ -184,12 +184,10 @@ def _check_block_structure(params: OrthoBlockParams, h: np.ndarray, g: np.ndarra
                 f"g block deviates from rho_q*I by {gap:.3e} (tolerance {ASSUMPTION_TOL})"
             )
         # The closed form also needs all quantized blocks to be identical.
-        for k in range(1, params.n_q):
-            gap = np.max(np.abs(g[k * m : (k + 1) * m] - g1))
-            if gap > ASSUMPTION_TOL:
-                raise AssumptionViolationError(
-                    f"quantized block {k} differs from block 0 by {gap:.3e}"
-                )
+        gaps = np.abs(g.reshape(params.n_q, m, m) - g1).max(axis=(1, 2))
+        k = int(np.argmax(gaps > ASSUMPTION_TOL))
+        if gaps[k] > ASSUMPTION_TOL:
+            raise AssumptionViolationError(f"quantized block {k} differs from block 0 by {gaps[k]:.3e}")
 
 
 def filter_closed_form(params: OrthoBlockParams, h: np.ndarray, g: np.ndarray) -> LmmseFilter:

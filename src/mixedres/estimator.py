@@ -290,16 +290,12 @@ def cov_quantized(c_y: np.ndarray) -> np.ndarray:
 
 def cross_cov_theta_quantized(model: MixedModel, c_y: np.ndarray) -> np.ndarray:
     """Bussgang cross-covariance of the parameter with the quantized vector."""
-    if model.n_quantized == 0:
-        return np.zeros((model.m, 0), dtype=np.complex128)
     s = _inv_sqrt_diag(c_y)
     return np.sqrt(2.0 / np.pi) * (model.sigma_theta @ model.g.conj().T) * s[None, :]
 
 
 def cross_cov_analog_quantized(model: MixedModel, c_y: np.ndarray) -> np.ndarray:
     """Bussgang cross-covariance of the analog and quantized measurements."""
-    if model.n_quantized == 0 or model.n_analog == 0:
-        return np.zeros((model.n_analog, model.n_quantized), dtype=np.complex128)
     s = _inv_sqrt_diag(c_y)
     return np.sqrt(2.0 / np.pi) * (model.h @ model.sigma_theta @ model.g.conj().T) * s[None, :]
 
@@ -428,9 +424,6 @@ def lmmse_from_bundle(model: MixedModel, bundle: CovarianceBundle) -> LmmseFilte
     na, nq = model.n_analog, model.n_quantized
     prior_trace = float(np.trace(model.sigma_theta).real)
     n = na + nq
-    if n == 0:
-        # No measurements: the estimator is empty and the MSE is the prior trace.
-        return LmmseFilter(w=np.zeros((model.m, 0), dtype=np.complex128), mse=prior_trace, condition=1.0)
 
     p, k = bundle.period, bundle.copies
     c, c_theta, d = _copy_reduced(bundle)

@@ -46,7 +46,10 @@ class AssumptionViolationError(MixedResError):
 
 
 class InstanceTooLargeError(MixedResError):
-    """Problem instance exceeds the exhaustive reference solver's limits."""
+    """Problem instance exceeds a size limit: dense solve rows (``MAX_DENSE_ROWS``),
+    Monte-Carlo batch values (``MAX_BATCH_ELEMENTS``) or trials (``MAX_TRIALS``),
+    grid points (``MAX_GRID_POINTS``), benchmark repetitions (``MAX_REPEATS``)
+    or exhaustive-search pairs (``MAX_EXHAUSTIVE_PAIRS``)."""
 
 
 class ConfigError(MixedResError):

@@ -30,7 +30,7 @@ the sums of the realized rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,12 +64,6 @@ class RngStream:
         """Create a fresh generator positioned at the start of the stream."""
         entropy = [self.seed & _MASK64, self.stream_id & _MASK64]
         return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def _complex_normal(g: np.random.Generator, shape: tuple, var: float) -> np.ndarray:
-    """Draw CN(0, var) samples (per-component real/imag variance var/2)."""
-    z = g.standard_normal((2,) + shape)
-    return (z[0] + 1j * z[1]) * np.sqrt(var / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +282,6 @@ class OrthoBlockParams:
 # ---------------------------------------------------------------------------
 
 
-def _prior_factor(sigma_theta: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of the prior covariance."""
-    sig = np.atleast_2d(np.asarray(sigma_theta, dtype=np.complex128))
-    try:
-        return np.linalg.cholesky(sig)
-    except np.linalg.LinAlgError as exc:
-        raise SingularPriorError("prior covariance is not positive definite") from exc
-
-
 def _prefix(buf: np.ndarray, shape: tuple) -> np.ndarray:
     """The first prod(shape) items of the flat ``buf``, as a C-contiguous array of ``shape``."""
     return buf[: math.prod(shape)].reshape(shape)
@@ -306,12 +291,12 @@ class SampleBuffers:
     """Arrays that the batches of one Monte-Carlo run draw into.
 
     Built once for batches of up to ``trials`` trials of ``model`` with the
-    given copy periods (see :func:`sample_copy_sums`).  They also hold the
-    Cholesky factor of the model's prior, so a run factors it once.  The
-    arrays that :func:`sample_parameter` and :func:`sample_copy_sums` return
-    from them are views, which the next draw into the same buffers
-    overwrites.  Each buffer is flat, and a batch of t trials uses a
-    contiguous prefix of it:
+    given copy periods (see :func:`sample_copy_sums`).  They are memory
+    only: every draw takes its prior and mixing rows from its own
+    arguments.  The arrays that :func:`sample_parameter` and
+    :func:`sample_copy_sums` return from them are views, which the next
+    draw into the same buffers overwrites.  Each buffer is flat, and a
+    batch of t trials uses a contiguous prefix of it:
 
     - ``theta``: the planar normal block of theta, then theta;
     - ``scratch`` (float64): theta's complex normals, then the analog normal
@@ -323,13 +308,8 @@ class SampleBuffers:
     """
 
     def __init__(self, model: MixedModel, trials: int, analog_period: int, quantized_period: int):
-        self.chol = _prior_factor(model.sigma_theta)
         self.trials = trials
-        self.periods = (analog_period, quantized_period)
-        self.copies = (
-            _copies(model.n_analog, analog_period, "analog"),
-            _copies(model.n_quantized, quantized_period, "quantized"),
-        )
+        self.m, self.periods, self.copies = _layout(model, analog_period, quantized_period)
         m, p, k = model.m, quantized_period, self.copies[1]
         self.theta = np.empty(m * trials, dtype=np.complex128)
         self.scratch = np.empty(2 * max(m, analog_period, p) * trials)
@@ -344,7 +324,7 @@ class SampleBuffers:
 
     def error(self, t: int) -> np.ndarray:
         """(m, t) complex scratch, free once the copy sums of ``t`` trials are drawn."""
-        return _prefix(self.scratch.view(np.complex128), (self.chol.shape[0], t))
+        return _prefix(self.scratch.view(np.complex128), (self.m, t))
 
 
 def sample_parameter(
@@ -352,32 +332,37 @@ def sample_parameter(
 ) -> np.ndarray:
     """Draw the parameter vector from CN(0, sigma_theta).
 
-    Returns shape (m,) by default, or (m, size) with draws as columns.  With
-    ``buffers`` built for this prior, the (m, size) draw is written into
-    them with their Cholesky factor and has the same values.
+    Returns shape (m,) by default, or (m, size) with draws as columns: the
+    Cholesky factor of ``sigma_theta`` times one planar (2, m, size) block
+    of standard normals scaled by 1/sqrt(2).  With ``buffers`` (of the same
+    m) the normals and the (m, size) draw are written into them, with the
+    same values.
     """
-    g = rng.generator()
+    try:
+        chol = np.linalg.cholesky(np.atleast_2d(np.asarray(sigma_theta, dtype=np.complex128)))
+    except np.linalg.LinAlgError as exc:
+        raise SingularPriorError("prior covariance is not positive definite") from exc
+    m = chol.shape[0]
+    shape = (m,) if size is None else (m, size)
     if buffers is None:
-        chol = _prior_factor(sigma_theta)
-        m = chol.shape[0]
-        return chol @ _complex_normal(g, (m,) if size is None else (m, size), 1.0)
-    m = buffers.chol.shape[0]
-    if size is None or size > buffers.trials:
-        raise ModelError(f"a draw into buffers needs a size of at most {buffers.trials} trials, got {size}")
-    planar = _prefix(buffers.theta.view(np.float64), (2, m, size))
-    g.standard_normal(out=planar)
-    normals = _prefix(buffers.scratch.view(np.complex128), (m, size))
+        planar, normals, theta = np.empty((2,) + shape), np.empty(shape, np.complex128), None
+    elif size is None or size > buffers.trials or m != buffers.m:
+        raise ModelError(f"buffers hold m = {buffers.m} and {buffers.trials} trials, got m = {m} and size {size}")
+    else:
+        planar = _prefix(buffers.theta.view(np.float64), (2,) + shape)
+        normals = _prefix(buffers.scratch.view(np.complex128), shape)
+        theta = _prefix(buffers.theta, shape)
+    rng.generator().standard_normal(out=planar)
     np.multiply(planar[0], INV_SQRT2, out=normals.real)
     np.multiply(planar[1], INV_SQRT2, out=normals.imag)
-    return np.matmul(buffers.chol, normals, out=_prefix(buffers.theta, (m, size)))
+    return np.matmul(chol, normals, out=theta)
 
 
 def _add_complex_normal(out: np.ndarray, g: np.random.Generator, var: float) -> None:
     """Add CN(0, var) samples to the complex128 array ``out`` in place.
 
-    Draws the same planar (2,) + shape standard-normal block as
-    :func:`_complex_normal` and gives the same sums bit for bit; a zero
-    variance draws nothing from ``g``.
+    Draws one planar (2,) + shape standard-normal block, scaled by
+    sqrt(var / 2); a zero variance draws nothing from ``g``.
     """
     if var == 0.0:
         return
@@ -458,6 +443,12 @@ def _copies(n: int, period: int, name: str) -> int:
     return n // period
 
 
+def _layout(model: MixedModel, analog_period: int, quantized_period: int) -> tuple:
+    """(m, periods, copies) of the copy sums of ``model`` with the given periods."""
+    k_a = _copies(model.n_analog, analog_period, "analog")
+    return model.m, (analog_period, quantized_period), (k_a, _copies(model.n_quantized, quantized_period, "quantized"))
+
+
 def sample_copy_sums(
     model: MixedModel,
     theta: np.ndarray,
@@ -493,16 +484,19 @@ def sample_copy_sums(
     A zero variance draws nothing: the analog sum is then k_a * H[:p_a]
     theta and the quantized sum k * quantize_1bit(G[:p] theta).  Without
     ``buffers`` the sums are new arrays; with them, they are views into
-    the buffers (see :class:`SampleBuffers`).
+    the buffers (see :class:`SampleBuffers`), which must have been made
+    for the same m, periods and copy counts.
     """
     theta = np.asarray(theta, dtype=np.complex128)
     if theta.ndim != 2 or theta.shape[0] != model.m:
         raise ModelError(f"theta must have shape ({model.m}, trials), got {theta.shape}")
     t = theta.shape[1]
+    layout = _layout(model, analog_period, quantized_period)
     if buffers is None:
         buffers = SampleBuffers(model, t, analog_period, quantized_period)
-    elif buffers.periods != (analog_period, quantized_period) or t > buffers.trials:
-        raise ModelError(f"buffers hold periods {buffers.periods} and {buffers.trials} trials")
+    held = (buffers.m, buffers.periods, buffers.copies)
+    if held != layout or t > buffers.trials:
+        raise ModelError(f"buffers of (m, periods, copies) {held} and {buffers.trials} trials do not fit {layout}, {t}")
     k_a, k = buffers.copies
     p = quantized_period
     g = rng.generator()
@@ -590,18 +584,30 @@ def make_ortho_matrices(params: OrthoBlockParams, rng: RngStream):
     return h, gm
 
 
-def make_ortho_model(params: OrthoBlockParams, rng: RngStream) -> MixedModel:
-    """Instantiate a full :class:`MixedModel` from orthonormal-block parameters."""
-    h, g = make_ortho_matrices(params, rng)
+def block_model(params: OrthoBlockParams, h: np.ndarray, g1: np.ndarray) -> MixedModel:
+    """The model of ``params`` built from explicit blocks.
+
+    Stacks the first ``params.n_a`` m-row blocks of ``h`` over
+    ``params.n_q`` copies of the m-row block ``g1``, with the identity
+    prior and the four noise and dither variances of ``params``.  The
+    block gains are those of the matrices given, not ``rho_a``/``rho_q``.
+    """
+    m = params.m
     return MixedModel(
-        h=h,
-        g=g,
-        sigma_theta=np.eye(params.m, dtype=np.complex128),
+        h=h[: m * params.n_a],
+        g=np.tile(g1, (params.n_q, 1)),
+        sigma_theta=np.eye(m, dtype=np.complex128),
         var_a=params.var_a,
         var_q=params.var_q,
         var_da=params.var_da,
         var_dq=params.var_dq,
     )
+
+
+def make_ortho_model(params: OrthoBlockParams, rng: RngStream) -> MixedModel:
+    """Instantiate a full :class:`MixedModel` from orthonormal-block parameters."""
+    h, g1 = make_ortho_matrices(replace(params, n_q=1), rng)
+    return block_model(params, h, g1)
 
 
 def _require_counts(n_a: int, n_q: int) -> None:
@@ -617,13 +623,8 @@ def make_scalar_model(n_a: int, n_q: int, var: float) -> MixedModel:
     Satisfies the orthonormal-block assumptions with m=1 and unit block gains.
     """
     _require_counts(n_a, n_q)
-    return MixedModel(
-        h=np.ones((n_a, 1), dtype=np.complex128),
-        g=np.ones((n_q, 1), dtype=np.complex128),
-        sigma_theta=np.eye(1, dtype=np.complex128),
-        var_a=var,
-        var_q=var,
-    )
+    params = OrthoBlockParams(m=1, n_a=n_a, n_q=n_q, var_a=var, var_q=var)
+    return block_model(params, np.ones((n_a, 1)), np.ones((1, 1)))
 
 
 def make_mimo_model(
@@ -656,10 +657,5 @@ def make_mimo_model(
         block = np.sqrt(rho) * phi
     else:
         raise ModelError(f"unknown pilot type {pilot!r}")
-    return MixedModel(
-        h=np.tile(block, (n_a, 1)),
-        g=np.tile(block, (n_q, 1)),
-        sigma_theta=np.eye(k, dtype=np.complex128),
-        var_a=var,
-        var_q=var,
-    )
+    params = OrthoBlockParams(m=k, n_a=n_a, n_q=n_q, rho_a=rho, rho_q=rho, var_a=var, var_q=var)
+    return block_model(params, np.tile(block, (n_a, 1)), block)

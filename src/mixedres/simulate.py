@@ -17,10 +17,10 @@ repetition are one copy of themselves (k = 1) and take the same path: one
 16-bit word per quantized row and part, and one analog noise block.
 
 A run makes one set of :class:`~mixedres.model.SampleBuffers` for its
-largest batch and factors the prior once; every batch draws theta and the
-copy sums into them and applies the filter there, so a batch allocates
-only its word block and a few per-trial vectors.  The output bytes depend
-on the seed and the batch size only.
+largest batch; every batch draws theta and the copy sums into them and
+applies the filter there, so a batch allocates only its word block and a
+few per-trial vectors.  The output bytes depend on the seed and the batch
+size only.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .model import (
     QuantizerSpec,
     RngStream,
     SampleBuffers,
+    block_model,
     block_period,
     make_ortho_matrices,
     quantize_bbit,
@@ -367,12 +368,7 @@ def _dense_mse(params: OrthoBlockParams, points, h_full: np.ndarray, g1: np.ndar
     :func:`~mixedres.estimator.prefix_mse` over all m * (n_a + n_q) rows of
     the first ``n_a`` blocks of ``h_full`` over ``n_q`` copies of ``g1``.
     """
-    m, eye = params.m, np.eye(params.m, dtype=np.complex128)
-    models = (
-        MixedModel(h=h_full[: m * n_a], g=np.tile(g1, (n_q, 1)), sigma_theta=eye, var_a=params.var_a, var_q=params.var_q)
-        for n_a, n_q in points
-    )
-    return [prefix_mse(model)[-1] for model in models]
+    return [prefix_mse(block_model(replace(params, n_a=n_a, n_q=n_q), h_full, g1))[-1] for n_a, n_q in points]
 
 
 def bench_runtime(

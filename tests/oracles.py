@@ -17,6 +17,8 @@ rows of the assembled C_x that the copy-reduced solve replaced; it agrees
 to a tolerance, and bit for bit when the quantized rows do not repeat.
 ``dense_blocks`` names the quantized blocks of a bundle's dense
 expansion, which the bundle itself no longer exposes.
+``reference_complex_normal`` rebuilds the complex normal draws of a
+stream, against which tests check the samplers' in-place draws.
 ``reference_run_monte_carlo`` keeps the Monte-Carlo batch that realizes
 every measurement row with :func:`sample_measurements`, which the copy-sum
 sampler replaced; the two draw from other random streams, so they agree
@@ -54,7 +56,6 @@ from mixedres.model import (
     MixedModel,
     OrthoBlockParams,
     RngStream,
-    _complex_normal,
     quantize_bbit,
     sample_measurements,
     sample_parameter,
@@ -149,10 +150,18 @@ def reference_quantize_1bit(z):
     return out if out.ndim else complex(out)
 
 
+def reference_complex_normal(g: np.random.Generator, shape: tuple, var: float) -> np.ndarray:
+    """CN(0, var) samples (real and imaginary variance var/2 each) from one
+    planar (2,) + shape normal block of ``g``: the block that
+    ``sample_measurements`` adds per noise term."""
+    z = g.standard_normal((2,) + shape)
+    return (z[0] + 1j * z[1]) * np.sqrt(var / 2.0)
+
+
 def reference_haar_unitary(m: int, g: np.random.Generator) -> np.ndarray:
     """One m x m Haar unitary drawn from ``g``: the QR of a CN(0, 1) matrix,
     its columns rotated so that R has a positive real diagonal."""
-    q, r = np.linalg.qr(_complex_normal(g, (m, m), 1.0))
+    q, r = np.linalg.qr(reference_complex_normal(g, (m, m), 1.0))
     d = np.diag(r).copy()
     d[d == 0] = 1.0  # measure-zero guard
     return q * (d / np.abs(d))

@@ -701,10 +701,12 @@ class TestConfigHandling:
         (["allocate", "--config", "configs/mimo_allocation.yaml"], "allocate_mimo_allocation.csv"),
         (["dither", "--config", "configs/dither_search.yaml"], "dither_dither_search.json"),
         (["mse", "--config", "configs/scalar_mse.yaml"], "mse_scalar_mse.csv"),
+        (["simulate", "--config", "configs/simulate_scalar.yaml"], "simulate_simulate_scalar.json"),
     ],
 )
 def test_shipped_configs_reproduce_golden_bytes(tmp_path, argv, golden):
-    """Outputs of the closed-form commands, byte for byte, as the scalar code wrote them."""
+    """Outputs of shipped configs, byte for byte: the closed-form commands as
+    the scalar code wrote them, and a seeded Monte-Carlo run."""
     out = tmp_path / golden
     argv = [argv[0], "--config", str(ROOT / argv[2]), "--output", str(out)]
     assert main(argv) == 0

@@ -231,3 +231,7 @@ class TestFilterClosedForm:
         mixed = np.vstack([g_a[:2], g_b[:2]])  # valid gains, unequal blocks
         with pytest.raises(AssumptionViolationError):
             filter_closed_form(params, np.zeros((0, 2)), mixed)
+        # The message names the first block that differs.
+        mixed = np.vstack([g_a[:2], g_a[:2], g_b[:2]])
+        with pytest.raises(AssumptionViolationError, match="quantized block 2 differs"):
+            filter_closed_form(replace(params, n_q=3), np.zeros((0, 2)), mixed)

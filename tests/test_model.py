@@ -16,7 +16,6 @@ from mixedres.model import (
     OrthoBlockParams,
     RngStream,
     SampleBuffers,
-    _complex_normal,
     _part_std,
     make_mimo_model,
     make_ortho_matrices,
@@ -26,7 +25,7 @@ from mixedres.model import (
     sample_measurements,
     sample_parameter,
 )
-from oracles import reference_haar_unitary
+from oracles import reference_complex_normal, reference_haar_unitary
 
 
 class TestMixedModelValidation:
@@ -208,11 +207,11 @@ class TestSampleMeasurements:
         want_a = model.h @ theta
         for name in ("var_a", "var_da"):
             if variances[name]:
-                want_a = want_a + _complex_normal(g, want_a.shape, variances[name])
+                want_a = want_a + reference_complex_normal(g, want_a.shape, variances[name])
         y = model.g @ theta
         for name in ("var_q", "var_dq"):
             if variances[name]:
-                y = y + _complex_normal(g, y.shape, variances[name])
+                y = y + reference_complex_normal(g, y.shape, variances[name])
         assert x_a.tobytes() == want_a.tobytes()
         assert x_q.tobytes() == quantize_1bit(y).tobytes()
         assert stream.g.bit_generator.state == g.bit_generator.state
@@ -457,12 +456,17 @@ class TestSampleBuffers:
     """Draws into one set of buffers against fresh arrays."""
 
     def test_parameter_draw_into_buffers_equals_a_fresh_draw(self):
+        """The prior is the one passed, not the buffers' model's: a draw of
+        4 I into buffers made for a unit prior has variance 4."""
         model = _tiled_model(30, 3, 1, 2, 2, 3)
         buffers = SampleBuffers(model, 64, 1, 2)
         for seed, size in ((1, 64), (2, 40)):
             got = sample_parameter(model.sigma_theta, RngStream(seed), size=size, buffers=buffers)
             want = sample_parameter(model.sigma_theta, RngStream(seed), size=size)
             assert got.shape == (3, size) and got.tobytes() == want.tobytes()
+        unit = SampleBuffers(make_scalar_model(1, 1, 1.0), 20_000, 1, 1)
+        theta = sample_parameter(4.0 * np.eye(1), RngStream(4), size=20_000, buffers=unit)
+        assert abs(np.mean(np.abs(theta) ** 2) - 4.0) < 0.2
 
     @pytest.mark.parametrize("dither", [False, True])
     def test_copy_sums_into_buffers_equal_fresh_sums(self, dither):
@@ -497,6 +501,14 @@ class TestSampleBuffers:
             sample_copy_sums(model, theta[:, :10], RngStream(9), 2, 3, buffers=buffers)
         with pytest.raises(ModelError, match="buffers"):
             sample_parameter(model.sigma_theta, RngStream(8), size=11, buffers=buffers)
+        with pytest.raises(ModelError, match="buffers"):
+            sample_parameter(np.eye(3), RngStream(8), size=10, buffers=buffers)
+        # Same m and periods, other copy counts: 20 quantized copies do not
+        # fit buffers made for 10, which would sum only 10 of them.
+        theta = np.full((1, 4), 100.0 + 100.0j)
+        buffers = SampleBuffers(make_scalar_model(1, 10, 1.0), 4, 1, 1)
+        with pytest.raises(ModelError, match="buffers"):
+            sample_copy_sums(make_scalar_model(1, 20, 1.0), theta, RngStream(9), 1, 1, buffers=buffers)
 
 
 class TestOrthoMatrices:
