@@ -251,6 +251,8 @@ def _resolve_io(cfg: dict, args, where: str, default_fmt: str | None):
     seed = _get(cfg, "seed", int, where, default=0)
     if args.seed is not None:
         seed = args.seed
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
     output = args.output if args.output is not None else _get(cfg, "output", str, where, default=None, allow_none=True)
     fmt = args.format if args.format is not None else _get(cfg, "format", str, where, default=default_fmt, allow_none=True)
     if fmt is not None and fmt not in ("csv", "json"):
@@ -324,10 +326,10 @@ def cmd_mse(args) -> int:
             )
         pairs.append((item[0], item[1]))
     seed, output, fmt = _resolve_io(cfg, args, where, default_fmt="csv")
-    if args.empirical:
-        emp = _get(cfg, "empirical", dict, where, default={})
-        _check_keys(emp, {"trials", "analog_bits", "analog_range", "batch_size"}, "mse.empirical")
-        sim_cfg = _sim_config(emp, "mse.empirical", seed)
+    # The block is checked whether or not --empirical runs it.
+    emp = _get(cfg, "empirical", dict, where, default={})
+    _check_keys(emp, {"trials", "analog_bits", "analog_range", "batch_size"}, "mse.empirical")
+    sim_cfg = _sim_config(emp, "mse.empirical", seed)
 
     params_base = OrthoBlockParams(m=m, n_a=0, n_q=0, rho_a=rho, rho_q=rho, var_a=1.0, var_q=1.0)
     rows = sweep_mse_vs_noise(params_base, grid, pairs)
@@ -429,9 +431,11 @@ def cmd_allocate(args) -> int:
         "trace": [list(entry) for entry in result.trace],
     }
     if args.oracle:
+        # The exhaustive oracle searches no dither, so it checks the undithered optimum.
+        undithered = allocate(params, budget) if scheme else result
         ref = allocate_exhaustive(params, budget, rng=RngStream(seed))
         payload["mse_oracle"] = ref.mse_star
-        payload["oracle_deviation"] = abs(ref.mse_star - result.mse_star)
+        payload["oracle_deviation"] = abs(ref.mse_star - undithered.mse_star)
         print(f"oracle deviation: {payload['oracle_deviation']:.3e}", file=sys.stderr)
     if fmt == "json":
         _emit(_json_text(payload), output)

@@ -92,17 +92,18 @@ A point whose bound exceeds ``CONDITION_LIMIT``, a lambda_j + 1/k <= 0,
 or a failed factor of C_xa refuses the whole scan.
 
 :func:`lmmse` and :func:`copy_scan_mse` never form an n x n matrix.  All
-three routes still refuse more than ``MAX_DENSE_ROWS`` factored rows
-before any covariance is built.
+three routes refuse more than ``MAX_DENSE_ROWS`` rows before any covariance
+is built: :func:`lmmse` and :func:`prefix_mse` count all n_a + n_q rows
+(the period p is not known before :func:`assemble`), :func:`copy_scan_mse`
+the n_a + p rows it factors.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
+from scipy.linalg import lapack
 
 from .exceptions import (
     DegenerateCovarianceError,
@@ -123,8 +124,8 @@ MSE_ROUNDOFF_TOL = 1e-9
 # Most rows a dense solve accepts.  A complex n x n matrix takes 16 n^2 bytes,
 # 1 GiB here, and prefix_mse keeps a few of them alive; the largest model the
 # runtime-scaling benchmark solves has 6400 rows.  lmmse and copy_scan_mse
-# write no n x n matrix of a whole model but keep the same limit on the rows
-# they factor.
+# write no n x n matrix of a whole model but keep the same limit: lmmse on
+# all its rows, copy_scan_mse on the rows it factors.
 MAX_DENSE_ROWS = 8192
 
 
@@ -368,12 +369,30 @@ def _checked_condition(rcond: float, info: int) -> float:
 
 
 def _one_norm(c: np.ndarray) -> float:
-    """1-norm of ``c``; one that overflows is refused like a singular matrix."""
+    """1-norm of ``c``; a non-finite one is refused like a singular matrix.
+
+    The raw LAPACK calls below scan no input, so this is their only finiteness check."""
     with np.errstate(over="ignore"):
         anorm = np.linalg.norm(c, 1)
     if not np.isfinite(anorm):
         raise EstimatorUndefinedError("measurement covariance 1-norm overflowed", condition=float("inf"))
     return anorm
+
+
+def _cholesky_solve(c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """inv(L) @ b, |c|_1 and the checked condition estimate of ``c`` = L L^H; a failed factor is singular."""
+    anorm = _one_norm(c)
+    chol, info = lapack.zpotrf(c, lower=1)
+    if info != 0 or not np.isfinite(chol.diagonal()).all():
+        raise EstimatorUndefinedError("measurement covariance is singular", condition=float("inf"))
+    condition = _checked_condition(*lapack.zpocon(chol, anorm, uplo="L"))
+    z, _ = lapack.ztrtrs(chol, b, lower=1)
+    return z, anorm, condition
+
+
+def _prefix_norms(z: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norms of the first 0, 1, ..., n rows of the n-row ``z``."""
+    return np.concatenate([[0.0], np.cumsum(np.sum(z.real**2 + z.imag**2, axis=1))])
 
 
 def _clamped_mse(mse: np.ndarray) -> np.ndarray:
@@ -428,19 +447,9 @@ def lmmse_from_bundle(model: MixedModel, bundle: CovarianceBundle) -> LmmseFilte
     p, k = bundle.period, bundle.copies
     c, c_theta, d = _copy_reduced(bundle)
     anorm = _one_norm(c)
-    try:
-        with warnings.catch_warnings():
-            # Exact singularity is detected from the factors right below.
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(c)
-    except np.linalg.LinAlgError as exc:
-        raise EstimatorUndefinedError(
-            "measurement covariance is singular", condition=float("inf")
-        ) from exc
-    if not np.all(np.isfinite(np.diag(lu))) or np.any(np.diag(lu) == 0) or not np.all(d > 0):
-        raise EstimatorUndefinedError(
-            "measurement covariance is singular", condition=float("inf")
-        )
+    lu, piv, info = lapack.zgetrf(c)
+    if info != 0 or not np.isfinite(lu.diagonal()).all() or not np.all(d > 0):
+        raise EstimatorUndefinedError("measurement covariance is singular", condition=float("inf"))
     rcond, info = lapack.zgecon(lu, anorm, norm="1")
     # 1 / rcond = |C~|_1 * est |inv(C~)|_1.  The bound widens each factor to
     # cover D; both widenings are exactly 1.0 when D is empty (k <= 1).
@@ -450,7 +459,7 @@ def lmmse_from_bundle(model: MixedModel, bundle: CovarianceBundle) -> LmmseFilte
 
     # Solve C~ X = C~_theta^H; then the reduction term is trace(C~_theta @ X),
     # and w = X^H with the copy-sum rows of X spread over the k copies.
-    x = lu_solve((lu, piv), c_theta.conj().T)
+    x, _ = lapack.zgetrs(lu, piv, c_theta.conj().T)
     mse = prior_trace - float(np.trace(c_theta @ x).real)
     x_full = np.empty((n, model.m), dtype=np.complex128, order="F")
     x_full[:na] = x[:na]
@@ -472,15 +481,8 @@ def prefix_mse(model: MixedModel) -> np.ndarray:
     """
     check_dense_rows(model.n_analog + model.n_quantized)
     bundle = assemble(model)
-    c_x = bundle.c_x
-    anorm = _one_norm(c_x)
-    chol, info = lapack.zpotrf(c_x, lower=1)
-    if info != 0 or not np.all(np.isfinite(np.diag(chol))):
-        raise EstimatorUndefinedError("measurement covariance is singular", condition=float("inf"))
-    _checked_condition(*lapack.zpocon(chol, anorm, uplo="L"))
-    z, _ = lapack.ztrtrs(chol, bundle.c_theta_x.conj().T, lower=1)
-    reduction = np.concatenate([[0.0], np.cumsum(np.sum(z.real**2 + z.imag**2, axis=1))])
-    return _clamped_mse(float(np.trace(model.sigma_theta).real) - reduction)
+    z, _, _ = _cholesky_solve(bundle.c_x, bundle.c_theta_x.conj().T)
+    return _clamped_mse(float(np.trace(model.sigma_theta).real) - _prefix_norms(z))
 
 
 def copy_scan_mse(model: MixedModel, analog_rows, copies) -> np.ndarray:
@@ -514,14 +516,9 @@ def copy_scan_mse(model: MixedModel, analog_rows, copies) -> np.ndarray:
     zv = np.concatenate([bundle.c_theta_xa.conj().T, bundle.c_aq1], axis=1)
     a_norm = a_inv = 0.0
     if n:
-        a_norm = _one_norm(bundle.c_xa)
-        chol, info = lapack.zpotrf(bundle.c_xa, lower=1)
-        if info != 0 or not np.all(np.isfinite(np.diag(chol))):
-            raise EstimatorUndefinedError("analog measurement covariance is singular", condition=float("inf"))
-        a_inv = _checked_condition(*lapack.zpocon(chol, a_norm, uplo="L")) / a_norm
-        zv, _ = lapack.ztrtrs(chol, zv, lower=1)
-    z = zv[:, :m]
-    mse = prior - np.concatenate([[0.0], np.cumsum(np.sum(z.real**2 + z.imag**2, axis=1))])[rows]
+        zv, a_norm, condition = _cholesky_solve(bundle.c_xa, zv)
+        a_inv = condition / a_norm
+    mse = prior - _prefix_norms(zv[:, :m])[rows]
     if not quantized:
         return _clamped_mse(mse)
 

@@ -36,8 +36,6 @@ import numpy as np
 
 from .exceptions import ModelError, QuantizerDomainError, SingularPriorError, require_finite
 
-_MASK64 = (1 << 64) - 1
-
 # Correctly rounded 1/sqrt(2); also equals np.sqrt(2)/2 bit for bit, which
 # the 1-bit/b-bit equivalence property relies on.
 INV_SQRT2 = np.sqrt(0.5)
@@ -54,16 +52,21 @@ class RngStream:
 
     The same pair always reproduces the same draws; distinct ``stream_id``
     values give statistically independent streams, so Monte-Carlo batches can
-    be assigned disjoint ids and run in any order or in parallel.
+    be assigned disjoint ids and run in any order or in parallel.  Both are
+    integers in [0, 2**64); any other value raises :class:`ModelError`
+    rather than aliasing another stream.
     """
 
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        if not (0 <= self.seed < 2**64 and 0 <= self.stream_id < 2**64):
+            raise ModelError(f"seed and stream id must be in [0, 2**64), got {self.seed} and {self.stream_id}")
+
     def generator(self) -> np.random.Generator:
         """Create a fresh generator positioned at the start of the stream."""
-        entropy = [self.seed & _MASK64, self.stream_id & _MASK64]
-        return np.random.default_rng(np.random.SeedSequence(entropy))
+        return np.random.default_rng(np.random.SeedSequence([self.seed, self.stream_id]))
 
 
 # ---------------------------------------------------------------------------
@@ -434,19 +437,20 @@ def block_period(rows: np.ndarray) -> int:
     return n
 
 
-def _copies(n: int, period: int, name: str) -> int:
-    """Number of copies of a ``period``-row block in ``n`` rows; 0 for no rows."""
+def _copies(rows: np.ndarray, period: int, name: str) -> int:
+    """Number of copies of the first ``period`` of ``rows`` that make up ``rows``; 0 for no rows."""
+    n = rows.shape[0]
     if n == 0 and period == 0:
         return 0
-    if not 1 <= period <= n or n % period:
-        raise ModelError(f"{name} period {period} does not divide {n} rows")
+    if not 1 <= period <= n or n % period or not (rows[period:] == rows[:-period]).all():
+        raise ModelError(f"{name} rows are not copies of a block of period {period} ({n} rows)")
     return n // period
 
 
 def _layout(model: MixedModel, analog_period: int, quantized_period: int) -> tuple:
     """(m, periods, copies) of the copy sums of ``model`` with the given periods."""
-    k_a = _copies(model.n_analog, analog_period, "analog")
-    return model.m, (analog_period, quantized_period), (k_a, _copies(model.n_quantized, quantized_period, "quantized"))
+    k_a = _copies(model.h, analog_period, "analog")
+    return model.m, (analog_period, quantized_period), (k_a, _copies(model.g, quantized_period, "quantized"))
 
 
 def sample_copy_sums(

@@ -88,6 +88,14 @@ class TestMseCommand:
             gap = abs(float(row["mse_empirical"]) - float(row["mse_analytic"]))
             assert gap <= 5 * float(row["std_error"])
 
+    @pytest.mark.parametrize("empirical", [{"trails": 5}, 7])
+    def test_empirical_block_is_checked_without_the_flag(self, tmp_path, capsys, empirical):
+        path = _write(tmp_path, "mse.yaml", {**self.CFG, "empirical": empirical})
+        assert main(["mse", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "empirical" in captured.err and "Traceback" not in captured.err
+
     def test_full_precision_round_trip(self, tmp_path, capsys):
         from mixedres.closed_form import mse_pure_quantized
 
@@ -154,13 +162,19 @@ class TestAllocateCommand:
         assert len(payload["trace"]) == 100 // (2**3 * 2) + 1
 
     def test_oracle_flag_reports_deviation(self, tmp_path, capsys):
-        cfg = {"m": 2, "bits": 3, "p_max_norm": 100.0, "sigma2": 0.9}
-        path = _write(tmp_path, "alloc.yaml", cfg)
-        assert main(["allocate", "--config", path, "--oracle"]) == 0
-        captured = capsys.readouterr()
-        payload = json.loads(captured.out)
-        assert payload["oracle_deviation"] <= 1e-12
-        assert "oracle deviation" in captured.err
+        """The oracle searches no dither, so with a dither block it checks the
+        undithered optimum, not the dithered ``mse_star``."""
+        configs = [
+            {"m": 2, "bits": 3, "p_max_norm": 100.0, "sigma2": 0.9},
+            {"m": 2, "bits": 6, "n_a_max": 4, "sigma2": 1.0, "dither": {"mode": "quantized-only"}},
+        ]
+        for cfg in configs:
+            path = _write(tmp_path, "alloc.yaml", cfg)
+            assert main(["allocate", "--config", path, "--oracle"]) == 0
+            captured = capsys.readouterr()
+            payload = json.loads(captured.out)
+            assert payload["oracle_deviation"] <= 1e-12
+            assert "oracle deviation" in captured.err
 
     def test_infeasible_budget_warns(self, tmp_path, capsys):
         cfg = {"m": 8, "bits": 4, "p_max_norm": 10.0, "sigma2": 1.0}
@@ -563,6 +577,45 @@ def test_empirical_cells_follow_the_seeding_contract(tmp_path, capsys):
         filt = filter_closed_form(params, model.h, model.g)
         sim = run_monte_carlo(model, filt, SimConfig(trials=trials, rng_seed=seed + idx))
         assert (float(row["mse_empirical"]), float(row["std_error"])) == (sim.empirical_mse, sim.std_error)
+
+
+SEEDED = {
+    "simulate": SIM_SCALAR,
+    "mse": TestMseCommand.CFG,
+    "allocate": ALLOCATE,
+    "dither": {**ALLOCATE, "dither": {"mode": "quantized-only"}},
+    "bench": BENCH,
+}
+
+
+@pytest.mark.parametrize("from_flag", [False, True])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", list(SEEDED))
+def test_seeds_outside_u64_are_config_errors(tmp_path, capsys, command, seed, from_flag):
+    """Seeds do not alias modulo 2**64: -1 is not 2**64 - 1, nor 2**64 zero."""
+    cfg, argv = dict(SEEDED[command]), []
+    if from_flag:
+        argv = ["--seed", str(seed)]
+    else:
+        cfg["seed"] = seed
+    path = _write(tmp_path, f"{command}.yaml", cfg)
+    assert main([command, "--config", path, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed" in captured.err and "Traceback" not in captured.err
+
+
+def test_empirical_cell_seeds_stay_below_2_64(tmp_path, capsys):
+    """Cell idx seeds its trials with seed + idx, so from seed 2**64 - 1 one cell runs and two do not."""
+    cfg = {**TestMseCommand.CFG, "allocations": [[1, 0]], "empirical": {"trials": 100}, "seed": 2**64 - 1}
+    one = _write(tmp_path, "one.yaml", {**cfg, "sigma2_grid": [0.5]})
+    assert main(["mse", "--config", one, "--empirical"]) == 0
+    capsys.readouterr()
+    two = _write(tmp_path, "two.yaml", cfg)
+    assert main(["mse", "--config", two, "--empirical"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed" in captured.err and "Traceback" not in captured.err
 
 
 def test_simulate_follows_the_seeding_contract(tmp_path, capsys):

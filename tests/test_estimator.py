@@ -266,13 +266,13 @@ class TestCopyReducedSolve:
 
     def test_factors_no_more_than_the_reduced_rows(self, monkeypatch):
         shapes = []
-        real_lu_factor = estimator.lu_factor
+        real_zgetrf = estimator.lapack.zgetrf
 
-        def recording_lu_factor(a, *args, **kwargs):
+        def recording_zgetrf(a, *args, **kwargs):
             shapes.append(np.shape(a))
-            return real_lu_factor(a, *args, **kwargs)
+            return real_zgetrf(a, *args, **kwargs)
 
-        monkeypatch.setattr(estimator, "lu_factor", recording_lu_factor)
+        monkeypatch.setattr(estimator.lapack, "zgetrf", recording_zgetrf)
         model = make_ortho_model(OrthoBlockParams(m=3, n_a=2, n_q=20), RngStream(2))
         filt = lmmse(model)
         p = assemble(model).period

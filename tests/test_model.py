@@ -112,6 +112,17 @@ class TestRngStream:
         b = RngStream(42, 1).generator().standard_normal(8)
         assert not np.array_equal(a, b)
 
+    def test_seed_and_stream_id_are_u64(self):
+        """No aliasing modulo 2**64: -1 is not 2**64 - 1, nor 2**64 zero.
+        The largest accepted values seed the generator unchanged."""
+        for seed, stream_id in [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)]:
+            with pytest.raises(ModelError, match="2\\*\\*64"):
+                RngStream(seed, stream_id)
+        top = 2**64 - 1
+        a = RngStream(top, top).generator().standard_normal(8)
+        b = np.random.default_rng(np.random.SeedSequence([top, top])).standard_normal(8)
+        np.testing.assert_array_equal(a, b)
+
 
 class TestSampleParameter:
     def test_identity_prior_moments(self):
@@ -350,7 +361,8 @@ class TestSampleCopySums:
         with pytest.raises(QuantizerDomainError):
             sample_copy_sums(model, theta, RngStream(0), 1, 1)
 
-    @pytest.mark.parametrize("periods", [(0, 2), (2, 0), (3, 2), (2, 3), (2, 8)])
+    # (1, 2) and (2, 1) divide the rows, but the rows do not repeat with them.
+    @pytest.mark.parametrize("periods", [(0, 2), (2, 0), (3, 2), (2, 3), (2, 8), (1, 2), (2, 1)])
     def test_periods_must_divide_the_rows(self, periods):
         model = _tiled_model(14, 1, 2, 2, 2, 2)
         with pytest.raises(ModelError, match="period"):
@@ -498,7 +510,7 @@ class TestSampleBuffers:
         with pytest.raises(ModelError, match="buffers"):
             sample_copy_sums(model, theta, RngStream(9), 1, 2, buffers=buffers)
         with pytest.raises(ModelError, match="buffers"):
-            sample_copy_sums(model, theta[:, :10], RngStream(9), 2, 3, buffers=buffers)
+            sample_copy_sums(model, theta[:, :10], RngStream(9), 2, 6, buffers=buffers)
         with pytest.raises(ModelError, match="buffers"):
             sample_parameter(model.sigma_theta, RngStream(8), size=11, buffers=buffers)
         with pytest.raises(ModelError, match="buffers"):
