@@ -336,6 +336,10 @@ def cmd_mse(args) -> int:
     fieldnames = ["sigma2", "n_a", "n_q", "mse_analytic"]
 
     if args.empirical:
+        if seed + len(rows) - 1 >= 2**64:
+            raise ConfigError(
+                f"cell i seeds its trials with seed + i, and seed {seed} + {len(rows) - 1} exceeds 2**64 - 1"
+            )
         for idx, row in enumerate(rows):
             sim = _simulate_cell(
                 scenario, m, rho, pilot, row["n_a"], row["n_q"], row["sigma2"], seed,

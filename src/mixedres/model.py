@@ -15,16 +15,15 @@ before acquisition/quantization.  The convention throughout the package is
 that a scalar CN(0, v) variable has independent real and imaginary parts of
 variance v/2 each.
 
-Two samplers draw from the model.  :func:`sample_measurements` realizes
-every row: noise, then the sign.  :func:`sample_copy_sums` draws only what a
-filter that treats the copies of a repeated block alike can see: the sum of
-the copies.  Given theta, each 1-bit output of a row with mean mu is +1 with
-probability Phi(mu / sqrt(v/2)) per real and imaginary part, independently
-of the other rows, so the sum of k copies of a row is a binomial count,
-drawn as k 16-bit words compared with that probability (k = 1 for a row
-that does not repeat).  The sum of k_a analog copies is k_a H1 theta plus one
-noise draw of variance k_a v.  Both sums have exactly the distribution of
-the sums of the realized rows.
+Two routes draw from the model.  :func:`sample_measurements` realizes
+every row: noise, then the sign.  :func:`sample_copy_sums` serves a filter
+that treats the copies of a repeated block alike, and so sees only the sum
+of the copies.  The sum of k_a analog copies is k_a H1 theta plus one noise
+draw of variance k_a v.  The quantized sum is not drawn: given theta, each
+1-bit output of a row with mean mu is +1 with probability
+P = Phi(mu / sqrt(v/2)) per part, independently of the other outputs, so
+each part of the sum of k copies is a Binomial(k, P) count, whose mean and
+variance are returned instead.
 """
 
 from __future__ import annotations
@@ -303,23 +302,19 @@ class SampleBuffers:
 
     - ``theta``: the planar normal block of theta, then theta;
     - ``scratch`` (float64): theta's complex normals, then the analog normal
-      block, then 2**16 times the sign probabilities, then the count parts,
-      and then the caller's estimation error (:meth:`error`);
-    - ``sums``: [s_a; s_q], whose s_q rows hold mu until the counts replace it;
-    - ``thresholds``, ``below`` and ``counts``: the word thresholds, the
-      word comparisons and the count of each part.
+      block, then the sign probabilities, whose first p * t values become
+      the conditional variances of s_q, and then the caller's estimation
+      error (:meth:`error`), which overwrites those variances;
+    - ``sums``: [s_a; s_q], whose s_q rows hold mu until its mean replaces it.
     """
 
     def __init__(self, model: MixedModel, trials: int, analog_period: int, quantized_period: int):
         self.trials = trials
         self.m, self.periods, self.copies = _layout(model, analog_period, quantized_period)
-        m, p, k = model.m, quantized_period, self.copies[1]
+        m, p = model.m, quantized_period
         self.theta = np.empty(m * trials, dtype=np.complex128)
         self.scratch = np.empty(2 * max(m, analog_period, p) * trials)
         self.sums = np.empty((analog_period + p) * trials, dtype=np.complex128)
-        self.thresholds = np.empty(2 * p * trials, dtype=np.uint16)
-        self.below = np.empty(k * 2 * p * trials, dtype=np.bool_)
-        self.counts = np.empty(2 * p * trials, dtype=np.min_scalar_type(k))
 
     def copy_sums(self, t: int) -> np.ndarray:
         """[s_a; s_q] of the last :func:`sample_copy_sums` draw of ``t`` trials, shape (p_a + p, t)."""
@@ -461,35 +456,30 @@ def sample_copy_sums(
     quantized_period: int,
     buffers: SampleBuffers | None = None,
 ):
-    """Draw the copy sums (s_a, s_q) of one realization of the measurement model.
+    """Draw the analog copy sum s_a; give the mean and variance of the quantized one given theta.
 
     ``theta`` is an (m, t) batch of parameter columns.  The analog rows must
     be k_a copies of their first ``analog_period`` rows and the quantized
     rows k copies of their first ``quantized_period`` rows, as
     :func:`block_period` finds them; a period equal to the row count claims
-    no repetition.  ``s_a`` (``analog_period`` rows) and ``s_q``
-    (``quantized_period`` rows) are the sums over the copies of x_a and x_q,
-    with the same distribution as summing the rows that
-    :func:`sample_measurements` draws, but from other draws of ``rng``:
+    no repetition.  Returns ``(s_a, s_q, s_q_var)``, each with t columns:
 
-    1. one CN(0, k_a * var_a_total) block added to k_a * H[:p_a] theta;
-    2. one block of k * 2 * p * t 16-bit words, ``random_raw`` read as
-       little-endian: with P = Phi(mu / sqrt(v/2)), mu being the real
-       (imaginary) part of G[:p] theta and v = var_q_total, copy j of row i
-       counts +1 in that part when its word is below
-       T = min(floor(2**16 P), 2**16 - 1);
-    3. when some word equals its T, one binomial draw over the parts with
-       such ties: each tied copy counts with probability f = 2**16 P - T.
+    - ``s_a`` (p_a rows): one CN(0, k_a * var_a_total) block added to
+      k_a * H[:p_a] theta, distributed as the sum of the rows that
+      :func:`sample_measurements` draws.  It is the only draw from ``rng``.
+    - ``s_q`` (p rows): the mean of the quantized copy sum.  With
+      P = Phi(mu / sqrt(v/2)) per part of mu = G[:p] theta, v = var_q_total,
+      each part of that sum is (2 * count - k) / sqrt(2) with
+      count ~ Binomial(k, P), of mean k (2P - 1) / sqrt(2).
+    - ``s_q_var`` (p rows): the variance of that sum, both parts together:
+      2k (P_re (1 - P_re) + P_im (1 - P_im)).
 
-    So each copy counts with probability (T + f) / 2**16 = P exactly, every
-    count is Binomial(k, P), and each part of s_q is (2 * count - k) /
-    sqrt(2).  Rows that do not repeat (k = 1) take the same path.
-
-    A zero variance draws nothing: the analog sum is then k_a * H[:p_a]
-    theta and the quantized sum k * quantize_1bit(G[:p] theta).  Without
-    ``buffers`` the sums are new arrays; with them, they are views into
-    the buffers (see :class:`SampleBuffers`), which must have been made
-    for the same m, periods and copy counts.
+    Rows that do not repeat (k = 1) take the same path.  A zero variance
+    draws nothing: the analog sum is then k_a * H[:p_a] theta, the
+    quantized mean k * quantize_1bit(G[:p] theta) and its variance 0.
+    Without ``buffers`` the results are new arrays; with them, they are
+    views into the buffers (see :class:`SampleBuffers`), which must have
+    been made for the same m, periods and copy counts.
     """
     theta = np.asarray(theta, dtype=np.complex128)
     if theta.ndim != 2 or theta.shape[0] != model.m:
@@ -503,7 +493,6 @@ def sample_copy_sums(
         raise ModelError(f"buffers of (m, periods, copies) {held} and {buffers.trials} trials do not fit {layout}, {t}")
     k_a, k = buffers.copies
     p = quantized_period
-    g = rng.generator()
 
     sums = buffers.copy_sums(t)
     s_a, s_q = sums[:analog_period], sums[analog_period:]
@@ -514,49 +503,37 @@ def sample_copy_sums(
         if k_a > 1:
             s_a *= k_a
         if std_a:
-            _add_planar_normal(s_a, g, std_a * np.sqrt(k_a), _prefix(buffers.scratch, (2,) + s_a.shape))
+            _add_planar_normal(s_a, rng.generator(), std_a * np.sqrt(k_a), _prefix(buffers.scratch, (2,) + s_a.shape))
 
     mu = np.matmul(model.g[:p], theta, out=s_q)
-    if not mu.size:
-        return s_a, s_q
+    prob = _prefix(buffers.scratch, (2, p, t))
+    s_q_var = prob[0]
     sigma = _part_std(model.var_q, model.var_dq)
-    if sigma == 0.0:
+    if sigma == 0.0 or not mu.size:
         s_q[...] = k * quantize_1bit(mu)
-        return s_a, s_q
+        s_q_var[...] = 0.0
+        return s_a, s_q, s_q_var
+    # Keep an elementwise pass between the matmul and ndtr: without one, ndtr ran 3x slower.
     if not np.isfinite(mu).all():
         raise QuantizerDomainError("1-bit quantizer requires finite input")
     # Imported here: scipy.special adds about 50 ms to every import of the CLI.
     from scipy.special import ndtr
 
-    # 2**16 P per part; a ratio that overflows to +-inf has P exactly 1 or 0.
-    scaled = _prefix(buffers.scratch, (2, p, t))
+    # A ratio that overflows to +-inf has P exactly 1 or 0.
     with np.errstate(over="ignore"):
-        np.divide(mu.real, sigma, out=scaled[0])
-        np.divide(mu.imag, sigma, out=scaled[1])
-    ndtr(scaled, out=scaled)
-    scaled *= 65536.0
-    # The cast truncates, which is floor for these nonnegative values.
-    thresholds = np.minimum(scaled, 65535.0, out=_prefix(buffers.thresholds, (2, p, t)), casting="unsafe")
-
-    n = k * 2 * p * t
-    words = g.bit_generator.random_raw(-(-n // 4)).astype("<u8", copy=False).view("<u2")[:n].reshape(k, 2, p, t)
-    below = _prefix(buffers.below, (k, 2, p, t))
-    counts = _prefix(buffers.counts, (2, p, t))
-    # Summing the comparison's bytes in the narrowest type that holds k is
-    # about 15x faster than np.count_nonzero along an axis.
-    np.less(words, thresholds, out=below).view(np.uint8).sum(axis=0, dtype=counts.dtype, out=counts)
-    tied = np.flatnonzero(np.equal(words, thresholds, out=below)) % thresholds.size
-    if tied.size:
-        at, ties = np.unique(tied, return_counts=True)
-        remainder = scaled.reshape(-1)[at] - thresholds.reshape(-1)[at]
-        counts.reshape(-1)[at] += g.binomial(ties, remainder).astype(counts.dtype)
-
-    parts = np.multiply(counts, 2.0, out=scaled)
-    parts -= k
-    parts *= INV_SQRT2
-    s_q.real = parts[0]
-    s_q.imag = parts[1]
-    return s_a, s_q
+        np.divide(mu.real, sigma, out=prob[0])
+        np.divide(mu.imag, sigma, out=prob[1])
+    ndtr(prob, out=prob)
+    # u = 2P - 1 is sqrt(2) times the mean of one output, whose variance is (1 - u**2) / 2.
+    u = np.multiply(prob, 2.0, out=prob)
+    u -= 1.0
+    np.multiply(u[0], k * INV_SQRT2, out=s_q.real)
+    np.multiply(u[1], k * INV_SQRT2, out=s_q.imag)
+    np.square(u, out=u)
+    np.add(u[0], u[1], out=s_q_var)
+    s_q_var *= -0.5 * k
+    s_q_var += k
+    return s_a, s_q, s_q_var
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,21 @@ A batch draws copy sums, not rows.  When the quantized rows of the model
 and the filter's columns for them both repeat with period p (the
 ``block_period`` of [G | W_q^T]), the filter gives every copy the same
 columns, so W_q x_q = W_q1 (q_1 + ... + q_k) and only the p-row copy sum
-is drawn (:func:`~mixedres.model.sample_copy_sums`).  The analog rows work
+matters (:func:`~mixedres.model.sample_copy_sums`).  The analog rows work
 the same way with [H | W_a^T], except under b-bit emulation, which must
 quantize every copy, so the analog period is then n_a.  Rows without
-repetition are one copy of themselves (k = 1) and take the same path: one
-16-bit word per quantized row and part, and one analog noise block.
+repetition are one copy of themselves (k = 1) and take the same path.
+
+Each batch draws theta and the analog copy sum s_a only.  Given both, the
+squared error's mean over the 1-bit outputs is exact (see
+:func:`_run_batch`), and each trial records it: the expectation of a
+sampled trial's squared error and, by the Rao-Blackwell theorem, no larger
+variance.
 
 A run makes one set of :class:`~mixedres.model.SampleBuffers` for its
 largest batch; every batch draws theta and the copy sums into them and
-applies the filter there, so a batch allocates only its word block and a
-few per-trial vectors.  The output bytes depend on the seed and the batch
-size only.
+applies the filter there, so a batch allocates only a few per-trial
+vectors.  The output bytes depend on the seed and the batch size only.
 """
 
 from __future__ import annotations
@@ -65,9 +69,10 @@ from .model import (
 # Default b-bit emulation of the analog path: 6 bits on [-5, 5].
 DEFAULT_ANALOG_QUANTIZER = QuantizerSpec(bits=6, lo=-5.0, hi=5.0)
 # Most values (rows x trials) in one Monte-Carlo batch.  Per value, a batch
-# holds at most 16 bytes of copy sums, 4 of 16-bit words and 2 of word
-# comparisons, so none of these arrays takes more than 1 GiB, and the
-# default batch of 8192 trials admits every model the dense solver accepts.
+# holds at most 16 bytes of copy sums and 16 of float64 scratch (two parts
+# of normals or of sign probabilities), so neither array takes more than
+# 1 GiB, and the default batch of 8192 trials admits every model the
+# dense solver accepts.
 MAX_BATCH_ELEMENTS = 8192 * 8192
 # Most trials in one run: the largest count that the float64 mean and
 # variance divide by exactly.
@@ -164,23 +169,31 @@ def _copy_periods(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> tuple
 
 
 def _run_batch(model: MixedModel, w1: np.ndarray, cfg: SimConfig, batch: int, count: int, buffers: SampleBuffers):
-    """Sum and sum of squares of the per-trial squared errors of one batch.
+    """Sum and sum of squares of the per-trial squared errors of one batch, averaged over the 1-bit outputs.
 
     ``w1`` is the filter's columns for one analog and one quantized period,
-    so the error is ``w1 @ [s_a; s_q] - theta``.
+    so the error is ``w1 @ [s_a; s_q] - theta``.  Given theta and s_a, its
+    squared norm has the mean |w1 @ [s_a; E s_q] - theta|**2 plus
+    sum_i c_i Var(s_q_i), c_i being the squared norm of w1's column for
+    quantized row i.
     """
     theta = sample_parameter(model.sigma_theta, RngStream(cfg.rng_seed, 2 * batch), size=count, buffers=buffers)
-    s_a, _ = sample_copy_sums(model, theta, RngStream(cfg.rng_seed, 2 * batch + 1), *buffers.periods, buffers=buffers)
+    stream = RngStream(cfg.rng_seed, 2 * batch + 1)
+    s_a, _, s_q_var = sample_copy_sums(model, theta, stream, *buffers.periods, buffers=buffers)
     if cfg.analog_quantizer is not None and s_a.size:
         s_a[...] = quantize_bbit(s_a, cfg.analog_quantizer)
+    w_q = w1[:, buffers.periods[0] :]
+    # Weighed before the error is formed, which overwrites the variances.
+    per_trial = (np.square(w_q.real) + np.square(w_q.imag)).sum(axis=0) @ s_q_var
     err = np.matmul(w1, buffers.copy_sums(count), out=buffers.error(count))
     # An extreme quantizer range can overflow the squares; run_monte_carlo
     # refuses the non-finite result.
     with np.errstate(over="ignore", invalid="ignore"):
         err -= theta
         squares = np.square(err.view(np.float64), out=err.view(np.float64))
-        per_trial = squares.sum(axis=0)
-        per_trial = per_trial[0::2] + per_trial[1::2]
+        parts = squares.sum(axis=0)
+        per_trial += parts[0::2]
+        per_trial += parts[1::2]
         total = float(per_trial.sum())
         return total, float(np.square(per_trial, out=per_trial).sum())
 
@@ -188,11 +201,11 @@ def _run_batch(model: MixedModel, w1: np.ndarray, cfg: SimConfig, batch: int, co
 def run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> SimResult:
     """Estimate the empirical MSE of a filter by seeded Monte-Carlo trials.
 
-    Per trial: draw the parameter and the copy sums of the measurements
-    (see the module docstring), apply the filter, and accumulate the
-    squared estimation error.  Every batch draws into one set of
+    Per trial: draw the parameter and the analog copy sum, and accumulate
+    the squared estimation error averaged over the 1-bit outputs (see the
+    module docstring).  Every batch draws into one set of
     :class:`~mixedres.model.SampleBuffers` made for the run.  The standard
-    error is the sample standard deviation of the per-trial squared error
+    error is the sample standard deviation of those per-trial values
     divided by sqrt(trials).
     """
     if filt.w.shape != (model.m, model.n_analog + model.n_quantized):

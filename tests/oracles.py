@@ -22,7 +22,12 @@ stream, against which tests check the samplers' in-place draws.
 ``reference_run_monte_carlo`` keeps the Monte-Carlo batch that realizes
 every measurement row with :func:`sample_measurements`, which the copy-sum
 sampler replaced; the two draw from other random streams, so they agree
-within their standard errors.
+within their standard errors.  ``reference_copy_sums`` keeps the sampler
+that drew each quantized copy count from 16-bit words, which the
+conditional moments of ``sample_copy_sums`` replaced, and
+``reference_word_run_monte_carlo`` the run over its sampled copy sums; it
+draws the same theta and analog sums as ``run_monte_carlo``, so the two
+differ only in the 1-bit outputs and agree within their standard errors.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import warnings
 from dataclasses import replace
 
 import numpy as np
+from scipy import special
 from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
 
 from mixedres.allocation import AllocationResult, DitherScheme, PowerBudget, max_nq, na_range
@@ -50,17 +56,19 @@ from mixedres.estimator import (
     cross_cov_theta_quantized,
     lmmse,
 )
-from mixedres.exceptions import EstimatorUndefinedError
+from mixedres.exceptions import EstimatorUndefinedError, QuantizerDomainError
 from mixedres.model import (
     INV_SQRT2,
     MixedModel,
     OrthoBlockParams,
     RngStream,
+    _part_std,
+    quantize_1bit,
     quantize_bbit,
     sample_measurements,
     sample_parameter,
 )
-from mixedres.simulate import SimConfig, SimResult
+from mixedres.simulate import SimConfig, SimResult, _copy_periods
 
 DEFAULT_BATCH = 16384
 
@@ -348,17 +356,14 @@ def reference_lmmse(model: MixedModel) -> LmmseFilter:
     return LmmseFilter(w=x.conj().T, mse=float(_clamped_mse(mse)), condition=condition)
 
 
-def reference_run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> SimResult:
-    """Monte Carlo that draws every measurement row, one batch after another."""
-    n_a = model.n_analog
+def _batched_run(filt: LmmseFilter, cfg: SimConfig, batch_error) -> SimResult:
+    """Mean squared error and its standard error over the batches of ``cfg``.
+
+    ``batch_error(b, count)`` gives the (m, count) estimation errors of batch b.
+    """
     total = total_sq = 0.0
     for b in range(math.ceil(cfg.trials / cfg.batch_size)):
-        count = min(cfg.batch_size, cfg.trials - b * cfg.batch_size)
-        theta = sample_parameter(model.sigma_theta, RngStream(cfg.rng_seed, 2 * b), size=count)
-        x_a, x_q = sample_measurements(model, theta, RngStream(cfg.rng_seed, 2 * b + 1))
-        if cfg.analog_quantizer is not None and x_a.size:
-            x_a = quantize_bbit(x_a, cfg.analog_quantizer)
-        err = filt.w[:, :n_a] @ x_a + filt.w[:, n_a:] @ x_q - theta
+        err = batch_error(b, min(cfg.batch_size, cfg.trials - b * cfg.batch_size))
         per_trial = (err.real**2 + err.imag**2).sum(axis=0)
         total += float(per_trial.sum())
         total_sq += float((per_trial**2).sum())
@@ -366,3 +371,89 @@ def reference_run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConf
     mean = total / t
     var = max(total_sq - t * mean**2, 0.0) / (t - 1) if t > 1 else 0.0
     return SimResult(empirical_mse=mean, std_error=math.sqrt(var / t), analytic_mse=filt.mse, trials_run=t)
+
+
+def _bbit(x_a: np.ndarray, cfg: SimConfig) -> np.ndarray:
+    return quantize_bbit(x_a, cfg.analog_quantizer) if cfg.analog_quantizer is not None and x_a.size else x_a
+
+
+def reference_run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> SimResult:
+    """Monte Carlo that draws every measurement row, one batch after another."""
+    n_a = model.n_analog
+
+    def batch_error(b, count):
+        theta = sample_parameter(model.sigma_theta, RngStream(cfg.rng_seed, 2 * b), size=count)
+        x_a, x_q = sample_measurements(model, theta, RngStream(cfg.rng_seed, 2 * b + 1))
+        return filt.w[:, :n_a] @ _bbit(x_a, cfg) + filt.w[:, n_a:] @ x_q - theta
+
+    return _batched_run(filt, cfg, batch_error)
+
+
+def reference_copy_sums(model: MixedModel, theta: np.ndarray, rng: RngStream, analog_period: int, quantized_period: int):
+    """Copy sums (s_a, s_q) of one realization, with every quantized copy drawn as a 16-bit word.
+
+    The arguments are those of ``sample_copy_sums``, and s_a is its analog
+    sum, from the same first draw of ``rng``.  Then, with P = Phi(mu /
+    sqrt(v/2)) per part of mu = G[:p] theta and v = var_q_total:
+
+    1. one block of k * 2 * p * t 16-bit words, ``random_raw`` read as
+       little-endian: copy j of row i counts +1 in a part when its word is
+       below T = min(floor(2**16 P), 2**16 - 1);
+    2. when some word equals its T, one binomial draw over the parts with
+       such ties: each tied copy counts with probability f = 2**16 P - T.
+
+    So each copy counts with probability (T + f) / 2**16 = P exactly, every
+    count is Binomial(k, P), and each part of s_q is (2 * count - k) /
+    sqrt(2).  A zero quantized variance draws no word: s_q is then
+    k * quantize_1bit(mu).
+    """
+    theta = np.asarray(theta, dtype=np.complex128)
+    p, t = quantized_period, theta.shape[1]
+    k_a = model.n_analog // analog_period if analog_period else 0
+    k = model.n_quantized // p if p else 0
+    g = rng.generator()
+    s_a = model.h[:analog_period] @ theta
+    std_a = _part_std(model.var_a, model.var_da)
+    with np.errstate(over="ignore"):
+        if k_a > 1:
+            s_a *= k_a
+        if std_a:
+            z = g.standard_normal((2,) + s_a.shape) * (std_a * np.sqrt(k_a))
+            s_a.real += z[0]
+            s_a.imag += z[1]
+
+    mu = model.g[:p] @ theta
+    sigma = _part_std(model.var_q, model.var_dq)
+    if sigma == 0.0 or not mu.size:
+        return s_a, k * quantize_1bit(mu)
+    if not np.isfinite(mu).all():
+        raise QuantizerDomainError("1-bit quantizer requires finite input")
+    with np.errstate(over="ignore"):
+        scaled = 65536.0 * special.ndtr(np.stack([mu.real / sigma, mu.imag / sigma]))
+    # The cast truncates, which is floor for these nonnegative values.
+    thresholds = np.minimum(scaled, 65535.0).astype(np.uint16)
+    n = k * 2 * p * t
+    words = g.bit_generator.random_raw(-(-n // 4)).astype("<u8", copy=False).view("<u2")[:n].reshape(k, 2, p, t)
+    counts = (words < thresholds).sum(axis=0)
+    tied = np.flatnonzero(words == thresholds) % thresholds.size
+    if tied.size:
+        at, ties = np.unique(tied, return_counts=True)
+        counts.reshape(-1)[at] += g.binomial(ties, scaled.reshape(-1)[at] - thresholds.reshape(-1)[at])
+    parts = (2.0 * counts - k) * INV_SQRT2
+    s_q = np.empty(mu.shape, dtype=np.complex128)
+    s_q.real, s_q.imag = parts
+    return s_a, s_q
+
+
+def reference_word_run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> SimResult:
+    """Monte Carlo over the copy sums of :func:`reference_copy_sums`, on the streams of ``run_monte_carlo``."""
+    p_a, p_q = _copy_periods(model, filt, cfg)
+    n_a = model.n_analog
+    w_a, w_q = filt.w[:, :p_a], filt.w[:, n_a : n_a + p_q]
+
+    def batch_error(b, count):
+        theta = sample_parameter(model.sigma_theta, RngStream(cfg.rng_seed, 2 * b), size=count)
+        s_a, s_q = reference_copy_sums(model, theta, RngStream(cfg.rng_seed, 2 * b + 1), p_a, p_q)
+        return w_a @ _bbit(s_a, cfg) + w_q @ s_q - theta
+
+    return _batched_run(filt, cfg, batch_error)

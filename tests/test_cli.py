@@ -605,14 +605,21 @@ def test_seeds_outside_u64_are_config_errors(tmp_path, capsys, command, seed, fr
     assert "seed" in captured.err and "Traceback" not in captured.err
 
 
-def test_empirical_cell_seeds_stay_below_2_64(tmp_path, capsys):
-    """Cell idx seeds its trials with seed + idx, so from seed 2**64 - 1 one cell runs and two do not."""
+def test_empirical_cell_seeds_stay_below_2_64(tmp_path, capsys, monkeypatch):
+    """Cell idx seeds its trials with seed + idx, so from seed 2**64 - 1 one
+    cell runs and two do not; the refusal comes before any trial runs."""
+    from mixedres import simulate
+
     cfg = {**TestMseCommand.CFG, "allocations": [[1, 0]], "empirical": {"trials": 100}, "seed": 2**64 - 1}
     one = _write(tmp_path, "one.yaml", {**cfg, "sigma2_grid": [0.5]})
     assert main(["mse", "--config", one, "--empirical"]) == 0
     capsys.readouterr()
+    batches = []
+    run_batch = simulate._run_batch
+    monkeypatch.setattr(simulate, "_run_batch", lambda *args: batches.append(args) or run_batch(*args))
     two = _write(tmp_path, "two.yaml", cfg)
     assert main(["mse", "--config", two, "--empirical"]) == 2
+    assert batches == []
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "seed" in captured.err and "Traceback" not in captured.err

@@ -25,7 +25,7 @@ from mixedres.model import (
     sample_measurements,
     sample_parameter,
 )
-from oracles import reference_complex_normal, reference_haar_unitary
+from oracles import reference_complex_normal, reference_copy_sums, reference_haar_unitary
 
 
 class TestMixedModelValidation:
@@ -279,8 +279,10 @@ class TestSampleCopySums:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("dither", [False, True])
     def test_sums_match_summed_rows(self, seed, dither):
-        """For a fixed theta, every part of each copy sum has the mean and
-        variance of the sum of the k rows that sample_measurements draws."""
+        """For a fixed theta, every part of the analog copy sum, and of the
+        word sampler's quantized one, has the mean and variance of the sum of
+        the k rows that sample_measurements draws; the quantized mean and
+        variance returned for that theta are those of the summed rows."""
         rng = np.random.default_rng(100 + seed)
         m, p_a, p = (int(v) for v in rng.integers(1, 4, size=3))
         k_a, k = (int(v) for v in rng.integers(1, 7, size=2))
@@ -289,55 +291,84 @@ class TestSampleCopySums:
             var_da=0.3 if dither else 0.0, var_dq=0.6 if dither else 0.0,
         )
         theta = np.repeat(sample_parameter(model.sigma_theta, RngStream(seed, 1))[:, None], self.TRIALS, axis=1)
-        s_a, s_q = sample_copy_sums(model, theta, RngStream(seed, 2), p_a, p)
+        s_a, s_q, s_q_var = sample_copy_sums(model, theta, RngStream(seed, 2), p_a, p)
+        _, drawn_q = reference_copy_sums(model, theta, RngStream(seed, 2), p_a, p)
         x_a, x_q = sample_measurements(model, theta, RngStream(seed, 3))
-        assert s_a.shape == (p_a, self.TRIALS) and s_q.shape == (p, self.TRIALS)
-        for got, rows, period in ((s_a, x_a, p_a), (s_q, x_q, p)):
+        assert s_a.shape == (p_a, self.TRIALS) and s_q.shape == s_q_var.shape == (p, self.TRIALS)
+        for got, rows, period in ((s_a, x_a, p_a), (drawn_q, x_q, p)):
             want = rows.reshape(-1, period, self.TRIALS).sum(axis=0)
             mean, var, se_mean, se_var = _mean_and_variance(got)
             ref_mean, ref_var, ref_se_mean, ref_se_var = _mean_and_variance(want)
             assert np.all(np.abs(mean - ref_mean) <= 4 * np.hypot(se_mean, ref_se_mean) + 1e-12)
             assert np.all(np.abs(var - ref_var) <= 4 * np.hypot(se_var, ref_se_var) + 1e-12)
+        # Every column holds the same theta, so the mean and variance repeat.
+        assert (s_q == s_q[:, :1]).all() and (s_q_var == s_q_var[:, :1]).all()
+        # A sample that is all one level has a sample variance of 0, so the
+        # standard errors come from the binomial moments of the mean.
+        mean = np.stack([s_q.real[:, 0], s_q.imag[:, 0]])
+        q = (1 - (mean * np.sqrt(2) / k) ** 2) / 4  # P (1 - P) per part
+        var = 2 * k * q
+        fourth = 4 * k * q * (1 + 3 * (k - 2) * q)
+        assert s_q_var[:, 0] == pytest.approx(var.sum(axis=0), rel=1e-12, abs=1e-12)
+        ref_mean, ref_var, _, _ = _mean_and_variance(x_q.reshape(-1, p, self.TRIALS).sum(axis=0))
+        assert np.all(np.abs(mean - ref_mean) <= 4 * np.sqrt(var / self.TRIALS) + 1e-12)
+        se_var = np.sqrt(np.maximum(fourth - var**2, 0.0) / self.TRIALS)
+        assert np.all(np.abs(var - ref_var) <= 4 * se_var + 1e-12)
 
     def test_quantized_sum_is_a_count_of_signs(self):
-        """Each part of s_q is (2 * count - k) / sqrt(2) for a count in 0..k."""
+        """Each part of the word sampler's s_q is (2 * count - k) / sqrt(2) for a count in 0..k."""
         model = _tiled_model(7, 2, 1, 1, 3, 5)
         theta = sample_parameter(model.sigma_theta, RngStream(7), size=200)
-        _, s_q = sample_copy_sums(model, theta, RngStream(8), 1, 3)
+        _, s_q = reference_copy_sums(model, theta, RngStream(8), 1, 3)
         levels = (2.0 * np.arange(6) - 5) * INV_SQRT2
         assert np.isin(s_q.view(np.float64), levels).all()
 
     def test_zero_variance_draws_nothing(self):
         """With no noise and no dither the sums are k_a H1 theta and
-        k quantize_1bit(G1 theta) exactly, and the stream is left untouched."""
+        k quantize_1bit(G1 theta) exactly, with no quantized variance, and
+        the stream is left untouched."""
         model = _tiled_model(9, 3, 2, 3, 2, 4, var_a=0.0, var_q=0.0)
         theta = sample_parameter(model.sigma_theta, RngStream(9), size=50)
         stream = _OneGenerator()
-        s_a, s_q = sample_copy_sums(model, theta, stream, 2, 2)
+        s_a, s_q, s_q_var = sample_copy_sums(model, theta, stream, 2, 2)
         assert s_a.tobytes() == (3 * (model.h[:2] @ theta)).tobytes()
         assert s_q.tobytes() == (4 * quantize_1bit(model.g[:2] @ theta)).tobytes()
+        assert not s_q_var.any()
         assert stream.g.bit_generator.state == RngStream(8).generator().bit_generator.state
 
     def test_zero_quantized_variance_draws_only_the_analog_block(self):
         model = _tiled_model(10, 2, 1, 2, 2, 3, var_a=0.5, var_q=0.0)
         theta = sample_parameter(model.sigma_theta, RngStream(10), size=40)
         stream = _OneGenerator()
-        s_a, s_q = sample_copy_sums(model, theta, stream, 1, 2)
+        s_a, s_q, s_q_var = sample_copy_sums(model, theta, stream, 1, 2)
         g = RngStream(8).generator()
         g.standard_normal((2, 1, 40))
         assert stream.g.bit_generator.state == g.bit_generator.state
         assert s_q.tobytes() == (3 * quantize_1bit(model.g[:2] @ theta)).tobytes()
+        assert not s_q_var.any()
+
+    def test_nonzero_quantized_variance_draws_only_the_analog_block(self):
+        """The 1-bit outputs are integrated out: with noise on both paths
+        the stream still gives only the analog normal block."""
+        model = _tiled_model(11, 2, 1, 2, 2, 3, var_a=0.5, var_q=0.7)
+        theta = sample_parameter(model.sigma_theta, RngStream(11), size=40)
+        stream = _OneGenerator()
+        sample_copy_sums(model, theta, stream, 1, 2)
+        g = RngStream(8).generator()
+        g.standard_normal((2, 1, 40))
+        assert stream.g.bit_generator.state == g.bit_generator.state
 
     def test_tiny_and_huge_variances(self):
         """sigma^2 = 1e-320 makes mu / sigma overflow to +-inf, whose
         probabilities are exactly 1 or 0; 1e308 stays finite."""
         tiny = _tiled_model(12, 1, 1, 2, 1, 3, var_a=1e-320, var_q=1e-320)
         theta = np.array([[1e200 + 1j * 1e200, -1e200 + 0.5j]])
-        _, s_q = sample_copy_sums(tiny, theta, RngStream(12), 1, 1)
+        _, s_q, s_q_var = sample_copy_sums(tiny, theta, RngStream(12), 1, 1)
         assert s_q.tobytes() == (3 * quantize_1bit(tiny.g[:1] @ theta)).tobytes()
+        assert not s_q_var.any()
         huge = _tiled_model(12, 1, 1, 2, 1, 3, var_a=1e308, var_q=1e308)
-        s_a, s_q = sample_copy_sums(huge, theta, RngStream(13), 1, 1)
-        assert np.isfinite(s_a).all() and np.isfinite(s_q).all()
+        results = sample_copy_sums(huge, theta, RngStream(13), 1, 1)
+        assert all(np.isfinite(a).all() for a in results)
 
     @pytest.mark.parametrize("copies", [1, 3])
     def test_noise_and_dither_whose_sum_overflows(self, copies):
@@ -348,12 +379,12 @@ class TestSampleCopySums:
         )
         assert np.isinf(model.var_a_total) and np.isinf(model.var_q_total)
         theta = sample_parameter(model.sigma_theta, RngStream(15), size=400)
-        s_a, s_q = sample_copy_sums(model, theta, RngStream(16), 2, 3)
+        s_a, s_q, s_q_var = sample_copy_sums(model, theta, RngStream(16), 2, 3)
         assert np.isfinite(s_a).all()
-        # The noise swamps mu, so every sign is a fair coin.
-        levels = (2.0 * np.arange(copies + 1) - copies) * INV_SQRT2
-        assert np.isin(s_q.view(np.float64), levels).all()
-        assert abs(s_q.view(np.float64).mean()) < 4 * np.sqrt(copies / 2 / s_q.view(np.float64).size)
+        # The noise swamps mu, so every sign is a fair coin: mean 0, and
+        # variance 1/2 per part and copy.
+        assert np.abs(s_q).max() < 1e-100
+        assert np.allclose(s_q_var, copies, rtol=1e-15, atol=0.0)
 
     def test_non_finite_mean_is_refused(self):
         model = _tiled_model(13, 1, 1, 1, 1, 2)
@@ -391,11 +422,11 @@ class _StubWords:
 
 
 def _quantized_counts(k, theta, stream):
-    """The per-part copy counts (2, t) of k copies of the row 1 at quantized variance 0.9.
+    """The per-part copy counts (2, t) that the word sampler draws for k copies of the row 1 at quantized variance 0.9.
 
     Also checks that each part of s_q is exactly (2 * count - k) / sqrt(2).
     """
-    _, s_q = sample_copy_sums(make_scalar_model(0, k, 0.9), theta, stream, 0, 1)
+    _, s_q = reference_copy_sums(make_scalar_model(0, k, 0.9), theta, stream, 0, 1)
     parts = np.concatenate([s_q.real, s_q.imag])
     counts = np.rint((parts / INV_SQRT2 + k) / 2)
     assert np.array_equal(parts, (2.0 * counts - k) * INV_SQRT2)
@@ -420,7 +451,8 @@ def _assert_binomial(counts, k, prob):
 
 
 class TestCopyCountExactness:
-    """Each part's count of k quantized copies is Binomial(k, P), P = Phi(mu / sigma)."""
+    """Each part's count of k quantized copies, drawn from 16-bit words by the
+    reference sampler, is Binomial(k, P), P = Phi(mu / sigma)."""
 
     TRIALS = 20_000
     # mu / sigma, whose P is 0, 1/2, 1, and one where 2**16 P has a nonzero fraction.

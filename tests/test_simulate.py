@@ -1,5 +1,8 @@
 """Tests for the Monte-Carlo harness, analytic sweeps, and benchmark."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from scipy import special
@@ -17,6 +20,7 @@ from mixedres.model import (
     _part_std,
     make_mimo_model,
     make_scalar_model,
+    sample_copy_sums,
     sample_parameter,
 )
 from mixedres.simulate import (
@@ -30,7 +34,7 @@ from mixedres.simulate import (
     sweep_allocation_vs_noise,
     sweep_mse_vs_noise,
 )
-from oracles import reference_run_monte_carlo
+from oracles import reference_run_monte_carlo, reference_word_run_monte_carlo
 
 
 class TestRunMonteCarlo:
@@ -67,7 +71,7 @@ class TestRunMonteCarlo:
             assert abs(res.empirical_mse - filt.mse) <= 4 * res.std_error
 
     def test_more_than_255_quantized_copies(self):
-        """300 quantized copies count past a byte; the run still matches the analytic MSE."""
+        """300 quantized copies of one row, past what a byte could count: the run matches the analytic MSE."""
         model = make_scalar_model(1, 300, 1.0)
         filt = lmmse(model)
         cfg = SimConfig(trials=20_000, rng_seed=8)
@@ -108,7 +112,7 @@ class TestRunMonteCarlo:
             run_monte_carlo(model, lmmse(model), cfg)
 
     def test_std_error_definition(self):
-        """std_error is the sample std of per-trial squared errors / sqrt(trials)."""
+        """std_error is the sample std of the per-trial conditional squared errors / sqrt(trials)."""
         from mixedres.model import RngStream, sample_copy_sums, sample_parameter
 
         model = make_scalar_model(1, 1, 1.0)
@@ -121,9 +125,10 @@ class TestRunMonteCarlo:
             count = min(128, cfg.trials - b * 128)
             theta = sample_parameter(model.sigma_theta, RngStream(6, 2 * b), size=count)
             # One analog and one quantized row: both periods are 1.
-            s_a, s_q = sample_copy_sums(model, theta, RngStream(6, 2 * b + 1), 1, 1)
+            s_a, s_q, s_q_var = sample_copy_sums(model, theta, RngStream(6, 2 * b + 1), 1, 1)
             x = np.concatenate([s_a, s_q], axis=0)
-            errors.extend((np.abs(filt.w @ x - theta) ** 2).sum(axis=0))
+            spread = np.abs(filt.w[0, 1]) ** 2 * s_q_var[0]
+            errors.extend((np.abs(filt.w @ x - theta) ** 2).sum(axis=0) + spread)
         errors = np.asarray(errors)
         assert res.empirical_mse == pytest.approx(errors.mean(), rel=1e-12)
         assert res.std_error == pytest.approx(
@@ -231,7 +236,8 @@ class TestCopySums:
         got = run_monte_carlo(model, filt, cfg)
         want = reference_run_monte_carlo(model, filt, cfg)
         assert abs(got.empirical_mse - want.empirical_mse) <= 4 * np.hypot(got.std_error, want.std_error)
-        assert got.std_error == pytest.approx(want.std_error, rel=0.1)
+        # Averaging over the 1-bit outputs never raises the variance.
+        assert got.std_error <= 1.1 * want.std_error
 
     def test_filter_with_differing_copy_columns_falls_back_to_one_copy(self):
         """G repeats, but one copy's filter columns differ, so W_q x_q is not
@@ -248,10 +254,7 @@ class TestCopySums:
 
     def test_batch_draws_no_normal_block_per_quantized_row(self, monkeypatch):
         """A batch draws one normal block for theta and one for the analog
-        copy sum, then one block of k * 2 * p * t 16-bit words (a quarter as
-        many raw 64-bit draws), and no float64 uniform block.  A binomial is
-        drawn only when some word equals its threshold, over the counts of
-        those ties."""
+        copy sum, and nothing for the 1-bit outputs, which it integrates out."""
         calls = []
         generator = RngStream.generator
 
@@ -266,36 +269,89 @@ class TestCopySums:
 
                 def record(*args, **kwargs):
                     out = kwargs.get("out")
-                    result = attr(*args, **kwargs)
-                    calls.append((name, out.shape if out is not None else args[0], result))
-                    return result
+                    calls.append((name, out.shape if out is not None else args[0]))
+                    return attr(*args, **kwargs)
 
                 return record
 
         model, filt = _mimo_closed()
-        k, p, trials = 4, 3, 2000
+        trials = 2000
         monkeypatch.setattr(RngStream, "generator", lambda self: Recorder(generator(self)))
-        tie_counts = []
-        for seed in range(33, 37):
-            calls.clear()
-            run_monte_carlo(model, filt, SimConfig(trials=trials, rng_seed=seed))
-            batch = calls[:]
-            assert [(name, size) for name, size, _ in batch[:3]] == [
-                ("standard_normal", (2, 3, trials)), ("standard_normal", (2, 3, trials)),
-                ("random_raw", k * 2 * p * trials // 4),
-            ]
-            words = batch[2][2].astype("<u8").view("<u2").reshape(k, 2, p, trials)
-            # The thresholds, from the same theta and the same sign probabilities.
-            mu = model.g[:p] @ sample_parameter(model.sigma_theta, RngStream(seed, 0), size=trials)
-            prob = special.ndtr(np.stack([mu.real, mu.imag]) / _part_std(model.var_q, model.var_dq))
-            ties = (words == np.minimum(np.floor(65536 * prob), 65535)).sum(axis=0)
-            tie_counts.append(int(ties.sum()))
-            if ties.any():
-                assert [name for name, _, _ in batch[3:]] == ["binomial"]
-                assert batch[3][1].tolist() == ties[ties > 0].tolist()
-            else:
-                assert len(batch) == 3
-        assert 0 in tie_counts and max(tie_counts) > 0
+        run_monte_carlo(model, filt, SimConfig(trials=trials, rng_seed=33))
+        assert calls == [("standard_normal", (2, 3, trials)), ("standard_normal", (2, 3, trials))]
+
+
+# name -> (model, analog quantizer); each run applies the model's LMMSE filter.
+CONDITIONAL_CASES = {
+    "k1-scalar": (lambda: make_scalar_model(1, 1, 1.0), None),
+    "k300-scalar": (lambda: make_scalar_model(1, 300, 1.0), None),
+    "bbit-scalar": (lambda: make_scalar_model(1, 10, 1.0), DEFAULT_ANALOG_QUANTIZER),
+    "dithered-mimo": (lambda: _mimo_closed(0.3, 0.5)[0], None),
+    "zero-quantized-variance": (
+        lambda: MixedModel(
+            h=np.array([[1.0, 0.5j], [0.2, 1.0]]), g=np.array([[1.0, 1.0j], [0.5, -1.0], [1j, 0.3]]),
+            sigma_theta=np.eye(2), var_a=0.8, var_q=0.0,
+        ),
+        None,
+    ),
+    "mimo-lmmse": (lambda: make_mimo_model(4, 2, 3, 1.5, 0.8, rng=RngStream(3)), None),
+}
+
+
+class TestConditionalError:
+    """Each trial records its squared error averaged over the 1-bit outputs."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_per_trial_value_averages_every_count(self, k, p):
+        """For a fixed theta and a fixed analog draw, the value a trial
+        records is the sum over every count of both parts of each quantized
+        row of pmf * |e|**2, with the binomial pmf from math.comb.  Each
+        batch holds one trial, so its sum is that trial's value."""
+        rng = np.random.default_rng(40 + 10 * k + p)
+        m, p_a, count = 2, 1, 6
+        g1 = rng.standard_normal((p, m)) + 1j * rng.standard_normal((p, m))
+        model = MixedModel(
+            h=np.tile(rng.standard_normal((p_a, m)) + 1j * rng.standard_normal((p_a, m)), (2, 1)),
+            g=np.tile(g1, (k, 1)), sigma_theta=np.eye(m), var_a=0.6, var_q=0.9, var_dq=0.4,
+        )
+        w1 = rng.standard_normal((m, p_a + p)) + 1j * rng.standard_normal((m, p_a + p))
+        cfg = SimConfig(trials=count, rng_seed=k)
+        buffers = SampleBuffers(model, 1, p_a, p)
+        got = [simulate._run_batch(model, w1, cfg, b, 1, buffers)[0] for b in range(count)]
+
+        theta, s_a = [], []
+        for b in range(count):
+            theta.append(sample_parameter(model.sigma_theta, RngStream(k, 2 * b), size=1))
+            s_a.append(sample_copy_sums(model, theta[-1], RngStream(k, 2 * b + 1), p_a, p)[0])
+        theta, s_a = np.concatenate(theta, axis=1), np.concatenate(s_a, axis=1)
+        mu = g1 @ theta
+        prob = special.ndtr(np.stack([mu.real, mu.imag]) / _part_std(model.var_q, model.var_dq))
+        want = np.zeros(count)
+        for counts in itertools.product(range(k + 1), repeat=2 * p):
+            c = np.array(counts).reshape(2, p, 1)
+            comb = np.array([[math.comb(k, int(v)) for v in part] for part in c[..., 0]])[..., None]
+            pmf = (comb * prob**c * (1 - prob) ** (k - c)).prod(axis=(0, 1))
+            levels = (2.0 * c - k) / np.sqrt(2)
+            err = w1[:, :p_a] @ s_a + w1[:, p_a:] @ (levels[0] + 1j * levels[1]) - theta
+            want += pmf * (np.abs(err) ** 2).sum(axis=0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("case", sorted(CONDITIONAL_CASES))
+    def test_agrees_with_sampled_outputs(self, case):
+        """The run agrees with the word sampler, which draws the same theta
+        and analog sums and samples every 1-bit copy count, and with the
+        batch that draws every row, within their combined standard error;
+        its own standard error is no larger than the word sampler's."""
+        build, quantizer = CONDITIONAL_CASES[case]
+        model = build()
+        filt = lmmse(model)
+        cfg = SimConfig(trials=20_000, rng_seed=41, analog_quantizer=quantizer)
+        got = run_monte_carlo(model, filt, cfg)
+        words = reference_word_run_monte_carlo(model, filt, cfg)
+        for want in (words, reference_run_monte_carlo(model, filt, cfg)):
+            assert abs(got.empirical_mse - want.empirical_mse) <= 4 * np.hypot(got.std_error, want.std_error)
+        assert got.std_error <= words.std_error
 
 
 class TestSweepMseVsNoise:
