@@ -61,10 +61,6 @@ def beta(n_a, rho_a, rho_q, var_a_total, var_q_total):
         return np.where(n_a == 0, first, first - share)[()]
 
 
-# The pure-path expressions serve both mse_grid and the public mse_pure_*
-# functions, in one operation order, so both round identically.
-
-
 def _square(x):
     # Not ``x**2``: an array's ``**`` multiplies, which differs in the last bit
     # for about one value in a thousand from the libm pow that the reference
@@ -89,18 +85,18 @@ def _mixed(m, n_a, n_q, rho_a, rho_q, var_a_total, var_q_total, a, b):
     return m * (1.0 - term)
 
 
+# The absent path's rho and variance (1.0) are placeholders: the pure-path
+# branch of mse_grid that these counts select does not depend on them.
+
+
 def mse_pure_analog(m: int, n_a: int, rho_a: float, var_a_total: float) -> float:
-    """MSE with analog measurements only (n_q = 0)."""
-    if n_a == 0:
-        return float(m)
-    return _pure_analog(m, n_a, rho_a, var_a_total)
+    """MSE with analog measurements only (n_q = 0): the scalar view of :func:`mse_grid`."""
+    return float(mse_grid(m, n_a, 0, rho_a, 1.0, var_a_total, 1.0))
 
 
 def mse_pure_quantized(m: int, n_q: int, rho_q: float, var_q_total: float) -> float:
-    """MSE with 1-bit quantized measurements only (n_a = 0)."""
-    if n_q == 0:
-        return float(m)
-    return _pure_quantized(m, n_q, rho_q, var_q_total, alpha(rho_q, var_q_total))
+    """MSE with 1-bit quantized measurements only (n_a = 0): the scalar view of :func:`mse_grid`."""
+    return float(mse_grid(m, 0, n_q, 1.0, rho_q, 1.0, var_q_total))
 
 
 def mse_noiseless_quantized_limit(m: int, n_a: int, rho_a: float, var_a: float) -> float:

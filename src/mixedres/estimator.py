@@ -14,11 +14,13 @@ a 1-norm condition bound.
 :func:`assemble` returns the covariance blocks of one period of the
 quantized rows.  Every entry depends only on the two rows it pairs, and G
 is usually k copies of one p-row block g1 (every orthonormal-block and
-MIMO model is).  So the arcsine map and the Bussgang terms of the two-copy
-rows [g1; g1] give every quantized entry: the same-copy block A1 on the k
-diagonal blocks of C_xq, the cross-copy block A2 on all others, and the
-Bussgang columns of g1 in every copy.  The Gram and arcsine work falls from
-O(n_q^2) to O(p^2).  A G without a shorter period is its own block (k = 1).
+MIMO model is).  So the stages run on g1 alone: its arcsine map is the
+same-copy block A1 on the k diagonal blocks of C_xq, and its Bussgang
+columns serve every copy.  Two copies differ only in their own white noise
+of variance v = var_q_total, so the cross-copy block A2 on all other blocks
+is A1 with the diagonal (2/pi) arcsin((C_y,ii - v) / C_y,ii).  The Gram and
+arcsine work falls from O(n_q^2) to O(p^2).  A G without a shorter period
+is its own block (k = 1).
 The bundle keeps those blocks; the dense C_x and C_theta_x are tiled from
 them only when read.
 
@@ -137,8 +139,9 @@ class CovarianceBundle:
     block; k = 1 claims no repetition and k = 0 means no quantized rows.
     ``c_xa`` and ``c_theta_xa`` are the analog auto- and cross-covariance,
     ``c_aq1`` and ``c_theta_q1`` the Bussgang blocks of one copy, ``a1``
-    the arcsine block of a copy with itself and ``a2`` the exactly Hermitian
-    block of two different copies (``None`` for k <= 1).
+    the arcsine block of a copy with itself and ``a2`` the block of two
+    different copies: ``a1`` with a real diagonal of noise-free
+    correlations, so exactly Hermitian too (unused for k <= 1).
 
     The dense ``c_x`` (n x n) and ``c_theta_x`` are tiled from these blocks
     together, on the first read of either, and then kept; :func:`prefix_mse`
@@ -313,34 +316,30 @@ def assemble(model: MixedModel) -> CovarianceBundle:
 
     G is k = n_q / p copies of its first p rows g1, p being its smallest
     block period (k = 1 when G does not repeat).  The stage functions run
-    once, on the first min(k, 2) * p rows of G: [g1; g1] when G repeats.
-    The arcsine map of those rows holds the same-copy block A1 (top left,
-    unit diagonal) and the cross-copy block A2 (top right, replaced by its
-    Hermitian part, since two copies are exchangeable).  No n x n array is
-    written; see :class:`CovarianceBundle` for the dense view.
+    once, on g1: its arcsine map is the same-copy block A1, and the
+    cross-copy block A2 is A1 with its noise-free diagonal (see the module
+    docstring).  No n x n array is written; see :class:`CovarianceBundle`
+    for the dense view.
     """
-    nq = model.n_quantized
     p = block_period(model.g)
-    k = nq // p if p else 0
-    block = _with_quantized_rows(model, model.g[: min(k, 2) * p])
+    block = _with_quantized_rows(model, model.g[:p])
     c_xa = cov_analog(model)
     c_y = cov_pre_quantization(block)
-    a = cov_quantized(c_y)
-    a2 = None
-    if k > 1:
-        # Two copies are exchangeable, so A2 is Hermitian; making it so
-        # exactly keeps C~ and the dense c_x Hermitian.
-        a2 = a[:p, p:].copy()
-        _make_hermitian(a2)
+    a1 = cov_quantized(c_y)
+    s = _inv_sqrt_diag(c_y)
+    # Round-off lifts the ratio past 1 for a noiseless quantizer (v = 0).
+    r = np.minimum((s * (c_y.diagonal().real - model.var_q_total)) * s, 1.0)
+    a2 = a1.copy()
+    np.fill_diagonal(a2, (2.0 / np.pi) * np.arcsin(r))
     return CovarianceBundle(
         c_xa=c_xa,
         c_theta_xa=model.sigma_theta @ model.h.conj().T,
-        c_aq1=cross_cov_analog_quantized(block, c_y)[:, :p],
-        c_theta_q1=cross_cov_theta_quantized(block, c_y)[:, :p],
-        a1=a[:p, :p],
+        c_aq1=cross_cov_analog_quantized(block, c_y),
+        c_theta_q1=cross_cov_theta_quantized(block, c_y),
+        a1=a1,
         a2=a2,
         period=p,
-        copies=k,
+        copies=model.n_quantized // p if p else 0,
     )
 
 
@@ -508,7 +507,7 @@ def copy_scan_mse(model: MixedModel, analog_rows, copies) -> np.ndarray:
     k = copies * (g1.shape[0] // p) if p else np.zeros_like(copies)
     check_dense_rows(n + p)
     quantized = bool(k.any())
-    bundle = assemble(_with_quantized_rows(model, np.tile(g1[:p], (2 if quantized else 0, 1))))
+    bundle = assemble(model if quantized else _with_quantized_rows(model, g1[:0]))
     prior = float(np.trace(model.sigma_theta).real)
 
     # Z = inv(L) C_theta_xa^H and V = inv(L) B from one factor of the largest

@@ -16,6 +16,7 @@ from mixedres.closed_form import (
     beta,
     filter_closed_form,
     mse_closed_form,
+    mse_grid,
     mse_noiseless_quantized_limit,
     mse_pure_analog,
     mse_pure_quantized,
@@ -84,6 +85,13 @@ class TestPureAnalog:
     def test_monotone_in_count(self):
         values = [mse_pure_analog(1, n, 1.3, 0.9) for n in range(100)]
         assert np.all(np.diff(values) <= 0)
+
+    def test_noiseless_round_off_clamped_like_the_grid(self):
+        """Noiseless analog rows leave m - m * x / x a round-off below zero;
+        the scalar view clamps it as mse_grid does."""
+        value = mse_pure_analog(7, 121, 0.0490522336928644, 0.0)
+        assert value == 0.0
+        assert value == mse_grid(7, 121, 0, 0.0490522336928644, 1.0, 0.0, 1.0)
 
 
 class TestPureQuantized:

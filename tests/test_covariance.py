@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixedres import estimator
+from mixedres.closed_form import alpha
 from mixedres.estimator import (
     assemble,
     cov_analog,
@@ -291,6 +293,45 @@ class TestBlockAssembly:
         for c in (cov_analog(model), cov_quantized(cov_pre_quantization(model))):
             np.testing.assert_array_equal(c, c.conj().T)
             assert np.all(c.diagonal().imag == 0)
+
+    def test_arcsine_map_runs_on_one_period(self, monkeypatch):
+        """k >= 2 copies of a p-row block: the arcsine map sees p x p."""
+        shapes = []
+        real_cov_quantized = estimator.cov_quantized
+
+        def recording_cov_quantized(c_y):
+            shapes.append(np.shape(c_y))
+            return real_cov_quantized(c_y)
+
+        monkeypatch.setattr(estimator, "cov_quantized", recording_cov_quantized)
+        model = make_ortho_model(OrthoBlockParams(m=3, n_a=1, n_q=4), RngStream(3))
+        bundle = assemble(model)
+        assert (bundle.period, bundle.copies) == (3, 4)
+        assert shapes == [(3, 3)]
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            OrthoBlockParams(m=2, n_a=1, n_q=3, rho_q=0.4, var_q=1.7),
+            OrthoBlockParams(m=3, n_a=0, n_q=2, rho_q=2.5, var_q=0.3, var_dq=0.2),
+            OrthoBlockParams(m=4, n_a=2, n_q=5, rho_a=1.5, rho_q=1.1, var_a=0.6, var_q=1e-3),
+        ],
+    )
+    def test_copy_difference_variance_is_the_quantizer_loss(self, params):
+        """On orthonormal blocks A2 is A1 off the diagonal, and D = diag(A1 - A2)
+        is the closed form's alpha(rho_q, var_q_total) on every row.
+
+        D is 1 - (2/pi) arcsin(x) at x = rho_q / (rho_q + var_q_total); the
+        arcsine multiplies the round-off of x by 1 / sqrt(1 - x^2), which is
+        large for a nearly noiseless quantizer, so the bound carries it."""
+        bundle = assemble(make_ortho_model(params, RngStream(9)))
+        off = ~np.eye(params.m, dtype=bool)
+        np.testing.assert_array_equal(bundle.a2[off], bundle.a1[off])
+        d = (bundle.a1 - bundle.a2).diagonal()
+        assert np.all(d.imag == 0)
+        x = params.rho_q / (params.rho_q + params.var_q_total)
+        bound = 1e-15 / np.sqrt(1.0 - x**2)
+        np.testing.assert_allclose(d.real, alpha(params.rho_q, params.var_q_total), rtol=0, atol=bound)
 
     def test_solve_leaves_the_bundle_intact(self):
         """The solve reads the bundle's blocks, so it must not factor them in place."""

@@ -395,6 +395,14 @@ class TestCopyScanMse:
         with pytest.raises(EstimatorUndefinedError):
             copy_scan_mse(noiseless, [1], [1])
 
+    def test_pure_analog_points_skip_the_quantized_rows(self):
+        """With no copy requested the scan assembles no quantized row, so a
+        zero row of a noiseless g1, whose arcsine map is undefined, is never read."""
+        g1 = np.array([[0.0], [1.0]])
+        model = MixedModel(h=np.ones((2, 1)), g=g1, sigma_theta=np.eye(1), var_a=1.0, var_q=0.0)
+        got = copy_scan_mse(model, [0, 1, 2], [0, 0, 0])
+        np.testing.assert_array_equal(got, prefix_mse(make_scalar_model(2, 0, 1.0)))
+
     @pytest.mark.parametrize("rows, copies", [([2], [0]), ([-1], [0]), ([0], [-1]), ([0, 1], [0])])
     def test_rejects_points_outside_the_model(self, rows, copies):
         model = MixedModel(h=np.ones((1, 1)), g=np.ones((1, 1)), sigma_theta=np.eye(1), var_a=1.0, var_q=1.0)
