@@ -61,7 +61,7 @@ from .model import (
     QuantizerSpec,
     RngStream,
     SampleBuffers,
-    block_period,
+    copy_layout,
     make_mimo_model,
     make_ortho_matrices,
     make_ortho_model,

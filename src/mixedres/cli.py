@@ -340,6 +340,10 @@ def cmd_mse(args) -> int:
             raise ConfigError(
                 f"cell i seeds its trials with seed + i, and seed {seed} + {len(rows) - 1} exceeds 2**64 - 1"
             )
+        for n_a, n_q in dict.fromkeys(pairs):  # all before the first cell's Monte Carlo
+            if n_a + n_q == 0:
+                raise ConfigError(f"--empirical needs a measurement in every cell; allocation [{n_a}, {n_q}] has none")
+            check_batch_size(m * (n_a + n_q), sim_cfg, m)
         for idx, row in enumerate(rows):
             sim = _simulate_cell(
                 scenario, m, rho, pilot, row["n_a"], row["n_q"], row["sigma2"], seed,

@@ -19,8 +19,8 @@ same-copy block A1 on the k diagonal blocks of C_xq, and its Bussgang
 columns serve every copy.  Two copies differ only in their own white noise
 of variance v = var_q_total, so the cross-copy block A2 on all other blocks
 is A1 with the diagonal (2/pi) arcsin((C_y,ii - v) / C_y,ii).  The Gram and
-arcsine work falls from O(n_q^2) to O(p^2).  A G without a shorter period
-is its own block (k = 1).
+arcsine work falls from O(n_q^2) to O(p^2).  (p, k) = ``copy_layout(G)``,
+and a G without a shorter period is its own block (k = 1).
 The bundle keeps those blocks; the dense C_x and C_theta_x are tiled from
 them only when read.
 
@@ -114,7 +114,7 @@ from .exceptions import (
     ModelError,
     NumericalDomainError,
 )
-from .model import MixedModel, block_period
+from .model import MixedModel, copy_layout
 
 # Pearson ratios may drift past 1 by round-off; clip inside this band, error beyond.
 ARCSIN_CLIP_TOL = 1e-9
@@ -314,14 +314,14 @@ def _with_quantized_rows(model: MixedModel, g: np.ndarray) -> MixedModel:
 def assemble(model: MixedModel) -> CovarianceBundle:
     """Covariance blocks of ``model`` from one period of G.
 
-    G is k = n_q / p copies of its first p rows g1, p being its smallest
-    block period (k = 1 when G does not repeat).  The stage functions run
-    once, on g1: its arcsine map is the same-copy block A1, and the
-    cross-copy block A2 is A1 with its noise-free diagonal (see the module
-    docstring).  No n x n array is written; see :class:`CovarianceBundle`
-    for the dense view.
+    G is k copies of its first p rows g1, (p, k) being its smallest period
+    by :func:`~mixedres.model.copy_layout` (k = 1 when G does not repeat).
+    The stage functions run once, on g1: its arcsine map is the same-copy
+    block A1, and the cross-copy block A2 is A1 with its noise-free diagonal
+    (see the module docstring).  No n x n array is written; see
+    :class:`CovarianceBundle` for the dense view.
     """
-    p = block_period(model.g)
+    p, k = copy_layout(model.g)
     block = _with_quantized_rows(model, model.g[:p])
     c_xa = cov_analog(model)
     c_y = cov_pre_quantization(block)
@@ -339,7 +339,7 @@ def assemble(model: MixedModel) -> CovarianceBundle:
         a1=a1,
         a2=a2,
         period=p,
-        copies=model.n_quantized // p if p else 0,
+        copies=k,
     )
 
 
@@ -503,8 +503,8 @@ def copy_scan_mse(model: MixedModel, analog_rows, copies) -> np.ndarray:
         raise ModelError("analog_rows and copies must be 1-d arrays of one length")
     if rows.min(initial=0) < 0 or rows.max(initial=0) > n or copies.min(initial=0) < 0:
         raise ModelError(f"need 0 <= analog_rows <= {n} and copies >= 0")
-    p = block_period(g1)
-    k = copies * (g1.shape[0] // p) if p else np.zeros_like(copies)
+    p, per_block = copy_layout(g1)
+    k = copies * per_block
     check_dense_rows(n + p)
     quantized = bool(k.any())
     bundle = assemble(model if quantized else _with_quantized_rows(model, g1[:0]))

@@ -17,8 +17,8 @@ variance v/2 each.
 
 Two routes draw from the model.  :func:`sample_measurements` realizes
 every row: noise, then the sign.  :func:`sample_copy_sums` serves a filter
-that treats the copies of a repeated block alike, and so sees only the sum
-of the copies.  The sum of k_a analog copies is k_a H1 theta plus one noise
+that treats the copies of a repeated block (:func:`copy_layout`) alike, and
+so sees their sum.  The sum of k_a analog copies is k_a H1 theta plus one noise
 draw of variance k_a v.  The quantized sum is not drawn: given theta, each
 1-bit output of a row with mean mu is +1 with probability
 P = Phi(mu / sqrt(v/2)) per part, independently of the other outputs, so
@@ -311,10 +311,9 @@ class SampleBuffers:
     def __init__(self, model: MixedModel, trials: int, analog_period: int, quantized_period: int):
         self.trials = trials
         self.m, self.periods, self.copies = _layout(model, analog_period, quantized_period)
-        m, p = model.m, quantized_period
-        self.theta = np.empty(m * trials, dtype=np.complex128)
-        self.scratch = np.empty(2 * max(m, analog_period, p) * trials)
-        self.sums = np.empty((analog_period + p) * trials, dtype=np.complex128)
+        self.theta = np.empty(self.m * trials, dtype=np.complex128)
+        self.scratch = np.empty(2 * max(self.m, *self.periods) * trials)
+        self.sums = np.empty(sum(self.periods) * trials, dtype=np.complex128)
 
     def copy_sums(self, t: int) -> np.ndarray:
         """[s_a; s_q] of the last :func:`sample_copy_sums` draw of ``t`` trials, shape (p_a + p, t)."""
@@ -414,38 +413,33 @@ def sample_measurements(model: MixedModel, theta: np.ndarray, rng: RngStream):
     return x_a, x_q
 
 
-def block_period(rows: np.ndarray) -> int:
-    """Smallest p with ``rows == tile(rows[:p], n // p)`` by exact row equality, n = len(rows).
+def copy_layout(rows: np.ndarray, period: int | None = None) -> tuple[int, int]:
+    """(p, k) with ``rows == tile(rows[:p], k)`` by exact row equality.
 
-    Rows without a shorter period give p = n, and no rows give 0.  Only a
-    row equal to row 0 can start a second copy, so one comparison of every
-    row with row 0 rules out most candidates; for tiled rows the first
-    candidate that divides n is usually the period.
+    This is the one test of how rows tile into copies.  Without ``period``,
+    p is the smallest such period: rows without a shorter period give
+    (n, 1), n = len(rows), and no rows give (0, 0).  A given ``period`` is
+    checked with the same test; one that does not tile the rows (a period
+    is 1 to n rows, or 0 for no rows) raises :class:`ModelError`.
     """
     n = rows.shape[0]
-    if n < 2:
-        return n
-    starts_copy = (rows[1:] == rows[0]).all(axis=1).tolist()
-    for p in range(1, n // 2 + 1):
-        if starts_copy[p - 1] and n % p == 0 and (rows[p:] == rows[:-p]).all():
-            return p
-    return n
-
-
-def _copies(rows: np.ndarray, period: int, name: str) -> int:
-    """Number of copies of the first ``period`` of ``rows`` that make up ``rows``; 0 for no rows."""
-    n = rows.shape[0]
-    if n == 0 and period == 0:
-        return 0
-    if not 1 <= period <= n or n % period or not (rows[period:] == rows[:-period]).all():
-        raise ModelError(f"{name} rows are not copies of a block of period {period} ({n} rows)")
-    return n // period
+    if period is not None:
+        candidates = [period]
+    else:
+        # Only a row equal to row 0 can start a second copy, so one comparison of every
+        # row with row 0 rules out most candidates.  p = n always tiles.
+        starts_copy = (rows[1:] == rows[0]).all(axis=1).tolist() if n > 1 else []
+        candidates = [p for p in range(1, n // 2 + 1) if starts_copy[p - 1]] + [n]
+    for p in candidates:
+        if p == n or (1 <= p < n and n % p == 0 and (rows[p:] == rows[:-p]).all()):
+            return p, n // max(p, 1)
+    raise ModelError(f"rows are not copies of a block of period {period} ({n} rows)")
 
 
 def _layout(model: MixedModel, analog_period: int, quantized_period: int) -> tuple:
     """(m, periods, copies) of the copy sums of ``model`` with the given periods."""
-    k_a = _copies(model.h, analog_period, "analog")
-    return model.m, (analog_period, quantized_period), (k_a, _copies(model.g, quantized_period, "quantized"))
+    copies = copy_layout(model.h, analog_period)[1], copy_layout(model.g, quantized_period)[1]
+    return model.m, (analog_period, quantized_period), copies
 
 
 def sample_copy_sums(
@@ -461,7 +455,7 @@ def sample_copy_sums(
     ``theta`` is an (m, t) batch of parameter columns.  The analog rows must
     be k_a copies of their first ``analog_period`` rows and the quantized
     rows k copies of their first ``quantized_period`` rows, as
-    :func:`block_period` finds them; a period equal to the row count claims
+    :func:`copy_layout` checks them; a period equal to the row count claims
     no repetition.  Returns ``(s_a, s_q, s_q_var)``, each with t columns:
 
     - ``s_a`` (p_a rows): one CN(0, k_a * var_a_total) block added to

@@ -8,7 +8,7 @@ finite-resolution ADC instead of ideal analog acquisition.
 
 A batch draws copy sums, not rows.  When the quantized rows of the model
 and the filter's columns for them both repeat with period p (the
-``block_period`` of [G | W_q^T]), the filter gives every copy the same
+``copy_layout`` of [G | W_q^T]), the filter gives every copy the same
 columns, so W_q x_q = W_q1 (q_1 + ... + q_k) and only the p-row copy sum
 matters (:func:`~mixedres.model.sample_copy_sums`).  The analog rows work
 the same way with [H | W_a^T], except under b-bit emulation, which must
@@ -59,7 +59,7 @@ from .model import (
     RngStream,
     SampleBuffers,
     block_model,
-    block_period,
+    copy_layout,
     make_ortho_matrices,
     quantize_bbit,
     sample_copy_sums,
@@ -157,15 +157,15 @@ def check_batch_size(rows: int, cfg: SimConfig, m: int) -> None:
 def _copy_periods(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> tuple[int, int]:
     """(analog, quantized) periods of the rows and filter columns, as :func:`_run_batch` uses them.
 
-    The quantized period is the ``block_period`` of [G | W_q^T] and the
-    analog one that of [H | W_a^T], or n_a under b-bit emulation.
+    :func:`~mixedres.model.copy_layout` of [G | W_q^T] gives the quantized
+    period, and of [H | W_a^T] the analog one, or n_a under b-bit emulation.
     """
     n_a = model.n_analog
     w_t = filt.w.T
-    p_q = block_period(np.concatenate([model.g, w_t[n_a:]], axis=1))
+    p_q, _ = copy_layout(np.concatenate([model.g, w_t[n_a:]], axis=1))
     if cfg.analog_quantizer is not None:
         return n_a, p_q
-    return block_period(np.concatenate([model.h, w_t[:n_a]], axis=1)), p_q
+    return copy_layout(np.concatenate([model.h, w_t[:n_a]], axis=1))[0], p_q
 
 
 def _run_batch(model: MixedModel, w1: np.ndarray, cfg: SimConfig, batch: int, count: int, buffers: SampleBuffers):

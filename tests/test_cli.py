@@ -625,6 +625,27 @@ def test_empirical_cell_seeds_stay_below_2_64(tmp_path, capsys, monkeypatch):
     assert "seed" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "allocations, code, named",
+    [([[1, 2], [0, 0]], 2, "[0, 0]"), ([[1, 2], [1, 100_000]], 3, "lower batch_size")],
+    ids=["prior-only", "oversized"],
+)
+def test_empirical_table_refuses_a_bad_cell_before_any_trial_runs(
+    tmp_path, capsys, monkeypatch, allocations, code, named
+):
+    """A prior-only cell and a cell over the batch limit refuse the table
+    before the Monte Carlo of the cells ahead of them runs."""
+    from mixedres import simulate
+
+    batches = _record_calls(monkeypatch, simulate, "_run_batch")
+    cfg = {**TestMseCommand.CFG, "sigma2_grid": [0.5], "allocations": allocations, "empirical": {"trials": 300_000}}
+    assert main(["mse", "--config", _write(tmp_path, "mse.yaml", cfg), "--empirical"]) == code
+    assert batches == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err and "Traceback" not in captured.err
+
+
 def test_simulate_follows_the_seeding_contract(tmp_path, capsys):
     """The model and the trials both come from the config seed."""
     seed, trials = 4, 3000

@@ -16,12 +16,12 @@ from mixedres.estimator import (
     cross_cov_theta_quantized,
     lmmse_from_bundle,
 )
-from mixedres.exceptions import DegenerateCovarianceError, NumericalDomainError
+from mixedres.exceptions import DegenerateCovarianceError, ModelError, NumericalDomainError
 from mixedres.model import (
     MixedModel,
     OrthoBlockParams,
     RngStream,
-    block_period as _block_period,
+    copy_layout,
     make_ortho_model,
     make_scalar_model,
 )
@@ -172,68 +172,115 @@ class TestAssemble:
 
 
 class TestBlockPeriod:
+    """``copy_layout`` without a period: the smallest period and its copy count."""
+
     ROWS = np.array([[1.0, 2.0], [3.0, 1j], [1.0, 2.0], [0.5, 0.0]])
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_no_or_one_row(self, n):
-        assert _block_period(self.ROWS[:n]) == n
+        assert copy_layout(self.ROWS[:n]) == (n, n)
 
     def test_equal_rows_have_period_one(self):
-        assert _block_period(np.tile(self.ROWS[:1], (7, 1))) == 1
+        assert copy_layout(np.tile(self.ROWS[:1], (7, 1))) == (1, 7)
 
     def test_tiled_block(self):
-        assert _block_period(np.tile(self.ROWS, (5, 1))) == 4
+        assert copy_layout(np.tile(self.ROWS, (5, 1))) == (4, 5)
 
     def test_repeated_row_inside_the_block(self):
         block = self.ROWS[[0, 0, 1]]
-        assert _block_period(np.tile(block, (3, 1))) == 3
+        assert copy_layout(np.tile(block, (3, 1))) == (3, 3)
 
     def test_repeating_prefix_that_does_not_tile(self):
         # Rows a b a: period 2 does not divide 3.  Rows a b a c: 2 divides 4,
         # but the second pair differs from the first.
-        assert _block_period(self.ROWS[:3]) == 3
-        assert _block_period(self.ROWS) == 4
+        assert copy_layout(self.ROWS[:3]) == (3, 1)
+        assert copy_layout(self.ROWS) == (4, 1)
 
     def test_cut_copy_is_not_a_period(self):
-        assert _block_period(np.tile(self.ROWS[:2], (4, 1))[:-1]) == 7
+        assert copy_layout(np.tile(self.ROWS[:2], (4, 1))[:-1]) == (7, 1)
 
 
-@st.composite
-def quantized_layouts(draw):
-    """Mixed models whose G is tiled, untiled, all-equal, tiled from a block
-    with a repeated row, or tiled and then cut inside a copy."""
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    m = draw(st.integers(min_value=1, max_value=4))
-    p = draw(st.integers(min_value=1, max_value=4))
-    k = draw(st.integers(min_value=1, max_value=8))
-    n_a = draw(st.integers(min_value=0, max_value=6))
-    layout = draw(st.sampled_from(["tiled", "untiled", "all-equal", "repeat-inside", "cut"]))
+LAYOUTS = ["tiled", "untiled", "all-equal", "repeat-inside", "cut"]
+
+
+def _layout_rows(rng, m, p, k, layout, cut):
+    """Rows of width m: k copies of a random p-row block, or rows that break
+    that tiling as ``layout`` says ("cut" drops the last ``cut`` rows, keeping one)."""
 
     def cplx(rows, cols):
         return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
     block = cplx(p, m)
     if layout == "untiled":
-        g = cplx(p * k, m)
-    elif layout == "all-equal":
-        g = np.tile(block[:1], (p * k, 1))
-    else:
-        if layout == "repeat-inside":
-            block[-1] = block[0]
-        g = np.tile(block, (k, 1))
-        if layout == "cut":
-            g = g[: max(p * k - draw(st.integers(min_value=1, max_value=p)), 1)]
-    root = cplx(m, m)
+        return cplx(p * k, m)
+    if layout == "all-equal":
+        return np.tile(block[:1], (p * k, 1))
+    if layout == "repeat-inside":
+        block[-1] = block[0]
+    rows = np.tile(block, (k, 1))
+    return rows[: max(p * k - cut, 1)] if layout == "cut" else rows
+
+
+@st.composite
+def _layout_draws(draw, layouts):
+    """(rng, m, p, k, layout, cut) for :func:`_layout_rows`."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    m = draw(st.integers(min_value=1, max_value=4))
+    p = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=8))
+    return rng, m, p, k, draw(st.sampled_from(layouts)), draw(st.integers(min_value=1, max_value=p))
+
+
+def _brute_force_tiles(rows, period):
+    """Whether ``rows`` are copies of their first ``period`` rows: 1 to n of them, or 0 of no rows."""
+    n = rows.shape[0]
+    if not 1 <= period <= n:
+        return period == n == 0
+    return n % period == 0 and np.array_equal(rows, np.tile(rows[:period], (n // period, 1)))
+
+
+class TestCopyLayout:
+    @settings(max_examples=300, deadline=None)
+    @given(_layout_draws(LAYOUTS + ["empty"]))
+    def test_matches_brute_force(self, draw):
+        """The smallest tiling period without one; a given period is accepted
+        exactly when the rows tile with it, and refused otherwise."""
+        rng, m, p, k, layout, cut = draw
+        rows = np.zeros((0, m), dtype=np.complex128) if layout == "empty" else _layout_rows(*draw)
+        n = rows.shape[0]
+        tiling = [period for period in range(n + 2) if _brute_force_tiles(rows, period)]
+        assert copy_layout(rows) == (tiling[0], n // max(tiling[0], 1))
+        for period in range(n + 2):
+            if period in tiling:
+                assert copy_layout(rows, period) == (period, n // max(period, 1))
+            else:
+                with pytest.raises(ModelError, match=f"period {period} "):
+                    copy_layout(rows, period)
+
+
+@st.composite
+def quantized_layouts(draw):
+    """Mixed models whose G is tiled, untiled, all-equal, tiled from a block
+    with a repeated row, or tiled and then cut inside a copy."""
+    rng, m, p, k, layout, cut = draw(_layout_draws(LAYOUTS))
+    n_a = draw(st.integers(min_value=0, max_value=6))
     variance = st.floats(min_value=0.05, max_value=5.0)
     dither = st.one_of(st.just(0.0), variance)
+    return _layout_model(rng, m, p, k, layout, cut, n_a, draw(variance), draw(variance), draw(dither), draw(dither))
+
+
+def _layout_model(rng, m, p, k, layout, cut, n_a, var_a, var_q, var_da, var_dq):
+    """A model with the G of :func:`_layout_rows`, then a random prior and H, all drawn from ``rng``."""
+    g = _layout_rows(rng, m, p, k, layout, cut)
+    root = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     return MixedModel(
-        h=cplx(n_a, m),
+        h=rng.standard_normal((n_a, m)) + 1j * rng.standard_normal((n_a, m)),
         g=g,
         sigma_theta=root @ root.conj().T + 0.1 * np.eye(m),
-        var_a=draw(variance),
-        var_q=draw(variance),
-        var_da=draw(dither),
-        var_dq=draw(dither),
+        var_a=var_a,
+        var_q=var_q,
+        var_da=var_da,
+        var_dq=var_dq,
     )
 
 
@@ -241,12 +288,25 @@ class TestBlockAssembly:
     @settings(max_examples=200, deadline=None)
     @given(quantized_layouts())
     def test_matches_assembly_over_every_row(self, model):
+        self._check_matches_assembly_over_every_row(model)
+
+    def test_cancelling_cross_covariance_terms(self):
+        """A draw whose analog-quantized cross-covariance cancels: its gap,
+        1.6e-16, exceeds 1e-15 times the largest entry, 1.4e-16, and stays
+        far inside the bound on the magnitudes of its terms."""
+        model = _layout_model(np.random.default_rng(4), 4, 3, 1, "all-equal", 1, 1, 1.0, 1.0, 0.0, 0.0)
+        self._check_matches_assembly_over_every_row(model)
+
+    @staticmethod
+    def _check_matches_assembly_over_every_row(model):
         """One-period assembly equals the dense assembly over all n_q rows.
 
         The two Grams run over different rows, so entries may differ by
         round-off.  The arcsine map multiplies such a difference by its
         derivative, at most 1 / sqrt(1 - r^2) for the largest off-diagonal
         Pearson ratio r, so the quantized block gets that factor on its bound.
+        The analog-quantized block sqrt(2/pi) H Sigma G^H s is bounded entry
+        by entry on the magnitudes of its terms, which can cancel.
         """
         na = model.n_analog
         bundle = assemble(model)
@@ -257,11 +317,14 @@ class TestBlockAssembly:
         np.fill_diagonal(r, 0.0)
         r_max = max(np.max(np.abs(r.real), initial=0.0), np.max(np.abs(r.imag), initial=0.0))
         arcsine_gain = 1.0 / np.sqrt(1.0 - r_max**2)
+        terms = np.sqrt(2.0 / np.pi) * (np.abs(model.h) @ np.abs(model.sigma_theta) @ np.abs(model.g).T) * s
         blocks, ref_blocks = dense_blocks(bundle), dense_blocks(ref)
         for name in ("c_xa", "c_xq", "c_xa_xq", "c_theta_xa", "c_theta_xq", "c_theta_x"):
             got, want = blocks[name], ref_blocks[name]
             assert got.shape == want.shape, name
-            if want.size:
+            if name == "c_xa_xq":
+                assert np.all(np.abs(got - want) <= 1e-15 * terms), name
+            elif want.size:
                 bound = 1e-15 * np.max(np.abs(want)) * (arcsine_gain if name == "c_xq" else 1.0)
                 assert np.max(np.abs(got - want)) <= bound, name
         assert bundle.c_x.shape == ref.c_x.shape
