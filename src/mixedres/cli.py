@@ -22,6 +22,7 @@ import json
 import math
 import re
 import sys
+from collections.abc import Hashable
 from dataclasses import replace
 
 import numpy as np
@@ -65,12 +66,30 @@ EXIT_NUMERICAL = 3
 
 
 class _ConfigLoader(yaml.SafeLoader):
-    """PyYAML's safe loader, with floats also written without a dot or an exponent sign.
+    """PyYAML's safe loader, with floats also written without a dot or an
+    exponent sign, and a key repeated in one mapping refused.
 
     PyYAML resolves plain scalars by YAML 1.1, which takes ``1e-1``,
     ``1.0e308`` and ``1E5`` for strings; YAML 1.2 and users read them as
-    floats, and so does this loader.
+    floats, and so does this loader.  PyYAML also keeps the last of two
+    equal keys, so ``m: 2`` then ``m: 3`` would silently run with m = 3.
     """
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=True)
+            if not isinstance(key, Hashable):
+                continue  # the base constructor refuses it
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark,
+                )
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
 
 
 _ConfigLoader.add_implicit_resolver(
@@ -84,7 +103,7 @@ def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = yaml.load(fh, Loader=_ConfigLoader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc

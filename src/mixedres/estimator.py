@@ -98,6 +98,10 @@ three routes refuse more than ``MAX_DENSE_ROWS`` rows before any covariance
 is built: :func:`lmmse` and :func:`prefix_mse` count all n_a + n_q rows
 (the period p is not known before :func:`assemble`), :func:`copy_scan_mse`
 the n_a + p rows it factors.
+
+LAPACK (``scipy.linalg.lapack``) is imported inside the two functions that
+call it, :func:`lmmse_from_bundle` and ``_cholesky_solve``, so importing
+this module loads no SciPy and the closed-form commands never do.
 """
 
 from __future__ import annotations
@@ -105,7 +109,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .exceptions import (
     DegenerateCovarianceError,
@@ -380,6 +383,8 @@ def _one_norm(c: np.ndarray) -> float:
 
 def _cholesky_solve(c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float]:
     """inv(L) @ b, |c|_1 and the checked condition estimate of ``c`` = L L^H; a failed factor is singular."""
+    from scipy.linalg import lapack
+
     anorm = _one_norm(c)
     chol, info = lapack.zpotrf(c, lower=1)
     if info != 0 or not np.isfinite(chol.diagonal()).all():
@@ -439,6 +444,8 @@ def lmmse_from_bundle(model: MixedModel, bundle: CovarianceBundle) -> LmmseFilte
     filter columns of the scaled copy sum.  It reads no dense field of the
     bundle.
     """
+    from scipy.linalg import lapack
+
     na, nq = model.n_analog, model.n_quantized
     prior_trace = float(np.trace(model.sigma_theta).real)
     n = na + nq

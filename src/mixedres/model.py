@@ -510,7 +510,7 @@ def sample_copy_sums(
     # Keep an elementwise pass between the matmul and ndtr: without one, ndtr ran 3x slower.
     if not np.isfinite(mu).all():
         raise QuantizerDomainError("1-bit quantizer requires finite input")
-    # Imported here: scipy.special adds about 50 ms to every import of the CLI.
+    # Imported here: scipy.special adds about 0.3 s to every import of the CLI.
     from scipy.special import ndtr
 
     # A ratio that overflows to +-inf has P exactly 1 or 0.

@@ -36,6 +36,17 @@ SWEEP_CFG = {
 }
 
 
+def _fresh_python(*args):
+    """Run ``python *args`` in a new interpreter that imports this checkout's ``src``."""
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120, env=env)
+
+
+# Appended to a fresh interpreter's script: print every loaded SciPy module.
+PRINT_SCIPY_MODULES = "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+
+
 def _write(tmp_path, name, cfg):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
@@ -410,12 +421,8 @@ class TestSimulateCommand:
         else:
             cfg, argv = {**TestMseCommand.CFG, "empirical": {"trials": 10**30}}, ["--empirical"]
         path = _write(tmp_path, f"{command}.yaml", cfg)
-        src = str(ROOT / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from mixedres.cli import main; sys.exit(main())",
-             command, "--config", path, *argv],
-            capture_output=True, text=True, timeout=120, env=env,
+        proc = _fresh_python(
+            "-c", "import sys; from mixedres.cli import main; sys.exit(main())", command, "--config", path, *argv
         )
         assert proc.returncode == 3
         assert proc.stdout == ""
@@ -775,6 +782,42 @@ class TestConfigHandling:
         assert main(["allocate", "--config", str(path)]) == 2
         assert "'m'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["mse", "allocate", "dither", "simulate", "bench"])
+    def test_non_utf8_config_is_a_config_error(self, tmp_path, capsys, command):
+        """Byte 0xff ended in a UnicodeDecodeError traceback (exit 1)."""
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"# \xff\nm: 2\n")
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(path) in err
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("allocate", "m: 2\nbits: 3\nm: 3\np_max_norm: 100.0\nsigma2: 1.0\n", "m"),
+            (
+                "dither",
+                "m: 2\nbits: 3\np_max_norm: 100.0\nsigma2: 1.0\n"
+                "dither:\n  mode: quantized-only\n  grid_max: 1.0\n  grid_step: 0.5\n  grid_max: 2.0\n",
+                "grid_max",
+            ),
+            (
+                "mse",
+                "scenario: scalar\nsigma2_grid: [0.5]\nallocations: [[1, 2]]\nempirical:\n  trials: 100\n  trials: 200\n",
+                "trials",
+            ),
+            ("allocate", "m: 2\nbits: 3\np_max_norm: 100.0\nsigma2: {start: 0.5, stop: 1.0, num: 2, num: 3}\n", "num"),
+        ],
+        ids=["top-level", "dither", "empirical", "grid"],
+    )
+    def test_repeated_key_is_refused(self, tmp_path, capsys, command, text, key):
+        """PyYAML keeps the last of two equal keys; each of these configs ran with it and exited 0."""
+        path = tmp_path / "dup.yaml"
+        path.write_text(text, encoding="utf-8")
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"duplicate key '{key}'" in err and str(path) in err
+
 
 @pytest.mark.parametrize(
     "argv, golden",
@@ -786,12 +829,20 @@ class TestConfigHandling:
     ],
 )
 def test_shipped_configs_reproduce_golden_bytes(tmp_path, argv, golden):
-    """Outputs of shipped configs, byte for byte: the closed-form commands as
-    the scalar code wrote them, and a seeded Monte-Carlo run."""
+    """Outputs of shipped configs, byte for byte, each from a new interpreter:
+    the closed-form commands as the scalar code wrote them, loading no SciPy,
+    and a seeded Monte-Carlo run, which imports LAPACK and scipy.special on
+    first use."""
     out = tmp_path / golden
-    argv = [argv[0], "--config", str(ROOT / argv[2]), "--output", str(out)]
-    assert main(argv) == 0
+    script = f"import sys; from mixedres.cli import main; code = main(); {PRINT_SCIPY_MODULES}; sys.exit(code)"
+    proc = _fresh_python("-c", script, argv[0], "--config", str(ROOT / argv[2]), "--output", str(out))
+    assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == (ROOT / "tests" / "data" / golden).read_bytes()
+    loaded = set(proc.stdout.split())
+    if argv[0] == "simulate":
+        assert {"scipy.linalg.lapack", "scipy.special"} <= loaded
+    else:
+        assert not loaded
 
 
 @pytest.mark.parametrize(
@@ -1012,14 +1063,11 @@ class TestExitCodeContract:
         assert self._run("bench", cfg) == 3
 
 
-def test_importing_the_cli_leaves_scipy_special_unloaded():
-    """The copy-sum sampler imports scipy.special on first use; importing it
-    with the CLI would add tens of milliseconds to every command."""
-    src = str(ROOT / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, mixedres.cli; print('scipy.special' in sys.modules)"],
-        capture_output=True, text=True, timeout=120, env=env,
-    )
+@pytest.mark.parametrize("module", ["mixedres", "mixedres.cli"])
+def test_importing_the_package_loads_no_scipy(module):
+    """The estimator imports LAPACK and the copy-sum sampler scipy.special on
+    first use; importing either with the package would add about 0.3 s to
+    every command, the closed-form ones included."""
+    proc = _fresh_python("-c", f"import sys, {module}; {PRINT_SCIPY_MODULES}")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == []

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from mixedres import estimator
 from mixedres.closed_form import mse_closed_form, mse_grid
@@ -266,13 +267,13 @@ class TestCopyReducedSolve:
 
     def test_factors_no_more_than_the_reduced_rows(self, monkeypatch):
         shapes = []
-        real_zgetrf = estimator.lapack.zgetrf
+        real_zgetrf = lapack.zgetrf
 
         def recording_zgetrf(a, *args, **kwargs):
             shapes.append(np.shape(a))
             return real_zgetrf(a, *args, **kwargs)
 
-        monkeypatch.setattr(estimator.lapack, "zgetrf", recording_zgetrf)
+        monkeypatch.setattr(lapack, "zgetrf", recording_zgetrf)
         model = make_ortho_model(OrthoBlockParams(m=3, n_a=2, n_q=20), RngStream(2))
         filt = lmmse(model)
         p = assemble(model).period
