@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .closed_form import mse_grid
-from .exceptions import InstanceTooLargeError, ModelError, require_finite
+from .exceptions import InstanceTooLargeError, ModelError, NumericalDomainError, require_finite
 from .estimator import check_dense_rows, copy_scan_mse
 from .model import OrthoBlockParams, RngStream, block_model, make_ortho_matrices
 
@@ -190,13 +190,19 @@ def argbest(mse, dither_var, n_a) -> np.ndarray:
     """Index of the optimum along the last axis of ``mse``.
 
     The package's one tie-break rule: least MSE, then least dither variance,
-    then least n_a.  The sort is stable, so a full tie keeps the earlier
-    point, which in an n_a-major trace is the one with fewer quantized
-    blocks.
+    then least n_a, then the earlier point, which in an n_a-major trace is
+    the one with fewer quantized blocks.  ``dither_var`` and ``n_a`` are
+    scalars or vary along the last axis only, so the points are ranked by
+    (dither variance, n_a, position) once, with a stable sort, and the
+    first least MSE in that order is the optimum of every row.  A
+    non-finite MSE raises :class:`NumericalDomainError`.
     """
     mse = np.asarray(mse)
-    keys = [np.broadcast_to(np.asarray(k), mse.shape) for k in (n_a, dither_var, mse)]
-    return np.lexsort(keys, axis=-1)[..., 0]
+    if not np.isfinite(mse).all():
+        raise NumericalDomainError("MSE is not finite; no optimum can be picked")
+    keys = [np.broadcast_to(np.asarray(k), mse.shape[-1:]) for k in (n_a, dither_var)]
+    order = np.lexsort(keys)
+    return order[np.argmin(mse[..., order], axis=-1)]
 
 
 def optimum(trace: list) -> AllocationResult:

@@ -65,38 +65,46 @@ EXIT_NUMERICAL = 3
 # ---------------------------------------------------------------------------
 
 
-class _ConfigLoader(yaml.SafeLoader):
-    """PyYAML's safe loader, with floats also written without a dot or an
-    exponent sign, and a key repeated in one mapping refused.
+def _config_loader(base: type) -> type:
+    """``base`` (a PyYAML safe loader), with floats also written without a
+    dot or an exponent sign, and a key repeated in one mapping refused.
 
     PyYAML resolves plain scalars by YAML 1.1, which takes ``1e-1``,
     ``1.0e308`` and ``1E5`` for strings; YAML 1.2 and users read them as
     floats, and so does this loader.  PyYAML also keeps the last of two
     equal keys, so ``m: 2`` then ``m: 3`` would silently run with m = 3.
+    The resolver and the constructor run in Python over either parser.
     """
 
-    def construct_mapping(self, node, deep=False):
-        seen = set()
-        for key_node, _ in node.value:
-            if key_node.tag == "tag:yaml.org,2002:merge":
-                continue
-            key = self.construct_object(key_node, deep=True)
-            if not isinstance(key, Hashable):
-                continue  # the base constructor refuses it
-            if key in seen:
-                raise yaml.constructor.ConstructorError(
-                    "while constructing a mapping", node.start_mark,
-                    f"found duplicate key {key!r}", key_node.start_mark,
-                )
-            seen.add(key)
-        return super().construct_mapping(node, deep=deep)
+    class ConfigLoader(base):
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key_node, _ in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue
+                key = self.construct_object(key_node, deep=True)
+                if not isinstance(key, Hashable):
+                    continue  # the base constructor refuses it
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark,
+                    )
+                seen.add(key)
+            return super().construct_mapping(node, deep=deep)
+
+    ConfigLoader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+        list("-+0123456789."),
+    )
+    return ConfigLoader
 
 
-_ConfigLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
-    list("-+0123456789."),
-)
+# libyaml parses when PyYAML was built with it, else the pure-Python parser
+# does; the two give the same configs (a parse error's wording differs:
+# libyaml's marks quote no source line).
+_ConfigLoader = _config_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 def _load_config(path: str) -> dict:

@@ -400,7 +400,9 @@ def _prefix_norms(z: np.ndarray) -> np.ndarray:
 
 
 def _clamped_mse(mse: np.ndarray) -> np.ndarray:
-    """``mse`` clamped at zero; a value below ``-MSE_ROUNDOFF_TOL`` is an error."""
+    """``mse`` clamped at zero; a value below ``-MSE_ROUNDOFF_TOL`` or not finite is an error."""
+    if not np.isfinite(mse).all():
+        raise NumericalDomainError("MSE evaluated to a non-finite value")
     low = np.min(mse)
     if low < -MSE_ROUNDOFF_TOL:
         raise NumericalDomainError(f"MSE evaluated to {low:.3e} < 0 beyond round-off tolerance")

@@ -7,7 +7,9 @@ closed form and search loops that the array evaluator replaced, and the
 1-bit quantizer expression the one-pass version replaced, and the
 one-block-at-a-time Haar sampler that the stacked draw of
 ``make_ortho_matrices`` replaced; tests require each pair to agree bit for
-bit.  ``reference_direct_search_mse`` keeps the one-``lmmse``-per-point
+bit.  ``reference_argbest`` keeps the three-key sort per row that the
+one-pass optimum pick replaced; the two pick the same index.
+``reference_direct_search_mse`` keeps the one-``lmmse``-per-point
 loop that the prefix-scan search replaced; its sums run in another order,
 so it agrees to a tolerance.  ``reference_assemble``
 keeps the covariance assembly over all n_q quantized rows that the
@@ -240,6 +242,14 @@ def _apply_dither(scheme: DitherScheme, params: OrthoBlockParams, dither_var: fl
     if scheme.mode == "quantized-only":
         return replace(params, var_da=0.0, var_dq=dither_var)
     return replace(params, var_da=0.0, var_dq=0.0)
+
+
+def reference_argbest(mse, dither_var, n_a) -> np.ndarray:
+    """Index of the optimum along the last axis of ``mse``: one stable
+    three-key sort per row, by MSE, then dither variance, then n_a."""
+    mse = np.asarray(mse)
+    keys = [np.broadcast_to(np.asarray(k), mse.shape) for k in (n_a, dither_var, mse)]
+    return np.lexsort(keys, axis=-1)[..., 0]
 
 
 def reference_allocate(params_base: OrthoBlockParams, budget: PowerBudget) -> AllocationResult:

@@ -4,6 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mixedres import allocation
 from mixedres.allocation import (
@@ -14,18 +17,21 @@ from mixedres.allocation import (
     allocate,
     allocate_exhaustive,
     allocate_with_dither,
+    argbest,
     check_grid_size,
     direct_search,
     frontier,
+    frontier_grid,
     max_nq,
     na_range,
     noiseless_quantized_policy,
+    optimum,
 )
 from mixedres.closed_form import mse_closed_form, mse_pure_analog
-from mixedres.exceptions import EstimatorUndefinedError, InstanceTooLargeError, ModelError
+from mixedres.exceptions import EstimatorUndefinedError, InstanceTooLargeError, ModelError, NumericalDomainError
 from mixedres.model import OrthoBlockParams, RngStream, make_ortho_matrices
 from mixedres.simulate import sweep_allocation_vs_noise
-from oracles import log_uniform, reference_direct_search_mse
+from oracles import log_uniform, reference_argbest, reference_direct_search_mse
 
 REFERENCE_BUDGET = PowerBudget(bits=6, p_max_norm=12800.0)
 
@@ -392,6 +398,59 @@ class TestAllocateWithDither:
         budget = PowerBudget(bits=2, p_max_norm=16.0)
         result = allocate_with_dither(_params(m=2, sigma2=1.0), budget, scheme)
         assert len(result.trace) == len(na_range(2, budget)) * 3
+
+
+@st.composite
+def optimum_inputs(draw):
+    """``(mse, dither_var, n_a)`` for :func:`argbest`: a trace or a (levels x
+    points) grid over n_a-major (n_a, dither) points, with keys along the last
+    axis and ties forced in the MSE, the dither variance and n_a."""
+    n_counts, n_dither = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n = n_counts * n_dither
+    n_a = np.repeat(np.arange(n_counts), n_dither)
+    dither = np.tile(draw(st.lists(st.sampled_from([0.0, 0.1, 0.2]), min_size=n_dither, max_size=n_dither)), n_counts)
+    shape = draw(st.sampled_from([(n,), (1, n), (3, n)]))
+    values = st.sampled_from([0.0, -0.0, 0.25, 0.5]) | st.floats(min_value=0.0, max_value=4.0)
+    mse = draw(arrays(np.float64, shape, elements=values))
+    if draw(st.booleans()):
+        # The n_q = 0 frontier point: one MSE for every quantized-only dither value.
+        mse[..., -n_dither:] = mse[..., -n_dither:][..., :1]
+    if draw(st.booleans()):
+        order = np.array(draw(st.permutations(range(n))))
+        mse, n_a, dither = mse[..., order], n_a[order], dither[order]
+    keys = [0.0 if draw(st.booleans()) else dither, 0 if draw(st.booleans()) else n_a]
+    return mse, *keys
+
+
+class TestArgbest:
+    @settings(max_examples=400, deadline=None)
+    @given(optimum_inputs())
+    def test_matches_the_three_key_sort(self, case):
+        np.testing.assert_array_equal(argbest(*case), reference_argbest(*case))
+
+    def test_shipped_sweep_grid(self):
+        """configs/mimo_allocation.yaml's grid, whose n_q = 0 point ties over
+        its 21 dither values and is the optimum at low noise."""
+        levels = np.geomspace(0.05, 3.0, 25)
+        budget = PowerBudget.for_analog_blocks(6, 10, 20)
+        n_a, n_q, grid, mse = frontier_grid(10, 1.0, 1.0, levels, levels, budget, DitherScheme(grid_max=2.0))
+        assert n_q[-1] == 0 and (mse[:, -1, :] == mse[:, -1, :1]).all()
+        flat = mse.reshape(len(levels), -1)
+        keys = np.tile(grid, len(n_a)), np.repeat(n_a, len(grid))
+        picked = argbest(flat, *keys)
+        np.testing.assert_array_equal(picked, reference_argbest(flat, *keys))
+        assert (picked == (len(n_a) - 1) * len(grid)).any()
+        np.testing.assert_array_equal(argbest(mse[:, :, 0], 0.0, n_a), reference_argbest(mse[:, :, 0], 0.0, n_a))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mse_is_refused(self, bad):
+        """Two NaN points gave mse_star = nan."""
+        with pytest.raises(NumericalDomainError):
+            optimum([(0, 3, 0.0, bad), (1, 1, 0.0, bad)])
+        with pytest.raises(NumericalDomainError):
+            optimum([(0, 3, 0.0, 0.5), (1, 1, 0.0, bad)])
+        with pytest.raises(NumericalDomainError):
+            argbest(np.array([[0.5, 0.25], [bad, 0.25]]), 0.0, [0, 1])
 
 
 class TestNoiselessQuantizedPolicy:

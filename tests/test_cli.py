@@ -18,9 +18,11 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mixedres import cli
 from mixedres.cli import _load_config, main
 from mixedres.closed_form import filter_closed_form
 from mixedres.estimator import lmmse
+from mixedres.exceptions import ConfigError
 from mixedres.model import OrthoBlockParams, RngStream, make_mimo_model
 from mixedres.simulate import SimConfig, run_monte_carlo
 
@@ -743,6 +745,25 @@ class TestBenchCommand:
         assert "--repeats" in capsys.readouterr().err
 
 
+# A key repeated at each level of a config: the command, the text and the key.
+REPEATED_KEY_CASES = [
+    ("allocate", "m: 2\nbits: 3\nm: 3\np_max_norm: 100.0\nsigma2: 1.0\n", "m"),
+    (
+        "dither",
+        "m: 2\nbits: 3\np_max_norm: 100.0\nsigma2: 1.0\n"
+        "dither:\n  mode: quantized-only\n  grid_max: 1.0\n  grid_step: 0.5\n  grid_max: 2.0\n",
+        "grid_max",
+    ),
+    (
+        "mse",
+        "scenario: scalar\nsigma2_grid: [0.5]\nallocations: [[1, 2]]\nempirical:\n  trials: 100\n  trials: 200\n",
+        "trials",
+    ),
+    ("allocate", "m: 2\nbits: 3\np_max_norm: 100.0\nsigma2: {start: 0.5, stop: 1.0, num: 2, num: 3}\n", "num"),
+]
+REPEATED_KEY_IDS = ["top-level", "dither", "empirical", "grid"]
+
+
 class TestConfigHandling:
     def test_yaml_round_trip_is_lossless(self):
         dumped = yaml.safe_dump(SWEEP_CFG)
@@ -791,25 +812,7 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "config error" in err and str(path) in err
 
-    @pytest.mark.parametrize(
-        "command, text, key",
-        [
-            ("allocate", "m: 2\nbits: 3\nm: 3\np_max_norm: 100.0\nsigma2: 1.0\n", "m"),
-            (
-                "dither",
-                "m: 2\nbits: 3\np_max_norm: 100.0\nsigma2: 1.0\n"
-                "dither:\n  mode: quantized-only\n  grid_max: 1.0\n  grid_step: 0.5\n  grid_max: 2.0\n",
-                "grid_max",
-            ),
-            (
-                "mse",
-                "scenario: scalar\nsigma2_grid: [0.5]\nallocations: [[1, 2]]\nempirical:\n  trials: 100\n  trials: 200\n",
-                "trials",
-            ),
-            ("allocate", "m: 2\nbits: 3\np_max_norm: 100.0\nsigma2: {start: 0.5, stop: 1.0, num: 2, num: 3}\n", "num"),
-        ],
-        ids=["top-level", "dither", "empirical", "grid"],
-    )
+    @pytest.mark.parametrize("command, text, key", REPEATED_KEY_CASES, ids=REPEATED_KEY_IDS)
     def test_repeated_key_is_refused(self, tmp_path, capsys, command, text, key):
         """PyYAML keeps the last of two equal keys; each of these configs ran with it and exited 0."""
         path = tmp_path / "dup.yaml"
@@ -817,6 +820,74 @@ class TestConfigHandling:
         assert main([command, "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"duplicate key '{key}'" in err and str(path) in err
+
+
+# Config texts at the edges of the loader, by name: YAML 1.2 floats, merge
+# keys, a byte that is not UTF-8, a key repeated at each level, parse errors
+# of the scanner, the parser and the composer, and constructor refusals.
+LOADER_EDGE_TEXTS = {
+    "floats": b"a: 1.0e308\nb: 1E5\nc: -2.5e+3\nd: .5e1\ne: 10\nf: 1e\nsigma2: 1e-1\n",
+    "merge": b"base: &b {m: 2, bits: 3}\nmore: &c {rho_a: 0.5}\none:\n  <<: *b\n  m: 4\nmany:\n  <<: [*b, *c]\n  sigma2: 1e-1\n",
+    "non-utf8": b"# \xff\nm: 2\n",
+    **{f"repeated-{name}": text.encode() for name, (_, text, _) in zip(REPEATED_KEY_IDS, REPEATED_KEY_CASES)},
+    "scanner": b"m: 2\n  bits: 3\n",
+    "parser": b"m: [1, 2\n",
+    "composer": b"a: *nope\n",
+    "unhashable-key": b"? [1, 2]\n: 3\n",
+    "python-tag": b"a: !!python/name:os.system\n",
+}
+PARSE_ERRORS = (yaml.scanner.ScannerError, yaml.parser.ParserError, yaml.composer.ComposerError)
+
+
+@contextlib.contextmanager
+def _parsed_by(base):
+    """Build the config loader over the PyYAML parser ``base`` for the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_ConfigLoader", cli._config_loader(base))
+        yield
+
+
+def _load_outcome(path):
+    """``_load_config(path)``: the config and its repr (which tells 1 from
+    1.0), or the ConfigError's cause as its type, its mark and its wording.
+    A parse error's wording is left out: libyaml words those its own way."""
+    try:
+        cfg = _load_config(str(path))
+    except ConfigError as exc:
+        cause = exc.__cause__
+        mark = getattr(cause, "problem_mark", None)
+        wording = None if isinstance(cause, PARSE_ERRORS) else getattr(cause, "problem", str(cause))
+        return type(cause), mark and (mark.line, mark.column), wording
+    return cfg, repr(cfg)
+
+
+def test_config_loader_parses_with_libyaml_when_available():
+    assert issubclass(cli._ConfigLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+@pytest.mark.parametrize(
+    "source", [*sorted((ROOT / "configs").glob("*.yaml")), *LOADER_EDGE_TEXTS],
+    ids=lambda source: getattr(source, "name", source),
+)
+def test_libyaml_and_python_parsers_load_the_same_config(tmp_path, capsys, source):
+    """Every shipped config and every edge text gives the same config, or
+    the same exit-2 ConfigError, through libyaml and the pure-Python parser."""
+    path = source if isinstance(source, Path) else tmp_path / "edge.yaml"
+    if path is not source:
+        path.write_bytes(LOADER_EDGE_TEXTS[source])
+    outcomes = []
+    for base in (yaml.CSafeLoader, yaml.SafeLoader):
+        with _parsed_by(base):
+            outcomes.append(_load_outcome(path))
+            if not isinstance(outcomes[-1][0], dict):
+                assert main(["allocate", "--config", str(path)]) == 2
+                assert "config error" in capsys.readouterr().err
+    assert outcomes[0] == outcomes[1]
+    assert isinstance(outcomes[0][0], dict) == (path is source or source in ("floats", "merge"))
+    if source == "merge":
+        assert outcomes[0][0]["one"] == {"m": 4, "bits": 3}
+        assert outcomes[0][0]["many"] == {"m": 2, "bits": 3, "rho_a": 0.5, "sigma2": 0.1}
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ from scipy.linalg import lapack
 from mixedres import estimator
 from mixedres.closed_form import mse_closed_form, mse_grid
 from mixedres.estimator import MAX_DENSE_ROWS, assemble, copy_scan_mse, estimate, lmmse, prefix_mse
-from mixedres.exceptions import EstimatorUndefinedError, InstanceTooLargeError, ModelError
+from mixedres.exceptions import EstimatorUndefinedError, InstanceTooLargeError, ModelError, NumericalDomainError
 from mixedres.model import (
     MixedModel,
     OrthoBlockParams,
@@ -112,6 +112,12 @@ class TestMseBounds:
             model = make_ortho_model(params, RngStream(int(rng.integers(1 << 30))))
             filt = lmmse(model)
             assert 0.0 <= filt.mse <= params.m + 1e-9
+
+    @pytest.mark.parametrize("mse", [np.array([np.nan, 0.5]), np.array([0.5, np.inf]), np.float64(np.nan)])
+    def test_non_finite_mse_is_refused(self, mse):
+        """The minimum of an array holding a NaN is NaN, which passed the round-off test."""
+        with pytest.raises(NumericalDomainError):
+            estimator._clamped_mse(mse)
 
     def test_no_measurements_returns_prior_trace(self):
         # Exercised through the exhaustive solver's (0, 0) corner: an empty
