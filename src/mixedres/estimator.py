@@ -11,36 +11,35 @@ the standard linear MMSE solution
 evaluated with a pivoted LU solve (never an explicit inverse) and guarded by
 a 1-norm condition bound.
 
-:func:`assemble` returns the covariance blocks of one period of the
-quantized rows.  Every entry depends only on the two rows it pairs, and G
-is usually k copies of one p-row block g1 (every orthonormal-block and
-MIMO model is).  So the stages run on g1 alone: its arcsine map is the
-same-copy block A1 on the k diagonal blocks of C_xq, and its Bussgang
-columns serve every copy.  Two copies differ only in their own white noise
-of variance v = var_q_total, so the cross-copy block A2 on all other blocks
-is A1 with the diagonal (2/pi) arcsin((C_y,ii - v) / C_y,ii).  The Gram and
-arcsine work falls from O(n_q^2) to O(p^2).  (p, k) = ``copy_layout(G)``,
-and a G without a shorter period is its own block (k = 1).
-The bundle keeps those blocks; the dense C_x and C_theta_x are tiled from
-them only when read.
+The analog rows H are k_a copies of their first p_a rows and the quantized
+rows G are k_q copies of their first p_q, (p, k) being each block's
+``copy_layout`` (k = 1 for rows without a shorter period; every MIMO model
+repeats both blocks).  Every covariance entry depends only on the two rows
+it pairs, so :func:`assemble` runs the stage functions once, on the
+p_a + p_q rows of one period of [H; G].  They give A1, the covariance of a
+copy with itself, and c_theta, the cross-covariance with theta.  Two copies
+of a row differ only in their own white noise, of variance v, so the
+cross-copy block A2 is A1 with its noise-free diagonal: C_ii - v on an
+analog row and (2/pi) arcsin((C_y,ii - v) / C_y,ii) on a 1-bit row.  The
+dense C_x tiles A1 on its diagonal copy blocks and A2 everywhere else.
 
-:func:`lmmse` solves the copy-reduced system.  Copies of the block differ
-only by independent noise, so in C_x = [[C_xa, 1^T (x) C_aq1],
-[1 (x) C_aq1^H, I (x) (A1 - A2) + J (x) A2]] a unitary change of basis over
-the copies splits off the scaled copy sum s = (q_1 + ... + q_k) / sqrt(k)
-from k - 1 copy differences that are uncorrelated with theta, x_a and s.
-The LMMSE of theta from x is therefore, exactly, the LMMSE from [x_a; s],
-whose (n_a + p)-row covariance is
+A unitary change of basis over the k copies of a block splits off the
+scaled copy sum s = (x_1 + ... + x_k) / sqrt(k) from k - 1 copy
+differences, which carry only noise: they are uncorrelated with theta and
+with every copy sum, and have the diagonal covariance D = diag(A1 - A2).
+So the LMMSE of theta from x is exactly the LMMSE from the p_a + p_q copy
+sums, whose covariance and cross-covariance are, with k_i the copy count of
+row i's block,
 
-    C~ = [[C_xa, sqrt(k) C_aq1], [sqrt(k) C_aq1^H, A1 + (k - 1) A2]]
+    C~_ij = [same block] A1_ij + (sqrt(k_i k_j) - [same block]) A2_ij,
+    C~_theta,j = sqrt(k_j) c_theta,j.
 
-with cross-covariance [C_theta_xa, sqrt(k) C_theta_q1].  Each copy gets the
-filter columns of s divided by sqrt(k).  A1 - A2 is diagonal, since two
-copies differ only in their own noise, so the spectrum of C_x is that of C~
-plus D = diag(A1 - A2), each entry k - 1 times, and the condition bound is
-max(|C~|_1, max D) * max(est |inv(C~)|_1, 1 / min D).  For k <= 1 (pure
-analog, or a G without a period) C~ is C_x and the bound is LAPACK's
-1-norm condition estimate of C_x.
+:func:`lmmse` factors C~ and gives every copy the filter columns of its sum
+divided by sqrt(k).  The spectrum of C_x is that of C~ plus D of each row
+with k >= 2, k - 1 times, so the condition bound is max(|C~|_1, max D) *
+max(est |inv(C~)|_1, 1 / min D) over those rows; without them it is
+LAPACK's 1-norm condition estimate of C~ = C_x.  A zero D, a noiseless row
+in two or more copies, makes C_x singular.
 
 :func:`prefix_mse` gives the MSE of every leading subset of rows at once.
 Each entry of C_x and C_theta_x depends only on its own rows, so the first
@@ -55,15 +54,15 @@ dense reference, and the runtime benchmark times it.
 model.
 
 :func:`copy_scan_mse` is the matrix-solve search's route: the MSE of many
-points (first n_a analog rows, k copies of one block) of one model, with
-no n x n matrix.  Write B = C_aq1, D = diag(A1 - A2) and let L be the
-Cholesky factor of the largest C_xa; by the prefix property its leading
-blocks factor every smaller C_xa, and Z = inv(L) C_theta_xa^H and
-V = inv(L) B serve every n_a through their first rows.  The Schur
-complement of C_xa in the copy-reduced C~ is
-A1 + (k - 1) A2 - k V^H V = k (S0 + D / k) with S0 = A2 - V^H V, and the
-cross term is sqrt(k) r with r = C_theta_q1 - Z^H V.  With the eigenpairs
-(lambda_j, u_j) of inv(sqrt(D)) S0 inv(sqrt(D)) and
+points (first n_a analog rows, k copies of one quantized block) of one
+model, with no n x n matrix.  Its analog rows are one copy each, since
+every prefix of them is a point, and A1, A2 and D below are the quantized
+blocks.  With B the analog-quantized block and L the Cholesky factor of the
+largest analog block C_xa, the leading blocks of L factor every smaller
+C_xa, and Z = inv(L) C_theta_xa^H and V = inv(L) B serve every n_a.  The Schur
+complement of C_xa in C~ is A1 + (k - 1) A2 - k V^H V = k (S0 + D / k) with
+S0 = A2 - V^H V, and the cross term is sqrt(k) r with r = C_theta_q - Z^H V.
+With the eigenpairs (lambda_j, u_j) of inv(sqrt(D)) S0 inv(sqrt(D)) and
 Y = r inv(sqrt(D)) [u_1 ... u_p],
 
     mse(n_a, k) = trace(Sigma_theta) - |Z|_F^2 - sum_j |Y_j|^2 / (lambda_j + 1/k),
@@ -71,14 +70,12 @@ Y = r inv(sqrt(D)) [u_1 ... u_p],
 so one p x p eigenproblem per analog count gives every copy count in O(p).
 One copy (k = 1) needs no D: its Schur complement A1 - V^H V has its own
 eigenproblem, which keeps the noiseless quantizer (var_q = 0, so D = 0)
-solvable at n_q <= 1; two or more noiseless copies are identical rows and
-are refused as singular.  V^H V and Z^H V of every n_a are cumulative sums
-of the Gram blocks of the rows of [Z, V].
+solvable at n_q <= 1.  V^H V and Z^H V of every n_a are cumulative sums of
+the Gram blocks of the rows of [Z, V].
 
 The scan's condition guard bounds kappa_2(C_x) for every requested point.
-Over the copies C_x is unitarily similar to blkdiag(C~, I_{k-1} (x) D), so
-|inv(C_x)| = max(|inv(C~)|, 1 / min D) (the second term only for k >= 2).
-The block inverse of C~ = [[C_xa, sqrt(k) B], [sqrt(k) B^H, Q]] gives
+|inv(C_x)| = max(|inv(C~)|, 1 / min D) (the second term only for k >= 2),
+and the block inverse of C~ = [[C_xa, sqrt(k) B], [sqrt(k) B^H, Q]] gives
 
     |inv(C~)| <= |inv(C_xa)| + (1 + k |inv(C_xa) B|^2) |inv(S)|,
     |inv(S)| <= max_j 1 / (k min D (lambda_j + 1/k)),
@@ -96,7 +93,7 @@ or a failed factor of C_xa refuses the whole scan.
 :func:`lmmse` and :func:`copy_scan_mse` never form an n x n matrix.  All
 three routes refuse more than ``MAX_DENSE_ROWS`` rows before any covariance
 is built: :func:`lmmse` and :func:`prefix_mse` count all n_a + n_q rows
-(the period p is not known before :func:`assemble`), :func:`copy_scan_mse`
+(the periods are not known before :func:`assemble`), :func:`copy_scan_mse`
 the n_a + p rows it factors.
 
 LAPACK (``scipy.linalg.lapack``) is imported inside the two functions that
@@ -106,6 +103,7 @@ this module loads no SciPy and the closed-form commands never do.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,15 +134,15 @@ MAX_DENSE_ROWS = 8192
 
 @dataclass(eq=False)
 class CovarianceBundle:
-    """Covariance blocks of x = [x_a; x_q] over one period of the quantized rows.
+    """Covariance blocks of one period of x = [x_a; x_q].
 
-    The quantized rows are ``copies`` (k) copies of one ``period``-row (p)
-    block; k = 1 claims no repetition and k = 0 means no quantized rows.
-    ``c_xa`` and ``c_theta_xa`` are the analog auto- and cross-covariance,
-    ``c_aq1`` and ``c_theta_q1`` the Bussgang blocks of one copy, ``a1``
-    the arcsine block of a copy with itself and ``a2`` the block of two
-    different copies: ``a1`` with a real diagonal of noise-free
-    correlations, so exactly Hermitian too (unused for k <= 1).
+    ``periods`` is (p_a, p_q) and ``copies`` is (k_a, k_q): the analog rows
+    are k_a copies of their first p_a rows and the quantized rows k_q copies
+    of their first p_q (k = 1 claims no repetition, and (0, 0) means no
+    rows).  Over those p_a + p_q rows, ``a1`` is the covariance of a copy
+    with itself, ``a2`` that of two different copies (``a1`` with its
+    noise-free diagonal) and ``c_theta`` the cross-covariance with theta.
+    ``a1`` and ``a2`` are exactly Hermitian.
 
     The dense ``c_x`` (n x n) and ``c_theta_x`` are tiled from these blocks
     together, on the first read of either, and then kept; :func:`prefix_mse`
@@ -152,38 +150,38 @@ class CovarianceBundle:
     real diagonal.
     """
 
-    c_xa: np.ndarray
-    c_theta_xa: np.ndarray
-    c_aq1: np.ndarray
-    c_theta_q1: np.ndarray
     a1: np.ndarray
-    a2: np.ndarray | None
-    period: int
-    copies: int
+    a2: np.ndarray
+    c_theta: np.ndarray
+    periods: tuple[int, int]
+    copies: tuple[int, int]
 
     _dense: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
+
+    def _blocks(self) -> list[tuple[slice, slice, int, int]]:
+        """Per block: its rows in the period, its rows in x, its period p and its copies k."""
+        (pa, pq), (ka, kq) = self.periods, self.copies
+        return [
+            (slice(0, pa), slice(0, ka * pa), pa, ka),
+            (slice(pa, pa + pq), slice(ka * pa, ka * pa + kq * pq), pq, kq),
+        ]
 
     def _expand(self) -> tuple[np.ndarray, np.ndarray]:
         """c_x and c_theta_x, tiled from the blocks on the first call and then kept."""
         if self._dense is not None:
             return self._dense
-        na, p, k = self.c_xa.shape[0], self.period, self.copies
-        m = self.c_theta_xa.shape[0]
-        n = na + k * p
+        blocks = self._blocks()
+        m, n = self.c_theta.shape[0], blocks[-1][1].stop
         c_x = np.empty((n, n), dtype=np.complex128)
         c_theta_x = np.empty((m, n), dtype=np.complex128)
-        c_x[:na, :na] = self.c_xa
-        c_theta_x[:, :na] = self.c_theta_xa
-        if k:
-            # Each reshape splits an axis of a view, so it writes into c_x / c_theta_x.
-            c_x[:na, na:].reshape(na, k, p)[...] = self.c_aq1[:, None, :]
-            c_x[na:, :na].reshape(k, p, na)[...] = self.c_aq1.conj().T
-            c_theta_x[:, na:].reshape(m, k, p)[...] = self.c_theta_q1[:, None, :]
-            blocks = c_x[na:, na:].reshape(k, p, k, p)
-            if k > 1:
-                blocks[...] = self.a2[None, :, None, :]
-            # einsum returns a writeable view of the k diagonal blocks.
-            np.einsum("ijik->ijk", blocks)[...] = self.a1
+        # Each reshape splits an axis of a view, so it writes into c_x / c_theta_x.
+        for i, (rows, x_rows, p, k) in enumerate(blocks):
+            c_theta_x[:, x_rows].reshape(m, k, p)[...] = self.c_theta[:, None, rows]
+            for j, (cols, x_cols, p2, k2) in enumerate(blocks):
+                if i != j or k > 1:
+                    c_x[x_rows, x_cols].reshape(k, p, k2, p2)[...] = self.a2[rows, cols][None, :, None, :]
+            # einsum returns a writeable view of the k diagonal copy blocks.
+            np.einsum("ijik->ijk", c_x[x_rows, x_rows].reshape(k, p, k, p))[...] = self.a1[rows, rows]
         self._dense = c_x, c_theta_x
         return self._dense
 
@@ -201,8 +199,8 @@ class LmmseFilter:
     """Linear estimator matrix with its analytic MSE and conditioning info.
 
     ``condition`` bounds the condition number of C_x from the copy-reduced
-    factorization (see the module docstring); with no repeated quantized
-    block it is the 1-norm condition estimate of C_x.
+    factorization (see the module docstring); with no row in two or more
+    copies it is the 1-norm condition estimate of C_x.
     """
 
     w: np.ndarray
@@ -307,43 +305,38 @@ def cross_cov_analog_quantized(model: MixedModel, c_y: np.ndarray) -> np.ndarray
     return np.sqrt(2.0 / np.pi) * (model.h @ model.sigma_theta @ model.g.conj().T) * s[None, :]
 
 
-def _with_quantized_rows(model: MixedModel, g: np.ndarray) -> MixedModel:
-    """``model`` with quantized rows ``g``, which are rows of ``model.g``, without validating again."""
-    out = object.__new__(MixedModel)
-    out.__dict__.update(model.__dict__, g=g)
-    return out
-
-
 def assemble(model: MixedModel) -> CovarianceBundle:
-    """Covariance blocks of ``model`` from one period of G.
+    """Covariance blocks of ``model`` from one period of H and one of G.
 
-    G is k copies of its first p rows g1, (p, k) being its smallest period
-    by :func:`~mixedres.model.copy_layout` (k = 1 when G does not repeat).
-    The stage functions run once, on g1: its arcsine map is the same-copy
-    block A1, and the cross-copy block A2 is A1 with its noise-free diagonal
-    (see the module docstring).  No n x n array is written; see
-    :class:`CovarianceBundle` for the dense view.
+    (p, k) of each is its :func:`~mixedres.model.copy_layout`, and the stage
+    functions run once, on the p_a + p_q rows of one period (see the module
+    docstring).  No n x n array is written; see :class:`CovarianceBundle`
+    for the dense view.
     """
-    p, k = copy_layout(model.g)
-    block = _with_quantized_rows(model, model.g[:p])
-    c_xa = cov_analog(model)
-    c_y = cov_pre_quantization(block)
-    a1 = cov_quantized(c_y)
+    return _assemble(model, copy_layout(model.h), copy_layout(model.g))
+
+
+def _assemble(model: MixedModel, analog: tuple[int, int], quantized: tuple[int, int]) -> CovarianceBundle:
+    """:func:`assemble` with the (p, k) of H and of G given."""
+    (pa, ka), (pq, kq) = analog, quantized
+    # The model of one period, from rows of model itself, so not validated again.
+    one = object.__new__(MixedModel)
+    one.__dict__.update(model.__dict__, h=model.h[:pa], g=model.g[:pq])
+    c_y = cov_pre_quantization(one)
+    a1 = np.empty((pa + pq, pa + pq), dtype=np.complex128)
+    a1[:pa, :pa] = cov_analog(one)
+    a1[:pa, pa:] = cross_cov_analog_quantized(one, c_y)
+    a1[pa:, :pa] = a1[:pa, pa:].conj().T
+    a1[pa:, pa:] = cov_quantized(c_y)
     s = _inv_sqrt_diag(c_y)
     # Round-off lifts the ratio past 1 for a noiseless quantizer (v = 0).
     r = np.minimum((s * (c_y.diagonal().real - model.var_q_total)) * s, 1.0)
     a2 = a1.copy()
-    np.fill_diagonal(a2, (2.0 / np.pi) * np.arcsin(r))
-    return CovarianceBundle(
-        c_xa=c_xa,
-        c_theta_xa=model.sigma_theta @ model.h.conj().T,
-        c_aq1=cross_cov_analog_quantized(block, c_y),
-        c_theta_q1=cross_cov_theta_quantized(block, c_y),
-        a1=a1,
-        a2=a2,
-        period=p,
-        copies=k,
-    )
+    noise_free = a2.reshape(-1)[:: pa + pq + 1]  # a view of the diagonal
+    noise_free[:pa] -= model.var_a_total
+    noise_free[pa:] = (2.0 / np.pi) * np.arcsin(r)
+    c_theta = np.concatenate([model.sigma_theta @ one.h.conj().T, cross_cov_theta_quantized(one, c_y)], axis=1)
+    return CovarianceBundle(a1=a1, a2=a2, c_theta=c_theta, periods=(pa, pq), copies=(ka, kq))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +405,7 @@ def _clamped_mse(mse: np.ndarray) -> np.ndarray:
 def lmmse(model: MixedModel) -> LmmseFilter:
     """LMMSE filter and its analytic MSE via a pivoted solve of the copy-reduced system.
 
-    Only the n_a + p rows of C~ are factored (see the module docstring);
+    Only the p_a + p_q rows of C~ are factored (see the module docstring);
     ``condition`` is the bound max(|C~|_1, max D) * max(est |inv(C~)|_1,
     1 / min D) and a value above ``CONDITION_LIMIT`` is refused.
     """
@@ -421,58 +414,57 @@ def lmmse(model: MixedModel) -> LmmseFilter:
     return lmmse_from_bundle(model, bundle)
 
 
-def _copy_reduced(bundle: CovarianceBundle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """C~, the cross-covariance [C_theta_xa, sqrt(k) C_theta_q1] and D of the k-copy bundle."""
-    na, p, k = bundle.c_xa.shape[0], bundle.period, bundle.copies
-    root_k = np.sqrt(k)
-    c = np.empty((na + p, na + p), dtype=np.complex128)
-    c[:na, :na] = bundle.c_xa
-    c[:na, na:] = root_k * bundle.c_aq1
-    c[na:, :na] = c[:na, na:].conj().T
-    c[na:, na:] = bundle.a1
-    c_theta = np.concatenate([bundle.c_theta_xa, root_k * bundle.c_theta_q1], axis=1)
-    d = np.zeros(0)
-    if k > 1:
-        c[na:, na:] += (k - 1) * bundle.a2
-        d = (bundle.a1 - bundle.a2).diagonal().real
-    return c, c_theta, d
+def _copy_reduced(bundle: CovarianceBundle) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """C~, its cross-covariance with theta, D of the rows with k >= 2, and sqrt(k) of each row.
+
+    C~ = [same block] A1 + (sqrt(k_i k_j) - [same block]) A2, block by block.
+    """
+    (rows_a, _, _, k_a), (rows_q, _, _, k_q) = blocks = bundle._blocks()
+    c = bundle.a1.copy()
+    root = np.empty(len(c))
+    for rows, _, _, k in blocks:
+        root[rows] = math.sqrt(k)
+        if k > 1:
+            c[rows, rows] += (k - 1) * bundle.a2[rows, rows]
+    c[rows_a, rows_q] = math.sqrt(k_a * k_q) * bundle.a2[rows_a, rows_q]
+    # The exact conjugate transpose of the upper cross block, as in the dense C_x.
+    c[rows_q, rows_a] = c[rows_a, rows_q].conj().T
+    d = (bundle.a1.diagonal() - bundle.a2.diagonal()).real[root > 1]
+    return c, bundle.c_theta * root, d, root
 
 
 def lmmse_from_bundle(model: MixedModel, bundle: CovarianceBundle) -> LmmseFilter:
     """Same as :func:`lmmse` for a pre-assembled covariance bundle.
 
-    Factors the (n_a + p)-row C~ built from the bundle's blocks, p being
-    ``bundle.period``, and gives every copy of the quantized block the
-    filter columns of the scaled copy sum.  It reads no dense field of the
-    bundle.
+    Factors the (p_a + p_q)-row C~ built from the bundle's blocks and gives
+    every copy the filter columns of its scaled copy sum.  It reads no dense
+    field of the bundle.
     """
     from scipy.linalg import lapack
 
-    na, nq = model.n_analog, model.n_quantized
     prior_trace = float(np.trace(model.sigma_theta).real)
-    n = na + nq
-
-    p, k = bundle.period, bundle.copies
-    c, c_theta, d = _copy_reduced(bundle)
+    c, c_theta, d, root = _copy_reduced(bundle)
     anorm = _one_norm(c)
     lu, piv, info = lapack.zgetrf(c)
     if info != 0 or not np.isfinite(lu.diagonal()).all() or not np.all(d > 0):
         raise EstimatorUndefinedError("measurement covariance is singular", condition=float("inf"))
     rcond, info = lapack.zgecon(lu, anorm, norm="1")
     # 1 / rcond = |C~|_1 * est |inv(C~)|_1.  The bound widens each factor to
-    # cover D; both widenings are exactly 1.0 when D is empty (k <= 1).
+    # cover D; both widenings are exactly 1.0 when D is empty (no k >= 2).
     widen_norm = max(1.0, d.max(initial=0.0) / anorm)
     widen_inverse = max(1.0, rcond * anorm * (1.0 / d).max(initial=0.0))
     condition = _checked_condition(rcond / (widen_norm * widen_inverse), info)
 
     # Solve C~ X = C~_theta^H; then the reduction term is trace(C~_theta @ X),
-    # and w = X^H with the copy-sum rows of X spread over the k copies.
+    # and w = X^H with each copy-sum row of X spread over its copies.
     x, _ = lapack.zgetrs(lu, piv, c_theta.conj().T)
     mse = prior_trace - float(np.trace(c_theta @ x).real)
-    x_full = np.empty((n, model.m), dtype=np.complex128, order="F")
-    x_full[:na] = x[:na]
-    # The reshape splits the row axis of a view, so it writes into x_full.
-    x_full[na:].reshape(k, p, model.m)[...] = x[na:] / np.sqrt(max(k, 1))
+    x /= root[:, None]
+    blocks = bundle._blocks()
+    x_full = np.empty((blocks[-1][1].stop, model.m), dtype=np.complex128, order="F")
+    for rows, x_rows, p, kb in blocks:
+        # The reshape splits the row axis of a view, so it writes into x_full.
+        x_full[x_rows].reshape(kb, p, model.m)[...] = x[rows]
     return LmmseFilter(w=x_full.conj().T, mse=float(_clamped_mse(mse)), condition=condition)
 
 
@@ -516,15 +508,18 @@ def copy_scan_mse(model: MixedModel, analog_rows, copies) -> np.ndarray:
     k = copies * per_block
     check_dense_rows(n + p)
     quantized = bool(k.any())
-    bundle = assemble(model if quantized else _with_quantized_rows(model, g1[:0]))
+    # Every analog prefix is a point, so the analog rows stay one copy.
+    bundle = _assemble(model, (n, min(n, 1)), (p, per_block) if quantized else (0, 0))
+    c_xa, b, a1 = bundle.a1[:n, :n], bundle.a1[:n, n:], bundle.a1[n:, n:]
+    a2, c_theta_q = bundle.a2[n:, n:], bundle.c_theta[:, n:]
     prior = float(np.trace(model.sigma_theta).real)
 
     # Z = inv(L) C_theta_xa^H and V = inv(L) B from one factor of the largest
     # C_xa; the first rows of each belong to the leading C_xa.
-    zv = np.concatenate([bundle.c_theta_xa.conj().T, bundle.c_aq1], axis=1)
+    zv = np.concatenate([bundle.c_theta[:, :n].conj().T, b], axis=1)
     a_norm = a_inv = 0.0
     if n:
-        zv, a_norm, condition = _cholesky_solve(bundle.c_xa, zv)
+        zv, a_norm, condition = _cholesky_solve(c_xa, zv)
         a_inv = condition / a_norm
     mse = prior - _prefix_norms(zv[:, :m])[rows]
     if not quantized:
@@ -538,11 +533,11 @@ def copy_scan_mse(model: MixedModel, analog_rows, copies) -> np.ndarray:
     groups = zv.reshape(n // step, step, m + p)
     gram = np.zeros((n // step + 1, m + p, p), dtype=np.complex128)
     np.cumsum(groups.conj().transpose(0, 2, 1) @ groups[..., m:], axis=0, out=gram[1:])
-    r0, vv = bundle.c_theta_q1 - gram[:, :m], gram[:, m:]
+    r0, vv = c_theta_q - gram[:, :m], gram[:, m:]
     # |inv(C_xa) B|^2 <= |inv(C_xa)| |V|^2, with |V|^2 <= trace(V^H V).
     coupling = 1.0 + a_inv * np.trace(vv, axis1=1, axis2=2).real
 
-    d = (bundle.a1 - bundle.a2).diagonal().real
+    d = (a1.diagonal() - a2.diagonal()).real
     # Each case: its points, the stacked matrices whose eigenproblem gives
     # them and the cross terms, the shift that turns an eigenvalue into
     # lambda_j + 1/k, the factor (min D, or 1) that turns that into a bound
@@ -551,7 +546,7 @@ def copy_scan_mse(model: MixedModel, analog_rows, copies) -> np.ndarray:
     cases = []
     if np.any(k == 1):
         # One copy: C~ is C_x itself and its Schur complement is A1 - V^H V.
-        cases.append((k == 1, bundle.a1 - vv, r0, 0.0, 1.0, 0.0))
+        cases.append((k == 1, a1 - vv, r0, 0.0, 1.0, 0.0))
     more = k >= 2
     if more.any():
         if not np.all(d > 0):
@@ -561,8 +556,8 @@ def copy_scan_mse(model: MixedModel, analog_rows, copies) -> np.ndarray:
             )
         root = 1.0 / np.sqrt(d)
         shift = 1.0 / k[more][:, None]
-        cases.append((more, root[:, None] * (bundle.a2 - vv) * root, r0 * root, shift, d.min(), 1.0 / d.min()))
-    b_abs = np.abs(bundle.c_aq1)
+        cases.append((more, root[:, None] * (a2 - vv) * root, r0 * root, shift, d.min(), 1.0 / d.min()))
+    b_abs = np.abs(b)
     cx_inv = np.full(k.shape, a_inv)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for sel, s, r, shift, scale, floor in cases:
@@ -583,8 +578,8 @@ def copy_scan_mse(model: MixedModel, analog_rows, copies) -> np.ndarray:
             np.maximum(
                 a_norm + k * b_abs.sum(axis=1).max(initial=0.0),
                 b_abs.sum(axis=0).max()
-                + np.abs(bundle.a1).sum(axis=0).max()
-                + (k - 1) * np.abs(bundle.a2).sum(axis=0).max(),
+                + np.abs(a1).sum(axis=0).max()
+                + (k - 1) * np.abs(a2).sum(axis=0).max(),
             ),
             a_norm,
         )

@@ -426,10 +426,11 @@ def copy_layout(rows: np.ndarray, period: int | None = None) -> tuple[int, int]:
     if period is not None:
         candidates = [period]
     else:
-        # Only a row equal to row 0 can start a second copy, so one comparison of every
-        # row with row 0 rules out most candidates.  p = n always tiles.
-        starts_copy = (rows[1:] == rows[0]).all(axis=1).tolist() if n > 1 else []
-        candidates = [p for p in range(1, n // 2 + 1) if starts_copy[p - 1]] + [n]
+        # A period divides n, and only a row equal to row 0 can start a second copy,
+        # so comparing those rows with row 0 rules out most candidates.  p = n always tiles.
+        divisors = np.arange(1, n // 2 + 1)
+        divisors = divisors[n % divisors == 0]
+        candidates = divisors[(rows[divisors] == rows[:1]).all(axis=1)].tolist() + [n]
     for p in candidates:
         if p == n or (1 <= p < n and n % p == 0 and (rows[p:] == rows[:-p]).all()):
             return p, n // max(p, 1)

@@ -12,8 +12,9 @@ and the filter's columns for them both repeat with period p (the
 columns, so W_q x_q = W_q1 (q_1 + ... + q_k) and only the p-row copy sum
 matters (:func:`~mixedres.model.sample_copy_sums`).  The analog rows work
 the same way with [H | W_a^T], except under b-bit emulation, which must
-quantize every copy, so the analog period is then n_a.  Rows without
-repetition are one copy of themselves (k = 1) and take the same path.
+quantize every copy, so the analog period is then n_a.  ``lmmse`` gives
+every copy of a block the same columns; rows without repetition are one
+copy of themselves (k = 1).
 
 Each batch draws theta and the analog copy sum s_a only.  Given both, the
 squared error's mean over the 1-bit outputs is exact (see

@@ -12,13 +12,13 @@ one-pass optimum pick replaced; the two pick the same index.
 ``reference_direct_search_mse`` keeps the one-``lmmse``-per-point
 loop that the prefix-scan search replaced; its sums run in another order,
 so it agrees to a tolerance.  ``reference_assemble``
-keeps the covariance assembly over all n_q quantized rows that the
-one-period assembly replaced, as a bundle whose one copy is all n_q rows;
-its Gram runs over other rows, so it too agrees to a tolerance.  ``reference_lmmse`` keeps the pivoted LU on all n
-rows of the assembled C_x that the copy-reduced solve replaced; it agrees
-to a tolerance, and bit for bit when the quantized rows do not repeat.
-``dense_blocks`` names the quantized blocks of a bundle's dense
-expansion, which the bundle itself no longer exposes.
+keeps the covariance assembly over every row that the one-period assembly
+replaced, as a bundle in which each block is one copy of itself; its Grams
+run over other rows, so it too agrees to a tolerance.  ``reference_lmmse``
+keeps the pivoted LU on all n rows of that bundle's C_x that the
+copy-reduced solve replaced; it calls no ``assemble``, and agrees to a
+tolerance, and bit for bit when no rows repeat.
+``dense_blocks`` names the blocks of a bundle's dense expansion.
 ``reference_complex_normal`` rebuilds the complex normal draws of a
 stream, against which tests check the samplers' in-place draws.
 ``reference_run_monte_carlo`` keeps the Monte-Carlo batch that realizes
@@ -49,7 +49,6 @@ from mixedres.estimator import (
     LmmseFilter,
     _checked_condition,
     _clamped_mse,
-    assemble,
     check_dense_rows,
     cov_analog,
     cov_pre_quantization,
@@ -309,43 +308,37 @@ def reference_direct_search_mse(params_base: OrthoBlockParams, points, h_full, g
 
 
 def dense_blocks(bundle: CovarianceBundle) -> dict[str, np.ndarray]:
-    """The blocks of a bundle's dense C_x and C_theta_x, by name.
-
-    ``c_xq``, ``c_xa_xq`` and ``c_theta_xq`` are views into the dense
-    expansion; ``c_xa``, ``c_theta_xa`` and ``c_theta_x`` are the bundle's own.
-    """
-    na = bundle.c_xa.shape[0]
+    """The blocks of a bundle's dense C_x and C_theta_x, by name; views into the dense expansion."""
+    (pa, _), (ka, _) = bundle.periods, bundle.copies
+    na = pa * ka
     c_x, c_theta_x = bundle.c_x, bundle.c_theta_x
     return {
-        "c_xa": bundle.c_xa,
+        "c_xa": c_x[:na, :na],
         "c_xq": c_x[na:, na:],
         "c_xa_xq": c_x[:na, na:],
-        "c_theta_xa": bundle.c_theta_xa,
+        "c_theta_xa": c_theta_x[:, :na],
         "c_theta_xq": c_theta_x[:, na:],
         "c_theta_x": c_theta_x,
     }
 
 
 def reference_assemble(model: MixedModel) -> CovarianceBundle:
-    """Every covariance block from all rows of the model, as one copy of an n_q-row block."""
-    nq = model.n_quantized
+    """Every covariance block from all rows of the model, each block one copy of itself.
+
+    With no block in two or more copies the cross-copy block is never read
+    on a diagonal, so it is the same-copy block."""
+    na, nq = model.n_analog, model.n_quantized
     c_y = cov_pre_quantization(model)
-    return CovarianceBundle(
-        c_xa=cov_analog(model),
-        c_theta_xa=model.sigma_theta @ model.h.conj().T,
-        c_aq1=cross_cov_analog_quantized(model, c_y),
-        c_theta_q1=cross_cov_theta_quantized(model, c_y),
-        a1=cov_quantized(c_y),
-        a2=None,
-        period=nq,
-        copies=min(nq, 1),
-    )
+    c_aq = cross_cov_analog_quantized(model, c_y)
+    a1 = np.block([[cov_analog(model), c_aq], [c_aq.conj().T, cov_quantized(c_y)]])
+    c_theta = np.concatenate([model.sigma_theta @ model.h.conj().T, cross_cov_theta_quantized(model, c_y)], axis=1)
+    return CovarianceBundle(a1=a1, a2=a1, c_theta=c_theta, periods=(na, nq), copies=(min(na, 1), min(nq, 1)))
 
 
 def reference_lmmse(model: MixedModel) -> LmmseFilter:
-    """LMMSE filter from a pivoted LU of all n rows of the assembled C_x."""
+    """LMMSE filter from a pivoted LU of all n rows of C_x, assembled over every row."""
     check_dense_rows(model.n_analog + model.n_quantized)
-    bundle = assemble(model)
+    bundle = reference_assemble(model)
     c_x = bundle.c_x
     c_theta_x = bundle.c_theta_x
     prior_trace = float(np.trace(model.sigma_theta).real)

@@ -1,5 +1,7 @@
 """Tests for the covariance blocks of the stacked measurement vector."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,9 +148,12 @@ class TestCrossCovariances:
 
 class TestAssemble:
     def test_no_quantized_block(self):
+        """Three copies of one analog row: the noise-free diagonal 1.5 - 0.5 is
+        exactly the Gram entry 1, so the tiled c_x is the dense one."""
         model = make_scalar_model(3, 0, 0.5)
         bundle = assemble(model)
-        np.testing.assert_array_equal(bundle.c_x, bundle.c_xa)
+        assert (bundle.periods, bundle.copies) == ((1, 0), (3, 0))
+        np.testing.assert_array_equal(bundle.c_x, cov_analog(model))
         np.testing.assert_array_equal(bundle.c_theta_x, model.sigma_theta @ model.h.conj().T)
 
     def test_no_analog_block(self):
@@ -259,14 +264,17 @@ class TestCopyLayout:
 
 
 @st.composite
-def quantized_layouts(draw):
-    """Mixed models whose G is tiled, untiled, all-equal, tiled from a block
-    with a repeated row, or tiled and then cut inside a copy."""
+def copy_layouts(draw):
+    """Mixed models whose G and H are each tiled, untiled, all-equal, tiled
+    from a block with a repeated row, or tiled and then cut inside a copy;
+    H may also have no rows."""
     rng, m, p, k, layout, cut = draw(_layout_draws(LAYOUTS))
-    n_a = draw(st.integers(min_value=0, max_value=6))
+    _, _, p_a, k_a, layout_a, cut_a = draw(_layout_draws(LAYOUTS + ["empty"]))
     variance = st.floats(min_value=0.05, max_value=5.0)
     dither = st.one_of(st.just(0.0), variance)
-    return _layout_model(rng, m, p, k, layout, cut, n_a, draw(variance), draw(variance), draw(dither), draw(dither))
+    model = _layout_model(rng, m, p, k, layout, cut, 0, draw(variance), draw(variance), draw(dither), draw(dither))
+    h = np.zeros((0, m)) if layout_a == "empty" else _layout_rows(rng, m, p_a, k_a, layout_a, cut_a)
+    return replace(model, h=h)
 
 
 def _layout_model(rng, m, p, k, layout, cut, n_a, var_a, var_q, var_da, var_dq):
@@ -286,7 +294,7 @@ def _layout_model(rng, m, p, k, layout, cut, n_a, var_a, var_q, var_da, var_dq):
 
 class TestBlockAssembly:
     @settings(max_examples=200, deadline=None)
-    @given(quantized_layouts())
+    @given(copy_layouts())
     def test_matches_assembly_over_every_row(self, model):
         self._check_matches_assembly_over_every_row(model)
 
@@ -308,7 +316,6 @@ class TestBlockAssembly:
         The analog-quantized block sqrt(2/pi) H Sigma G^H s is bounded entry
         by entry on the magnitudes of its terms, which can cancel.
         """
-        na = model.n_analog
         bundle = assemble(model)
         ref = reference_assemble(model)
         c_y = cov_pre_quantization(model)
@@ -328,24 +335,22 @@ class TestBlockAssembly:
                 bound = 1e-15 * np.max(np.abs(want)) * (arcsine_gain if name == "c_xq" else 1.0)
                 assert np.max(np.abs(got - want)) <= bound, name
         assert bundle.c_x.shape == ref.c_x.shape
-        # The one-period blocks are the blocks of the dense expansion.
-        p, k = bundle.period, bundle.copies
-        np.testing.assert_array_equal(bundle.c_x[:na, :na], bundle.c_xa)
-        np.testing.assert_array_equal(bundle.c_theta_x[:, :na], bundle.c_theta_xa)
-        for j in range(k):
-            cols = slice(na + j * p, na + (j + 1) * p)
-            np.testing.assert_array_equal(bundle.c_x[:na, cols], bundle.c_aq1)
-            np.testing.assert_array_equal(bundle.c_theta_x[:, cols], bundle.c_theta_q1)
-            for i in range(k):
-                rows = slice(na + i * p, na + (i + 1) * p)
-                np.testing.assert_array_equal(bundle.c_x[rows, cols], bundle.a1 if i == j else bundle.a2)
+        # The one-period blocks are the blocks of the dense expansion: per
+        # copy of each block, its rows of x and its rows of the period.
+        (pa, pq), (ka, kq) = bundle.periods, bundle.copies
+        spans = [(slice(i * pa, (i + 1) * pa), slice(0, pa)) for i in range(ka)]
+        spans += [(slice(ka * pa + j * pq, ka * pa + (j + 1) * pq), slice(pa, pa + pq)) for j in range(kq)]
+        for i, (x_rows, rows) in enumerate(spans):
+            np.testing.assert_array_equal(bundle.c_theta_x[:, x_rows], bundle.c_theta[:, rows])
+            for j, (x_cols, cols) in enumerate(spans):
+                np.testing.assert_array_equal(bundle.c_x[x_rows, x_cols], (bundle.a1 if i == j else bundle.a2)[rows, cols])
         assert np.all(np.diag(blocks["c_xq"]) == 1.0)
-        np.testing.assert_array_equal(bundle.c_x[na:, :na], bundle.c_x[:na, na:].conj().T)
+        np.testing.assert_array_equal(bundle.c_x, bundle.c_x.conj().T)
         mse = lmmse_from_bundle(model, bundle).mse
         assert abs(mse - lmmse_from_bundle(model, ref).mse) <= 1e-12 * model.m
 
     @settings(max_examples=200, deadline=None)
-    @given(quantized_layouts())
+    @given(copy_layouts())
     def test_c_x_is_exactly_hermitian(self, model):
         """Both triangles of c_x are exact conjugates and the diagonal is
         real, so a solver that reads one triangle sees the matrix that a
@@ -369,7 +374,7 @@ class TestBlockAssembly:
         monkeypatch.setattr(estimator, "cov_quantized", recording_cov_quantized)
         model = make_ortho_model(OrthoBlockParams(m=3, n_a=1, n_q=4), RngStream(3))
         bundle = assemble(model)
-        assert (bundle.period, bundle.copies) == (3, 4)
+        assert (bundle.periods, bundle.copies) == ((3, 3), (1, 4))
         assert shapes == [(3, 3)]
 
     @pytest.mark.parametrize(
@@ -382,25 +387,30 @@ class TestBlockAssembly:
     )
     def test_copy_difference_variance_is_the_quantizer_loss(self, params):
         """On orthonormal blocks A2 is A1 off the diagonal, and D = diag(A1 - A2)
-        is the closed form's alpha(rho_q, var_q_total) on every row.
+        is the closed form's alpha(rho_q, var_q_total) on every quantized row.
 
         D is 1 - (2/pi) arcsin(x) at x = rho_q / (rho_q + var_q_total); the
         arcsine multiplies the round-off of x by 1 / sqrt(1 - x^2), which is
-        large for a nearly noiseless quantizer, so the bound carries it."""
+        large for a nearly noiseless quantizer, so the bound carries it.  On
+        an analog row D is the noise variance, up to the round-off of the
+        diagonal it is taken from."""
         bundle = assemble(make_ortho_model(params, RngStream(9)))
-        off = ~np.eye(params.m, dtype=bool)
+        pa, pq = bundle.periods
+        off = ~np.eye(pa + pq, dtype=bool)
         np.testing.assert_array_equal(bundle.a2[off], bundle.a1[off])
         d = (bundle.a1 - bundle.a2).diagonal()
         assert np.all(d.imag == 0)
         x = params.rho_q / (params.rho_q + params.var_q_total)
         bound = 1e-15 / np.sqrt(1.0 - x**2)
-        np.testing.assert_allclose(d.real, alpha(params.rho_q, params.var_q_total), rtol=0, atol=bound)
+        np.testing.assert_allclose(d.real[pa:], alpha(params.rho_q, params.var_q_total), rtol=0, atol=bound)
+        diag = bundle.a1.diagonal()[:pa].real
+        np.testing.assert_allclose(d.real[:pa], params.var_a_total, rtol=0, atol=4e-16 * diag.max(initial=0.0))
 
     def test_solve_leaves_the_bundle_intact(self):
         """The solve reads the bundle's blocks, so it must not factor them in place."""
         model = make_scalar_model(2, 3, 1.0)
         bundle = assemble(model)
-        names = ("c_xa", "c_theta_xa", "c_aq1", "c_theta_q1", "a1", "a2")
+        names = ("a1", "a2", "c_theta")
         before = {name: getattr(bundle, name).copy() for name in names}
         lmmse_from_bundle(model, bundle)
         for name in names:

@@ -17,13 +17,14 @@ from mixedres.model import (
     MixedModel,
     OrthoBlockParams,
     RngStream,
+    make_mimo_model,
     make_ortho_matrices,
     make_ortho_model,
     make_scalar_model,
     sample_measurements,
     sample_parameter,
 )
-from oracles import random_ortho_params, reference_lmmse
+from oracles import random_ortho_params, reference_assemble, reference_lmmse
 
 
 class TestKnownScalarValues:
@@ -187,11 +188,12 @@ class TestDenseRowLimit:
 
 @st.composite
 def copy_models(draw):
-    """General models (any H, any prior) whose G is k >= 2 copies of one block, or untiled."""
+    """General models (any prior): H is k_a >= 1 copies of one block, G k >= 2 copies or untiled."""
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     m = draw(st.integers(min_value=1, max_value=4))
     p = draw(st.integers(min_value=1, max_value=4))
     n_a = draw(st.integers(min_value=0, max_value=12))
+    k_a = draw(st.integers(min_value=1, max_value=4))
     tiled = draw(st.booleans())
     k = draw(st.integers(min_value=2, max_value=30)) if tiled else draw(st.integers(min_value=0, max_value=8))
     if n_a + p * k == 0:
@@ -205,7 +207,7 @@ def copy_models(draw):
     variance = st.floats(min_value=0.05, max_value=5.0)
     dither = st.one_of(st.just(0.0), variance)
     return MixedModel(
-        h=cplx(n_a, m),
+        h=np.tile(cplx(n_a, m), (k_a, 1)),
         g=g,
         sigma_theta=root @ root.conj().T + 0.1 * np.eye(m),
         var_a=draw(variance),
@@ -236,7 +238,7 @@ class TestCopyReducedSolve:
         assert got.w.shape == ref.w.shape
         if ref.w.size:
             assert np.max(np.abs(got.w - ref.w)) <= 1e-10 * np.max(np.abs(ref.w))
-        if assemble(model).period in (0, model.n_quantized):
+        if max(assemble(model).copies) <= 1:
             assert got.mse == ref.mse
             assert got.condition == ref.condition
             np.testing.assert_array_equal(got.w, ref.w)
@@ -282,8 +284,8 @@ class TestCopyReducedSolve:
         monkeypatch.setattr(lapack, "zgetrf", recording_zgetrf)
         model = make_ortho_model(OrthoBlockParams(m=3, n_a=2, n_q=20), RngStream(2))
         filt = lmmse(model)
-        p = assemble(model).period
-        assert shapes and all(rows <= model.n_analog + p for rows, _ in shapes)
+        p = sum(assemble(model).periods)
+        assert shapes and all(rows <= p for rows, _ in shapes)
         assert filt.w.shape == (3, model.n_analog + model.n_quantized)
 
     def test_writes_no_dense_matrix(self, monkeypatch):
@@ -309,6 +311,79 @@ class TestCopyReducedSolve:
         assert peak < 16 * n**2
         assert len(bundles) == 1
         assert bundles[0]._dense is None
+
+
+def _dithered_mimo():
+    model = make_mimo_model(3, 2, 4, rho=1.2, var=0.7, rng=RngStream(5))
+    return MixedModel(h=model.h, g=model.g, sigma_theta=model.sigma_theta, var_a=0.7, var_q=0.7, var_da=0.3, var_dq=0.5)
+
+
+# name -> (model with k_a >= 2 analog copies, rows that lmmse factors: p_a + p_q).
+ANALOG_COPY_MODELS = {
+    "scalar-2+5": (lambda: make_scalar_model(2, 5, 0.8), 2),
+    "scalar-100+100": (lambda: make_scalar_model(100, 100, 0.8), 2),
+    "mimo-random": (lambda: make_mimo_model(10, 2, 8, rho=1.0, var=1.0, rng=RngStream(3)), 20),
+    "mimo-dft": (lambda: make_mimo_model(4, 3, 2, rho=1.5, var=0.7, pilot="dft"), 8),
+    "mimo-dither": (_dithered_mimo, 6),
+    "analog-only": (lambda: make_mimo_model(3, 4, 0, rho=0.9, var=0.5, rng=RngStream(6)), 3),
+}
+
+
+class TestAnalogCopies:
+    """Repeated analog rows are one copy block, like the quantized rows:
+    the all-rows LU of ``reference_lmmse`` is the reference."""
+
+    @pytest.mark.parametrize("case", sorted(ANALOG_COPY_MODELS))
+    def test_matches_the_all_rows_reference(self, case, monkeypatch):
+        build, reduced_rows = ANALOG_COPY_MODELS[case]
+        model = build()
+        ref = reference_lmmse(model)
+        shapes = []
+        real_zgetrf = lapack.zgetrf
+
+        def recording_zgetrf(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_zgetrf(a, *args, **kwargs)
+
+        monkeypatch.setattr(lapack, "zgetrf", recording_zgetrf)
+        got = lmmse(model)
+        assert shapes == [(reduced_rows, reduced_rows)]
+        assert abs(got.mse - ref.mse) <= 1e-12 * model.m
+        assert np.max(np.abs(got.w - ref.w)) <= 1e-12 * model.m
+        # Every copy of a block gets exactly the same filter columns.
+        bundle = assemble(model)
+        (pa, pq), (ka, kq) = bundle.periods, bundle.copies
+        assert ka >= 2
+        analog, quantized = got.w[:, : ka * pa], got.w[:, ka * pa :]
+        for c in range(ka):
+            np.testing.assert_array_equal(analog[:, c * pa : (c + 1) * pa], analog[:, :pa])
+        for c in range(kq):
+            np.testing.assert_array_equal(quantized[:, c * pq : (c + 1) * pq], quantized[:, :pq])
+
+    @pytest.mark.parametrize("case", sorted(ANALOG_COPY_MODELS))
+    def test_condition_bound_covers_the_dense_matrix(self, case):
+        """The bound is at least the 2-norm condition number of the dense C_x.
+
+        It is not a bound on LAPACK's 1-norm estimate of C_x: for k copies
+        that estimate grows with k (487 against 256 on the 100 + 100 scalar
+        model), while the spectrum it is bounded through does not."""
+        model = ANALOG_COPY_MODELS[case][0]()
+        eig = np.linalg.eigvalsh(reference_assemble(model).c_x)
+        assert lmmse(model).condition >= (1.0 - 1e-12) * eig.max() / eig.min()
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            MixedModel(h=np.ones((2, 1)), g=np.ones((3, 1)), sigma_theta=np.eye(1), var_a=0.0, var_q=1.0),
+            replace(_dithered_mimo(), var_a=0.0, var_da=0.0),
+        ],
+        ids=["scalar", "mimo"],
+    )
+    def test_noiseless_analog_copies_refused_by_both_routes(self, model):
+        with pytest.raises(EstimatorUndefinedError):
+            reference_lmmse(model)
+        with pytest.raises(EstimatorUndefinedError):
+            lmmse(model)
 
 
 @st.composite

@@ -206,11 +206,15 @@ def _scalar_lmmse():
     return model, lmmse(model)
 
 
+def _mimo_lmmse():
+    model = _mimo_closed()[0]
+    return model, lmmse(model)
+
+
 # name -> (model and filter, analog quantizer, expected (analog, quantized) periods).
-# The LMMSE solve gives each analog row its own columns, which may differ by
-# round-off, so an LMMSE filter need not repeat over the analog copies.
 COPY_SUM_CASES = {
-    "scalar-lmmse": (_scalar_lmmse, None, (2, 1)),
+    "scalar-lmmse": (_scalar_lmmse, None, (1, 1)),
+    "mimo-lmmse": (_mimo_lmmse, None, (3, 3)),
     "scalar-lmmse-bbit": (_scalar_lmmse, DEFAULT_ANALOG_QUANTIZER, (2, 1)),
     "mimo-closed": (_mimo_closed, None, (3, 3)),
     "mimo-closed-dither-bbit": (lambda: _mimo_closed(0.3, 0.5), DEFAULT_ANALOG_QUANTIZER, (6, 3)),
@@ -224,6 +228,18 @@ COPY_SUM_CASES = {
 
 class TestCopySums:
     """The copy-sum batches against the batch that draws every row."""
+
+    @pytest.mark.parametrize(
+        "model, periods",
+        [
+            (make_scalar_model(2, 5, 0.8), (1, 1)),
+            (make_mimo_model(10, 2, 8, rho=1.0, var=1.0, rng=RngStream(3)), (10, 10)),
+        ],
+        ids=["scalar", "mimo"],
+    )
+    def test_lmmse_filter_repeats_over_every_copy(self, model, periods):
+        """lmmse gives every analog copy, as every quantized one, the same columns."""
+        assert _copy_periods(model, lmmse(model), SimConfig()) == periods
 
     TRIALS = 40_000
 
