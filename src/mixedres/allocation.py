@@ -150,9 +150,27 @@ def max_nq(n_a: int, m: int, budget: PowerBudget) -> int:
 
 
 def frontier(m: int, budget: PowerBudget) -> tuple[list[int], list[int]]:
-    """Max-power frontier: every feasible n_a and the largest n_q next to it."""
+    """Max-power frontier: every feasible n_a and the largest n_q next to it.
+
+    The n_q list is :func:`max_nq` of each n_a, computed as one array
+    expression with the same floating-point operations.
+    """
     n_a = list(na_range(m, budget))
-    return n_a, [max_nq(k, m, budget) for k in n_a]
+    residual = budget.p_max_norm - budget.analog_block_cost(m) * np.arange(len(n_a), dtype=np.float64)
+    n_q = np.floor(residual / budget.quantized_block_cost(m))
+    # Through Python floats: a count beyond the int64 range stays exact.
+    return n_a, list(map(int, n_q.tolist()))
+
+
+def _count_text(n: int) -> str:
+    """``n`` in full up to 15 digits, else its leading digits as ``about 6.25e+307``.
+
+    Read from the digits, not a float: a count may exceed the float range.
+    """
+    digits = str(n)
+    if len(digits) <= 15:
+        return digits
+    return f"about {digits[0]}.{digits[1:3]}e+{len(digits) - 1}"
 
 
 def check_grid_size(m: int, budget: PowerBudget, scheme: DitherScheme, noise_levels: int = 1) -> None:
@@ -162,7 +180,9 @@ def check_grid_size(m: int, budget: PowerBudget, scheme: DitherScheme, noise_lev
     """
     points = (na_range(m, budget)[-1] + 1) * scheme.size() * noise_levels
     if points > MAX_GRID_POINTS:
-        raise InstanceTooLargeError(f"closed-form search has {points} points (limit {MAX_GRID_POINTS})")
+        raise InstanceTooLargeError(
+            f"closed-form search has {_count_text(points)} points (limit {MAX_GRID_POINTS})"
+        )
 
 
 def frontier_grid(m, rho_a, rho_q, var_a, var_q, budget: PowerBudget, scheme: DitherScheme):
@@ -171,8 +191,10 @@ def frontier_grid(m, rho_a, rho_q, var_a, var_q, budget: PowerBudget, scheme: Di
     ``var_a`` and ``var_q`` hold one noise variance per level.  Returns the
     frontier counts ``n_a`` and ``n_q``, the dither grid and the MSE array
     of shape (levels, frontier points, dither values); the scheme places each
-    dither variance on the paths its mode names.  The size is checked
-    against ``MAX_GRID_POINTS`` before anything is built.
+    dither variance on the paths its mode names.  Unless the mode is
+    ``both``, the analog variance keeps no dither axis, so the analog-only
+    terms are evaluated once per (level, frontier point).  The size is
+    checked against ``MAX_GRID_POINTS`` before anything is built.
     """
     va = np.asarray(var_a, dtype=np.float64).reshape(-1, 1, 1)
     vq = np.asarray(var_q, dtype=np.float64).reshape(-1, 1, 1)
@@ -180,10 +202,11 @@ def frontier_grid(m, rho_a, rho_q, var_a, var_q, budget: PowerBudget, scheme: Di
     n_a, n_q = frontier(m, budget)
     grid = scheme.grid()
     dq = np.array(grid)
-    da = dq if scheme.mode == "both" else np.zeros_like(dq)
+    if scheme.mode == "both":
+        va = va + dq
     counts_a = np.asarray(n_a, dtype=np.float64).reshape(-1, 1)
     counts_q = np.asarray(n_q, dtype=np.float64).reshape(-1, 1)
-    return n_a, n_q, grid, mse_grid(m, counts_a, counts_q, rho_a, rho_q, va + da, vq + dq)
+    return n_a, n_q, grid, mse_grid(m, counts_a, counts_q, rho_a, rho_q, va, vq + dq)
 
 
 def argbest(mse, dither_var, n_a) -> np.ndarray:

@@ -8,15 +8,21 @@ dither    allocation with dither-variance optimization, with search trace
 simulate  Monte-Carlo validation of a single scenario
 bench     runtime comparison of closed-form vs matrix-solve sweeps
 
-Exit codes: 0 success, 2 configuration error (including any value the
-library rejects while the model is built), 3 numerical/infeasibility error.  CSV output is comma-separated with a header row, LF line endings,
-and full double precision (17 significant digits).
+Exit codes: 0 on success; 2 on a usage or configuration error, which
+includes any value the library rejects while the model is built; 3 on a
+numerical or infeasibility error.
+
+CSV output is comma-separated with a header row, LF line endings, and full
+double precision (17 significant digits).  :func:`main` builds its argument
+parser once per process and looks each subcommand's ``cmd_*`` handler up by
+name on every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -577,21 +583,27 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Subcommand -> (name of its handler in this module, help text).  The
+# handler is looked up at call time, so a patched ``cmd_*`` binding is used.
+_COMMANDS = {
+    "mse": ("cmd_mse", "analytic / empirical MSE grid over noise levels"),
+    "allocate": ("cmd_allocate", "power-constrained measurement allocation"),
+    "dither": ("cmd_allocate", "allocation with dither optimization"),
+    "simulate": ("cmd_simulate", "Monte-Carlo validation of one scenario"),
+    "bench": ("cmd_bench", "closed-form vs matrix-solve runtime comparison"),
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="mixedres",
         description="Mixed-resolution Bayesian estimation: MSE evaluation, "
         "resource allocation, dithering, simulation, and benchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "mse": (cmd_mse, "analytic / empirical MSE grid over noise levels"),
-        "allocate": (cmd_allocate, "power-constrained measurement allocation"),
-        "dither": (cmd_allocate, "allocation with dither optimization"),
-        "simulate": (cmd_simulate, "Monte-Carlo validation of one scenario"),
-        "bench": (cmd_bench, "closed-form vs matrix-solve runtime comparison"),
-    }
-    for name, (handler, help_text) in specs.items():
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the YAML experiment config")
         p.add_argument("--output", default=None, help="output file (default: stdout)")
@@ -609,14 +621,15 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--oracle", action="store_true", help="cross-check against the exhaustive solver")
         if name == "bench":
             p.add_argument("--repeats", type=_positive_int, default=None, help="override timing repetitions")
-        p.set_defaults(handler=handler, oracle=False)
+        p.set_defaults(oracle=False)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    handler = globals()[_COMMANDS[args.command][0]]
     try:
-        return args.handler(args)
+        return handler(args)
     except (ConfigError, ModelError) as exc:
         # Every model value in a CLI run comes from the config.
         print(f"config error: {exc}", file=sys.stderr)

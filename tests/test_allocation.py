@@ -1,10 +1,11 @@
 """Tests for power-constrained allocation, dithering, and decision rules."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -27,7 +28,7 @@ from mixedres.allocation import (
     noiseless_quantized_policy,
     optimum,
 )
-from mixedres.closed_form import mse_closed_form, mse_pure_analog
+from mixedres.closed_form import mse_closed_form, mse_grid, mse_pure_analog
 from mixedres.exceptions import EstimatorUndefinedError, InstanceTooLargeError, ModelError, NumericalDomainError
 from mixedres.model import OrthoBlockParams, RngStream, make_ortho_matrices
 from mixedres.simulate import sweep_allocation_vs_noise
@@ -104,12 +105,91 @@ class TestGridSizeGuard:
         with pytest.raises(InstanceTooLargeError):
             allocate_with_dither(_params(m=1), self.HUGE, DitherScheme())
 
+    def test_message_gives_a_long_count_in_short_form(self):
+        # 2.6e+310 points: beyond the float range, so it is shortened as digits.
+        with pytest.raises(InstanceTooLargeError) as exc:
+            check_grid_size(1, PowerBudget(bits=1, p_max_norm=1e308), DitherScheme(), 25)
+        assert str(exc.value) == "closed-form search has about 2.62e+310 points (limit 1000000)"
+        with pytest.raises(InstanceTooLargeError, match="has 1000002 points"):
+            check_grid_size(1, PowerBudget(bits=1, p_max_norm=2.0 * 1000001), DitherScheme(mode="none"))
+
     def test_sweep_counts_noise_levels(self):
         budget = PowerBudget(bits=1, p_max_norm=2.0 * 2000)  # 2001 frontier points
         with pytest.raises(InstanceTooLargeError):
             sweep_allocation_vs_noise(1, budget, [1.0] * 30, DitherScheme())
         with pytest.raises(InstanceTooLargeError):
             sweep_allocation_vs_noise(1, self.HUGE, [1.0], DitherScheme(mode="none"))
+
+
+@st.composite
+def frontier_budgets(draw):
+    """(m, budget) with at most 2001 frontier points: low bit depths and
+    depths near ``MAX_BITS``, some at the largest double, some on a point
+    whose residual is exactly zero."""
+    m = draw(st.integers(min_value=1, max_value=16))
+    bits = draw(st.one_of(st.integers(min_value=1, max_value=12), st.integers(MAX_BITS - 12, MAX_BITS)))
+    cost = 2.0**bits * m
+    assume(cost <= sys.float_info.max)
+    k = draw(st.integers(min_value=0, max_value=2000))
+    frac = draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0, exclude_max=True)))
+    p = min(cost * (k + frac), sys.float_info.max)  # an overflowing product becomes the largest double
+    return m, PowerBudget(bits=bits, p_max_norm=p if p > 0 else 2.0 * m)
+
+
+class TestFrontier:
+    @settings(max_examples=300, deadline=None)
+    @given(frontier_budgets())
+    def test_frontier_is_the_max_nq_loop(self, case):
+        m, budget = case
+        n_a, n_q = frontier(m, budget)
+        assert n_a == list(na_range(m, budget))
+        assert n_q == [max_nq(k, m, budget) for k in n_a]
+        assert all(type(v) is int for v in n_a + n_q)
+
+    def test_counts_beyond_int64_stay_exact(self):
+        budget = PowerBudget(bits=MAX_BITS - 3, p_max_norm=sys.float_info.max)
+        n_a, n_q = frontier(1, budget)
+        assert n_a == list(range(16))
+        assert n_q[0] == int(sys.float_info.max / 2) > 2**1000
+        assert n_q == [max_nq(k, 1, budget) for k in n_a]
+
+    @pytest.mark.parametrize("mode", DitherScheme.MODES)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        budget=st.builds(
+            lambda m, bits, p: (m, PowerBudget(bits=bits, p_max_norm=p)),
+            st.integers(min_value=1, max_value=4),
+            st.integers(min_value=1, max_value=4),
+            st.floats(min_value=0.5, max_value=300.0),
+        ),
+        gains=st.tuples(st.floats(min_value=0.1, max_value=10.0), st.floats(min_value=0.1, max_value=10.0)),
+        levels=st.lists(
+            st.tuples(*[st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=10.0))] * 2),
+            min_size=1,
+            max_size=4,
+        ),
+        grid=st.sampled_from([(0.5, 0.5), (1.0, 0.25), (2.0, 0.1)]),
+    )
+    def test_grid_equals_the_full_broadcast(self, mode, budget, gains, levels, grid):
+        """Every dither value added to both variances before the one ``mse_grid``
+        call gives the same bits as the grid's own shapes."""
+        (m, budget), (rho_a, rho_q) = budget, gains
+        var_a, var_q = (np.array(v) for v in zip(*levels))
+        scheme = DitherScheme(mode=mode, grid_max=grid[0], grid_step=grid[1])
+        n_a, n_q, dither, mse = frontier_grid(m, rho_a, rho_q, var_a, var_q, budget, scheme)
+        dq = np.array(dither)
+        da = dq if mode == "both" else np.zeros_like(dq)
+        ref = mse_grid(
+            m,
+            np.array(n_a, dtype=np.float64).reshape(-1, 1),
+            np.array(n_q, dtype=np.float64).reshape(-1, 1),
+            rho_a,
+            rho_q,
+            var_a.reshape(-1, 1, 1) + da,
+            var_q.reshape(-1, 1, 1) + dq,
+        )
+        assert mse.shape == ref.shape == (len(levels), len(n_a), len(dither))
+        assert mse.tobytes() == ref.tobytes()
 
 
 class TestAllocate:

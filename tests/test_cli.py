@@ -223,6 +223,24 @@ class TestAllocateCommand:
         assert "limit" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "sigma2, dither",
+        [(1.0, None), ([0.5, 1.0, 2.0], {"mode": "quantized-only"})],
+        ids=["single", "sweep-over-float-range"],
+    )
+    def test_oversized_budget_message_is_one_short_line(self, tmp_path, capsys, sigma2, dither):
+        """About 5e307 frontier points; the sweep's count (3.15e+309) exceeds
+        the float range, so it must be shortened without a float."""
+        cfg = {"m": 1, "bits": 1, "p_max_norm": 1e308, "sigma2": sigma2}
+        if dither is not None:
+            cfg["dither"] = dither
+        path = _write(tmp_path, "alloc.yaml", cfg)
+        assert main(["allocate", "--config", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and len(captured.err) < 120, captured.err
+        assert "limit 1000000" in captured.err and "e+30" in captured.err
+
+    @pytest.mark.parametrize(
         "budget",
         [
             {"bits": 2000, "p_max_norm": 100.0},
@@ -914,6 +932,42 @@ def test_shipped_configs_reproduce_golden_bytes(tmp_path, argv, golden):
         assert {"scipy.linalg.lapack", "scipy.special"} <= loaded
     else:
         assert not loaded
+
+
+def test_main_serves_repeated_calls_in_one_process(tmp_path, capsys, monkeypatch):
+    """One process, one parser: repeated commands reproduce their golden bytes,
+    no parser is built after the first call, a usage error still reads as
+    in a fresh process, and a handler patched after the first call runs."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal width
+    runs = [
+        ("allocate", "mimo_allocation.yaml", "allocate_mimo_allocation.csv"),
+        ("dither", "dither_search.yaml", "dither_dither_search.json"),
+        ("mse", "scalar_mse.yaml", "mse_scalar_mse.csv"),
+        ("allocate", "mimo_allocation.yaml", "allocate_mimo_allocation.csv"),
+    ]
+    for i, (command, config, golden) in enumerate(runs):
+        out = tmp_path / f"{i}_{golden}"
+        assert main([command, "--config", str(ROOT / "configs" / config), "--output", str(out)]) == 0
+        assert out.read_bytes() == (ROOT / "tests" / "data" / golden).read_bytes()
+        if i == 0:
+            built = _record_calls(monkeypatch, cli.argparse.ArgumentParser, "__init__")
+    assert built == []
+
+    argv = ["allocate", "--config", str(ROOT / "configs" / "mimo_allocation.yaml"), "--format", "xml"]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    fresh = _fresh_python("-c", "import sys; from mixedres.cli import main; sys.exit(main())", *argv)
+    assert fresh.returncode == 2
+    assert capsys.readouterr().err == fresh.stderr
+    assert "invalid choice: 'xml'" in fresh.stderr
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_allocate", lambda args: seen.append(args.command) or 7)
+    assert main(argv[:3]) == 7
+    assert main(["dither", "--config", str(ROOT / "configs" / "dither_search.yaml")]) == 7
+    assert seen == ["allocate", "dither"]
 
 
 @pytest.mark.parametrize(
