@@ -7,16 +7,18 @@ the optimum always lies on the max-power frontier
 
     n_q = floor((p_max_norm - 2**bits * m * n_a) / (2 * m)),
 
-so a one-dimensional search over n_a suffices.  The closed-form searches
-evaluate the whole (noise level x frontier x dither grid) in one
-:func:`frontier_grid` call.
+so a one-dimensional search over n_a suffices.  :func:`frontier` is the
+one enumeration of that frontier.  The closed-form searches evaluate the
+whole (noise level x frontier x dither grid) in one :func:`frontier_grid`
+call.
 :func:`direct_search` evaluates a list of points with the matrix-solve MSE
 instead.  Its points share one analog matrix and one quantized block, so a
 single copy-count scan (``estimator.copy_scan_mse``) serves them all: one
 Cholesky factor of the largest analog covariance, one p x p eigenproblem
 per analog count and O(p) work per copy count.  The exhaustive solver runs
-it over every feasible pair and serves as the reference oracle.  Every
-search picks its optimum with :func:`argbest`.
+it over every pair on or below the frontier and serves as the reference
+oracle.  Every search picks its optimum with :func:`argbest` on its MSE
+array, then builds its trace once and reads the optimum from it.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ class PowerBudget:
         """``2**bits * m``; a :class:`ModelError` when that exceeds the largest double."""
         cost = 2**self.bits * m
         if cost > sys.float_info.max:
-            raise ModelError(f"analog cost 2**{self.bits} * {m} is too large for a double")
+            raise ModelError(f"analog cost 2**{self.bits} * {_count_text(m)} is too large for a double")
         return float(cost)
 
     def quantized_block_cost(self, m: int) -> float:
@@ -228,15 +230,6 @@ def argbest(mse, dither_var, n_a) -> np.ndarray:
     return order[np.argmin(mse[..., order], axis=-1)]
 
 
-def optimum(trace: list) -> AllocationResult:
-    """The :func:`argbest` entry of a trace of (n_a, n_q, dither_var, mse) tuples."""
-    n_a, _, dither_var, mse = zip(*trace)
-    n_a_star, n_q_star, dither_star, mse_star = trace[int(argbest(mse, dither_var, n_a))]
-    return AllocationResult(
-        n_a_star=n_a_star, n_q_star=n_q_star, dither_var_star=dither_star, mse_star=mse_star, trace=trace
-    )
-
-
 def _require_clean_base(params_base: OrthoBlockParams) -> None:
     if params_base.var_da != 0.0 or params_base.var_dq != 0.0:
         raise ModelError("params_base must carry zero dither variances; dither is a decision variable")
@@ -264,8 +257,10 @@ def allocate_with_dither(
     _require_clean_base(params_base)
     p = params_base
     n_a, n_q, grid, mse = frontier_grid(p.m, p.rho_a, p.rho_q, p.var_a, p.var_q, budget, scheme)
-    points = [(a, q, d) for a, q in zip(n_a, n_q) for d in grid]
-    return optimum([(*point, value) for point, value in zip(points, mse.ravel().tolist())])
+    best = int(argbest(mse.ravel(), np.tile(grid, len(n_a)), np.repeat(n_a, len(grid))))
+    values = iter(mse.ravel().tolist())
+    trace = [(a, q, d, next(values)) for a, q in zip(n_a, n_q) for d in grid]
+    return AllocationResult(*trace[best], trace)
 
 
 def allocate_exhaustive(
@@ -285,28 +280,26 @@ def allocate_exhaustive(
     m = params_base.m
     rng = rng if rng is not None else RngStream(0)
 
-    # Every feasible n_a adds at least one pair, so the count stops within
-    # MAX_EXHAUSTIVE_PAIRS steps however large the budget is.
-    counts = []
-    n_pairs = 0
-    for n_a in na_range(m, budget):
-        nq_max = max_nq(n_a, m, budget)
-        n_pairs += nq_max + 1
-        if n_pairs > MAX_EXHAUSTIVE_PAIRS:
-            raise InstanceTooLargeError(f"feasible grid has more than {MAX_EXHAUSTIVE_PAIRS} pairs")
-        counts.append((n_a, nq_max))
+    # Every feasible n_a adds at least one pair, so a budget with too many
+    # n_a is refused before its frontier is built.
+    too_large = InstanceTooLargeError(f"feasible grid has more than {MAX_EXHAUSTIVE_PAIRS} pairs")
+    if na_range(m, budget)[-1] >= MAX_EXHAUSTIVE_PAIRS:
+        raise too_large
+    n_a, n_q = frontier(m, budget)
+    if len(n_a) + sum(n_q) > MAX_EXHAUSTIVE_PAIRS:
+        raise too_large
     # The scan factors the analog rows of the largest n_a and one period
     # (at most m rows) of the quantized block.
-    check_dense_rows(m * (counts[-1][0] + 1))
+    check_dense_rows(m * (n_a[-1] + 1))
 
     # One quantized block suffices; each evaluated pair tiles it as needed.
-    h_full, g1 = make_ortho_matrices(replace(params_base, n_a=counts[-1][0], n_q=1), rng)
-    pairs = [(n_a, n_q) for n_a, nq_max in counts for n_q in range(nq_max + 1)]
+    h_full, g1 = make_ortho_matrices(replace(params_base, n_a=n_a[-1], n_q=1), rng)
+    pairs = [(a, q) for a, top in zip(n_a, n_q) for q in range(top + 1)]
     return direct_search(params_base, pairs, h_full, g1)
 
 
 def direct_search(params_base: OrthoBlockParams, points, h_full: np.ndarray, g1: np.ndarray) -> AllocationResult:
-    """Matrix-solve search: the LMMSE MSE of every (n_a, n_q) point, then :func:`optimum`.
+    """Matrix-solve search: the LMMSE MSE of every (n_a, n_q) point, then :func:`argbest`.
 
     Point (n_a, n_q) stacks the first ``n_a`` m-row blocks of ``h_full``
     over ``n_q`` copies of the quantized block ``g1``, with the noise
@@ -331,7 +324,9 @@ def direct_search(params_base: OrthoBlockParams, points, h_full: np.ndarray, g1:
         raise ModelError(f"n_a={n_a_max} exceeds the {len(h_full) // m} analog blocks of h_full")
     model = block_model(replace(params_base, n_a=n_a_max, n_q=1), h_full, g1)
     mse = copy_scan_mse(model, m * counts[:, 0], counts[:, 1])
-    return optimum([(n_a, n_q, 0.0, value) for (n_a, n_q), value in zip(points, mse.tolist())])
+    best = int(argbest(mse, 0.0, counts[:, 0]))
+    trace = [(n_a, n_q, 0.0, value) for (n_a, n_q), value in zip(points, mse.tolist())]
+    return AllocationResult(*trace[best], trace)
 
 
 def noiseless_quantized_policy(

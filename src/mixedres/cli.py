@@ -41,6 +41,7 @@ from .allocation import (
     allocate,
     allocate_exhaustive,
     allocate_with_dither,
+    _count_text,
 )
 from .closed_form import filter_closed_form
 from .exceptions import ConfigError, InstanceTooLargeError, MixedResError, ModelError
@@ -119,7 +120,9 @@ def _load_config(path: str) -> dict:
             cfg = yaml.load(fh, Loader=_ConfigLoader)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: a scalar the constructor cannot convert, such as an
+        # integer longer than Python's int() digit limit.
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path} must contain a mapping")
@@ -178,7 +181,9 @@ def _sigma_grid(spec, where: str) -> list[float]:
         if num < 1:
             raise ConfigError(f"'{where}.num' must be >= 1")
         if num > MAX_GRID_POINTS:
-            raise InstanceTooLargeError(f"'{where}.num' = {num} exceeds the limit of {MAX_GRID_POINTS} grid points")
+            raise InstanceTooLargeError(
+                f"'{where}.num' = {_count_text(num)} exceeds the limit of {MAX_GRID_POINTS} grid points"
+            )
         if spacing == "linear":
             return [float(v) for v in np.linspace(start, stop, num)]
         if spacing == "log":

@@ -418,19 +418,22 @@ def _copy_reduced(bundle: CovarianceBundle) -> tuple[np.ndarray, np.ndarray, np.
     """C~, its cross-covariance with theta, D of the rows with k >= 2, and sqrt(k) of each row.
 
     C~ = [same block] A1 + (sqrt(k_i k_j) - [same block]) A2, block by block.
+    Huge variances may overflow to inf or nan here; the caller's
+    :func:`_one_norm` and :func:`_clamped_mse` refuse such a system.
     """
     (rows_a, _, _, k_a), (rows_q, _, _, k_q) = blocks = bundle._blocks()
     c = bundle.a1.copy()
     root = np.empty(len(c))
-    for rows, _, _, k in blocks:
-        root[rows] = math.sqrt(k)
-        if k > 1:
-            c[rows, rows] += (k - 1) * bundle.a2[rows, rows]
-    c[rows_a, rows_q] = math.sqrt(k_a * k_q) * bundle.a2[rows_a, rows_q]
-    # The exact conjugate transpose of the upper cross block, as in the dense C_x.
-    c[rows_q, rows_a] = c[rows_a, rows_q].conj().T
-    d = (bundle.a1.diagonal() - bundle.a2.diagonal()).real[root > 1]
-    return c, bundle.c_theta * root, d, root
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, _, _, k in blocks:
+            root[rows] = math.sqrt(k)
+            if k > 1:
+                c[rows, rows] += (k - 1) * bundle.a2[rows, rows]
+        c[rows_a, rows_q] = math.sqrt(k_a * k_q) * bundle.a2[rows_a, rows_q]
+        # The exact conjugate transpose of the upper cross block, as in the dense C_x.
+        c[rows_q, rows_a] = c[rows_a, rows_q].conj().T
+        d = (bundle.a1.diagonal() - bundle.a2.diagonal()).real[root > 1]
+        return c, bundle.c_theta * root, d, root
 
 
 def lmmse_from_bundle(model: MixedModel, bundle: CovarianceBundle) -> LmmseFilter:

@@ -47,8 +47,6 @@ from .allocation import (
     check_grid_size,
     frontier,
     frontier_grid,
-    max_nq,
-    na_range,
 )
 from .closed_form import mse_grid
 from .exceptions import InstanceTooLargeError, ModelError, NumericalDomainError, require_finite
@@ -402,9 +400,10 @@ def bench_runtime(
     The budget is pinned to ``2**bits * m * n_a_max`` so the frontier always
     contains ``n_a_max + 1`` points.  The closed-form repetitions of all
     (m, n_a_max) cases are interleaved, so their medians come from the same
-    stretch of wall clock.  The direct arm times the dense MSE of every
-    frontier point (one Cholesky prefix scan of all its n rows per point) and
-    warms up on its cheapest point, the one with the most analog blocks; set
+    stretch of wall clock.  Each case's frontier is built once, before any
+    timing: the direct arm checks its rows, times the dense MSE of every point
+    (one Cholesky prefix scan of all its n rows per point) and warms up on the
+    last, cheapest one, with the most analog blocks; set
     ``direct_repeats`` to control its measured repetitions
     separately (large instances make full-sweep repetitions expensive).
     Repetition counts above ``MAX_REPEATS``, a frontier the closed-form
@@ -424,12 +423,14 @@ def bench_runtime(
                 var_a=float(sigma2), var_q=float(sigma2),
             )
             cases.append((m, n_a_max, budget, params))
+    frontiers = []
     for m, _, budget, _ in cases:
         check_grid_size(m, budget, DitherScheme(mode="none"))
+        frontiers.append(list(zip(*frontier(m, budget))))
         if include_direct:
             # The direct arm draws m x m blocks before its solver would check the
             # row count, so refuse its largest frontier model (m rows or more) first.
-            check_dense_rows(max(m * (n_a + n_q) for n_a, n_q in zip(*frontier(m, budget))))
+            check_dense_rows(max(m * (n_a + n_q) for n_a, n_q in frontiers[-1]))
     closed_stats = _timeit(
         [partial(allocate, params, budget) for _, _, budget, params in cases],
         repeats=repeats,
@@ -437,17 +438,16 @@ def bench_runtime(
         min_rep_time=0.01,
     )
     results = []
-    for (m, n_a_max, budget, params), closed in zip(cases, closed_stats):
+    for (m, n_a_max, _, params), closed, points in zip(cases, closed_stats, frontiers):
         direct_stats = None
         if include_direct:
             # One quantized block suffices; each point tiles it.
             h_full, g1 = make_ortho_matrices(replace(params, n_a=n_a_max, n_q=1), RngStream(rng_seed))
-            top =na_range(m, budget)[-1]
             (direct_stats,) = _timeit(
-                [lambda: _dense_mse(params, zip(*frontier(m, budget)), h_full, g1)],
+                [lambda: _dense_mse(params, points, h_full, g1)],
                 repeats=direct_repeats if direct_repeats is not None else repeats,
                 warmup=warmup,
-                warmup_fns=[lambda: _dense_mse(params, [(top, max_nq(top, m, budget))], h_full, g1)],
+                warmup_fns=[lambda: _dense_mse(params, points[-1:], h_full, g1)],
             )
         results.append(BenchResult(closed_form_time=closed, direct_time=direct_stats, n_a_max=n_a_max, m=m))
     return results

@@ -26,7 +26,6 @@ from mixedres.allocation import (
     max_nq,
     na_range,
     noiseless_quantized_policy,
-    optimum,
 )
 from mixedres.closed_form import mse_closed_form, mse_grid, mse_pure_analog
 from mixedres.exceptions import EstimatorUndefinedError, InstanceTooLargeError, ModelError, NumericalDomainError
@@ -277,21 +276,35 @@ class TestExhaustiveOracle:
 
     @pytest.mark.parametrize("bits, max_pairs", [(1, 10_000), (40, 10_000), (1, 100)])
     def test_pair_count_stops_at_the_limit(self, monkeypatch, bits, max_pairs):
-        """A budget of about 5e14 feasible pairs is refused after at most
-        ``MAX_EXHAUSTIVE_PAIRS`` frontier points, never by walking the whole range."""
+        """A budget of about 5e14 feasible pairs is refused without building a
+        frontier of more than ``MAX_EXHAUSTIVE_PAIRS`` points, and before any draw."""
         monkeypatch.setattr(allocation, "MAX_EXHAUSTIVE_PAIRS", max_pairs)
-        calls = []
-        real_max_nq = allocation.max_nq
+        monkeypatch.setattr(allocation, "make_ortho_matrices", None)
+        real_frontier = allocation.frontier
 
-        def counting_max_nq(*args):
-            calls.append(args)
-            if len(calls) > max_pairs + 1:
-                raise AssertionError("pair count walked past the limit")
-            return real_max_nq(*args)
+        def short_frontier(m, budget):
+            if len(na_range(m, budget)) > max_pairs:
+                raise AssertionError("frontier built past the pair limit")
+            return real_frontier(m, budget)
 
-        monkeypatch.setattr(allocation, "max_nq", counting_max_nq)
-        with pytest.raises(InstanceTooLargeError, match=f"more than {max_pairs}"):
+        monkeypatch.setattr(allocation, "frontier", short_frontier)
+        with pytest.raises(InstanceTooLargeError, match=f"^feasible grid has more than {max_pairs} pairs$"):
             allocate_exhaustive(_params(m=1), PowerBudget(bits=bits, p_max_norm=1e15))
+
+    @pytest.mark.parametrize("bits, p_max_norm, n_pairs", [(1, 88.0, 1035), (20, 19998.0, 10_000)])
+    def test_pair_limit_edges(self, monkeypatch, bits, p_max_norm, n_pairs):
+        """A grid of exactly ``MAX_EXHAUSTIVE_PAIRS`` pairs is scanned; one pair
+        more is refused with the same message.  Bits 1 walks 45 n_a values,
+        bits 20 one n_a with 10000 quantized counts (the default limit)."""
+        budget = PowerBudget(bits=bits, p_max_norm=p_max_norm)
+        n_a, n_q = frontier(1, budget)
+        assert len(n_a) + sum(n_q) == n_pairs
+        monkeypatch.setattr(allocation, "MAX_EXHAUSTIVE_PAIRS", n_pairs)
+        result = allocate_exhaustive(_params(m=1), budget)
+        assert len(result.trace) == n_pairs
+        monkeypatch.setattr(allocation, "MAX_EXHAUSTIVE_PAIRS", n_pairs - 1)
+        with pytest.raises(InstanceTooLargeError, match=f"^feasible grid has more than {n_pairs - 1} pairs$"):
+            allocate_exhaustive(_params(m=1), budget)
 
 
 class TestDirectSearch:
@@ -526,9 +539,9 @@ class TestArgbest:
     def test_non_finite_mse_is_refused(self, bad):
         """Two NaN points gave mse_star = nan."""
         with pytest.raises(NumericalDomainError):
-            optimum([(0, 3, 0.0, bad), (1, 1, 0.0, bad)])
+            argbest(np.array([bad, bad]), 0.0, [0, 1])
         with pytest.raises(NumericalDomainError):
-            optimum([(0, 3, 0.0, 0.5), (1, 1, 0.0, bad)])
+            argbest(np.array([0.5, bad]), 0.0, [0, 1])
         with pytest.raises(NumericalDomainError):
             argbest(np.array([[0.5, 0.25], [bad, 0.25]]), 0.0, [0, 1])
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mixedres import cli
@@ -223,22 +223,25 @@ class TestAllocateCommand:
         assert "limit" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "sigma2, dither",
-        [(1.0, None), ([0.5, 1.0, 2.0], {"mode": "quantized-only"})],
-        ids=["single", "sweep-over-float-range"],
+        "cfg, code, text",
+        [
+            ({"sigma2": 1.0}, 3, "limit 1000000"),
+            ({"sigma2": [0.5, 1.0, 2.0], "dither": {"mode": "quantized-only"}}, 3, "limit 1000000"),
+            ({"p_max_norm": 100.0, "sigma2": {"start": 0.1, "stop": 1.0, "num": 10**400}}, 3, "limit of 1000000"),
+            ({"m": 10**4299, "p_max_norm": 100.0, "sigma2": 1.0}, 2, "too large for a double"),
+        ],
+        ids=["single", "sweep-over-float-range", "noise-grid-num", "block-cost"],
     )
-    def test_oversized_budget_message_is_one_short_line(self, tmp_path, capsys, sigma2, dither):
+    def test_oversized_budget_message_is_one_short_line(self, tmp_path, capsys, cfg, code, text):
         """About 5e307 frontier points; the sweep's count (3.15e+309) exceeds
-        the float range, so it must be shortened without a float."""
-        cfg = {"m": 1, "bits": 1, "p_max_norm": 1e308, "sigma2": sigma2}
-        if dither is not None:
-            cfg["dither"] = dither
-        path = _write(tmp_path, "alloc.yaml", cfg)
-        assert main(["allocate", "--config", path]) == 3
+        the float range, so it must be shortened without a float.  A 401-digit
+        noise-grid ``num`` and a 4300-digit ``m`` are shortened the same way."""
+        path = _write(tmp_path, "alloc.yaml", {"m": 1, "bits": 1, "p_max_norm": 1e308, **cfg})
+        assert main(["allocate", "--config", path]) == code
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and len(captured.err) < 120, captured.err
-        assert "limit 1000000" in captured.err and "e+30" in captured.err
+        assert text in captured.err and re.search(r"about \d\.\d\de\+\d+ ", captured.err), captured.err
 
     @pytest.mark.parametrize(
         "budget",
@@ -498,6 +501,22 @@ def test_oversized_noise_grid_exits_before_any_array(tmp_path, capsys, monkeypat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exceeds" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["allocate", "mse"])
+@pytest.mark.parametrize("key", ["m", "num"])
+def test_integer_beyond_the_digit_limit_is_a_config_error(tmp_path, capsys, command, key):
+    """A 4301-digit integer exceeds Python's int() digit limit while the YAML is
+    parsed; that is a config error on one line, not a traceback."""
+    big = "9" * 4301
+    grid = "sigma2_grid" if command == "mse" else "sigma2"
+    text = f"m: {big}\n" if key == "m" else f"{grid}: {{start: 0.1, stop: 1.0, num: {big}}}\n"
+    path = tmp_path / f"{command}.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "4300 digits" in captured.err, captured.err
 
 
 def test_oversized_mse_table_exits_before_the_grid(tmp_path, capsys, monkeypatch):
@@ -1144,6 +1163,10 @@ class TestExitCodeContract:
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(simulate_configs())
+    @example(
+        # C~ of two analog copies at rho 1e308 overflows while it is built.
+        {"scenario": "mimo", "m": 1, "n_a": 2, "n_q": 0, "rho": 1e308, "sigma2": 1.0, "trials": 2, "filter": "general"}
+    )
     def test_simulate(self, cfg):
         self._run("simulate", cfg)
 

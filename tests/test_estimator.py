@@ -1,6 +1,7 @@
 """Tests for the matrix-solve LMMSE estimator."""
 
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -257,6 +258,15 @@ class TestCopyReducedSolve:
             reference_lmmse(model)
         with pytest.raises(EstimatorUndefinedError):
             lmmse(model)
+
+    @pytest.mark.parametrize("shape", [(1, 2, 0), (2, 2, 2), (1, 3, 2)])
+    def test_overflowing_copy_sums_refused_without_a_warning(self, shape):
+        """At rho = 1e308 the copy-sum entries (k - 1) * A2 and sqrt(k_a k_q) * A2
+        overflow while C~ is built; the solve refuses the system, and warns of nothing."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((EstimatorUndefinedError, NumericalDomainError)):
+                lmmse(make_mimo_model(*shape, 1e308, 1.0))
 
     def test_condition_bound_covers_the_copy_differences(self):
         """A strong analog row and nearly noiseless copies: C~ alone has a
