@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .closed_form import mse_grid
-from .exceptions import InstanceTooLargeError, ModelError, NumericalDomainError, require_finite
+from .exceptions import InstanceTooLargeError, ModelError, NumericalDomainError, _count_text, require_finite
 from .estimator import check_dense_rows, copy_scan_mse
 from .model import OrthoBlockParams, RngStream, block_model, make_ortho_matrices
 
@@ -64,9 +64,9 @@ class PowerBudget:
         return cls(bits=bits, p_max_norm=cls(bits=bits, p_max_norm=1.0).analog_block_cost(m * n_a_max))
 
     def analog_block_cost(self, m: int) -> float:
-        """``2**bits * m``; a :class:`ModelError` when that exceeds the largest double."""
+        """``2**bits * m``; a :class:`ModelError` when its magnitude exceeds the largest double."""
         cost = 2**self.bits * m
-        if cost > sys.float_info.max:
+        if abs(cost) > sys.float_info.max:
             raise ModelError(f"analog cost 2**{self.bits} * {_count_text(m)} is too large for a double")
         return float(cost)
 
@@ -162,17 +162,6 @@ def frontier(m: int, budget: PowerBudget) -> tuple[list[int], list[int]]:
     n_q = np.floor(residual / budget.quantized_block_cost(m))
     # Through Python floats: a count beyond the int64 range stays exact.
     return n_a, list(map(int, n_q.tolist()))
-
-
-def _count_text(n: int) -> str:
-    """``n`` in full up to 15 digits, else its leading digits as ``about 6.25e+307``.
-
-    Read from the digits, not a float: a count may exceed the float range.
-    """
-    digits = str(n)
-    if len(digits) <= 15:
-        return digits
-    return f"about {digits[0]}.{digits[1:3]}e+{len(digits) - 1}"
 
 
 def check_grid_size(m: int, budget: PowerBudget, scheme: DitherScheme, noise_levels: int = 1) -> None:

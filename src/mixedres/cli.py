@@ -41,10 +41,9 @@ from .allocation import (
     allocate,
     allocate_exhaustive,
     allocate_with_dither,
-    _count_text,
 )
 from .closed_form import filter_closed_form
-from .exceptions import ConfigError, InstanceTooLargeError, MixedResError, ModelError
+from .exceptions import ConfigError, InstanceTooLargeError, MixedResError, ModelError, _count_text
 from .estimator import check_dense_rows, lmmse
 from .model import (
     OrthoBlockParams,
@@ -150,7 +149,7 @@ def _get(cfg: dict, key: str, kind, where: str, default=..., allow_none: bool = 
     if kind is float:
         _require_finite(value, f"key '{key}' in {where} config")
     if minimum is not None and value < minimum:
-        raise ConfigError(f"key '{key}' in {where} config must be >= {minimum}, got {value}")
+        raise ConfigError(f"key '{key}' in {where} config must be >= {minimum}, got {_count_text(value)}")
     return value
 
 
@@ -408,7 +407,7 @@ def cmd_allocate(args) -> int:
         _COMMON_KEYS | {"m", "bits", "p_max_norm", "n_a_max", "rho_a", "rho_q", "sigma2", "dither"},
         where,
     )
-    m = _get(cfg, "m", int, where)
+    m = _get(cfg, "m", int, where, minimum=1)
     budget = _budget(cfg, m, where)
     rho_a = _get(cfg, "rho_a", float, where, default=1.0)
     rho_q = _get(cfg, "rho_q", float, where, default=1.0)

@@ -20,8 +20,9 @@ p_a + p_q rows of one period of [H; G].  They give A1, the covariance of a
 copy with itself, and c_theta, the cross-covariance with theta.  Two copies
 of a row differ only in their own white noise, of variance v, so the
 cross-copy block A2 is A1 with its noise-free diagonal: C_ii - v on an
-analog row and (2/pi) arcsin((C_y,ii - v) / C_y,ii) on a 1-bit row.  The
-dense C_x tiles A1 on its diagonal copy blocks and A2 everywhere else.
+analog row and (2/pi) arcsin((C_y,ii - v) / C_y,ii) on a 1-bit row.  So
+the dense C_x is A2 gathered on both axes by the copy index, the row of the
+period that each row of x copies, with A1's diagonal written on its own.
 
 A unitary change of basis over the k copies of a block splits off the
 scaled copy sum s = (x_1 + ... + x_k) / sqrt(k) from k - 1 copy
@@ -104,7 +105,7 @@ this module loads no SciPy and the closed-form commands never do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,6 +115,7 @@ from .exceptions import (
     InstanceTooLargeError,
     ModelError,
     NumericalDomainError,
+    _count_text,
 )
 from .model import MixedModel, copy_layout
 
@@ -144,8 +146,8 @@ class CovarianceBundle:
     noise-free diagonal) and ``c_theta`` the cross-covariance with theta.
     ``a1`` and ``a2`` are exactly Hermitian.
 
-    The dense ``c_x`` (n x n) and ``c_theta_x`` are tiled from these blocks
-    together, on the first read of either, and then kept; :func:`prefix_mse`
+    The dense ``c_x`` (n x n) and ``c_theta_x`` are gathered from these
+    blocks by the copy index on every read, and not kept; :func:`prefix_mse`
     and perfbench's trace hook read them.  c_x is exactly Hermitian, with a
     real diagonal.
     """
@@ -156,42 +158,26 @@ class CovarianceBundle:
     periods: tuple[int, int]
     copies: tuple[int, int]
 
-    _dense: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
-
-    def _blocks(self) -> list[tuple[slice, slice, int, int]]:
-        """Per block: its rows in the period, its rows in x, its period p and its copies k."""
+    def _index(self) -> np.ndarray:
+        """The row of the period that each row of x copies."""
         (pa, pq), (ka, kq) = self.periods, self.copies
-        return [
-            (slice(0, pa), slice(0, ka * pa), pa, ka),
-            (slice(pa, pa + pq), slice(ka * pa, ka * pa + kq * pq), pq, kq),
-        ]
-
-    def _expand(self) -> tuple[np.ndarray, np.ndarray]:
-        """c_x and c_theta_x, tiled from the blocks on the first call and then kept."""
-        if self._dense is not None:
-            return self._dense
-        blocks = self._blocks()
-        m, n = self.c_theta.shape[0], blocks[-1][1].stop
-        c_x = np.empty((n, n), dtype=np.complex128)
-        c_theta_x = np.empty((m, n), dtype=np.complex128)
-        # Each reshape splits an axis of a view, so it writes into c_x / c_theta_x.
-        for i, (rows, x_rows, p, k) in enumerate(blocks):
-            c_theta_x[:, x_rows].reshape(m, k, p)[...] = self.c_theta[:, None, rows]
-            for j, (cols, x_cols, p2, k2) in enumerate(blocks):
-                if i != j or k > 1:
-                    c_x[x_rows, x_cols].reshape(k, p, k2, p2)[...] = self.a2[rows, cols][None, :, None, :]
-            # einsum returns a writeable view of the k diagonal copy blocks.
-            np.einsum("ijik->ijk", c_x[x_rows, x_rows].reshape(k, p, k, p))[...] = self.a1[rows, rows]
-        self._dense = c_x, c_theta_x
-        return self._dense
+        idx = np.empty(ka * pa + kq * pq, dtype=np.intp)
+        # Each reshape splits a slice of idx into (copies, rows), so it writes
+        # into idx; np.tile would cost about three times as much here.
+        idx[: ka * pa].reshape(ka, pa)[...] = np.arange(pa)
+        idx[ka * pa :].reshape(kq, pq)[...] = np.arange(pa, pa + pq)
+        return idx
 
     @property
     def c_x(self) -> np.ndarray:
-        return self._expand()[0]
+        idx = self._index()
+        c_x = self.a2.take(idx, 0).take(idx, 1)
+        np.fill_diagonal(c_x, self.a1.diagonal().take(idx))
+        return c_x
 
     @property
     def c_theta_x(self) -> np.ndarray:
-        return self._expand()[1]
+        return self.c_theta.take(self._index(), 1)
 
 
 @dataclass(eq=False)
@@ -347,7 +333,7 @@ def _assemble(model: MixedModel, analog: tuple[int, int], quantized: tuple[int, 
 def check_dense_rows(n: int) -> None:
     """Refuse a dense solve of more than ``MAX_DENSE_ROWS`` rows, before any array is built."""
     if n > MAX_DENSE_ROWS:
-        raise InstanceTooLargeError(f"a dense solve of {n} rows exceeds the limit of {MAX_DENSE_ROWS}")
+        raise InstanceTooLargeError(f"a dense solve of {_count_text(n)} rows exceeds the limit of {MAX_DENSE_ROWS}")
 
 
 def _checked_condition(rcond: float, info: int) -> float:
@@ -421,11 +407,12 @@ def _copy_reduced(bundle: CovarianceBundle) -> tuple[np.ndarray, np.ndarray, np.
     Huge variances may overflow to inf or nan here; the caller's
     :func:`_one_norm` and :func:`_clamped_mse` refuse such a system.
     """
-    (rows_a, _, _, k_a), (rows_q, _, _, k_q) = blocks = bundle._blocks()
+    (pa, pq), (k_a, k_q) = bundle.periods, bundle.copies
+    rows_a, rows_q = slice(0, pa), slice(pa, pa + pq)
     c = bundle.a1.copy()
     root = np.empty(len(c))
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, _, _, k in blocks:
+        for rows, k in ((rows_a, k_a), (rows_q, k_q)):
             root[rows] = math.sqrt(k)
             if k > 1:
                 c[rows, rows] += (k - 1) * bundle.a2[rows, rows]
@@ -463,12 +450,8 @@ def lmmse_from_bundle(model: MixedModel, bundle: CovarianceBundle) -> LmmseFilte
     x, _ = lapack.zgetrs(lu, piv, c_theta.conj().T)
     mse = prior_trace - float(np.trace(c_theta @ x).real)
     x /= root[:, None]
-    blocks = bundle._blocks()
-    x_full = np.empty((blocks[-1][1].stop, model.m), dtype=np.complex128, order="F")
-    for rows, x_rows, p, kb in blocks:
-        # The reshape splits the row axis of a view, so it writes into x_full.
-        x_full[x_rows].reshape(kb, p, model.m)[...] = x[rows]
-    return LmmseFilter(w=x_full.conj().T, mse=float(_clamped_mse(mse)), condition=condition)
+    w = x.conj().T.take(bundle._index(), axis=1)
+    return LmmseFilter(w=w, mse=float(_clamped_mse(mse)), condition=condition)
 
 
 def prefix_mse(model: MixedModel) -> np.ndarray:

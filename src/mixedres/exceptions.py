@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the shared input-domain check."""
+"""Exception types shared across the package, the shared input-domain check and count text."""
 
 import math
 
@@ -65,3 +65,14 @@ def require_finite(name: str, value, *, positive: bool = False) -> None:
     if not math.isfinite(value) or value < 0 or (positive and value == 0):
         kind = "positive" if positive else "nonnegative"
         raise ModelError(f"{name} must be finite and {kind}, got {value!r}")
+
+
+def _count_text(n: int) -> str:
+    """``n`` in full up to 15 digits, else its leading digits as ``about -6.25e+307``.
+
+    Read from the digits, not a float: a count may exceed the float range.
+    """
+    sign, digits = "-" if n < 0 else "", str(abs(n))
+    if len(digits) <= 15:
+        return sign + digits
+    return f"about {sign}{digits[0]}.{digits[1:3]}e+{len(digits) - 1}"

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import ModelError, QuantizerDomainError, SingularPriorError, require_finite
+from .exceptions import ModelError, QuantizerDomainError, SingularPriorError, _count_text, require_finite
 
 # Correctly rounded 1/sqrt(2); also equals np.sqrt(2)/2 bit for bit, which
 # the 1-bit/b-bit equivalence property relies on.
@@ -254,7 +254,7 @@ class OrthoBlockParams:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ModelError(f"m must be >= 1, got {self.m}")
+            raise ModelError(f"m must be >= 1, got {_count_text(self.m)}")
         if self.n_a < 0 or self.n_q < 0:
             raise ModelError("block counts must be nonnegative")
         require_finite("rho_a", self.rho_a, positive=True)
@@ -588,7 +588,7 @@ def make_ortho_model(params: OrthoBlockParams, rng: RngStream) -> MixedModel:
 
 def _require_counts(n_a: int, n_q: int) -> None:
     if n_a < 0 or n_q < 0:
-        raise ModelError(f"measurement counts must be nonnegative, got n_a={n_a}, n_q={n_q}")
+        raise ModelError(f"measurement counts must be nonnegative, got n_a={_count_text(n_a)}, n_q={_count_text(n_q)}")
     if n_a + n_q < 1:
         raise ModelError("need at least one measurement (n_a + n_q >= 1)")
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 import time
 from dataclasses import dataclass, replace
 from functools import partial
@@ -49,7 +50,7 @@ from .allocation import (
     frontier_grid,
 )
 from .closed_form import mse_grid
-from .exceptions import InstanceTooLargeError, ModelError, NumericalDomainError, require_finite
+from .exceptions import InstanceTooLargeError, ModelError, NumericalDomainError, _count_text, require_finite
 from .estimator import LmmseFilter, check_dense_rows, prefix_mse
 from .model import (
     MixedModel,
@@ -143,14 +144,16 @@ def check_batch_size(rows: int, cfg: SimConfig, m: int) -> None:
     More than ``MAX_TRIALS`` trials are refused too.
     """
     if cfg.trials > MAX_TRIALS:
-        raise InstanceTooLargeError(f"{cfg.trials} trials exceed the limit of {MAX_TRIALS}")
+        raise InstanceTooLargeError(f"{_count_text(cfg.trials)} trials exceed the limit of {MAX_TRIALS}")
     batch = min(cfg.batch_size, cfg.trials)
     if rows * batch > MAX_BATCH_ELEMENTS:
         raise InstanceTooLargeError(
-            f"a batch of {rows} rows x {batch} trials exceeds {MAX_BATCH_ELEMENTS} values; lower batch_size"
+            f"a batch of {_count_text(rows)} rows x {batch} trials exceeds {MAX_BATCH_ELEMENTS} values; lower batch_size"
         )
     if rows * m > MAX_BATCH_ELEMENTS:
-        raise InstanceTooLargeError(f"a model of {rows} rows x m = {m} exceeds {MAX_BATCH_ELEMENTS} values")
+        raise InstanceTooLargeError(
+            f"a model of {_count_text(rows)} rows x m = {_count_text(m)} exceeds {MAX_BATCH_ELEMENTS} values"
+        )
 
 
 def _copy_periods(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> tuple[int, int]:
@@ -257,7 +260,8 @@ def sweep_mse_vs_noise(
 
     The noise variance applies to both measurement paths.  Returns one row
     per (sigma2, allocation) cell, noise-major.  More than
-    ``MAX_GRID_POINTS`` cells are refused before the grid is built.
+    ``MAX_GRID_POINTS`` cells are refused before the grid is built, and an
+    m or a block count beyond the float range is a :class:`ModelError`.
     """
     levels = _noise_levels(sigma_grid)
     pairs = [(int(n_a), int(n_q)) for n_a, n_q in allocations]
@@ -267,6 +271,9 @@ def sweep_mse_vs_noise(
         )
     if any(n_a < 0 or n_q < 0 for n_a, n_q in pairs):
         raise ModelError("block counts must be nonnegative")
+    for name, count in (("m", params_base.m), ("block count", max(map(max, pairs), default=0))):
+        if count > sys.float_info.max:
+            raise ModelError(f"{name} {_count_text(count)} is too large for a double")
     n_a = np.array([n_a for n_a, _ in pairs], dtype=np.float64)
     n_q = np.array([n_q for _, n_q in pairs], dtype=np.float64)
     noise = np.array(levels).reshape(-1, 1)
@@ -334,9 +341,11 @@ def sweep_allocation_vs_noise(
 
 def _check_repeats(repeats: int, warmup: int) -> None:
     if repeats < 1 or warmup < 0:
-        raise ModelError(f"need repeats >= 1 and warmup >= 0, got repeats={repeats}, warmup={warmup}")
+        raise ModelError(
+            f"need repeats >= 1 and warmup >= 0, got repeats={_count_text(repeats)}, warmup={_count_text(warmup)}"
+        )
     if max(repeats, warmup) > MAX_REPEATS:
-        raise InstanceTooLargeError(f"{max(repeats, warmup)} repetitions exceed the limit of {MAX_REPEATS}")
+        raise InstanceTooLargeError(f"{_count_text(max(repeats, warmup))} repetitions exceed the limit of {MAX_REPEATS}")
 
 
 def _timeit(fns, repeats: int, warmup: int, warmup_fns=None, min_rep_time: float = 0.0) -> list[TimingStats]:

@@ -80,6 +80,9 @@ class TestBudgetValidation:
             budget.analog_block_cost(2)
         with pytest.raises(ModelError):
             PowerBudget.for_analog_blocks(MAX_BITS, 1, 2)
+        # A cost below minus the largest double is refused too, not overflowed.
+        with pytest.raises(ModelError, match=r"about -1\.00e\+4299 is too large"):
+            PowerBudget(bits=1, p_max_norm=100.0).analog_block_cost(-(10**4299))
 
     @pytest.mark.parametrize("bits, m, n_a_max", [(6, 10, 20), (1, 3, 7), (1000, 3, 5)])
     def test_budget_for_analog_blocks(self, bits, m, n_a_max):

@@ -519,6 +519,39 @@ def test_integer_beyond_the_digit_limit_is_a_config_error(tmp_path, capsys, comm
     assert captured.err.count("\n") == 1 and "4300 digits" in captured.err, captured.err
 
 
+HUGE = int("9" * 4299)
+SCALAR_CELL = {"scenario": "scalar", "n_a": 1, "n_q": 1, "sigma2": 1.0}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, code",
+    [
+        ("simulate", {**SCALAR_CELL, "n_a": HUGE}, 3),
+        ("simulate", {**SCALAR_CELL, "n_a": HUGE, "filter": "closed"}, 3),
+        ("simulate", {**SCALAR_CELL, "trials": HUGE}, 3),
+        ("bench", {"m_list": [1], "n_a_max_list": [1], "repeats": HUGE}, 3),
+        ("simulate", {**SCALAR_CELL, "n_a": -HUGE}, 2),
+        ("allocate", {"m": -HUGE, "p_max_norm": 100.0, "sigma2": 1.0}, 2),
+        ("mse", {"sigma2_grid": [1.0], "allocations": [[10**400, 0]]}, 2),
+        ("mse", {"scenario": "mimo", "m": HUGE, "sigma2_grid": [1.0], "allocations": [[1, 1]]}, 2),
+        ("mse", {"scenario": "mimo", "m": -HUGE, "sigma2_grid": [1.0], "allocations": [[1, 1]]}, 2),
+    ],
+    ids=[
+        "dense-rows", "batch-rows", "trials", "repeats", "negative-n_a", "negative-m",
+        "mse-count", "mse-m", "mse-negative-m",
+    ],
+)
+def test_counts_of_thousands_of_digits_are_refused_on_one_short_line(tmp_path, capsys, command, cfg, code):
+    """A count of thousands of digits, either sign, is refused with its
+    leading digits only, and one beyond the float range is no traceback."""
+    path = _write(tmp_path, f"{command}.yaml", cfg)
+    assert main([command, "--config", path]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and len(captured.err) < 120, captured.err
+    assert "Traceback" not in captured.err and re.search(r"about -?\d\.\d\de\+\d+\s", captured.err), captured.err
+
+
 def test_oversized_mse_table_exits_before_the_grid(tmp_path, capsys, monkeypatch):
     """200000 noise levels x 1000 allocations would need a 1.49 GiB MSE array."""
     from mixedres import simulate

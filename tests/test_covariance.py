@@ -334,18 +334,19 @@ class TestBlockAssembly:
             elif want.size:
                 bound = 1e-15 * np.max(np.abs(want)) * (arcsine_gain if name == "c_xq" else 1.0)
                 assert np.max(np.abs(got - want)) <= bound, name
-        assert bundle.c_x.shape == ref.c_x.shape
+        c_x, c_theta_x = bundle.c_x, bundle.c_theta_x
+        assert c_x.shape == (len(ref.a1), len(ref.a1))
         # The one-period blocks are the blocks of the dense expansion: per
         # copy of each block, its rows of x and its rows of the period.
         (pa, pq), (ka, kq) = bundle.periods, bundle.copies
         spans = [(slice(i * pa, (i + 1) * pa), slice(0, pa)) for i in range(ka)]
         spans += [(slice(ka * pa + j * pq, ka * pa + (j + 1) * pq), slice(pa, pa + pq)) for j in range(kq)]
         for i, (x_rows, rows) in enumerate(spans):
-            np.testing.assert_array_equal(bundle.c_theta_x[:, x_rows], bundle.c_theta[:, rows])
+            np.testing.assert_array_equal(c_theta_x[:, x_rows], bundle.c_theta[:, rows])
             for j, (x_cols, cols) in enumerate(spans):
-                np.testing.assert_array_equal(bundle.c_x[x_rows, x_cols], (bundle.a1 if i == j else bundle.a2)[rows, cols])
+                np.testing.assert_array_equal(c_x[x_rows, x_cols], (bundle.a1 if i == j else bundle.a2)[rows, cols])
         assert np.all(np.diag(blocks["c_xq"]) == 1.0)
-        np.testing.assert_array_equal(bundle.c_x, bundle.c_x.conj().T)
+        np.testing.assert_array_equal(c_x, c_x.conj().T)
         mse = lmmse_from_bundle(model, bundle).mse
         assert abs(mse - lmmse_from_bundle(model, ref).mse) <= 1e-12 * model.m
 

@@ -298,17 +298,9 @@ class TestCopyReducedSolve:
         assert shapes and all(rows <= p for rows, _ in shapes)
         assert filt.w.shape == (3, model.n_analog + model.n_quantized)
 
-    def test_writes_no_dense_matrix(self, monkeypatch):
+    def test_writes_no_dense_matrix(self):
         """On a 1920-row tiled model the call allocates less than one complex
-        n x n matrix at its peak, and the bundle's dense c_x stays unbuilt."""
-        bundles = []
-        real_assemble = estimator.assemble
-
-        def recording_assemble(model):
-            bundles.append(real_assemble(model))
-            return bundles[-1]
-
-        monkeypatch.setattr(estimator, "assemble", recording_assemble)
+        n x n matrix at its peak, so it never reads the bundle's dense c_x."""
         model = make_ortho_model(OrthoBlockParams(m=10, n_a=0, n_q=192), RngStream(5))
         n = model.n_analog + model.n_quantized
         assert n == 1920
@@ -319,8 +311,16 @@ class TestCopyReducedSolve:
         finally:
             tracemalloc.stop()
         assert peak < 16 * n**2
-        assert len(bundles) == 1
-        assert bundles[0]._dense is None
+
+    def test_copies_get_equal_columns_of_a_c_contiguous_filter(self):
+        """A MIMO model repeats one m-row block in both paths: every copy of a
+        row gets exactly that row's filter column, in a C-contiguous w."""
+        m, n_a, n_q = 3, 2, 4
+        w = lmmse(make_mimo_model(m, n_a, n_q, rho=1.2, var=0.7, rng=RngStream(5))).w
+        assert w.shape == (m, m * (n_a + n_q)) and w.flags.c_contiguous
+        for copies in (w[:, : m * n_a], w[:, m * n_a :]):
+            blocks = copies.reshape(m, -1, m)
+            assert np.array_equal(blocks, np.broadcast_to(blocks[:, :1], blocks.shape))
 
 
 def _dithered_mimo():

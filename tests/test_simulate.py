@@ -403,6 +403,10 @@ class TestSweepMseVsNoise:
         with pytest.raises(ModelError):
             sweep_mse_vs_noise(OrthoBlockParams(m=1, n_a=0, n_q=0), [1.0], [(-1, 2)])
 
+    def test_rejects_counts_beyond_the_float_range(self):
+        with pytest.raises(ModelError, match=r"about 1\.00e\+400 is too large"):
+            sweep_mse_vs_noise(OrthoBlockParams(m=1, n_a=0, n_q=0), [1.0], [(1, 2), (10**400, 0)])
+
     def test_row_layout(self):
         base = OrthoBlockParams(m=1, n_a=0, n_q=0)
         rows = sweep_mse_vs_noise(base, [0.5, 1.0], [(1, 0), (0, 1)])
