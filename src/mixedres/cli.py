@@ -12,10 +12,15 @@ Exit codes: 0 on success; 2 on a usage or configuration error, which
 includes any value the library rejects while the model is built; 3 on a
 numerical or infeasibility error.
 
+:func:`main` runs every subcommand the same way: it loads the config,
+checks its keys, resolves the seed, the output and the format, calls the
+subcommand's ``cmd_*`` handler with the config, the arguments and the seed,
+and writes the table the handler returns.  The handlers only compute.  The
+argument parser is built once per process; the handler is looked up by name
+on every call.
+
 CSV output is comma-separated with a header row, LF line endings, and full
-double precision (17 significant digits).  :func:`main` builds its argument
-parser once per process and looks each subcommand's ``cmd_*`` handler up by
-name on every call.
+double precision (17 significant digits).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import math
 import re
 import sys
 from collections.abc import Hashable
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
@@ -263,18 +268,15 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _write_table(rows, fieldnames, fmt, output):
-    if fmt == "csv":
-        _emit(_csv_text(rows, fieldnames), output)
-    else:
-        _emit(_json_text(rows), output)
+@dataclass(frozen=True)
+class _Result:
+    """What a handler computed: the CSV rows and their field names, the JSON
+    document (the rows when None) and the format used when none is given."""
 
-
-def _trace_rows(trace) -> list[dict]:
-    return [
-        {"n_a": n_a, "n_q": n_q, "sigma_d2": dvar, "mse": mse}
-        for n_a, n_q, dvar, mse in trace
-    ]
+    rows: list[dict]
+    fields: list[str]
+    default_fmt: str
+    document: object = None
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +286,15 @@ def _trace_rows(trace) -> list[dict]:
 _COMMON_KEYS = {"seed", "output", "format"}
 
 
-def _resolve_io(cfg: dict, args, where: str, default_fmt: str | None):
+def _resolve_io(cfg: dict, args, where: str):
+    """The seed, the output path (None: stdout) and the format (None: the command's default)."""
     seed = _get(cfg, "seed", int, where, default=0)
     if args.seed is not None:
         seed = args.seed
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
     output = args.output if args.output is not None else _get(cfg, "output", str, where, default=None, allow_none=True)
-    fmt = args.format if args.format is not None else _get(cfg, "format", str, where, default=default_fmt, allow_none=True)
+    fmt = args.format if args.format is not None else _get(cfg, "format", str, where, default=None, allow_none=True)
     if fmt is not None and fmt not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
     return seed, output, fmt
@@ -302,7 +305,7 @@ def _scenario(cfg: dict, where: str):
     scenario = _get(cfg, "scenario", str, where, default="scalar")
     if scenario not in ("scalar", "mimo"):
         raise ConfigError(f"scenario must be 'scalar' or 'mimo', got {scenario!r}")
-    m = _get(cfg, "m", int, where, default=1)
+    m = _get(cfg, "m", int, where, default=1, minimum=1)
     rho = _get(cfg, "rho", float, where, default=1.0)
     pilot = _get(cfg, "pilot", str, where, default="random-unitary")
     if scenario == "scalar" and (m != 1 or rho != 1.0):
@@ -342,14 +345,8 @@ def _simulate_cell(scenario, m, rho, pilot, n_a, n_q, sigma2, seed, sim_cfg: Sim
     return run_monte_carlo(model, filt, sim_cfg)
 
 
-def cmd_mse(args) -> int:
+def cmd_mse(cfg: dict, args, seed: int) -> _Result:
     where = "mse"
-    cfg = _load_config(args.config)
-    _check_keys(
-        cfg,
-        _COMMON_KEYS | {"scenario", "m", "rho", "pilot", "sigma2_grid", "allocations", "empirical"},
-        where,
-    )
     scenario, m, rho, pilot = _scenario(cfg, where)
     if "sigma2_grid" not in cfg:
         raise ConfigError(f"missing required key 'sigma2_grid' in {where} config")
@@ -362,7 +359,6 @@ def cmd_mse(args) -> int:
                 f"'allocations' must be a list of [n_a, n_q] pairs of nonnegative integers, got {item!r}"
             )
         pairs.append((item[0], item[1]))
-    seed, output, fmt = _resolve_io(cfg, args, where, default_fmt="csv")
     # The block is checked whether or not --empirical runs it.
     emp = _get(cfg, "empirical", dict, where, default={})
     _check_keys(emp, {"trials", "analog_bits", "analog_range", "batch_size"}, "mse.empirical")
@@ -390,30 +386,22 @@ def cmd_mse(args) -> int:
             row["std_error"] = sim.std_error
         fieldnames += ["mse_empirical", "std_error"]
 
-    _write_table(rows, fieldnames, fmt, output)
-    return EXIT_OK
+    return _Result(rows, fieldnames, "csv")
 
 
-def cmd_allocate(args) -> int:
+def cmd_allocate(cfg: dict, args, seed: int) -> _Result:
     """``allocate`` and ``dither``.
 
     ``dither`` is the single-budget branch with a required dither block, a
-    scalar ``sigma2`` and the dither mode leading its JSON payload.
+    scalar ``sigma2`` and the dither mode leading its JSON payload.  Sweep
+    tables default to CSV; single-result runs default to JSON.
     """
     where = args.command
-    cfg = _load_config(args.config)
-    _check_keys(
-        cfg,
-        _COMMON_KEYS | {"m", "bits", "p_max_norm", "n_a_max", "rho_a", "rho_q", "sigma2", "dither"},
-        where,
-    )
     m = _get(cfg, "m", int, where, minimum=1)
     budget = _budget(cfg, m, where)
     rho_a = _get(cfg, "rho_a", float, where, default=1.0)
     rho_q = _get(cfg, "rho_q", float, where, default=1.0)
     scheme = _dither_scheme(cfg["dither"], f"{where}.dither") if "dither" in cfg else None
-    # Sweep tables default to CSV; single-result runs default to JSON.
-    seed, output, fmt = _resolve_io(cfg, args, where, default_fmt=None)
     if where == "dither":
         if scheme is None:
             raise ConfigError(f"missing required key 'dither' in {where} config")
@@ -423,8 +411,13 @@ def cmd_allocate(args) -> int:
         if sigma2 is None:
             raise ConfigError(f"missing required key 'sigma2' in {where} config")
 
+    def params_at(sigma2: float) -> OrthoBlockParams:
+        return OrthoBlockParams(m=m, n_a=0, n_q=0, rho_a=rho_a, rho_q=rho_q, var_a=sigma2, var_q=sigma2)
+
+    def oracle_mse(sigma2: float) -> float:
+        return allocate_exhaustive(params_at(sigma2), budget, rng=RngStream(seed)).mse_star
+
     if isinstance(sigma2, (list, dict)):
-        fmt = fmt or "csv"
         grid = _sigma_grid(sigma2, f"{where}.sigma2")
         rows = sweep_allocation_vs_noise(
             m, budget, grid, dither_scheme=scheme, rho_a=rho_a, rho_q=rho_q
@@ -437,13 +430,8 @@ def cmd_allocate(args) -> int:
         if args.oracle:
             max_dev = 0.0
             for row in rows:
-                params = OrthoBlockParams(
-                    m=m, n_a=0, n_q=0, rho_a=rho_a, rho_q=rho_q,
-                    var_a=row["sigma2"], var_q=row["sigma2"],
-                )
-                ref = allocate_exhaustive(params, budget, rng=RngStream(seed))
-                row["mse_oracle"] = ref.mse_star
-                max_dev = max(max_dev, abs(ref.mse_star - row["mse_optimal"]))
+                row["mse_oracle"] = oracle_mse(row["sigma2"])
+                max_dev = max(max_dev, abs(row["mse_oracle"] - row["mse_optimal"]))
             fieldnames.append("mse_oracle")
             print(f"oracle max deviation: {max_dev:.3e}", file=sys.stderr)
         for row in rows:
@@ -453,17 +441,13 @@ def cmd_allocate(args) -> int:
                     "falling back to the prior-only point (0, 0)",
                     file=sys.stderr,
                 )
-        _write_table(rows, fieldnames, fmt, output)
-        return EXIT_OK
+        return _Result(rows, fieldnames, "csv")
 
     if not isinstance(sigma2, (int, float)) or isinstance(sigma2, bool):
         raise ConfigError(f"'sigma2' in {where} config must be a number, list, or grid mapping")
     _require_finite(sigma2, f"'sigma2' in {where} config")
-    fmt = fmt or "json"
-    params = OrthoBlockParams(
-        m=m, n_a=0, n_q=0, rho_a=rho_a, rho_q=rho_q,
-        var_a=float(sigma2), var_q=float(sigma2),
-    )
+    sigma2 = float(sigma2)
+    params = params_at(sigma2)
     result = allocate_with_dither(params, budget, scheme) if scheme else allocate(params, budget)
     if result.n_a_star == 0 and result.n_q_star == 0:
         print("warning: budget infeasible; returning the prior-only point (0, 0)", file=sys.stderr)
@@ -478,27 +462,15 @@ def cmd_allocate(args) -> int:
     if args.oracle:
         # The exhaustive oracle searches no dither, so it checks the undithered optimum.
         undithered = allocate(params, budget) if scheme else result
-        ref = allocate_exhaustive(params, budget, rng=RngStream(seed))
-        payload["mse_oracle"] = ref.mse_star
-        payload["oracle_deviation"] = abs(ref.mse_star - undithered.mse_star)
+        payload["mse_oracle"] = oracle_mse(sigma2)
+        payload["oracle_deviation"] = abs(payload["mse_oracle"] - undithered.mse_star)
         print(f"oracle deviation: {payload['oracle_deviation']:.3e}", file=sys.stderr)
-    if fmt == "json":
-        _emit(_json_text(payload), output)
-    else:
-        _write_table(_trace_rows(result.trace), ["n_a", "n_q", "sigma_d2", "mse"], "csv", output)
-    return EXIT_OK
+    fieldnames = ["n_a", "n_q", "sigma_d2", "mse"]
+    return _Result([dict(zip(fieldnames, entry)) for entry in result.trace], fieldnames, "json", payload)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(cfg: dict, args, seed: int) -> _Result:
     where = "simulate"
-    cfg = _load_config(args.config)
-    _check_keys(
-        cfg,
-        _COMMON_KEYS
-        | {"scenario", "m", "n_a", "n_q", "rho", "pilot", "sigma2", "trials",
-           "analog_bits", "analog_range", "batch_size", "filter"},
-        where,
-    )
     scenario, m, rho, pilot = _scenario(cfg, where)
     n_a = _get(cfg, "n_a", int, where, minimum=0)
     n_q = _get(cfg, "n_q", int, where, minimum=0)
@@ -506,7 +478,6 @@ def cmd_simulate(args) -> int:
     filter_kind = _get(cfg, "filter", str, where, default="general")
     if filter_kind not in ("general", "closed"):
         raise ConfigError(f"filter must be 'general' or 'closed', got {filter_kind!r}")
-    seed, output, fmt = _resolve_io(cfg, args, where, default_fmt="json")
     sim_cfg = _sim_config(cfg, where, seed)
 
     sim = _simulate_cell(scenario, m, rho, pilot, n_a, n_q, sigma2, seed, sim_cfg, closed=filter_kind == "closed")
@@ -516,22 +487,11 @@ def cmd_simulate(args) -> int:
         "analytic_mse": sim.analytic_mse,
         "trials_run": sim.trials_run,
     }
-    if fmt == "json":
-        _emit(_json_text(row), output)
-    else:
-        _write_table([row], list(row.keys()), "csv", output)
-    return EXIT_OK
+    return _Result([row], list(row), "json", row)
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(cfg: dict, args, seed: int) -> _Result:
     where = "bench"
-    cfg = _load_config(args.config)
-    _check_keys(
-        cfg,
-        _COMMON_KEYS
-        | {"m_list", "n_a_max_list", "bits", "rho", "sigma2", "repeats", "direct_repeats", "warmup"},
-        where,
-    )
     m_list = _get(cfg, "m_list", list, where)
     n_a_max_list = _get(cfg, "n_a_max_list", list, where)
     if not all(_is_count(v, 1) for v in m_list):
@@ -546,7 +506,6 @@ def cmd_bench(args) -> int:
         repeats = args.repeats
     direct_repeats = _get(cfg, "direct_repeats", int, where, default=None, allow_none=True, minimum=1)
     warmup = _get(cfg, "warmup", int, where, default=2, minimum=0)
-    seed, output, fmt = _resolve_io(cfg, args, where, default_fmt="csv")
 
     results = bench_runtime(
         m_list,
@@ -568,8 +527,7 @@ def cmd_bench(args) -> int:
         }
         for res in results
     ]
-    _write_table(rows, ["M", "n_a_max", "t_closed_ms", "t_direct_ms"], fmt, output)
-    return EXIT_OK
+    return _Result(rows, ["M", "n_a_max", "t_closed_ms", "t_direct_ms"], "csv")
 
 
 # ---------------------------------------------------------------------------
@@ -587,14 +545,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
-# Subcommand -> (name of its handler in this module, help text).  The
-# handler is looked up at call time, so a patched ``cmd_*`` binding is used.
+_ALLOCATE_KEYS = {"m", "bits", "p_max_norm", "n_a_max", "rho_a", "rho_q", "sigma2", "dither"}
+
+# Subcommand -> (name of its handler in this module, help text, config keys
+# beyond ``_COMMON_KEYS``).  The handler is looked up at call time, so a
+# patched ``cmd_*`` binding is used.
 _COMMANDS = {
-    "mse": ("cmd_mse", "analytic / empirical MSE grid over noise levels"),
-    "allocate": ("cmd_allocate", "power-constrained measurement allocation"),
-    "dither": ("cmd_allocate", "allocation with dither optimization"),
-    "simulate": ("cmd_simulate", "Monte-Carlo validation of one scenario"),
-    "bench": ("cmd_bench", "closed-form vs matrix-solve runtime comparison"),
+    "mse": ("cmd_mse", "analytic / empirical MSE grid over noise levels",
+            {"scenario", "m", "rho", "pilot", "sigma2_grid", "allocations", "empirical"}),
+    "allocate": ("cmd_allocate", "power-constrained measurement allocation", _ALLOCATE_KEYS),
+    "dither": ("cmd_allocate", "allocation with dither optimization", _ALLOCATE_KEYS),
+    "simulate": ("cmd_simulate", "Monte-Carlo validation of one scenario",
+                 {"scenario", "m", "n_a", "n_q", "rho", "pilot", "sigma2", "trials",
+                  "analog_bits", "analog_range", "batch_size", "filter"}),
+    "bench": ("cmd_bench", "closed-form vs matrix-solve runtime comparison",
+              {"m_list", "n_a_max_list", "bits", "rho", "sigma2", "repeats", "direct_repeats", "warmup"}),
 }
 
 
@@ -607,7 +572,7 @@ def _parser() -> argparse.ArgumentParser:
         "resource allocation, dithering, simulation, and benchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the YAML experiment config")
         p.add_argument("--output", default=None, help="output file (default: stdout)")
@@ -630,10 +595,20 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: load and check its config, resolve the seed, the
+    output and the format, call its handler and write what it returns."""
     args = _parser().parse_args(argv)
-    handler = globals()[_COMMANDS[args.command][0]]
+    where = args.command
+    handler, _, keys = _COMMANDS[where]
     try:
-        return handler(args)
+        cfg = _load_config(args.config)
+        _check_keys(cfg, _COMMON_KEYS | keys, where)
+        seed, output, fmt = _resolve_io(cfg, args, where)
+        result = globals()[handler](cfg, args, seed)
+        if (fmt or result.default_fmt) == "csv":
+            _emit(_csv_text(result.rows, result.fields), output)
+        else:
+            _emit(_json_text(result.rows if result.document is None else result.document), output)
     except (ConfigError, ModelError) as exc:
         # Every model value in a CLI run comes from the config.
         print(f"config error: {exc}", file=sys.stderr)
@@ -641,6 +616,7 @@ def main(argv=None) -> int:
     except MixedResError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

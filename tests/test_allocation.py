@@ -573,6 +573,11 @@ class TestNoiselessQuantizedPolicy:
         assert decision.n_a == 3
         assert decision.n_q >= 1
 
+    def test_nothing_affordable(self):
+        # One 6-bit analog block costs 64 and a quantized one 2: a budget of 1 buys neither.
+        decision = noiseless_quantized_policy(1, PowerBudget(bits=6, p_max_norm=1.0), rho_a=1.0, var_a=1.0)
+        assert (decision.option, decision.n_a, decision.n_q) == (2, 0, 0)
+
     def test_agrees_with_numerical_limit(self):
         rng = np.random.default_rng(23)
         for _ in range(12):

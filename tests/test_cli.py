@@ -199,6 +199,19 @@ class TestAllocateCommand:
         assert payload["mse_star"] == 8.0
         assert "infeasible" in captured.err
 
+    def test_infeasible_sweep_warns_at_each_noise_level(self, tmp_path, capsys):
+        """A budget of 3 buys no 4-bit block of m = 2 (cost 32) and no quantized block (cost 4)."""
+        cfg = {"m": 2, "bits": 4, "p_max_norm": 3.0, "sigma2": [0.5, 1.0]}
+        path = _write(tmp_path, "alloc.yaml", cfg)
+        assert main(["allocate", "--config", path]) == 0
+        captured = capsys.readouterr()
+        rows = _read_csv(captured.out)
+        assert [(row["n_a_star"], row["n_q_star"]) for row in rows] == [("0", "0"), ("0", "0")]
+        assert captured.err == "".join(
+            f"warning: budget infeasible at sigma2={sigma2}; falling back to the prior-only point (0, 0)\n"
+            for sigma2 in (0.5, 1.0)
+        )
+
     @pytest.mark.parametrize(
         "override",
         [
@@ -535,10 +548,11 @@ SCALAR_CELL = {"scenario": "scalar", "n_a": 1, "n_q": 1, "sigma2": 1.0}
         ("mse", {"sigma2_grid": [1.0], "allocations": [[10**400, 0]]}, 2),
         ("mse", {"scenario": "mimo", "m": HUGE, "sigma2_grid": [1.0], "allocations": [[1, 1]]}, 2),
         ("mse", {"scenario": "mimo", "m": -HUGE, "sigma2_grid": [1.0], "allocations": [[1, 1]]}, 2),
+        ("simulate", {**SCALAR_CELL, "scenario": "mimo", "m": -HUGE}, 2),
     ],
     ids=[
         "dense-rows", "batch-rows", "trials", "repeats", "negative-n_a", "negative-m",
-        "mse-count", "mse-m", "mse-negative-m",
+        "mse-count", "mse-m", "mse-negative-m", "simulate-negative-m",
     ],
 )
 def test_counts_of_thousands_of_digits_are_refused_on_one_short_line(tmp_path, capsys, command, cfg, code):
@@ -615,6 +629,7 @@ BENCH = {"m_list": [1], "n_a_max_list": [2], "repeats": 1, "direct_repeats": 1, 
         ("simulate", {**SIM_MIMO, "pilot": "hadamard"}),
         ("simulate", {**SIM_MIMO, "rho": -1.0}),
         ("simulate", {**SIM_MIMO, "m": 0}),
+        ("simulate", {**SIM_MIMO, "m": -1}),
         ("mse", {**TestMseCommand.CFG, "sigma2_grid": [-1.0]}),
         ("mse", {**MSE_MIMO, "m": 0}),
         ("mse", {**MSE_MIMO, "rho": 0.0}),
@@ -626,7 +641,7 @@ BENCH = {"m_list": [1], "n_a_max_list": [2], "repeats": 1, "direct_repeats": 1, 
         ("bench", {**BENCH, "bits": 5000}),
     ],
     ids=[
-        "simulate-no-measurements", "simulate-pilot", "simulate-rho", "simulate-m",
+        "simulate-no-measurements", "simulate-pilot", "simulate-rho", "simulate-m", "simulate-negative-m",
         "mse-sigma2_grid", "mse-m", "mse-rho",
         "allocate-rho_a", "allocate-sigma2", "allocate-sigma2-list",
         "bench-sigma2", "bench-rho", "bench-bits",
@@ -638,6 +653,91 @@ def test_values_the_model_rejects_are_config_errors(tmp_path, capsys, command, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: ") and "Traceback" not in captured.err
+    if cfg.get("m", 1) < 1:
+        assert captured.err.count("\n") == 1 and "'m'" in captured.err, captured.err
+
+
+@pytest.mark.parametrize(
+    "command, cfg, named",
+    [
+        ("mse", {**TestMseCommand.CFG, "sigma2_grid": {"start": 0.1, "stop": 1.0, "num": 0}}, "num"),
+        ("mse", {**TestMseCommand.CFG, "sigma2_grid": {"start": 0.0, "stop": 1.0, "num": 3, "spacing": "log"}},
+         "log spacing"),
+        ("mse", {**TestMseCommand.CFG, "sigma2_grid": {"start": 0.1, "stop": 1.0, "num": 3, "spacing": "cubic"}},
+         "spacing"),
+        ("mse", {**TestMseCommand.CFG, "sigma2_grid": 1.0}, "sigma2_grid"),
+        ("allocate", {**ALLOCATE, "dither": "quantized-only"}, "dither"),
+        ("simulate", {**SIM_SCALAR, "analog_bits": 6, "analog_range": [1.0]}, "analog_range"),
+        ("allocate", {**ALLOCATE, "n_a_max": 3}, "n_a_max"),
+        ("allocate", {**ALLOCATE, "format": "xml"}, "format"),
+        ("simulate", {**SIM_SCALAR, "scenario": "siso"}, "scenario"),
+        ("simulate", {**SIM_SCALAR, "m": 2}, "m=1"),
+        ("allocate", {key: value for key, value in ALLOCATE.items() if key != "sigma2"}, "'sigma2'"),
+        ("allocate", {**ALLOCATE, "sigma2": "1.0"}, "'sigma2'"),
+        ("simulate", {**SIM_SCALAR, "filter": "wiener"}, "filter"),
+    ],
+    ids=[
+        "grid-num", "grid-log-start", "grid-spacing", "grid-scalar", "dither-string", "analog_range-length",
+        "both-budgets", "format", "scenario", "scalar-m", "allocate-no-sigma2", "sigma2-string", "filter",
+    ],
+)
+def test_config_refusals_name_their_key(tmp_path, capsys, command, cfg, named):
+    path = _write(tmp_path, f"{command}.yaml", cfg)
+    assert main([command, "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and named in captured.err, captured.err
+
+
+# Each command's CSV header and its JSON document: the CSV rows (a list),
+# one record (a dict), or a result whose trace the CSV rows are (a dict
+# with a "trace").
+WRITER_CASES = {
+    "mse": ("mse", TestMseCommand.CFG, ["sigma2", "n_a", "n_q", "mse_analytic"]),
+    "allocate-sweep": (
+        "allocate",
+        {**ALLOCATE, "sigma2": [0.5, 1.0]},
+        ["sigma2", "mse_all_analog", "mse_all_quantized", "mse_optimal", "mse_optimal_dithered",
+         "n_a_star", "n_q_star", "n_a_star_dither", "n_q_star_dither", "sigma_d2_star"],
+    ),
+    "allocate": ("allocate", ALLOCATE, ["n_a", "n_q", "sigma_d2", "mse"]),
+    "dither": ("dither", {**ALLOCATE, "dither": {"mode": "quantized-only"}}, ["n_a", "n_q", "sigma_d2", "mse"]),
+    "simulate": ("simulate", SIM_SCALAR, ["empirical_mse", "std_error", "analytic_mse", "trials_run"]),
+    "bench": ("bench", BENCH, ["M", "n_a_max", "t_closed_ms", "t_direct_ms"]),
+}
+
+
+@pytest.mark.parametrize("case", list(WRITER_CASES))
+def test_every_command_writes_csv_and_json(tmp_path, capsys, case):
+    """``--format csv`` and ``--format json`` print the same values; bench's
+    times are taken afresh on each run, so only its grid columns compare."""
+    command, cfg, fields = WRITER_CASES[case]
+    path = _write(tmp_path, f"{command}.yaml", cfg)
+    assert main([command, "--config", path, "--format", "csv"]) == 0
+    text = capsys.readouterr().out
+    assert text.splitlines()[0] == ",".join(fields)
+    rows = _read_csv(text)
+    assert main([command, "--config", path, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    if isinstance(doc, dict) and "trace" in doc:
+        doc = [dict(zip(fields, entry)) for entry in doc["trace"]]
+    elif isinstance(doc, dict):
+        assert list(doc) == fields
+        doc = [doc]
+    assert len(doc) == len(rows) >= 1
+    for row, record in zip(rows, doc):
+        for name in fields:
+            if not name.startswith("t_"):
+                assert float(row[name]) == record[name], name
+
+
+@pytest.mark.parametrize(
+    "command, cfg, start", [("mse", TestMseCommand.CFG, "sigma2,"), ("simulate", SIM_SCALAR, "{")], ids=["csv", "json"]
+)
+def test_null_format_is_the_command_default(tmp_path, capsys, command, cfg, start):
+    path = _write(tmp_path, f"{command}.yaml", {**cfg, "format": None})
+    assert main([command, "--config", path]) == 0
+    assert capsys.readouterr().out.startswith(start)
 
 
 def test_empirical_cells_follow_the_seeding_contract(tmp_path, capsys):
@@ -989,7 +1089,8 @@ def test_shipped_configs_reproduce_golden_bytes(tmp_path, argv, golden):
 def test_main_serves_repeated_calls_in_one_process(tmp_path, capsys, monkeypatch):
     """One process, one parser: repeated commands reproduce their golden bytes,
     no parser is built after the first call, a usage error still reads as
-    in a fresh process, and a handler patched after the first call runs."""
+    in a fresh process, and a handler patched after the first call runs
+    with the resolved seed and has its result printed."""
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal width
     runs = [
         ("allocate", "mimo_allocation.yaml", "allocate_mimo_allocation.csv"),
@@ -1016,10 +1117,16 @@ def test_main_serves_repeated_calls_in_one_process(tmp_path, capsys, monkeypatch
     assert "invalid choice: 'xml'" in fresh.stderr
 
     seen = []
-    monkeypatch.setattr(cli, "cmd_allocate", lambda args: seen.append(args.command) or 7)
-    assert main(argv[:3]) == 7
-    assert main(["dither", "--config", str(ROOT / "configs" / "dither_search.yaml")]) == 7
-    assert seen == ["allocate", "dither"]
+
+    def patched(cfg, args, seed):
+        seen.append((args.command, seed))
+        return cli._Result([{"call": len(seen)}], ["call"], "csv")
+
+    monkeypatch.setattr(cli, "cmd_allocate", patched)
+    assert main(argv[:3]) == 0
+    assert main(["dither", "--config", str(ROOT / "configs" / "dither_search.yaml"), "--seed", "5", "--format", "json"]) == 0
+    assert seen == [("allocate", 0), ("dither", 5)]
+    assert capsys.readouterr().out == 'call\n1\n[\n  {\n    "call": 2\n  }\n]\n'
 
 
 @pytest.mark.parametrize(

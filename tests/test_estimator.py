@@ -1,5 +1,6 @@
 """Tests for the matrix-solve LMMSE estimator."""
 
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -21,6 +22,7 @@ from mixedres.model import (
     make_mimo_model,
     make_ortho_matrices,
     make_ortho_model,
+    block_model,
     make_scalar_model,
     sample_measurements,
     sample_parameter,
@@ -494,6 +496,21 @@ class TestCopyScanMse:
         model = MixedModel(h=np.ones((2, 1)), g=g1, sigma_theta=np.eye(1), var_a=1.0, var_q=0.0)
         got = copy_scan_mse(model, [0, 1, 2], [0, 0, 0])
         np.testing.assert_array_equal(got, prefix_mse(make_scalar_model(2, 0, 1.0)))
+
+    @pytest.mark.parametrize(
+        "var_a, text, condition",
+        [(3e-11, "bound 1.655e+12", 1.655e12), (5e-12, "estimate 1.211e+12", 1.211e12)],
+        ids=["copy-bound", "analog-estimate"],
+    )
+    def test_near_singular_analog_rows_are_refused(self, var_a, text, condition):
+        """At var_a = 3e-11 the analog factor passes LAPACK's estimate, one copy
+        solves, and four copies refuse the scan on its condition bound; at
+        5e-12 the analog factor's own estimate refuses it first."""
+        params = OrthoBlockParams(m=2, n_a=3, n_q=1, var_a=var_a, var_q=1.0)
+        model = block_model(params, *make_ortho_matrices(params, RngStream(0)))
+        with pytest.raises(EstimatorUndefinedError, match=re.escape(text)) as exc:
+            copy_scan_mse(model, [6, 6], [1, 4])
+        assert exc.value.condition == pytest.approx(condition, rel=1e-3)
 
     @pytest.mark.parametrize("rows, copies", [([2], [0]), ([-1], [0]), ([0], [-1]), ([0, 1], [0])])
     def test_rejects_points_outside_the_model(self, rows, copies):
