@@ -19,6 +19,10 @@ and writes the table the handler returns.  The handlers only compute.  The
 argument parser is built once per process; the handler is looked up by name
 on every call.
 
+Keys that feed a library parameter are passed on only when the config sets
+them (:func:`_given`), so each default is written once, in the library; the
+CLI's own defaults are for the keys that no library parameter defaults.
+
 CSV output is comma-separated with a header row, LF line endings, and full
 double precision (17 significant digits).
 """
@@ -58,6 +62,7 @@ from .model import (
     make_scalar_model,
 )
 from .simulate import (
+    DEFAULT_ANALOG_QUANTIZER,
     SimConfig,
     bench_runtime,
     check_batch_size,
@@ -158,6 +163,18 @@ def _get(cfg: dict, key: str, kind, where: str, default=..., allow_none: bool = 
     return value
 
 
+def _given(cfg: dict, where: str, nullable: tuple = (), **kinds) -> dict:
+    """The keys of ``kinds`` that ``cfg`` sets, read by :func:`_get`, as keyword
+    arguments: a key left out takes the default of the library parameter it
+    feeds.  A kind is a type or ``(type, minimum)``; only ``nullable`` keys may be null."""
+    given = {}
+    for key, kind in kinds.items():
+        if key in cfg:
+            kind, minimum = kind if isinstance(kind, tuple) else (kind, None)
+            given[key] = _get(cfg, key, kind, where, allow_none=key in nullable, minimum=minimum)
+    return given
+
+
 def _is_count(value, minimum: int) -> bool:
     """An integer >= ``minimum``; YAML booleans are ints in Python and do not count."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
@@ -202,18 +219,14 @@ def _dither_scheme(cfg, where: str) -> DitherScheme:
     if not isinstance(cfg, dict):
         raise ConfigError(f"'{where}' must be a mapping")
     _check_keys(cfg, {"mode", "grid_max", "grid_step"}, where)
-    return DitherScheme(
-        mode=_get(cfg, "mode", str, where, default="quantized-only"),
-        grid_max=_get(cfg, "grid_max", float, where, default=2.0),
-        grid_step=_get(cfg, "grid_step", float, where, default=0.1),
-    )
+    return DitherScheme(**_given(cfg, where, mode=str, grid_max=float, grid_step=float))
 
 
 def _analog_quantizer(cfg: dict, where: str) -> QuantizerSpec | None:
     bits = _get(cfg, "analog_bits", int, where, default=None, allow_none=True)
     if bits is None:
         return None
-    rng = _get(cfg, "analog_range", list, where, default=[-5.0, 5.0])
+    rng = _get(cfg, "analog_range", list, where, default=[DEFAULT_ANALOG_QUANTIZER.lo, DEFAULT_ANALOG_QUANTIZER.hi])
     if len(rng) != 2:
         raise ConfigError(f"'analog_range' in {where} config must be [lo, hi]")
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in rng):
@@ -301,25 +314,21 @@ def _resolve_io(cfg: dict, args, where: str):
 
 
 def _scenario(cfg: dict, where: str):
-    """(scenario, m, rho, pilot); the scalar scenario fixes m=1 and rho=1."""
+    """(scenario, m, rho, pilot keyword); the scalar scenario fixes m=1 and rho=1."""
     scenario = _get(cfg, "scenario", str, where, default="scalar")
     if scenario not in ("scalar", "mimo"):
         raise ConfigError(f"scenario must be 'scalar' or 'mimo', got {scenario!r}")
     m = _get(cfg, "m", int, where, default=1, minimum=1)
     rho = _get(cfg, "rho", float, where, default=1.0)
-    pilot = _get(cfg, "pilot", str, where, default="random-unitary")
+    pilot = _given(cfg, where, pilot=str)
     if scenario == "scalar" and (m != 1 or rho != 1.0):
         raise ConfigError("scalar scenario requires m=1 and rho=1")
     return scenario, m, rho, pilot
 
 
 def _sim_config(cfg: dict, where: str, seed: int) -> SimConfig:
-    return SimConfig(
-        trials=_get(cfg, "trials", int, where, default=100_000),
-        rng_seed=seed,
-        analog_quantizer=_analog_quantizer(cfg, where),
-        batch_size=_get(cfg, "batch_size", int, where, default=8192),
-    )
+    counts = _given(cfg, where, trials=int, batch_size=int)
+    return SimConfig(rng_seed=seed, analog_quantizer=_analog_quantizer(cfg, where), **counts)
 
 
 def _simulate_cell(scenario, m, rho, pilot, n_a, n_q, sigma2, seed, sim_cfg: SimConfig, closed: bool):
@@ -336,7 +345,7 @@ def _simulate_cell(scenario, m, rho, pilot, n_a, n_q, sigma2, seed, sim_cfg: Sim
     if scenario == "scalar":
         model = make_scalar_model(n_a, n_q, sigma2)
     else:
-        model = make_mimo_model(m, n_a, n_q, rho, sigma2, pilot=pilot, rng=RngStream(seed))
+        model = make_mimo_model(m, n_a, n_q, rho, sigma2, rng=RngStream(seed), **pilot)
     if closed:
         params = OrthoBlockParams(m=m, n_a=n_a, n_q=n_q, rho_a=rho, rho_q=rho, var_a=sigma2, var_q=sigma2)
         filt = filter_closed_form(params, model.h, model.g)
@@ -364,7 +373,7 @@ def cmd_mse(cfg: dict, args, seed: int) -> _Result:
     _check_keys(emp, {"trials", "analog_bits", "analog_range", "batch_size"}, "mse.empirical")
     sim_cfg = _sim_config(emp, "mse.empirical", seed)
 
-    params_base = OrthoBlockParams(m=m, n_a=0, n_q=0, rho_a=rho, rho_q=rho, var_a=1.0, var_q=1.0)
+    params_base = OrthoBlockParams(m=m, n_a=0, n_q=0, rho_a=rho, rho_q=rho)
     rows = sweep_mse_vs_noise(params_base, grid, pairs)
     fieldnames = ["sigma2", "n_a", "n_q", "mse_analytic"]
 
@@ -399,8 +408,7 @@ def cmd_allocate(cfg: dict, args, seed: int) -> _Result:
     where = args.command
     m = _get(cfg, "m", int, where, minimum=1)
     budget = _budget(cfg, m, where)
-    rho_a = _get(cfg, "rho_a", float, where, default=1.0)
-    rho_q = _get(cfg, "rho_q", float, where, default=1.0)
+    gains = _given(cfg, where, rho_a=float, rho_q=float)
     scheme = _dither_scheme(cfg["dither"], f"{where}.dither") if "dither" in cfg else None
     if where == "dither":
         if scheme is None:
@@ -412,16 +420,14 @@ def cmd_allocate(cfg: dict, args, seed: int) -> _Result:
             raise ConfigError(f"missing required key 'sigma2' in {where} config")
 
     def params_at(sigma2: float) -> OrthoBlockParams:
-        return OrthoBlockParams(m=m, n_a=0, n_q=0, rho_a=rho_a, rho_q=rho_q, var_a=sigma2, var_q=sigma2)
+        return OrthoBlockParams(m=m, n_a=0, n_q=0, var_a=sigma2, var_q=sigma2, **gains)
 
     def oracle_mse(sigma2: float) -> float:
         return allocate_exhaustive(params_at(sigma2), budget, rng=RngStream(seed)).mse_star
 
     if isinstance(sigma2, (list, dict)):
         grid = _sigma_grid(sigma2, f"{where}.sigma2")
-        rows = sweep_allocation_vs_noise(
-            m, budget, grid, dither_scheme=scheme, rho_a=rho_a, rho_q=rho_q
-        )
+        rows = sweep_allocation_vs_noise(m, budget, grid, dither_scheme=scheme, **gains)
         fieldnames = [
             "sigma2", "mse_all_analog", "mse_all_quantized", "mse_optimal",
             "mse_optimal_dithered", "n_a_star", "n_q_star",
@@ -498,26 +504,13 @@ def cmd_bench(cfg: dict, args, seed: int) -> _Result:
         raise ConfigError("'m_list' must contain positive integers")
     if not all(_is_count(v, 1) for v in n_a_max_list):
         raise ConfigError("'n_a_max_list' must contain positive integers")
-    bits = _get(cfg, "bits", int, where, default=6)
-    rho = _get(cfg, "rho", float, where, default=1.0)
-    sigma2 = _get(cfg, "sigma2", float, where, default=1.0)
-    repeats = _get(cfg, "repeats", int, where, default=10, minimum=1)
-    if args.repeats is not None:
-        repeats = args.repeats
-    direct_repeats = _get(cfg, "direct_repeats", int, where, default=None, allow_none=True, minimum=1)
-    warmup = _get(cfg, "warmup", int, where, default=2, minimum=0)
-
-    results = bench_runtime(
-        m_list,
-        n_a_max_list,
-        bits=bits,
-        rho=rho,
-        sigma2=sigma2,
-        repeats=repeats,
-        direct_repeats=direct_repeats,
-        warmup=warmup,
-        rng_seed=seed,
+    timing = _given(
+        cfg, where, nullable=("direct_repeats",),
+        bits=int, rho=float, sigma2=float, repeats=(int, 1), direct_repeats=(int, 1), warmup=(int, 0),
     )
+    if args.repeats is not None:
+        timing["repeats"] = args.repeats
+    results = bench_runtime(m_list, n_a_max_list, rng_seed=seed, **timing)
     rows = [
         {
             "M": res.m,

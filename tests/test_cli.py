@@ -675,10 +675,22 @@ def test_values_the_model_rejects_are_config_errors(tmp_path, capsys, command, c
         ("allocate", {key: value for key, value in ALLOCATE.items() if key != "sigma2"}, "'sigma2'"),
         ("allocate", {**ALLOCATE, "sigma2": "1.0"}, "'sigma2'"),
         ("simulate", {**SIM_SCALAR, "filter": "wiener"}, "filter"),
+        ("simulate", {key: value for key, value in SIM_SCALAR.items() if key != "n_a"},
+         "missing required key 'n_a' in simulate config"),
+        # null is refused for a key whose library default is not None.
+        ("simulate", {**SIM_SCALAR, "trials": None}, "'trials' in simulate config must be int"),
+        ("mse", {**TestMseCommand.CFG, "empirical": {"batch_size": None}}, "'batch_size' in mse.empirical config"),
+        ("dither", {**ALLOCATE, "dither": {"mode": None}}, "'mode' in dither.dither config must be str"),
+        ("dither", {**ALLOCATE, "dither": {"grid_max": None}}, "'grid_max' in dither.dither config"),
+        ("allocate", {**ALLOCATE, "rho_a": None}, "'rho_a' in allocate config must be float"),
+        ("simulate", {**SIM_MIMO, "pilot": None}, "'pilot' in simulate config must be str"),
+        ("bench", {**BENCH, "repeats": None}, "'repeats' in bench config must be int"),
     ],
     ids=[
         "grid-num", "grid-log-start", "grid-spacing", "grid-scalar", "dither-string", "analog_range-length",
         "both-budgets", "format", "scenario", "scalar-m", "allocate-no-sigma2", "sigma2-string", "filter",
+        "simulate-no-n_a", "null-trials", "null-batch_size", "null-mode", "null-grid_max", "null-rho_a",
+        "null-pilot", "null-repeats",
     ],
 )
 def test_config_refusals_name_their_key(tmp_path, capsys, command, cfg, named):
@@ -738,6 +750,67 @@ def test_null_format_is_the_command_default(tmp_path, capsys, command, cfg, star
     path = _write(tmp_path, f"{command}.yaml", {**cfg, "format": None})
     assert main([command, "--config", path]) == 0
     assert capsys.readouterr().out.startswith(start)
+
+
+DITHER_DEFAULTS = {"mode": "quantized-only", "grid_max": 2.0, "grid_step": 0.1}
+ANALOG_DEFAULTS = {"trials": 100_000, "batch_size": 8192, "analog_range": [-5.0, 5.0]}
+
+# Case -> (command, flags, a config that omits keys whose default the
+# library states, those keys with the values the CLI used to write out).
+OMITTED_DEFAULTS = {
+    "dither": ("dither", [], {**ALLOCATE, "dither": {}}, {"rho_a": 1.0, "rho_q": 1.0, "dither": DITHER_DEFAULTS}),
+    "allocate-sweep": (
+        "allocate", [], {**ALLOCATE, "sigma2": [0.5, 1.0], "dither": {}},
+        {"rho_a": 1.0, "rho_q": 1.0, "dither": DITHER_DEFAULTS},
+    ),
+    "allocate": ("allocate", [], ALLOCATE, {"rho_a": 1.0, "rho_q": 1.0}),
+    "simulate-scalar": (
+        "simulate", [], {"scenario": "scalar", "n_a": 1, "n_q": 2, "sigma2": 0.5, "analog_bits": 6}, ANALOG_DEFAULTS,
+    ),
+    "simulate-mimo": ("simulate", [], SIM_MIMO, {"pilot": "random-unitary", "batch_size": 8192}),
+    "mse-empirical": (
+        "mse", ["--empirical"], {**TestMseCommand.CFG, "sigma2_grid": [0.5], "allocations": [[1, 1]],
+                                 "empirical": {"analog_bits": 6}},
+        {"empirical": {"analog_bits": 6, **ANALOG_DEFAULTS}},
+    ),
+    "bench": (
+        "bench", [], {"m_list": [1], "n_a_max_list": [2]},
+        {"bits": 6, "rho": 1.0, "sigma2": 1.0, "repeats": 10, "direct_repeats": None, "warmup": 2},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(OMITTED_DEFAULTS))
+def test_omitted_keys_print_what_their_old_cli_defaults_print(tmp_path, capsys, case):
+    """An omitted key takes the default of the library parameter it feeds,
+    which is the value the CLI once wrote out; bench times differ from run
+    to run, so only its header and row count compare."""
+    command, flags, cfg, written = OMITTED_DEFAULTS[case]
+    outs = []
+    for name, run_cfg in (("omitted", cfg), ("written", {**cfg, **written})):
+        assert main([command, "--config", _write(tmp_path, f"{name}.yaml", run_cfg), *flags]) == 0
+        outs.append(capsys.readouterr().out)
+    if command == "bench":
+        outs = [(out.splitlines()[0], len(out.splitlines())) for out in outs]
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "command, cfg, text",
+    [
+        ("dither", {**ALLOCATE, "dither": {"grid_max": 1.0e308, "grid_step": 1.0e-308}},
+         "error: dither grid_max / grid_step = inf points"),
+        ("simulate", {**SIM_SCALAR, "analog_bits": 1, "analog_range": [0.0, 1.7e308]},
+         "error: the squared estimation error overflowed"),
+    ],
+    ids=["dither-grid", "simulate-squared-error"],
+)
+def test_numerical_refusals_exit_3_on_one_line(tmp_path, capsys, command, cfg, text):
+    path = _write(tmp_path, f"{command}.yaml", cfg)
+    assert main([command, "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(text), captured.err
 
 
 def test_empirical_cells_follow_the_seeding_contract(tmp_path, capsys):

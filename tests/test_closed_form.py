@@ -226,6 +226,20 @@ class TestFilterClosedForm:
         filt = filter_closed_form(params, h, g)
         np.testing.assert_allclose(filt.w, h.conj().T / (1.5 * 3 + 0.5), atol=1e-12)
 
+    @pytest.mark.parametrize("field", ["h", "g"])
+    def test_rejects_wrong_shape(self, field):
+        params = OrthoBlockParams(m=2, n_a=1, n_q=1)
+        h, g = make_ortho_matrices(params, RngStream(19))
+        shapes = {"h": h, "g": g}
+        shapes[field] = shapes[field][:, :1]
+        with pytest.raises(AssumptionViolationError, match=rf"^{field} must have shape \(2, 2\), got \(2, 1\)$"):
+            filter_closed_form(params, shapes["h"], shapes["g"])
+
+    def test_no_measurements_give_the_prior_trace(self):
+        params = OrthoBlockParams(m=3, n_a=0, n_q=0)
+        filt = filter_closed_form(params, np.zeros((0, 3)), np.zeros((0, 3)))
+        assert filt.w.shape == (3, 0) and filt.mse == 3.0
+
     def test_rejects_wrong_gain(self):
         params = OrthoBlockParams(m=2, n_a=1, n_q=1, rho_a=1.0, rho_q=1.0)
         h, g = make_ortho_matrices(params, RngStream(16))

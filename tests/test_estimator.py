@@ -79,6 +79,11 @@ class TestConditioning:
             lmmse(model)
         assert exc_info.value.condition > 1e12
 
+    def test_overflowing_covariance_rejected(self):
+        model = MixedModel(h=np.array([[1e200]]), g=np.zeros((0, 1)), sigma_theta=np.eye(1), var_a=1.0, var_q=1.0)
+        with pytest.raises(NumericalDomainError, match="^covariance overflowed to a non-finite value$"):
+            lmmse(model)
+
     def test_condition_reported_for_healthy_model(self):
         filt = lmmse(make_scalar_model(2, 2, 1.0))
         assert 1.0 <= filt.condition < 1e6

@@ -69,6 +69,10 @@ class TestMixedModelValidation:
         with pytest.raises(ModelError):
             MixedModel(h=np.ones((2, 3)), g=np.zeros((0, 2)), sigma_theta=np.eye(2), var_a=1.0, var_q=1.0)
 
+    def test_rejects_non_square_prior(self):
+        with pytest.raises(ModelError, match=r"^sigma_theta must be square, got \(2, 3\)$"):
+            MixedModel(h=np.ones((1, 3)), g=np.zeros((0, 3)), sigma_theta=np.ones((2, 3)), var_a=1.0, var_q=1.0)
+
     def test_total_variances(self):
         m = MixedModel(
             h=np.ones((1, 1)), g=np.ones((1, 1)), sigma_theta=np.eye(1),
@@ -649,6 +653,11 @@ class TestMimoModel:
     def test_rejects_bad_counts(self, n_a, n_q):
         with pytest.raises(ModelError):
             make_mimo_model(3, n_a, n_q, rho=1.0, var=1.0, rng=RngStream(0))
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_rejects_no_users(self, k):
+        with pytest.raises(ModelError, match=f"^k must be >= 1, got {k}$"):
+            make_mimo_model(k, 1, 1, rho=1.0, var=1.0, rng=RngStream(0))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 10])
     @pytest.mark.parametrize("seed", [None, 0, 7])
