@@ -1140,13 +1140,15 @@ def test_libyaml_and_python_parsers_load_the_same_config(tmp_path, capsys, sourc
         (["dither", "--config", "configs/dither_search.yaml"], "dither_dither_search.json"),
         (["mse", "--config", "configs/scalar_mse.yaml"], "mse_scalar_mse.csv"),
         (["simulate", "--config", "configs/simulate_scalar.yaml"], "simulate_simulate_scalar.json"),
+        (["simulate", "--config", "tests/data/simulate_mimo_general.yaml"], "simulate_mimo_general.json"),
     ],
 )
 def test_shipped_configs_reproduce_golden_bytes(tmp_path, argv, golden):
     """Outputs of shipped configs, byte for byte, each from a new interpreter:
     the closed-form commands as the scalar code wrote them, loading no SciPy,
-    and a seeded Monte-Carlo run, which imports LAPACK and scipy.special on
-    first use."""
+    and seeded Monte-Carlo runs, which import LAPACK and scipy.special on
+    first use.  The m = 4 MIMO run pins the general filter that ``lmmse``
+    solves for a model with more than one parameter."""
     out = tmp_path / golden
     script = f"import sys; from mixedres.cli import main; code = main(); {PRINT_SCIPY_MODULES}; sys.exit(code)"
     proc = _fresh_python("-c", script, argv[0], "--config", str(ROOT / argv[2]), "--output", str(out))
