@@ -121,6 +121,8 @@ from .model import MixedModel, copy_layout
 
 # Pearson ratios may drift past 1 by round-off; clip inside this band, error beyond.
 ARCSIN_CLIP_TOL = 1e-9
+# Bussgang gain of the sign quantizer for a unit-variance input.
+_BUSSGANG_GAIN = math.sqrt(2.0 / math.pi)
 # Refuse to solve when the condition estimate exceeds this: LAPACK's 1-norm
 # estimate in prefix_mse, the copy-reduced bounds in lmmse and copy_scan_mse.
 CONDITION_LIMIT = 1e12
@@ -170,14 +172,30 @@ class CovarianceBundle:
 
     @property
     def c_x(self) -> np.ndarray:
+        return self._gather_c_x()
+
+    def _gather_c_x(self, fortran: bool = False) -> np.ndarray:
+        """The dense c_x, C-ordered, or Fortran-ordered for LAPACK to factor in place.
+
+        The Fortran one is the transpose of the C-ordered gather of a2.T."""
         idx = self._index()
-        c_x = self.a2.take(idx, 0).take(idx, 1)
-        np.fill_diagonal(c_x, self.a1.diagonal().take(idx))
-        return c_x
+        c_x = (self.a2.T if fortran else self.a2).take(idx, 0).take(idx, 1)
+        c_x.reshape(-1)[:: len(idx) + 1] = self.a1.diagonal().take(idx)  # a view of the diagonal
+        return c_x.T if fortran else c_x
 
     @property
     def c_theta_x(self) -> np.ndarray:
-        return self.c_theta.take(self._index(), 1)
+        return self._spread(self.c_theta)
+
+    def _spread(self, cols: np.ndarray) -> np.ndarray:
+        """``cols.take(self._index(), 1)``: each column, one per row of the period, once per copy of its row."""
+        (pa, pq), (ka, kq) = self.periods, self.copies
+        m = len(cols)
+        out = np.empty((m, ka * pa + kq * pq), dtype=cols.dtype)
+        # Splitting the column axis of each part into (copies, rows) is a view of out.
+        out[:, : ka * pa].reshape(m, ka, pa)[...] = cols[:, None, :pa]
+        out[:, ka * pa :].reshape(m, kq, pq)[...] = cols[:, None, pa:]
+        return out
 
 
 @dataclass(eq=False)
@@ -223,8 +241,7 @@ def _gram_plus_diag(b: np.ndarray, sigma: np.ndarray, var: float) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         out = (b @ sigma) @ b.conj().T
-        idx = np.arange(out.shape[0])
-        out[idx, idx] += var
+        out.reshape(-1)[:: out.shape[0] + 1] += var  # a view of the diagonal
     if not np.isfinite(out).all():
         raise NumericalDomainError("covariance overflowed to a non-finite value")
     return out
@@ -258,37 +275,38 @@ def cov_quantized(c_y: np.ndarray) -> np.ndarray:
     Pearson-normalized matrix r = D^{-1/2} C_y D^{-1/2}, D = diag(C_y).
     The result is exactly Hermitian.
     """
-    c_y = np.asarray(c_y, dtype=np.complex128)
+    c_y = np.ascontiguousarray(c_y, dtype=np.complex128)
     if c_y.shape[0] == 0:
         return np.zeros((0, 0), dtype=np.complex128)
     s = _inv_sqrt_diag(c_y)
     r = (s[:, None] * c_y) * s[None, :]
-    max_re = np.abs(r.real).max()
-    max_im = np.abs(r.imag).max()
-    overshoot = max(max_re, max_im) - 1.0
+    # Real and imaginary parts side by side: the map acts on each alone, in place.
+    parts = r.view(np.float64)
+    overshoot = np.abs(parts).max() - 1.0
     if overshoot > ARCSIN_CLIP_TOL:
         raise NumericalDomainError(
             f"normalized correlation exceeds 1 by {overshoot:.3e}, beyond clip tolerance"
         )
-    re = np.arcsin(r.real if max_re <= 1.0 else np.clip(r.real, -1.0, 1.0))
-    im = np.arcsin(r.imag if max_im <= 1.0 else np.clip(r.imag, -1.0, 1.0))
-    c_xq = (2.0 / np.pi) * (re + 1j * im)
-    _make_hermitian(c_xq)
+    if overshoot > 0.0:
+        np.clip(parts, -1.0, 1.0, out=parts)
+    np.arcsin(parts, out=parts)
+    r *= 2.0 / np.pi
+    _make_hermitian(r)
     # The quantizer output has unit modulus, so the diagonal is exactly one.
-    np.fill_diagonal(c_xq, 1.0)
-    return c_xq
+    r.reshape(-1)[:: len(r) + 1] = 1.0
+    return r
 
 
 def cross_cov_theta_quantized(model: MixedModel, c_y: np.ndarray) -> np.ndarray:
     """Bussgang cross-covariance of the parameter with the quantized vector."""
     s = _inv_sqrt_diag(c_y)
-    return np.sqrt(2.0 / np.pi) * (model.sigma_theta @ model.g.conj().T) * s[None, :]
+    return _BUSSGANG_GAIN * (model.sigma_theta @ model.g.conj().T) * s
 
 
 def cross_cov_analog_quantized(model: MixedModel, c_y: np.ndarray) -> np.ndarray:
     """Bussgang cross-covariance of the analog and quantized measurements."""
     s = _inv_sqrt_diag(c_y)
-    return np.sqrt(2.0 / np.pi) * (model.h @ model.sigma_theta @ model.g.conj().T) * s[None, :]
+    return _BUSSGANG_GAIN * (model.h @ model.sigma_theta @ model.g.conj().T) * s
 
 
 def assemble(model: MixedModel) -> CovarianceBundle:
@@ -309,19 +327,24 @@ def _assemble(model: MixedModel, analog: tuple[int, int], quantized: tuple[int, 
     one = object.__new__(MixedModel)
     one.__dict__.update(model.__dict__, h=model.h[:pa], g=model.g[:pq])
     c_y = cov_pre_quantization(one)
-    a1 = np.empty((pa + pq, pa + pq), dtype=np.complex128)
+    n = pa + pq
+    a1 = np.empty((n, n), dtype=np.complex128)
     a1[:pa, :pa] = cov_analog(one)
     a1[:pa, pa:] = cross_cov_analog_quantized(one, c_y)
-    a1[pa:, :pa] = a1[:pa, pa:].conj().T
+    np.conjugate(a1[:pa, pa:].T, out=a1[pa:, :pa])
     a1[pa:, pa:] = cov_quantized(c_y)
-    s = _inv_sqrt_diag(c_y)
+    c_theta = np.empty((model.m, n), dtype=np.complex128)
+    c_theta[:, :pa] = model.sigma_theta @ one.h.conj().T
+    c_theta[:, pa:] = cross_cov_theta_quantized(one, c_y)
+    # The stages above refused a non-positive diagonal of c_y.
+    d = c_y.diagonal().real
+    s = 1.0 / np.sqrt(d)
     # Round-off lifts the ratio past 1 for a noiseless quantizer (v = 0).
-    r = np.minimum((s * (c_y.diagonal().real - model.var_q_total)) * s, 1.0)
+    r = np.minimum((s * (d - model.var_q_total)) * s, 1.0)
     a2 = a1.copy()
-    noise_free = a2.reshape(-1)[:: pa + pq + 1]  # a view of the diagonal
+    noise_free = a2.reshape(-1)[:: n + 1]  # a view of the diagonal
     noise_free[:pa] -= model.var_a_total
     noise_free[pa:] = (2.0 / np.pi) * np.arcsin(r)
-    c_theta = np.concatenate([model.sigma_theta @ one.h.conj().T, cross_cov_theta_quantized(one, c_y)], axis=1)
     return CovarianceBundle(a1=a1, a2=a2, c_theta=c_theta, periods=(pa, pq), copies=(ka, kq))
 
 
@@ -350,22 +373,28 @@ def _checked_condition(rcond: float, info: int) -> float:
 
 
 def _one_norm(c: np.ndarray) -> float:
-    """1-norm of ``c``; a non-finite one is refused like a singular matrix.
+    """1-norm of the Hermitian ``c``; a non-finite one is refused like a singular matrix.
 
-    The raw LAPACK calls below scan no input, so this is their only finiteness check."""
+    The raw LAPACK calls below scan no input, so this is their only finiteness check.
+    |c| is symmetric, so the column sums of a Fortran-ordered ``c`` are taken
+    as those of ``c.T``: summed in the same order as a C-ordered ``c``'s, so
+    both layouts give the same bytes."""
     with np.errstate(over="ignore"):
-        anorm = np.linalg.norm(c, 1)
-    if not np.isfinite(anorm):
+        # np.linalg.norm(c, 1), without its argument handling.
+        anorm = float(np.abs(c.T if c.flags.f_contiguous else c).sum(axis=0).max())
+    if not math.isfinite(anorm):
         raise EstimatorUndefinedError("measurement covariance 1-norm overflowed", condition=float("inf"))
     return anorm
 
 
-def _cholesky_solve(c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """inv(L) @ b, |c|_1 and the checked condition estimate of ``c`` = L L^H; a failed factor is singular."""
+def _cholesky_solve(c: np.ndarray, b: np.ndarray, overwrite_c: bool = False) -> tuple[np.ndarray, float, float]:
+    """inv(L) @ b, |c|_1 and the checked condition estimate of ``c`` = L L^H; a failed factor is singular.
+
+    With ``overwrite_c`` a Fortran-ordered ``c`` is factored in place, without LAPACK's copy."""
     from scipy.linalg import lapack
 
     anorm = _one_norm(c)
-    chol, info = lapack.zpotrf(c, lower=1)
+    chol, info = lapack.zpotrf(c, lower=1, overwrite_a=int(overwrite_c))
     if info != 0 or not np.isfinite(chol.diagonal()).all():
         raise EstimatorUndefinedError("measurement covariance is singular", condition=float("inf"))
     condition = _checked_condition(*lapack.zpocon(chol, anorm, uplo="L"))
@@ -378,13 +407,18 @@ def _prefix_norms(z: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(np.sum(z.real**2 + z.imag**2, axis=1))])
 
 
-def _clamped_mse(mse: np.ndarray) -> np.ndarray:
-    """``mse`` clamped at zero; a value below ``-MSE_ROUNDOFF_TOL`` or not finite is an error."""
-    if not np.isfinite(mse).all():
+def _clamped_mse(mse):
+    """``mse`` clamped at zero; a value below ``-MSE_ROUNDOFF_TOL`` or not finite is an error.
+
+    An array gives an array; a float is checked in plain Python and gives a float."""
+    scalar = isinstance(mse, float)
+    if not (math.isfinite(mse) if scalar else np.isfinite(mse).all()):
         raise NumericalDomainError("MSE evaluated to a non-finite value")
-    low = np.min(mse)
+    low = mse if scalar else np.min(mse)
     if low < -MSE_ROUNDOFF_TOL:
         raise NumericalDomainError(f"MSE evaluated to {low:.3e} < 0 beyond round-off tolerance")
+    if scalar:
+        return mse if mse > 0.0 else 0.0  # np.maximum's choice, +0.0 for -0.0
     return np.maximum(mse, 0.0)
 
 
@@ -409,17 +443,20 @@ def _copy_reduced(bundle: CovarianceBundle) -> tuple[np.ndarray, np.ndarray, np.
     """
     (pa, pq), (k_a, k_q) = bundle.periods, bundle.copies
     rows_a, rows_q = slice(0, pa), slice(pa, pa + pq)
-    c = bundle.a1.copy()
-    root = np.empty(len(c))
+    # Fortran order, so LAPACK factors C~ in place.
+    c = bundle.a1.copy(order="F")
+    root = np.empty(pa + pq)
+    root[rows_a], root[rows_q] = math.sqrt(k_a), math.sqrt(k_q)
     with np.errstate(over="ignore", invalid="ignore"):
         for rows, k in ((rows_a, k_a), (rows_q, k_q)):
-            root[rows] = math.sqrt(k)
             if k > 1:
                 c[rows, rows] += (k - 1) * bundle.a2[rows, rows]
-        c[rows_a, rows_q] = math.sqrt(k_a * k_q) * bundle.a2[rows_a, rows_q]
+        cross = np.multiply(math.sqrt(k_a * k_q), bundle.a2[rows_a, rows_q], out=c[rows_a, rows_q])
         # The exact conjugate transpose of the upper cross block, as in the dense C_x.
-        c[rows_q, rows_a] = c[rows_a, rows_q].conj().T
-        d = (bundle.a1.diagonal() - bundle.a2.diagonal()).real[root > 1]
+        np.conjugate(cross.T, out=c[rows_q, rows_a])
+        # The rows in two or more copies: all, the analog or the quantized ones, or none.
+        multi = slice(0 if k_a > 1 else pa, pa + pq if k_q > 1 else pa)
+        d = (bundle.a1.diagonal()[multi] - bundle.a2.diagonal()[multi]).real
         return c, bundle.c_theta * root, d, root
 
 
@@ -432,26 +469,27 @@ def lmmse_from_bundle(model: MixedModel, bundle: CovarianceBundle) -> LmmseFilte
     """
     from scipy.linalg import lapack
 
-    prior_trace = float(np.trace(model.sigma_theta).real)
+    prior_trace = float(model.sigma_theta.trace().real)
     c, c_theta, d, root = _copy_reduced(bundle)
     anorm = _one_norm(c)
-    lu, piv, info = lapack.zgetrf(c)
-    if info != 0 or not np.isfinite(lu.diagonal()).all() or not np.all(d > 0):
+    lu, piv, info = lapack.zgetrf(c, overwrite_a=1)
+    if info != 0 or not np.isfinite(lu.diagonal()).all() or (d.size and not d.min() > 0):
         raise EstimatorUndefinedError("measurement covariance is singular", condition=float("inf"))
     rcond, info = lapack.zgecon(lu, anorm, norm="1")
     # 1 / rcond = |C~|_1 * est |inv(C~)|_1.  The bound widens each factor to
     # cover D; both widenings are exactly 1.0 when D is empty (no k >= 2).
-    widen_norm = max(1.0, d.max(initial=0.0) / anorm)
-    widen_inverse = max(1.0, rcond * anorm * (1.0 / d).max(initial=0.0))
+    widen_norm = widen_inverse = 1.0
+    if d.size:
+        widen_norm = max(1.0, d.max() / anorm)
+        widen_inverse = max(1.0, rcond * anorm * (1.0 / d.min()))
     condition = _checked_condition(rcond / (widen_norm * widen_inverse), info)
 
     # Solve C~ X = C~_theta^H; then the reduction term is trace(C~_theta @ X),
     # and w = X^H with each copy-sum row of X spread over its copies.
     x, _ = lapack.zgetrs(lu, piv, c_theta.conj().T)
-    mse = prior_trace - float(np.trace(c_theta @ x).real)
+    mse = prior_trace - float((c_theta @ x).trace().real)
     x /= root[:, None]
-    w = x.conj().T.take(bundle._index(), axis=1)
-    return LmmseFilter(w=w, mse=float(_clamped_mse(mse)), condition=condition)
+    return LmmseFilter(w=bundle._spread(x.conj().T), mse=_clamped_mse(mse), condition=condition)
 
 
 def prefix_mse(model: MixedModel) -> np.ndarray:
@@ -467,7 +505,8 @@ def prefix_mse(model: MixedModel) -> np.ndarray:
     """
     check_dense_rows(model.n_analog + model.n_quantized)
     bundle = assemble(model)
-    z, _, _ = _cholesky_solve(bundle.c_x, bundle.c_theta_x.conj().T)
+    # c_x is a fresh gather that nothing else reads, so it is factored in place.
+    z, _, _ = _cholesky_solve(bundle._gather_c_x(fortran=True), bundle.c_theta_x.conj().T, overwrite_c=True)
     return _clamped_mse(float(np.trace(model.sigma_theta).real) - _prefix_norms(z))
 
 
@@ -476,8 +515,9 @@ def copy_scan_mse(model: MixedModel, analog_rows, copies) -> np.ndarray:
 
     Point i measures with the first ``analog_rows[i]`` rows of ``model.h``
     over ``copies[i]`` copies of the block ``model.g``.  One Cholesky factor
-    of all of ``model.h``'s rows and two stacked p x p ``eigh`` serve every
-    point (see the module docstring); no n x n matrix of a point is built.
+    of all of ``model.h``'s rows and one ``eigh`` of a stack of p x p
+    matrices, for one copy and for more, serve every point (see the module
+    docstring); no n x n matrix of a point is built.
     Returns the MSE of each point, in order.  A failed or non-finite analog
     factor, a non-positive Schur eigenvalue lambda_j + 1/k of a requested
     copy count, or a condition bound above ``CONDITION_LIMIT`` raises
@@ -546,16 +586,18 @@ def copy_scan_mse(model: MixedModel, analog_rows, copies) -> np.ndarray:
     b_abs = np.abs(b)
     cx_inv = np.full(k.shape, a_inv)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for sel, s, r, shift, scale, floor in cases:
-            lam, u = np.linalg.eigh(s)
-            y = r @ u
-            w = np.sum(y.real**2 + y.imag**2, axis=1)
-            lam = lam[which[sel]] + shift
+        # One stacked eigenproblem and one stacked product serve both cases.
+        lams, u = np.linalg.eigh(np.concatenate([case[1] for case in cases]))
+        y = np.concatenate([case[2] for case in cases]) @ u
+        ws = np.sum(y.real**2 + y.imag**2, axis=1)
+        for i, (sel, _, _, shift, scale, floor) in enumerate(cases):
+            at = which[sel] + i * len(gram)
+            lam = lams[at] + shift
             if not np.all(lam > 0):
                 raise EstimatorUndefinedError(
                     "measurement covariance is singular: non-positive Schur eigenvalue", condition=float("inf")
                 )
-            mse[sel] -= np.sum(w[which[sel]] / lam, axis=1)
+            mse[sel] -= np.sum(ws[at] / lam, axis=1)
             cx_inv[sel] = np.maximum(a_inv + coupling[which[sel]] / (scale * lam.min(axis=1)), floor)
         # |C_x|_1 with the largest analog prefix, which bounds every prefix;
         # A1 and A2 hold correlations, so their 1-norms are at most p.

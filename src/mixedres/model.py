@@ -423,13 +423,18 @@ def copy_layout(rows: np.ndarray, period: int | None = None) -> tuple[int, int]:
     is 1 to n rows, or 0 for no rows) raises :class:`ModelError`.
     """
     n = rows.shape[0]
+    if rows.dtype == np.complex128 and rows.flags.c_contiguous:
+        # Complex entries are equal when both parts are: compare the float pairs, a faster test.
+        rows = rows.view(np.float64)
     if period is not None:
         candidates = [period]
+    elif n <= 1:
+        return n, n
     else:
         # A period divides n, and only a row equal to row 0 can start a second copy,
         # so comparing those rows with row 0 rules out most candidates.  p = n always tiles.
-        divisors = np.arange(1, n // 2 + 1)
-        divisors = divisors[n % divisors == 0]
+        low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+        divisors = np.array(low + [n // d for d in reversed(low[1:]) if d * d != n])
         candidates = divisors[(rows[divisors] == rows[:1]).all(axis=1)].tolist() + [n]
     for p in candidates:
         if p == n or (1 <= p < n and n % p == 0 and (rows[p:] == rows[:-p]).all()):

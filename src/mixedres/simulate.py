@@ -407,12 +407,13 @@ def bench_runtime(
     """Time the allocation sweep with closed-form vs matrix-solve MSE.
 
     The budget is pinned to ``2**bits * m * n_a_max`` so the frontier always
-    contains ``n_a_max + 1`` points.  The closed-form repetitions of all
-    (m, n_a_max) cases are interleaved, so their medians come from the same
-    stretch of wall clock.  Each case's frontier is built once, before any
-    timing: the direct arm checks its rows, times the dense MSE of every point
-    (one Cholesky prefix scan of all its n rows per point) and warms up on the
-    last, cheapest one, with the most analog blocks; set
+    contains ``n_a_max + 1`` points.  Each arm interleaves the repetitions of
+    all (m, n_a_max) cases, so their medians come from the same stretch of
+    wall clock and a slow spell shifts every case alike.  Each case's
+    frontier and blocks are built once, before any timing: the direct arm
+    checks its rows, times the dense MSE of every point (one Cholesky prefix
+    scan of all its n rows per point) and warms up on the last, cheapest one,
+    with the most analog blocks; set
     ``direct_repeats`` to control its measured repetitions
     separately (large instances make full-sweep repetitions expensive).
     Repetition counts above ``MAX_REPEATS``, a frontier the closed-form
@@ -446,17 +447,20 @@ def bench_runtime(
         warmup=warmup,
         min_rep_time=0.01,
     )
-    results = []
-    for (m, n_a_max, _, params), closed, points in zip(cases, closed_stats, frontiers):
-        direct_stats = None
-        if include_direct:
-            # One quantized block suffices; each point tiles it.
-            h_full, g1 = make_ortho_matrices(replace(params, n_a=n_a_max, n_q=1), RngStream(rng_seed))
-            (direct_stats,) = _timeit(
-                [lambda: _dense_mse(params, points, h_full, g1)],
-                repeats=direct_repeats if direct_repeats is not None else repeats,
-                warmup=warmup,
-                warmup_fns=[lambda: _dense_mse(params, points[-1:], h_full, g1)],
-            )
-        results.append(BenchResult(closed_form_time=closed, direct_time=direct_stats, n_a_max=n_a_max, m=m))
-    return results
+    direct_stats = [None] * len(cases)
+    if include_direct:
+        # One quantized block suffices; each point tiles it.
+        arms = [
+            (params, points, *make_ortho_matrices(replace(params, n_a=n_a_max, n_q=1), RngStream(rng_seed)))
+            for (_, n_a_max, _, params), points in zip(cases, frontiers)
+        ]
+        direct_stats = _timeit(
+            [partial(_dense_mse, *arm) for arm in arms],
+            repeats=direct_repeats if direct_repeats is not None else repeats,
+            warmup=warmup,
+            warmup_fns=[partial(_dense_mse, params, points[-1:], h_full, g1) for params, points, h_full, g1 in arms],
+        )
+    return [
+        BenchResult(closed_form_time=closed, direct_time=direct, n_a_max=n_a_max, m=m)
+        for (m, n_a_max, _, _), closed, direct in zip(cases, closed_stats, direct_stats)
+    ]

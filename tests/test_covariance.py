@@ -24,6 +24,7 @@ from mixedres.model import (
     OrthoBlockParams,
     RngStream,
     copy_layout,
+    make_mimo_model,
     make_ortho_model,
     make_scalar_model,
 )
@@ -407,15 +408,44 @@ class TestBlockAssembly:
         diag = bundle.a1.diagonal()[:pa].real
         np.testing.assert_allclose(d.real[:pa], params.var_a_total, rtol=0, atol=4e-16 * diag.max(initial=0.0))
 
-    def test_solve_leaves_the_bundle_intact(self):
-        """The solve reads the bundle's blocks, so it must not factor them in place."""
-        model = make_scalar_model(2, 3, 1.0)
-        bundle = assemble(model)
+    def test_solve_leaves_the_bundle_intact(self, monkeypatch):
+        """The solves read the bundle's blocks, so they must not factor them in
+        place, and no stage may write into the model or into the c_y that the
+        arcsine stage maps in place of a copy.  Checked for lmmse_from_bundle,
+        lmmse and copy_scan_mse on models with copies of both blocks; each
+        filter is C-ordered."""
         names = ("a1", "a2", "c_theta")
-        before = {name: getattr(bundle, name).copy() for name in names}
-        lmmse_from_bundle(model, bundle)
-        for name in names:
-            np.testing.assert_array_equal(getattr(bundle, name), before[name], err_msg=name)
+        fields = ("h", "g", "sigma_theta")
+        bundles, c_ys = [], []
+        real_assemble, real_cov_quantized = estimator._assemble, estimator.cov_quantized
+
+        def recording_assemble(*args):
+            bundle = real_assemble(*args)
+            bundles.append((bundle, {name: getattr(bundle, name).copy() for name in names}))
+            return bundle
+
+        def recording_cov_quantized(c_y):
+            c_ys.append((c_y, c_y.copy()))
+            return real_cov_quantized(c_y)
+
+        monkeypatch.setattr(estimator, "_assemble", recording_assemble)
+        monkeypatch.setattr(estimator, "cov_quantized", recording_cov_quantized)
+        for model in (make_scalar_model(2, 3, 1.0), make_mimo_model(2, 2, 3, 1.5, 0.8, rng=RngStream(3))):
+            bundles.clear()
+            c_ys.clear()
+            model_before = {name: getattr(model, name).copy() for name in fields}
+            filters = [lmmse_from_bundle(model, assemble(model)), estimator.lmmse(model)]
+            estimator.copy_scan_mse(model, [0, model.m, 2 * model.m], [1, 2, 3])
+            assert len(bundles) == len(c_ys) == 3
+            assert all(bundle.copies[1] > 1 for bundle, _ in bundles)
+            for bundle, before in bundles:
+                for name in names:
+                    np.testing.assert_array_equal(getattr(bundle, name), before[name], err_msg=name)
+            for c_y, before in c_ys:
+                np.testing.assert_array_equal(c_y, before)
+            for name in fields:
+                np.testing.assert_array_equal(getattr(model, name), model_before[name], err_msg=name)
+            assert all(filt.w.flags.c_contiguous for filt in filters)
 
 
 class TestMonteCarloConsistency:

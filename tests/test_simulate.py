@@ -458,6 +458,25 @@ class TestBenchRuntime:
         assert calls == [0, 0, 1, 1, 2, 2] + [0, 1, 2] * 4
         assert [s.repeats for s in stats] == [4, 4, 4]
 
+    def test_direct_arm_interleaves_across_cases(self, monkeypatch):
+        """The direct arms of all cases share one timing loop: each case warms
+        up on its last frontier point, then every round times every case's
+        full frontier, in case order, so a slow spell after start-up lands
+        on all cases alike instead of on the first one."""
+        calls = []
+
+        def recording_dense_mse(params, points, h_full, g1):
+            calls.append((params.m, len(h_full) // params.m, len(points)))
+            return [0.0] * len(points)
+
+        monkeypatch.setattr(simulate, "_dense_mse", recording_dense_mse)
+        results = bench_runtime([1, 2], [1, 3], bits=3, repeats=2, direct_repeats=3, warmup=2)
+        cases = [(1, 1), (1, 3), (2, 1), (2, 3)]
+        warmups = [(m, n, 1) for m, n in cases for _ in range(2)]
+        rounds = [(m, n, n + 1) for m, n in cases] * 3
+        assert calls == warmups + rounds
+        assert [(r.m, r.n_a_max, r.direct_time.repeats) for r in results] == [(m, n, 3) for m, n in cases]
+
     @pytest.mark.parametrize("repeats, warmup", [(0, 1), (-3, 1), (2, -1)])
     def test_timeit_rejects_bad_counts(self, repeats, warmup):
         calls = []
