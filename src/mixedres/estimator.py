@@ -162,13 +162,7 @@ class CovarianceBundle:
 
     def _index(self) -> np.ndarray:
         """The row of the period that each row of x copies."""
-        (pa, pq), (ka, kq) = self.periods, self.copies
-        idx = np.empty(ka * pa + kq * pq, dtype=np.intp)
-        # Each reshape splits a slice of idx into (copies, rows), so it writes
-        # into idx; np.tile would cost about three times as much here.
-        idx[: ka * pa].reshape(ka, pa)[...] = np.arange(pa)
-        idx[ka * pa :].reshape(kq, pq)[...] = np.arange(pa, pa + pq)
-        return idx
+        return self._spread(np.arange(sum(self.periods))[None, :])[0]
 
     @property
     def c_x(self) -> np.ndarray:
@@ -192,7 +186,8 @@ class CovarianceBundle:
         (pa, pq), (ka, kq) = self.periods, self.copies
         m = len(cols)
         out = np.empty((m, ka * pa + kq * pq), dtype=cols.dtype)
-        # Splitting the column axis of each part into (copies, rows) is a view of out.
+        # Each reshape splits the columns of one block into (copies, rows), a
+        # view, so the broadcast copy writes into out.
         out[:, : ka * pa].reshape(m, ka, pa)[...] = cols[:, None, :pa]
         out[:, ka * pa :].reshape(m, kq, pq)[...] = cols[:, None, pa:]
         return out
