@@ -423,9 +423,8 @@ def copy_layout(rows: np.ndarray, period: int | None = None) -> tuple[int, int]:
     is 1 to n rows, or 0 for no rows) raises :class:`ModelError`.
     """
     n = rows.shape[0]
-    if rows.dtype == np.complex128 and rows.flags.c_contiguous:
-        # Complex entries are equal when both parts are: compare the float pairs, a faster test.
-        rows = rows.view(np.float64)
+    # Complex entries are equal when both parts are: compare the float pairs, a faster test.
+    rows = np.ascontiguousarray(rows, dtype=np.complex128).view(np.float64)
     if period is not None:
         candidates = [period]
     elif n <= 1:
