@@ -1141,6 +1141,7 @@ def test_libyaml_and_python_parsers_load_the_same_config(tmp_path, capsys, sourc
         (["mse", "--config", "configs/scalar_mse.yaml"], "mse_scalar_mse.csv"),
         (["simulate", "--config", "configs/simulate_scalar.yaml"], "simulate_simulate_scalar.json"),
         (["simulate", "--config", "tests/data/simulate_mimo_general.yaml"], "simulate_mimo_general.json"),
+        (["allocate", "--config", "configs/mimo_allocation.yaml", "--oracle"], "allocate_mimo_allocation_oracle.csv"),
     ],
 )
 def test_shipped_configs_reproduce_golden_bytes(tmp_path, argv, golden):
@@ -1148,15 +1149,19 @@ def test_shipped_configs_reproduce_golden_bytes(tmp_path, argv, golden):
     the closed-form commands as the scalar code wrote them, loading no SciPy,
     and seeded Monte-Carlo runs, which import LAPACK and scipy.special on
     first use.  The m = 4 MIMO run pins the general filter that ``lmmse``
-    solves for a model with more than one parameter."""
+    solves for a model with more than one parameter, and the ``--oracle``
+    run the exhaustive matrix-solve search at every noise level, which
+    imports LAPACK."""
     out = tmp_path / golden
     script = f"import sys; from mixedres.cli import main; code = main(); {PRINT_SCIPY_MODULES}; sys.exit(code)"
-    proc = _fresh_python("-c", script, argv[0], "--config", str(ROOT / argv[2]), "--output", str(out))
+    proc = _fresh_python("-c", script, argv[0], "--config", str(ROOT / argv[2]), *argv[3:], "--output", str(out))
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == (ROOT / "tests" / "data" / golden).read_bytes()
     loaded = set(proc.stdout.split())
     if argv[0] == "simulate":
         assert {"scipy.linalg.lapack", "scipy.special"} <= loaded
+    elif "--oracle" in argv:
+        assert "scipy.linalg.lapack" in loaded
     else:
         assert not loaded
 
