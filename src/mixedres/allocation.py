@@ -31,7 +31,7 @@ import numpy as np
 
 from .closed_form import mse_grid
 from .exceptions import InstanceTooLargeError, ModelError, NumericalDomainError, _count_text, require_finite
-from .estimator import check_dense_rows, copy_scan_mse
+from .estimator import _INT64_MAX, check_dense_rows, copy_scan_mse
 from .model import OrthoBlockParams, RngStream, block_model, make_ortho_matrices
 
 # Most closed-form points (frontier points x dither values x noise levels)
@@ -208,15 +208,20 @@ def argbest(mse, dither_var, n_a) -> np.ndarray:
     the one with fewer quantized blocks.  ``dither_var`` and ``n_a`` are
     scalars or vary along the last axis only, so the points are ranked by
     (dither variance, n_a, position) once, with a stable sort, and the
-    first least MSE in that order is the optimum of every row.  A
+    first least MSE in that order is the optimum of every row.  A scalar
+    key ranks every point alike, so it is left out of the sort.  A
     non-finite MSE raises :class:`NumericalDomainError`.
     """
     mse = np.asarray(mse)
     if not np.isfinite(mse).all():
         raise NumericalDomainError("MSE is not finite; no optimum can be picked")
-    keys = [np.broadcast_to(np.asarray(k), mse.shape[-1:]) for k in (n_a, dither_var)]
+    shape = mse.shape[-1:]
+    keys = [np.asarray(k) for k in (n_a, dither_var) if not np.isscalar(k)]
+    keys = [k if k.shape == shape else np.broadcast_to(k, shape) for k in keys]
+    if not keys:
+        return mse.argmin(axis=-1)
     order = np.lexsort(keys)
-    return order[np.argmin(mse[..., order], axis=-1)]
+    return order[mse[..., order].argmin(axis=-1)]
 
 
 def _require_clean_base(params_base: OrthoBlockParams) -> None:
@@ -296,25 +301,38 @@ def direct_search(params_base: OrthoBlockParams, points, h_full: np.ndarray, g1:
     One :func:`~mixedres.estimator.copy_scan_mse` over the largest
     requested ``n_a`` covers every point: one Cholesky factor of its analog
     rows, then O(p) work per copy count.  The trace keeps the order of
-    ``points``.  This is the reference the closed-form searches are checked
-    against.  Negative counts, an ``n_a`` beyond the blocks of ``h_full``
-    and an ``h_full`` or ``g1`` without m columns raise :class:`ModelError`.
+    ``points``, with each count as an ``int``.  This is the reference the
+    closed-form searches are checked against.  A point that is not a pair
+    of counts, a count that is not an integer (a bool or a float is
+    refused even when whole) or is negative, an ``n_a`` beyond the blocks
+    of ``h_full`` and an ``h_full`` or ``g1`` without m columns raise
+    :class:`ModelError`; an ``n_q`` beyond int64 raises
+    :class:`InstanceTooLargeError`.
     """
     _require_clean_base(params_base)
     m = params_base.m
     points = list(points)
-    counts = np.array(points, dtype=np.int64).reshape(-1, 2)
-    if not len(counts):
+    if not points:
         raise ModelError("direct_search needs at least one point")
-    if counts.min() < 0:
+    try:
+        n_a, n_q = zip(*points, strict=True)
+    except (TypeError, ValueError):
+        raise ModelError("every point must be one (n_a, n_q) pair") from None
+    for kind in dict.fromkeys(map(type, n_a + n_q)):
+        if not issubclass(kind, (int, np.integer)) or kind is bool:
+            raise ModelError(f"block counts must be integers, got {kind.__name__}")
+    if min(n_a) < 0 or min(n_q) < 0:
         raise ModelError("block counts must be nonnegative")
-    n_a_max = int(counts[:, 0].max())
+    n_a_max = int(max(n_a))
     if n_a_max > len(h_full) // m:
-        raise ModelError(f"n_a={n_a_max} exceeds the {len(h_full) // m} analog blocks of h_full")
+        raise ModelError(f"n_a={_count_text(n_a_max)} exceeds the {len(h_full) // m} analog blocks of h_full")
+    if max(n_q) > _INT64_MAX:
+        raise InstanceTooLargeError(f"n_q={_count_text(int(max(n_q)))} exceeds the int64 range of the copy scan")
+    n_a, n_q = np.array(n_a, dtype=np.int64), np.array(n_q, dtype=np.int64)
     model = block_model(replace(params_base, n_a=n_a_max, n_q=1), h_full, g1)
-    mse = copy_scan_mse(model, m * counts[:, 0], counts[:, 1])
-    best = int(argbest(mse, 0.0, counts[:, 0]))
-    trace = [(n_a, n_q, 0.0, value) for (n_a, n_q), value in zip(points, mse.tolist())]
+    mse = copy_scan_mse(model, m * n_a, n_q)
+    best = int(argbest(mse, 0.0, n_a))
+    trace = [(a, q, 0.0, value) for a, q, value in zip(n_a.tolist(), n_q.tolist(), mse.tolist())]
     return AllocationResult(*trace[best], trace)
 
 

@@ -134,6 +134,8 @@ MSE_ROUNDOFF_TOL = 1e-9
 # write no n x n matrix of a whole model but keep the same limit: lmmse on
 # all its rows, copy_scan_mse on the rows it factors.
 MAX_DENSE_ROWS = 8192
+# Largest copy count times block period that the copy scan holds.
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(eq=False)
@@ -399,7 +401,12 @@ def _cholesky_solve(c: np.ndarray, b: np.ndarray, overwrite_c: bool = False) -> 
 
 def _prefix_norms(z: np.ndarray) -> np.ndarray:
     """Squared Frobenius norms of the first 0, 1, ..., n rows of the n-row ``z``."""
-    return np.concatenate([[0.0], np.cumsum(np.sum(z.real**2 + z.imag**2, axis=1))])
+    squares = z.real**2
+    squares += z.imag**2
+    out = np.empty(len(z) + 1)
+    out[0] = 0.0
+    squares.sum(axis=1).cumsum(out=out[1:])
+    return out
 
 
 def _clamped_mse(mse):
@@ -407,9 +414,10 @@ def _clamped_mse(mse):
 
     An array gives an array; a float is checked in plain Python and gives a float."""
     scalar = isinstance(mse, float)
-    if not (math.isfinite(mse) if scalar else np.isfinite(mse).all()):
+    # NaN propagates through min and max, so both are finite only when every value is.
+    low, high = (mse, mse) if scalar else (mse.min(), mse.max())
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise NumericalDomainError("MSE evaluated to a non-finite value")
-    low = mse if scalar else np.min(mse)
     if low < -MSE_ROUNDOFF_TOL:
         raise NumericalDomainError(f"MSE evaluated to {low:.3e} < 0 beyond round-off tolerance")
     if scalar:
@@ -513,101 +521,115 @@ def copy_scan_mse(model: MixedModel, analog_rows, copies) -> np.ndarray:
     of all of ``model.h``'s rows and one ``eigh`` of a stack of p x p
     matrices, for one copy and for more, serve every point (see the module
     docstring); no n x n matrix of a point is built.
-    Returns the MSE of each point, in order.  A failed or non-finite analog
-    factor, a non-positive Schur eigenvalue lambda_j + 1/k of a requested
-    copy count, or a condition bound above ``CONDITION_LIMIT`` raises
-    :class:`EstimatorUndefinedError`.
+    Returns the MSE of each point, in order; no points give an empty array.
+    A failed or non-finite analog factor, a non-positive Schur eigenvalue
+    lambda_j + 1/k of a requested copy count, or a condition bound above
+    ``CONDITION_LIMIT`` raises :class:`EstimatorUndefinedError`; a copy
+    count whose rows overflow int64 raises :class:`InstanceTooLargeError`.
     """
-    rows = np.asarray(analog_rows, dtype=np.int64)
+    try:
+        rows = np.asarray(analog_rows, dtype=np.int64)
+        copies = np.asarray(copies, dtype=np.int64)
+    except OverflowError:
+        raise InstanceTooLargeError("analog_rows and copies must fit in int64") from None
     g1, n, m = model.g, model.n_analog, model.m
-    copies = np.asarray(copies, dtype=np.int64)
     if rows.shape != copies.shape or rows.ndim != 1:
         raise ModelError("analog_rows and copies must be 1-d arrays of one length")
-    if rows.min(initial=0) < 0 or rows.max(initial=0) > n or copies.min(initial=0) < 0:
+    if not rows.size:
+        return np.empty(0)
+    if rows.min() < 0 or rows.max() > n or copies.min() < 0:
         raise ModelError(f"need 0 <= analog_rows <= {n} and copies >= 0")
     p, per_block = copy_layout(g1)
+    if per_block > 1 and copies.max() > _INT64_MAX // per_block:
+        raise InstanceTooLargeError(
+            f"{_count_text(int(copies.max()))} copies of a block that repeats {per_block} times overflow int64"
+        )
     k = copies * per_block
     check_dense_rows(n + p)
-    quantized = bool(k.any())
+    # The points with quantized rows.
+    quantized = k.nonzero()[0]
     # Every analog prefix is a point, so the analog rows stay one copy.
-    bundle = _assemble(model, (n, min(n, 1)), (p, per_block) if quantized else (0, 0))
-    c_xa, b, a1 = bundle.a1[:n, :n], bundle.a1[:n, n:], bundle.a1[n:, n:]
-    a2, c_theta_q = bundle.a2[n:, n:], bundle.c_theta[:, n:]
-    prior = float(np.trace(model.sigma_theta).real)
+    bundle = _assemble(model, (n, min(n, 1)), (p, per_block) if quantized.size else (0, 0))
+    prior = float(model.sigma_theta.trace().real)
 
     # Z = inv(L) C_theta_xa^H and V = inv(L) B from one factor of the largest
     # C_xa; the first rows of each belong to the leading C_xa.
-    zv = np.concatenate([bundle.c_theta[:, :n].conj().T, b], axis=1)
+    zv = np.concatenate([bundle.c_theta[:, :n].conj().T, bundle.a1[:n, n:]], axis=1)
     a_norm = a_inv = 0.0
     if n:
-        zv, a_norm, condition = _cholesky_solve(c_xa, zv)
+        zv, a_norm, condition = _cholesky_solve(bundle.a1[:n, :n], zv)
         a_inv = condition / a_norm
     mse = prior - _prefix_norms(zv[:, :m])[rows]
-    if not quantized:
+    if not quantized.size:
         return _clamped_mse(mse)
 
     # [Z^H V; V^H V] of every analog prefix that is a multiple of step, the
     # gcd of the requested ones: cumulative sums of the Gram blocks of
-    # step-row groups.  Point i reads entry which[i].
-    step = max(int(np.gcd.reduce(np.append(rows, n))), 1)
-    which = rows // step
+    # step-row groups.  Quantized point i reads entry group[i].
+    step = math.gcd(n, *rows.tolist()) or 1
     groups = zv.reshape(n // step, step, m + p)
     gram = np.zeros((n // step + 1, m + p, p), dtype=np.complex128)
-    np.cumsum(groups.conj().transpose(0, 2, 1) @ groups[..., m:], axis=0, out=gram[1:])
-    r0, vv = c_theta_q - gram[:, :m], gram[:, m:]
+    (groups.conj().transpose(0, 2, 1) @ groups[..., m:]).cumsum(axis=0, out=gram[1:])
+    a1, a2 = bundle.a1[n:, n:], bundle.a2[n:, n:]
+    r0, vv = bundle.c_theta[:, n:] - gram[:, :m], gram[:, m:]
     # |inv(C_xa) B|^2 <= |inv(C_xa)| |V|^2, with |V|^2 <= trace(V^H V).
-    coupling = 1.0 + a_inv * np.trace(vv, axis1=1, axis2=2).real
+    coupling = 1.0 + a_inv * vv.trace(axis1=1, axis2=2).real
 
-    d = (a1.diagonal() - a2.diagonal()).real
-    # Each case: its points, the stacked matrices whose eigenproblem gives
-    # them and the cross terms, the shift that turns an eigenvalue into
-    # lambda_j + 1/k, the factor (min D, or 1) that turns that into a bound
-    # on the Schur complement's eigenvalues, and the floor 1 / min D that the
-    # copy differences put under |inv(C_x)|.
-    cases = []
-    if np.any(k == 1):
-        # One copy: C~ is C_x itself and its Schur complement is A1 - V^H V.
-        cases.append((k == 1, a1 - vv, r0, 0.0, 1.0, 0.0))
+    # Two cases, stacked for one eigenproblem and one product: one copy,
+    # where C~ is C_x itself and the Schur complement is A1 - V^H V, and
+    # more, whose eigenvalues are shifted by 1/k into lambda_j + 1/k.  For
+    # more, min D turns those into a bound on the Schur complement's
+    # eigenvalues, and the copy differences put the floor 1 / min D under
+    # |inv(C_x)|; one copy has neither (scale 1, floor 0).
+    k = k[quantized]
+    group = rows[quantized] // step
     more = k >= 2
-    if more.any():
-        if not np.all(d > 0):
+    n_more = np.count_nonzero(more)
+    stacks, crosses = [], []
+    if n_more < k.size:
+        stacks.append(a1 - vv)
+        crosses.append(r0)
+    # Point i reads entry at[i] of the stack, where more follows one copy.
+    at, scale, floor = group, 1.0, 0.0
+    if n_more:
+        d = (a1 - a2).diagonal().real
+        d_min = d.min()
+        if not d_min > 0:
             raise EstimatorUndefinedError(
                 "measurement covariance is singular: copies of a noiseless quantized row are identical",
                 condition=float("inf"),
             )
         root = 1.0 / np.sqrt(d)
-        shift = 1.0 / k[more][:, None]
-        cases.append((more, root[:, None] * (a2 - vv) * root, r0 * root, shift, d.min(), 1.0 / d.min()))
-    b_abs = np.abs(b)
-    cx_inv = np.full(k.shape, a_inv)
+        stacks.append(root[:, None] * (a2 - vv) * root)
+        crosses.append(r0 * root)
+        if len(stacks) > 1:
+            at = group + len(gram) * more
+        scale, floor = np.where(more, d_min, 1.0), np.where(more, 1.0 / d_min, 0.0)
+    # |B|, |A1| and their column sums, from one |[B; A1]|.
+    b_abs = np.abs(bundle.a1[:, n:])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # One stacked eigenproblem and one stacked product serve both cases.
-        lams, u = np.linalg.eigh(np.concatenate([case[1] for case in cases]))
-        y = np.concatenate([case[2] for case in cases]) @ u
-        ws = np.sum(y.real**2 + y.imag**2, axis=1)
-        for i, (sel, _, _, shift, scale, floor) in enumerate(cases):
-            at = which[sel] + i * len(gram)
-            lam = lams[at] + shift
-            if not np.all(lam > 0):
-                raise EstimatorUndefinedError(
-                    "measurement covariance is singular: non-positive Schur eigenvalue", condition=float("inf")
-                )
-            mse[sel] -= np.sum(ws[at] / lam, axis=1)
-            cx_inv[sel] = np.maximum(a_inv + coupling[which[sel]] / (scale * lam.min(axis=1)), floor)
+        lams, u = np.linalg.eigh(np.concatenate(stacks))
+        y = np.concatenate(crosses) @ u
+        ws = (y.real**2 + y.imag**2).sum(axis=1)
+        lam = lams[at]
+        if n_more:
+            lam += np.where(more, 1.0 / k, 0.0)[:, None]
+        if not (lam > 0).all():
+            raise EstimatorUndefinedError(
+                "measurement covariance is singular: non-positive Schur eigenvalue", condition=float("inf")
+            )
+        mse[quantized] -= (ws[at] / lam).sum(axis=1)
+        cx_inv = np.maximum(a_inv + coupling[group] / (scale * lam.min(axis=1)), floor)
         # |C_x|_1 with the largest analog prefix, which bounds every prefix;
         # A1 and A2 hold correlations, so their 1-norms are at most p.
-        cx_norm = np.where(
-            k > 0,
-            np.maximum(
-                a_norm + k * b_abs.sum(axis=1).max(initial=0.0),
-                b_abs.sum(axis=0).max()
-                + np.abs(a1).sum(axis=0).max()
-                + (k - 1) * np.abs(a2).sum(axis=0).max(),
-            ),
-            a_norm,
+        cx_norm = np.maximum(
+            a_norm + k * b_abs[:n].sum(axis=1).max(initial=0.0),
+            b_abs[:n].sum(axis=0).max() + b_abs[n:].sum(axis=0).max() + (k - 1) * np.abs(a2).sum(axis=0).max(),
         )
-        condition = cx_norm * cx_inv
-    if not np.all(condition <= CONDITION_LIMIT):
+        # A point without quantized rows has the bound of the analog rows alone.
+        condition = np.full(rows.size, a_norm * a_inv)
+        condition[quantized] = cx_norm * cx_inv
+    if not (condition <= CONDITION_LIMIT).all():
         worst = float(np.nan_to_num(condition, nan=np.inf).max())
         raise EstimatorUndefinedError(
             f"measurement covariance too ill-conditioned (bound {worst:.3e})", condition=worst

@@ -48,8 +48,9 @@ class AssumptionViolationError(MixedResError):
 class InstanceTooLargeError(MixedResError):
     """Problem instance exceeds a size limit: dense solve rows (``MAX_DENSE_ROWS``),
     Monte-Carlo batch values (``MAX_BATCH_ELEMENTS``) or trials (``MAX_TRIALS``),
-    grid points (``MAX_GRID_POINTS``), benchmark repetitions (``MAX_REPEATS``)
-    or exhaustive-search pairs (``MAX_EXHAUSTIVE_PAIRS``)."""
+    grid points (``MAX_GRID_POINTS``), benchmark repetitions (``MAX_REPEATS``),
+    exhaustive-search pairs (``MAX_EXHAUSTIVE_PAIRS``), or block and copy
+    counts of the copy scan beyond the int64 range."""
 
 
 class ConfigError(MixedResError):

@@ -29,7 +29,7 @@ variance are returned instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
 
@@ -168,6 +168,10 @@ class MixedModel:
         Analog and quantized-path noise variances.
     var_da, var_dq : float
         Dither variances added to the analog and quantized paths.
+
+    The prior is checked to be Hermitian positive definite, except when
+    ``_identity_prior`` is set: :func:`block_model` sets it for the identity
+    prior it builds itself.
     """
 
     h: np.ndarray
@@ -177,8 +181,9 @@ class MixedModel:
     var_q: float
     var_da: float = 0.0
     var_dq: float = 0.0
+    _identity_prior: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _identity_prior: bool):
         h = np.asarray(self.h, dtype=np.complex128)
         g = np.asarray(self.g, dtype=np.complex128)
         sig = np.atleast_2d(np.asarray(self.sigma_theta, dtype=np.complex128))
@@ -195,11 +200,15 @@ class MixedModel:
             raise ModelError(f"g must have shape (n_quantized, {m}), got {g.shape}")
         if h.shape[0] + g.shape[0] < 1:
             raise ModelError("model needs at least one measurement row")
-        for name, arr in (("h", h), ("g", g), ("sigma_theta", sig)):
+        # The identity prior of block_model needs none of the prior's checks.
+        arrays = [("h", h), ("g", g)] + ([] if _identity_prior else [("sigma_theta", sig)])
+        for name, arr in arrays:
             if not np.isfinite(arr).all():
                 raise ModelError(f"{name} must have finite entries")
         for name in ("var_a", "var_q", "var_da", "var_dq"):
             require_finite(name, getattr(self, name))
+        if _identity_prior:
+            return
 
         herm_gap = np.max(np.abs(sig - sig.conj().T)) if m else 0.0
         if herm_gap > 1e-12 * max(1.0, np.max(np.abs(sig))):
@@ -554,13 +563,17 @@ def make_ortho_matrices(params: OrthoBlockParams, rng: RngStream):
     # One draw of every block, the quantized block last; the stacked QR
     # factors each block as a QR of that block alone would.
     z = g.standard_normal((params.n_a + 1, 2, m, m))
-    q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) * np.sqrt(0.5))
-    d = np.diagonal(r, axis1=1, axis2=2).copy()
+    # (re + i im) / sqrt(2), each part scaled into its place.
+    w = np.empty((params.n_a + 1, m, m), dtype=np.complex128)
+    np.multiply(z[:, 0], INV_SQRT2, out=w.real)
+    np.multiply(z[:, 1], INV_SQRT2, out=w.imag)
+    q, r = np.linalg.qr(w)
+    d = r.diagonal(axis1=1, axis2=2).copy()
     d[d == 0] = 1.0  # measure-zero guard
     u = q * (d / np.abs(d))[:, None, :]
-    h = (np.sqrt(params.rho_a) * u[:-1]).reshape(-1, m)
+    h = (math.sqrt(params.rho_a) * u[:-1]).reshape(-1, m)
     # Drawing the quantized block also when n_q = 0 leaves H unchanged.
-    gm = np.tile(np.sqrt(params.rho_q) * u[-1], (params.n_q, 1))
+    gm = np.tile(math.sqrt(params.rho_q) * u[-1], (params.n_q, 1))
     return h, gm
 
 
@@ -571,6 +584,8 @@ def block_model(params: OrthoBlockParams, h: np.ndarray, g1: np.ndarray) -> Mixe
     ``params.n_q`` copies of the m-row block ``g1``, with the identity
     prior and the four noise and dither variances of ``params``.  The
     block gains are those of the matrices given, not ``rho_a``/``rho_q``.
+    The blocks and variances are checked as for any model; the identity
+    prior is not re-proved positive definite.
     """
     m = params.m
     return MixedModel(
@@ -581,6 +596,7 @@ def block_model(params: OrthoBlockParams, h: np.ndarray, g1: np.ndarray) -> Mixe
         var_q=params.var_q,
         var_da=params.var_da,
         var_dq=params.var_dq,
+        _identity_prior=True,
     )
 
 

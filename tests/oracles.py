@@ -344,7 +344,8 @@ def reference_lmmse(model: MixedModel) -> LmmseFilter:
     prior_trace = float(np.trace(model.sigma_theta).real)
     if c_x.shape[0] == 0:
         return LmmseFilter(w=np.zeros((model.m, 0), dtype=np.complex128), mse=prior_trace, condition=1.0)
-    anorm = np.linalg.norm(c_x, 1)
+    # The 1-norm of a C-ordered copy: NumPy sums the columns of other layouts in another order.
+    anorm = np.linalg.norm(np.ascontiguousarray(c_x), 1)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LinAlgWarning)

@@ -385,14 +385,40 @@ class TestDirectSearch:
 
     @pytest.mark.parametrize(
         "points",
-        [[(3, 5)], [(3, 0), (1, 0)], [(-1, 1)], [(1, -1)], []],
-        ids=["n_a-beyond-blocks", "n_a-beyond-blocks-later", "negative-n_a", "negative-n_q", "no-points"],
+        [
+            [(3, 5)], [(3, 0), (1, 0)], [(-1, 1)], [(1, -1)], [],
+            [(1.5, 2.7)], [(1, 2.0)], [(True, 1)], [(1, np.True_)], [(1, "2")], [(1, 2, 3)], [(1, 2), (1,)], [1, 2],
+        ],
+        ids=[
+            "n_a-beyond-blocks", "n_a-beyond-blocks-later", "negative-n_a", "negative-n_q", "no-points",
+            "fractions", "whole-float", "bool", "numpy-bool", "string", "triple", "single", "not-pairs",
+        ],
     )
     def test_rejects_bad_points(self, points):
+        """Among them counts that are not integers: a float was once truncated
+        while the trace reported it as given."""
         params = _params(m=2)
         h_full, g1 = self._blocks(params, 1)
         with pytest.raises(ModelError):
             direct_search(params, points, h_full, g1)
+
+    def test_numpy_counts_give_an_int_trace(self):
+        params = _params(m=2, sigma2=0.5)
+        h_full, g1 = self._blocks(params, 2)
+        points = [(1, 0), (2, 3), (0, 1), (2, 1)]
+        res = direct_search(params, np.array(points, dtype=np.uint8), h_full, g1)
+        assert res == direct_search(params, points, h_full, g1)
+        assert {type(count) for entry in res.trace for count in entry[:2]} == {int}
+        assert type(res.n_a_star) is int and type(res.n_q_star) is int
+
+    def test_rejects_counts_beyond_int64(self):
+        """Such a count once ended in a raw OverflowError from NumPy."""
+        params = _params(m=2)
+        h_full, g1 = self._blocks(params, 1)
+        with pytest.raises(InstanceTooLargeError, match=r"^n_q=about 9\.22e\+18 exceeds the int64 range"):
+            direct_search(params, [(1, 0), (1, 2**63)], h_full, g1)
+        with pytest.raises(ModelError, match=r"^n_a=about 9\.22e\+18 exceeds the 1 analog blocks"):
+            direct_search(params, [(2**63, 0)], h_full, g1)
 
     def test_rejects_blocks_without_m_columns(self):
         params = _params(m=2)

@@ -523,6 +523,26 @@ class TestCopyScanMse:
         with pytest.raises(ModelError):
             copy_scan_mse(model, rows, copies)
 
+    def test_no_points_give_an_empty_array(self):
+        """No points once ended in a raw ValueError from an empty reduction."""
+        model = MixedModel(h=np.ones((1, 1)), g=np.ones((1, 1)), sigma_theta=np.eye(1), var_a=1.0, var_q=1.0)
+        got = copy_scan_mse(model, [], [])
+        assert got.shape == (0,) and got.dtype == np.float64
+
+    def test_copy_counts_beyond_int64_are_refused(self):
+        """g1 = [b; b] holds two periods, so 2**62 copies of it are 2**63 rows of b,
+        a count that once wrapped around int64 (here to a negative one, which
+        ended in a raw ValueError)."""
+        g1 = np.array([[1.0 + 0.5j], [1.0 + 0.5j]])
+        model = MixedModel(h=np.ones((1, 1)), g=g1, sigma_theta=np.eye(1), var_a=1.0, var_q=0.5)
+        with pytest.raises(InstanceTooLargeError, match=r"^about 4\.61e\+18 copies of a block"):
+            copy_scan_mse(model, [1], [2**62])
+        with pytest.raises(InstanceTooLargeError, match="int64"):
+            copy_scan_mse(model, [1], [2**63])
+        # One copy fewer fits, and meets the condition bound instead.
+        with pytest.raises(EstimatorUndefinedError, match="ill-conditioned"):
+            copy_scan_mse(model, [1], [2**62 - 1])
+
     def test_refused_before_assembly(self, monkeypatch):
         def no_assembly(model):
             raise AssertionError("covariance assembled for an oversized scan")
