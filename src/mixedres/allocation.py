@@ -31,7 +31,7 @@ import numpy as np
 
 from .closed_form import mse_grid
 from .exceptions import InstanceTooLargeError, ModelError, NumericalDomainError, _count_text, require_finite
-from .estimator import _INT64_MAX, check_dense_rows, copy_scan_mse
+from .estimator import _INT64_MAX, check_dense_rows, check_integer_kinds, copy_scan_mse
 from .model import OrthoBlockParams, RngStream, block_model, make_ortho_matrices
 
 # Most closed-form points (frontier points x dither values x noise levels)
@@ -224,11 +224,6 @@ def argbest(mse, dither_var, n_a) -> np.ndarray:
     return order[mse[..., order].argmin(axis=-1)]
 
 
-def _require_clean_base(params_base: OrthoBlockParams) -> None:
-    if params_base.var_da != 0.0 or params_base.var_dq != 0.0:
-        raise ModelError("params_base must carry zero dither variances; dither is a decision variable")
-
-
 def allocate(params_base: OrthoBlockParams, budget: PowerBudget) -> AllocationResult:
     """Minimize the closed-form MSE over the max-power frontier.
 
@@ -248,7 +243,6 @@ def allocate_with_dither(
     the global best is kept with ties broken toward smaller dither variance,
     then smaller n_a.  The trace lists the points n_a-major.
     """
-    _require_clean_base(params_base)
     p = params_base
     n_a, n_q, grid, mse = frontier_grid(p.m, p.rho_a, p.rho_q, p.var_a, p.var_q, budget, scheme)
     best = int(argbest(mse.ravel(), np.tile(grid, len(n_a)), np.repeat(n_a, len(grid))))
@@ -270,7 +264,6 @@ def allocate_exhaustive(
     more than ``MAX_DENSE_ROWS`` rows (m per analog block plus one quantized
     period), are refused before anything is drawn.
     """
-    _require_clean_base(params_base)
     m = params_base.m
     rng = rng if rng is not None else RngStream(0)
 
@@ -309,7 +302,6 @@ def direct_search(params_base: OrthoBlockParams, points, h_full: np.ndarray, g1:
     :class:`ModelError`; an ``n_q`` beyond int64 raises
     :class:`InstanceTooLargeError`.
     """
-    _require_clean_base(params_base)
     m = params_base.m
     points = list(points)
     if not points:
@@ -318,9 +310,7 @@ def direct_search(params_base: OrthoBlockParams, points, h_full: np.ndarray, g1:
         n_a, n_q = zip(*points, strict=True)
     except (TypeError, ValueError):
         raise ModelError("every point must be one (n_a, n_q) pair") from None
-    for kind in dict.fromkeys(map(type, n_a + n_q)):
-        if not issubclass(kind, (int, np.integer)) or kind is bool:
-            raise ModelError(f"block counts must be integers, got {kind.__name__}")
+    check_integer_kinds("block counts", map(type, n_a + n_q))
     if min(n_a) < 0 or min(n_q) < 0:
         raise ModelError("block counts must be nonnegative")
     n_a_max = int(max(n_a))

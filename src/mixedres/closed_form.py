@@ -3,7 +3,7 @@
 Under the identity prior and the block structure of
 :class:`~mixedres.model.OrthoBlockParams`, the LMMSE solution collapses to
 two scalar coefficients and the MSE to O(1) scalar arithmetic in
-(m, n_a, n_q, rho_a, rho_q) and the total (noise + dither) path variances.
+(m, n_a, n_q, rho_a, rho_q) and the path variances, noise plus any dither.
 Every formula here is cross-validated against the matrix-solve path in the
 test suite.
 """
@@ -100,16 +100,13 @@ def mse_pure_quantized(m: int, n_q: int, rho_q: float, var_q_total: float) -> fl
 
 
 def mse_noiseless_quantized_limit(m: int, n_a: int, rho_a: float, var_a: float) -> float:
-    """MSE limit as the quantized-path noise vanishes, for any n_q >= 1.
+    """MSE limit as the quantized-path noise vanishes, for any n_q >= 1: :func:`mse_grid` at n_q = 1, var_q = 0.
 
     The value is constant in n_q: once the quantizer input is noiseless, a
-    single quantized block extracts everything further blocks could.
+    single quantized block extracts everything further blocks could; rho_q
+    cancels from it.
     """
-    if n_a == 0:
-        return m * (1.0 - 2.0 / np.pi)
-    u = rho_a * n_a + var_a
-    term = 2.0 * var_a**2 / (np.pi * u**2 - 2.0 * rho_a * n_a * u)
-    return m - m * (rho_a * n_a / u + term)
+    return float(mse_grid(m, n_a, 1, rho_a, 1.0, var_a, 0.0))
 
 
 def mse_grid(m, n_a, n_q, rho_a, rho_q, var_a_total, var_q_total) -> np.ndarray:
@@ -147,10 +144,10 @@ def mse_closed_form(params: OrthoBlockParams) -> ClosedFormMse:
     """Closed-form MSE of the LMMSE estimator for the orthonormal-block model.
 
     The scalar view of :func:`mse_grid`, with the two coefficients at the
-    same point.  Dither enters only through the total path variances.
+    same point.  Dither enters only through the path variances.
     """
-    va = params.var_a_total
-    vq = params.var_q_total
+    va = params.var_a
+    vq = params.var_q
     m, n_a, n_q = params.m, params.n_a, params.n_q
     rho_a, rho_q = params.rho_a, params.rho_q
     return ClosedFormMse(
@@ -199,8 +196,8 @@ def filter_closed_form(params: OrthoBlockParams, h: np.ndarray, g: np.ndarray) -
     g = np.asarray(g, dtype=np.complex128)
     _check_block_structure(params, h, g)
 
-    va = params.var_a_total
-    vq = params.var_q_total
+    va = params.var_a
+    vq = params.var_q
     m, n_a, n_q = params.m, params.n_a, params.n_q
     rho_a, rho_q = params.rho_a, params.rho_q
     # Like mse_grid, check only the coefficients that are used.
@@ -219,7 +216,7 @@ def filter_closed_form(params: OrthoBlockParams, h: np.ndarray, g: np.ndarray) -
         else:
             da = rho_a * n_a + va
             s = a + b * rho_q * n_q
-            c1 = 1.0 / da - 2.0 * rho_q * n_q * va / (np.pi * (rho_q + vq) * s * da**2)
+            c1 = 1.0 / da - 2.0 * rho_q * n_q * va / (np.pi * (rho_q + vq) * s * _square(da))
             c2 = np.sqrt(2.0 / (np.pi * (rho_q + vq))) * va / (s * da)
         w = np.concatenate([c1 * h.conj().T, c2 * g.conj().T], axis=1)
     if not np.isfinite(w).all():

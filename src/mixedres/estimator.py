@@ -245,15 +245,15 @@ def _gram_plus_diag(b: np.ndarray, sigma: np.ndarray, var: float) -> np.ndarray:
 
 
 def cov_analog(model: MixedModel) -> np.ndarray:
-    """Auto-covariance of the analog measurements (noise plus dither), exactly Hermitian."""
-    c = _gram_plus_diag(model.h, model.sigma_theta, model.var_a_total)
+    """Auto-covariance of the analog measurements, exactly Hermitian."""
+    c = _gram_plus_diag(model.h, model.sigma_theta, model.var_a)
     _make_hermitian(c)
     return c
 
 
 def cov_pre_quantization(model: MixedModel) -> np.ndarray:
-    """Auto-covariance of the quantizer input y = G theta + w_q + w_dq."""
-    return _gram_plus_diag(model.g, model.sigma_theta, model.var_q_total)
+    """Auto-covariance of the quantizer input y = G theta + w_q."""
+    return _gram_plus_diag(model.g, model.sigma_theta, model.var_q)
 
 
 def _inv_sqrt_diag(c_y: np.ndarray) -> np.ndarray:
@@ -337,10 +337,10 @@ def _assemble(model: MixedModel, analog: tuple[int, int], quantized: tuple[int, 
     d = c_y.diagonal().real
     s = 1.0 / np.sqrt(d)
     # Round-off lifts the ratio past 1 for a noiseless quantizer (v = 0).
-    r = np.minimum((s * (d - model.var_q_total)) * s, 1.0)
+    r = np.minimum((s * (d - model.var_q)) * s, 1.0)
     a2 = a1.copy()
     noise_free = a2.reshape(-1)[:: n + 1]  # a view of the diagonal
-    noise_free[:pa] -= model.var_a_total
+    noise_free[:pa] -= model.var_a
     noise_free[pa:] = (2.0 / np.pi) * np.arcsin(r)
     return CovarianceBundle(a1=a1, a2=a2, c_theta=c_theta, periods=(pa, pq), copies=(ka, kq))
 
@@ -354,6 +354,15 @@ def check_dense_rows(n: int) -> None:
     """Refuse a dense solve of more than ``MAX_DENSE_ROWS`` rows, before any array is built."""
     if n > MAX_DENSE_ROWS:
         raise InstanceTooLargeError(f"a dense solve of {_count_text(n)} rows exceeds the limit of {MAX_DENSE_ROWS}")
+
+
+def check_integer_kinds(name: str, kinds) -> None:
+    """Refuse with :class:`ModelError` any type in ``kinds`` but an integer type other than bool.
+
+    A whole float or a bool is refused too: ``int()`` or an int64 cast would take it for a count."""
+    for kind in dict.fromkeys(kinds):
+        if not issubclass(kind, (int, np.integer)) or kind is bool:
+            raise ModelError(f"{name} must be integers, got {kind.__name__}")
 
 
 def _checked_condition(rcond: float, info: int) -> float:
@@ -522,11 +531,16 @@ def copy_scan_mse(model: MixedModel, analog_rows, copies) -> np.ndarray:
     matrices, for one copy and for more, serve every point (see the module
     docstring); no n x n matrix of a point is built.
     Returns the MSE of each point, in order; no points give an empty array.
-    A failed or non-finite analog factor, a non-positive Schur eigenvalue
-    lambda_j + 1/k of a requested copy count, or a condition bound above
-    ``CONDITION_LIMIT`` raises :class:`EstimatorUndefinedError`; a copy
-    count whose rows overflow int64 raises :class:`InstanceTooLargeError`.
+    A count that is not an integer (a bool or a float, even when whole)
+    raises :class:`ModelError`.  A failed or non-finite analog factor, a
+    non-positive Schur eigenvalue lambda_j + 1/k of a requested copy count,
+    or a condition bound above ``CONDITION_LIMIT`` raises
+    :class:`EstimatorUndefinedError`; a copy count whose rows overflow int64
+    raises :class:`InstanceTooLargeError`.
     """
+    for values in (analog_rows, copies):
+        kinds = map(type, values) if isinstance(values, (list, tuple)) else [np.asarray(values).dtype.type]
+        check_integer_kinds("analog_rows and copies", kinds)
     try:
         rows = np.asarray(analog_rows, dtype=np.int64)
         copies = np.asarray(copies, dtype=np.int64)

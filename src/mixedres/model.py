@@ -2,18 +2,19 @@
 
 The measurement vector concatenates an analog (continuous-valued) part
 
-    x_a = H theta + w_a + w_da
+    x_a = H theta + w_a
 
 and a 1-bit quantized part
 
-    x_q = Q(G theta + w_q + w_dq),
+    x_q = Q(G theta + w_q),
 
 where ``theta`` is a zero-mean circularly symmetric complex Gaussian
 parameter with covariance ``sigma_theta`` and all noise terms are i.i.d.
-complex Gaussian.  ``w_da`` and ``w_dq`` are optional dither terms added
-before acquisition/quantization.  The convention throughout the package is
-that a scalar CN(0, v) variable has independent real and imaginary parts of
-variance v/2 each.
+complex Gaussian.  A Gaussian dither added before acquisition or
+quantization is, in distribution, more noise, so a dithered path is a path
+whose noise variance includes its dither.  The convention throughout the
+package is that a scalar CN(0, v) variable has independent real and
+imaginary parts of variance v/2 each.
 
 Two routes draw from the model.  :func:`sample_measurements` realizes
 every row: noise, then the sign.  :func:`sample_copy_sums` serves a filter
@@ -165,9 +166,8 @@ class MixedModel:
     sigma_theta : np.ndarray
         Hermitian positive-definite prior covariance, shape (m, m).
     var_a, var_q : float
-        Analog and quantized-path noise variances.
-    var_da, var_dq : float
-        Dither variances added to the analog and quantized paths.
+        Analog and quantized-path noise variances; a dithered path's
+        variance includes its dither.
 
     The prior is checked to be Hermitian positive definite, except when
     ``_identity_prior`` is set: :func:`block_model` sets it for the identity
@@ -179,8 +179,6 @@ class MixedModel:
     sigma_theta: np.ndarray
     var_a: float
     var_q: float
-    var_da: float = 0.0
-    var_dq: float = 0.0
     _identity_prior: InitVar[bool] = False
 
     def __post_init__(self, _identity_prior: bool):
@@ -205,7 +203,7 @@ class MixedModel:
         for name, arr in arrays:
             if not np.isfinite(arr).all():
                 raise ModelError(f"{name} must have finite entries")
-        for name in ("var_a", "var_q", "var_da", "var_dq"):
+        for name in ("var_a", "var_q"):
             require_finite(name, getattr(self, name))
         if _identity_prior:
             return
@@ -230,16 +228,6 @@ class MixedModel:
     def n_quantized(self) -> int:
         return self.g.shape[0]
 
-    @property
-    def var_a_total(self) -> float:
-        """Analog-path noise plus dither variance."""
-        return self.var_a + self.var_da
-
-    @property
-    def var_q_total(self) -> float:
-        """Quantized-path noise plus dither variance."""
-        return self.var_q + self.var_dq
-
 
 @dataclass(frozen=True)
 class OrthoBlockParams:
@@ -258,8 +246,6 @@ class OrthoBlockParams:
     rho_q: float = 1.0
     var_a: float = 1.0
     var_q: float = 1.0
-    var_da: float = 0.0
-    var_dq: float = 0.0
 
     def __post_init__(self):
         if self.m < 1:
@@ -268,7 +254,7 @@ class OrthoBlockParams:
             raise ModelError("block counts must be nonnegative")
         require_finite("rho_a", self.rho_a, positive=True)
         require_finite("rho_q", self.rho_q, positive=True)
-        for name in ("var_a", "var_q", "var_da", "var_dq"):
+        for name in ("var_a", "var_q"):
             require_finite(name, getattr(self, name))
 
     @property
@@ -278,14 +264,6 @@ class OrthoBlockParams:
     @property
     def n_quantized(self) -> int:
         return self.m * self.n_q
-
-    @property
-    def var_a_total(self) -> float:
-        return self.var_a + self.var_da
-
-    @property
-    def var_q_total(self) -> float:
-        return self.var_q + self.var_dq
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +364,13 @@ def _add_planar_normal(out: np.ndarray, g: np.random.Generator, std: float, z: n
     out.imag += z[1]
 
 
-def _part_std(var: float, var_d: float) -> float:
-    """Standard deviation of each real part of CN(0, var) + CN(0, var_d).
+def _part_std(var: float) -> float:
+    """Standard deviation of each real part of CN(0, var).
 
-    sqrt(var + var_d) can overflow for two finite variances; the hypot of
-    the square roots cannot, and stays positive for the smallest subnormal,
+    sqrt(var) * (1/sqrt(2)) stays positive for the smallest subnormal,
     where sqrt(var / 2) underflows to 0.
     """
-    return float(np.hypot(np.sqrt(var), np.sqrt(var_d))) * INV_SQRT2
+    return float(np.sqrt(var)) * INV_SQRT2
 
 
 def sample_measurements(model: MixedModel, theta: np.ndarray, rng: RngStream):
@@ -401,10 +378,10 @@ def sample_measurements(model: MixedModel, theta: np.ndarray, rng: RngStream):
 
     ``theta`` may be a single vector of length m or an (m, t) batch of
     column vectors; the outputs have matching trailing shape.  Noise draws
-    are taken from ``rng`` in the fixed order w_a, w_da, w_q, w_dq so that
-    identical streams reproduce identical measurements.  A term whose
-    variance is 0 is skipped and consumes no draws, so the terms after it
-    take the draws it would have used.
+    are taken from ``rng`` in the fixed order w_a, w_q so that identical
+    streams reproduce identical measurements.  A term whose variance is 0
+    is skipped and consumes no draws, so w_q then takes the draws w_a
+    would have used.
     """
     theta = np.asarray(theta, dtype=np.complex128)
     if theta.shape[0] != model.m:
@@ -413,11 +390,9 @@ def sample_measurements(model: MixedModel, theta: np.ndarray, rng: RngStream):
 
     x_a = model.h @ theta
     _add_complex_normal(x_a, g, model.var_a)
-    _add_complex_normal(x_a, g, model.var_da)
 
     y = model.g @ theta
     _add_complex_normal(y, g, model.var_q)
-    _add_complex_normal(y, g, model.var_dq)
     x_q = quantize_1bit(y) if y.size else y
     return x_a, x_q
 
@@ -472,11 +447,11 @@ def sample_copy_sums(
     :func:`copy_layout` checks them; a period equal to the row count claims
     no repetition.  Returns ``(s_a, s_q, s_q_var)``, each with t columns:
 
-    - ``s_a`` (p_a rows): one CN(0, k_a * var_a_total) block added to
+    - ``s_a`` (p_a rows): one CN(0, k_a * var_a) block added to
       k_a * H[:p_a] theta, distributed as the sum of the rows that
       :func:`sample_measurements` draws.  It is the only draw from ``rng``.
     - ``s_q`` (p rows): the mean of the quantized copy sum.  With
-      P = Phi(mu / sqrt(v/2)) per part of mu = G[:p] theta, v = var_q_total,
+      P = Phi(mu / sqrt(v/2)) per part of mu = G[:p] theta, v = var_q,
       each part of that sum is (2 * count - k) / sqrt(2) with
       count ~ Binomial(k, P), of mean k (2P - 1) / sqrt(2).
     - ``s_q_var`` (p rows): the variance of that sum, both parts together:
@@ -505,7 +480,7 @@ def sample_copy_sums(
     sums = buffers.copy_sums(t)
     s_a, s_q = sums[:analog_period], sums[analog_period:]
     np.matmul(model.h[:analog_period], theta, out=s_a)
-    std_a = _part_std(model.var_a, model.var_da)
+    std_a = _part_std(model.var_a)
     # An extreme model can overflow the sum; run_monte_carlo refuses the non-finite result.
     with np.errstate(over="ignore"):
         if k_a > 1:
@@ -516,7 +491,7 @@ def sample_copy_sums(
     mu = np.matmul(model.g[:p], theta, out=s_q)
     prob = _prefix(buffers.scratch, (2, p, t))
     s_q_var = prob[0]
-    sigma = _part_std(model.var_q, model.var_dq)
+    sigma = _part_std(model.var_q)
     if sigma == 0.0 or not mu.size:
         s_q[...] = k * quantize_1bit(mu)
         s_q_var[...] = 0.0
@@ -582,7 +557,7 @@ def block_model(params: OrthoBlockParams, h: np.ndarray, g1: np.ndarray) -> Mixe
 
     Stacks the first ``params.n_a`` m-row blocks of ``h`` over
     ``params.n_q`` copies of the m-row block ``g1``, with the identity
-    prior and the four noise and dither variances of ``params``.  The
+    prior and the two noise variances of ``params``.  The
     block gains are those of the matrices given, not ``rho_a``/``rho_q``.
     The blocks and variances are checked as for any model; the identity
     prior is not re-proved positive definite.
@@ -594,8 +569,6 @@ def block_model(params: OrthoBlockParams, h: np.ndarray, g1: np.ndarray) -> Mixe
         sigma_theta=np.eye(m, dtype=np.complex128),
         var_a=params.var_a,
         var_q=params.var_q,
-        var_da=params.var_da,
-        var_dq=params.var_dq,
         _identity_prior=True,
     )
 

@@ -51,7 +51,7 @@ from .allocation import (
 )
 from .closed_form import mse_grid
 from .exceptions import InstanceTooLargeError, ModelError, NumericalDomainError, _count_text, require_finite
-from .estimator import LmmseFilter, check_dense_rows, prefix_mse
+from .estimator import LmmseFilter, check_dense_rows, check_integer_kinds, prefix_mse
 from .model import (
     MixedModel,
     OrthoBlockParams,
@@ -260,10 +260,13 @@ def sweep_mse_vs_noise(
 
     The noise variance applies to both measurement paths.  Returns one row
     per (sigma2, allocation) cell, noise-major.  More than
-    ``MAX_GRID_POINTS`` cells are refused before the grid is built, and an
-    m or a block count beyond the float range is a :class:`ModelError`.
+    ``MAX_GRID_POINTS`` cells are refused before the grid is built.  A block
+    count that is not an integer (a bool or a float, even when whole), and
+    an m or a block count beyond the float range, are a :class:`ModelError`.
     """
     levels = _noise_levels(sigma_grid)
+    allocations = list(allocations)
+    check_integer_kinds("block counts", (type(count) for pair in allocations for count in pair))
     pairs = [(int(n_a), int(n_q)) for n_a, n_q in allocations]
     if len(levels) * len(pairs) > MAX_GRID_POINTS:
         raise InstanceTooLargeError(
@@ -277,10 +280,7 @@ def sweep_mse_vs_noise(
     n_a = np.array([n_a for n_a, _ in pairs], dtype=np.float64)
     n_q = np.array([n_q for _, n_q in pairs], dtype=np.float64)
     noise = np.array(levels).reshape(-1, 1)
-    mse = mse_grid(
-        params_base.m, n_a, n_q, params_base.rho_a, params_base.rho_q,
-        noise + params_base.var_da, noise + params_base.var_dq,
-    )
+    mse = mse_grid(params_base.m, n_a, n_q, params_base.rho_a, params_base.rho_q, noise, noise)
     return [
         {"sigma2": sigma2, "n_a": a, "n_q": q, "mse_analytic": value}
         for sigma2, row in zip(levels, mse.tolist())

@@ -131,7 +131,6 @@ def random_ortho_params(
     n_q_max: int = 10,
     scale_lo: float = 0.1,
     scale_hi: float = 10.0,
-    with_dither: bool = False,
 ) -> OrthoBlockParams:
     """Random admissible parameter set with at least one measurement block."""
     m = int(rng.integers(1, m_max + 1))
@@ -147,8 +146,6 @@ def random_ortho_params(
         rho_q=log_uniform(rng, scale_lo, scale_hi),
         var_a=log_uniform(rng, scale_lo, scale_hi),
         var_q=log_uniform(rng, scale_lo, scale_hi),
-        var_da=log_uniform(rng, scale_lo, scale_hi) if with_dither else 0.0,
-        var_dq=log_uniform(rng, scale_lo, scale_hi) if with_dither else 0.0,
     )
 
 
@@ -211,8 +208,8 @@ def _mse_pure_quantized(m: int, n_q: int, rho_q: float, var_q_total: float) -> f
 
 def reference_mse_closed_form(params: OrthoBlockParams) -> ClosedFormMse:
     """Scalar closed-form MSE, one branch per point."""
-    va = params.var_a_total
-    vq = params.var_q_total
+    va = params.var_a
+    vq = params.var_q
     a = _alpha(params.rho_q, vq)
     b = _beta(params.n_a, params.rho_a, params.rho_q, va, vq)
     m, n_a, n_q = params.m, params.n_a, params.n_q
@@ -236,11 +233,10 @@ def reference_mse_closed_form(params: OrthoBlockParams) -> ClosedFormMse:
 
 
 def _apply_dither(scheme: DitherScheme, params: OrthoBlockParams, dither_var: float) -> OrthoBlockParams:
-    if scheme.mode == "both":
-        return replace(params, var_da=dither_var, var_dq=dither_var)
-    if scheme.mode == "quantized-only":
-        return replace(params, var_da=0.0, var_dq=dither_var)
-    return replace(params, var_da=0.0, var_dq=0.0)
+    """``params`` with ``dither_var`` added to the noise variance of each path the scheme dithers."""
+    d_a = dither_var if scheme.mode == "both" else 0.0
+    d_q = 0.0 if scheme.mode == "none" else dither_var
+    return replace(params, var_a=params.var_a + d_a, var_q=params.var_q + d_q)
 
 
 def reference_argbest(mse, dither_var, n_a) -> np.ndarray:
@@ -398,7 +394,7 @@ def reference_copy_sums(model: MixedModel, theta: np.ndarray, rng: RngStream, an
 
     The arguments are those of ``sample_copy_sums``, and s_a is its analog
     sum, from the same first draw of ``rng``.  Then, with P = Phi(mu /
-    sqrt(v/2)) per part of mu = G[:p] theta and v = var_q_total:
+    sqrt(v/2)) per part of mu = G[:p] theta and v = var_q:
 
     1. one block of k * 2 * p * t 16-bit words, ``random_raw`` read as
        little-endian: copy j of row i counts +1 in a part when its word is
@@ -417,7 +413,7 @@ def reference_copy_sums(model: MixedModel, theta: np.ndarray, rng: RngStream, an
     k = model.n_quantized // p if p else 0
     g = rng.generator()
     s_a = model.h[:analog_period] @ theta
-    std_a = _part_std(model.var_a, model.var_da)
+    std_a = _part_std(model.var_a)
     with np.errstate(over="ignore"):
         if k_a > 1:
             s_a *= k_a
@@ -427,7 +423,7 @@ def reference_copy_sums(model: MixedModel, theta: np.ndarray, rng: RngStream, an
             s_a.imag += z[1]
 
     mu = model.g[:p] @ theta
-    sigma = _part_std(model.var_q, model.var_dq)
+    sigma = _part_std(model.var_q)
     if sigma == 0.0 or not mu.size:
         return s_a, k * quantize_1bit(mu)
     if not np.isfinite(mu).all():

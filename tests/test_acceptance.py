@@ -148,11 +148,8 @@ def test_criterion_5_monotonicity_sweep():
         rng = np.random.default_rng(5001)
         for _ in range(10_000):
             params = random_ortho_params(rng, m_max=6, n_a_max=6, n_q_max=10)
-            a = alpha(params.rho_q, params.var_q_total)
-            b = beta(
-                params.n_a, params.rho_a, params.rho_q,
-                params.var_a_total, params.var_q_total,
-            )
+            a = alpha(params.rho_q, params.var_q)
+            b = beta(params.n_a, params.rho_a, params.rho_q, params.var_a, params.var_q)
             assert 0.0 <= a < 1.0
             assert b > 0.0
             here = mse_closed_form(params).value

@@ -226,10 +226,6 @@ class TestAllocate:
         result = allocate(_params(sigma2=1.3), REFERENCE_BUDGET)
         assert result.mse_star == min(entry[3] for entry in result.trace)
 
-    def test_rejects_dithered_base(self):
-        with pytest.raises(ModelError):
-            allocate(_params(var_dq=0.5), REFERENCE_BUDGET)
-
 
 class TestExhaustiveOracle:
     def test_agrees_with_frontier_search(self):
@@ -342,12 +338,6 @@ class TestDirectSearch:
         h_full, g1 = self._blocks(params, na_range(2, budget)[-1], seed=9)
         pairs = [(a, q) for a in na_range(2, budget) for q in range(max_nq(a, 2, budget) + 1)]
         assert allocate_exhaustive(params, budget, rng=RngStream(9)) == direct_search(params, pairs, h_full, g1)
-
-    def test_rejects_dithered_base(self):
-        params = _params(m=1)
-        h_full, g1 = self._blocks(params, 1)
-        with pytest.raises(ModelError, match="dither"):
-            direct_search(replace(params, var_dq=0.1), [(1, 0)], h_full, g1)
 
     def test_prefix_scan_equals_one_solve_per_point(self):
         """All pairs of criterion-4-shaped instances: every MSE within 1e-12
@@ -502,14 +492,13 @@ class TestAllocateWithDither:
         scheme = DitherScheme(mode="both")
         for sigma2 in (0.4, 1.0, 2.5):
             result = allocate_with_dither(_params(sigma2=sigma2), REFERENCE_BUDGET, scheme)
+            # The chosen dither added to the noise of both paths, then taken off the analog one.
             chosen = replace(
-                _params(sigma2=sigma2),
+                _params(sigma2=sigma2 + result.dither_var_star),
                 n_a=result.n_a_star,
                 n_q=result.n_q_star,
-                var_da=result.dither_var_star,
-                var_dq=result.dither_var_star,
             )
-            analog_dither_removed = replace(chosen, var_da=0.0)
+            analog_dither_removed = replace(chosen, var_a=sigma2)
             assert (
                 mse_closed_form(analog_dither_removed).value
                 <= mse_closed_form(chosen).value + 1e-15

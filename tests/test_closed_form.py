@@ -22,7 +22,7 @@ from mixedres.closed_form import (
     mse_pure_quantized,
 )
 from mixedres.estimator import lmmse
-from mixedres.exceptions import AssumptionViolationError
+from mixedres.exceptions import AssumptionViolationError, NumericalDomainError
 from mixedres.model import OrthoBlockParams, RngStream, make_ortho_matrices, make_ortho_model
 
 scales = st.floats(min_value=0.1, max_value=10.0)
@@ -116,7 +116,7 @@ class TestClosedFormMse:
         assert mse_closed_form(params).value == 5.0
 
     def test_noiseless_analog_is_exact_recovery(self):
-        params = OrthoBlockParams(m=2, n_a=1, n_q=3, var_a=0.0, var_da=0.0)
+        params = OrthoBlockParams(m=2, n_a=1, n_q=3, var_a=0.0)
         assert mse_closed_form(params).value == 0.0
 
     def test_scalar_mixed_matches_matrix_solve(self):
@@ -125,11 +125,11 @@ class TestClosedFormMse:
         assert mse_closed_form(params).value == pytest.approx(lmmse(model).mse, abs=1e-9)
 
     def test_dithered_matches_matrix_solve(self):
-        """Dither enters only through the total path variances, so the general
+        """Dither enters only through the path variances, so the general
         estimator on the dithered model is the oracle for the dithered form."""
         params = OrthoBlockParams(
             m=2, n_a=2, n_q=3, rho_a=1.2, rho_q=0.8,
-            var_a=0.5, var_q=0.7, var_da=0.3, var_dq=1.1,
+            var_a=0.5 + 0.3, var_q=0.7 + 1.1,
         )
         model = make_ortho_model(params, RngStream(5))
         assert mse_closed_form(params).value == pytest.approx(lmmse(model).mse, abs=1e-9 * 2)
@@ -152,11 +152,11 @@ class TestClosedFormMse:
                 rho_a=float(rng.uniform(0.2, 5)),
                 rho_q=float(rng.uniform(0.2, 5)),
                 var_a=float(rng.uniform(0.1, 3)),
-                var_q=float(rng.uniform(0.1, 3)),
-                var_dq=float(rng.choice([0.0, 0.5, 1.5])),
+                # Noise plus a quantized-path dither.
+                var_q=float(rng.uniform(0.1, 3)) + float(rng.choice([0.0, 0.5, 1.5])),
             )
             grid = np.arange(0.0, 2.0 + 1e-12, 0.1)
-            values = [mse_closed_form(replace(params, var_da=v)).value for v in grid]
+            values = [mse_closed_form(replace(params, var_a=params.var_a + v)).value for v in grid]
             assert np.all(np.diff(values) >= -1e-12)
 
 
@@ -203,7 +203,7 @@ class TestFilterClosedForm:
         self._compare(
             OrthoBlockParams(
                 m=2, n_a=1, n_q=2, rho_a=1.1, rho_q=0.7,
-                var_a=0.4, var_q=0.9, var_da=0.2, var_dq=0.6,
+                var_a=0.4 + 0.2, var_q=0.9 + 0.6,
             ),
             14,
         )
@@ -245,6 +245,29 @@ class TestFilterClosedForm:
         h, g = make_ortho_matrices(params, RngStream(16))
         with pytest.raises(AssumptionViolationError):
             filter_closed_form(params, 2.0 * h, g)
+
+    def test_rejects_wrong_quantized_gain(self):
+        """A G block of gain 4 where rho_q = 1: g1^H g1 is 4 I, not rho_q I."""
+        params = OrthoBlockParams(m=2, n_a=1, n_q=2, rho_a=1.0, rho_q=1.0)
+        h, g = make_ortho_matrices(params, RngStream(16))
+        with pytest.raises(AssumptionViolationError, match=r"^g block deviates from rho_q\*I by 3\.000e\+00"):
+            filter_closed_form(params, h, 2.0 * g)
+
+    def test_non_finite_coefficient_is_refused(self):
+        """With gains of 1e-320 and noiseless paths the MSE is 0, but c2 is
+        sqrt(2 / (pi * 1e-320)) = inf times a zero analog variance, a NaN."""
+        params = OrthoBlockParams(m=1, n_a=1, n_q=1, rho_a=1e-320, rho_q=1e-320, var_a=0.0, var_q=0.0)
+        root = np.sqrt(np.array([[1e-320]]))
+        with pytest.raises(NumericalDomainError, match="closed-form filter is not finite"):
+            filter_closed_form(params, root, root)
+
+    def test_huge_analog_gain_is_no_overflow_error(self):
+        """(rho_a n_a + var_a)**2 overflows a float for rho_a = 1e200; squared
+        as an array it is inf, so c1 is 1 / (rho_a n_a), not an OverflowError."""
+        params = OrthoBlockParams(m=1, n_a=1, n_q=1, rho_a=1e200, rho_q=1.0, var_a=1.0, var_q=1.0)
+        filt = filter_closed_form(params, np.array([[1e100]]), np.ones((1, 1)))
+        # c1 * h = 1e-200 * 1e100; the quantized column is small and finite.
+        assert filt.w[0, 0] == pytest.approx(1e-100, rel=1e-15) and 0.0 < filt.w[0, 1].real < 1e-200
 
     def test_rejects_unequal_quantized_blocks(self):
         params = OrthoBlockParams(m=2, n_a=0, n_q=2, rho_q=1.0)

@@ -37,7 +37,8 @@ def _random_model(seed, m=3, n_a=2, n_q=2, **variances):
     sigma = a @ a.conj().T + m * np.eye(m)
     h = rng.standard_normal((n_a, m)) + 1j * rng.standard_normal((n_a, m))
     g = rng.standard_normal((n_q, m)) + 1j * rng.standard_normal((n_q, m))
-    variances = {"var_a": 0.7, "var_q": 1.3, "var_da": 0.1, "var_dq": 0.2, **variances}
+    # Noise plus a dither on each path: a dither of variance d is d more noise.
+    variances = {"var_a": 0.7 + 0.1, "var_q": 1.3 + 0.2, **variances}
     return MixedModel(h=h, g=g, sigma_theta=sigma, **variances)
 
 
@@ -45,7 +46,7 @@ class TestAnalogCovariance:
     def test_zero_mixing(self):
         model = MixedModel(
             h=np.zeros((3, 2)), g=np.ones((1, 2)), sigma_theta=np.eye(2),
-            var_a=0.5, var_q=1.0, var_da=0.25,
+            var_a=0.5 + 0.25, var_q=1.0,
         )
         np.testing.assert_allclose(cov_analog(model), 0.75 * np.eye(3), atol=0)
 
@@ -71,7 +72,7 @@ class TestPreQuantizationCovariance:
     def test_zero_mixing(self):
         model = MixedModel(
             h=np.ones((1, 2)), g=np.zeros((3, 2)), sigma_theta=np.eye(2),
-            var_a=1.0, var_q=0.5, var_dq=0.2,
+            var_a=1.0, var_q=0.5 + 0.2,
         )
         np.testing.assert_allclose(cov_pre_quantization(model), 0.7 * np.eye(3), atol=0)
 
@@ -273,12 +274,13 @@ def copy_layouts(draw):
     _, _, p_a, k_a, layout_a, cut_a = draw(_layout_draws(LAYOUTS + ["empty"]))
     variance = st.floats(min_value=0.05, max_value=5.0)
     dither = st.one_of(st.just(0.0), variance)
-    model = _layout_model(rng, m, p, k, layout, cut, 0, draw(variance), draw(variance), draw(dither), draw(dither))
+    var_a, var_q = draw(variance), draw(variance)
+    model = _layout_model(rng, m, p, k, layout, cut, 0, var_a + draw(dither), var_q + draw(dither))
     h = np.zeros((0, m)) if layout_a == "empty" else _layout_rows(rng, m, p_a, k_a, layout_a, cut_a)
     return replace(model, h=h)
 
 
-def _layout_model(rng, m, p, k, layout, cut, n_a, var_a, var_q, var_da, var_dq):
+def _layout_model(rng, m, p, k, layout, cut, n_a, var_a, var_q):
     """A model with the G of :func:`_layout_rows`, then a random prior and H, all drawn from ``rng``."""
     g = _layout_rows(rng, m, p, k, layout, cut)
     root = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
@@ -288,8 +290,6 @@ def _layout_model(rng, m, p, k, layout, cut, n_a, var_a, var_q, var_da, var_dq):
         sigma_theta=root @ root.conj().T + 0.1 * np.eye(m),
         var_a=var_a,
         var_q=var_q,
-        var_da=var_da,
-        var_dq=var_dq,
     )
 
 
@@ -303,7 +303,7 @@ class TestBlockAssembly:
         """A draw whose analog-quantized cross-covariance cancels: its gap,
         1.6e-16, exceeds 1e-15 times the largest entry, 1.4e-16, and stays
         far inside the bound on the magnitudes of its terms."""
-        model = _layout_model(np.random.default_rng(4), 4, 3, 1, "all-equal", 1, 1, 1.0, 1.0, 0.0, 0.0)
+        model = _layout_model(np.random.default_rng(4), 4, 3, 1, "all-equal", 1, 1, 1.0, 1.0)
         self._check_matches_assembly_over_every_row(model)
 
     @staticmethod
@@ -383,15 +383,15 @@ class TestBlockAssembly:
         "params",
         [
             OrthoBlockParams(m=2, n_a=1, n_q=3, rho_q=0.4, var_q=1.7),
-            OrthoBlockParams(m=3, n_a=0, n_q=2, rho_q=2.5, var_q=0.3, var_dq=0.2),
+            OrthoBlockParams(m=3, n_a=0, n_q=2, rho_q=2.5, var_q=0.3 + 0.2),
             OrthoBlockParams(m=4, n_a=2, n_q=5, rho_a=1.5, rho_q=1.1, var_a=0.6, var_q=1e-3),
         ],
     )
     def test_copy_difference_variance_is_the_quantizer_loss(self, params):
         """On orthonormal blocks A2 is A1 off the diagonal, and D = diag(A1 - A2)
-        is the closed form's alpha(rho_q, var_q_total) on every quantized row.
+        is the closed form's alpha(rho_q, var_q) on every quantized row.
 
-        D is 1 - (2/pi) arcsin(x) at x = rho_q / (rho_q + var_q_total); the
+        D is 1 - (2/pi) arcsin(x) at x = rho_q / (rho_q + var_q); the
         arcsine multiplies the round-off of x by 1 / sqrt(1 - x^2), which is
         large for a nearly noiseless quantizer, so the bound carries it.  On
         an analog row D is the noise variance, up to the round-off of the
@@ -402,11 +402,11 @@ class TestBlockAssembly:
         np.testing.assert_array_equal(bundle.a2[off], bundle.a1[off])
         d = (bundle.a1 - bundle.a2).diagonal()
         assert np.all(d.imag == 0)
-        x = params.rho_q / (params.rho_q + params.var_q_total)
+        x = params.rho_q / (params.rho_q + params.var_q)
         bound = 1e-15 / np.sqrt(1.0 - x**2)
-        np.testing.assert_allclose(d.real[pa:], alpha(params.rho_q, params.var_q_total), rtol=0, atol=bound)
+        np.testing.assert_allclose(d.real[pa:], alpha(params.rho_q, params.var_q), rtol=0, atol=bound)
         diag = bundle.a1.diagonal()[:pa].real
-        np.testing.assert_allclose(d.real[:pa], params.var_a_total, rtol=0, atol=4e-16 * diag.max(initial=0.0))
+        np.testing.assert_allclose(d.real[:pa], params.var_a, rtol=0, atol=4e-16 * diag.max(initial=0.0))
 
     def test_solve_leaves_the_bundle_intact(self, monkeypatch):
         """The solves read the bundle's blocks, so they must not factor them in
@@ -491,10 +491,10 @@ class TestMonteCarloConsistency:
             assert_within_se(mean, analytic, se_r, se_i, n_se=4.5)
 
     def test_dither_only_noise_blocks(self):
-        """Zero path noise with positive dither on both paths: the sampler
-        skips w_a and w_q and draws only the dither terms, whose moments
-        must still match the analytic blocks of the total variances."""
-        model = _random_model(101, m=2, n_a=2, n_q=3, var_a=0.0, var_q=0.0, var_da=0.6, var_dq=0.9)
+        """Paths whose noise is all dither (0.6 on the analog path, 0.9 on the
+        quantized one) are paths with that much noise: their moments match
+        the analytic blocks of those variances."""
+        model = _random_model(101, m=2, n_a=2, n_q=3, var_a=0.6, var_q=0.9)
         blocks = dense_blocks(assemble(model))
         moments = empirical_second_moments(
             model, 200_000, seed=80,

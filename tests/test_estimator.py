@@ -128,6 +128,15 @@ class TestMseBounds:
         with pytest.raises(NumericalDomainError):
             estimator._clamped_mse(mse)
 
+    def test_negative_mse_beyond_round_off_is_refused(self):
+        """Down to -MSE_ROUNDOFF_TOL an MSE clamps to 0; below it, a float or
+        any value of an array is refused."""
+        tol = estimator.MSE_ROUNDOFF_TOL
+        assert estimator._clamped_mse(-tol) == 0.0
+        for mse in (-2 * tol, np.array([0.5, -2 * tol])):
+            with pytest.raises(NumericalDomainError, match="beyond round-off tolerance"):
+                estimator._clamped_mse(mse)
+
     def test_no_measurements_returns_prior_trace(self):
         # Exercised through the exhaustive solver's (0, 0) corner: an empty
         # model cannot be constructed directly, so call the solver path.
@@ -214,14 +223,14 @@ def copy_models(draw):
     root = cplx(m, m)
     variance = st.floats(min_value=0.05, max_value=5.0)
     dither = st.one_of(st.just(0.0), variance)
+    var_a, var_q = draw(variance), draw(variance)
     return MixedModel(
         h=np.tile(cplx(n_a, m), (k_a, 1)),
         g=g,
         sigma_theta=root @ root.conj().T + 0.1 * np.eye(m),
-        var_a=draw(variance),
-        var_q=draw(variance),
-        var_da=draw(dither),
-        var_dq=draw(dither),
+        # A dither of variance d is d more noise on its path.
+        var_a=var_a + draw(dither),
+        var_q=var_q + draw(dither),
     )
 
 
@@ -332,7 +341,7 @@ class TestCopyReducedSolve:
 
 def _dithered_mimo():
     model = make_mimo_model(3, 2, 4, rho=1.2, var=0.7, rng=RngStream(5))
-    return MixedModel(h=model.h, g=model.g, sigma_theta=model.sigma_theta, var_a=0.7, var_q=0.7, var_da=0.3, var_dq=0.5)
+    return MixedModel(h=model.h, g=model.g, sigma_theta=model.sigma_theta, var_a=0.7 + 0.3, var_q=0.7 + 0.5)
 
 
 # name -> (model with k_a >= 2 analog copies, rows that lmmse factors: p_a + p_q).
@@ -392,7 +401,7 @@ class TestAnalogCopies:
         "model",
         [
             MixedModel(h=np.ones((2, 1)), g=np.ones((3, 1)), sigma_theta=np.eye(1), var_a=0.0, var_q=1.0),
-            replace(_dithered_mimo(), var_a=0.0, var_da=0.0),
+            replace(_dithered_mimo(), var_a=0.0),
         ],
         ids=["scalar", "mimo"],
     )
@@ -516,6 +525,27 @@ class TestCopyScanMse:
         with pytest.raises(EstimatorUndefinedError, match=re.escape(text)) as exc:
             copy_scan_mse(model, [6, 6], [1, 4])
         assert exc.value.condition == pytest.approx(condition, rel=1e-3)
+
+    def test_opposite_noiseless_rows_refused(self):
+        """One copy of the block [b; -b] at var_q = 0: the two signs are exact
+        negatives, so the Schur complement A1 - V^H V has a zero eigenvalue."""
+        model = MixedModel(h=np.ones((1, 1)), g=np.array([[1.0], [-1.0]]), sigma_theta=np.eye(1), var_a=1.0, var_q=0.0)
+        for rows in ([0], [1]):
+            with pytest.raises(EstimatorUndefinedError, match="non-positive Schur eigenvalue") as exc:
+                copy_scan_mse(model, rows, [1])
+            assert exc.value.condition == float("inf")
+
+    @pytest.mark.parametrize(
+        "rows, copies, kind",
+        [([1.5], [2], "float"), ([1], [2.7], "float"), ([True], [1], "bool"), ([1], np.array([True]), "bool"),
+         (np.array([1.0]), [2], "float64")],
+        ids=["float-rows", "float-copies", "bool-rows", "bool-array", "float-array"],
+    )
+    def test_rejects_counts_that_are_not_integers(self, rows, copies, kind):
+        """A float or a bool count was once cast to int64: (1.5, 2.7) scanned the point (1, 2)."""
+        model = MixedModel(h=np.ones((2, 1)), g=np.ones((1, 1)), sigma_theta=np.eye(1), var_a=1.0, var_q=1.0)
+        with pytest.raises(ModelError, match=f"^analog_rows and copies must be integers, got {kind}$"):
+            copy_scan_mse(model, rows, copies)
 
     @pytest.mark.parametrize("rows, copies", [([2], [0]), ([-1], [0]), ([0], [-1]), ([0, 1], [0])])
     def test_rejects_points_outside_the_model(self, rows, copies):

@@ -24,6 +24,8 @@ from oracles import (
 gains = st.floats(min_value=0.1, max_value=10.0)
 # Zero is drawn often: it selects the pure-path, prior-only and noiseless branches.
 variances = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=10.0))
+# A path's noise plus its dither: a dither of variance d is d more noise.
+path_variances = st.builds(lambda noise, dither: noise + dither, variances, variances)
 counts = st.one_of(st.just(0), st.integers(min_value=1, max_value=12))
 modes = st.sampled_from(DitherScheme.MODES)
 grids = st.sampled_from([(0.5, 0.5), (1.0, 0.25), (2.0, 0.1), (0.3, 0.1)])
@@ -35,10 +37,8 @@ points = st.builds(
     n_q=counts,
     rho_a=gains,
     rho_q=gains,
-    var_a=variances,
-    var_q=variances,
-    var_da=variances,
-    var_dq=variances,
+    var_a=path_variances,
+    var_q=path_variances,
 )
 
 
@@ -73,14 +73,14 @@ def test_each_branch_once():
         OrthoBlockParams(m=2, n_a=0, n_q=4, var_q=0.0),
         OrthoBlockParams(m=2, n_a=1, n_q=4, var_a=0.0),
         OrthoBlockParams(m=2, n_a=1, n_q=4, var_a=0.5, var_q=0.0),
-        OrthoBlockParams(m=2, n_a=2, n_q=5, var_a=0.0, var_da=0.3),
+        OrthoBlockParams(m=2, n_a=2, n_q=5, var_a=0.3),
     ]
     for params in cases:
         ref = reference_mse_closed_form(params)
         assert mse_closed_form(params) == ref
         grid_value = mse_grid(
             params.m, params.n_a, params.n_q, params.rho_a, params.rho_q,
-            params.var_a_total, params.var_q_total,
+            params.var_a, params.var_q,
         )
         assert grid_value == ref.value
 
@@ -91,14 +91,14 @@ def test_mse_matches_reference(batch):
     refs = [reference_mse_closed_form(p) for p in batch]
     for params, ref in zip(batch, refs):
         assert mse_closed_form(params) == ref
-        va, vq = params.var_a_total, params.var_q_total
+        va, vq = params.var_a, params.var_q
         assert alpha(params.rho_q, vq) == ref.alpha
         assert beta(params.n_a, params.rho_a, params.rho_q, va, vq) == ref.beta
 
     def col(name, dtype=np.float64):
         return np.array([getattr(p, name) for p in batch], dtype=dtype)
 
-    va, vq = col("var_a") + col("var_da"), col("var_q") + col("var_dq")
+    va, vq = col("var_a"), col("var_q")
     n_a = col("n_a", np.int64)
     values = mse_grid(col("m", np.int64), n_a, col("n_q", np.int64), col("rho_a"), col("rho_q"), va, vq)
     assert values.tolist() == [ref.value for ref in refs]

@@ -53,7 +53,7 @@ class TestRunMonteCarlo:
     def test_dithered_bbit_emulation_matches_analytic_mse(self):
         model = MixedModel(
             h=np.ones((2, 1)), g=np.ones((2, 1)), sigma_theta=np.eye(1),
-            var_a=0.7, var_q=0.7, var_da=0.3, var_dq=0.5,
+            var_a=0.7 + 0.3, var_q=0.7 + 0.5,
         )
         filt = lmmse(model)
         cfg = SimConfig(trials=30_000, rng_seed=3, batch_size=4096, analog_quantizer=DEFAULT_ANALOG_QUANTIZER)
@@ -165,25 +165,23 @@ class TestRunWorkspace:
             assert shared == own
 
 
-def _general_model(seed, m, n_a, g, var_da=0.0, var_dq=0.0):
+def _general_model(seed, m, n_a, g, dither_a=0.0, dither_q=0.0):
+    """A random model whose paths carry noise plus the given dither variances."""
     rng = np.random.default_rng(seed)
     root = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     return MixedModel(
         h=rng.standard_normal((n_a, m)) + 1j * rng.standard_normal((n_a, m)),
         g=g,
         sigma_theta=root @ root.conj().T / m + 0.5 * np.eye(m),
-        var_a=0.9, var_q=0.6, var_da=var_da, var_dq=var_dq,
+        var_a=0.9 + dither_a, var_q=0.6 + dither_q,
     )
 
 
-def _mimo_closed(var_da=0.0, var_dq=0.0):
+def _mimo_closed(dither_a=0.0, dither_q=0.0):
+    """A MIMO model whose paths carry noise 0.7 plus the given dither variances, with its closed-form filter."""
+    params = OrthoBlockParams(m=3, n_a=2, n_q=4, rho_a=1.2, rho_q=1.2, var_a=0.7 + dither_a, var_q=0.7 + dither_q)
     model = make_mimo_model(3, 2, 4, rho=1.2, var=0.7, rng=RngStream(5))
-    model = MixedModel(
-        h=model.h, g=model.g, sigma_theta=model.sigma_theta,
-        var_a=0.7, var_q=0.7, var_da=var_da, var_dq=var_dq,
-    )
-    params = OrthoBlockParams(m=3, n_a=2, n_q=4, rho_a=1.2, rho_q=1.2, var_a=0.7, var_q=0.7,
-                              var_da=var_da, var_dq=var_dq)
+    model = MixedModel(h=model.h, g=model.g, sigma_theta=model.sigma_theta, var_a=params.var_a, var_q=params.var_q)
     return model, filter_closed_form(params, model.h, model.g)
 
 
@@ -329,7 +327,7 @@ class TestConditionalError:
         g1 = rng.standard_normal((p, m)) + 1j * rng.standard_normal((p, m))
         model = MixedModel(
             h=np.tile(rng.standard_normal((p_a, m)) + 1j * rng.standard_normal((p_a, m)), (2, 1)),
-            g=np.tile(g1, (k, 1)), sigma_theta=np.eye(m), var_a=0.6, var_q=0.9, var_dq=0.4,
+            g=np.tile(g1, (k, 1)), sigma_theta=np.eye(m), var_a=0.6, var_q=0.9 + 0.4,
         )
         w1 = rng.standard_normal((m, p_a + p)) + 1j * rng.standard_normal((m, p_a + p))
         cfg = SimConfig(trials=count, rng_seed=k)
@@ -342,7 +340,7 @@ class TestConditionalError:
             s_a.append(sample_copy_sums(model, theta[-1], RngStream(k, 2 * b + 1), p_a, p)[0])
         theta, s_a = np.concatenate(theta, axis=1), np.concatenate(s_a, axis=1)
         mu = g1 @ theta
-        prob = special.ndtr(np.stack([mu.real, mu.imag]) / _part_std(model.var_q, model.var_dq))
+        prob = special.ndtr(np.stack([mu.real, mu.imag]) / _part_std(model.var_q))
         want = np.zeros(count)
         for counts in itertools.product(range(k + 1), repeat=2 * p):
             c = np.array(counts).reshape(2, p, 1)
@@ -402,6 +400,12 @@ class TestSweepMseVsNoise:
     def test_rejects_negative_counts(self):
         with pytest.raises(ModelError):
             sweep_mse_vs_noise(OrthoBlockParams(m=1, n_a=0, n_q=0), [1.0], [(-1, 2)])
+
+    @pytest.mark.parametrize("pair, kind", [((1.5, 2), "float"), ((True, 2), "bool"), ((1, 2.0), "float")])
+    def test_rejects_counts_that_are_not_integers(self, pair, kind):
+        """int() once truncated them: (1.5, 2) and (True, 2) gave the row of n_a = 1."""
+        with pytest.raises(ModelError, match=f"^block counts must be integers, got {kind}$"):
+            sweep_mse_vs_noise(OrthoBlockParams(m=1, n_a=0, n_q=0), [1.0], [(1, 2), pair])
 
     def test_rejects_counts_beyond_the_float_range(self):
         with pytest.raises(ModelError, match=r"about 1\.00e\+400 is too large"):
