@@ -18,7 +18,8 @@ from .exceptions import AssumptionViolationError, NumericalDomainError
 from .estimator import LmmseFilter
 from .model import OrthoBlockParams
 
-# Max-abs tolerance when verifying the block structure of explicit matrices.
+# Max-abs tolerance, relative to the scale of each Gram or block, when
+# verifying the block structure of explicit matrices.
 ASSUMPTION_TOL = 1e-8
 
 
@@ -158,28 +159,37 @@ def mse_closed_form(params: OrthoBlockParams) -> ClosedFormMse:
 
 
 def _check_block_structure(params: OrthoBlockParams, h: np.ndarray, g: np.ndarray) -> None:
+    """Refuse matrices that break the orthonormal-block structure of ``params``.
+
+    Each gap is measured against ``ASSUMPTION_TOL`` times the scale of its
+    round-off, so that the same blocks in other units pass or fail alike:
+    rho_a * n_a for h^H h, rho_q for the Gram of the quantized block and
+    sqrt(rho_q) for the entries of its copies.
+    """
     m = params.m
     if h.shape != (params.n_analog, m):
         raise AssumptionViolationError(f"h must have shape ({params.n_analog}, {m}), got {h.shape}")
     if g.shape != (params.n_quantized, m):
         raise AssumptionViolationError(f"g must have shape ({params.n_quantized}, {m}), got {g.shape}")
     if params.n_a:
-        gap = np.max(np.abs(h.conj().T @ h - params.rho_a * params.n_a * np.eye(m)))
-        if gap > ASSUMPTION_TOL:
+        scale = params.rho_a * params.n_a
+        gap = np.max(np.abs(h.conj().T @ h - scale * np.eye(m)))
+        if gap > ASSUMPTION_TOL * scale:
             raise AssumptionViolationError(
-                f"h^H h deviates from rho_a*n_a*I by {gap:.3e} (tolerance {ASSUMPTION_TOL})"
+                f"h^H h deviates from rho_a*n_a*I by {gap:.3e} (tolerance {ASSUMPTION_TOL * scale:.3e})"
             )
     if params.n_q:
         g1 = g[:m]
         gap = np.max(np.abs(g1.conj().T @ g1 - params.rho_q * np.eye(m)))
-        if gap > ASSUMPTION_TOL:
+        if gap > ASSUMPTION_TOL * params.rho_q:
             raise AssumptionViolationError(
-                f"g block deviates from rho_q*I by {gap:.3e} (tolerance {ASSUMPTION_TOL})"
+                f"g block deviates from rho_q*I by {gap:.3e} (tolerance {ASSUMPTION_TOL * params.rho_q:.3e})"
             )
         # The closed form also needs all quantized blocks to be identical.
+        tol = ASSUMPTION_TOL * np.sqrt(params.rho_q)
         gaps = np.abs(g.reshape(params.n_q, m, m) - g1).max(axis=(1, 2))
-        k = int(np.argmax(gaps > ASSUMPTION_TOL))
-        if gaps[k] > ASSUMPTION_TOL:
+        k = int(np.argmax(gaps > tol))
+        if gaps[k] > tol:
             raise AssumptionViolationError(f"quantized block {k} differs from block 0 by {gaps[k]:.3e}")
 
 
@@ -187,7 +197,8 @@ def filter_closed_form(params: OrthoBlockParams, h: np.ndarray, g: np.ndarray) -
     """Closed-form LMMSE filter [c1 * h^H | c2 * g^H] for explicit matrices.
 
     The matrices are verified against the orthonormal-block structure to
-    ``ASSUMPTION_TOL`` before the scalar coefficients are used.
+    ``ASSUMPTION_TOL``, relative to the block gains, before the scalar
+    coefficients are used.
     """
     # First, so that inputs the closed form cannot evaluate are refused
     # before the structure check or the coefficients overflow.

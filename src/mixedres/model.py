@@ -24,7 +24,8 @@ draw of variance k_a v.  The quantized sum is not drawn: given theta, each
 1-bit output of a row with mean mu is +1 with probability
 P = Phi(mu / sqrt(v/2)) per part, independently of the other outputs, so
 each part of the sum of k copies is a Binomial(k, P) count, whose mean and
-variance are returned instead.
+variance are returned instead.  Both follow from u = 2P - 1, which is
+computed as erf(mu / sqrt(v)): that route has no cancellation near mu = 0.
 """
 
 from __future__ import annotations
@@ -289,9 +290,10 @@ class SampleBuffers:
 
     - ``theta``: the planar normal block of theta, then theta;
     - ``scratch`` (float64): theta's complex normals, then the analog normal
-      block, then the sign probabilities, whose first p * t values become
-      the conditional variances of s_q, and then the caller's estimation
-      error (:meth:`error`), which overwrites those variances;
+      block, then u = erf(mu / sqrt(v)) for both parts of s_q, whose first
+      p * t values become the conditional variances of s_q, and then the
+      caller's estimation error (:meth:`error`), which overwrites those
+      variances;
     - ``sums``: [s_a; s_q], whose s_q rows hold mu until its mean replaces it.
     """
 
@@ -453,9 +455,13 @@ def sample_copy_sums(
     - ``s_q`` (p rows): the mean of the quantized copy sum.  With
       P = Phi(mu / sqrt(v/2)) per part of mu = G[:p] theta, v = var_q,
       each part of that sum is (2 * count - k) / sqrt(2) with
-      count ~ Binomial(k, P), of mean k (2P - 1) / sqrt(2).
+      count ~ Binomial(k, P), of mean k u / sqrt(2), where
+      u = 2P - 1 = erf(mu / sqrt(v)) is computed as erf(|mu| / sqrt(v))
+      with the sign of mu, so negating theta negates s_q exactly.
     - ``s_q_var`` (p rows): the variance of that sum, both parts together:
-      2k (P_re (1 - P_re) + P_im (1 - P_im)).
+      2k (P_re (1 - P_re) + P_im (1 - P_im)) = k - k (u_re**2 + u_im**2) / 2.
+
+    Both sums come from one product [H[:p_a]; G[:p]] theta.
 
     Rows that do not repeat (k = 1) take the same path.  A zero variance
     draws nothing: the analog sum is then k_a * H[:p_a] theta, the
@@ -475,11 +481,11 @@ def sample_copy_sums(
     if held != layout or t > buffers.trials:
         raise ModelError(f"buffers of (m, periods, copies) {held} and {buffers.trials} trials do not fit {layout}, {t}")
     k_a, k = buffers.copies
-    p = quantized_period
+    p_a, p = analog_period, quantized_period
 
     sums = buffers.copy_sums(t)
-    s_a, s_q = sums[:analog_period], sums[analog_period:]
-    np.matmul(model.h[:analog_period], theta, out=s_a)
+    np.matmul(np.concatenate([model.h[:p_a], model.g[:p]]), theta, out=sums)
+    s_a, s_q = sums[:p_a], sums[p_a:]
     std_a = _part_std(model.var_a)
     # An extreme model can overflow the sum; run_monte_carlo refuses the non-finite result.
     with np.errstate(over="ignore"):
@@ -488,28 +494,32 @@ def sample_copy_sums(
         if std_a:
             _add_planar_normal(s_a, rng.generator(), std_a * np.sqrt(k_a), _prefix(buffers.scratch, (2,) + s_a.shape))
 
-    mu = np.matmul(model.g[:p], theta, out=s_q)
-    prob = _prefix(buffers.scratch, (2, p, t))
-    s_q_var = prob[0]
-    sigma = _part_std(model.var_q)
-    if sigma == 0.0 or not mu.size:
+    mu = s_q  # G[:p] theta, until its mean replaces it
+    u = _prefix(buffers.scratch, (2, p, t))
+    s_q_var = u[0]
+    root_v = math.sqrt(model.var_q)
+    if root_v == 0.0 or not mu.size:
         s_q[...] = k * quantize_1bit(mu)
         s_q_var[...] = 0.0
         return s_a, s_q, s_q_var
-    # Keep an elementwise pass between the matmul and ndtr: without one, ndtr ran 3x slower.
+    # Keep an elementwise pass between the matmul and erf: without one, erf
+    # ran 9x slower on a 10 x 8192 batch (21 ms against 2.3 ms).
     if not np.isfinite(mu).all():
         raise QuantizerDomainError("1-bit quantizer requires finite input")
     # Imported here: scipy.special adds about 0.3 s to every import of the CLI.
-    from scipy.special import ndtr
+    from scipy.special import erf
 
-    # A ratio that overflows to +-inf has P exactly 1 or 0.
+    # u = 2P - 1 = erf(mu / sqrt(v)) per part.  erf is taken of |mu| / sqrt(v),
+    # so that it does not branch on random signs, and u is given mu's sign.
+    # A ratio that overflows to +-inf gives u = +-1.
     with np.errstate(over="ignore"):
-        np.divide(mu.real, sigma, out=prob[0])
-        np.divide(mu.imag, sigma, out=prob[1])
-    ndtr(prob, out=prob)
-    # u = 2P - 1 is sqrt(2) times the mean of one output, whose variance is (1 - u**2) / 2.
-    u = np.multiply(prob, 2.0, out=prob)
-    u -= 1.0
+        np.divide(mu.real, root_v, out=u[0])
+        np.divide(mu.imag, root_v, out=u[1])
+    np.abs(u, out=u)
+    erf(u, out=u)
+    np.copysign(u[0], mu.real, out=u[0])
+    np.copysign(u[1], mu.imag, out=u[1])
+    # u is sqrt(2) times the mean of one output, whose variance is (1 - u**2) / 2.
     np.multiply(u[0], k * INV_SQRT2, out=s_q.real)
     np.multiply(u[1], k * INV_SQRT2, out=s_q.imag)
     np.square(u, out=u)

@@ -70,7 +70,7 @@ from .model import (
 DEFAULT_ANALOG_QUANTIZER = QuantizerSpec(bits=6, lo=-5.0, hi=5.0)
 # Most values (rows x trials) in one Monte-Carlo batch.  Per value, a batch
 # holds at most 16 bytes of copy sums and 16 of float64 scratch (two parts
-# of normals or of sign probabilities), so neither array takes more than
+# of normals or of u = erf(mu / sqrt(v))), so neither array takes more than
 # 1 GiB, and the default batch of 8192 trials admits every model the
 # dense solver accepts.
 MAX_BATCH_ELEMENTS = 8192 * 8192

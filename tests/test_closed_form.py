@@ -280,3 +280,38 @@ class TestFilterClosedForm:
         mixed = np.vstack([g_a[:2], g_a[:2], g_b[:2]])
         with pytest.raises(AssumptionViolationError, match="quantized block 2 differs"):
             filter_closed_form(replace(params, n_q=3), np.zeros((0, 2)), mixed)
+
+
+class TestBlockStructureInOtherUnits:
+    """The structure check's tolerance scales with the gains: exact blocks
+    pass at any gain, and a perturbation of 1e-6 relative fails at any gain."""
+
+    @staticmethod
+    def _blocks(rho):
+        params = OrthoBlockParams(m=4, n_a=2, n_q=3, rho_a=rho, rho_q=rho, var_a=0.8 * rho, var_q=0.8 * rho)
+        h, g = make_ortho_matrices(params, RngStream(20))
+        return params, h, g
+
+    @pytest.mark.parametrize("rho", [1e8, 1e12])
+    def test_exact_blocks_pass_at_large_gains(self, rho):
+        params, h, g = self._blocks(rho)
+        filt = filter_closed_form(params, h, g)
+        unit = replace(params, rho_a=1.0, rho_q=1.0, var_a=0.8, var_q=0.8)
+        assert filt.mse == pytest.approx(mse_closed_form(unit).value, rel=1e-12)
+
+    @pytest.mark.parametrize("rho", [1.0, 1e8])
+    @pytest.mark.parametrize(
+        "block, message",
+        [("analog", r"^h\^H h deviates"), ("quantized", r"^g block deviates"), ("copy", r"^quantized block 1 differs")],
+    )
+    def test_perturbed_block_is_refused(self, rho, block, message):
+        params, h, g = self._blocks(rho)
+        scale = 1.0 + 1e-6
+        if block == "analog":
+            h[:4] *= scale  # one of the two analog blocks
+        elif block == "quantized":
+            g *= scale  # every copy, so only the gain is off
+        else:
+            g[4:8] *= scale  # the second copy only
+        with pytest.raises(AssumptionViolationError, match=message):
+            filter_closed_form(params, h, g)

@@ -386,6 +386,69 @@ class TestSampleCopySums:
             sample_copy_sums(model, np.zeros(3), RngStream(0), 1, 1)
 
 
+class TestOneBitConditionalMean:
+    """u = 2P - 1 = erf(mu / sqrt(v)), the sqrt(2)/k-scaled mean of each part of s_q."""
+
+    @pytest.mark.parametrize("var", [1.0, 2.0, 0.3])
+    def test_small_ratio_follows_the_series(self, var):
+        """Near mu = 0, erf(x) = (2/sqrt(pi)) (x - x**3/3) + O(x**5): a route
+        through 2 Phi - 1 cancels there and keeps only about 4 digits at 1e-12."""
+        k = 5
+        rng = np.random.default_rng(40)
+        x = np.exp(rng.uniform(np.log(1e-12), np.log(1e-6), size=(2, 400)))
+        x *= rng.choice([-1.0, 1.0], size=x.shape)
+        theta = (np.sqrt(var) * (x[0] + 1j * x[1]))[None, :]
+        ratio = np.stack([theta.real, theta.imag])[:, 0] / np.sqrt(var)
+        _, s_q, _ = sample_copy_sums(make_scalar_model(1, k, var), theta, RngStream(41), 1, 1)
+        u = np.stack([s_q.real, s_q.imag])[:, 0] * np.sqrt(2) / k
+        series = 2 / np.sqrt(np.pi) * (ratio - ratio**3 / 3)
+        np.testing.assert_allclose(u, series, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_negated_theta_negates_the_mean_exactly(self, seed):
+        model = _tiled_model(42 + seed, 3, 2, 2, 3, 4)
+        theta = sample_parameter(model.sigma_theta, RngStream(seed), size=500)
+        _, s_q, s_q_var = (a.copy() for a in sample_copy_sums(model, theta, RngStream(seed, 1), 2, 3))
+        _, neg_q, neg_var = sample_copy_sums(model, -theta, RngStream(seed, 1), 2, 3)
+        assert neg_q.tobytes() == (-s_q).tobytes()
+        assert neg_var.tobytes() == s_q_var.tobytes()
+
+    def test_overflowing_ratio_gives_the_sign_and_no_variance(self):
+        """mu / sqrt(v) = +-inf in every part, as with noiseless outputs:
+        each part of s_q is +-k / sqrt(2) and its variance is 0."""
+        k = 4
+        theta = np.array([[1e300 + 1e300j, -1e300 + 1e300j, 1e300 - 1e300j, -1e300 - 1e300j]])
+        _, s_q, s_q_var = sample_copy_sums(make_scalar_model(1, k, 1e-300), theta, RngStream(43), 1, 1)
+        want = k * INV_SQRT2 * np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j])
+        assert s_q.tobytes() == want[None, :].tobytes()
+        assert s_q_var.tobytes() == np.zeros((1, 4)).tobytes()
+
+
+class TestStackedProduct:
+    """One product [H[:p_a]; G[:p]] theta gives the same sums as the two separate products."""
+
+    # (H rows, G rows, analog period, quantized period): no analog rows, no
+    # quantized rows, three analog copies, and b-bit emulation, whose analog
+    # period is n_a whatever the rows repeat.
+    @pytest.mark.parametrize(
+        "layout",
+        [((0, 1), (2, 3), 0, 2), ((2, 3), (0, 1), 2, 0), ((2, 3), (2, 2), 2, 2), ((2, 3), (3, 2), 6, 3)],
+        ids=["no-analog", "no-quantized", "k_a-3", "b-bit-emulation"],
+    )
+    def test_sums_equal_the_separate_products(self, layout):
+        (p_a, k_a), (p, k), analog_period, quantized_period = layout
+        var_q = 0.7
+        model = _tiled_model(44, 3, p_a, k_a, p, k, var_a=0.0, var_q=var_q)
+        theta = sample_parameter(model.sigma_theta, RngStream(44), size=300)
+        s_a, s_q, _ = sample_copy_sums(model, theta, _OneGenerator(), analog_period, quantized_period)
+        copies = model.n_analog // max(analog_period, 1)
+        assert s_a.tobytes() == (copies * (model.h[:analog_period] @ theta)).tobytes()
+        mu = model.g[:quantized_period] @ theta
+        mean = [k * INV_SQRT2 * np.copysign(special.erf(np.abs(part) / np.sqrt(var_q)), part)
+                for part in (mu.real, mu.imag)]
+        assert s_q.real.tobytes() == mean[0].tobytes() and s_q.imag.tobytes() == mean[1].tobytes()
+
+
 class _StubWords:
     """An RngStream stand-in whose word block repeats one 16-bit word; its normal and binomial draws are real."""
 
