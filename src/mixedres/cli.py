@@ -55,6 +55,7 @@ from .closed_form import filter_closed_form
 from .exceptions import ConfigError, InstanceTooLargeError, MixedResError, ModelError, _count_text
 from .estimator import check_dense_rows, lmmse
 from .model import (
+    PILOTS,
     OrthoBlockParams,
     QuantizerSpec,
     RngStream,
@@ -323,6 +324,10 @@ def _scenario(cfg: dict, where: str):
     pilot = _given(cfg, where, pilot=str)
     if scenario == "scalar" and (m != 1 or rho != 1.0):
         raise ConfigError("scalar scenario requires m=1 and rho=1")
+    if scenario == "scalar" and pilot:
+        raise ConfigError("scalar scenario takes no 'pilot' key")
+    if "pilot" in pilot and pilot["pilot"] not in PILOTS:
+        raise ConfigError(f"'pilot' must be one of {', '.join(PILOTS)}, got {pilot['pilot']!r}")
     return scenario, m, rho, pilot
 
 
@@ -508,8 +513,6 @@ def cmd_bench(cfg: dict, args, seed: int) -> _Result:
         cfg, where, nullable=("direct_repeats",),
         bits=int, rho=float, sigma2=float, repeats=(int, 1), direct_repeats=(int, 1), warmup=(int, 0),
     )
-    if args.repeats is not None:
-        timing["repeats"] = args.repeats
     results = bench_runtime(m_list, n_a_max_list, rng_seed=seed, **timing)
     rows = [
         {
@@ -581,8 +584,6 @@ def _parser() -> argparse.ArgumentParser:
             )
         if name == "allocate":
             p.add_argument("--oracle", action="store_true", help="cross-check against the exhaustive solver")
-        if name == "bench":
-            p.add_argument("--repeats", type=_positive_int, default=None, help="override timing repetitions")
         p.set_defaults(oracle=False)
     return parser
 

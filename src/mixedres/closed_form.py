@@ -37,28 +37,28 @@ class ClosedFormMse:
     beta: float
 
 
-def alpha(rho_q, var_q_total):
-    """Quantizer loss coefficient, (2/pi) * arccos(rho_q / (rho_q + var_q_total)).
+def alpha(rho_q, var_q):
+    """Quantizer loss coefficient, (2/pi) * arccos(rho_q / (rho_q + var_q)).
 
-    The arccos form is numerically stable as var_q_total -> 0.  Broadcasts
+    The arccos form is numerically stable as var_q -> 0.  Broadcasts
     over array arguments.
     """
-    return (2.0 / np.pi) * np.arccos(rho_q / (rho_q + var_q_total))
+    return (2.0 / np.pi) * np.arccos(rho_q / (rho_q + var_q))
 
 
-def beta(n_a, rho_a, rho_q, var_a_total, var_q_total):
+def beta(n_a, rho_a, rho_q, var_a, var_q):
     """Quantized-path gain coefficient of the closed-form MSE.
 
     With no analog measurements the second term vanishes identically, which
-    also resolves the 0/0 arising when var_a_total is zero as well.
+    also resolves the 0/0 arising when var_a is zero as well.
     Broadcasts over array arguments and selects per element; scalar
     arguments give a NumPy scalar.
     """
     n_a = np.asarray(n_a)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # Extreme inputs may overflow; mse_grid checks the value it selects.
-        first = (2.0 / np.pi) * np.arcsin(rho_q / (rho_q + var_q_total)) / rho_q
-        share = 2.0 * rho_a * n_a / (np.pi * (rho_q + var_q_total) * (rho_a * n_a + var_a_total))
+        first = (2.0 / np.pi) * np.arcsin(rho_q / (rho_q + var_q)) / rho_q
+        share = 2.0 * rho_a * n_a / (np.pi * (rho_q + var_q) * (rho_a * n_a + var_a))
         return np.where(n_a == 0, first, first - share)[()]
 
 
@@ -69,19 +69,19 @@ def _square(x):
     return np.float_power(x, 2.0)
 
 
-def _pure_analog(m, n_a, rho_a, var_a_total):
-    return m - m * rho_a * n_a / (rho_a * n_a + var_a_total)
+def _pure_analog(m, n_a, rho_a, var_a):
+    return m - m * rho_a * n_a / (rho_a * n_a + var_a)
 
 
-def _pure_quantized(m, n_q, rho_q, var_q_total, a):
-    return m - 2.0 * m * rho_q * n_q / (np.pi * (rho_q + var_q_total) * (a + (1.0 - a) * n_q))
+def _pure_quantized(m, n_q, rho_q, var_q, a):
+    return m - 2.0 * m * rho_q * n_q / (np.pi * (rho_q + var_q) * (a + (1.0 - a) * n_q))
 
 
-def _mixed(m, n_a, n_q, rho_a, rho_q, var_a_total, var_q_total, a, b):
-    da = rho_a * n_a + var_a_total
+def _mixed(m, n_a, n_q, rho_a, rho_q, var_a, var_q, a, b):
+    da = rho_a * n_a + var_a
     s = a + b * rho_q * n_q
-    term = rho_a * n_a / da + 2.0 * rho_q * n_q * _square(var_a_total) / (
-        np.pi * (rho_q + var_q_total) * s * _square(da)
+    term = rho_a * n_a / da + 2.0 * rho_q * n_q * _square(var_a) / (
+        np.pi * (rho_q + var_q) * s * _square(da)
     )
     return m * (1.0 - term)
 
@@ -90,14 +90,14 @@ def _mixed(m, n_a, n_q, rho_a, rho_q, var_a_total, var_q_total, a, b):
 # branch of mse_grid that these counts select does not depend on them.
 
 
-def mse_pure_analog(m: int, n_a: int, rho_a: float, var_a_total: float) -> float:
+def mse_pure_analog(m: int, n_a: int, rho_a: float, var_a: float) -> float:
     """MSE with analog measurements only (n_q = 0): the scalar view of :func:`mse_grid`."""
-    return float(mse_grid(m, n_a, 0, rho_a, 1.0, var_a_total, 1.0))
+    return float(mse_grid(m, n_a, 0, rho_a, 1.0, var_a, 1.0))
 
 
-def mse_pure_quantized(m: int, n_q: int, rho_q: float, var_q_total: float) -> float:
+def mse_pure_quantized(m: int, n_q: int, rho_q: float, var_q: float) -> float:
     """MSE with 1-bit quantized measurements only (n_a = 0): the scalar view of :func:`mse_grid`."""
-    return float(mse_grid(m, 0, n_q, 1.0, rho_q, 1.0, var_q_total))
+    return float(mse_grid(m, 0, n_q, 1.0, rho_q, 1.0, var_q))
 
 
 def mse_noiseless_quantized_limit(m: int, n_a: int, rho_a: float, var_a: float) -> float:
@@ -110,7 +110,7 @@ def mse_noiseless_quantized_limit(m: int, n_a: int, rho_a: float, var_a: float) 
     return float(mse_grid(m, n_a, 1, rho_a, 1.0, var_a, 0.0))
 
 
-def mse_grid(m, n_a, n_q, rho_a, rho_q, var_a_total, var_q_total) -> np.ndarray:
+def mse_grid(m, n_a, n_q, rho_a, rho_q, var_a, var_q) -> np.ndarray:
     """Closed-form MSE broadcast over array arguments.
 
     The one closed-form evaluator; :func:`mse_closed_form` is its scalar
@@ -124,16 +124,16 @@ def mse_grid(m, n_a, n_q, rho_a, rho_q, var_a_total, var_q_total) -> np.ndarray:
     """
     n_a = np.asarray(n_a)
     n_q = np.asarray(n_q)
-    va = np.asarray(var_a_total, dtype=np.float64)
+    va = np.asarray(var_a, dtype=np.float64)
     # Branches are laid over each other from the last to the first, so where
     # several conditions hold the first one listed above wins.  Branches not
     # taken may hold NaN or inf, so only the final value is checked.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a = alpha(rho_q, var_q_total)
-        b = beta(n_a, rho_a, rho_q, va, var_q_total)
-        value = _mixed(m, n_a, n_q, rho_a, rho_q, va, var_q_total, a, b)
+        a = alpha(rho_q, var_q)
+        b = beta(n_a, rho_a, rho_q, va, var_q)
+        value = _mixed(m, n_a, n_q, rho_a, rho_q, va, var_q, a, b)
         value = np.where(va == 0.0, 0.0, value)
-        value = np.where(n_a == 0, _pure_quantized(m, n_q, rho_q, var_q_total, a), value)
+        value = np.where(n_a == 0, _pure_quantized(m, n_q, rho_q, var_q, a), value)
         value = np.where(n_q == 0, _pure_analog(m, n_a, rho_a, va), value)
         value = np.where((n_a == 0) & (n_q == 0), m, value)
     if not np.all(np.isfinite(value)):

@@ -19,8 +19,10 @@ imaginary parts of variance v/2 each.
 Two routes draw from the model.  :func:`sample_measurements` realizes
 every row: noise, then the sign.  :func:`sample_copy_sums` serves a filter
 that treats the copies of a repeated block (:func:`copy_layout`) alike, and
-so sees their sum.  The sum of k_a analog copies is k_a H1 theta plus one noise
-draw of variance k_a v.  The quantized sum is not drawn: given theta, each
+so sees their sum.  A run's :class:`SampleBuffers` checks that layout
+once and holds it, with the model, for every draw of the run.  The sum of
+k_a analog copies is k_a H1 theta plus one noise draw of variance k_a v.
+The quantized sum is not drawn: given theta, each
 1-bit output of a row with mean mu is +1 with probability
 P = Phi(mu / sqrt(v/2)) per part, independently of the other outputs, so
 each part of the sum of k copies is a Binomial(k, P) count, whose mean and
@@ -278,14 +280,17 @@ def _prefix(buf: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class SampleBuffers:
-    """Arrays that the batches of one Monte-Carlo run draw into.
+    """The set-up of one Monte-Carlo run: its model, copy layout and workspace.
 
-    Built once for batches of up to ``trials`` trials of ``model`` with the
-    given copy periods (see :func:`sample_copy_sums`).  They are memory
-    only: every draw takes its prior and mixing rows from its own
-    arguments.  The arrays that :func:`sample_parameter` and
-    :func:`sample_copy_sums` return from them are views, which the next
-    draw into the same buffers overwrites.  Each buffer is flat, and a
+    Built once for batches of up to ``trials`` trials of ``model``.  Its
+    analog rows must be k_a copies of their first ``analog_period`` rows and
+    its quantized rows k copies of their first ``quantized_period`` rows:
+    :func:`copy_layout` checks both once, here, and a period equal to the
+    row count claims no repetition.  The buffers keep the model, the
+    periods, the copy counts and the stacked rows [H[:p_a]; G[:p]] that
+    :func:`sample_copy_sums` draws from; :func:`sample_parameter` takes its
+    prior from its own argument.  The arrays both return from the buffers
+    are views, which the next draw overwrites.  Each buffer is flat, and a
     batch of t trials uses a contiguous prefix of it:
 
     - ``theta``: the planar normal block of theta, then theta;
@@ -298,10 +303,12 @@ class SampleBuffers:
     """
 
     def __init__(self, model: MixedModel, trials: int, analog_period: int, quantized_period: int):
-        self.trials = trials
-        self.m, self.periods, self.copies = _layout(model, analog_period, quantized_period)
-        self.theta = np.empty(self.m * trials, dtype=np.complex128)
-        self.scratch = np.empty(2 * max(self.m, *self.periods) * trials)
+        self.model, self.trials = model, trials
+        self.periods = analog_period, quantized_period
+        self.copies = copy_layout(model.h, analog_period)[1], copy_layout(model.g, quantized_period)[1]
+        self.rows = np.concatenate([model.h[:analog_period], model.g[:quantized_period]])
+        self.theta = np.empty(model.m * trials, dtype=np.complex128)
+        self.scratch = np.empty(2 * max(model.m, *self.periods) * trials)
         self.sums = np.empty(sum(self.periods) * trials, dtype=np.complex128)
 
     def copy_sums(self, t: int) -> np.ndarray:
@@ -310,7 +317,7 @@ class SampleBuffers:
 
     def error(self, t: int) -> np.ndarray:
         """(m, t) complex scratch, free once the copy sums of ``t`` trials are drawn."""
-        return _prefix(self.scratch.view(np.complex128), (self.m, t))
+        return _prefix(self.scratch.view(np.complex128), (self.model.m, t))
 
 
 def sample_parameter(
@@ -332,8 +339,8 @@ def sample_parameter(
     shape = (m,) if size is None else (m, size)
     if buffers is None:
         planar, normals, theta = np.empty((2,) + shape), np.empty(shape, np.complex128), None
-    elif size is None or size > buffers.trials or m != buffers.m:
-        raise ModelError(f"buffers hold m = {buffers.m} and {buffers.trials} trials, got m = {m} and size {size}")
+    elif size is None or size > buffers.trials or m != buffers.model.m:
+        raise ModelError(f"buffers hold m = {buffers.model.m} and {buffers.trials} trials, got m = {m} and size {size}")
     else:
         planar = _prefix(buffers.theta.view(np.float64), (2,) + shape)
         normals = _prefix(buffers.scratch.view(np.complex128), shape)
@@ -427,27 +434,14 @@ def copy_layout(rows: np.ndarray, period: int | None = None) -> tuple[int, int]:
     raise ModelError(f"rows are not copies of a block of period {period} ({n} rows)")
 
 
-def _layout(model: MixedModel, analog_period: int, quantized_period: int) -> tuple:
-    """(m, periods, copies) of the copy sums of ``model`` with the given periods."""
-    copies = copy_layout(model.h, analog_period)[1], copy_layout(model.g, quantized_period)[1]
-    return model.m, (analog_period, quantized_period), copies
-
-
-def sample_copy_sums(
-    model: MixedModel,
-    theta: np.ndarray,
-    rng: RngStream,
-    analog_period: int,
-    quantized_period: int,
-    buffers: SampleBuffers | None = None,
-):
+def sample_copy_sums(theta: np.ndarray, rng: RngStream, buffers: SampleBuffers):
     """Draw the analog copy sum s_a; give the mean and variance of the quantized one given theta.
 
-    ``theta`` is an (m, t) batch of parameter columns.  The analog rows must
-    be k_a copies of their first ``analog_period`` rows and the quantized
-    rows k copies of their first ``quantized_period`` rows, as
-    :func:`copy_layout` checks them; a period equal to the row count claims
-    no repetition.  Returns ``(s_a, s_q, s_q_var)``, each with t columns:
+    ``theta`` is an (m, t) batch of parameter columns of the model of
+    ``buffers``, with t at most the trials they hold; the periods p_a, p and
+    copy counts k_a, k are theirs (see :class:`SampleBuffers`).  Returns
+    ``(s_a, s_q, s_q_var)``, each with t columns and each a view into the
+    buffers:
 
     - ``s_a`` (p_a rows): one CN(0, k_a * var_a) block added to
       k_a * H[:p_a] theta, distributed as the sum of the rows that
@@ -461,30 +455,22 @@ def sample_copy_sums(
     - ``s_q_var`` (p rows): the variance of that sum, both parts together:
       2k (P_re (1 - P_re) + P_im (1 - P_im)) = k - k (u_re**2 + u_im**2) / 2.
 
-    Both sums come from one product [H[:p_a]; G[:p]] theta.
+    Both sums come from one product of the buffers' stacked rows
+    [H[:p_a]; G[:p]] with theta.
 
     Rows that do not repeat (k = 1) take the same path.  A zero variance
     draws nothing: the analog sum is then k_a * H[:p_a] theta, the
     quantized mean k * quantize_1bit(G[:p] theta) and its variance 0.
-    Without ``buffers`` the results are new arrays; with them, they are
-    views into the buffers (see :class:`SampleBuffers`), which must have
-    been made for the same m, periods and copy counts.
     """
+    model = buffers.model
     theta = np.asarray(theta, dtype=np.complex128)
-    if theta.ndim != 2 or theta.shape[0] != model.m:
-        raise ModelError(f"theta must have shape ({model.m}, trials), got {theta.shape}")
+    if theta.ndim != 2 or theta.shape[0] != model.m or theta.shape[1] > buffers.trials:
+        raise ModelError(f"buffers hold m = {model.m} and {buffers.trials} trials, got theta of shape {theta.shape}")
     t = theta.shape[1]
-    layout = _layout(model, analog_period, quantized_period)
-    if buffers is None:
-        buffers = SampleBuffers(model, t, analog_period, quantized_period)
-    held = (buffers.m, buffers.periods, buffers.copies)
-    if held != layout or t > buffers.trials:
-        raise ModelError(f"buffers of (m, periods, copies) {held} and {buffers.trials} trials do not fit {layout}, {t}")
-    k_a, k = buffers.copies
-    p_a, p = analog_period, quantized_period
+    (p_a, p), (k_a, k) = buffers.periods, buffers.copies
 
     sums = buffers.copy_sums(t)
-    np.matmul(np.concatenate([model.h[:p_a], model.g[:p]]), theta, out=sums)
+    np.matmul(buffers.rows, theta, out=sums)
     s_a, s_q = sums[:p_a], sums[p_a:]
     std_a = _part_std(model.var_a)
     # An extreme model can overflow the sum; run_monte_carlo refuses the non-finite result.
@@ -606,13 +592,17 @@ def make_scalar_model(n_a: int, n_q: int, var: float) -> MixedModel:
     return block_model(params, np.ones((n_a, 1)), np.ones((1, 1)))
 
 
+# The pilot types of make_mimo_model; the first is its default.
+PILOTS = ("random-unitary", "dft")
+
+
 def make_mimo_model(
     k: int,
     n_a: int,
     n_q: int,
     rho: float,
     var: float,
-    pilot: str = "random-unitary",
+    pilot: str = PILOTS[0],
     rng: RngStream | None = None,
 ) -> MixedModel:
     """Pilot-based channel-estimation model with k users.
@@ -627,14 +617,14 @@ def make_mimo_model(
         raise ModelError(f"k must be >= 1, got {k}")
     _require_counts(n_a, n_q)
     require_finite("rho", rho, positive=True)
-    if pilot == "random-unitary":
-        params = OrthoBlockParams(m=k, n_a=0, n_q=1, rho_q=rho)
-        _, block = make_ortho_matrices(params, rng if rng is not None else RngStream(0))
-    elif pilot == "dft":
+    if pilot not in PILOTS:
+        raise ModelError(f"unknown pilot type {pilot!r}; expected one of {', '.join(PILOTS)}")
+    if pilot == "dft":
         idx = np.arange(k)
         phi = np.exp(-2j * np.pi * np.outer(idx, idx) / k) / np.sqrt(k)
         block = np.sqrt(rho) * phi
     else:
-        raise ModelError(f"unknown pilot type {pilot!r}")
+        params = OrthoBlockParams(m=k, n_a=0, n_q=1, rho_q=rho)
+        _, block = make_ortho_matrices(params, rng if rng is not None else RngStream(0))
     params = OrthoBlockParams(m=k, n_a=n_a, n_q=n_q, rho_a=rho, rho_q=rho, var_a=var, var_q=var)
     return block_model(params, np.tile(block, (n_a, 1)), block)

@@ -22,9 +22,10 @@ squared error's mean over the 1-bit outputs is exact (see
 sampled trial's squared error and, by the Rao-Blackwell theorem, no larger
 variance.
 
-A run makes one set of :class:`~mixedres.model.SampleBuffers` for its
-largest batch; every batch draws theta and the copy sums into them and
-applies the filter there, so a batch allocates only a few per-trial
+A run's one set-up is a :class:`~mixedres.model.SampleBuffers` for its
+largest batch, which checks the copy layout once and holds the model;
+every batch draws theta and the copy sums into it and applies the filter
+there, so a batch derives nothing again and allocates only a few per-trial
 vectors.  The output bytes depend on the seed and the batch size only.
 """
 
@@ -170,23 +171,21 @@ def _copy_periods(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> tuple
     return copy_layout(np.concatenate([model.h, w_t[:n_a]], axis=1))[0], p_q
 
 
-def _run_batch(model: MixedModel, w1: np.ndarray, cfg: SimConfig, batch: int, count: int, buffers: SampleBuffers):
+def _run_batch(w1: np.ndarray, c: np.ndarray, cfg: SimConfig, batch: int, count: int, buffers: SampleBuffers):
     """Sum and sum of squares of the per-trial squared errors of one batch, averaged over the 1-bit outputs.
 
-    ``w1`` is the filter's columns for one analog and one quantized period,
-    so the error is ``w1 @ [s_a; s_q] - theta``.  Given theta and s_a, its
-    squared norm has the mean |w1 @ [s_a; E s_q] - theta|**2 plus
-    sum_i c_i Var(s_q_i), c_i being the squared norm of w1's column for
-    quantized row i.
+    ``w1`` is the filter's columns for one analog and one quantized period
+    of the model of ``buffers``, so the error is ``w1 @ [s_a; s_q] - theta``.
+    Given theta and s_a, its squared norm has the mean
+    |w1 @ [s_a; E s_q] - theta|**2 plus sum_i c_i Var(s_q_i), c_i being the
+    squared norm of w1's column for quantized row i.
     """
-    theta = sample_parameter(model.sigma_theta, RngStream(cfg.rng_seed, 2 * batch), size=count, buffers=buffers)
-    stream = RngStream(cfg.rng_seed, 2 * batch + 1)
-    s_a, _, s_q_var = sample_copy_sums(model, theta, stream, *buffers.periods, buffers=buffers)
+    theta = sample_parameter(buffers.model.sigma_theta, RngStream(cfg.rng_seed, 2 * batch), size=count, buffers=buffers)
+    s_a, _, s_q_var = sample_copy_sums(theta, RngStream(cfg.rng_seed, 2 * batch + 1), buffers)
     if cfg.analog_quantizer is not None and s_a.size:
         s_a[...] = quantize_bbit(s_a, cfg.analog_quantizer)
-    w_q = w1[:, buffers.periods[0] :]
     # Weighed before the error is formed, which overwrites the variances.
-    per_trial = (np.square(w_q.real) + np.square(w_q.imag)).sum(axis=0) @ s_q_var
+    per_trial = c @ s_q_var
     err = np.matmul(w1, buffers.copy_sums(count), out=buffers.error(count))
     # An extreme quantizer range can overflow the squares; run_monte_carlo
     # refuses the non-finite result.
@@ -217,9 +216,11 @@ def run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> Sim
     p_a, p_q = _copy_periods(model, filt, cfg)
     n_a = model.n_analog
     w1 = np.concatenate([filt.w[:, :p_a], filt.w[:, n_a : n_a + p_q]], axis=1)
+    w_q = w1[:, p_a:]  # c_i of _run_batch: the squared norm of its column i
+    c = (np.square(w_q.real) + np.square(w_q.imag)).sum(axis=0)
     buffers = SampleBuffers(model, min(cfg.batch_size, cfg.trials), p_a, p_q)
     partials = [
-        _run_batch(model, w1, cfg, b, min(cfg.batch_size, cfg.trials - b * cfg.batch_size), buffers)
+        _run_batch(w1, c, cfg, b, min(cfg.batch_size, cfg.trials - b * cfg.batch_size), buffers)
         for b in range(n_batches)
     ]
     # Exact summation of the batch sums: a plain sum rounds differently and

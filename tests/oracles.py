@@ -178,31 +178,31 @@ def reference_haar_unitary(m: int, g: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _alpha(rho_q: float, var_q_total: float) -> float:
-    return (2.0 / np.pi) * np.arccos(rho_q / (rho_q + var_q_total))
+def _alpha(rho_q: float, var_q: float) -> float:
+    return (2.0 / np.pi) * np.arccos(rho_q / (rho_q + var_q))
 
 
-def _beta(n_a: int, rho_a: float, rho_q: float, var_a_total: float, var_q_total: float) -> float:
-    first = (2.0 / np.pi) * np.arcsin(rho_q / (rho_q + var_q_total)) / rho_q
+def _beta(n_a: int, rho_a: float, rho_q: float, var_a: float, var_q: float) -> float:
+    first = (2.0 / np.pi) * np.arcsin(rho_q / (rho_q + var_q)) / rho_q
     if n_a == 0:
         return first
     return first - 2.0 * rho_a * n_a / (
-        np.pi * (rho_q + var_q_total) * (rho_a * n_a + var_a_total)
+        np.pi * (rho_q + var_q) * (rho_a * n_a + var_a)
     )
 
 
-def _mse_pure_analog(m: int, n_a: int, rho_a: float, var_a_total: float) -> float:
+def _mse_pure_analog(m: int, n_a: int, rho_a: float, var_a: float) -> float:
     if n_a == 0:
         return float(m)
-    return m - m * rho_a * n_a / (rho_a * n_a + var_a_total)
+    return m - m * rho_a * n_a / (rho_a * n_a + var_a)
 
 
-def _mse_pure_quantized(m: int, n_q: int, rho_q: float, var_q_total: float) -> float:
+def _mse_pure_quantized(m: int, n_q: int, rho_q: float, var_q: float) -> float:
     if n_q == 0:
         return float(m)
-    a = _alpha(rho_q, var_q_total)
+    a = _alpha(rho_q, var_q)
     return m - 2.0 * m * rho_q * n_q / (
-        np.pi * (rho_q + var_q_total) * (a + (1.0 - a) * n_q)
+        np.pi * (rho_q + var_q) * (a + (1.0 - a) * n_q)
     )
 
 
@@ -392,9 +392,11 @@ def reference_run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConf
 def reference_copy_sums(model: MixedModel, theta: np.ndarray, rng: RngStream, analog_period: int, quantized_period: int):
     """Copy sums (s_a, s_q) of one realization, with every quantized copy drawn as a 16-bit word.
 
-    The arguments are those of ``sample_copy_sums``, and s_a is its analog
-    sum, from the same first draw of ``rng``.  Then, with P = Phi(mu /
-    sqrt(v/2)) per part of mu = G[:p] theta and v = var_q:
+    The model and periods are those of the ``SampleBuffers`` that
+    ``sample_copy_sums`` draws with, and s_a is its analog sum, from the
+    same first draw of ``rng``; the periods are taken as given, unchecked.
+    Then, with P = Phi(mu / sqrt(v/2)) per part of mu = G[:p] theta and
+    v = var_q:
 
     1. one block of k * 2 * p * t 16-bit words, ``random_raw`` read as
        little-endian: copy j of row i counts +1 in a part when its word is

@@ -658,6 +658,29 @@ def test_values_the_model_rejects_are_config_errors(tmp_path, capsys, command, c
 
 
 @pytest.mark.parametrize(
+    "command, cfg, flags",
+    [
+        ("simulate", {**SIM_SCALAR, "pilot": "nonsense"}, []),
+        ("simulate", {**SIM_SCALAR, "pilot": "dft"}, []),
+        ("mse", {**TestMseCommand.CFG, "pilot": "dft"}, []),
+        ("simulate", {**SIM_MIMO, "pilot": "nonsense"}, []),
+        ("mse", {**MSE_MIMO, "pilot": "nonsense"}, []),
+        ("mse", {**MSE_MIMO, "pilot": "nonsense"}, ["--empirical"]),
+    ],
+    ids=["simulate-scalar", "simulate-scalar-dft", "mse-scalar-dft", "simulate-mimo", "mse-mimo", "mse-mimo-empirical"],
+)
+def test_a_pilot_the_run_cannot_use_is_refused(tmp_path, capsys, command, cfg, flags):
+    """The scalar scenario takes no pilot, and an unknown pilot is refused
+    whether or not the run builds a MIMO model."""
+    path = _write(tmp_path, f"{command}.yaml", cfg)
+    assert main([command, "--config", path, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert "'pilot'" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
     "command, cfg, named",
     [
         ("mse", {**TestMseCommand.CFG, "sigma2_grid": {"start": 0.1, "stop": 1.0, "num": 0}}, "num"),
@@ -928,15 +951,6 @@ class TestBenchCommand:
         for row in rows:
             assert float(row["t_direct_ms"]) > float(row["t_closed_ms"]) > 0
 
-    def test_repeats_flag(self, tmp_path, capsys):
-        cfg = {
-            "m_list": [1], "n_a_max_list": [2], "bits": 3,
-            "direct_repeats": 1, "warmup": 0,
-        }
-        path = _write(tmp_path, "bench.yaml", cfg)
-        assert main(["bench", "--config", path, "--repeats", "2"]) == 0
-        assert len(_read_csv(capsys.readouterr().out)) == 1
-
     @pytest.mark.parametrize(
         "override", [{"repeats": 0}, {"direct_repeats": 0}, {"warmup": -1}], ids=["repeats", "direct", "warmup"]
     )
@@ -978,14 +992,6 @@ class TestBenchCommand:
         path = _write(tmp_path, "bench.yaml", BENCH)
         assert main(["bench", "--config", path]) == 0
         assert len(calls) == 1
-
-    @pytest.mark.parametrize("repeats", ["0", "-1"])
-    def test_repeats_flag_must_be_positive(self, tmp_path, capsys, repeats):
-        path = _write(tmp_path, "bench.yaml", {"m_list": [1], "n_a_max_list": [2]})
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "--config", path, "--repeats", repeats])
-        assert exc.value.code == 2
-        assert "--repeats" in capsys.readouterr().err
 
 
 # A key repeated at each level of a config: the command, the text and the key.

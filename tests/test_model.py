@@ -272,6 +272,12 @@ def _mean_and_variance(x):
     return mean, var, np.sqrt(var / t), np.sqrt(np.maximum(fourth - var**2, 0.0) / t)
 
 
+def _copy_sums(model, theta, rng, analog_period, quantized_period):
+    """``sample_copy_sums`` of ``theta`` into buffers made for this one draw."""
+    buffers = SampleBuffers(model, theta.shape[1], analog_period, quantized_period)
+    return sample_copy_sums(theta, rng, buffers)
+
+
 class TestSampleCopySums:
     TRIALS = 20_000
 
@@ -288,7 +294,7 @@ class TestSampleCopySums:
         # A dither of variance d is d more noise on its path.
         model = _tiled_model(seed, m, p_a, k_a, p, k, var_a=0.8 + 0.3 * dither, var_q=1.1 + 0.6 * dither)
         theta = np.repeat(sample_parameter(model.sigma_theta, RngStream(seed, 1))[:, None], self.TRIALS, axis=1)
-        s_a, s_q, s_q_var = sample_copy_sums(model, theta, RngStream(seed, 2), p_a, p)
+        s_a, s_q, s_q_var = _copy_sums(model, theta, RngStream(seed, 2), p_a, p)
         _, drawn_q = reference_copy_sums(model, theta, RngStream(seed, 2), p_a, p)
         x_a, x_q = sample_measurements(model, theta, RngStream(seed, 3))
         assert s_a.shape == (p_a, self.TRIALS) and s_q.shape == s_q_var.shape == (p, self.TRIALS)
@@ -327,7 +333,7 @@ class TestSampleCopySums:
         model = _tiled_model(9, 3, 2, 3, 2, 4, var_a=0.0, var_q=0.0)
         theta = sample_parameter(model.sigma_theta, RngStream(9), size=50)
         stream = _OneGenerator()
-        s_a, s_q, s_q_var = sample_copy_sums(model, theta, stream, 2, 2)
+        s_a, s_q, s_q_var = _copy_sums(model, theta, stream, 2, 2)
         assert s_a.tobytes() == (3 * (model.h[:2] @ theta)).tobytes()
         assert s_q.tobytes() == (4 * quantize_1bit(model.g[:2] @ theta)).tobytes()
         assert not s_q_var.any()
@@ -337,7 +343,7 @@ class TestSampleCopySums:
         model = _tiled_model(10, 2, 1, 2, 2, 3, var_a=0.5, var_q=0.0)
         theta = sample_parameter(model.sigma_theta, RngStream(10), size=40)
         stream = _OneGenerator()
-        s_a, s_q, s_q_var = sample_copy_sums(model, theta, stream, 1, 2)
+        s_a, s_q, s_q_var = _copy_sums(model, theta, stream, 1, 2)
         g = RngStream(8).generator()
         g.standard_normal((2, 1, 40))
         assert stream.g.bit_generator.state == g.bit_generator.state
@@ -350,7 +356,7 @@ class TestSampleCopySums:
         model = _tiled_model(11, 2, 1, 2, 2, 3, var_a=0.5, var_q=0.7)
         theta = sample_parameter(model.sigma_theta, RngStream(11), size=40)
         stream = _OneGenerator()
-        sample_copy_sums(model, theta, stream, 1, 2)
+        _copy_sums(model, theta, stream, 1, 2)
         g = RngStream(8).generator()
         g.standard_normal((2, 1, 40))
         assert stream.g.bit_generator.state == g.bit_generator.state
@@ -360,30 +366,30 @@ class TestSampleCopySums:
         probabilities are exactly 1 or 0; 1e308 stays finite."""
         tiny = _tiled_model(12, 1, 1, 2, 1, 3, var_a=1e-320, var_q=1e-320)
         theta = np.array([[1e200 + 1j * 1e200, -1e200 + 0.5j]])
-        _, s_q, s_q_var = sample_copy_sums(tiny, theta, RngStream(12), 1, 1)
+        _, s_q, s_q_var = _copy_sums(tiny, theta, RngStream(12), 1, 1)
         assert s_q.tobytes() == (3 * quantize_1bit(tiny.g[:1] @ theta)).tobytes()
         assert not s_q_var.any()
         huge = _tiled_model(12, 1, 1, 2, 1, 3, var_a=1e308, var_q=1e308)
-        results = sample_copy_sums(huge, theta, RngStream(13), 1, 1)
+        results = _copy_sums(huge, theta, RngStream(13), 1, 1)
         assert all(np.isfinite(a).all() for a in results)
 
     def test_non_finite_mean_is_refused(self):
         model = _tiled_model(13, 1, 1, 1, 1, 2)
         theta = np.array([[np.inf + 0j]])
         with pytest.raises(QuantizerDomainError):
-            sample_copy_sums(model, theta, RngStream(0), 1, 1)
+            _copy_sums(model, theta, RngStream(0), 1, 1)
 
     # (1, 2) and (2, 1) divide the rows, but the rows do not repeat with them.
     @pytest.mark.parametrize("periods", [(0, 2), (2, 0), (3, 2), (2, 3), (2, 8), (1, 2), (2, 1)])
     def test_periods_must_divide_the_rows(self, periods):
         model = _tiled_model(14, 1, 2, 2, 2, 2)
         with pytest.raises(ModelError, match="period"):
-            sample_copy_sums(model, np.zeros((1, 3)), RngStream(0), *periods)
+            SampleBuffers(model, 3, *periods)
 
     def test_dimension_mismatch(self):
         model = make_scalar_model(1, 1, 1.0)
         with pytest.raises(ModelError):
-            sample_copy_sums(model, np.zeros(3), RngStream(0), 1, 1)
+            sample_copy_sums(np.zeros(3), RngStream(0), SampleBuffers(model, 3, 1, 1))
 
 
 class TestOneBitConditionalMean:
@@ -399,7 +405,7 @@ class TestOneBitConditionalMean:
         x *= rng.choice([-1.0, 1.0], size=x.shape)
         theta = (np.sqrt(var) * (x[0] + 1j * x[1]))[None, :]
         ratio = np.stack([theta.real, theta.imag])[:, 0] / np.sqrt(var)
-        _, s_q, _ = sample_copy_sums(make_scalar_model(1, k, var), theta, RngStream(41), 1, 1)
+        _, s_q, _ = _copy_sums(make_scalar_model(1, k, var), theta, RngStream(41), 1, 1)
         u = np.stack([s_q.real, s_q.imag])[:, 0] * np.sqrt(2) / k
         series = 2 / np.sqrt(np.pi) * (ratio - ratio**3 / 3)
         np.testing.assert_allclose(u, series, rtol=1e-14, atol=0)
@@ -408,8 +414,8 @@ class TestOneBitConditionalMean:
     def test_negated_theta_negates_the_mean_exactly(self, seed):
         model = _tiled_model(42 + seed, 3, 2, 2, 3, 4)
         theta = sample_parameter(model.sigma_theta, RngStream(seed), size=500)
-        _, s_q, s_q_var = (a.copy() for a in sample_copy_sums(model, theta, RngStream(seed, 1), 2, 3))
-        _, neg_q, neg_var = sample_copy_sums(model, -theta, RngStream(seed, 1), 2, 3)
+        _, s_q, s_q_var = _copy_sums(model, theta, RngStream(seed, 1), 2, 3)
+        _, neg_q, neg_var = _copy_sums(model, -theta, RngStream(seed, 1), 2, 3)
         assert neg_q.tobytes() == (-s_q).tobytes()
         assert neg_var.tobytes() == s_q_var.tobytes()
 
@@ -418,7 +424,7 @@ class TestOneBitConditionalMean:
         each part of s_q is +-k / sqrt(2) and its variance is 0."""
         k = 4
         theta = np.array([[1e300 + 1e300j, -1e300 + 1e300j, 1e300 - 1e300j, -1e300 - 1e300j]])
-        _, s_q, s_q_var = sample_copy_sums(make_scalar_model(1, k, 1e-300), theta, RngStream(43), 1, 1)
+        _, s_q, s_q_var = _copy_sums(make_scalar_model(1, k, 1e-300), theta, RngStream(43), 1, 1)
         want = k * INV_SQRT2 * np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j])
         assert s_q.tobytes() == want[None, :].tobytes()
         assert s_q_var.tobytes() == np.zeros((1, 4)).tobytes()
@@ -440,7 +446,7 @@ class TestStackedProduct:
         var_q = 0.7
         model = _tiled_model(44, 3, p_a, k_a, p, k, var_a=0.0, var_q=var_q)
         theta = sample_parameter(model.sigma_theta, RngStream(44), size=300)
-        s_a, s_q, _ = sample_copy_sums(model, theta, _OneGenerator(), analog_period, quantized_period)
+        s_a, s_q, _ = _copy_sums(model, theta, _OneGenerator(), analog_period, quantized_period)
         copies = model.n_analog // max(analog_period, 1)
         assert s_a.tobytes() == (copies * (model.h[:analog_period] @ theta)).tobytes()
         mu = model.g[:quantized_period] @ theta
@@ -541,7 +547,7 @@ class TestCopyCountExactness:
 
 
 class TestSampleBuffers:
-    """Draws into one set of buffers against fresh arrays."""
+    """Draws into one set of buffers against draws into fresh ones."""
 
     def test_parameter_draw_into_buffers_equals_a_fresh_draw(self):
         """The prior is the one passed, not the buffers' model's: a draw of
@@ -559,44 +565,28 @@ class TestSampleBuffers:
     @pytest.mark.parametrize("dither", [False, True])
     def test_copy_sums_into_buffers_equal_fresh_sums(self, dither):
         """A full batch and then a shorter one (a run's last batch) drawn into
-        the same buffers give the bytes of sums drawn into fresh arrays."""
+        the same buffers give the bytes of sums drawn into fresh buffers."""
         model = _tiled_model(31, 2, 2, 3, 3, 4, var_a=0.8 + 0.3 * dither, var_q=1.1 + 0.6 * dither)
         buffers = SampleBuffers(model, 300, 2, 3)
         for seed, size in ((3, 300), (4, 117)):
             theta = sample_parameter(model.sigma_theta, RngStream(seed), size=size)
-            got = sample_copy_sums(model, theta, RngStream(seed, 1), 2, 3, buffers=buffers)
-            want = sample_copy_sums(model, theta, RngStream(seed, 1), 2, 3)
+            got = sample_copy_sums(theta, RngStream(seed, 1), buffers)
+            want = _copy_sums(model, theta, RngStream(seed, 1), 2, 3)
             for g, w in zip(got, want):
                 assert g.shape == w.shape and g.tobytes() == w.tobytes()
-
-    def test_sums_without_buffers_are_not_shared(self):
-        model = _tiled_model(32, 2, 1, 2, 2, 3)
-        theta = sample_parameter(model.sigma_theta, RngStream(5), size=50)
-        first = sample_copy_sums(model, theta, RngStream(6), 1, 2)
-        kept = [a.copy() for a in first]
-        second = sample_copy_sums(model, theta, RngStream(7), 1, 2)
-        for a, b, c in zip(first, kept, second):
-            assert not np.shares_memory(a, c)
-            assert a.tobytes() == b.tobytes()
 
     def test_buffers_must_fit_the_draw(self):
         model = _tiled_model(33, 2, 1, 2, 2, 3)
         buffers = SampleBuffers(model, 10, 1, 2)
         theta = sample_parameter(model.sigma_theta, RngStream(8), size=11)
         with pytest.raises(ModelError, match="buffers"):
-            sample_copy_sums(model, theta, RngStream(9), 1, 2, buffers=buffers)
+            sample_copy_sums(theta, RngStream(9), buffers)
         with pytest.raises(ModelError, match="buffers"):
-            sample_copy_sums(model, theta[:, :10], RngStream(9), 2, 6, buffers=buffers)
+            sample_copy_sums(np.zeros((3, 10)), RngStream(9), buffers)
         with pytest.raises(ModelError, match="buffers"):
             sample_parameter(model.sigma_theta, RngStream(8), size=11, buffers=buffers)
         with pytest.raises(ModelError, match="buffers"):
             sample_parameter(np.eye(3), RngStream(8), size=10, buffers=buffers)
-        # Same m and periods, other copy counts: 20 quantized copies do not
-        # fit buffers made for 10, which would sum only 10 of them.
-        theta = np.full((1, 4), 100.0 + 100.0j)
-        buffers = SampleBuffers(make_scalar_model(1, 10, 1.0), 4, 1, 1)
-        with pytest.raises(ModelError, match="buffers"):
-            sample_copy_sums(make_scalar_model(1, 20, 1.0), theta, RngStream(9), 1, 1, buffers=buffers)
 
 
 class TestOrthoMatrices:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from mixedres import model as model_module
 from mixedres import simulate
 from mixedres.allocation import DitherScheme, PowerBudget
 from mixedres.closed_form import filter_closed_form
@@ -125,7 +126,7 @@ class TestRunMonteCarlo:
             count = min(128, cfg.trials - b * 128)
             theta = sample_parameter(model.sigma_theta, RngStream(6, 2 * b), size=count)
             # One analog and one quantized row: both periods are 1.
-            s_a, s_q, s_q_var = sample_copy_sums(model, theta, RngStream(6, 2 * b + 1), 1, 1)
+            s_a, s_q, s_q_var = sample_copy_sums(theta, RngStream(6, 2 * b + 1), SampleBuffers(model, count, 1, 1))
             x = np.concatenate([s_a, s_q], axis=0)
             spread = np.abs(filt.w[0, 1]) ** 2 * s_q_var[0]
             errors.extend((np.abs(filt.w @ x - theta) ** 2).sum(axis=0) + spread)
@@ -152,9 +153,9 @@ class TestRunWorkspace:
         seen = []
         run_batch = simulate._run_batch
 
-        def both(model, w1, cfg, b, count, buffers):
-            shared = run_batch(model, w1, cfg, b, count, buffers)
-            own = run_batch(model, w1, cfg, b, count, SampleBuffers(model, count, *buffers.periods))
+        def both(w1, c, cfg, b, count, buffers):
+            shared = run_batch(w1, c, cfg, b, count, buffers)
+            own = run_batch(w1, c, cfg, b, count, SampleBuffers(model, count, *buffers.periods))
             seen.append((count, shared, own))
             return shared
 
@@ -163,6 +164,39 @@ class TestRunWorkspace:
         assert [count for count, _, _ in seen] == [2048, 2048, 904]
         for _, shared, own in seen:
             assert shared == own
+
+    @pytest.mark.parametrize("batches", [1, 2, 13])
+    @pytest.mark.parametrize("quantizer, calls", [(None, 4), (DEFAULT_ANALOG_QUANTIZER, 3)], ids=["ideal", "b-bit"])
+    def test_copy_layout_is_found_once_per_run(self, monkeypatch, batches, quantizer, calls):
+        """_copy_periods finds the periods (two calls, or one under b-bit
+        emulation, which checks only the quantized rows) and SampleBuffers
+        checks them on the model's rows (two calls); a batch adds none."""
+        model, filt = _mimo_closed()
+        real, seen = model_module.copy_layout, []
+
+        def counting(*args):
+            seen.append(args)
+            return real(*args)
+
+        for module in (simulate, model_module):
+            monkeypatch.setattr(module, "copy_layout", counting)
+        run_monte_carlo(model, filt, SimConfig(trials=64 * batches, batch_size=64, analog_quantizer=quantizer))
+        assert len(seen) == calls
+
+    # H is 2 copies and G 4 copies of a 3-row block; 2 divides both row
+    # counts, but neither repeats with it.
+    @pytest.mark.parametrize("periods", [(3, 2), (2, 3)])
+    def test_periods_that_do_not_tile_are_refused_before_any_batch(self, monkeypatch, periods):
+        """SampleBuffers is the one check of the periods a run draws with."""
+        model, filt = _mimo_closed()
+
+        def no_batch(*args):
+            raise AssertionError("batch drawn with periods that do not tile the rows")
+
+        monkeypatch.setattr(simulate, "_copy_periods", lambda *args: periods)
+        monkeypatch.setattr(simulate, "_run_batch", no_batch)
+        with pytest.raises(ModelError, match="period"):
+            run_monte_carlo(model, filt, SimConfig(trials=100))
 
 
 def _general_model(seed, m, n_a, g, dither_a=0.0, dither_q=0.0):
@@ -331,13 +365,14 @@ class TestConditionalError:
         )
         w1 = rng.standard_normal((m, p_a + p)) + 1j * rng.standard_normal((m, p_a + p))
         cfg = SimConfig(trials=count, rng_seed=k)
+        c = (np.abs(w1[:, p_a:]) ** 2).sum(axis=0)
         buffers = SampleBuffers(model, 1, p_a, p)
-        got = [simulate._run_batch(model, w1, cfg, b, 1, buffers)[0] for b in range(count)]
+        got = [simulate._run_batch(w1, c, cfg, b, 1, buffers)[0] for b in range(count)]
 
         theta, s_a = [], []
         for b in range(count):
             theta.append(sample_parameter(model.sigma_theta, RngStream(k, 2 * b), size=1))
-            s_a.append(sample_copy_sums(model, theta[-1], RngStream(k, 2 * b + 1), p_a, p)[0])
+            s_a.append(sample_copy_sums(theta[-1], RngStream(k, 2 * b + 1), SampleBuffers(model, 1, p_a, p))[0])
         theta, s_a = np.concatenate(theta, axis=1), np.concatenate(s_a, axis=1)
         mu = g1 @ theta
         prob = special.ndtr(np.stack([mu.real, mu.imag]) / _part_std(model.var_q))
