@@ -579,8 +579,9 @@ def _parser() -> argparse.ArgumentParser:
         if name == "simulate":
             p.add_argument(
                 "--threads", type=_positive_int, default=1,
-                help="ignored; trials run on one thread. Accepted, as a positive count, because "
-                "perfbench's monte_carlo workload passes --threads 1 and 2",
+                help="ignored; a run draws ahead on a second CPU where it has one, with the same "
+                "bytes. Accepted, as a positive count, because perfbench's monte_carlo workload "
+                "passes --threads 1 and 2",
             )
         if name == "allocate":
             p.add_argument("--oracle", action="store_true", help="cross-check against the exhaustive solver")

@@ -20,7 +20,9 @@ Two routes draw from the model.  :func:`sample_measurements` realizes
 every row: noise, then the sign.  :func:`sample_copy_sums` serves a filter
 that treats the copies of a repeated block (:func:`copy_layout`) alike, and
 so sees their sum.  A run's :class:`SampleBuffers` checks that layout
-once and holds it, with the model, for every draw of the run.  The sum of
+once and holds it, with the model and the factor of its prior, for every
+draw of the run.  The products of a batch run in column tiles of
+``TILE_TRIALS`` trials (:func:`_matmul_tiles`).  The sum of
 k_a analog copies is k_a H1 theta plus one noise draw of variance k_a v.
 The quantized sum is not drawn: given theta, each
 1-bit output of a row with mean mu is +1 with probability
@@ -279,6 +281,40 @@ def _prefix(buf: np.ndarray, shape: tuple) -> np.ndarray:
     return buf[: math.prod(shape)].reshape(shape)
 
 
+# Most trials in one product call of a batch, and most multiply-adds in one
+# such tile.  OpenBLAS 0.3.31 ran a complex product of up to about 2**16
+# multiply-adds on the calling thread (20 x 10 x 320) and a larger one on its
+# thread pool (20 x 10 x 384), whose worker then spins on a second CPU
+# between calls.
+TILE_TRIALS = 256
+TILE_MACS = 2**16
+
+
+def _tiles(a: np.ndarray) -> bool:
+    """Whether :func:`_matmul_tiles` splits the products of ``a``: whether a tile has at most ``TILE_MACS`` multiply-adds."""
+    return a.size * TILE_TRIALS <= TILE_MACS
+
+
+def _matmul_tiles(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.matmul(a, b, out=out)`` in column tiles of ``TILE_TRIALS`` trials, with the same values.
+
+    The trials are the last axis of ``b`` and ``out``; a one-dimensional
+    ``b`` is one product.  A larger ``a`` (see :func:`_tiles`) would send
+    every tile to the thread pool, and one call costs less there than many,
+    so its product runs whole.  A one-column product goes through gemv,
+    which rounds differently from gemm, so a last tile of one column joins
+    the tile before it.
+    """
+    t = b.shape[-1]
+    if b.ndim < 2 or t <= TILE_TRIALS + 1 or not _tiles(a):
+        return np.matmul(a, b, out=out)
+    start = 0
+    for stop in [*range(TILE_TRIALS, t - 1, TILE_TRIALS), t]:
+        np.matmul(a, b[..., start:stop], out=out[..., start:stop])
+        start = stop
+    return out
+
+
 class SampleBuffers:
     """The set-up of one Monte-Carlo run: its model, copy layout and workspace.
 
@@ -287,11 +323,12 @@ class SampleBuffers:
     its quantized rows k copies of their first ``quantized_period`` rows:
     :func:`copy_layout` checks both once, here, and a period equal to the
     row count claims no repetition.  The buffers keep the model, the
-    periods, the copy counts and the stacked rows [H[:p_a]; G[:p]] that
-    :func:`sample_copy_sums` draws from; :func:`sample_parameter` takes its
-    prior from its own argument.  The arrays both return from the buffers
-    are views, which the next draw overwrites.  Each buffer is flat, and a
-    batch of t trials uses a contiguous prefix of it:
+    Cholesky factor ``chol`` of its prior, the periods, the copy counts and
+    the stacked rows [H[:p_a]; G[:p]] that :func:`sample_copy_sums` draws
+    from; :func:`sample_parameter` uses ``chol`` when it is given the
+    model's own prior.  The arrays both return from the buffers are views,
+    which the next draw overwrites.  Each buffer is flat, and a batch of t
+    trials uses a contiguous prefix of it:
 
     - ``theta``: the planar normal block of theta, then theta;
     - ``scratch`` (float64): theta's complex normals, then the analog normal
@@ -300,6 +337,12 @@ class SampleBuffers:
       caller's estimation error (:meth:`error`), which overwrites those
       variances;
     - ``sums``: [s_a; s_q], whose s_q rows hold mu until its mean replaces it.
+
+    A run may draw a batch's two normal blocks ahead, on another thread,
+    into one of two draw slots (:meth:`slot`), and file them in ``ahead``
+    under their streams.  A draw from a filed stream then takes its block,
+    which holds the values it would draw, in place of drawing into
+    ``theta`` or ``scratch``.
     """
 
     def __init__(self, model: MixedModel, trials: int, analog_period: int, quantized_period: int):
@@ -307,9 +350,27 @@ class SampleBuffers:
         self.periods = analog_period, quantized_period
         self.copies = copy_layout(model.h, analog_period)[1], copy_layout(model.g, quantized_period)[1]
         self.rows = np.concatenate([model.h[:analog_period], model.g[:quantized_period]])
+        # Positive definite: MixedModel checked the prior, or it is block_model's identity.
+        self.chol = np.linalg.cholesky(model.sigma_theta)
         self.theta = np.empty(model.m * trials, dtype=np.complex128)
         self.scratch = np.empty(2 * max(model.m, *self.periods) * trials)
         self.sums = np.empty(sum(self.periods) * trials, dtype=np.complex128)
+        self.ahead: dict[RngStream, np.ndarray] = {}
+        self._slots = None
+
+    def slot(self, index: int, t: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """Draw slot ``index`` (0 or 1) for ``t`` trials: theta's (2, m, t) and the analog sum's (2, p_a, t) planar blocks.
+
+        The analog block is None when the analog variance is 0, as
+        :func:`sample_copy_sums` then draws nothing.  The two slots, of
+        2 (m + p_a) ``trials`` values each, are made on first use.
+        """
+        m, p_a = self.model.m, self.periods[0]
+        if self._slots is None:
+            self._slots = np.empty((2, 2 * (m + p_a) * self.trials))
+        flat = self._slots[index]
+        analog = _prefix(flat[2 * m * t :], (2, p_a, t)) if self.model.var_a else None
+        return _prefix(flat, (2, m, t)), analog
 
     def copy_sums(self, t: int) -> np.ndarray:
         """[s_a; s_q] of the last :func:`sample_copy_sums` draw of ``t`` trials, shape (p_a + p, t)."""
@@ -329,26 +390,43 @@ def sample_parameter(
     Cholesky factor of ``sigma_theta`` times one planar (2, m, size) block
     of standard normals scaled by 1/sqrt(2).  With ``buffers`` (of the same
     m) the normals and the (m, size) draw are written into them, with the
-    same values.
+    same values: the block is the one filed in them for ``rng`` if any, and
+    the buffers' model prior, passed as itself, is not factored again.
     """
-    try:
-        chol = np.linalg.cholesky(np.atleast_2d(np.asarray(sigma_theta, dtype=np.complex128)))
-    except np.linalg.LinAlgError as exc:
-        raise SingularPriorError("prior covariance is not positive definite") from exc
+    if buffers is not None and sigma_theta is buffers.model.sigma_theta:
+        chol = buffers.chol
+    else:
+        try:
+            chol = np.linalg.cholesky(np.atleast_2d(np.asarray(sigma_theta, dtype=np.complex128)))
+        except np.linalg.LinAlgError as exc:
+            raise SingularPriorError("prior covariance is not positive definite") from exc
     m = chol.shape[0]
     shape = (m,) if size is None else (m, size)
     if buffers is None:
-        planar, normals, theta = np.empty((2,) + shape), np.empty(shape, np.complex128), None
+        planar, normals, theta = np.empty((2,) + shape), np.empty(shape, np.complex128), np.empty(shape, np.complex128)
     elif size is None or size > buffers.trials or m != buffers.model.m:
         raise ModelError(f"buffers hold m = {buffers.model.m} and {buffers.trials} trials, got m = {m} and size {size}")
     else:
         planar = _prefix(buffers.theta.view(np.float64), (2,) + shape)
         normals = _prefix(buffers.scratch.view(np.complex128), shape)
         theta = _prefix(buffers.theta, shape)
-    rng.generator().standard_normal(out=planar)
+    planar = _standard_normals(rng, planar, buffers)
     np.multiply(planar[0], INV_SQRT2, out=normals.real)
     np.multiply(planar[1], INV_SQRT2, out=normals.imag)
-    return np.matmul(chol, normals, out=theta)
+    return _matmul_tiles(chol, normals, theta)
+
+
+def _standard_normals(rng: RngStream, out: np.ndarray, buffers: SampleBuffers | None) -> np.ndarray:
+    """The planar standard-normal block of ``out``'s shape at the start of ``rng``.
+
+    It is the block filed for ``rng`` in ``buffers`` if that has this shape
+    (the filing is used up either way); otherwise it is drawn into ``out``.
+    """
+    block = buffers.ahead.pop(rng, None) if buffers is not None else None
+    if block is not None and block.shape == out.shape:
+        return block
+    rng.generator().standard_normal(out=out)
+    return out
 
 
 def _add_complex_normal(out: np.ndarray, g: np.random.Generator, var: float) -> None:
@@ -359,15 +437,11 @@ def _add_complex_normal(out: np.ndarray, g: np.random.Generator, var: float) -> 
     """
     if var == 0.0:
         return
-    _add_planar_normal(out, g, np.sqrt(var / 2.0))
+    _add_planar_normal(out, g.standard_normal((2,) + out.shape), np.sqrt(var / 2.0))
 
 
-def _add_planar_normal(out: np.ndarray, g: np.random.Generator, std: float, z: np.ndarray | None = None) -> None:
-    """Add ``std`` times one planar (2,) + shape standard-normal block to ``out`` in place.
-
-    The block is drawn into ``z`` when given (same values, no allocation).
-    """
-    z = g.standard_normal((2,) + out.shape) if z is None else g.standard_normal(out=z)
+def _add_planar_normal(out: np.ndarray, z: np.ndarray, std: float) -> None:
+    """Add ``std`` times the planar (2,) + shape standard-normal block ``z`` to ``out`` in place, scaling ``z``."""
     z *= std
     out.real += z[0]
     out.imag += z[1]
@@ -445,7 +519,8 @@ def sample_copy_sums(theta: np.ndarray, rng: RngStream, buffers: SampleBuffers):
 
     - ``s_a`` (p_a rows): one CN(0, k_a * var_a) block added to
       k_a * H[:p_a] theta, distributed as the sum of the rows that
-      :func:`sample_measurements` draws.  It is the only draw from ``rng``.
+      :func:`sample_measurements` draws.  It is the only draw from ``rng``,
+      or the block filed for ``rng`` in the buffers.
     - ``s_q`` (p rows): the mean of the quantized copy sum.  With
       P = Phi(mu / sqrt(v/2)) per part of mu = G[:p] theta, v = var_q,
       each part of that sum is (2 * count - k) / sqrt(2) with
@@ -456,7 +531,7 @@ def sample_copy_sums(theta: np.ndarray, rng: RngStream, buffers: SampleBuffers):
       2k (P_re (1 - P_re) + P_im (1 - P_im)) = k - k (u_re**2 + u_im**2) / 2.
 
     Both sums come from one product of the buffers' stacked rows
-    [H[:p_a]; G[:p]] with theta.
+    [H[:p_a]; G[:p]] with theta, in column tiles.
 
     Rows that do not repeat (k = 1) take the same path.  A zero variance
     draws nothing: the analog sum is then k_a * H[:p_a] theta, the
@@ -470,15 +545,17 @@ def sample_copy_sums(theta: np.ndarray, rng: RngStream, buffers: SampleBuffers):
     (p_a, p), (k_a, k) = buffers.periods, buffers.copies
 
     sums = buffers.copy_sums(t)
-    np.matmul(buffers.rows, theta, out=sums)
     s_a, s_q = sums[:p_a], sums[p_a:]
     std_a = _part_std(model.var_a)
-    # An extreme model can overflow the sum; run_monte_carlo refuses the non-finite result.
-    with np.errstate(over="ignore"):
+    # An extreme model can overflow the sums: a non-finite mu is refused
+    # below, and run_monte_carlo refuses a non-finite error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _matmul_tiles(buffers.rows, theta, sums)
         if k_a > 1:
             s_a *= k_a
         if std_a:
-            _add_planar_normal(s_a, rng.generator(), std_a * np.sqrt(k_a), _prefix(buffers.scratch, (2,) + s_a.shape))
+            z = _standard_normals(rng, _prefix(buffers.scratch, (2,) + s_a.shape), buffers)
+            _add_planar_normal(s_a, z, std_a * np.sqrt(k_a))
 
     mu = s_q  # G[:p] theta, until its mean replaces it
     u = _prefix(buffers.scratch, (2, p, t))

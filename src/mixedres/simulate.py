@@ -23,10 +23,20 @@ sampled trial's squared error and, by the Rao-Blackwell theorem, no larger
 variance.
 
 A run's one set-up is a :class:`~mixedres.model.SampleBuffers` for its
-largest batch, which checks the copy layout once and holds the model;
-every batch draws theta and the copy sums into it and applies the filter
-there, so a batch derives nothing again and allocates only a few per-trial
-vectors.  The output bytes depend on the seed and the batch size only.
+largest batch, which checks the copy layout once and holds the model and
+the factor of its prior; every batch draws theta and the copy sums into it
+and applies the filter there, so a batch derives nothing again and
+allocates only a few per-trial vectors.  The products of a batch run in
+column tiles of ``TILE_TRIALS`` trials, which OpenBLAS computes on the
+calling thread, so that its thread pool leaves the second CPU free.
+
+A run of two or more batches on two or more CPUs, whose products all tile
+(:func:`~mixedres.model._tiles`), starts one helper thread
+(:class:`_DrawAhead`).  While the calling thread computes batch b, the
+helper draws batch b + 1's two normal blocks from their streams into a
+draw slot of the buffers.  Each block holds the values its stream gives,
+so the output bytes depend on the seed and the batch size only, not on
+the CPU count or the BLAS threads.
 """
 
 from __future__ import annotations
@@ -59,6 +69,8 @@ from .model import (
     QuantizerSpec,
     RngStream,
     SampleBuffers,
+    _matmul_tiles,
+    _tiles,
     block_model,
     copy_layout,
     make_ortho_matrices,
@@ -171,6 +183,72 @@ def _copy_periods(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> tuple
     return copy_layout(np.concatenate([model.h, w_t[:n_a]], axis=1))[0], p_q
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on (all of the host's where the OS cannot say)."""
+    import os
+
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+
+
+def _batch_trials(cfg: SimConfig, b: int) -> int:
+    """Trials of batch ``b``: ``batch_size``, or what is left for the last one."""
+    return min(cfg.batch_size, cfg.trials - b * cfg.batch_size)
+
+
+class _DrawAhead:
+    """A helper thread that draws each next batch's normal blocks while the calling thread computes.
+
+    Batch 0 draws its own blocks.  For b >= 1, batch b's theta block, from
+    stream (seed, 2b), and its analog block, from (seed, 2b + 1), go to draw
+    slot b % 2 of the buffers; the calling thread builds their generators,
+    and the helper only fills the blocks.  At most one batch is drawn ahead.
+    """
+
+    def __init__(self, cfg: SimConfig, buffers: SampleBuffers, n_batches: int):
+        import threading
+
+        self.cfg, self.buffers, self.n_batches = cfg, buffers, n_batches
+        self._job: list | None = None
+        self._error: BaseException | None = None
+        self._todo, self._done = threading.Semaphore(0), threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._serve, name="mixedres-draw-ahead", daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            self._todo.acquire()
+            job = self._job
+            if job is None:
+                return
+            try:
+                for _, gen, block in job:
+                    gen.standard_normal(out=block)
+            except BaseException as exc:  # raised again on the calling thread
+                self._error = exc
+            self._done.release()
+
+    def advance(self, b: int) -> None:
+        """File batch ``b``'s blocks in the buffers, once drawn, and start drawing batch b + 1's."""
+        if b:
+            self._done.acquire()
+            if self._error is not None:
+                raise self._error
+            self.buffers.ahead.update((rng, block) for rng, _, block in self._job)
+        if b + 1 < self.n_batches:
+            ahead = b + 1
+            theta, analog = self.buffers.slot(ahead % 2, _batch_trials(self.cfg, ahead))
+            streams = RngStream(self.cfg.rng_seed, 2 * ahead), RngStream(self.cfg.rng_seed, 2 * ahead + 1)
+            self._job = [(rng, rng.generator(), block) for rng, block in zip(streams, (theta, analog)) if block is not None]
+            self._todo.release()
+
+    def close(self) -> None:
+        """Stop the helper, after the block it is drawing, and join it."""
+        self._job = None
+        self._todo.release()
+        self._thread.join()
+
+
 def _run_batch(w1: np.ndarray, c: np.ndarray, cfg: SimConfig, batch: int, count: int, buffers: SampleBuffers):
     """Sum and sum of squares of the per-trial squared errors of one batch, averaged over the 1-bit outputs.
 
@@ -184,12 +262,12 @@ def _run_batch(w1: np.ndarray, c: np.ndarray, cfg: SimConfig, batch: int, count:
     s_a, _, s_q_var = sample_copy_sums(theta, RngStream(cfg.rng_seed, 2 * batch + 1), buffers)
     if cfg.analog_quantizer is not None and s_a.size:
         s_a[...] = quantize_bbit(s_a, cfg.analog_quantizer)
-    # Weighed before the error is formed, which overwrites the variances.
-    per_trial = c @ s_q_var
-    err = np.matmul(w1, buffers.copy_sums(count), out=buffers.error(count))
-    # An extreme quantizer range can overflow the squares; run_monte_carlo
-    # refuses the non-finite result.
+    # An extreme filter or quantizer range can overflow the error or its
+    # squares; run_monte_carlo refuses the non-finite result.
     with np.errstate(over="ignore", invalid="ignore"):
+        # Weighed before the error is formed, which overwrites the variances.
+        per_trial = _matmul_tiles(c, s_q_var, np.empty(count))
+        err = _matmul_tiles(w1, buffers.copy_sums(count), buffers.error(count))
         err -= theta
         squares = np.square(err.view(np.float64), out=err.view(np.float64))
         parts = squares.sum(axis=0)
@@ -205,9 +283,11 @@ def run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> Sim
     Per trial: draw the parameter and the analog copy sum, and accumulate
     the squared estimation error averaged over the 1-bit outputs (see the
     module docstring).  Every batch draws into one set of
-    :class:`~mixedres.model.SampleBuffers` made for the run.  The standard
-    error is the sample standard deviation of those per-trial values
-    divided by sqrt(trials).
+    :class:`~mixedres.model.SampleBuffers` made for the run, and on two or
+    more CPUs a helper thread draws each next batch's normal blocks; it is
+    joined before the run returns or raises.  The standard error is the
+    sample standard deviation of those per-trial values divided by
+    sqrt(trials).
     """
     if filt.w.shape != (model.m, model.n_analog + model.n_quantized):
         raise ModelError("filter shape does not match the model")
@@ -217,12 +297,22 @@ def run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> Sim
     n_a = model.n_analog
     w1 = np.concatenate([filt.w[:, :p_a], filt.w[:, n_a : n_a + p_q]], axis=1)
     w_q = w1[:, p_a:]  # c_i of _run_batch: the squared norm of its column i
-    c = (np.square(w_q.real) + np.square(w_q.imag)).sum(axis=0)
+    with np.errstate(over="ignore"):  # an overflowing weight gives a non-finite result, refused below
+        c = (np.square(w_q.real) + np.square(w_q.imag)).sum(axis=0)
     buffers = SampleBuffers(model, min(cfg.batch_size, cfg.trials), p_a, p_q)
-    partials = [
-        _run_batch(w1, c, cfg, b, min(cfg.batch_size, cfg.trials - b * cfg.batch_size), buffers)
-        for b in range(n_batches)
-    ]
+    # Products too large to tile take the second CPU for OpenBLAS's pool; a
+    # helper beside it made a 32 x 32 prior's run 15 % slower.
+    draw_ahead = n_batches > 1 and all(map(_tiles, (buffers.chol, buffers.rows, w1))) and _cpu_count() > 1
+    helper = _DrawAhead(cfg, buffers, n_batches) if draw_ahead else None
+    partials = []
+    try:
+        for b in range(n_batches):
+            if helper is not None:
+                helper.advance(b)
+            partials.append(_run_batch(w1, c, cfg, b, _batch_trials(cfg, b), buffers))
+    finally:
+        if helper is not None:
+            helper.close()
     # Exact summation of the batch sums: a plain sum rounds differently and
     # would change the output bytes.
     total = math.fsum(p[0] for p in partials)

@@ -575,6 +575,43 @@ class TestSampleBuffers:
             for g, w in zip(got, want):
                 assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
+    def test_model_prior_is_not_factored_again(self, monkeypatch):
+        """Given the buffers' own prior, the draw takes their factor; another prior is factored."""
+        model = _tiled_model(34, 3, 1, 2, 2, 3)
+        buffers = SampleBuffers(model, 50, 1, 2)
+        want = sample_parameter(model.sigma_theta, RngStream(6), size=50)
+        factors = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factors.append(a) or cholesky(a))
+        got = sample_parameter(model.sigma_theta, RngStream(6), size=50, buffers=buffers)
+        assert factors == [] and got.tobytes() == want.tobytes()
+        sample_parameter(model.sigma_theta.copy(), RngStream(6), size=50, buffers=buffers)
+        assert len(factors) == 1
+
+    def test_filed_blocks_are_taken_in_place_of_a_draw(self, monkeypatch):
+        """Blocks filed under their streams give the bytes of the draws they
+        replace; neither stream is drawn from, and each filing is used once."""
+        model = _tiled_model(35, 2, 2, 2, 3, 2)
+        buffers = SampleBuffers(model, 40, 2, 3)
+        theta_want = sample_parameter(model.sigma_theta, RngStream(7, 2), size=30)
+        want = [a.copy() for a in sample_copy_sums(theta_want, RngStream(7, 3), SampleBuffers(model, 30, 2, 3))]
+        theta_block, analog_block = buffers.slot(1, 30)
+        RngStream(7, 2).generator().standard_normal(out=theta_block)
+        RngStream(7, 3).generator().standard_normal(out=analog_block)
+        buffers.ahead.update({RngStream(7, 2): theta_block, RngStream(7, 3): analog_block})
+        monkeypatch.setattr(RngStream, "generator", lambda self: pytest.fail(f"drew from {self}"))
+        theta = sample_parameter(model.sigma_theta, RngStream(7, 2), size=30, buffers=buffers)
+        got = sample_copy_sums(theta, RngStream(7, 3), buffers)
+        assert theta.tobytes() == theta_want.tobytes()
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        assert buffers.ahead == {}
+
+    def test_slot_has_no_analog_block_without_analog_noise(self):
+        buffers = SampleBuffers(_tiled_model(36, 2, 1, 2, 2, 3, var_a=0.0), 20, 1, 2)
+        theta_block, analog_block = buffers.slot(0, 20)
+        assert theta_block.shape == (2, 2, 20) and analog_block is None
+
     def test_buffers_must_fit_the_draw(self):
         model = _tiled_model(33, 2, 1, 2, 2, 3)
         buffers = SampleBuffers(model, 10, 1, 2)

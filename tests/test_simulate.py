@@ -1,7 +1,9 @@
 """Tests for the Monte-Carlo harness, analytic sweeps, and benchmark."""
 
+import inspect
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -12,13 +14,16 @@ from mixedres import simulate
 from mixedres.allocation import DitherScheme, PowerBudget
 from mixedres.closed_form import filter_closed_form
 from mixedres.estimator import LmmseFilter, lmmse
-from mixedres.exceptions import InstanceTooLargeError, ModelError
+from mixedres.exceptions import InstanceTooLargeError, ModelError, NumericalDomainError, QuantizerDomainError
 from mixedres.model import (
+    TILE_TRIALS,
     MixedModel,
     OrthoBlockParams,
     RngStream,
     SampleBuffers,
+    _matmul_tiles,
     _part_std,
+    _tiles,
     make_mimo_model,
     make_scalar_model,
     sample_copy_sums,
@@ -197,6 +202,156 @@ class TestRunWorkspace:
         monkeypatch.setattr(simulate, "_run_batch", no_batch)
         with pytest.raises(ModelError, match="period"):
             run_monte_carlo(model, filt, SimConfig(trials=100))
+
+
+def _cpus(monkeypatch, count):
+    """Make the run see ``count`` CPUs; return the list of draw-ahead helpers it starts."""
+    started = []
+    draw_ahead = simulate._DrawAhead
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: count)
+    monkeypatch.setattr(simulate, "_DrawAhead", lambda *args: started.append(args) or draw_ahead(*args))
+    return started
+
+
+def _with_lmmse(model):
+    return model, lmmse(model)
+
+
+# name -> (model and filter, analog quantizer).
+DRAW_AHEAD_CASES = {
+    "mimo-dither": (lambda: _mimo_closed(0.3, 0.5), None),
+    "mimo-bbit": (lambda: _mimo_closed(0.3, 0.5), DEFAULT_ANALOG_QUANTIZER),
+    "no-analog-rows": (lambda: _with_lmmse(make_mimo_model(3, 0, 4, 1.2, 0.7, rng=RngStream(5))), None),
+    "zero-analog-variance": (
+        lambda: _with_lmmse(MixedModel(h=np.array([[1.0, 0.5j], [0.2, 1.0]]), g=np.array([[1.0, 1j], [0.5, -1.0]]),
+                                       sigma_theta=np.eye(2), var_a=0.0, var_q=0.8)),
+        None,
+    ),
+    "zero-quantized-variance": (lambda: _with_lmmse(CONDITIONAL_CASES["zero-quantized-variance"][0]()), None),
+}
+
+
+class TestDrawAhead:
+    """A helper thread draws each next batch's normal blocks; the result is the one-thread result."""
+
+    # (trials, batch_size): 1 batch, 2 batches with a partial last one, and
+    # 13 batches whose last has one trial.  A batch of 300 trials runs its
+    # products in two tiles.
+    @pytest.mark.parametrize("trials, batch", [(400, 400), (700, 400), (12 * 300 + 1, 300)], ids=["1", "2", "13"])
+    @pytest.mark.parametrize("case", sorted(DRAW_AHEAD_CASES))
+    def test_result_equals_the_one_thread_result(self, monkeypatch, case, trials, batch):
+        build, quantizer = DRAW_AHEAD_CASES[case]
+        model, filt = build()
+        cfg = SimConfig(trials=trials, batch_size=batch, rng_seed=17, analog_quantizer=quantizer)
+        assert all(map(_tiles, (model.h, model.g, filt.w)))
+        started = _cpus(monkeypatch, 1)
+        alone = run_monte_carlo(model, filt, cfg)
+        assert started == []
+        started = _cpus(monkeypatch, 2)
+        helped = run_monte_carlo(model, filt, cfg)
+        assert len(started) == (trials > batch)
+        assert repr(helped) == repr(alone)
+
+    def test_products_too_large_to_tile_draw_on_one_thread(self, monkeypatch):
+        """A 17 x 17 prior's products do not tile, so OpenBLAS's pool takes
+        the second CPU and the run starts no helper."""
+        model = make_mimo_model(17, 1, 1, 1.0, 1.0, rng=RngStream(2))
+        started = _cpus(monkeypatch, 2)
+        run_monte_carlo(model, lmmse(model), SimConfig(trials=600, batch_size=300))
+        assert not _tiles(model.sigma_theta) and started == []
+
+    @staticmethod
+    def _failing_run(kind):
+        if kind == "quantizer":
+            # G theta overflows to a non-finite mean of the 1-bit outputs in the first batch.
+            model = MixedModel(h=np.ones((1, 2)), g=np.full((1, 2), 1e308), sigma_theta=np.eye(2), var_a=1.0, var_q=1.0)
+            return model, LmmseFilter(w=np.full((2, 2), 0.1), mse=1.0, condition=1.0), QuantizerDomainError
+        if kind == "numerical":
+            # Weights of 1e200 overflow their squared norms and the error.
+            model = _mimo_closed()[0]
+            w = np.full((3, model.n_analog + model.n_quantized), 1e200)
+            return model, LmmseFilter(w=w, mse=1.0, condition=1.0), NumericalDomainError
+        model, filt = _mimo_closed()
+        return model, filt, None
+
+    @pytest.mark.parametrize("kind", ["returns", "quantizer", "numerical"])
+    def test_helper_is_joined_before_the_run_ends(self, monkeypatch, kind):
+        model, filt, error = self._failing_run(kind)
+        started = _cpus(monkeypatch, 2)
+        before = threading.active_count()
+        cfg = SimConfig(trials=13 * 300, batch_size=300, rng_seed=5)
+        if error is None:
+            run_monte_carlo(model, filt, cfg)
+        else:
+            with pytest.raises(error):
+                run_monte_carlo(model, filt, cfg)
+        assert len(started) == 1
+        assert threading.active_count() == before
+
+    def test_public_functions_run_on_the_calling_thread(self, monkeypatch):
+        """Only numpy fills run on the helper: every public model or simulate
+        function a run calls, and every stream's generator, is called on the
+        run's own thread (perfbench's tracer keeps one call stack)."""
+        started = _cpus(monkeypatch, 2)
+        calls = []
+
+        def on_thread(name, fn):
+            def record(*args, **kwargs):
+                calls.append((name, threading.current_thread()))
+                return fn(*args, **kwargs)
+
+            return record
+
+        homes = {model_module.__name__, simulate.__name__}
+        for module in (model_module, simulate):
+            for name, fn in list(vars(module).items()):
+                if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ in homes:
+                    monkeypatch.setattr(module, name, on_thread(name, fn))
+        monkeypatch.setattr(RngStream, "generator", on_thread("RngStream.generator", RngStream.generator))
+        model, filt = _mimo_closed(0.3, 0.5)
+        cfg = SimConfig(trials=13 * 300, batch_size=300, rng_seed=9, analog_quantizer=DEFAULT_ANALOG_QUANTIZER)
+        run_monte_carlo(model, filt, cfg)
+        assert len(started) == 1
+        assert {"sample_parameter", "sample_copy_sums", "quantize_bbit", "RngStream.generator"} <= {n for n, _ in calls}
+        assert {thread for _, thread in calls} == {threading.current_thread()}
+
+    def test_prior_is_factored_once_per_run(self, monkeypatch):
+        model = _general_model(25, 2, 2, np.ones((3, 2)))
+        filt = lmmse(model)
+        factors = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factors.append(a) or cholesky(a))
+        run_monte_carlo(model, filt, SimConfig(trials=13 * 300, batch_size=300))
+        assert len(factors) == 1 and factors[0] is model.sigma_theta
+
+
+class TestMatmulTiles:
+    """Products in column tiles of TILE_TRIALS trials give np.matmul's bytes."""
+
+    @pytest.mark.parametrize("t", [TILE_TRIALS - 1, TILE_TRIALS, 3 * TILE_TRIALS + 1])
+    @pytest.mark.parametrize("rows", [0, 20])
+    def test_equals_one_product(self, t, rows):
+        rng = np.random.default_rng(7 * t + rows)
+        a = rng.standard_normal((rows, 10)) + 1j * rng.standard_normal((rows, 10))
+        b = rng.standard_normal((10, t)) + 1j * rng.standard_normal((10, t))
+        assert _tiles(a)
+        got = _matmul_tiles(a, b, np.empty((rows, t), dtype=np.complex128))
+        assert got.tobytes() == np.matmul(a, b).tobytes()
+
+    @pytest.mark.parametrize("t", [TILE_TRIALS - 1, TILE_TRIALS, 3 * TILE_TRIALS + 1])
+    @pytest.mark.parametrize("p", [0, 10])
+    def test_vector_times_matrix_equals_one_product(self, t, p):
+        """The weights c_i times the variances of s_q, as a batch forms them."""
+        rng = np.random.default_rng(5 * t + p)
+        c, s_q_var = rng.uniform(size=p), rng.uniform(size=(p, t))
+        got = _matmul_tiles(c, s_q_var, np.empty(t))
+        assert got.tobytes() == (c @ s_q_var).tobytes()
+
+    def test_operand_too_large_to_tile_runs_whole(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.standard_normal((40, 40)), rng.standard_normal((40, 3 * TILE_TRIALS))
+        assert not _tiles(a)
+        assert _matmul_tiles(a, b, np.empty((40, 3 * TILE_TRIALS))).tobytes() == (a @ b).tobytes()
 
 
 def _general_model(seed, m, n_a, g, dither_a=0.0, dither_q=0.0):
