@@ -30,8 +30,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .closed_form import mse_grid
-from .exceptions import InstanceTooLargeError, ModelError, NumericalDomainError, _count_text, require_finite
-from .estimator import _INT64_MAX, check_dense_rows, check_integer_kinds, copy_scan_mse
+from .exceptions import (
+    InstanceTooLargeError,
+    ModelError,
+    NumericalDomainError,
+    _count_text,
+    check_integer_kinds,
+    require_finite,
+)
+from .estimator import _INT64_MAX, check_dense_rows, copy_scan_mse
 from .model import OrthoBlockParams, RngStream, block_model, make_ortho_matrices
 
 # Most closed-form points (frontier points x dither values x noise levels)

@@ -116,6 +116,7 @@ from .exceptions import (
     ModelError,
     NumericalDomainError,
     _count_text,
+    check_integer_kinds,
 )
 from .model import MixedModel, copy_layout
 
@@ -354,15 +355,6 @@ def check_dense_rows(n: int) -> None:
     """Refuse a dense solve of more than ``MAX_DENSE_ROWS`` rows, before any array is built."""
     if n > MAX_DENSE_ROWS:
         raise InstanceTooLargeError(f"a dense solve of {_count_text(n)} rows exceeds the limit of {MAX_DENSE_ROWS}")
-
-
-def check_integer_kinds(name: str, kinds) -> None:
-    """Refuse with :class:`ModelError` any type in ``kinds`` but an integer type other than bool.
-
-    A whole float or a bool is refused too: ``int()`` or an int64 cast would take it for a count."""
-    for kind in dict.fromkeys(kinds):
-        if not issubclass(kind, (int, np.integer)) or kind is bool:
-            raise ModelError(f"{name} must be integers, got {kind.__name__}")
 
 
 def _checked_condition(rcond: float, info: int) -> float:

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, the shared input-domain check and count text."""
+"""Exception types shared across the package, the shared input-domain checks and count text."""
 
 import math
+
+import numpy as np
 
 
 class MixedResError(Exception):
@@ -66,6 +68,15 @@ def require_finite(name: str, value, *, positive: bool = False) -> None:
     if not math.isfinite(value) or value < 0 or (positive and value == 0):
         kind = "positive" if positive else "nonnegative"
         raise ModelError(f"{name} must be finite and {kind}, got {value!r}")
+
+
+def check_integer_kinds(name: str, kinds) -> None:
+    """Refuse with :class:`ModelError` any type in ``kinds`` but an integer type other than bool.
+
+    A whole float or a bool is refused too: ``int()`` or an int64 cast would take it for a count."""
+    for kind in dict.fromkeys(kinds):
+        if not issubclass(kind, (int, np.integer)) or kind is bool:
+            raise ModelError(f"{name} must be integers, got {kind.__name__}")
 
 
 def _count_text(n: int) -> str:

@@ -21,7 +21,10 @@ every row: noise, then the sign.  :func:`sample_copy_sums` serves a filter
 that treats the copies of a repeated block (:func:`copy_layout`) alike, and
 so sees their sum.  A run's :class:`SampleBuffers` checks that layout
 once and holds it, with the model and the factor of its prior, for every
-draw of the run.  The products of a batch run in column tiles of
+batch of the run.  The public draws and a run's batches share one transform
+of the standard normals per quantity: :func:`_correlate` for theta and
+:func:`_copy_sums` for the copy sums; a run draws the normals itself, into
+the buffers' draw slots.  The products of a batch run in column tiles of
 ``TILE_TRIALS`` trials (:func:`_matmul_tiles`).  The sum of
 k_a analog copies is k_a H1 theta plus one noise draw of variance k_a v.
 The quantized sum is not drawn: given theta, each
@@ -39,7 +42,14 @@ from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
 
-from .exceptions import ModelError, QuantizerDomainError, SingularPriorError, _count_text, require_finite
+from .exceptions import (
+    ModelError,
+    QuantizerDomainError,
+    SingularPriorError,
+    _count_text,
+    check_integer_kinds,
+    require_finite,
+)
 
 # Correctly rounded 1/sqrt(2); also equals np.sqrt(2)/2 bit for bit, which
 # the 1-bit/b-bit equivalence property relies on.
@@ -58,14 +68,15 @@ class RngStream:
     The same pair always reproduces the same draws; distinct ``stream_id``
     values give statistically independent streams, so Monte-Carlo batches can
     be assigned disjoint ids and run in any order or in parallel.  Both are
-    integers in [0, 2**64); any other value raises :class:`ModelError`
-    rather than aliasing another stream.
+    integers in [0, 2**64); any other value, a bool or a whole float too,
+    raises :class:`ModelError` rather than aliasing another stream.
     """
 
     seed: int
     stream_id: int = 0
 
     def __post_init__(self):
+        check_integer_kinds("seed and stream id", (type(self.seed), type(self.stream_id)))
         if not (0 <= self.seed < 2**64 and 0 <= self.stream_id < 2**64):
             raise ModelError(f"seed and stream id must be in [0, 2**64), got {self.seed} and {self.stream_id}")
 
@@ -325,24 +336,19 @@ class SampleBuffers:
     row count claims no repetition.  The buffers keep the model, the
     Cholesky factor ``chol`` of its prior, the periods, the copy counts and
     the stacked rows [H[:p_a]; G[:p]] that :func:`sample_copy_sums` draws
-    from; :func:`sample_parameter` uses ``chol`` when it is given the
-    model's own prior.  The arrays both return from the buffers are views,
-    which the next draw overwrites.  Each buffer is flat, and a batch of t
-    trials uses a contiguous prefix of it:
+    from.  The arrays it returns are views into the buffers, which the next
+    draw overwrites.  Each buffer is flat, and a batch of t trials uses a
+    contiguous prefix of it:
 
-    - ``theta``: the planar normal block of theta, then theta;
-    - ``scratch`` (float64): theta's complex normals, then the analog normal
-      block, then u = erf(mu / sqrt(v)) for both parts of s_q, whose first
-      p * t values become the conditional variances of s_q, and then the
-      caller's estimation error (:meth:`error`), which overwrites those
-      variances;
-    - ``sums``: [s_a; s_q], whose s_q rows hold mu until its mean replaces it.
-
-    A run may draw a batch's two normal blocks ahead, on another thread,
-    into one of two draw slots (:meth:`slot`), and file them in ``ahead``
-    under their streams.  A draw from a filed stream then takes its block,
-    which holds the values it would draw, in place of drawing into
-    ``theta`` or ``scratch``.
+    - ``theta``: theta of a run's batch;
+    - ``scratch`` (float64): theta's complex normals, then u = erf(mu / sqrt(v))
+      for both parts of s_q, whose first p * t values become the conditional
+      variances of s_q, and then the caller's estimation error
+      (:meth:`error`), which overwrites those variances;
+    - ``sums``: [s_a; s_q], whose s_q rows hold mu until its mean replaces it;
+    - two draw slots (:meth:`slot`), each for a batch's planar standard-normal
+      blocks, so that a run can draw one batch's blocks while it computes
+      with the other's.
     """
 
     def __init__(self, model: MixedModel, trials: int, analog_period: int, quantized_period: int):
@@ -353,21 +359,17 @@ class SampleBuffers:
         # Positive definite: MixedModel checked the prior, or it is block_model's identity.
         self.chol = np.linalg.cholesky(model.sigma_theta)
         self.theta = np.empty(model.m * trials, dtype=np.complex128)
-        self.scratch = np.empty(2 * max(model.m, *self.periods) * trials)
+        self.scratch = np.empty(2 * max(model.m, quantized_period) * trials)
         self.sums = np.empty(sum(self.periods) * trials, dtype=np.complex128)
-        self.ahead: dict[RngStream, np.ndarray] = {}
-        self._slots = None
+        self._slots = np.empty((2, 2 * (model.m + analog_period) * trials))
 
     def slot(self, index: int, t: int) -> tuple[np.ndarray, np.ndarray | None]:
         """Draw slot ``index`` (0 or 1) for ``t`` trials: theta's (2, m, t) and the analog sum's (2, p_a, t) planar blocks.
 
         The analog block is None when the analog variance is 0, as
-        :func:`sample_copy_sums` then draws nothing.  The two slots, of
-        2 (m + p_a) ``trials`` values each, are made on first use.
+        :func:`sample_copy_sums` then draws nothing.
         """
         m, p_a = self.model.m, self.periods[0]
-        if self._slots is None:
-            self._slots = np.empty((2, 2 * (m + p_a) * self.trials))
         flat = self._slots[index]
         analog = _prefix(flat[2 * m * t :], (2, p_a, t)) if self.model.var_a else None
         return _prefix(flat, (2, m, t)), analog
@@ -377,56 +379,41 @@ class SampleBuffers:
         return _prefix(self.sums, (sum(self.periods), t))
 
     def error(self, t: int) -> np.ndarray:
-        """(m, t) complex scratch, free once the copy sums of ``t`` trials are drawn."""
+        """(m, t) complex scratch: theta's complex normals until theta is formed, free once the copy sums are drawn."""
         return _prefix(self.scratch.view(np.complex128), (self.model.m, t))
 
 
-def sample_parameter(
-    sigma_theta: np.ndarray, rng: RngStream, size: int | None = None, buffers: SampleBuffers | None = None
-) -> np.ndarray:
+def sample_parameter(sigma_theta: np.ndarray, rng: RngStream, size: int | None = None) -> np.ndarray:
     """Draw the parameter vector from CN(0, sigma_theta).
 
     Returns shape (m,) by default, or (m, size) with draws as columns: the
     Cholesky factor of ``sigma_theta`` times one planar (2, m, size) block
-    of standard normals scaled by 1/sqrt(2).  With ``buffers`` (of the same
-    m) the normals and the (m, size) draw are written into them, with the
-    same values: the block is the one filed in them for ``rng`` if any, and
-    the buffers' model prior, passed as itself, is not factored again.
+    of standard normals scaled by 1/sqrt(2) (:func:`_correlate`).  A size
+    that is not a nonnegative integer (a bool or a float, even when whole)
+    raises :class:`ModelError`.
     """
-    if buffers is not None and sigma_theta is buffers.model.sigma_theta:
-        chol = buffers.chol
-    else:
-        try:
-            chol = np.linalg.cholesky(np.atleast_2d(np.asarray(sigma_theta, dtype=np.complex128)))
-        except np.linalg.LinAlgError as exc:
-            raise SingularPriorError("prior covariance is not positive definite") from exc
-    m = chol.shape[0]
-    shape = (m,) if size is None else (m, size)
-    if buffers is None:
-        planar, normals, theta = np.empty((2,) + shape), np.empty(shape, np.complex128), np.empty(shape, np.complex128)
-    elif size is None or size > buffers.trials or m != buffers.model.m:
-        raise ModelError(f"buffers hold m = {buffers.model.m} and {buffers.trials} trials, got m = {m} and size {size}")
-    else:
-        planar = _prefix(buffers.theta.view(np.float64), (2,) + shape)
-        normals = _prefix(buffers.scratch.view(np.complex128), shape)
-        theta = _prefix(buffers.theta, shape)
-    planar = _standard_normals(rng, planar, buffers)
+    if size is not None:
+        check_integer_kinds("size", (type(size),))
+        if size < 0:
+            raise ModelError(f"size must be nonnegative, got {_count_text(size)}")
+    try:
+        chol = np.linalg.cholesky(np.atleast_2d(np.asarray(sigma_theta, dtype=np.complex128)))
+    except np.linalg.LinAlgError as exc:
+        raise SingularPriorError("prior covariance is not positive definite") from exc
+    shape = (chol.shape[0],) if size is None else (chol.shape[0], size)
+    planar = rng.generator().standard_normal((2,) + shape)
+    return _correlate(chol, planar, np.empty(shape, np.complex128), np.empty(shape, np.complex128))
+
+
+def _correlate(chol: np.ndarray, planar: np.ndarray, normals: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``chol`` times the complex normals (planar[0] + i planar[1]) / sqrt(2), written to ``out``.
+
+    ``normals``, of ``out``'s shape, receives the complex normals; the
+    product runs in column tiles (:func:`_matmul_tiles`).
+    """
     np.multiply(planar[0], INV_SQRT2, out=normals.real)
     np.multiply(planar[1], INV_SQRT2, out=normals.imag)
-    return _matmul_tiles(chol, normals, theta)
-
-
-def _standard_normals(rng: RngStream, out: np.ndarray, buffers: SampleBuffers | None) -> np.ndarray:
-    """The planar standard-normal block of ``out``'s shape at the start of ``rng``.
-
-    It is the block filed for ``rng`` in ``buffers`` if that has this shape
-    (the filing is used up either way); otherwise it is drawn into ``out``.
-    """
-    block = buffers.ahead.pop(rng, None) if buffers is not None else None
-    if block is not None and block.shape == out.shape:
-        return block
-    rng.generator().standard_normal(out=out)
-    return out
+    return _matmul_tiles(chol, normals, out)
 
 
 def _add_complex_normal(out: np.ndarray, g: np.random.Generator, var: float) -> None:
@@ -519,8 +506,7 @@ def sample_copy_sums(theta: np.ndarray, rng: RngStream, buffers: SampleBuffers):
 
     - ``s_a`` (p_a rows): one CN(0, k_a * var_a) block added to
       k_a * H[:p_a] theta, distributed as the sum of the rows that
-      :func:`sample_measurements` draws.  It is the only draw from ``rng``,
-      or the block filed for ``rng`` in the buffers.
+      :func:`sample_measurements` draws.  It is the only draw from ``rng``.
     - ``s_q`` (p rows): the mean of the quantized copy sum.  With
       P = Phi(mu / sqrt(v/2)) per part of mu = G[:p] theta, v = var_q,
       each part of that sum is (2 * count - k) / sqrt(2) with
@@ -541,21 +527,31 @@ def sample_copy_sums(theta: np.ndarray, rng: RngStream, buffers: SampleBuffers):
     theta = np.asarray(theta, dtype=np.complex128)
     if theta.ndim != 2 or theta.shape[0] != model.m or theta.shape[1] > buffers.trials:
         raise ModelError(f"buffers hold m = {model.m} and {buffers.trials} trials, got theta of shape {theta.shape}")
+    z_analog = rng.generator().standard_normal((2, buffers.periods[0], theta.shape[1])) if model.var_a else None
+    return _copy_sums(theta, z_analog, buffers)
+
+
+def _copy_sums(theta: np.ndarray, z_analog: np.ndarray | None, buffers: SampleBuffers):
+    """:func:`sample_copy_sums` of the (m, t) complex128 ``theta``, given its analog normals.
+
+    ``z_analog`` is the planar (2, p_a, t) standard-normal block of the
+    analog sum, which this scales in place, or None when the analog
+    variance is 0.
+    """
+    model = buffers.model
     t = theta.shape[1]
     (p_a, p), (k_a, k) = buffers.periods, buffers.copies
 
     sums = buffers.copy_sums(t)
     s_a, s_q = sums[:p_a], sums[p_a:]
-    std_a = _part_std(model.var_a)
     # An extreme model can overflow the sums: a non-finite mu is refused
     # below, and run_monte_carlo refuses a non-finite error.
     with np.errstate(over="ignore", invalid="ignore"):
         _matmul_tiles(buffers.rows, theta, sums)
         if k_a > 1:
             s_a *= k_a
-        if std_a:
-            z = _standard_normals(rng, _prefix(buffers.scratch, (2,) + s_a.shape), buffers)
-            _add_planar_normal(s_a, z, std_a * np.sqrt(k_a))
+        if z_analog is not None:
+            _add_planar_normal(s_a, z_analog, _part_std(model.var_a) * np.sqrt(k_a))
 
     mu = s_q  # G[:p] theta, until its mean replaces it
     u = _prefix(buffers.scratch, (2, p, t))

@@ -30,13 +30,15 @@ allocates only a few per-trial vectors.  The products of a batch run in
 column tiles of ``TILE_TRIALS`` trials, which OpenBLAS computes on the
 calling thread, so that its thread pool leaves the second CPU free.
 
-A run of two or more batches on two or more CPUs, whose products all tile
-(:func:`~mixedres.model._tiles`), starts one helper thread
-(:class:`_DrawAhead`).  While the calling thread computes batch b, the
-helper draws batch b + 1's two normal blocks from their streams into a
-draw slot of the buffers.  Each block holds the values its stream gives,
-so the output bytes depend on the seed and the batch size only, not on
-the CPU count or the BLAS threads.
+:func:`_draw` is the one place a batch's normals come from: it draws the
+batch's two planar standard-normal blocks from their streams into a draw
+slot of the buffers, and :func:`_run_batch` turns them into theta and the
+copy sums.  A run of two or more batches on two or more CPUs, whose
+products all tile (:func:`~mixedres.model._tiles`), draws batch b + 1's
+blocks on one worker thread while the calling thread computes batch b.
+Each block holds the values its stream gives, so the output bytes depend
+on the seed and the batch size only, not on the CPU count or the BLAS
+threads.
 """
 
 from __future__ import annotations
@@ -61,22 +63,30 @@ from .allocation import (
     frontier_grid,
 )
 from .closed_form import mse_grid
-from .exceptions import InstanceTooLargeError, ModelError, NumericalDomainError, _count_text, require_finite
-from .estimator import LmmseFilter, check_dense_rows, check_integer_kinds, prefix_mse
+from .exceptions import (
+    InstanceTooLargeError,
+    ModelError,
+    NumericalDomainError,
+    _count_text,
+    check_integer_kinds,
+    require_finite,
+)
+from .estimator import LmmseFilter, check_dense_rows, prefix_mse
 from .model import (
     MixedModel,
     OrthoBlockParams,
     QuantizerSpec,
     RngStream,
     SampleBuffers,
+    _copy_sums,
+    _correlate,
     _matmul_tiles,
+    _prefix,
     _tiles,
     block_model,
     copy_layout,
     make_ortho_matrices,
     quantize_bbit,
-    sample_copy_sums,
-    sample_parameter,
 )
 
 # Default b-bit emulation of the analog path: 6 bits on [-5, 5].
@@ -110,6 +120,7 @@ class SimConfig:
     batch_size: int = 8192
 
     def __post_init__(self):
+        check_integer_kinds("trials, rng_seed and batch_size", map(type, (self.trials, self.rng_seed, self.batch_size)))
         # One trial has no sample variance, so its standard error would be 0.
         if self.trials < 2 or self.batch_size < 1:
             raise ModelError(f"need trials >= 2 and batch_size >= 1, got trials={self.trials}, batch_size={self.batch_size}")
@@ -196,70 +207,32 @@ def _batch_trials(cfg: SimConfig, b: int) -> int:
     return min(cfg.batch_size, cfg.trials - b * cfg.batch_size)
 
 
-class _DrawAhead:
-    """A helper thread that draws each next batch's normal blocks while the calling thread computes.
+def _draw(cfg: SimConfig, buffers: SampleBuffers, b: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Batch ``b``'s planar standard-normal blocks, drawn into draw slot b % 2 of ``buffers``.
 
-    Batch 0 draws its own blocks.  For b >= 1, batch b's theta block, from
-    stream (seed, 2b), and its analog block, from (seed, 2b + 1), go to draw
-    slot b % 2 of the buffers; the calling thread builds their generators,
-    and the helper only fills the blocks.  At most one batch is drawn ahead.
+    Theta's block comes from stream (seed, 2b) and the analog sum's from
+    (seed, 2b + 1); the analog block is None when the analog variance is 0.
     """
-
-    def __init__(self, cfg: SimConfig, buffers: SampleBuffers, n_batches: int):
-        import threading
-
-        self.cfg, self.buffers, self.n_batches = cfg, buffers, n_batches
-        self._job: list | None = None
-        self._error: BaseException | None = None
-        self._todo, self._done = threading.Semaphore(0), threading.Semaphore(0)
-        self._thread = threading.Thread(target=self._serve, name="mixedres-draw-ahead", daemon=True)
-        self._thread.start()
-
-    def _serve(self) -> None:
-        while True:
-            self._todo.acquire()
-            job = self._job
-            if job is None:
-                return
-            try:
-                for _, gen, block in job:
-                    gen.standard_normal(out=block)
-            except BaseException as exc:  # raised again on the calling thread
-                self._error = exc
-            self._done.release()
-
-    def advance(self, b: int) -> None:
-        """File batch ``b``'s blocks in the buffers, once drawn, and start drawing batch b + 1's."""
-        if b:
-            self._done.acquire()
-            if self._error is not None:
-                raise self._error
-            self.buffers.ahead.update((rng, block) for rng, _, block in self._job)
-        if b + 1 < self.n_batches:
-            ahead = b + 1
-            theta, analog = self.buffers.slot(ahead % 2, _batch_trials(self.cfg, ahead))
-            streams = RngStream(self.cfg.rng_seed, 2 * ahead), RngStream(self.cfg.rng_seed, 2 * ahead + 1)
-            self._job = [(rng, rng.generator(), block) for rng, block in zip(streams, (theta, analog)) if block is not None]
-            self._todo.release()
-
-    def close(self) -> None:
-        """Stop the helper, after the block it is drawing, and join it."""
-        self._job = None
-        self._todo.release()
-        self._thread.join()
+    z_theta, z_analog = buffers.slot(b % 2, _batch_trials(cfg, b))
+    RngStream(cfg.rng_seed, 2 * b).generator().standard_normal(out=z_theta)
+    if z_analog is not None:
+        RngStream(cfg.rng_seed, 2 * b + 1).generator().standard_normal(out=z_analog)
+    return z_theta, z_analog
 
 
-def _run_batch(w1: np.ndarray, c: np.ndarray, cfg: SimConfig, batch: int, count: int, buffers: SampleBuffers):
+def _run_batch(w1: np.ndarray, c: np.ndarray, cfg: SimConfig, buffers: SampleBuffers, z_theta, z_analog):
     """Sum and sum of squares of the per-trial squared errors of one batch, averaged over the 1-bit outputs.
 
-    ``w1`` is the filter's columns for one analog and one quantized period
-    of the model of ``buffers``, so the error is ``w1 @ [s_a; s_q] - theta``.
-    Given theta and s_a, its squared norm has the mean
-    |w1 @ [s_a; E s_q] - theta|**2 plus sum_i c_i Var(s_q_i), c_i being the
-    squared norm of w1's column for quantized row i.
+    ``z_theta`` and ``z_analog`` are the batch's normal blocks (:func:`_draw`);
+    the analog block is scaled in place.  ``w1`` is the filter's columns for
+    one analog and one quantized period of the model of ``buffers``, so the
+    error is ``w1 @ [s_a; s_q] - theta``.  Given theta and s_a, its squared
+    norm has the mean |w1 @ [s_a; E s_q] - theta|**2 plus sum_i c_i
+    Var(s_q_i), c_i being the squared norm of w1's column for quantized row i.
     """
-    theta = sample_parameter(buffers.model.sigma_theta, RngStream(cfg.rng_seed, 2 * batch), size=count, buffers=buffers)
-    s_a, _, s_q_var = sample_copy_sums(theta, RngStream(cfg.rng_seed, 2 * batch + 1), buffers)
+    count = z_theta.shape[-1]
+    theta = _correlate(buffers.chol, z_theta, buffers.error(count), _prefix(buffers.theta, (buffers.model.m, count)))
+    s_a, _, s_q_var = _copy_sums(theta, z_analog, buffers)
     if cfg.analog_quantizer is not None and s_a.size:
         s_a[...] = quantize_bbit(s_a, cfg.analog_quantizer)
     # An extreme filter or quantizer range can overflow the error or its
@@ -284,7 +257,7 @@ def run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> Sim
     the squared estimation error averaged over the 1-bit outputs (see the
     module docstring).  Every batch draws into one set of
     :class:`~mixedres.model.SampleBuffers` made for the run, and on two or
-    more CPUs a helper thread draws each next batch's normal blocks; it is
+    more CPUs one worker thread draws each next batch's normal blocks; it is
     joined before the run returns or raises.  The standard error is the
     sample standard deviation of those per-trial values divided by
     sqrt(trials).
@@ -301,18 +274,23 @@ def run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> Sim
         c = (np.square(w_q.real) + np.square(w_q.imag)).sum(axis=0)
     buffers = SampleBuffers(model, min(cfg.batch_size, cfg.trials), p_a, p_q)
     # Products too large to tile take the second CPU for OpenBLAS's pool; a
-    # helper beside it made a 32 x 32 prior's run 15 % slower.
-    draw_ahead = n_batches > 1 and all(map(_tiles, (buffers.chol, buffers.rows, w1))) and _cpu_count() > 1
-    helper = _DrawAhead(cfg, buffers, n_batches) if draw_ahead else None
+    # worker beside it made a 32 x 32 prior's run 15 % slower.
+    pool = ahead = None
+    if n_batches > 1 and all(map(_tiles, (buffers.chol, buffers.rows, w1))) and _cpu_count() > 1:
+        # Imported here: concurrent.futures adds about 4 ms to every import of the CLI.
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(max_workers=1)
     partials = []
     try:
         for b in range(n_batches):
-            if helper is not None:
-                helper.advance(b)
-            partials.append(_run_batch(w1, c, cfg, b, _batch_trials(cfg, b), buffers))
+            blocks = ahead.result() if ahead is not None else _draw(cfg, buffers, b)
+            if pool is not None and b + 1 < n_batches:
+                ahead = pool.submit(_draw, cfg, buffers, b + 1)
+            partials.append(_run_batch(w1, c, cfg, buffers, *blocks))
     finally:
-        if helper is not None:
-            helper.close()
+        if pool is not None:
+            pool.shutdown()
     # Exact summation of the batch sums: a plain sum rounds differently and
     # would change the output bytes.
     total = math.fsum(p[0] for p in partials)

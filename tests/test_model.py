@@ -119,6 +119,16 @@ class TestRngStream:
         b = np.random.default_rng(np.random.SeedSequence([top, top])).standard_normal(8)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "seed, stream_id, kind", [(1.5, 0, "float"), (0, 2.0, "float"), (True, 0, "bool"), (0, False, "bool")]
+    )
+    def test_seed_and_stream_id_are_integers(self, seed, stream_id, kind):
+        """A float or a bool is refused, not truncated or counted as 0 or 1; numpy integers seed as ints do."""
+        with pytest.raises(ModelError, match=f"^seed and stream id must be integers, got {kind}$"):
+            RngStream(seed, stream_id)
+        a = RngStream(np.uint64(3), np.int32(4)).generator().standard_normal(8)
+        np.testing.assert_array_equal(a, RngStream(3, 4).generator().standard_normal(8))
+
 
 class TestSampleParameter:
     def test_identity_prior_moments(self):
@@ -139,6 +149,17 @@ class TestSampleParameter:
     def test_singular_prior_rejected(self):
         with pytest.raises(SingularPriorError):
             sample_parameter(np.zeros((2, 2)), RngStream(0))
+
+    @pytest.mark.parametrize("size, message", [(-1, "nonnegative, got -1"), (2.0, "integers, got float"),
+                                               (True, "integers, got bool")])
+    def test_size_is_a_nonnegative_integer(self, size, message):
+        with pytest.raises(ModelError, match=f"^size must be {message}$"):
+            sample_parameter(np.eye(2), RngStream(0), size=size)
+
+    def test_numpy_and_zero_sizes(self):
+        got = sample_parameter(np.eye(2), RngStream(3), size=np.int64(5))
+        assert got.tobytes() == sample_parameter(np.eye(2), RngStream(3), size=5).tobytes()
+        assert sample_parameter(np.eye(2), RngStream(3), size=0).shape == (2, 0)
 
 
 class TestSampleMeasurements:
@@ -549,19 +570,6 @@ class TestCopyCountExactness:
 class TestSampleBuffers:
     """Draws into one set of buffers against draws into fresh ones."""
 
-    def test_parameter_draw_into_buffers_equals_a_fresh_draw(self):
-        """The prior is the one passed, not the buffers' model's: a draw of
-        4 I into buffers made for a unit prior has variance 4."""
-        model = _tiled_model(30, 3, 1, 2, 2, 3)
-        buffers = SampleBuffers(model, 64, 1, 2)
-        for seed, size in ((1, 64), (2, 40)):
-            got = sample_parameter(model.sigma_theta, RngStream(seed), size=size, buffers=buffers)
-            want = sample_parameter(model.sigma_theta, RngStream(seed), size=size)
-            assert got.shape == (3, size) and got.tobytes() == want.tobytes()
-        unit = SampleBuffers(make_scalar_model(1, 1, 1.0), 20_000, 1, 1)
-        theta = sample_parameter(4.0 * np.eye(1), RngStream(4), size=20_000, buffers=unit)
-        assert abs(np.mean(np.abs(theta) ** 2) - 4.0) < 0.2
-
     @pytest.mark.parametrize("dither", [False, True])
     def test_copy_sums_into_buffers_equal_fresh_sums(self, dither):
         """A full batch and then a shorter one (a run's last batch) drawn into
@@ -574,38 +582,6 @@ class TestSampleBuffers:
             want = _copy_sums(model, theta, RngStream(seed, 1), 2, 3)
             for g, w in zip(got, want):
                 assert g.shape == w.shape and g.tobytes() == w.tobytes()
-
-    def test_model_prior_is_not_factored_again(self, monkeypatch):
-        """Given the buffers' own prior, the draw takes their factor; another prior is factored."""
-        model = _tiled_model(34, 3, 1, 2, 2, 3)
-        buffers = SampleBuffers(model, 50, 1, 2)
-        want = sample_parameter(model.sigma_theta, RngStream(6), size=50)
-        factors = []
-        cholesky = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factors.append(a) or cholesky(a))
-        got = sample_parameter(model.sigma_theta, RngStream(6), size=50, buffers=buffers)
-        assert factors == [] and got.tobytes() == want.tobytes()
-        sample_parameter(model.sigma_theta.copy(), RngStream(6), size=50, buffers=buffers)
-        assert len(factors) == 1
-
-    def test_filed_blocks_are_taken_in_place_of_a_draw(self, monkeypatch):
-        """Blocks filed under their streams give the bytes of the draws they
-        replace; neither stream is drawn from, and each filing is used once."""
-        model = _tiled_model(35, 2, 2, 2, 3, 2)
-        buffers = SampleBuffers(model, 40, 2, 3)
-        theta_want = sample_parameter(model.sigma_theta, RngStream(7, 2), size=30)
-        want = [a.copy() for a in sample_copy_sums(theta_want, RngStream(7, 3), SampleBuffers(model, 30, 2, 3))]
-        theta_block, analog_block = buffers.slot(1, 30)
-        RngStream(7, 2).generator().standard_normal(out=theta_block)
-        RngStream(7, 3).generator().standard_normal(out=analog_block)
-        buffers.ahead.update({RngStream(7, 2): theta_block, RngStream(7, 3): analog_block})
-        monkeypatch.setattr(RngStream, "generator", lambda self: pytest.fail(f"drew from {self}"))
-        theta = sample_parameter(model.sigma_theta, RngStream(7, 2), size=30, buffers=buffers)
-        got = sample_copy_sums(theta, RngStream(7, 3), buffers)
-        assert theta.tobytes() == theta_want.tobytes()
-        for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes()
-        assert buffers.ahead == {}
 
     def test_slot_has_no_analog_block_without_analog_noise(self):
         buffers = SampleBuffers(_tiled_model(36, 2, 1, 2, 2, 3, var_a=0.0), 20, 1, 2)
@@ -620,10 +596,6 @@ class TestSampleBuffers:
             sample_copy_sums(theta, RngStream(9), buffers)
         with pytest.raises(ModelError, match="buffers"):
             sample_copy_sums(np.zeros((3, 10)), RngStream(9), buffers)
-        with pytest.raises(ModelError, match="buffers"):
-            sample_parameter(model.sigma_theta, RngStream(8), size=11, buffers=buffers)
-        with pytest.raises(ModelError, match="buffers"):
-            sample_parameter(np.eye(3), RngStream(8), size=10, buffers=buffers)
 
 
 class TestOrthoMatrices:

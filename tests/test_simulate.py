@@ -4,6 +4,7 @@ import inspect
 import itertools
 import math
 import threading
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -99,6 +100,18 @@ class TestRunMonteCarlo:
         gap_emulated = abs(emulated.empirical_mse - emulated.analytic_mse)
         assert gap_emulated - gap_ideal < emulated.std_error
 
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [("trials", 1000.0, "float"), ("batch_size", 100.0, "float"), ("batch_size", True, "bool"),
+         ("rng_seed", 1.5, "float"), ("rng_seed", True, "bool")],
+    )
+    def test_config_counts_and_seed_are_integers(self, field, value, kind):
+        """A float or a bool ends in ModelError: numpy refused the floats with
+        a TypeError, and rng_seed=True ran seed 1."""
+        with pytest.raises(ModelError, match=f"^trials, rng_seed and batch_size must be integers, got {kind}$"):
+            SimConfig(**{field: value})
+        SimConfig(trials=np.int64(1000), rng_seed=np.uint64(3), batch_size=np.int32(100))
+
     def test_filter_shape_checked(self):
         model = make_scalar_model(1, 1, 1.0)
         filt = lmmse(make_scalar_model(2, 1, 1.0))
@@ -158,9 +171,12 @@ class TestRunWorkspace:
         seen = []
         run_batch = simulate._run_batch
 
-        def both(w1, c, cfg, b, count, buffers):
-            shared = run_batch(w1, c, cfg, b, count, buffers)
-            own = run_batch(w1, c, cfg, b, count, SampleBuffers(model, count, *buffers.periods))
+        def both(w1, c, cfg, buffers, z_theta, z_analog):
+            count = z_theta.shape[-1]
+            own_buffers = SampleBuffers(model, count, *buffers.periods)
+            # A batch scales its blocks in place, so each call gets its own copy.
+            own = run_batch(w1, c, cfg, own_buffers, z_theta.copy(), z_analog.copy())
+            shared = run_batch(w1, c, cfg, buffers, z_theta, z_analog)
             seen.append((count, shared, own))
             return shared
 
@@ -205,11 +221,11 @@ class TestRunWorkspace:
 
 
 def _cpus(monkeypatch, count):
-    """Make the run see ``count`` CPUs; return the list of draw-ahead helpers it starts."""
+    """Make the run see ``count`` CPUs; return the list of draw-ahead executors it starts."""
     started = []
-    draw_ahead = simulate._DrawAhead
+    executor = futures.ThreadPoolExecutor
     monkeypatch.setattr(simulate, "_cpu_count", lambda: count)
-    monkeypatch.setattr(simulate, "_DrawAhead", lambda *args: started.append(args) or draw_ahead(*args))
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", lambda **kwargs: started.append(kwargs) or executor(**kwargs))
     return started
 
 
@@ -232,7 +248,43 @@ DRAW_AHEAD_CASES = {
 
 
 class TestDrawAhead:
-    """A helper thread draws each next batch's normal blocks; the result is the one-thread result."""
+    """A worker thread draws each next batch's normal blocks; the result is the one-thread result."""
+
+    @pytest.mark.parametrize("var_a", [0.7, 0.0])
+    def test_draw_gives_each_streams_block(self, var_a):
+        """Batch b's blocks are the first values of streams (seed, 2b) and
+        (seed, 2b + 1), in slot b % 2, also for a shorter last batch; without
+        analog noise there is no analog block."""
+        model = MixedModel(h=np.ones((4, 3)), g=np.ones((2, 3)), sigma_theta=np.eye(3), var_a=var_a, var_q=0.8)
+        cfg = SimConfig(trials=500, batch_size=200, rng_seed=11)
+        buffers = SampleBuffers(model, 200, 2, 1)
+        for b, t in enumerate([200, 200, 100]):
+            z_theta, z_analog = simulate._draw(cfg, buffers, b)
+            assert z_theta.tobytes() == RngStream(11, 2 * b).generator().standard_normal((2, 3, t)).tobytes()
+            assert np.shares_memory(z_theta, buffers.slot(b % 2, t)[0])
+            if var_a:
+                assert z_analog.tobytes() == RngStream(11, 2 * b + 1).generator().standard_normal((2, 2, t)).tobytes()
+            else:
+                assert z_analog is None
+
+    def test_a_failed_draw_on_the_worker_ends_the_run(self, monkeypatch):
+        """The worker's error is raised by the run, and the worker is joined."""
+        started = _cpus(monkeypatch, 2)
+        draw, workers = simulate._draw, []
+
+        def failing(cfg, buffers, b):
+            if b == 1:
+                workers.append(threading.current_thread())
+                raise RuntimeError("batch 1 could not be drawn")
+            return draw(cfg, buffers, b)
+
+        monkeypatch.setattr(simulate, "_draw", failing)
+        model, filt = _mimo_closed()
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="batch 1 could not be drawn"):
+            run_monte_carlo(model, filt, SimConfig(trials=13 * 300, batch_size=300))
+        assert len(started) == 1 and workers[0] is not threading.current_thread()
+        assert threading.active_count() == before
 
     # (trials, batch_size): 1 batch, 2 batches with a partial last one, and
     # 13 batches whose last has one trial.  A batch of 300 trials runs its
@@ -254,7 +306,7 @@ class TestDrawAhead:
 
     def test_products_too_large_to_tile_draw_on_one_thread(self, monkeypatch):
         """A 17 x 17 prior's products do not tile, so OpenBLAS's pool takes
-        the second CPU and the run starts no helper."""
+        the second CPU and the run starts no worker."""
         model = make_mimo_model(17, 1, 1, 1.0, 1.0, rng=RngStream(2))
         started = _cpus(monkeypatch, 2)
         run_monte_carlo(model, lmmse(model), SimConfig(trials=600, batch_size=300))
@@ -289,9 +341,9 @@ class TestDrawAhead:
         assert threading.active_count() == before
 
     def test_public_functions_run_on_the_calling_thread(self, monkeypatch):
-        """Only numpy fills run on the helper: every public model or simulate
-        function a run calls, and every stream's generator, is called on the
-        run's own thread (perfbench's tracer keeps one call stack)."""
+        """Only _draw runs on the worker: every public model or simulate
+        function a run calls is called on the run's own thread (perfbench's
+        tracer keeps one call stack)."""
         started = _cpus(monkeypatch, 2)
         calls = []
 
@@ -307,12 +359,11 @@ class TestDrawAhead:
             for name, fn in list(vars(module).items()):
                 if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ in homes:
                     monkeypatch.setattr(module, name, on_thread(name, fn))
-        monkeypatch.setattr(RngStream, "generator", on_thread("RngStream.generator", RngStream.generator))
         model, filt = _mimo_closed(0.3, 0.5)
         cfg = SimConfig(trials=13 * 300, batch_size=300, rng_seed=9, analog_quantizer=DEFAULT_ANALOG_QUANTIZER)
         run_monte_carlo(model, filt, cfg)
         assert len(started) == 1
-        assert {"sample_parameter", "sample_copy_sums", "quantize_bbit", "RngStream.generator"} <= {n for n, _ in calls}
+        assert {"copy_layout", "quantize_bbit"} <= {n for n, _ in calls}
         assert {thread for _, thread in calls} == {threading.current_thread()}
 
     def test_prior_is_factored_once_per_run(self, monkeypatch):
@@ -519,10 +570,10 @@ class TestConditionalError:
             g=np.tile(g1, (k, 1)), sigma_theta=np.eye(m), var_a=0.6, var_q=0.9 + 0.4,
         )
         w1 = rng.standard_normal((m, p_a + p)) + 1j * rng.standard_normal((m, p_a + p))
-        cfg = SimConfig(trials=count, rng_seed=k)
+        cfg = SimConfig(trials=count, rng_seed=k, batch_size=1)
         c = (np.abs(w1[:, p_a:]) ** 2).sum(axis=0)
         buffers = SampleBuffers(model, 1, p_a, p)
-        got = [simulate._run_batch(w1, c, cfg, b, 1, buffers)[0] for b in range(count)]
+        got = [simulate._run_batch(w1, c, cfg, buffers, *simulate._draw(cfg, buffers, b))[0] for b in range(count)]
 
         theta, s_a = [], []
         for b in range(count):
