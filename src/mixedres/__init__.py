@@ -68,7 +68,6 @@ from .model import (
     make_scalar_model,
     quantize_1bit,
     quantize_bbit,
-    sample_copy_sums,
     sample_measurements,
     sample_parameter,
 )

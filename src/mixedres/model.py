@@ -17,17 +17,18 @@ package is that a scalar CN(0, v) variable has independent real and
 imaginary parts of variance v/2 each.
 
 Two routes draw from the model.  :func:`sample_measurements` realizes
-every row: noise, then the sign.  :func:`sample_copy_sums` serves a filter
-that treats the copies of a repeated block (:func:`copy_layout`) alike, and
-so sees their sum.  A run's :class:`SampleBuffers` checks that layout
-once and holds it, with the model and the factor of its prior, for every
-batch of the run.  The public draws and a run's batches share one transform
-of the standard normals per quantity: :func:`_correlate` for theta and
-:func:`_copy_sums` for the copy sums; a run draws the normals itself, into
-the buffers' draw slots.  The products of a batch run in column tiles of
-``TILE_TRIALS`` trials (:func:`_matmul_tiles`).  The sum of
-k_a analog copies is k_a H1 theta plus one noise draw of variance k_a v.
-The quantized sum is not drawn: given theta, each
+every row: noise, then the sign.  A Monte-Carlo run serves a filter that
+treats the copies of a repeated block (:func:`copy_layout`) alike, and so
+sees their sum.  A run's :class:`SampleBuffers` checks that layout once and
+holds it, with the model and the factor of its prior, for every batch of
+the run.  The run draws the standard normals itself, into the buffers' draw
+slots, which hold a whole batch, and turns them into theta
+(:func:`_correlate`, shared with :func:`sample_parameter`) and the copy
+sums (:func:`_copy_sums`) one column chunk at a time: every other buffer
+holds one chunk, whose size ``CHUNK_BYTES`` bounds.  The products of a
+chunk run in column tiles of ``TILE_TRIALS`` trials (:func:`_matmul_tiles`).
+The sum of k_a analog copies is k_a H1 theta plus one noise draw of
+variance k_a v.  The quantized sum is not drawn: given theta, each
 1-bit output of a row with mean mu is +1 with probability
 P = Phi(mu / sqrt(v/2)) per part, independently of the other outputs, so
 each part of the sum of k copies is a Binomial(k, P) count, whose mean and
@@ -299,6 +300,16 @@ def _prefix(buf: np.ndarray, shape: tuple) -> np.ndarray:
 # between calls.
 TILE_TRIALS = 256
 TILE_MACS = 2**16
+# Most bytes of one column chunk's compute arrays (theta, scratch and the
+# copy sums of SampleBuffers).  On the 100-row MIMO workload a chunk of 1536
+# trials holds 0.98 MB where the whole 8192-trial batch held 5.2 MB; a
+# scalar batch of 8192 trials stays one chunk.
+CHUNK_BYTES = 2**20
+# Fewest trials in one chunk.  OpenBLAS 0.3.31 rounded a 2- or 3-column
+# complex product differently from the same columns of a wider one; 32
+# columns or more, in chunks of a power of two or whole tiles, gave the
+# wider product's bytes.
+MIN_CHUNK_TRIALS = 32
 
 
 def _tiles(a: np.ndarray) -> bool:
@@ -306,24 +317,46 @@ def _tiles(a: np.ndarray) -> bool:
     return a.size * TILE_TRIALS <= TILE_MACS
 
 
+def _spans(t: int, width: int) -> list[tuple[int, int]]:
+    """[start, stop) spans of ``width`` columns that cover ``t`` columns in order.
+
+    A one-column product goes through gemv, which rounds differently from
+    gemm, so a last span of one column joins the span before it.
+    """
+    stops = [*range(width, t - 1, width), t]
+    return list(zip([0, *stops[:-1]], stops))
+
+
 def _matmul_tiles(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``np.matmul(a, b, out=out)`` in column tiles of ``TILE_TRIALS`` trials, with the same values.
+    """``np.matmul(a, b, out=out)`` in column tiles of ``TILE_TRIALS`` trials (:func:`_spans`), with the same values.
 
     The trials are the last axis of ``b`` and ``out``; a one-dimensional
     ``b`` is one product.  A larger ``a`` (see :func:`_tiles`) would send
     every tile to the thread pool, and one call costs less there than many,
-    so its product runs whole.  A one-column product goes through gemv,
-    which rounds differently from gemm, so a last tile of one column joins
-    the tile before it.
+    so its product runs whole.
     """
-    t = b.shape[-1]
-    if b.ndim < 2 or t <= TILE_TRIALS + 1 or not _tiles(a):
+    if b.ndim < 2 or not _tiles(a):
         return np.matmul(a, b, out=out)
-    start = 0
-    for stop in [*range(TILE_TRIALS, t - 1, TILE_TRIALS), t]:
+    for start, stop in _spans(b.shape[-1], TILE_TRIALS):
         np.matmul(a, b[..., start:stop], out=out[..., start:stop])
-        start = stop
     return out
+
+
+def _chunk_trials(per_trial: int, trials: int) -> int:
+    """Trials of one column chunk, at ``per_trial`` compute bytes each, of batches of up to ``trials``.
+
+    As many as fit ``CHUNK_BYTES`` with one column to spare, for a last
+    chunk of one column that joins the one before it (:func:`_spans`),
+    rounded down to whole tiles, or below one tile to a power of two, so
+    that a chunk's products are the batch's tiles or lie within one; at
+    least ``MIN_CHUNK_TRIALS`` and at most ``trials``.
+    """
+    fit = CHUNK_BYTES // per_trial - 1
+    if fit >= TILE_TRIALS:
+        chunk = fit - fit % TILE_TRIALS
+    else:
+        chunk = max(1 << max(fit, 1).bit_length() - 1, MIN_CHUNK_TRIALS)
+    return min(chunk, trials)
 
 
 class SampleBuffers:
@@ -335,39 +368,51 @@ class SampleBuffers:
     :func:`copy_layout` checks both once, here, and a period equal to the
     row count claims no repetition.  The buffers keep the model, the
     Cholesky factor ``chol`` of its prior, the periods, the copy counts and
-    the stacked rows [H[:p_a]; G[:p]] that :func:`sample_copy_sums` draws
-    from.  The arrays it returns are views into the buffers, which the next
-    draw overwrites.  Each buffer is flat, and a batch of t trials uses a
-    contiguous prefix of it:
+    the stacked rows [H[:p_a]; G[:p]] that :func:`_copy_sums` multiplies.
+    A batch is computed in column chunks of ``chunk`` trials (a last chunk
+    of one column joins the one before it), and the arrays :func:`_copy_sums`
+    returns are views into the buffers, which the next chunk overwrites.
+    Each buffer is flat, and a chunk or batch of t trials uses a contiguous
+    prefix of it:
 
-    - ``theta``: theta of a run's batch;
+    - two draw slots (:meth:`slot`), each for a whole batch's planar
+      standard-normal blocks, as a stream fills its block whole, so that a
+      run can draw one batch's blocks while it computes with the other's;
+    - ``values`` (float64): the caller's per-trial value of each trial of
+      the batch;
+
+    and, for one chunk, at most ``CHUNK_BYTES`` in all unless a chunk of
+    ``MIN_CHUNK_TRIALS`` exceeds it (:func:`_chunk_trials`):
+
+    - ``theta``: theta of the chunk;
     - ``scratch`` (float64): theta's complex normals, then u = erf(mu / sqrt(v))
       for both parts of s_q, whose first p * t values become the conditional
       variances of s_q, and then the caller's estimation error
       (:meth:`error`), which overwrites those variances;
-    - ``sums``: [s_a; s_q], whose s_q rows hold mu until its mean replaces it;
-    - two draw slots (:meth:`slot`), each for a batch's planar standard-normal
-      blocks, so that a run can draw one batch's blocks while it computes
-      with the other's.
+    - ``sums``: [s_a; s_q], whose s_q rows hold mu until its mean replaces it.
     """
 
     def __init__(self, model: MixedModel, trials: int, analog_period: int, quantized_period: int):
-        self.model, self.trials = model, trials
+        self.model = model
         self.periods = analog_period, quantized_period
         self.copies = copy_layout(model.h, analog_period)[1], copy_layout(model.g, quantized_period)[1]
         self.rows = np.concatenate([model.h[:analog_period], model.g[:quantized_period]])
         # Positive definite: MixedModel checked the prior, or it is block_model's identity.
         self.chol = np.linalg.cholesky(model.sigma_theta)
-        self.theta = np.empty(model.m * trials, dtype=np.complex128)
-        self.scratch = np.empty(2 * max(model.m, quantized_period) * trials)
-        self.sums = np.empty(sum(self.periods) * trials, dtype=np.complex128)
-        self._slots = np.empty((2, 2 * (model.m + analog_period) * trials))
+        m, width = model.m, max(model.m, quantized_period)
+        self.chunk = _chunk_trials(16 * (m + width + analog_period + quantized_period), trials)
+        columns = min(self.chunk + 1, trials)
+        self.theta = np.empty(m * columns, dtype=np.complex128)
+        self.scratch = np.empty(2 * width * columns)
+        self.sums = np.empty((analog_period + quantized_period) * columns, dtype=np.complex128)
+        self._slots = np.empty((2, 2 * (m + analog_period) * trials))
+        self.values = np.empty(trials)
 
     def slot(self, index: int, t: int) -> tuple[np.ndarray, np.ndarray | None]:
         """Draw slot ``index`` (0 or 1) for ``t`` trials: theta's (2, m, t) and the analog sum's (2, p_a, t) planar blocks.
 
         The analog block is None when the analog variance is 0, as
-        :func:`sample_copy_sums` then draws nothing.
+        :func:`_copy_sums` then adds no noise.
         """
         m, p_a = self.model.m, self.periods[0]
         flat = self._slots[index]
@@ -375,11 +420,11 @@ class SampleBuffers:
         return _prefix(flat, (2, m, t)), analog
 
     def copy_sums(self, t: int) -> np.ndarray:
-        """[s_a; s_q] of the last :func:`sample_copy_sums` draw of ``t`` trials, shape (p_a + p, t)."""
+        """[s_a; s_q] of the last :func:`_copy_sums` chunk of ``t`` trials, shape (p_a + p, t)."""
         return _prefix(self.sums, (sum(self.periods), t))
 
     def error(self, t: int) -> np.ndarray:
-        """(m, t) complex scratch: theta's complex normals until theta is formed, free once the copy sums are drawn."""
+        """(m, t) complex scratch: theta's complex normals until theta is formed, free once the copy sums are formed."""
         return _prefix(self.scratch.view(np.complex128), (self.model.m, t))
 
 
@@ -495,18 +540,20 @@ def copy_layout(rows: np.ndarray, period: int | None = None) -> tuple[int, int]:
     raise ModelError(f"rows are not copies of a block of period {period} ({n} rows)")
 
 
-def sample_copy_sums(theta: np.ndarray, rng: RngStream, buffers: SampleBuffers):
-    """Draw the analog copy sum s_a; give the mean and variance of the quantized one given theta.
+def _copy_sums(theta: np.ndarray, z_analog: np.ndarray | None, buffers: SampleBuffers):
+    """The analog copy sum s_a, and the mean and variance of the quantized one given theta.
 
-    ``theta`` is an (m, t) batch of parameter columns of the model of
-    ``buffers``, with t at most the trials they hold; the periods p_a, p and
-    copy counts k_a, k are theirs (see :class:`SampleBuffers`).  Returns
-    ``(s_a, s_q, s_q_var)``, each with t columns and each a view into the
-    buffers:
+    ``theta`` is an (m, t) complex128 chunk of parameter columns of the
+    model of ``buffers``, with t at most the columns they hold for a chunk;
+    the periods p_a, p and copy counts k_a, k are theirs (see
+    :class:`SampleBuffers`).  ``z_analog`` is the planar (2, p_a, t)
+    standard-normal block of the analog sum, which this scales in place, or
+    None when the analog variance is 0.  Returns ``(s_a, s_q, s_q_var)``,
+    each with t columns and each a view into the buffers:
 
-    - ``s_a`` (p_a rows): one CN(0, k_a * var_a) block added to
+    - ``s_a`` (p_a rows): ``z_analog`` as CN(0, k_a * var_a) noise added to
       k_a * H[:p_a] theta, distributed as the sum of the rows that
-      :func:`sample_measurements` draws.  It is the only draw from ``rng``.
+      :func:`sample_measurements` draws.
     - ``s_q`` (p rows): the mean of the quantized copy sum.  With
       P = Phi(mu / sqrt(v/2)) per part of mu = G[:p] theta, v = var_q,
       each part of that sum is (2 * count - k) / sqrt(2) with
@@ -519,24 +566,10 @@ def sample_copy_sums(theta: np.ndarray, rng: RngStream, buffers: SampleBuffers):
     Both sums come from one product of the buffers' stacked rows
     [H[:p_a]; G[:p]] with theta, in column tiles.
 
-    Rows that do not repeat (k = 1) take the same path.  A zero variance
-    draws nothing: the analog sum is then k_a * H[:p_a] theta, the
-    quantized mean k * quantize_1bit(G[:p] theta) and its variance 0.
-    """
-    model = buffers.model
-    theta = np.asarray(theta, dtype=np.complex128)
-    if theta.ndim != 2 or theta.shape[0] != model.m or theta.shape[1] > buffers.trials:
-        raise ModelError(f"buffers hold m = {model.m} and {buffers.trials} trials, got theta of shape {theta.shape}")
-    z_analog = rng.generator().standard_normal((2, buffers.periods[0], theta.shape[1])) if model.var_a else None
-    return _copy_sums(theta, z_analog, buffers)
-
-
-def _copy_sums(theta: np.ndarray, z_analog: np.ndarray | None, buffers: SampleBuffers):
-    """:func:`sample_copy_sums` of the (m, t) complex128 ``theta``, given its analog normals.
-
-    ``z_analog`` is the planar (2, p_a, t) standard-normal block of the
-    analog sum, which this scales in place, or None when the analog
-    variance is 0.
+    Rows that do not repeat (k = 1) take the same path.  A zero analog
+    variance adds no noise: the analog sum is then k_a * H[:p_a] theta.  A
+    zero quantized variance gives the mean k * quantize_1bit(G[:p] theta)
+    and the variance 0.
     """
     model = buffers.model
     t = theta.shape[1]

@@ -10,7 +10,7 @@ A batch draws copy sums, not rows.  When the quantized rows of the model
 and the filter's columns for them both repeat with period p (the
 ``copy_layout`` of [G | W_q^T]), the filter gives every copy the same
 columns, so W_q x_q = W_q1 (q_1 + ... + q_k) and only the p-row copy sum
-matters (:func:`~mixedres.model.sample_copy_sums`).  The analog rows work
+matters (:func:`~mixedres.model._copy_sums`).  The analog rows work
 the same way with [H | W_a^T], except under b-bit emulation, which must
 quantize every copy, so the analog period is then n_a.  ``lmmse`` gives
 every copy of a block the same columns; rows without repetition are one
@@ -24,18 +24,22 @@ variance.
 
 A run's one set-up is a :class:`~mixedres.model.SampleBuffers` for its
 largest batch, which checks the copy layout once and holds the model and
-the factor of its prior; every batch draws theta and the copy sums into it
-and applies the filter there, so a batch derives nothing again and
-allocates only a few per-trial vectors.  The products of a batch run in
-column tiles of ``TILE_TRIALS`` trials, which OpenBLAS computes on the
+the factor of its prior; every batch draws into it and applies the filter
+there, so a batch derives nothing again and allocates only a few
+per-chunk vectors.  A batch computes in column chunks whose workspace
+``CHUNK_BYTES`` bounds: each chunk forms theta and the copy sums of its
+columns and their per-trial values, which land in one vector for the
+batch, so a chunk size moves no output byte.  The products of a chunk run
+in column tiles of ``TILE_TRIALS`` trials, which OpenBLAS computes on the
 calling thread, so that its thread pool leaves the second CPU free.
 
-:func:`_draw` is the one place a batch's normals come from: it draws the
-batch's two planar standard-normal blocks from their streams into a draw
-slot of the buffers, and :func:`_run_batch` turns them into theta and the
-copy sums.  A run of two or more batches on two or more CPUs, whose
-products all tile (:func:`~mixedres.model._tiles`), draws batch b + 1's
-blocks on one worker thread while the calling thread computes batch b.
+:func:`_draw` is the one place a batch's normals come from: on the calling
+thread it makes the generators of the batch's two streams and returns the
+call that fills a draw slot of the buffers with the batch's two planar
+standard-normal blocks, and :func:`_run_batch` turns those into theta and
+the copy sums.  A run of two or more batches on two or more CPUs, whose
+products all tile (:func:`~mixedres.model._tiles`), makes that call for
+batch b + 1 on one worker thread while the calling thread computes batch b.
 Each block holds the values its stream gives, so the output bytes depend
 on the seed and the batch size only, not on the CPU count or the BLAS
 threads.
@@ -82,6 +86,7 @@ from .model import (
     _correlate,
     _matmul_tiles,
     _prefix,
+    _spans,
     _tiles,
     block_model,
     copy_layout,
@@ -91,11 +96,11 @@ from .model import (
 
 # Default b-bit emulation of the analog path: 6 bits on [-5, 5].
 DEFAULT_ANALOG_QUANTIZER = QuantizerSpec(bits=6, lo=-5.0, hi=5.0)
-# Most values (rows x trials) in one Monte-Carlo batch.  Per value, a batch
-# holds at most 16 bytes of copy sums and 16 of float64 scratch (two parts
-# of normals or of u = erf(mu / sqrt(v))), so neither array takes more than
-# 1 GiB, and the default batch of 8192 trials admits every model the
-# dense solver accepts.
+# Most values (rows x trials) in one Monte-Carlo batch.  Only the two draw
+# slots hold rows x batch values, 16 bytes each (two float64 parts of the
+# normals of theta and of the analog sum), so neither slot takes more than
+# 1 GiB, and the default batch of 8192 trials admits every model the dense
+# solver accepts; the rest of the workspace holds one column chunk.
 MAX_BATCH_ELEMENTS = 8192 * 8192
 # Most trials in one run: the largest count that the float64 mean and
 # variance divide by exactly.
@@ -207,17 +212,25 @@ def _batch_trials(cfg: SimConfig, b: int) -> int:
     return min(cfg.batch_size, cfg.trials - b * cfg.batch_size)
 
 
-def _draw(cfg: SimConfig, buffers: SampleBuffers, b: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """Batch ``b``'s planar standard-normal blocks, drawn into draw slot b % 2 of ``buffers``.
+def _draw(cfg: SimConfig, buffers: SampleBuffers, b: int):
+    """The draw of batch ``b``: a call that fills draw slot b % 2 of ``buffers`` and returns its two blocks.
 
-    Theta's block comes from stream (seed, 2b) and the analog sum's from
-    (seed, 2b + 1); the analog block is None when the analog variance is 0.
+    The call returns batch ``b``'s planar standard-normal blocks: theta's
+    from stream (seed, 2b) and the analog sum's from (seed, 2b + 1), or None
+    when the analog variance is 0.  The streams' generators are made here,
+    on the caller's thread, so the call only fills the blocks.
     """
     z_theta, z_analog = buffers.slot(b % 2, _batch_trials(cfg, b))
-    RngStream(cfg.rng_seed, 2 * b).generator().standard_normal(out=z_theta)
+    fills = [(RngStream(cfg.rng_seed, 2 * b).generator(), z_theta)]
     if z_analog is not None:
-        RngStream(cfg.rng_seed, 2 * b + 1).generator().standard_normal(out=z_analog)
-    return z_theta, z_analog
+        fills.append((RngStream(cfg.rng_seed, 2 * b + 1).generator(), z_analog))
+
+    def fill():
+        for generator, block in fills:
+            generator.standard_normal(out=block)
+        return z_theta, z_analog
+
+    return fill
 
 
 def _run_batch(w1: np.ndarray, c: np.ndarray, cfg: SimConfig, buffers: SampleBuffers, z_theta, z_analog):
@@ -229,9 +242,25 @@ def _run_batch(w1: np.ndarray, c: np.ndarray, cfg: SimConfig, buffers: SampleBuf
     error is ``w1 @ [s_a; s_q] - theta``.  Given theta and s_a, its squared
     norm has the mean |w1 @ [s_a; E s_q] - theta|**2 plus sum_i c_i
     Var(s_q_i), c_i being the squared norm of w1's column for quantized row i.
+    The batch runs in column chunks of the buffers (:func:`_run_chunk`); both
+    sums are taken over the whole batch's per-trial values.
     """
     count = z_theta.shape[-1]
-    theta = _correlate(buffers.chol, z_theta, buffers.error(count), _prefix(buffers.theta, (buffers.model.m, count)))
+    per_trial = buffers.values[:count]
+    for start, stop in _spans(count, buffers.chunk):
+        analog = z_analog[..., start:stop] if z_analog is not None else None
+        _run_chunk(w1, c, cfg, buffers, z_theta[..., start:stop], analog, per_trial[start:stop])
+    # An extreme filter or quantizer range can overflow the squares;
+    # run_monte_carlo refuses the non-finite result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(per_trial.sum())
+        return total, float(np.square(per_trial, out=per_trial).sum())
+
+
+def _run_chunk(w1: np.ndarray, c: np.ndarray, cfg: SimConfig, buffers: SampleBuffers, z_theta, z_analog, out):
+    """Write the per-trial values of :func:`_run_batch` for one column chunk of normal blocks into ``out``."""
+    t = out.shape[0]
+    theta = _correlate(buffers.chol, z_theta, buffers.error(t), _prefix(buffers.theta, (buffers.model.m, t)))
     s_a, _, s_q_var = _copy_sums(theta, z_analog, buffers)
     if cfg.analog_quantizer is not None and s_a.size:
         s_a[...] = quantize_bbit(s_a, cfg.analog_quantizer)
@@ -239,15 +268,13 @@ def _run_batch(w1: np.ndarray, c: np.ndarray, cfg: SimConfig, buffers: SampleBuf
     # squares; run_monte_carlo refuses the non-finite result.
     with np.errstate(over="ignore", invalid="ignore"):
         # Weighed before the error is formed, which overwrites the variances.
-        per_trial = _matmul_tiles(c, s_q_var, np.empty(count))
-        err = _matmul_tiles(w1, buffers.copy_sums(count), buffers.error(count))
+        _matmul_tiles(c, s_q_var, out)
+        err = _matmul_tiles(w1, buffers.copy_sums(t), buffers.error(t))
         err -= theta
         squares = np.square(err.view(np.float64), out=err.view(np.float64))
         parts = squares.sum(axis=0)
-        per_trial += parts[0::2]
-        per_trial += parts[1::2]
-        total = float(per_trial.sum())
-        return total, float(np.square(per_trial, out=per_trial).sum())
+        out += parts[0::2]
+        out += parts[1::2]
 
 
 def run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> SimResult:
@@ -255,10 +282,10 @@ def run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> Sim
 
     Per trial: draw the parameter and the analog copy sum, and accumulate
     the squared estimation error averaged over the 1-bit outputs (see the
-    module docstring).  Every batch draws into one set of
-    :class:`~mixedres.model.SampleBuffers` made for the run, and on two or
-    more CPUs one worker thread draws each next batch's normal blocks; it is
-    joined before the run returns or raises.  The standard error is the
+    module docstring).  Every batch and every column chunk of it uses one
+    set of :class:`~mixedres.model.SampleBuffers` made for the run, and on
+    two or more CPUs one worker thread fills each next batch's normal
+    blocks; it is joined before the run returns or raises.  The standard error is the
     sample standard deviation of those per-trial values divided by
     sqrt(trials).
     """
@@ -284,9 +311,9 @@ def run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> Sim
     partials = []
     try:
         for b in range(n_batches):
-            blocks = ahead.result() if ahead is not None else _draw(cfg, buffers, b)
+            blocks = ahead.result() if ahead is not None else _draw(cfg, buffers, b)()
             if pool is not None and b + 1 < n_batches:
-                ahead = pool.submit(_draw, cfg, buffers, b + 1)
+                ahead = pool.submit(_draw(cfg, buffers, b + 1))
             partials.append(_run_batch(w1, c, cfg, buffers, *blocks))
     finally:
         if pool is not None:

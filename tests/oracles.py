@@ -26,7 +26,7 @@ every measurement row with :func:`sample_measurements`, which the copy-sum
 sampler replaced; the two draw from other random streams, so they agree
 within their standard errors.  ``reference_copy_sums`` keeps the sampler
 that drew each quantized copy count from 16-bit words, which the
-conditional moments of ``sample_copy_sums`` replaced, and
+conditional moments of the run's ``model._copy_sums`` replaced, and
 ``reference_word_run_monte_carlo`` the run over its sampled copy sums; it
 draws the same theta and analog sums as ``run_monte_carlo``, so the two
 differ only in the 1-bit outputs and agree within their standard errors.
@@ -392,9 +392,9 @@ def reference_run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConf
 def reference_copy_sums(model: MixedModel, theta: np.ndarray, rng: RngStream, analog_period: int, quantized_period: int):
     """Copy sums (s_a, s_q) of one realization, with every quantized copy drawn as a 16-bit word.
 
-    The model and periods are those of the ``SampleBuffers`` that
-    ``sample_copy_sums`` draws with, and s_a is its analog sum, from the
-    same first draw of ``rng``; the periods are taken as given, unchecked.
+    The model and periods are those of the ``SampleBuffers`` of a run, and
+    s_a is the run's analog sum (``model._copy_sums``) of an analog block
+    drawn first from ``rng``; the periods are taken as given, unchecked.
     Then, with P = Phi(mu / sqrt(v/2)) per part of mu = G[:p] theta and
     v = var_q:
 

@@ -7,21 +7,25 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from mixedres import model as model_module
 from mixedres.closed_form import mse_closed_form
 from mixedres.estimator import lmmse
 from mixedres.exceptions import ModelError, QuantizerDomainError, SingularPriorError
 from mixedres.model import (
+    CHUNK_BYTES,
     INV_SQRT2,
+    TILE_TRIALS,
     MixedModel,
     OrthoBlockParams,
     RngStream,
     SampleBuffers,
     _part_std,
+    _spans,
+    _tiles,
     make_mimo_model,
     make_ortho_matrices,
     make_scalar_model,
     quantize_1bit,
-    sample_copy_sums,
     sample_measurements,
     sample_parameter,
 )
@@ -293,10 +297,23 @@ def _mean_and_variance(x):
     return mean, var, np.sqrt(var / t), np.sqrt(np.maximum(fourth - var**2, 0.0) / t)
 
 
-def _copy_sums(model, theta, rng, analog_period, quantized_period):
-    """``sample_copy_sums`` of ``theta`` into buffers made for this one draw."""
-    buffers = SampleBuffers(model, theta.shape[1], analog_period, quantized_period)
-    return sample_copy_sums(theta, rng, buffers)
+def _copy_sums(model, theta, rng, analog_period, quantized_period, buffers=None):
+    """The run's copy sums (s_a, s_q, s_q_var) of ``theta``, its analog normals drawn from ``rng``.
+
+    One planar (2, p_a, t) standard-normal block is drawn for the analog
+    sum, none when the analog variance is 0, and ``model._copy_sums`` forms
+    the sums in the column chunks of ``buffers``, by default buffers made
+    for this one draw; the chunks' values are copied out and joined.
+    """
+    t = theta.shape[1]
+    if buffers is None:
+        buffers = SampleBuffers(model, t, analog_period, quantized_period)
+    z_analog = rng.generator().standard_normal((2, analog_period, t)) if model.var_a else None
+    chunks = []
+    for start, stop in _spans(t, buffers.chunk):
+        analog = z_analog[..., start:stop] if z_analog is not None else None
+        chunks.append([a.copy() for a in model_module._copy_sums(theta[:, start:stop], analog, buffers)])
+    return tuple(np.concatenate(arrays, axis=1) for arrays in zip(*chunks))
 
 
 class TestSampleCopySums:
@@ -406,11 +423,6 @@ class TestSampleCopySums:
         model = _tiled_model(14, 1, 2, 2, 2, 2)
         with pytest.raises(ModelError, match="period"):
             SampleBuffers(model, 3, *periods)
-
-    def test_dimension_mismatch(self):
-        model = make_scalar_model(1, 1, 1.0)
-        with pytest.raises(ModelError):
-            sample_copy_sums(np.zeros(3), RngStream(0), SampleBuffers(model, 3, 1, 1))
 
 
 class TestOneBitConditionalMean:
@@ -572,30 +584,50 @@ class TestSampleBuffers:
 
     @pytest.mark.parametrize("dither", [False, True])
     def test_copy_sums_into_buffers_equal_fresh_sums(self, dither):
-        """A full batch and then a shorter one (a run's last batch) drawn into
-        the same buffers give the bytes of sums drawn into fresh buffers."""
+        """A full batch and then a shorter one (a run's last batch) formed in
+        the same buffers give the bytes of sums formed in fresh buffers."""
         model = _tiled_model(31, 2, 2, 3, 3, 4, var_a=0.8 + 0.3 * dither, var_q=1.1 + 0.6 * dither)
         buffers = SampleBuffers(model, 300, 2, 3)
         for seed, size in ((3, 300), (4, 117)):
             theta = sample_parameter(model.sigma_theta, RngStream(seed), size=size)
-            got = sample_copy_sums(theta, RngStream(seed, 1), buffers)
+            got = _copy_sums(model, theta, RngStream(seed, 1), 2, 3, buffers)
             want = _copy_sums(model, theta, RngStream(seed, 1), 2, 3)
             for g, w in zip(got, want):
                 assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    # (analog rows, quantized rows) of a 400-row model with m = 8 and no repetition.
+    @pytest.mark.parametrize("rows", [(200, 200), (0, 400), (400, 0)], ids=["mixed", "quantized", "analog"])
+    def test_compute_arrays_stay_within_the_chunk_budget(self, rows):
+        """theta, scratch and the copy sums of an untiled 400-row model hold
+        one column chunk within CHUNK_BYTES; only the draw slots hold the
+        batch of 8192 trials."""
+        n_a, n_q = rows
+        rng = np.random.default_rng(sum(rows) + n_a)
+        model = MixedModel(h=rng.standard_normal((n_a, 8)), g=rng.standard_normal((n_q, 8)),
+                           sigma_theta=np.eye(8), var_a=0.5, var_q=0.5)
+        buffers = SampleBuffers(model, 8192, n_a, n_q)
+        assert not _tiles(buffers.rows) and 2 <= buffers.chunk < TILE_TRIALS
+        assert buffers.theta.nbytes + buffers.scratch.nbytes + buffers.sums.nbytes <= CHUNK_BYTES
+        assert buffers._slots.nbytes == 2 * 2 * (8 + n_a) * 8192 * 8
+
+    def test_chunks_are_whole_tiles_or_the_batch(self):
+        """The 100-row MIMO workload's batch of 8192 trials runs in chunks of
+        six tiles, the scalar workload's in one chunk."""
+        mimo = make_mimo_model(10, 2, 8, rho=1.0, var=1.0, rng=RngStream(3))
+        assert SampleBuffers(mimo, 8192, 10, 10).chunk == 6 * TILE_TRIALS
+        assert SampleBuffers(make_scalar_model(1, 10, 1.0), 8192, 1, 1).chunk == 8192
+
+    @pytest.mark.parametrize("t, width, want", [
+        (1, 2, [(0, 1)]), (5, 2, [(0, 2), (2, 5)]), (6, 2, [(0, 2), (2, 4), (4, 6)]),
+        (3, 8, [(0, 3)]), (9, 8, [(0, 9)]), (10, 8, [(0, 8), (8, 10)]),
+    ])
+    def test_a_last_span_of_one_column_joins_the_one_before(self, t, width, want):
+        assert _spans(t, width) == want
 
     def test_slot_has_no_analog_block_without_analog_noise(self):
         buffers = SampleBuffers(_tiled_model(36, 2, 1, 2, 2, 3, var_a=0.0), 20, 1, 2)
         theta_block, analog_block = buffers.slot(0, 20)
         assert theta_block.shape == (2, 2, 20) and analog_block is None
-
-    def test_buffers_must_fit_the_draw(self):
-        model = _tiled_model(33, 2, 1, 2, 2, 3)
-        buffers = SampleBuffers(model, 10, 1, 2)
-        theta = sample_parameter(model.sigma_theta, RngStream(8), size=11)
-        with pytest.raises(ModelError, match="buffers"):
-            sample_copy_sums(theta, RngStream(9), buffers)
-        with pytest.raises(ModelError, match="buffers"):
-            sample_copy_sums(np.zeros((3, 10)), RngStream(9), buffers)
 
 
 class TestOrthoMatrices:

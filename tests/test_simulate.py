@@ -17,17 +17,19 @@ from mixedres.closed_form import filter_closed_form
 from mixedres.estimator import LmmseFilter, lmmse
 from mixedres.exceptions import InstanceTooLargeError, ModelError, NumericalDomainError, QuantizerDomainError
 from mixedres.model import (
+    MIN_CHUNK_TRIALS,
     TILE_TRIALS,
     MixedModel,
     OrthoBlockParams,
     RngStream,
     SampleBuffers,
+    _copy_sums,
     _matmul_tiles,
     _part_std,
+    _spans,
     _tiles,
     make_mimo_model,
     make_scalar_model,
-    sample_copy_sums,
     sample_parameter,
 )
 from mixedres.simulate import (
@@ -132,8 +134,6 @@ class TestRunMonteCarlo:
 
     def test_std_error_definition(self):
         """std_error is the sample std of the per-trial conditional squared errors / sqrt(trials)."""
-        from mixedres.model import RngStream, sample_copy_sums, sample_parameter
-
         model = make_scalar_model(1, 1, 1.0)
         filt = lmmse(model)
         cfg = SimConfig(trials=500, rng_seed=6, batch_size=128)
@@ -143,8 +143,10 @@ class TestRunMonteCarlo:
         for b in range((cfg.trials + 127) // 128):
             count = min(128, cfg.trials - b * 128)
             theta = sample_parameter(model.sigma_theta, RngStream(6, 2 * b), size=count)
-            # One analog and one quantized row: both periods are 1.
-            s_a, s_q, s_q_var = sample_copy_sums(theta, RngStream(6, 2 * b + 1), SampleBuffers(model, count, 1, 1))
+            z_analog = RngStream(6, 2 * b + 1).generator().standard_normal((2, 1, count))
+            # One analog and one quantized row: both periods are 1.  A batch of
+            # at most 128 trials of this model is one chunk.
+            s_a, s_q, s_q_var = _copy_sums(theta, z_analog, SampleBuffers(model, count, 1, 1))
             x = np.concatenate([s_a, s_q], axis=0)
             spread = np.abs(filt.w[0, 1]) ** 2 * s_q_var[0]
             errors.extend((np.abs(filt.w @ x - theta) ** 2).sum(axis=0) + spread)
@@ -259,7 +261,7 @@ class TestDrawAhead:
         cfg = SimConfig(trials=500, batch_size=200, rng_seed=11)
         buffers = SampleBuffers(model, 200, 2, 1)
         for b, t in enumerate([200, 200, 100]):
-            z_theta, z_analog = simulate._draw(cfg, buffers, b)
+            z_theta, z_analog = simulate._draw(cfg, buffers, b)()
             assert z_theta.tobytes() == RngStream(11, 2 * b).generator().standard_normal((2, 3, t)).tobytes()
             assert np.shares_memory(z_theta, buffers.slot(b % 2, t)[0])
             if var_a:
@@ -273,10 +275,15 @@ class TestDrawAhead:
         draw, workers = simulate._draw, []
 
         def failing(cfg, buffers, b):
-            if b == 1:
-                workers.append(threading.current_thread())
-                raise RuntimeError("batch 1 could not be drawn")
-            return draw(cfg, buffers, b)
+            fill = draw(cfg, buffers, b)
+
+            def fill_or_fail():
+                if b == 1:
+                    workers.append(threading.current_thread())
+                    raise RuntimeError("batch 1 could not be drawn")
+                return fill()
+
+            return fill_or_fail
 
         monkeypatch.setattr(simulate, "_draw", failing)
         model, filt = _mimo_closed()
@@ -341,7 +348,7 @@ class TestDrawAhead:
         assert threading.active_count() == before
 
     def test_public_functions_run_on_the_calling_thread(self, monkeypatch):
-        """Only _draw runs on the worker: every public model or simulate
+        """Only the fills of _draw run on the worker: every public model or simulate
         function a run calls is called on the run's own thread (perfbench's
         tracer keeps one call stack)."""
         started = _cpus(monkeypatch, 2)
@@ -365,6 +372,18 @@ class TestDrawAhead:
         assert len(started) == 1
         assert {"copy_layout", "quantize_bbit"} <= {n for n, _ in calls}
         assert {thread for _, thread in calls} == {threading.current_thread()}
+
+    def test_generators_are_made_on_the_calling_thread(self, monkeypatch):
+        """The worker only fills blocks: each batch's two generators are made
+        on the run's own thread, so the worker holds the interpreter lock for
+        no seeding."""
+        model, filt = _mimo_closed(0.3, 0.5)
+        started = _cpus(monkeypatch, 2)
+        threads, generator = [], RngStream.generator
+        monkeypatch.setattr(RngStream, "generator", lambda self: threads.append(threading.current_thread()) or generator(self))
+        run_monte_carlo(model, filt, SimConfig(trials=13 * 300, batch_size=300, rng_seed=9))
+        assert len(started) == 1 and len(threads) == 2 * 13
+        assert set(threads) == {threading.current_thread()}
 
     def test_prior_is_factored_once_per_run(self, monkeypatch):
         model = _general_model(25, 2, 2, np.ones((3, 2)))
@@ -573,12 +592,13 @@ class TestConditionalError:
         cfg = SimConfig(trials=count, rng_seed=k, batch_size=1)
         c = (np.abs(w1[:, p_a:]) ** 2).sum(axis=0)
         buffers = SampleBuffers(model, 1, p_a, p)
-        got = [simulate._run_batch(w1, c, cfg, buffers, *simulate._draw(cfg, buffers, b))[0] for b in range(count)]
+        got = [simulate._run_batch(w1, c, cfg, buffers, *simulate._draw(cfg, buffers, b)())[0] for b in range(count)]
 
         theta, s_a = [], []
         for b in range(count):
             theta.append(sample_parameter(model.sigma_theta, RngStream(k, 2 * b), size=1))
-            s_a.append(sample_copy_sums(theta[-1], RngStream(k, 2 * b + 1), SampleBuffers(model, 1, p_a, p))[0])
+            z_analog = RngStream(k, 2 * b + 1).generator().standard_normal((2, p_a, 1))
+            s_a.append(_copy_sums(theta[-1], z_analog, SampleBuffers(model, 1, p_a, p))[0].copy())
         theta, s_a = np.concatenate(theta, axis=1), np.concatenate(s_a, axis=1)
         mu = g1 @ theta
         prob = special.ndtr(np.stack([mu.real, mu.imag]) / _part_std(model.var_q))
@@ -607,6 +627,52 @@ class TestConditionalError:
         for want in (words, reference_run_monte_carlo(model, filt, cfg)):
             assert abs(got.empirical_mse - want.empirical_mse) <= 4 * np.hypot(got.std_error, want.std_error)
         assert got.std_error <= words.std_error
+
+
+# name -> (model and filter, analog quantizer).
+CHUNK_CASES = {
+    "mimo-closed": (lambda: _mimo_closed(0.3, 0.5), None),
+    "general-filter": (lambda: _untiled_general(True), None),
+    "bbit-scalar": (_scalar_lmmse, DEFAULT_ANALOG_QUANTIZER),
+    "zero-analog-variance": (DRAW_AHEAD_CASES["zero-analog-variance"][0], None),
+    "untiled-products": (lambda: _with_lmmse(make_mimo_model(17, 1, 1, 1.0, 1.0, rng=RngStream(2))), None),
+}
+
+
+class TestColumnChunks:
+    """A batch computed in column chunks gives the bytes of one chunk per batch."""
+
+    @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+    def test_result_does_not_depend_on_the_chunk_size(self, monkeypatch, case):
+        """Chunks of the whole batch, of one tile with a joined last column,
+        and of the fewest trials (CHUNK_BYTES at 1) give one result."""
+        build, quantizer = CHUNK_CASES[case]
+        model, filt = build()
+        # Two full batches of 2 tiles and a column, and a shorter last one.
+        batch = 2 * TILE_TRIALS + 1
+        cfg = SimConfig(trials=2 * batch + 100, batch_size=batch, rng_seed=19, analog_quantizer=quantizer)
+        monkeypatch.setattr(model_module, "CHUNK_BYTES", 2**40)
+        whole = SampleBuffers(model, batch, *_copy_periods(model, filt, cfg))
+        per_trial = (whole.theta.nbytes + whole.scratch.nbytes + whole.sums.nbytes) // batch
+        run_chunk, widths = simulate._run_chunk, []
+
+        def recording(*args):
+            widths.append(args[-1].shape[0])
+            return run_chunk(*args)
+
+        monkeypatch.setattr(simulate, "_run_chunk", recording)
+        fewest = [MIN_CHUNK_TRIALS] * (2 * TILE_TRIALS // MIN_CHUNK_TRIALS - 1) + [MIN_CHUNK_TRIALS + 1]
+        results = {}
+        for budget, want in [
+            (2**40, [batch, batch, 100]),
+            (per_trial * (TILE_TRIALS + 1), [TILE_TRIALS, TILE_TRIALS + 1] * 2 + [100]),
+            (1, fewest * 2 + [MIN_CHUNK_TRIALS] * (100 // MIN_CHUNK_TRIALS) + [100 % MIN_CHUNK_TRIALS]),
+        ]:
+            monkeypatch.setattr(model_module, "CHUNK_BYTES", budget)
+            widths.clear()
+            results[budget] = repr(run_monte_carlo(model, filt, cfg))
+            assert widths == want
+        assert len(set(results.values())) == 1
 
 
 class TestSweepMseVsNoise:
