@@ -16,9 +16,11 @@ instead.  Its points share one analog matrix and one quantized block, so a
 single copy-count scan (``estimator.copy_scan_mse``) serves them all: one
 Cholesky factor of the largest analog covariance, one p x p eigenproblem
 per analog count and O(p) work per copy count.  The exhaustive solver runs
-it over every pair on or below the frontier and serves as the reference
-oracle.  Every search picks its optimum with :func:`argbest` on its MSE
-array, then builds its trace once and reads the optimum from it.
+the same scan over every pair on or below the frontier, its counts built
+once as arrays, and serves as the reference oracle; its result is that of
+:func:`direct_search` over those pairs.  Every search picks its optimum
+with :func:`argbest` on its MSE array, then builds its trace once and reads
+the optimum from it.
 """
 
 from __future__ import annotations
@@ -269,27 +271,31 @@ def allocate_exhaustive(
     so all evaluated models share the same blocks.  Instances whose feasible
     grid exceeds ``MAX_EXHAUSTIVE_PAIRS`` points, or whose scan would factor
     more than ``MAX_DENSE_ROWS`` rows (m per analog block plus one quantized
-    period), are refused before anything is drawn.
+    period), are refused before anything is drawn.  The pairs, n_a-major,
+    go to one :func:`~mixedres.estimator.copy_scan_mse` as two count arrays
+    built once, so the result is that of :func:`direct_search` over them,
+    without its checks of a caller's points.
     """
     m = params_base.m
     rng = rng if rng is not None else RngStream(0)
 
     # Every feasible n_a adds at least one pair, so a budget with too many
     # n_a is refused before its frontier is built.
-    too_large = InstanceTooLargeError(f"feasible grid has more than {MAX_EXHAUSTIVE_PAIRS} pairs")
-    if na_range(m, budget)[-1] >= MAX_EXHAUSTIVE_PAIRS:
-        raise too_large
-    n_a, n_q = frontier(m, budget)
-    if len(n_a) + sum(n_q) > MAX_EXHAUSTIVE_PAIRS:
-        raise too_large
+    n_a_max = na_range(m, budget)[-1]
+    tops = frontier(m, budget)[1] if n_a_max < MAX_EXHAUSTIVE_PAIRS else None
+    if tops is None or n_a_max + 1 + sum(tops) > MAX_EXHAUSTIVE_PAIRS:
+        raise InstanceTooLargeError(f"feasible grid has more than {MAX_EXHAUSTIVE_PAIRS} pairs")
     # The scan factors the analog rows of the largest n_a and one period
     # (at most m rows) of the quantized block.
-    check_dense_rows(m * (n_a[-1] + 1))
+    check_dense_rows(m * (n_a_max + 1))
 
-    # One quantized block suffices; each evaluated pair tiles it as needed.
-    h_full, g1 = make_ortho_matrices(replace(params_base, n_a=n_a[-1], n_q=1), rng)
-    pairs = [(a, q) for a, top in zip(n_a, n_q) for q in range(top + 1)]
-    return direct_search(params_base, pairs, h_full, g1)
+    # One quantized block suffices; the scan counts its copies.
+    params = replace(params_base, n_a=n_a_max, n_q=1)
+    h_full, g1 = make_ortho_matrices(params, rng)
+    # Every pair (n_a, n_q) with n_q <= tops[n_a], n_a-major: the row and
+    # column indices of the true entries of that n_a x n_q table.
+    n_a, n_q = np.nonzero(np.arange(max(tops) + 1) <= np.array(tops)[:, None])
+    return _scan_result(n_a, n_q, copy_scan_mse(block_model(params, h_full, g1), m * n_a, n_q))
 
 
 def direct_search(params_base: OrthoBlockParams, points, h_full: np.ndarray, g1: np.ndarray) -> AllocationResult:
@@ -327,7 +333,14 @@ def direct_search(params_base: OrthoBlockParams, points, h_full: np.ndarray, g1:
         raise InstanceTooLargeError(f"n_q={_count_text(int(max(n_q)))} exceeds the int64 range of the copy scan")
     n_a, n_q = np.array(n_a, dtype=np.int64), np.array(n_q, dtype=np.int64)
     model = block_model(replace(params_base, n_a=n_a_max, n_q=1), h_full, g1)
-    mse = copy_scan_mse(model, m * n_a, n_q)
+    return _scan_result(n_a, n_q, copy_scan_mse(model, m * n_a, n_q))
+
+
+def _scan_result(n_a: np.ndarray, n_q: np.ndarray, mse: np.ndarray) -> AllocationResult:
+    """The result of a copy scan: the trace (n_a, n_q, 0.0, mse) of each point, in order.
+
+    The optimum is the :func:`argbest` entry of the trace.
+    """
     best = int(argbest(mse, 0.0, n_a))
     trace = [(a, q, 0.0, value) for a, q, value in zip(n_a.tolist(), n_q.tolist(), mse.tolist())]
     return AllocationResult(*trace[best], trace)

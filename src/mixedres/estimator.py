@@ -23,6 +23,8 @@ cross-copy block A2 is A1 with its noise-free diagonal: C_ii - v on an
 analog row and (2/pi) arcsin((C_y,ii - v) / C_y,ii) on a 1-bit row.  So
 the dense C_x is A2 gathered on both axes by the copy index, the row of the
 period that each row of x copies, with A1's diagonal written on its own.
+For the identity prior that :func:`~mixedres.model.block_model` flags, the
+stages skip their products with the prior and take its trace as m.
 
 A unitary change of basis over the k copies of a block splits off the
 scaled copy sum s = (x_1 + ... + x_k) / sqrt(k) from k - 1 copy
@@ -231,14 +233,31 @@ def _make_hermitian(c: np.ndarray) -> None:
     c += c.conj().T
 
 
-def _gram_plus_diag(b: np.ndarray, sigma: np.ndarray, var: float) -> np.ndarray:
-    """B sigma B^H + var * I without materializing a dense identity.
+def _prior_times(model: MixedModel, b: np.ndarray, left: bool) -> np.ndarray:
+    """sigma_theta @ b (``left``) or b @ sigma_theta; ``b`` itself for an identity prior.
+
+    A model of :func:`~mixedres.model.block_model` flags its identity prior,
+    and I b = b I = b for a finite b, but for the sign of an exact zero, so
+    the product is skipped.
+    """
+    if model._identity_prior:
+        return b
+    return model.sigma_theta @ b if left else b @ model.sigma_theta
+
+
+def _prior_trace(model: MixedModel) -> float:
+    """trace(sigma_theta), which is m for an identity prior."""
+    return float(model.m) if model._identity_prior else float(model.sigma_theta.trace().real)
+
+
+def _gram_plus_diag(model: MixedModel, b: np.ndarray, var: float) -> np.ndarray:
+    """B sigma_theta B^H + var * I without materializing a dense identity.
 
     Finite but extreme inputs can overflow; a non-finite entry raises
     :class:`NumericalDomainError`.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        out = (b @ sigma) @ b.conj().T
+        out = _prior_times(model, b, left=False) @ b.conj().T
         out.reshape(-1)[:: out.shape[0] + 1] += var  # a view of the diagonal
     if not np.isfinite(out).all():
         raise NumericalDomainError("covariance overflowed to a non-finite value")
@@ -247,14 +266,14 @@ def _gram_plus_diag(b: np.ndarray, sigma: np.ndarray, var: float) -> np.ndarray:
 
 def cov_analog(model: MixedModel) -> np.ndarray:
     """Auto-covariance of the analog measurements, exactly Hermitian."""
-    c = _gram_plus_diag(model.h, model.sigma_theta, model.var_a)
+    c = _gram_plus_diag(model, model.h, model.var_a)
     _make_hermitian(c)
     return c
 
 
 def cov_pre_quantization(model: MixedModel) -> np.ndarray:
     """Auto-covariance of the quantizer input y = G theta + w_q."""
-    return _gram_plus_diag(model.g, model.sigma_theta, model.var_q)
+    return _gram_plus_diag(model, model.g, model.var_q)
 
 
 def _inv_sqrt_diag(c_y: np.ndarray) -> np.ndarray:
@@ -298,13 +317,13 @@ def cov_quantized(c_y: np.ndarray) -> np.ndarray:
 def cross_cov_theta_quantized(model: MixedModel, c_y: np.ndarray) -> np.ndarray:
     """Bussgang cross-covariance of the parameter with the quantized vector."""
     s = _inv_sqrt_diag(c_y)
-    return _BUSSGANG_GAIN * (model.sigma_theta @ model.g.conj().T) * s
+    return _BUSSGANG_GAIN * _prior_times(model, model.g.conj().T, left=True) * s
 
 
 def cross_cov_analog_quantized(model: MixedModel, c_y: np.ndarray) -> np.ndarray:
     """Bussgang cross-covariance of the analog and quantized measurements."""
     s = _inv_sqrt_diag(c_y)
-    return _BUSSGANG_GAIN * (model.h @ model.sigma_theta @ model.g.conj().T) * s
+    return _BUSSGANG_GAIN * (_prior_times(model, model.h, left=False) @ model.g.conj().T) * s
 
 
 def assemble(model: MixedModel) -> CovarianceBundle:
@@ -332,7 +351,7 @@ def _assemble(model: MixedModel, analog: tuple[int, int], quantized: tuple[int, 
     np.conjugate(a1[:pa, pa:].T, out=a1[pa:, :pa])
     a1[pa:, pa:] = cov_quantized(c_y)
     c_theta = np.empty((model.m, n), dtype=np.complex128)
-    c_theta[:, :pa] = model.sigma_theta @ one.h.conj().T
+    c_theta[:, :pa] = _prior_times(one, one.h.conj().T, left=True)
     c_theta[:, pa:] = cross_cov_theta_quantized(one, c_y)
     # The stages above refused a non-positive diagonal of c_y.
     d = c_y.diagonal().real
@@ -473,10 +492,14 @@ def lmmse_from_bundle(model: MixedModel, bundle: CovarianceBundle) -> LmmseFilte
     """
     from scipy.linalg import lapack
 
-    prior_trace = float(model.sigma_theta.trace().real)
+    prior_trace = _prior_trace(model)
     c, c_theta, d, root = _copy_reduced(bundle)
     anorm = _one_norm(c)
-    lu, piv, info = lapack.zgetrf(c, overwrite_a=1)
+    # Solve C~ X = C~_theta^H; then the reduction term is trace(C~_theta @ X),
+    # and w = X^H with each copy-sum row of X spread over its copies.  One
+    # driver factors and solves: OpenBLAS ran a separate zgetrs on its thread
+    # pool and rounded a one-column solve there other than on one thread.
+    lu, _, x, info = lapack.zgesv(c, c_theta.conj().T, overwrite_a=1)
     if info != 0 or not np.isfinite(lu.diagonal()).all() or (d.size and not d.min() > 0):
         raise EstimatorUndefinedError("measurement covariance is singular", condition=float("inf"))
     rcond, info = lapack.zgecon(lu, anorm, norm="1")
@@ -487,10 +510,6 @@ def lmmse_from_bundle(model: MixedModel, bundle: CovarianceBundle) -> LmmseFilte
         widen_norm = max(1.0, d.max() / anorm)
         widen_inverse = max(1.0, rcond * anorm * (1.0 / d.min()))
     condition = _checked_condition(rcond / (widen_norm * widen_inverse), info)
-
-    # Solve C~ X = C~_theta^H; then the reduction term is trace(C~_theta @ X),
-    # and w = X^H with each copy-sum row of X spread over its copies.
-    x, _ = lapack.zgetrs(lu, piv, c_theta.conj().T)
     mse = prior_trace - float((c_theta @ x).trace().real)
     x /= root[:, None]
     return LmmseFilter(w=bundle._spread(x.conj().T), mse=_clamped_mse(mse), condition=condition)
@@ -511,7 +530,7 @@ def prefix_mse(model: MixedModel) -> np.ndarray:
     bundle = assemble(model)
     # c_x is a fresh gather that nothing else reads, so it is factored in place.
     z, _, _ = _cholesky_solve(bundle._gather_c_x(fortran=True), bundle.c_theta_x.conj().T, overwrite_c=True)
-    return _clamped_mse(float(np.trace(model.sigma_theta).real) - _prefix_norms(z))
+    return _clamped_mse(_prior_trace(model) - _prefix_norms(z))
 
 
 def copy_scan_mse(model: MixedModel, analog_rows, copies) -> np.ndarray:
@@ -556,7 +575,7 @@ def copy_scan_mse(model: MixedModel, analog_rows, copies) -> np.ndarray:
     quantized = k.nonzero()[0]
     # Every analog prefix is a point, so the analog rows stay one copy.
     bundle = _assemble(model, (n, min(n, 1)), (p, per_block) if quantized.size else (0, 0))
-    prior = float(model.sigma_theta.trace().real)
+    prior = _prior_trace(model)
 
     # Z = inv(L) C_theta_xa^H and V = inv(L) B from one factor of the largest
     # C_xa; the first rows of each belong to the leading C_xa.
@@ -620,22 +639,25 @@ def copy_scan_mse(model: MixedModel, analog_rows, copies) -> np.ndarray:
         lam = lams[at]
         if n_more:
             lam += np.where(more, 1.0 / k, 0.0)[:, None]
-        if not (lam > 0).all():
+        # NaN propagates through both minima, so this refuses it too.
+        lam_min = lam.min(axis=1)
+        if not lam_min.min() > 0:
             raise EstimatorUndefinedError(
                 "measurement covariance is singular: non-positive Schur eigenvalue", condition=float("inf")
             )
         mse[quantized] -= (ws[at] / lam).sum(axis=1)
-        cx_inv = np.maximum(a_inv + coupling[group] / (scale * lam.min(axis=1)), floor)
+        cx_inv = np.maximum(a_inv + coupling[group] / (scale * lam_min), floor)
         # |C_x|_1 with the largest analog prefix, which bounds every prefix;
         # A1 and A2 hold correlations, so their 1-norms are at most p.
         cx_norm = np.maximum(
             a_norm + k * b_abs[:n].sum(axis=1).max(initial=0.0),
             b_abs[:n].sum(axis=0).max() + b_abs[n:].sum(axis=0).max() + (k - 1) * np.abs(a2).sum(axis=0).max(),
         )
-        # A point without quantized rows has the bound of the analog rows alone.
+        bound = cx_norm * cx_inv
+    # A point without quantized rows has the bound of the analog rows alone.
+    if not ((bound <= CONDITION_LIMIT).all() and (quantized.size == rows.size or a_norm * a_inv <= CONDITION_LIMIT)):
         condition = np.full(rows.size, a_norm * a_inv)
-        condition[quantized] = cx_norm * cx_inv
-    if not (condition <= CONDITION_LIMIT).all():
+        condition[quantized] = bound
         worst = float(np.nan_to_num(condition, nan=np.inf).max())
         raise EstimatorUndefinedError(
             f"measurement covariance too ill-conditioned (bound {worst:.3e})", condition=worst

@@ -188,7 +188,9 @@ class MixedModel:
 
     The prior is checked to be Hermitian positive definite, except when
     ``_identity_prior`` is set: :func:`block_model` sets it for the identity
-    prior it builds itself.
+    prior it builds itself.  The model keeps that flag as the private
+    attribute ``_identity_prior``, so the estimator's covariance stages skip
+    their products with the prior and take its trace as m.
     """
 
     h: np.ndarray
@@ -223,6 +225,8 @@ class MixedModel:
         for name in ("var_a", "var_q"):
             require_finite(name, getattr(self, name))
         if _identity_prior:
+            # An instance attribute over the class's False.
+            object.__setattr__(self, "_identity_prior", True)
             return
 
         herm_gap = np.max(np.abs(sig - sig.conj().T)) if m else 0.0
@@ -377,7 +381,9 @@ class SampleBuffers:
 
     - two draw slots (:meth:`slot`), each for a whole batch's planar
       standard-normal blocks, as a stream fills its block whole, so that a
-      run can draw one batch's blocks while it computes with the other's;
+      run can draw one batch's blocks while it computes with the other's; a
+      run that draws every batch on its own thread uses slot 0 only, and
+      the pages of slot 1 are never written;
     - ``values`` (float64): the caller's per-trial value of each trial of
       the batch;
 
@@ -650,7 +656,8 @@ def make_ortho_matrices(params: OrthoBlockParams, rng: RngStream):
     u = q * (d / np.abs(d))[:, None, :]
     h = (math.sqrt(params.rho_a) * u[:-1]).reshape(-1, m)
     # Drawing the quantized block also when n_q = 0 leaves H unchanged.
-    gm = np.tile(math.sqrt(params.rho_q) * u[-1], (params.n_q, 1))
+    g1 = math.sqrt(params.rho_q) * u[-1]
+    gm = g1 if params.n_q == 1 else np.tile(g1, (params.n_q, 1))
     return h, gm
 
 
@@ -667,7 +674,8 @@ def block_model(params: OrthoBlockParams, h: np.ndarray, g1: np.ndarray) -> Mixe
     m = params.m
     return MixedModel(
         h=h[: m * params.n_a],
-        g=np.tile(g1, (params.n_q, 1)),
+        # One copy is g1 itself, as h is a view of the caller's rows.
+        g=np.ascontiguousarray(g1) if params.n_q == 1 else np.tile(g1, (params.n_q, 1)),
         sigma_theta=np.eye(m, dtype=np.complex128),
         var_a=params.var_a,
         var_q=params.var_q,

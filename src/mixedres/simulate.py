@@ -212,15 +212,15 @@ def _batch_trials(cfg: SimConfig, b: int) -> int:
     return min(cfg.batch_size, cfg.trials - b * cfg.batch_size)
 
 
-def _draw(cfg: SimConfig, buffers: SampleBuffers, b: int):
-    """The draw of batch ``b``: a call that fills draw slot b % 2 of ``buffers`` and returns its two blocks.
+def _draw(cfg: SimConfig, buffers: SampleBuffers, b: int, slot: int):
+    """The draw of batch ``b``: a call that fills draw slot ``slot`` of ``buffers`` and returns its two blocks.
 
     The call returns batch ``b``'s planar standard-normal blocks: theta's
     from stream (seed, 2b) and the analog sum's from (seed, 2b + 1), or None
     when the analog variance is 0.  The streams' generators are made here,
     on the caller's thread, so the call only fills the blocks.
     """
-    z_theta, z_analog = buffers.slot(b % 2, _batch_trials(cfg, b))
+    z_theta, z_analog = buffers.slot(slot, _batch_trials(cfg, b))
     fills = [(RngStream(cfg.rng_seed, 2 * b).generator(), z_theta)]
     if z_analog is not None:
         fills.append((RngStream(cfg.rng_seed, 2 * b + 1).generator(), z_analog))
@@ -310,10 +310,12 @@ def run_monte_carlo(model: MixedModel, filt: LmmseFilter, cfg: SimConfig) -> Sim
         pool = ThreadPoolExecutor(max_workers=1)
     partials = []
     try:
+        # The calling thread draws into slot 0: every batch without a worker,
+        # or batch 0, before the worker draws batch b + 1 into slot (b + 1) % 2.
         for b in range(n_batches):
-            blocks = ahead.result() if ahead is not None else _draw(cfg, buffers, b)()
+            blocks = ahead.result() if ahead is not None else _draw(cfg, buffers, b, 0)()
             if pool is not None and b + 1 < n_batches:
-                ahead = pool.submit(_draw(cfg, buffers, b + 1))
+                ahead = pool.submit(_draw(cfg, buffers, b + 1, (b + 1) % 2))
             partials.append(_run_batch(w1, c, cfg, buffers, *blocks))
     finally:
         if pool is not None:

@@ -35,12 +35,11 @@ differ only in the 1-bit outputs and agree within their standard errors.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
 from scipy import special
-from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
+from scipy.linalg import lapack
 
 from mixedres.allocation import AllocationResult, DitherScheme, PowerBudget, max_nq, na_range
 from mixedres.closed_form import ClosedFormMse
@@ -342,16 +341,13 @@ def reference_lmmse(model: MixedModel) -> LmmseFilter:
         return LmmseFilter(w=np.zeros((model.m, 0), dtype=np.complex128), mse=prior_trace, condition=1.0)
     # The 1-norm of a C-ordered copy: NumPy sums the columns of other layouts in another order.
     anorm = np.linalg.norm(np.ascontiguousarray(c_x), 1)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(c_x)
-    except np.linalg.LinAlgError as exc:
-        raise EstimatorUndefinedError("measurement covariance is singular", condition=math.inf) from exc
+    # One LAPACK driver factors and solves, as in lmmse: OpenBLAS runs a
+    # separate zgetrs on its thread pool, where a one-column solve rounds
+    # other than on one thread.  A singular C_x leaves a zero on U's diagonal.
+    lu, _, x, _ = lapack.zgesv(c_x, c_theta_x.conj().T)
     if not np.all(np.isfinite(np.diag(lu))) or np.any(np.diag(lu) == 0):
         raise EstimatorUndefinedError("measurement covariance is singular", condition=math.inf)
     condition = _checked_condition(*lapack.zgecon(lu, anorm, norm="1"))
-    x = lu_solve((lu, piv), c_theta_x.conj().T)
     mse = prior_trace - float(np.trace(c_theta_x @ x).real)
     return LmmseFilter(w=x.conj().T, mse=float(_clamped_mse(mse)), condition=condition)
 

@@ -2,6 +2,7 @@
 
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,7 +29,13 @@ from mixedres.allocation import (
     noiseless_quantized_policy,
 )
 from mixedres.closed_form import mse_closed_form, mse_grid, mse_pure_analog
-from mixedres.exceptions import EstimatorUndefinedError, InstanceTooLargeError, ModelError, NumericalDomainError
+from mixedres.exceptions import (
+    EstimatorUndefinedError,
+    InstanceTooLargeError,
+    MixedResError,
+    ModelError,
+    NumericalDomainError,
+)
 from mixedres.model import OrthoBlockParams, RngStream, make_ortho_matrices
 from mixedres.simulate import sweep_allocation_vs_noise
 from oracles import log_uniform, reference_argbest, reference_direct_search_mse
@@ -338,6 +345,44 @@ class TestDirectSearch:
         h_full, g1 = self._blocks(params, na_range(2, budget)[-1], seed=9)
         pairs = [(a, q) for a in na_range(2, budget) for q in range(max_nq(a, 2, budget) + 1)]
         assert allocate_exhaustive(params, budget, rng=RngStream(9)) == direct_search(params, pairs, h_full, g1)
+
+    @pytest.mark.parametrize("seeded", [False, True], ids=["default-rng", "seeded-rng"])
+    def test_exhaustive_equals_direct_search_over_its_pairs(self, seeded):
+        """Criterion-4-shaped instances, a sixth of them with a noiseless
+        quantizer: allocate_exhaustive, which builds its counts as arrays and
+        scans them itself, gives the result of direct_search over every pair
+        on or below the frontier with the same blocks, value for value and
+        with int counts; an instance that one refuses, the other refuses with
+        the same error."""
+        rng = np.random.default_rng(37)
+        refused = 0
+        for trial in range(36):
+            m = int(rng.integers(1, 4))
+            bits = int(rng.integers(2, 5))
+            n_a_cap = int(rng.integers(0, 4))
+            extra = int(rng.integers(1, 9))
+            budget = PowerBudget(bits=bits, p_max_norm=float(2**bits * m * n_a_cap + 2 * m * extra))
+            params = OrthoBlockParams(
+                m=m, n_a=0, n_q=0,
+                rho_a=log_uniform(rng, 0.1, 10.0), rho_q=log_uniform(rng, 0.1, 10.0),
+                var_a=log_uniform(rng, 0.1, 10.0), var_q=0.0 if trial % 6 == 5 else log_uniform(rng, 0.1, 10.0),
+            )
+            stream = RngStream(int(rng.integers(1 << 30)), trial) if seeded else None
+            n_a_max = na_range(m, budget)[-1]
+            h_full, g1 = make_ortho_matrices(replace(params, n_a=n_a_max, n_q=1), stream or RngStream(0))
+            pairs = [(a, q) for a in range(n_a_max + 1) for q in range(max_nq(a, m, budget) + 1)]
+            outcomes = []
+            for search in (partial(allocate_exhaustive, params, budget, rng=stream),
+                           partial(direct_search, params, pairs, h_full, g1)):
+                try:
+                    result = search()
+                    assert {type(count) for entry in result.trace for count in entry[:2]} == {int}
+                    outcomes.append(result)
+                except MixedResError as exc:
+                    outcomes.append((type(exc), str(exc), getattr(exc, "condition", None)))
+            assert outcomes[0] == outcomes[1], f"trial {trial}"
+            refused += isinstance(outcomes[0], tuple)
+        assert 0 < refused < 36
 
     def test_prefix_scan_equals_one_solve_per_point(self):
         """All pairs of criterion-4-shaped instances: every MSE within 1e-12

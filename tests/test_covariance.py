@@ -16,15 +16,19 @@ from mixedres.estimator import (
     cov_quantized,
     cross_cov_analog_quantized,
     cross_cov_theta_quantized,
+    lmmse,
     lmmse_from_bundle,
 )
 from mixedres.exceptions import DegenerateCovarianceError, ModelError, NumericalDomainError
 from mixedres.model import (
+    PILOTS,
     MixedModel,
     OrthoBlockParams,
     RngStream,
+    block_model,
     copy_layout,
     make_mimo_model,
+    make_ortho_matrices,
     make_ortho_model,
     make_scalar_model,
 )
@@ -446,6 +450,45 @@ class TestBlockAssembly:
             for name in fields:
                 np.testing.assert_array_equal(getattr(model, name), model_before[name], err_msg=name)
             assert all(filt.w.flags.c_contiguous for filt in filters)
+
+
+def _identity_prior_models(m):
+    """block_model and make_mimo_model models with m parameters, with two analog
+    blocks over three quantized copies, and the same models with one quantized block."""
+    params = OrthoBlockParams(m=m, n_a=2, n_q=3, rho_a=1.3, rho_q=0.6, var_a=0.8, var_q=1.1)
+    h, g1 = make_ortho_matrices(replace(params, n_q=1), RngStream(m))
+    for pilot in PILOTS:
+        yield f"mimo-{pilot}", make_mimo_model(m, 2, 3, 0.9, 0.7, pilot=pilot, rng=RngStream(m, 1))
+        yield f"mimo-{pilot}-one-block", make_mimo_model(m, 2, 1, 0.9, 0.7, pilot=pilot, rng=RngStream(m, 1))
+    yield "block", block_model(params, h, g1)
+    yield "block-one-block", block_model(replace(params, n_q=1), h, g1)
+
+
+class TestIdentityPrior:
+    """A block_model model skips the covariance stages' products with its identity
+    prior; the same h and g with the prior given as a matrix take them."""
+
+    @pytest.mark.parametrize("m", [1, 3, 4, 8])
+    def test_skipped_products_change_no_output(self, m):
+        """Every lmmse and copy_scan_mse output byte for byte, and every bundle
+        block equal: the skip may change only the sign of an exact zero."""
+        rows = [0, m, 2 * m, 2 * m, m, 0, 2 * m]
+        copies = [0, 1, 2, 5, 1, 3, 1]
+        for name, model in _identity_prior_models(m):
+            plain = MixedModel(h=model.h, g=model.g, sigma_theta=np.eye(m), var_a=model.var_a, var_q=model.var_q)
+            assert model._identity_prior and not plain._identity_prior, name
+            flagged, general = lmmse(model), lmmse(plain)
+            assert flagged.w.tobytes() == general.w.tobytes(), name
+            assert (flagged.mse, flagged.condition) == (general.mse, general.condition), name
+            for block in ("a1", "a2", "c_theta"):
+                assert np.array_equal(getattr(assemble(model), block), getattr(assemble(plain), block)), (name, block)
+            if model.n_quantized == m:
+                scans = [estimator.copy_scan_mse(one, rows, copies) for one in (model, plain)]
+                assert scans[0].tobytes() == scans[1].tobytes(), name
+
+    def test_prior_trace_is_m(self):
+        model = make_mimo_model(4, 1, 1, 1.0, 1.0)
+        assert estimator._prior_trace(model) == 4.0 and type(estimator._prior_trace(model)) is float
 
 
 class TestMonteCarloConsistency:

@@ -255,15 +255,16 @@ class TestDrawAhead:
     @pytest.mark.parametrize("var_a", [0.7, 0.0])
     def test_draw_gives_each_streams_block(self, var_a):
         """Batch b's blocks are the first values of streams (seed, 2b) and
-        (seed, 2b + 1), in slot b % 2, also for a shorter last batch; without
-        analog noise there is no analog block."""
+        (seed, 2b + 1), in the slot asked for, also for a shorter last batch;
+        without analog noise there is no analog block."""
         model = MixedModel(h=np.ones((4, 3)), g=np.ones((2, 3)), sigma_theta=np.eye(3), var_a=var_a, var_q=0.8)
         cfg = SimConfig(trials=500, batch_size=200, rng_seed=11)
         buffers = SampleBuffers(model, 200, 2, 1)
-        for b, t in enumerate([200, 200, 100]):
-            z_theta, z_analog = simulate._draw(cfg, buffers, b)()
+        for b, (t, slot) in enumerate([(200, 0), (200, 1), (100, 1)]):
+            z_theta, z_analog = simulate._draw(cfg, buffers, b, slot)()
             assert z_theta.tobytes() == RngStream(11, 2 * b).generator().standard_normal((2, 3, t)).tobytes()
-            assert np.shares_memory(z_theta, buffers.slot(b % 2, t)[0])
+            assert np.shares_memory(z_theta, buffers.slot(slot, t)[0])
+            assert not np.shares_memory(z_theta, buffers.slot(1 - slot, t)[0])
             if var_a:
                 assert z_analog.tobytes() == RngStream(11, 2 * b + 1).generator().standard_normal((2, 2, t)).tobytes()
             else:
@@ -274,8 +275,8 @@ class TestDrawAhead:
         started = _cpus(monkeypatch, 2)
         draw, workers = simulate._draw, []
 
-        def failing(cfg, buffers, b):
-            fill = draw(cfg, buffers, b)
+        def failing(cfg, buffers, b, slot):
+            fill = draw(cfg, buffers, b, slot)
 
             def fill_or_fail():
                 if b == 1:
@@ -310,6 +311,23 @@ class TestDrawAhead:
         helped = run_monte_carlo(model, filt, cfg)
         assert len(started) == (trials > batch)
         assert repr(helped) == repr(alone)
+
+    @pytest.mark.parametrize(
+        "cpus, tiled, slots",
+        [(1, True, [0, 0, 0, 0]), (1, False, [0, 0, 0, 0]), (2, False, [0, 0, 0, 0]), (2, True, [0, 1, 0, 1])],
+    )
+    def test_only_a_run_with_a_worker_asks_for_slot_1(self, monkeypatch, cpus, tiled, slots):
+        """Every batch drawn on the calling thread goes to slot 0, so slot 1
+        is never asked for: on one CPU, and for products too large to tile
+        (a 17 x 17 prior) on two.  With a worker, the batches alternate."""
+        asked = []
+        slot = SampleBuffers.slot
+        monkeypatch.setattr(SampleBuffers, "slot", lambda self, index, t: asked.append(index) or slot(self, index, t))
+        started = _cpus(monkeypatch, cpus)
+        model = _mimo_closed()[0] if tiled else make_mimo_model(17, 1, 1, 1.0, 1.0, rng=RngStream(2))
+        run_monte_carlo(model, lmmse(model), SimConfig(trials=4 * 300, batch_size=300, rng_seed=3))
+        assert asked == slots
+        assert len(started) == (1 in slots)
 
     def test_products_too_large_to_tile_draw_on_one_thread(self, monkeypatch):
         """A 17 x 17 prior's products do not tile, so OpenBLAS's pool takes
@@ -592,7 +610,7 @@ class TestConditionalError:
         cfg = SimConfig(trials=count, rng_seed=k, batch_size=1)
         c = (np.abs(w1[:, p_a:]) ** 2).sum(axis=0)
         buffers = SampleBuffers(model, 1, p_a, p)
-        got = [simulate._run_batch(w1, c, cfg, buffers, *simulate._draw(cfg, buffers, b)())[0] for b in range(count)]
+        got = [simulate._run_batch(w1, c, cfg, buffers, *simulate._draw(cfg, buffers, b, 0)())[0] for b in range(count)]
 
         theta, s_a = [], []
         for b in range(count):
